@@ -16,7 +16,7 @@
 
 use haqjsk_bench::{dump_metrics_if_requested, engine_banner, json_output_path, write_json_report};
 use haqjsk_core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
-use haqjsk_engine::{graph_key, BackendKind, CacheConfig, Engine, FeatureCache, Json};
+use haqjsk_engine::{graph_key, per_pair, BackendKind, CacheConfig, Engine, FeatureCache, Json};
 use haqjsk_graph::generators::erdos_renyi;
 use haqjsk_graph::Graph;
 use haqjsk_kernels::{cached_ctqw_densities, GraphKernel, QjskUnaligned};
@@ -142,14 +142,7 @@ fn main() {
             };
             let run = || {
                 let start = Instant::now();
-                let _ = Engine::global().gram_prefetched(
-                    Some(backend),
-                    n,
-                    |i| {
-                        let _ = density(i);
-                    },
-                    entry,
-                );
+                let _ = Engine::global().gram(Some(backend), n, per_pair(entry), None);
                 start.elapsed().as_secs_f64()
             };
             let cold = run();
@@ -242,7 +235,7 @@ fn spawn_bench_worker(threads: usize) -> Option<BenchWorker> {
 }
 
 /// Distributed vs single-process execution on a 64-graph warm Gram: two
-/// worker processes whose thread counts sum to the driver's `TiledPool`
+/// worker processes whose thread counts sum to the driver's `Local`
 /// thread count (same total compute threads; the coordinator threads only
 /// do IO), plus the distributed-pool counters the ROADMAP asks the bench
 /// to surface.
@@ -261,7 +254,7 @@ fn distributed_section() -> Vec<Json> {
     let mut rows = Vec::new();
 
     println!(
-        "\nDistributed — 2 workers x {per_worker} threads vs single-process tiled x {threads} threads, {n_graphs}-graph Gram\n"
+        "\nDistributed — 2 workers x {per_worker} threads vs single-process local x {threads} threads, {n_graphs}-graph Gram\n"
     );
     println!("{:>10} {:>10} {:>10}", "backend", "cold s", "warm s");
 
@@ -284,10 +277,10 @@ fn distributed_section() -> Vec<Json> {
     };
 
     haqjsk_kernels::features::clear_density_cache();
-    let (local_cold, local_warm) = timed(BackendKind::TiledPool);
-    println!("{:>10} {:>10.3} {:>10.3}", "tiled", local_cold, local_warm);
+    let (local_cold, local_warm) = timed(BackendKind::Local);
+    println!("{:>10} {:>10.3} {:>10.3}", "local", local_cold, local_warm);
     rows.push(Json::obj([
-        ("backend", Json::Str("tiled".to_string())),
+        ("backend", Json::Str("local".to_string())),
         ("threads", Json::Num(threads as f64)),
         ("cold_ms", Json::Num(local_cold * 1000.0)),
         ("warm_ms", Json::Num(local_warm * 1000.0)),
@@ -332,7 +325,7 @@ fn distributed_section() -> Vec<Json> {
     let (dist_cold, dist_warm) = timed(BackendKind::Distributed);
     println!("{:>10} {:>10.3} {:>10.3}", "dist", dist_cold, dist_warm);
     println!(
-        "\n  warm dist/tiled: {:.2}x ({mode}); dataset dedup hit rate {:.1}%",
+        "\n  warm dist/local: {:.2}x ({mode}); dataset dedup hit rate {:.1}%",
         dist_warm / local_warm,
         coordinator.stats().dedup_hit_rate() * 100.0
     );

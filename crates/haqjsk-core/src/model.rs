@@ -22,14 +22,16 @@ use crate::correspondence::GraphCorrespondences;
 use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
 use haqjsk_engine::{
-    graph_key, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact, RemoteGram,
+    graph_key, per_pair, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact,
+    RemoteGram, TileEvaluator,
 };
 use haqjsk_graph::Graph;
-use haqjsk_kernels::kernel::{gram_from_tiles_spec, time_kernel_gram};
+use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram};
 use haqjsk_kernels::{GraphKernel, KernelMatrix};
 use haqjsk_linalg::LinalgError;
 use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
 use haqjsk_quantum::{qjsd, DensityMatrix};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// The hierarchical aligned representation of a single graph, ready for
@@ -266,24 +268,32 @@ impl HaqjskModel {
     ) -> Result<KernelMatrix, LinalgError> {
         let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all(graphs)?;
-        Ok(self.gram_over_aligned(graphs, backend, |i, j| {
-            self.kernel(&aligned[i], &aligned[j])
-        }))
+        Ok(self.gram_over_aligned(graphs, &aligned, backend))
     }
 
-    /// Pairwise Gram assembly over already-transformed features through the
-    /// engine's tile seam, attaching a [`RemoteGram`] spec (kernel id
+    /// The Gram tile evaluator over already-transformed graphs: each pair
+    /// `(i, j)` of a tile evaluates [`HaqjskModel::kernel`] of `aligned[i]`
+    /// and `aligned[j]`. Full Grams and extensions both run through it.
+    fn aligned_tiles<'a, A>(&'a self, aligned: &'a [A]) -> impl TileEvaluator + 'a
+    where
+        A: Borrow<AlignedGraph> + Sync,
+    {
+        per_pair(move |i, j| self.kernel(aligned[i].borrow(), aligned[j].borrow()))
+    }
+
+    /// Gram assembly over already-transformed features through
+    /// [`HaqjskModel::aligned_tiles`], attaching a [`RemoteGram`] spec (kernel id
     /// [`HaqjskModel::REMOTE_KERNEL_ID`] plus the persisted model as a
     /// content-addressed artifact) when the effective backend is
     /// distributed — so fitted-model Grams fan out to workers exactly like
     /// the closed-form kernels instead of falling back to local execution.
     /// The artifact is only serialised on the distributed path; local
     /// backends ignore the spec entirely.
-    fn gram_over_aligned(
+    fn gram_over_aligned<A: Borrow<AlignedGraph> + Sync>(
         &self,
         graphs: &[Graph],
+        aligned: &[A],
         backend: Option<BackendKind>,
-        entry: impl Fn(usize, usize) -> f64 + Sync,
     ) -> KernelMatrix {
         let effective = backend.unwrap_or_else(|| Engine::global().backend());
         let payload = (effective == BackendKind::Distributed)
@@ -297,15 +307,10 @@ impl HaqjskModel {
                 payload: text,
             }),
         });
-        gram_from_tiles_spec(
+        gram_from_tiles(
             graphs.len(),
             backend,
-            |_| {},
-            |pairs: &[(usize, usize)], out: &mut [f64]| {
-                for (k, &(i, j)) in pairs.iter().enumerate() {
-                    out[k] = entry(i, j);
-                }
-            },
+            self.aligned_tiles(aligned),
             spec.as_ref(),
         )
     }
@@ -331,9 +336,7 @@ impl HaqjskModel {
     ) -> Result<KernelMatrix, LinalgError> {
         let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all_cached(graphs, cache)?;
-        Ok(self.gram_over_aligned(graphs, backend, |i, j| {
-            self.kernel(&aligned[i], &aligned[j])
-        }))
+        Ok(self.gram_over_aligned(graphs, &aligned, backend))
     }
 
     /// Incrementally extends a Gram matrix with out-of-sample graphs: given
@@ -351,7 +354,9 @@ impl HaqjskModel {
     }
 
     /// [`HaqjskModel::gram_matrix_extended`] on an explicit execution
-    /// backend.
+    /// backend. The new rows/columns go through the same tile evaluator as
+    /// a full Gram, on the engine's tile scheduler (extensions always run
+    /// in this process).
     pub fn gram_matrix_extended_on(
         &self,
         base: &KernelMatrix,
@@ -367,37 +372,12 @@ impl HaqjskModel {
             )));
         }
         let aligned = self.transform_all_cached(graphs, cache)?;
-        let values =
-            Engine::global().gram_extend_on(backend, base.matrix(), graphs.len(), |i, j| {
-                self.kernel(&aligned[i], &aligned[j])
-            });
-        KernelMatrix::new(values)
-    }
-
-    /// Sliding-window Gram maintenance for streaming deployments: extends
-    /// the Gram matrix of `graphs[..base.len()]` to cover all of `graphs`,
-    /// then evicts the oldest rows/columns so at most `window` items
-    /// remain. Returns the windowed Gram matrix (covering the *last*
-    /// `min(graphs.len(), window)` graphs) — new pairs are evaluated once,
-    /// evicted history costs no kernel work at all.
-    pub fn gram_matrix_windowed(
-        &self,
-        base: &KernelMatrix,
-        graphs: &[Graph],
-        window: usize,
-        cache: &FeatureCache<AlignedGraph>,
-    ) -> Result<KernelMatrix, LinalgError> {
-        if window == 0 {
-            return Err(LinalgError::InvalidArgument(
-                "sliding window must keep at least one graph".to_string(),
-            ));
-        }
-        let extended = self.gram_matrix_extended(base, graphs, cache)?;
-        let total = extended.len();
-        if total <= window {
-            return Ok(extended);
-        }
-        let values = Engine::global().gram_retain(extended.matrix(), total - window..total);
+        let values = Engine::global().gram_extend(
+            backend,
+            base.matrix(),
+            graphs.len(),
+            self.aligned_tiles(&aligned),
+        );
         KernelMatrix::new(values)
     }
 
@@ -575,53 +555,33 @@ mod tests {
     }
 
     #[test]
-    fn gram_agrees_across_backends() {
+    fn extension_through_tiles_is_bitwise_equal_to_the_full_gram() {
         let graphs = dataset();
-        let model =
-            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedAdjacency).unwrap();
-        let reference = model
-            .gram_matrix_on(&graphs, Some(BackendKind::Serial))
-            .unwrap();
-        for backend in BackendKind::ALL {
-            let gram = model.gram_matrix_on(&graphs, Some(backend)).unwrap();
-            assert_eq!(
-                gram.matrix(),
-                reference.matrix(),
-                "backend {backend} must be byte-identical to the serial path"
-            );
-        }
-    }
-
-    #[test]
-    fn windowed_gram_slides_over_the_stream() {
-        let graphs = dataset();
-        let model =
-            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedDensity).unwrap();
-        let cache = FeatureCache::new();
-        let window = 3;
-
-        // Stream the graphs one at a time through the windowed API.
-        let mut served: Vec<Graph> = graphs[..2].to_vec();
-        let mut gram = model.gram_matrix_cached(&served, &cache).unwrap();
-        for g in &graphs[2..] {
-            served.push(g.clone());
-            gram = model
-                .gram_matrix_windowed(&gram, &served, window, &cache)
-                .unwrap();
-            if served.len() > window {
-                served.drain(..served.len() - window);
+        for variant in [
+            HaqjskVariant::AlignedAdjacency,
+            HaqjskVariant::AlignedDensity,
+        ] {
+            let model = HaqjskModel::fit(&graphs, small_config(), variant).unwrap();
+            let cache = FeatureCache::new();
+            let full = model.gram_matrix_cached(&graphs, &cache).unwrap();
+            for backend in [None, Some(BackendKind::Serial)] {
+                for m in [0, graphs.len() / 2, graphs.len()] {
+                    let base = model.gram_matrix_cached(&graphs[..m], &cache).unwrap();
+                    let extended = model
+                        .gram_matrix_extended_on(&base, &graphs, &cache, backend)
+                        .unwrap();
+                    let bits = |k: &KernelMatrix| -> Vec<u64> {
+                        k.matrix().data().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&extended),
+                        bits(&full),
+                        "{} extended from {m} on {backend:?}",
+                        variant.label()
+                    );
+                }
             }
-            assert_eq!(gram.len(), served.len().min(window));
         }
-
-        // The final window equals a from-scratch Gram over the same graphs.
-        let direct = model.gram_matrix_cached(&served, &cache).unwrap();
-        assert_eq!(gram.matrix(), direct.matrix());
-
-        // Degenerate window sizes are rejected.
-        assert!(model
-            .gram_matrix_windowed(&gram, &served, 0, &cache)
-            .is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The coordinator: a [`GramBackend`]-shaped fan-out over worker processes.
+//! The coordinator: the remote-tiles hook's fan-out over worker processes.
 //!
 //! A [`Coordinator`] owns one [`WorkerLink`] per member worker and executes
 //! Gram computations that carry a serialisable [`RemoteGram`] spec by (1)
@@ -14,10 +14,11 @@
 //! (kernel, dataset, pair) and `f64`s round-trip bit-exactly through the
 //! JSON wire format.
 //!
-//! Gram computations *without* a spec (arbitrary closures, per-pair entry
-//! functions, kernels the wire format cannot express) execute locally on
-//! the tiled pool — selecting the distributed backend never makes a
-//! computation fail or change value, only (where possible) relocates it.
+//! Gram computations *without* a spec never reach the coordinator, and the
+//! ones it declines (kernels the wire format cannot express, no reachable
+//! worker) run on the engine's local tile scheduler — selecting the
+//! distributed backend never makes a computation fail or change value,
+//! only (where possible) relocates it.
 //!
 //! ## Elastic membership
 //!
@@ -37,8 +38,7 @@ use crate::dataset::{dataset_id, dataset_keys, SHIP_CHUNK};
 use crate::fault::{Conn, LinkState, WorkerLink, WorkerStatsSnapshot};
 use crate::scheduler::{self, TileRun};
 use crate::wire::{self, KernelSpec};
-use haqjsk_engine::backend::{Prefetch, TileEvaluator};
-use haqjsk_engine::{gram, Json, RemoteGram, WorkerPool};
+use haqjsk_engine::{gram, Json, RemoteGram, TileEvaluator, WorkerPool};
 use haqjsk_graph::Graph;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -439,25 +439,24 @@ impl Coordinator {
         Ok(armed)
     }
 
-    /// The distributed Gram entry point (called by the installed
-    /// [`GramBackend`](haqjsk_engine::GramBackend) implementation).
-    pub(crate) fn gram_tiles_spec(
+    /// The distributed Gram entry point (called by the remote-tiles hook):
+    /// the full upper-triangle grid of tile width `tile`, or `None` when
+    /// the Gram should run locally instead.
+    pub(crate) fn gram_tiles(
         &self,
         pool: &WorkerPool,
         n: usize,
         tile: usize,
-        prefetch: Option<Prefetch<'_>>,
         eval: &dyn TileEvaluator,
-        spec: Option<&RemoteGram<'_>>,
-    ) -> Matrix {
+        spec: &RemoteGram<'_>,
+    ) -> Option<Matrix> {
         self.grams.fetch_add(1, Ordering::Relaxed);
         // Anything the wire format cannot express executes locally.
-        let kernel = spec.and_then(KernelSpec::from_remote);
-        let (Some(spec), Some(kernel)) = (spec, kernel) else {
-            return self.local_gram(pool, n, tile, prefetch, eval);
+        let Some(kernel) = KernelSpec::from_remote(spec) else {
+            return self.decline();
         };
         if spec.graphs.len() != n || n == 0 {
-            return self.local_gram(pool, n, tile, prefetch, eval);
+            return self.decline();
         }
         let artifact = spec
             .artifact
@@ -522,16 +521,16 @@ impl Coordinator {
                 .unwrap_or(usize::MAX)
         });
         if ready.is_empty() {
-            return self.local_gram(pool, n, tile, prefetch, eval);
+            return self.decline();
         }
 
-        // The exact tile grid the local backends use.
+        // The exact tile grid of the local scheduler.
         let tile = tile.max(1);
-        let grid = gram::upper_triangle_tiles(n, tile);
+        let grid = gram::tile_grid(n, 0, tile);
         let mut tiles: Vec<Vec<(usize, usize)>> = Vec::with_capacity(grid.len());
         let mut pairs = Vec::new();
-        for &(bi, bj) in &grid {
-            gram::tile_pairs(n, tile, bi, bj, &mut pairs);
+        for &t in &grid {
+            gram::tile_pairs(n, 0, tile, t, &mut pairs);
             tiles.push(pairs.clone());
         }
         self.tiles_scheduled
@@ -584,21 +583,14 @@ impl Coordinator {
                 values[(j, i)] = v;
             }
         }
-        values
+        Some(values)
     }
 
-    /// Local execution on the tiled pool — the no-spec / no-worker path.
-    fn local_gram(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix {
+    /// Declines a Gram, counting it as a whole-Gram local fallback; the
+    /// engine then runs it on its local tile scheduler.
+    fn decline(&self) -> Option<Matrix> {
         self.local_fallback_grams.fetch_add(1, Ordering::Relaxed);
-        use haqjsk_engine::backend::{GramBackend, TiledPoolBackend};
-        TiledPoolBackend.gram_tiles(pool, n, tile, prefetch, eval)
+        None
     }
 }
 

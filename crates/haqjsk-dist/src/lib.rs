@@ -3,17 +3,18 @@
 //! Distributed tile execution: a worker-pool RPC backend that spans one
 //! Gram matrix across processes and machines.
 //!
-//! The engine's PR 4 tile seam (`GramBackend::gram_tiles` hands whole tiles
-//! of index pairs to an evaluator) is exactly the shape a remote backend
-//! needs: this crate adds the transport. A [`Coordinator`] speaks a
+//! The engine's tile scheduler hands whole tiles of index pairs to one
+//! evaluator, which is exactly the shape a remote backend needs: this crate
+//! adds the transport behind the engine's remote-tiles hook. A
+//! [`Coordinator`] speaks a
 //! JSON-lines TCP protocol (the same [`haqjsk_engine::json`] values and
 //! `serve` framing as `haqjsk-serve`) to a pool of [`WorkerServer`]
 //! processes, each running the existing engine locally:
 //!
 //! ```text
-//!           Engine::gram_tiles_spec (kernel id + params + graphs)
+//!   Engine::gram (BackendKind::Distributed + kernel id, params, graphs)
 //!                         │
-//!            DistributedBackend (BackendKind::Distributed)
+//!        remote-tiles hook (installed by `install`)
 //!                         │
 //!                   Coordinator ──── dataset shipping (content-hash dedup)
 //!                    │        │
@@ -26,10 +27,10 @@
 //!
 //! * **Selection.** `HAQJSK_BACKEND=dist:host:port,host:port` plus
 //!   [`install_from_env`] (the binaries call it at startup), or
-//!   [`Coordinator::connect`] + [`set_coordinator`] programmatically. The
-//!   backend registers itself with the engine's backend registry
-//!   ([`haqjsk_engine::install_distributed_backend`]); kernels then select
-//!   it like any other backend (`BackendKind::Distributed`).
+//!   [`Coordinator::connect`] + [`set_coordinator`] programmatically. Both
+//!   install this crate's remote-tiles hook into the engine
+//!   ([`haqjsk_engine::install_remote_tiles`]); kernels then select it like
+//!   any other backend (`BackendKind::Distributed`).
 //! * **Byte identity.** A distributed Gram is byte-identical to
 //!   [`BackendKind::Serial`](haqjsk_engine::BackendKind) no matter which
 //!   worker computed which tile, which tiles were re-dispatched, or which
@@ -45,9 +46,10 @@
 //!   and fitted HAQJSK models distribute by shipping their persisted-model
 //!   artifact (content-addressed, dedup-shipped like datasets) so workers
 //!   evaluate model tiles against a local reconstruction. Everything else
-//!   — arbitrary closures, per-pair entries — executes locally on the
-//!   tiled pool when the distributed backend is selected, never failing,
-//!   so the backend is always safe to enable globally.
+//!   — arbitrary closures, per-pair entries, extensions — runs on the
+//!   engine's local tile scheduler when the distributed backend is
+//!   selected, never failing, so the backend is always safe to enable
+//!   globally.
 //! * **Elastic membership.** Workers join ([`Coordinator::add_worker`])
 //!   and leave ([`Coordinator::remove_worker`]) a *running* coordinator;
 //!   dead workers sit in probation and are redialed with jittered
@@ -79,31 +81,36 @@ pub use obs::register_dist_metrics;
 pub use wire::KernelSpec;
 pub use worker::{WorkerOptions, WorkerServer};
 
-use haqjsk_engine::backend::{GramBackend, Prefetch, TileEvaluator, TiledPoolBackend};
-use haqjsk_engine::{BackendKind, RemoteGram, WorkerPool};
+use haqjsk_engine::{BackendKind, RemoteGram, TileEvaluator, WorkerPool};
 use haqjsk_linalg::Matrix;
 use std::sync::{Arc, OnceLock, RwLock};
-
-/// The [`GramBackend`] realising [`BackendKind::Distributed`]: routes
-/// spec-carrying tile Grams through the current [`Coordinator`] and
-/// everything else (per-pair entries, extensions, specless tiles, no
-/// coordinator installed) to the local tiled pool.
-pub struct DistributedBackend;
-
-static BACKEND: DistributedBackend = DistributedBackend;
 
 fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
     static SLOT: OnceLock<RwLock<Option<Arc<Coordinator>>>> = OnceLock::new();
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-/// Registers [`DistributedBackend`] with the engine's backend registry so
-/// `BackendKind::Distributed` resolves to it. Idempotent.
+/// Installs [`remote_tiles`] as the engine's remote-tiles hook, so
+/// `BackendKind::Distributed` Grams that carry a spec reach the current
+/// coordinator. Idempotent.
 pub fn install() {
-    haqjsk_engine::install_distributed_backend(&BACKEND);
+    haqjsk_engine::install_remote_tiles(remote_tiles);
 }
 
-/// Swaps the process-wide coordinator (also [`install`]ing the backend);
+/// The remote-tiles hook: hands a spec-carrying Gram to the current
+/// [`Coordinator`]. `None` — no coordinator installed, or it declined —
+/// makes the engine run the Gram on its local pool.
+fn remote_tiles(
+    pool: &WorkerPool,
+    n: usize,
+    tile: usize,
+    eval: &dyn TileEvaluator,
+    spec: &RemoteGram<'_>,
+) -> Option<Matrix> {
+    current_coordinator()?.gram_tiles(pool, n, tile, eval, spec)
+}
+
+/// Swaps the process-wide coordinator (also [`install`]ing the hook);
 /// returns the previous one. `None` reverts `BackendKind::Distributed` to
 /// local execution.
 pub fn set_coordinator(coordinator: Option<Arc<Coordinator>>) -> Option<Arc<Coordinator>> {
@@ -135,66 +142,4 @@ pub fn install_from_env() -> Result<Option<Arc<Coordinator>>, String> {
     let coordinator = Arc::new(Coordinator::connect(&addrs, DistConfig::from_env())?);
     set_coordinator(Some(Arc::clone(&coordinator)));
     Ok(Some(coordinator))
-}
-
-impl GramBackend for DistributedBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Distributed
-    }
-
-    // Per-pair entry functions cannot be serialised; execute locally with
-    // the tiled pool's exact semantics.
-    fn gram(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: haqjsk_engine::backend::Entry<'_>,
-    ) -> Matrix {
-        TiledPoolBackend.gram(pool, n, tile, prefetch, entry)
-    }
-
-    fn gram_extend(
-        &self,
-        pool: &WorkerPool,
-        base: &Matrix,
-        total: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: haqjsk_engine::backend::Entry<'_>,
-    ) -> Matrix {
-        TiledPoolBackend.gram_extend(pool, base, total, tile, prefetch, entry)
-    }
-
-    fn for_each(&self, pool: &WorkerPool, count: usize, f: &(dyn Fn(usize) + Sync)) {
-        TiledPoolBackend.for_each(pool, count, f)
-    }
-
-    fn gram_tiles(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix {
-        // No spec — nothing to ship.
-        TiledPoolBackend.gram_tiles(pool, n, tile, prefetch, eval)
-    }
-
-    fn gram_tiles_spec(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-        spec: Option<&RemoteGram<'_>>,
-    ) -> Matrix {
-        match current_coordinator() {
-            Some(coordinator) => coordinator.gram_tiles_spec(pool, n, tile, prefetch, eval, spec),
-            None => TiledPoolBackend.gram_tiles(pool, n, tile, prefetch, eval),
-        }
-    }
 }

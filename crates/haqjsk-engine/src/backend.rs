@@ -1,35 +1,28 @@
-//! Pluggable Gram execution backends.
+//! Where a Gram matrix runs, and the tile-evaluation seam it runs through.
 //!
-//! The engine originally hard-coded one execution strategy — the tiled
-//! scheduler on the worker pool. This module turns that strategy into an
-//! explicit seam: a [`GramBackend`] is the object that decides *how* the
-//! `n(n+1)/2` pairwise evaluations (and the per-item feature extractions
-//! feeding them) are scheduled, while the [`Engine`](crate::Engine) keeps
-//! owning the pool and the tile sizing policy. Three backends ship today:
+//! Every Gram matrix in the workspace goes through one tile scheduler
+//! ([`gram::run_tiles`](crate::gram::run_tiles)) over one
+//! [`TileEvaluator`]. A [`BackendKind`] only decides where that scheduler
+//! runs:
 //!
-//! * [`SerialBackend`] — everything on the calling thread, in deterministic
-//!   row-major order; the reference all others are tested against,
-//! * [`TiledPoolBackend`] — the original behavior: upper-triangle tiles
-//!   scheduled over the worker pool, per-item features computed lazily
-//!   inside the pair loop (byte-identical to the pre-backend engine),
-//! * [`BatchedTileBackend`] — runs every per-item feature extraction the
-//!   tiles would perform as **one parallel batch** up front (via the
-//!   caller-supplied prefetch hook), then the pairwise tile loop only reads
-//!   warm state. This is the seam a SIMD/GPU batched-eigendecomposition
-//!   backend plugs into: the batch phase is where whole-dataset
-//!   eigendecompositions can be fused.
+//! * [`BackendKind::Serial`] — inline on the calling thread, in row-major
+//!   tile order (what the single-thread per-pair latency benchmarks
+//!   measure),
+//! * [`BackendKind::Local`] — the same tiles over the worker pool (the
+//!   default),
+//! * [`BackendKind::Distributed`] — full Grams that carry a [`RemoteGram`]
+//!   spec go to the remote-tiles hook `haqjsk-dist` installs
+//!   ([`install_remote_tiles`]); everything else, and every Gram the hook
+//!   declines, runs as [`BackendKind::Local`].
 //!
-//! Because per-item features are deterministic and memoised (see
-//! [`FeatureCache`](crate::FeatureCache)), all three backends produce
-//! byte-identical Gram matrices for any deterministic entry function — the
-//! engine integration tests assert this on a 32-graph dataset.
+//! Tile values are deterministic functions of (kernel, dataset, pair), so
+//! every path produces byte-identical Gram matrices.
 //!
 //! Selection: [`Engine`](crate::Engine) builders take a [`BackendKind`];
-//! the `HAQJSK_BACKEND` environment variable (`serial` / `tiled` /
-//! `batched`) overrides the default for the process-global engine, and
-//! per-call overrides flow through the `*_on` entry points.
+//! the `HAQJSK_BACKEND` environment variable (`serial` / `local` /
+//! `dist:<addr,addr>`) overrides the default for the process-global engine,
+//! and the Gram entry points take a per-call override.
 
-use crate::gram;
 use crate::pool::WorkerPool;
 use haqjsk_linalg::Matrix;
 use std::sync::OnceLock;
@@ -37,13 +30,23 @@ use std::sync::OnceLock;
 /// Name of the environment variable selecting the default backend.
 pub const BACKEND_ENV_VAR: &str = "HAQJSK_BACKEND";
 
+/// Older backend spellings, accepted as aliases of `local`.
+const LOCAL_ALIASES: [&str; 6] = [
+    "tiled",
+    "tiled_pool",
+    "pool",
+    "batched",
+    "batched_tile",
+    "batch",
+];
+
 /// A declarative description of a Gram computation that a *remote* backend
 /// can serialise and ship to worker processes: which kernel (a stable
-/// string id plus its numeric parameters) over which graphs. Local backends
-/// never look at it — they already hold the closure. The distributed
-/// backend (`haqjsk-dist`) matches `kernel_id` against the kernels it knows
-/// how to reconstruct on a worker and falls back to local execution for
-/// anything it does not recognise, so attaching a spec is always safe.
+/// string id plus its numeric parameters) over which graphs. Local
+/// execution never looks at it — it already holds the evaluator. The
+/// distributed backend (`haqjsk-dist`) matches `kernel_id` against the
+/// kernels it knows how to reconstruct on a worker and declines anything
+/// it does not recognise, so attaching a spec is always safe.
 pub struct RemoteGram<'a> {
     /// Stable kernel identifier (e.g. `"qjsk_unaligned"`).
     pub kernel_id: &'static str,
@@ -68,28 +71,17 @@ pub struct RemoteArtifact<'a> {
     pub payload: &'a str,
 }
 
-/// A per-item feature-extraction hook: `prefetch(i)` warms whatever cached
-/// state the entry function will read for item `i`. Entry functions must
-/// stay correct without it — it is a scheduling hint, not a requirement.
-pub type Prefetch<'a> = &'a (dyn Fn(usize) + Sync);
-
-/// A pairwise Gram entry function over item indices.
-pub type Entry<'a> = &'a (dyn Fn(usize, usize) -> f64 + Sync);
-
 /// A whole-tile Gram evaluator: computes the entries of one scheduling
-/// tile in a single call. `pairs` holds the tile's upper-triangle index
-/// pairs (`i <= j`); the evaluator writes `out[k]` = entry for `pairs[k]`.
+/// tile in a single call. `pairs` holds the tile's index pairs (`i <= j`,
+/// never empty); the evaluator writes `out[k]` = entry for `pairs[k]`.
 ///
-/// This is the seam batched pair kernels plug into: where an [`Entry`]
-/// function sees one pair at a time, a `TileEvaluator` sees a whole tile
-/// and can fuse the per-pair work — the quantum kernels assemble all of a
-/// tile's mixture matrices and run **one** lane-parallel batched
-/// eigenvalue solve (`haqjsk-linalg::batch_symmetric_eigenvalues`); a GPU
-/// backend would turn the same tile into one device dispatch.
-/// Implementations must produce values byte-identical to their per-pair
-/// entry function — every backend (including the serial reference) routes
-/// tiles through the evaluator, and the engine tests hold all of them to
-/// the per-pair result.
+/// Batched pair kernels fuse the per-pair work of a tile here — the
+/// quantum kernels assemble all of a tile's mixture matrices and run
+/// **one** lane-parallel batched eigenvalue solve
+/// (`haqjsk-linalg::batch_symmetric_eigenvalues`). Kernels without a
+/// batched path adapt a per-pair entry function through [`per_pair`].
+/// Implementations must be deterministic: the serial reference, the pool,
+/// remote workers and the tests all hold a tile to the same bytes.
 pub trait TileEvaluator: Sync {
     /// Evaluates all of `pairs`, writing the kernel values into `out`
     /// (same length and order as `pairs`).
@@ -105,53 +97,57 @@ where
     }
 }
 
-/// The available Gram execution strategies.
+/// Adapts a per-pair entry function `f(i, j)` to a [`TileEvaluator`] —
+/// the shim every kernel without a batched tile path goes through.
+pub fn per_pair<F>(f: F) -> impl TileEvaluator
+where
+    F: Fn(usize, usize) -> f64 + Sync,
+{
+    move |pairs: &[(usize, usize)], out: &mut [f64]| {
+        for (o, &(i, j)) in out.iter_mut().zip(pairs) {
+            *o = f(i, j);
+        }
+    }
+}
+
+/// Where a Gram matrix runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
-    /// Single-threaded reference path.
+    /// The tile scheduler inline on the calling thread, row-major.
     Serial,
-    /// Tiled upper-triangle scheduling over the worker pool (the default).
+    /// The tile scheduler over the worker pool (the default).
     #[default]
-    TiledPool,
-    /// One parallel feature-extraction batch, then the tiled pair loop.
-    BatchedTile,
-    /// Fan-out over a pool of worker processes (the `haqjsk-dist` crate).
-    /// Selected with `HAQJSK_BACKEND=dist:<addr,addr>`; the implementation
-    /// is installed at runtime through [`install_distributed_backend`]
-    /// because the engine crate cannot depend on the crate that serialises
-    /// kernels over the wire. Until one is installed, this kind executes
-    /// locally on [`TiledPoolBackend`] (a Gram must never fail because the
-    /// distributed substrate is absent).
+    Local,
+    /// Spec-carrying full Grams fan out over worker processes through the
+    /// remote-tiles hook (`haqjsk-dist`); selected with
+    /// `HAQJSK_BACKEND=dist:<addr,addr>`. Everything else — and everything
+    /// until a hook is installed — runs as [`BackendKind::Local`] (a Gram
+    /// must never fail because the distributed substrate is absent).
     Distributed,
 }
 
 impl BackendKind {
-    /// Every *local* backend, in sweep order (benchmarks iterate this).
+    /// Every *local* kind, in sweep order (benchmarks iterate this).
     /// [`BackendKind::Distributed`] is deliberately excluded: it needs a
-    /// worker pool to be meaningful and falls back to `TiledPool` without
-    /// one.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::Serial,
-        BackendKind::TiledPool,
-        BackendKind::BatchedTile,
-    ];
+    /// worker pool to be meaningful and runs as `Local` without one.
+    pub const ALL: [BackendKind; 2] = [BackendKind::Serial, BackendKind::Local];
 
-    /// The canonical lower-case label (`serial` / `tiled` / `batched` /
-    /// `dist`).
+    /// The canonical lower-case label (`serial` / `local` / `dist`) — also
+    /// the `backend` label of `haqjsk_gram_build_seconds`.
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Serial => "serial",
-            BackendKind::TiledPool => "tiled",
-            BackendKind::BatchedTile => "batched",
+            BackendKind::Local => "local",
             BackendKind::Distributed => "dist",
         }
     }
 
     /// Parses a backend label, rejecting anything unrecognised with an
     /// error that lists the valid spellings. Accepts the canonical labels,
-    /// the struct-style spellings (`tiled_pool`, `batched_tile`) and the
-    /// distributed form `dist:<addr,addr>` (the address list is read
-    /// separately via [`BackendKind::dist_addresses`]).
+    /// the older local spellings (`tiled`, `tiled_pool`, `pool`, `batched`,
+    /// `batched_tile`, `batch`) as aliases of `local`, and the distributed
+    /// form `dist:<addr,addr>` (the address list is read separately via
+    /// [`BackendKind::dist_addresses`]).
     pub fn try_parse(raw: &str) -> Result<BackendKind, String> {
         let trimmed = raw.trim();
         let lower = trimmed.to_ascii_lowercase();
@@ -170,11 +166,12 @@ impl BackendKind {
         }
         match lower.as_str() {
             "serial" => Ok(BackendKind::Serial),
-            "tiled" | "tiled_pool" | "pool" => Ok(BackendKind::TiledPool),
-            "batched" | "batched_tile" | "batch" => Ok(BackendKind::BatchedTile),
+            "local" => Ok(BackendKind::Local),
+            alias if LOCAL_ALIASES.contains(&alias) => Ok(BackendKind::Local),
             other => Err(format!(
-                "unknown backend '{other}' (valid: serial, tiled, batched, \
-                 dist:host:port[,host:port...])"
+                "unknown backend '{other}' (valid: serial, local, \
+                 dist:host:port[,host:port...]; {} are aliases of local)",
+                LOCAL_ALIASES.join(", ")
             )),
         }
     }
@@ -240,34 +237,6 @@ impl BackendKind {
             .ok()
             .and_then(|raw| BackendKind::dist_addresses(&raw))
     }
-
-    /// The statically allocated implementation of this kind. For
-    /// [`BackendKind::Distributed`] this is the implementation registered
-    /// through [`install_distributed_backend`], or [`TiledPoolBackend`]
-    /// when none has been installed yet (local execution — never a
-    /// failure).
-    pub fn implementation(self) -> &'static dyn GramBackend {
-        match self {
-            BackendKind::Serial => &SerialBackend,
-            BackendKind::TiledPool => &TiledPoolBackend,
-            BackendKind::BatchedTile => &BatchedTileBackend,
-            BackendKind::Distributed => distributed_backend().unwrap_or(&TiledPoolBackend),
-        }
-    }
-}
-
-static DISTRIBUTED_IMPL: OnceLock<&'static dyn GramBackend> = OnceLock::new();
-
-/// Registers the process-wide distributed backend implementation —
-/// called once by `haqjsk-dist` (the engine crate cannot depend on it).
-/// The first installation wins; repeated calls are no-ops.
-pub fn install_distributed_backend(backend: &'static dyn GramBackend) {
-    let _ = DISTRIBUTED_IMPL.set(backend);
-}
-
-/// The installed distributed backend, if any.
-pub fn distributed_backend() -> Option<&'static dyn GramBackend> {
-    DISTRIBUTED_IMPL.get().copied()
 }
 
 impl std::fmt::Display for BackendKind {
@@ -276,285 +245,61 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// A Gram execution strategy: how pairwise entries and per-item feature
-/// extractions are scheduled on (or off) the worker pool.
-///
-/// Implementations must be stateless (selection is by [`BackendKind`], and
-/// one static instance serves every engine) and must produce results that
-/// are byte-identical to [`SerialBackend`] for deterministic inputs.
-pub trait GramBackend: Send + Sync {
-    /// The kind this implementation realises.
-    fn kind(&self) -> BackendKind;
+/// The remote-tiles hook: evaluates the upper-triangle tile grid of an
+/// `n x n` Gram matrix (tile width `tile`) for the computation `spec`
+/// describes on worker processes, with `eval` as the byte-identical local
+/// evaluator for any tile no worker returns. `None` declines (no worker
+/// reachable, a kernel the wire cannot express) and the engine runs the
+/// Gram on the local pool instead.
+pub type RemoteTiles =
+    fn(&WorkerPool, usize, usize, &dyn TileEvaluator, &RemoteGram<'_>) -> Option<Matrix>;
 
-    /// Computes the symmetric `n x n` Gram matrix of `entry`, optionally
-    /// warming per-item state through `prefetch` first.
-    fn gram(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix;
+static REMOTE_TILES: OnceLock<RemoteTiles> = OnceLock::new();
 
-    /// Extends an `m x m` Gram matrix to `total` items, computing only the
-    /// new rows/columns; `entry` is never called with both indices `< m`.
-    fn gram_extend(
-        &self,
-        pool: &WorkerPool,
-        base: &Matrix,
-        total: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix;
-
-    /// Runs `f(i)` for every `i in 0..count` — the per-item companion used
-    /// by [`Engine::map`](crate::Engine::map).
-    fn for_each(&self, pool: &WorkerPool, count: usize, f: &(dyn Fn(usize) + Sync));
-
-    /// Computes the symmetric `n x n` Gram matrix by handing whole tiles
-    /// of index pairs to `eval` — the [`TileEvaluator`] counterpart of
-    /// [`GramBackend::gram`]. Backends keep their scheduling personality
-    /// (serial order, pooled tiles, prefetch batch first) but deliver the
-    /// pair list of each tile in one call instead of one pair at a time.
-    fn gram_tiles(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix;
-
-    /// [`GramBackend::gram_tiles`] with an optional declarative
-    /// [`RemoteGram`] description of the same computation. Local backends
-    /// ignore the spec (the default implementation); a distributed backend
-    /// uses it to ship tiles to worker processes and keeps `eval` as the
-    /// local fallback, so results are byte-identical either way.
-    fn gram_tiles_spec(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-        _spec: Option<&RemoteGram<'_>>,
-    ) -> Matrix {
-        self.gram_tiles(pool, n, tile, prefetch, eval)
-    }
+/// Installs the process-wide remote-tiles hook — called by `haqjsk-dist`
+/// (the engine crate cannot depend on it). The first installation wins;
+/// repeated calls are no-ops.
+pub fn install_remote_tiles(hook: RemoteTiles) {
+    let _ = REMOTE_TILES.set(hook);
 }
 
-/// Single-threaded reference backend: deterministic row-major order, no
-/// pool involvement at all. Prefetch hooks are skipped — the entry function
-/// computes features lazily, which is the serial-optimal order anyway.
-pub struct SerialBackend;
-
-impl GramBackend for SerialBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Serial
-    }
-
-    fn gram(
-        &self,
-        _pool: &WorkerPool,
-        n: usize,
-        _tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        gram::gram_serial(n, entry)
-    }
-
-    fn gram_extend(
-        &self,
-        _pool: &WorkerPool,
-        base: &Matrix,
-        total: usize,
-        _tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        gram::gram_extend_serial(base, total, entry)
-    }
-
-    fn for_each(&self, _pool: &WorkerPool, count: usize, f: &(dyn Fn(usize) + Sync)) {
-        for i in 0..count {
-            f(i);
-        }
-    }
-
-    // Serial tile evaluation still runs tile by tile (so batched kernels
-    // get their batches — the per-pair latency benchmarks measure exactly
-    // this path), in deterministic row-major tile order on the calling
-    // thread. Prefetch is skipped: lazy per-tile extraction is the
-    // serial-optimal order.
-    fn gram_tiles(
-        &self,
-        _pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix {
-        gram::gram_serial_tiles(n, tile, |pairs: &[(usize, usize)], out: &mut [f64]| {
-            eval.eval_tile(pairs, out)
-        })
-    }
-}
-
-/// The original engine behavior: tiles over the pool, features computed
-/// lazily by whichever tile touches an item first. Prefetch hooks are
-/// ignored so this stays byte- and schedule-identical to the pre-backend
-/// engine.
-pub struct TiledPoolBackend;
-
-impl GramBackend for TiledPoolBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::TiledPool
-    }
-
-    fn gram(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        gram::gram_tiled(pool, n, tile, entry)
-    }
-
-    fn gram_extend(
-        &self,
-        pool: &WorkerPool,
-        base: &Matrix,
-        total: usize,
-        tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        gram::gram_extend(pool, base, total, tile, entry)
-    }
-
-    fn for_each(&self, pool: &WorkerPool, count: usize, f: &(dyn Fn(usize) + Sync)) {
-        pool.scoped_run(count, f);
-    }
-
-    // Pooled tile evaluation: the same tile grid as the per-pair path, but
-    // each worker hands its tile's pair list to the evaluator in one call.
-    // Prefetch is ignored (features are computed lazily by whichever tile
-    // touches an item first, as in the per-pair path).
-    fn gram_tiles(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        _prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix {
-        gram::gram_tiled_eval(
-            pool,
-            n,
-            tile,
-            |pairs: &[(usize, usize)], out: &mut [f64]| eval.eval_tile(pairs, out),
-        )
-    }
-}
-
-/// Batch-then-pairs backend: all per-item feature extractions run as one
-/// parallel batch over the pool *before* the pairwise tile loop starts, so
-/// the pair loop only ever reads warm cached state. Item-level parallelism
-/// in the batch phase beats tile-level parallelism whenever feature
-/// extraction (the `O(n³)` eigendecompositions) dominates, because every
-/// worker stays busy on distinct items instead of tiles racing to compute
-/// the same item's features behind a cache lock.
-pub struct BatchedTileBackend;
-
-impl GramBackend for BatchedTileBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::BatchedTile
-    }
-
-    fn gram(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        if let Some(prefetch) = prefetch {
-            pool.scoped_run(n, prefetch);
-        }
-        gram::gram_tiled(pool, n, tile, entry)
-    }
-
-    fn gram_extend(
-        &self,
-        pool: &WorkerPool,
-        base: &Matrix,
-        total: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        entry: Entry<'_>,
-    ) -> Matrix {
-        if let Some(prefetch) = prefetch {
-            // New entries touch every item (old rows pair with new columns),
-            // so the whole combined index range is batched.
-            pool.scoped_run(total, prefetch);
-        }
-        gram::gram_extend(pool, base, total, tile, entry)
-    }
-
-    fn for_each(&self, pool: &WorkerPool, count: usize, f: &(dyn Fn(usize) + Sync)) {
-        pool.scoped_run(count, f);
-    }
-
-    // Feature batch first, then pooled whole-tile evaluation — the full
-    // batched pipeline: per-item artifacts as one parallel batch, per-tile
-    // mixture batches inside the pair phase.
-    fn gram_tiles(
-        &self,
-        pool: &WorkerPool,
-        n: usize,
-        tile: usize,
-        prefetch: Option<Prefetch<'_>>,
-        eval: &dyn TileEvaluator,
-    ) -> Matrix {
-        if let Some(prefetch) = prefetch {
-            pool.scoped_run(n, prefetch);
-        }
-        gram::gram_tiled_eval(
-            pool,
-            n,
-            tile,
-            |pairs: &[(usize, usize)], out: &mut [f64]| eval.eval_tile(pairs, out),
-        )
-    }
+/// The installed remote-tiles hook, if any.
+pub(crate) fn remote_tiles() -> Option<RemoteTiles> {
+    REMOTE_TILES.get().copied()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn labels_roundtrip_through_parse() {
         for kind in BackendKind::ALL {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-            assert_eq!(kind.implementation().kind(), kind);
         }
-        assert_eq!(
-            BackendKind::parse("Tiled_Pool"),
-            Some(BackendKind::TiledPool)
-        );
-        assert_eq!(
-            BackendKind::parse(" BATCH "),
-            Some(BackendKind::BatchedTile)
-        );
+        assert_eq!(BackendKind::parse(" LOCAL "), Some(BackendKind::Local));
         assert_eq!(BackendKind::parse("gpu"), None);
-        assert_eq!(BackendKind::default(), BackendKind::TiledPool);
+        assert_eq!(BackendKind::default(), BackendKind::Local);
+    }
+
+    #[test]
+    fn every_old_spelling_is_an_alias_of_local() {
+        for old in [
+            "tiled",
+            "tiled_pool",
+            "pool",
+            "batched",
+            "batched_tile",
+            "batch",
+            " Tiled_Pool ",
+            "BATCH",
+        ] {
+            assert_eq!(
+                BackendKind::resolve_env_value(Some(old)),
+                Ok(Some(BackendKind::Local)),
+                "{old}"
+            );
+        }
     }
 
     #[test]
@@ -580,7 +325,7 @@ mod tests {
             BackendKind::dist_addresses("DIST:h:1"),
             Some(vec!["h:1".to_string()])
         );
-        assert_eq!(BackendKind::dist_addresses("tiled"), None);
+        assert_eq!(BackendKind::dist_addresses("local"), None);
         // A missing or empty address list is a configuration error, not a
         // kind: accepting it would select `Distributed` with no way to
         // install a coordinator, i.e. a silent local fallback.
@@ -593,104 +338,13 @@ mod tests {
     #[test]
     fn malformed_env_values_are_hard_errors() {
         assert_eq!(BackendKind::resolve_env_value(None), Ok(None));
-        assert_eq!(
-            BackendKind::resolve_env_value(Some("batched")),
-            Ok(Some(BackendKind::BatchedTile))
-        );
-        // The classic typo the satellite task exists for: a misspelled
-        // dist backend must not silently fall back to serial.
+        // A misspelled dist backend must not silently fall back to a local
+        // one.
         let err = BackendKind::resolve_env_value(Some("dst:127.0.0.1:7001")).unwrap_err();
         assert!(err.contains("HAQJSK_BACKEND"), "{err}");
         assert!(err.contains("serial"), "error must list valid names: {err}");
+        assert!(err.contains("local"), "error must list valid names: {err}");
         assert!(err.contains("dist:"), "error must list valid names: {err}");
         assert!(BackendKind::resolve_env_value(Some("")).is_err());
-    }
-
-    #[test]
-    fn distributed_falls_back_to_tiled_until_installed() {
-        // Nothing installs a distributed backend inside the engine crate's
-        // own tests, so the implementation is the local TiledPool fallback
-        // (a Gram must never fail because the substrate is absent).
-        if distributed_backend().is_none() {
-            assert_eq!(
-                BackendKind::Distributed.implementation().kind(),
-                BackendKind::TiledPool
-            );
-        }
-    }
-
-    #[test]
-    fn all_backends_agree_bytewise() {
-        let pool = WorkerPool::new(3);
-        let entry = |i: usize, j: usize| ((i * 13 + j * 7) as f64).cos() + (i + j) as f64;
-        let reference = gram::gram_serial(17, entry);
-        for kind in BackendKind::ALL {
-            let backend = kind.implementation();
-            let out = backend.gram(&pool, 17, 4, None, &entry);
-            assert_eq!(out, reference, "{kind} gram");
-            let base = backend.gram(&pool, 11, 4, None, &entry);
-            let extended = backend.gram_extend(&pool, &base, 17, 4, None, &entry);
-            assert_eq!(extended, reference, "{kind} gram_extend");
-        }
-    }
-
-    #[test]
-    fn tile_evaluation_matches_per_pair_on_every_backend() {
-        let pool = WorkerPool::new(3);
-        let entry = |i: usize, j: usize| ((i * 11 + j * 5) as f64).sin() + (i * j) as f64;
-        let reference = gram::gram_serial(19, entry);
-        let eval = |pairs: &[(usize, usize)], out: &mut [f64]| {
-            assert!(!pairs.is_empty(), "tiles are never empty");
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                assert!(i <= j, "tiles cover the upper triangle");
-                out[k] = entry(i, j);
-            }
-        };
-        for kind in BackendKind::ALL {
-            let out = kind.implementation().gram_tiles(&pool, 19, 4, None, &eval);
-            assert_eq!(out, reference, "{kind} gram_tiles");
-            // Degenerate sizes.
-            let empty = kind.implementation().gram_tiles(&pool, 0, 4, None, &eval);
-            assert_eq!(empty.rows(), 0, "{kind}");
-        }
-    }
-
-    #[test]
-    fn batched_backend_prefetches_before_tile_evaluation() {
-        let pool = WorkerPool::new(2);
-        let prefetched = AtomicUsize::new(0);
-        let n = 9;
-        let prefetch = |_i: usize| {
-            prefetched.fetch_add(1, Ordering::SeqCst);
-        };
-        let eval = |pairs: &[(usize, usize)], out: &mut [f64]| {
-            assert_eq!(prefetched.load(Ordering::SeqCst), n);
-            for (k, &(i, j)) in pairs.iter().enumerate() {
-                out[k] = (i + j) as f64;
-            }
-        };
-        let out = BatchedTileBackend.gram_tiles(&pool, n, 3, Some(&prefetch), &eval);
-        assert_eq!(out, gram::gram_serial(n, |i, j| (i + j) as f64));
-    }
-
-    #[test]
-    fn batched_backend_runs_prefetch_before_entries() {
-        let pool = WorkerPool::new(2);
-        let prefetched = AtomicUsize::new(0);
-        let n = 9;
-        let prefetch = |_i: usize| {
-            prefetched.fetch_add(1, Ordering::SeqCst);
-        };
-        let entry = |i: usize, j: usize| {
-            assert_eq!(
-                prefetched.load(Ordering::SeqCst),
-                n,
-                "pair loop must start only after the whole batch"
-            );
-            (i + j) as f64
-        };
-        let out = BatchedTileBackend.gram(&pool, n, 3, Some(&prefetch), &entry);
-        assert_eq!(out, gram::gram_serial(n, |i, j| (i + j) as f64));
-        assert_eq!(prefetched.load(Ordering::SeqCst), n);
     }
 }

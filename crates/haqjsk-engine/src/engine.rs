@@ -1,15 +1,14 @@
 //! The [`Engine`]: the single execution substrate for kernel computation.
 //!
 //! An engine owns a [`WorkerPool`], a default [`BackendKind`] and the tile
-//! sizing policy, and exposes the Gram-matrix entry points every kernel in
-//! the workspace routes through: full computation, incremental extension
-//! and sliding-window retention for streaming workloads, and a parallel map
-//! for per-graph feature extraction. *How* a Gram matrix is scheduled is
-//! delegated to a pluggable [`GramBackend`](crate::backend::GramBackend) —
-//! serial reference, the tiled worker-pool scheduler, or the batched-tile
-//! strategy that extracts all per-item features as one parallel batch
-//! before the pair loop. Every entry point has an `_on` variant taking an
-//! explicit backend override; the plain variants use the engine's default.
+//! width rule, and exposes the entry points every kernel in the workspace
+//! routes through: [`Engine::gram`] for a full Gram matrix,
+//! [`Engine::gram_extend`] for appending rows/columns to one, and
+//! [`Engine::map`] for per-graph feature extraction. Both Gram entry points
+//! run the one tile scheduler ([`gram::run_tiles`]) over one
+//! [`TileEvaluator`]; the backend only decides whether the tiles run inline
+//! on the calling thread, on the pool, or — full Grams that carry a
+//! [`RemoteGram`] spec — on worker processes.
 //!
 //! A lazily initialised process-global engine ([`Engine::global`]) lets
 //! callers share one pool instead of spawning scoped threads per Gram
@@ -17,11 +16,12 @@
 //! variable and its default backend from `HAQJSK_BACKEND` (both read once,
 //! at first use).
 
-use crate::backend::BackendKind;
+use crate::backend::{remote_tiles, BackendKind, RemoteGram, TileEvaluator};
 use crate::gram;
 use crate::pool::{default_thread_count, WorkerPool};
 use haqjsk_linalg::Matrix;
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// A worker pool plus the Gram scheduling policy built on it.
 pub struct Engine {
@@ -54,7 +54,7 @@ impl EngineBuilder {
     }
 
     /// Sets the default execution backend (default: the `HAQJSK_BACKEND`
-    /// environment override, falling back to [`BackendKind::TiledPool`]).
+    /// environment override, falling back to [`BackendKind::Local`]).
     pub fn backend(mut self, backend: BackendKind) -> Self {
         self.backend = Some(backend);
         self
@@ -127,121 +127,84 @@ impl Engine {
         self.backend
     }
 
+    /// Tile width: the explicit override, or
+    /// [`gram::auto_tile_width_batched`].
     fn tile_for(&self, n: usize) -> usize {
-        self.tile_override
-            .unwrap_or_else(|| gram::auto_tile_width(n, self.pool.threads()))
-    }
-
-    /// Tile width for whole-tile evaluation: explicit override, or the
-    /// batch-aware automatic choice (coarser than [`Engine::tile_for`] so
-    /// batched pair kernels can fill their lanes).
-    fn tile_for_batched(&self, n: usize) -> usize {
         self.tile_override
             .unwrap_or_else(|| gram::auto_tile_width_batched(n, self.pool.threads()))
     }
 
-    fn resolve(&self, backend: Option<BackendKind>) -> BackendKind {
-        backend.unwrap_or(self.backend)
-    }
-
-    /// Computes the symmetric `n x n` Gram matrix of `f` on the engine's
-    /// default backend.
-    pub fn gram<F>(&self, n: usize, f: F) -> Matrix
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        self.gram_on(None, n, f)
-    }
-
-    /// Computes the Gram matrix on an explicit backend (`None` = the
-    /// engine's default).
-    pub fn gram_on<F>(&self, backend: Option<BackendKind>, n: usize, f: F) -> Matrix
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let backend = self.resolve(backend);
-        let _timer = crate::obs::HistogramTimer::start(crate::obs::gram_build_histogram(backend));
-        backend
-            .implementation()
-            .gram(&self.pool, n, self.tile_for(n), None, &f)
-    }
-
-    /// Computes the Gram matrix with a per-item `prefetch` hook: backends
-    /// that batch feature extraction ([`BackendKind::BatchedTile`]) run
-    /// `prefetch(i)` for every item as one parallel batch before the pair
-    /// loop; the other backends skip it and let `f` compute features
-    /// lazily. `f` must therefore stay correct when the hook never runs.
-    pub fn gram_prefetched<P, F>(
+    /// Computes the symmetric `n x n` Gram matrix by handing each tile's
+    /// index pairs to `eval` (wrap a per-pair entry function in
+    /// [`per_pair`](crate::backend::per_pair)). `backend` overrides the
+    /// engine default. A [`BackendKind::Distributed`] call with a `remote`
+    /// spec goes to the installed remote-tiles hook; everything else — and
+    /// every Gram the hook declines — runs the tile scheduler in this
+    /// process. All paths produce the same bytes.
+    pub fn gram<T: TileEvaluator>(
         &self,
         backend: Option<BackendKind>,
         n: usize,
-        prefetch: P,
-        f: F,
-    ) -> Matrix
-    where
-        P: Fn(usize) + Sync,
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let backend = self.resolve(backend);
-        let _timer = crate::obs::HistogramTimer::start(crate::obs::gram_build_histogram(backend));
-        backend
-            .implementation()
-            .gram(&self.pool, n, self.tile_for(n), Some(&prefetch), &f)
+        eval: T,
+        remote: Option<&RemoteGram<'_>>,
+    ) -> Matrix {
+        let start = Instant::now();
+        let kind = backend.unwrap_or(self.backend);
+        let tile = self.tile_for(n);
+        let remote_values = match (kind, remote, remote_tiles()) {
+            (BackendKind::Distributed, Some(spec), Some(hook)) => {
+                hook(&self.pool, n, tile, &eval, spec)
+            }
+            _ => None,
+        };
+        let (ran, values) = match remote_values {
+            Some(values) => (BackendKind::Distributed, values),
+            None => self.run_here(kind, None, n, tile, &eval),
+        };
+        crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
+        values
     }
 
-    /// Computes the Gram matrix through a whole-tile evaluator: the chosen
-    /// backend hands each scheduling tile's upper-triangle index pairs to
-    /// `tiles` in one call (after optionally batching `prefetch` over all
-    /// items), so kernels that batch per-pair work — the SoA batched
-    /// eigensolves of the quantum kernels, a future GPU dispatch — receive
-    /// whole tiles instead of single pairs. The evaluator must be
-    /// byte-identical to the kernel's per-pair entry function; every
-    /// backend then produces the per-pair path's exact matrix.
-    pub fn gram_tiles<P, T>(
+    /// Extends an `m x m` Gram matrix to `total` items, evaluating only the
+    /// new rows/columns through `eval`, which is indexed over the combined
+    /// item list and never sees a pair with both indices `< m`. Extensions
+    /// always run in this process (inline for [`BackendKind::Serial`], on
+    /// the pool otherwise).
+    pub fn gram_extend<T: TileEvaluator>(
         &self,
         backend: Option<BackendKind>,
-        n: usize,
-        prefetch: P,
-        tiles: T,
-    ) -> Matrix
-    where
-        P: Fn(usize) + Sync,
-        T: crate::backend::TileEvaluator,
-    {
-        self.gram_tiles_spec(backend, n, prefetch, tiles, None)
+        base: &Matrix,
+        total: usize,
+        eval: T,
+    ) -> Matrix {
+        let start = Instant::now();
+        let kind = backend.unwrap_or(self.backend);
+        let (ran, values) = self.run_here(kind, Some(base), total, self.tile_for(total), &eval);
+        crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
+        values
     }
 
-    /// [`Engine::gram_tiles`] with an optional declarative
-    /// [`RemoteGram`](crate::backend::RemoteGram) description of the same
-    /// computation: local backends ignore it, a distributed backend uses it
-    /// to ship tiles to worker processes (`eval` stays the byte-identical
-    /// local fallback for tiles a worker never returns).
-    pub fn gram_tiles_spec<P, T>(
+    /// Runs the tile scheduler in this process — inline for
+    /// [`BackendKind::Serial`], on the pool otherwise — and returns the
+    /// path that ran it.
+    fn run_here(
         &self,
-        backend: Option<BackendKind>,
+        kind: BackendKind,
+        base: Option<&Matrix>,
         n: usize,
-        prefetch: P,
-        tiles: T,
-        spec: Option<&crate::backend::RemoteGram<'_>>,
-    ) -> Matrix
-    where
-        P: Fn(usize) + Sync,
-        T: crate::backend::TileEvaluator,
-    {
-        let backend = self.resolve(backend);
-        let _timer = crate::obs::HistogramTimer::start(crate::obs::gram_build_histogram(backend));
-        backend.implementation().gram_tiles_spec(
-            &self.pool,
-            n,
-            self.tile_for_batched(n),
-            Some(&prefetch),
-            &tiles,
-            spec,
-        )
+        tile: usize,
+        eval: &dyn TileEvaluator,
+    ) -> (BackendKind, Matrix) {
+        let ran = match kind {
+            BackendKind::Serial => BackendKind::Serial,
+            _ => BackendKind::Local,
+        };
+        let pool = (ran == BackendKind::Local).then_some(&self.pool);
+        (ran, gram::run_tiles(pool, base, n, tile, eval))
     }
 
-    /// Serial reference path; bit-identical to [`Engine::gram`] for any
-    /// deterministic `f` (the engine tests assert this).
+    /// Pair-by-pair serial reference; bit-identical to [`Engine::gram`] for
+    /// any deterministic `f` (the engine tests assert this).
     pub fn gram_serial<F>(n: usize, f: F) -> Matrix
     where
         F: Fn(usize, usize) -> f64,
@@ -249,104 +212,29 @@ impl Engine {
         gram::gram_serial(n, f)
     }
 
-    /// Extends an `m x m` Gram matrix to `total` items on the engine's
-    /// default backend, computing only the new rows/columns. `f` is indexed
-    /// over the combined item list and is never called with both indices
-    /// `< m`.
-    pub fn gram_extend<F>(&self, base: &Matrix, total: usize, f: F) -> Matrix
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        self.gram_extend_on(None, base, total, f)
-    }
-
-    /// [`Engine::gram_extend`] on an explicit backend (`None` = the
-    /// engine's default). Features are computed lazily by `f`; use
-    /// [`Engine::gram_extend_prefetched`] to hand batched backends a
-    /// feature-extraction hook.
-    pub fn gram_extend_on<F>(
-        &self,
-        backend: Option<BackendKind>,
-        base: &Matrix,
-        total: usize,
-        f: F,
-    ) -> Matrix
-    where
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let backend = self.resolve(backend);
-        let _timer = crate::obs::HistogramTimer::start(crate::obs::gram_build_histogram(backend));
-        backend.implementation().gram_extend(
-            &self.pool,
-            base,
-            total,
-            self.tile_for(total),
-            None,
-            &f,
-        )
-    }
-
-    /// [`Engine::gram_extend_on`] with a per-item `prefetch` hook over the
-    /// *combined* index range `0..total` (old rows pair with new columns):
-    /// batched backends run it as one parallel batch before the strip of
-    /// new entries is computed, the others skip it.
-    pub fn gram_extend_prefetched<P, F>(
-        &self,
-        backend: Option<BackendKind>,
-        base: &Matrix,
-        total: usize,
-        prefetch: P,
-        f: F,
-    ) -> Matrix
-    where
-        P: Fn(usize) + Sync,
-        F: Fn(usize, usize) -> f64 + Sync,
-    {
-        let backend = self.resolve(backend);
-        let _timer = crate::obs::HistogramTimer::start(crate::obs::gram_build_histogram(backend));
-        backend.implementation().gram_extend(
-            &self.pool,
-            base,
-            total,
-            self.tile_for(total),
-            Some(&prefetch),
-            &f,
-        )
-    }
-
-    /// Shrinks a Gram matrix to the contiguous index window `keep` —
-    /// sliding-window row+column eviction, the counterpart of
-    /// [`Engine::gram_extend`] for streaming deployments that must bound
-    /// their working set. Pure data movement: no kernel re-evaluation.
-    pub fn gram_retain(&self, base: &Matrix, keep: std::ops::Range<usize>) -> Matrix {
-        gram::gram_shrink(base, keep)
-    }
-
-    /// Runs `f` over `0..count` on the engine's default backend and
-    /// collects results in index order — the per-graph feature-extraction
-    /// companion to [`Engine::gram`].
+    /// Runs `f` over `0..count` and collects results in index order — the
+    /// per-graph feature-extraction companion to [`Engine::gram`]. Inline
+    /// when the engine's default backend is [`BackendKind::Serial`], on the
+    /// pool otherwise.
     pub fn map<T, F>(&self, count: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.map_on(None, count, f)
-    }
-
-    /// [`Engine::map`] on an explicit backend (`None` = engine default).
-    pub fn map_on<T, F>(&self, backend: Option<BackendKind>, count: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let backend = self.resolve(backend).implementation();
-        crate::pool::collect_indexed(count, f, |fill| backend.for_each(&self.pool, count, fill))
+        crate::pool::collect_indexed(count, f, |fill| {
+            if self.backend == BackendKind::Serial {
+                (0..count).for_each(fill);
+            } else {
+                self.pool.scoped_run(count, fill);
+            }
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::per_pair;
 
     #[test]
     fn global_engine_is_shared_and_sized() {
@@ -366,87 +254,98 @@ mod tests {
         assert_eq!(engine.threads(), 2);
         assert_eq!(engine.backend(), BackendKind::Serial);
         let f = |i: usize, j: usize| (i * 3 + j) as f64;
-        assert_eq!(engine.gram(6, f), Engine::gram_serial(6, f));
+        assert_eq!(
+            engine.gram(None, 6, per_pair(f), None),
+            Engine::gram_serial(6, f)
+        );
     }
 
+    /// The one table-driven scheduler test: inline and pooled (1, 2 and 4
+    /// threads) tile runs against the pair-by-pair serial reference, for
+    /// full Grams and for extensions from every base size class.
     #[test]
-    fn gram_parallel_matches_serial_exactly() {
-        let f = |i: usize, j: usize| ((i * 31 + j * 17) as f64).sin() * 0.5 + (i + j) as f64;
+    fn the_tile_scheduler_matches_the_serial_reference_on_every_path() {
+        let f = |i: usize, j: usize| ((i * 31 + j * 17) as f64).sin() * 0.5 + (i * j) as f64;
+        let pools: Vec<WorkerPool> = [1, 2, 4].into_iter().map(WorkerPool::new).collect();
+        let paths: Vec<(String, Option<&WorkerPool>)> = std::iter::once(("inline".into(), None))
+            .chain(
+                pools
+                    .iter()
+                    .map(|p| (format!("pool x{}", p.threads()), Some(p))),
+            )
+            .collect();
         for n in [0usize, 1, 2, 7, 33] {
-            let engine = Engine::with_tile(4, 3);
-            for backend in BackendKind::ALL {
-                let out = engine.gram_on(Some(backend), n, f);
-                let serial = Engine::gram_serial(n, f);
-                assert_eq!(out, serial, "n={n} backend={backend}");
+            let reference = gram::gram_serial(n, f);
+            for tile in [1, 3, 5, n + 1] {
+                for (name, pool) in &paths {
+                    let full = gram::run_tiles(
+                        *pool,
+                        None,
+                        n,
+                        tile,
+                        &|pairs: &[(usize, usize)], out: &mut [f64]| {
+                            assert!(!pairs.is_empty(), "tiles are never empty");
+                            for (o, &(i, j)) in out.iter_mut().zip(pairs) {
+                                assert!(i <= j, "tiles cover the upper triangle");
+                                *o = f(i, j);
+                            }
+                        },
+                    );
+                    assert_eq!(full, reference, "{name} n={n} tile={tile}");
+                    for m in [0, n / 2, n] {
+                        let base = gram::gram_serial(m, f);
+                        let extended = gram::run_tiles(
+                            *pool,
+                            Some(&base),
+                            n,
+                            tile,
+                            &|pairs: &[(usize, usize)], out: &mut [f64]| {
+                                for (o, &(i, j)) in out.iter_mut().zip(pairs) {
+                                    assert!(
+                                        i <= j && j >= m,
+                                        "old pair ({i},{j}) must come from the base matrix"
+                                    );
+                                    *o = f(i, j);
+                                }
+                            },
+                        );
+                        assert_eq!(extended, reference, "{name} n={n} tile={tile} m={m}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn extension_matches_full_recomputation() {
-        let f = |i: usize, j: usize| 1.0 / (1.0 + (i as f64 - j as f64).abs()) + (i * j) as f64;
-        let engine = Engine::with_tile(4, 4);
-        let full = engine.gram(20, f);
-        for backend in BackendKind::ALL {
-            let base = engine.gram_on(Some(backend), 13, f);
-            let extended = engine.gram_extend_on(Some(backend), &base, 20, f);
-            assert_eq!(extended, full, "backend={backend}");
-            // Extending by zero items returns the base unchanged.
-            let unchanged = engine.gram_extend_on(Some(backend), &base, 13, f);
-            assert_eq!(unchanged, base, "backend={backend}");
-        }
-    }
-
-    #[test]
-    fn extension_never_recomputes_old_pairs() {
-        let engine = Engine::with_tile(2, 4);
-        for backend in BackendKind::ALL {
-            let base = engine.gram_on(Some(backend), 10, |i, j| (i + j) as f64);
-            let extended = engine.gram_extend_on(Some(backend), &base, 14, |i, j| {
-                assert!(
-                    i >= 10 || j >= 10,
-                    "old pair ({i},{j}) must come from the base matrix"
-                );
-                (i + j) as f64
-            });
-            assert_eq!(extended, engine.gram(14, |i, j| (i + j) as f64));
-        }
-    }
-
-    #[test]
-    fn retain_keeps_the_sliding_window() {
+    fn builds_are_labelled_by_the_path_that_ran() {
+        let count = |kind: BackendKind| crate::obs::gram_build_histogram(kind).snapshot().count;
         let engine = Engine::with_tile(2, 3);
-        let f = |i: usize, j: usize| (i * 100 + j) as f64 + (j * 100 + i) as f64;
-        let full = engine.gram(12, f);
-        // Dropping the first 5 items equals computing the Gram of the
-        // shifted index set directly.
-        let window = engine.gram_retain(&full, 5..12);
-        let expected = engine.gram(7, |i, j| f(i + 5, j + 5));
-        assert_eq!(window, expected);
-        // Degenerate windows.
-        assert_eq!(engine.gram_retain(&full, 0..12), full);
-        assert_eq!(engine.gram_retain(&full, 4..4).rows(), 0);
-    }
+        let f = |i: usize, j: usize| (i * 7 + j) as f64;
+        let base = engine.gram(None, 5, per_pair(f), None);
 
-    #[test]
-    fn prefetched_gram_matches_plain_gram_on_every_backend() {
-        let engine = Engine::with_tile(3, 4);
-        let f = |i: usize, j: usize| ((i + 2 * j) as f64).sqrt();
-        let reference = Engine::gram_serial(15, f);
-        for backend in BackendKind::ALL {
-            let out = engine.gram_prefetched(Some(backend), 15, |_i| {}, f);
-            assert_eq!(out, reference, "backend={backend}");
-            let base = engine.gram_on(Some(backend), 9, f);
-            let extended = engine.gram_extend_prefetched(Some(backend), &base, 15, |_i| {}, f);
-            assert_eq!(extended, reference, "extend backend={backend}");
-        }
+        // No remote-tiles hook runs in this crate's tests, so a
+        // distributed extension runs (and is recorded) on the local pool.
+        let (local, dist) = (count(BackendKind::Local), count(BackendKind::Distributed));
+        let extended = engine.gram_extend(Some(BackendKind::Distributed), &base, 9, per_pair(f));
+        assert_eq!(extended, gram::gram_serial(9, f));
+        assert!(count(BackendKind::Local) > local, "the local series moved");
+        assert_eq!(
+            count(BackendKind::Distributed),
+            dist,
+            "nothing ran remotely"
+        );
+
+        let serial = count(BackendKind::Serial);
+        let inline = engine.gram(Some(BackendKind::Serial), 4, per_pair(f), None);
+        assert_eq!(inline, gram::gram_serial(4, f));
+        assert!(count(BackendKind::Serial) > serial);
     }
 
     #[test]
     fn map_preserves_order() {
-        let engine = Engine::new(4);
         for backend in BackendKind::ALL {
-            let squares = engine.map_on(Some(backend), 100, |i| i * i);
+            let engine = Engine::builder().threads(4).backend(backend).build();
+            let squares = engine.map(100, |i| i * i);
             assert_eq!(squares.len(), 100);
             for (i, &v) in squares.iter().enumerate() {
                 assert_eq!(v, i * i, "backend={backend}");
@@ -456,18 +355,23 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let engine = Engine::new(2);
+        let engine = Engine::with_tile(2, 3);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.gram(12, |i, j| {
-                if i == 5 && j == 7 {
-                    panic!("injected failure");
-                }
-                0.0
-            })
+            engine.gram(
+                Some(BackendKind::Local),
+                12,
+                per_pair(|i, j| {
+                    if i == 5 && j == 7 {
+                        panic!("injected failure");
+                    }
+                    0.0
+                }),
+                None,
+            )
         }));
         assert!(result.is_err(), "the panic must reach the caller");
         // The pool survives a panicked batch.
-        let ok = engine.gram(6, |i, j| (i + j) as f64);
+        let ok = engine.gram(None, 6, per_pair(|i, j| (i + j) as f64), None);
         assert_eq!(ok, Engine::gram_serial(6, |i, j| (i + j) as f64));
     }
 }

@@ -1,4 +1,4 @@
-//! Tiled Gram-matrix scheduling on top of the worker pool.
+//! The Gram tile scheduler.
 //!
 //! A Gram matrix over `n` items has `n(n+1)/2` independent entries. Raw
 //! pair lists scatter a worker's attention across the whole index range;
@@ -8,22 +8,29 @@
 //! is computed. Every entry `(i, j)` with `i <= j` belongs to exactly one
 //! tile, and each tile writes that entry and its mirror `(j, i)`, so tiles
 //! write disjoint memory and the output buffer can be shared without locks.
+//!
+//! One grid serves both Gram shapes: the tiles of the column strip
+//! `j >= m`. With `m = 0` that strip is the whole upper triangle (a full
+//! Gram); with `m > 0` it holds exactly the entries an extension of an
+//! `m x m` base adds. [`run_tiles`] evaluates the grid through one
+//! [`TileEvaluator`], either over the worker pool or inline on the calling
+//! thread in row-major tile order.
 
+use crate::backend::TileEvaluator;
 use crate::pool::WorkerPool;
 use haqjsk_linalg::Matrix;
 
-/// Hard floor/ceiling on the automatically chosen tile width.
+/// Hard floor/ceiling on the load-balancing tile width.
 const MIN_TILE: usize = 2;
 const MAX_TILE: usize = 64;
 
-/// Floor on the tile width of whole-tile (batched) evaluation: a `T x T`
-/// tile yields at least `T(T+1)/2` pairs, and batched pair kernels want
-/// enough pairs per tile to fill their SIMD lanes even after chunking by
-/// mixture dimension class. The lane count is a runtime property of the
-/// dispatched SIMD path (16 under AVX-512F, 8 otherwise — see
-/// `haqjsk_linalg::max_batch_lanes`), so the floor is computed, not a
-/// constant: the smallest `T` whose `T(T+1)/2` pairs cover four full lane
-/// chunks (8 when lanes = 8, matching the pre-SIMD floor; 11 when
+/// Floor on the tile width: a `T x T` tile yields at least `T(T+1)/2`
+/// pairs, and batched pair kernels want enough pairs per tile to fill
+/// their SIMD lanes even after chunking by mixture dimension class. The
+/// lane count is a runtime property of the dispatched SIMD path (16 under
+/// AVX-512F, 8 otherwise — see `haqjsk_linalg::max_batch_lanes`), so the
+/// floor is computed, not a constant: the smallest `T` whose `T(T+1)/2`
+/// pairs cover four full lane chunks (8 when lanes = 8; 11 when
 /// lanes = 16).
 fn min_batch_tile() -> usize {
     let lanes = haqjsk_linalg::max_batch_lanes();
@@ -37,7 +44,7 @@ fn min_batch_tile() -> usize {
 /// Picks a tile width for an `n x n` Gram computation so that the upper
 /// triangle yields roughly four jobs per worker — enough slack for load
 /// balancing without shredding cache locality.
-pub fn auto_tile_width(n: usize, workers: usize) -> usize {
+fn auto_tile_width(n: usize, workers: usize) -> usize {
     if n == 0 {
         return MIN_TILE;
     }
@@ -47,12 +54,11 @@ pub fn auto_tile_width(n: usize, workers: usize) -> usize {
     (n.div_ceil(tiles_per_side)).clamp(MIN_TILE, MAX_TILE)
 }
 
-/// Tile width for whole-tile (batched) evaluation: the load-balancing
-/// choice of [`auto_tile_width`], floored so every tile carries enough
-/// pairs to fill the batched kernels' lanes. Slightly coarser scheduling
-/// granularity is the right trade: the per-pair work inside a batched tile
-/// is the hot path, and starving its lanes costs more than a worker idling
-/// at the tail.
+/// The tile width rule: the load-balancing choice (about four tiles per
+/// worker), floored so every tile carries enough pairs to fill the batched
+/// kernels' lanes. Slightly coarser scheduling granularity is the right
+/// trade: the per-pair work inside a batched tile is the hot path, and
+/// starving its lanes costs more than a worker idling at the tail.
 pub fn auto_tile_width_batched(n: usize, workers: usize) -> usize {
     auto_tile_width(n, workers).max(min_batch_tile())
 }
@@ -71,8 +77,8 @@ impl TileOutput {
     }
 }
 
-/// Computes the symmetric Gram matrix serially — the reference
-/// implementation the parallel path is tested against.
+/// Computes the symmetric Gram matrix pair by pair, serially — the
+/// reference the scheduler is tested against.
 pub fn gram_serial<F>(n: usize, f: F) -> Matrix
 where
     F: Fn(usize, usize) -> f64,
@@ -88,123 +94,76 @@ where
     values
 }
 
-/// Computes the symmetric Gram matrix in parallel over `pool`, tiling the
-/// upper triangle into `tile x tile` blocks.
-pub fn gram_tiled<F>(pool: &WorkerPool, n: usize, tile: usize, f: F) -> Matrix
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let mut values = Matrix::zeros(n, n);
-    if n == 0 {
-        return values;
-    }
-    let tile = tile.max(1);
-    let blocks = n.div_ceil(tile);
-
-    // Upper-triangular tile coordinates, enumerated once.
-    let tiles: Vec<(usize, usize)> = (0..blocks)
-        .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
-        .collect();
-
-    let out = TileOutput(values.data_mut().as_mut_ptr());
-    let tile_hist = crate::obs::tile_eval_histogram();
-    pool.scoped_run(tiles.len(), &|t| {
-        let _timer = crate::obs::HistogramTimer::start(tile_hist);
-        let (bi, bj) = tiles[t];
-        let row_end = ((bi + 1) * tile).min(n);
-        let col_end = ((bj + 1) * tile).min(n);
-        for i in bi * tile..row_end {
-            let j_start = (bj * tile).max(i);
-            for j in j_start..col_end {
-                let v = f(i, j);
-                // SAFETY: (i, j) with i <= j lies in exactly one tile, and
-                // the mirror (j, i) is only written by that same tile.
-                unsafe {
-                    out.write(i * n + j, v);
-                    out.write(j * n + i, v);
-                }
-            }
-        }
-    });
-    values
-}
-
-/// Enumerates the upper-triangle tile grid of an `n x n` Gram matrix:
-/// `(bi, bj)` block coordinates with `bi <= bj`, row-major — the shared
-/// tile decomposition of the pooled and serial tile paths. Public so
-/// out-of-process schedulers (the distributed backend) can reproduce the
-/// exact local tile grid, keeping work units identical across executors.
-pub fn upper_triangle_tiles(n: usize, tile: usize) -> Vec<(usize, usize)> {
-    let blocks = n.div_ceil(tile);
-    (0..blocks)
-        .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
+/// Enumerates the tiles of the column strip `j >= m` of an `n x n` Gram
+/// matrix: `(bi, bj)` block coordinates, row-major, where row block `bi`
+/// covers rows `bi*tile..` and column block `bj` covers columns
+/// `m + bj*tile..`. With `m = 0` this is the upper-triangle grid
+/// (`bi <= bj`). Public so out-of-process schedulers (the distributed
+/// backend) reproduce the exact local grid, keeping work units identical
+/// across executors. Every listed tile holds at least one pair.
+pub fn tile_grid(n: usize, m: usize, tile: usize) -> Vec<(usize, usize)> {
+    let row_blocks = n.div_ceil(tile);
+    let col_blocks = n.saturating_sub(m).div_ceil(tile);
+    (0..row_blocks)
+        .flat_map(|bi| (0..col_blocks).map(move |bj| (bi, bj)))
+        .filter(|&(bi, bj)| bi * tile < m + (bj + 1) * tile)
         .collect()
 }
 
-/// The upper-triangle index pairs `(i, j)`, `i <= j`, of one tile of the
-/// [`upper_triangle_tiles`] grid, appended into `pairs` (cleared first).
-pub fn tile_pairs(n: usize, tile: usize, bi: usize, bj: usize, pairs: &mut Vec<(usize, usize)>) {
+/// The index pairs `(i, j)`, `i <= j`, of tile `(bi, bj)` of the
+/// [`tile_grid`] of `(n, m, tile)`, appended into `pairs` (cleared first).
+pub fn tile_pairs(
+    n: usize,
+    m: usize,
+    tile: usize,
+    (bi, bj): (usize, usize),
+    pairs: &mut Vec<(usize, usize)>,
+) {
     pairs.clear();
     let row_end = ((bi + 1) * tile).min(n);
-    let col_end = ((bj + 1) * tile).min(n);
+    let col_start = m + bj * tile;
+    let col_end = (m + (bj + 1) * tile).min(n);
     for i in bi * tile..row_end {
-        for j in (bj * tile).max(i)..col_end {
+        for j in col_start.max(i)..col_end {
             pairs.push((i, j));
         }
     }
 }
 
-/// Computes the symmetric Gram matrix by handing whole tiles of index
-/// pairs to `eval` on the calling thread, in deterministic row-major tile
-/// order — the serial member of the tile-evaluation family. `eval` must
-/// write `out[k]` for `pairs[k]`.
-pub fn gram_serial_tiles<F>(n: usize, tile: usize, eval: F) -> Matrix
-where
-    F: Fn(&[(usize, usize)], &mut [f64]),
-{
+/// The Gram tile scheduler: returns the symmetric `n x n` matrix whose
+/// leading `m x m` block is copied from `base` (`m = 0` without one) and
+/// whose strip `j >= m` is evaluated tile by tile through `eval` — so
+/// `eval` never sees a pair with both indices `< m`. Tiles run on `pool`
+/// when given, otherwise inline on the calling thread in row-major order.
+///
+/// # Panics
+/// Panics if `base` is not square or is larger than `n`.
+pub fn run_tiles(
+    pool: Option<&WorkerPool>,
+    base: Option<&Matrix>,
+    n: usize,
+    tile: usize,
+    eval: &dyn TileEvaluator,
+) -> Matrix {
     let mut values = Matrix::zeros(n, n);
-    if n == 0 {
-        return values;
-    }
-    let tile = tile.max(1);
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    let mut out: Vec<f64> = Vec::new();
-    for (bi, bj) in upper_triangle_tiles(n, tile) {
-        tile_pairs(n, tile, bi, bj, &mut pairs);
-        out.clear();
-        out.resize(pairs.len(), 0.0);
-        eval(&pairs, &mut out);
-        for (&(i, j), &v) in pairs.iter().zip(&out) {
-            values[(i, j)] = v;
-            values[(j, i)] = v;
+    let m = base.map_or(0, Matrix::rows);
+    if let Some(base) = base {
+        assert!(base.is_square(), "base Gram matrix must be square");
+        assert!(n >= m, "cannot shrink a Gram matrix via extension");
+        for i in 0..m {
+            values.data_mut()[i * n..i * n + m].copy_from_slice(base.row(i));
         }
     }
-    values
-}
-
-/// Computes the symmetric Gram matrix in parallel over `pool`, handing
-/// each `tile x tile` block's index pairs to `eval` as one call — the
-/// whole-tile counterpart of [`gram_tiled`], and the scheduling seam that
-/// batched (SIMD / future GPU) pair kernels plug into.
-pub fn gram_tiled_eval<F>(pool: &WorkerPool, n: usize, tile: usize, eval: F) -> Matrix
-where
-    F: Fn(&[(usize, usize)], &mut [f64]) + Sync,
-{
-    let mut values = Matrix::zeros(n, n);
-    if n == 0 {
-        return values;
-    }
     let tile = tile.max(1);
-    let tiles = upper_triangle_tiles(n, tile);
+    let tiles = tile_grid(n, m, tile);
     let out = TileOutput(values.data_mut().as_mut_ptr());
     let tile_hist = crate::obs::tile_eval_histogram();
-    pool.scoped_run(tiles.len(), &|t| {
+    let run = |t: usize| {
         let _timer = crate::obs::HistogramTimer::start(tile_hist);
-        let (bi, bj) = tiles[t];
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        tile_pairs(n, tile, bi, bj, &mut pairs);
+        let mut pairs = Vec::new();
+        tile_pairs(n, m, tile, tiles[t], &mut pairs);
         let mut block = vec![0.0; pairs.len()];
-        eval(&pairs, &mut block);
+        eval.eval_tile(&pairs, &mut block);
         for (&(i, j), &v) in pairs.iter().zip(&block) {
             // SAFETY: (i, j) with i <= j lies in exactly one tile, and the
             // mirror (j, i) is only written by that same tile.
@@ -213,110 +172,11 @@ where
                 out.write(j * n + i, v);
             }
         }
-    });
-    values
-}
-
-/// Serial counterpart of [`gram_extend`]: copies the base block and fills
-/// the new rows/columns in deterministic row-major order on the calling
-/// thread. Byte-identical to the parallel path for deterministic `f`.
-pub fn gram_extend_serial<F>(base: &Matrix, total: usize, f: F) -> Matrix
-where
-    F: Fn(usize, usize) -> f64,
-{
-    let m = base.rows();
-    assert!(base.is_square(), "base Gram matrix must be square");
-    assert!(total >= m, "cannot shrink a Gram matrix via extension");
-    let n = total;
-    let mut values = Matrix::zeros(n, n);
-    for i in 0..m {
-        values.data_mut()[i * n..i * n + m].copy_from_slice(base.row(i));
+    };
+    match pool {
+        Some(pool) => pool.scoped_run(tiles.len(), &run),
+        None => (0..tiles.len()).for_each(run),
     }
-    for i in 0..n {
-        for j in m.max(i)..n {
-            let v = f(i, j);
-            values[(i, j)] = v;
-            values[(j, i)] = v;
-        }
-    }
-    values
-}
-
-/// Shrinks a Gram matrix to the contiguous index window `keep`, dropping
-/// every row/column outside it — the eviction counterpart of
-/// [`gram_extend`] for sliding-window streaming deployments: after
-/// appending arrivals with `gram_extend`, evict the oldest items with
-/// `gram_shrink` and the window's Gram matrix never grows beyond the
-/// window size, with no kernel re-evaluation at all.
-///
-/// # Panics
-/// Panics if `base` is not square or `keep` is out of bounds.
-pub fn gram_shrink(base: &Matrix, keep: std::ops::Range<usize>) -> Matrix {
-    let n = base.rows();
-    assert!(base.is_square(), "base Gram matrix must be square");
-    assert!(
-        keep.start <= keep.end && keep.end <= n,
-        "keep window {keep:?} out of bounds for a {n}x{n} Gram matrix"
-    );
-    let w = keep.len();
-    let mut values = Matrix::zeros(w, w);
-    for (out_row, i) in keep.clone().enumerate() {
-        values.data_mut()[out_row * w..(out_row + 1) * w]
-            .copy_from_slice(&base.row(i)[keep.start..keep.end]);
-    }
-    values
-}
-
-/// Extends an existing `m x m` Gram matrix to cover `total >= m` items,
-/// computing only the new rows/columns (`n(n+1)/2 - m(m+1)/2` entries
-/// instead of the full recomputation). `f` is indexed over the *combined*
-/// item list, so `f(i, j)` with `i, j < m` is never called.
-pub fn gram_extend<F>(pool: &WorkerPool, base: &Matrix, total: usize, tile: usize, f: F) -> Matrix
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let m = base.rows();
-    assert!(base.is_square(), "base Gram matrix must be square");
-    assert!(total >= m, "cannot shrink a Gram matrix via extension");
-    let n = total;
-    let mut values = Matrix::zeros(n, n);
-    for i in 0..m {
-        let src = base.row(i);
-        values.data_mut()[i * n..i * n + m].copy_from_slice(src);
-    }
-    if n == m {
-        return values;
-    }
-
-    let tile = tile.max(1);
-    // New entries live in the column strip j in [m, n); tile that strip.
-    let row_blocks = n.div_ceil(tile);
-    let col_blocks = (n - m).div_ceil(tile);
-    let tiles: Vec<(usize, usize)> = (0..row_blocks)
-        .flat_map(|bi| (0..col_blocks).map(move |bj| (bi, bj)))
-        .filter(|&(bi, bj)| bi * tile < m + (bj + 1) * tile)
-        .collect();
-
-    let out = TileOutput(values.data_mut().as_mut_ptr());
-    let tile_hist = crate::obs::tile_eval_histogram();
-    pool.scoped_run(tiles.len(), &|t| {
-        let _timer = crate::obs::HistogramTimer::start(tile_hist);
-        let (bi, bj) = tiles[t];
-        let row_end = ((bi + 1) * tile).min(n);
-        let col_start = m + bj * tile;
-        let col_end = (m + (bj + 1) * tile).min(n);
-        for i in bi * tile..row_end {
-            for j in col_start.max(i)..col_end {
-                let v = f(i, j);
-                // SAFETY: same disjoint-tile argument as gram_tiled, over
-                // the strip j >= m.
-                unsafe {
-                    out.write(i * n + j, v);
-                    out.write(j * n + i, v);
-                }
-            }
-        }
-    });
     values
 }
 
@@ -336,6 +196,17 @@ mod tests {
                 assert!(auto_tile_width_batched(n, workers) >= t);
                 assert!(auto_tile_width_batched(n, workers) >= auto_tile_width(n, workers));
             }
+        }
+    }
+
+    #[test]
+    fn the_m_zero_strip_is_the_upper_triangle_grid() {
+        for (n, tile) in [(0usize, 3usize), (1, 1), (7, 3), (33, 5), (12, 13)] {
+            let blocks = n.div_ceil(tile);
+            let upper: Vec<(usize, usize)> = (0..blocks)
+                .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
+                .collect();
+            assert_eq!(tile_grid(n, 0, tile), upper, "n={n} tile={tile}");
         }
     }
 }

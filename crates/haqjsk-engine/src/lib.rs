@@ -12,18 +12,19 @@
 //! * [`pool`] — a reusable scoped-worker thread pool ([`WorkerPool`]) with
 //!   the worker count configurable through the `HAQJSK_THREADS` environment
 //!   variable,
-//! * [`backend`] — **pluggable Gram execution backends** behind the
-//!   [`GramBackend`] trait: the serial reference path, the tiled
-//!   worker-pool scheduler, and a batched-tile strategy that runs all
-//!   per-item feature extractions as one parallel batch before the pair
-//!   loop. Selected per engine (builder) or per call, with a process-wide
-//!   `HAQJSK_BACKEND` override; all backends are byte-identical for
-//!   deterministic kernels, so swapping them is purely a scheduling choice,
-//! * [`gram`] + [`engine`] — the tile scheduling primitives and the
-//!   [`Engine`] that ties pool + backend + tile policy together, including
-//!   **incremental extension** (`gram_extend`, appending rows/columns) and
-//!   **sliding-window retention** (`gram_retain`, evicting rows/columns)
-//!   for streaming workloads,
+//! * [`gram`] — **the one Gram tile scheduler**: the tiles of the column
+//!   strip `j >= m` (the whole upper triangle for a full Gram, the new
+//!   rows/columns for an extension), evaluated through one
+//!   [`TileEvaluator`] on the pool or inline on the calling thread,
+//! * [`backend`] — where a Gram runs ([`BackendKind`]: `serial` inline,
+//!   `local` on the pool, `dist` through the remote-tiles hook installed
+//!   by `haqjsk-dist`; `tiled`/`batched` and their variants are aliases of
+//!   `local`), the [`TileEvaluator`] seam and the [`per_pair`] shim.
+//!   Selected per engine (builder) or per call, with a process-wide
+//!   `HAQJSK_BACKEND` override; every path is byte-identical,
+//! * [`engine`] — the [`Engine`] that ties pool, backend and tile width
+//!   together: `gram` (full), `gram_extend` (appending rows/columns for
+//!   streaming workloads) and `map` (per-graph feature extraction),
 //! * [`cache`] — a **sharded, budgeted** per-graph feature cache
 //!   ([`FeatureCache`]) keyed by a structural graph hash
 //!   ([`hash::graph_key`]): the key space is range-partitioned into
@@ -37,29 +38,30 @@
 //!
 //! ## Architecture: one seam per scaling axis
 //!
-//! The engine deliberately separates *what* is computed (the caller's entry
-//! function), *how* it is scheduled (the [`GramBackend`]), and *what is
+//! The engine deliberately separates *what* is computed (the caller's tile
+//! evaluator), *where* it runs (the [`BackendKind`]), and *what is
 //! remembered* (the [`FeatureCache`]):
 //!
 //! ```text
 //!   callers (kernels, model, serving)
-//!        │ entry fn + optional prefetch hook
+//!        │ TileEvaluator (+ RemoteGram spec for dist)
 //!        ▼
-//!   Engine ── backend: Serial | TiledPool | BatchedTile ──► WorkerPool
+//!   Engine::gram / gram_extend ── one tile scheduler (gram::run_tiles)
+//!        │      serial: inline │ local: WorkerPool │ dist: remote-tiles hook
 //!        │                                                     │
 //!        └────────── FeatureCache (N key-range shards, ────────┘
 //!                    LRU + byte budget per shard)
 //! ```
 //!
-//! New execution strategies (SIMD/GPU batched eigendecomposition,
-//! distributed tiles) implement [`GramBackend`] and slot in without
-//! touching any caller; new memory policies land in the cache layer without
-//! touching scheduling.
+//! Batched kernels plug in at the evaluator (one tile, one batched
+//! eigensolve); remote execution plugs in at the hook; new memory policies
+//! land in the cache layer without touching scheduling.
 //!
 //! Higher layers route through [`Engine::global`]:
-//! `haqjsk-kernels::kernel::gram_from_pairwise` (the default Gram path of
-//! every [`GraphKernel`](../haqjsk_kernels/trait.GraphKernel.html)),
-//! `haqjsk-core`'s `HaqjskModel::gram_matrix`, and the benchmark binaries.
+//! `haqjsk-kernels::kernel::gram_from_tiles` (behind every
+//! [`GraphKernel`](../haqjsk_kernels/trait.GraphKernel.html)),
+//! `haqjsk-core`'s `HaqjskModel` Grams and extensions, and the benchmark
+//! binaries.
 
 pub mod backend;
 pub mod cache;
@@ -73,8 +75,8 @@ pub mod pool;
 pub mod serve;
 
 pub use backend::{
-    distributed_backend, install_distributed_backend, BackendKind, GramBackend, RemoteArtifact,
-    RemoteGram, TileEvaluator, BACKEND_ENV_VAR,
+    install_remote_tiles, per_pair, BackendKind, RemoteArtifact, RemoteGram, RemoteTiles,
+    TileEvaluator, BACKEND_ENV_VAR,
 };
 pub use cache::{
     parse_byte_size, AdmissionPolicy, CacheConfig, CacheStats, CacheWeight, FeatureCache,

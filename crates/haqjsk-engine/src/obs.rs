@@ -14,33 +14,32 @@ use haqjsk_obs::metrics::{registry, Counter, Gauge, Histogram, MetricValue, Snap
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Histogram of wall-clock Gram build time, labelled by backend.
-pub fn gram_build_histogram(backend: BackendKind) -> &'static Histogram {
-    static HISTOGRAMS: OnceLock<[Histogram; 4]> = OnceLock::new();
+/// Histogram of wall-clock Gram build time, labelled by the path that ran
+/// the build (`serial`, `local` or `dist`).
+pub fn gram_build_histogram(ran: BackendKind) -> &'static Histogram {
+    static HISTOGRAMS: OnceLock<[Histogram; 3]> = OnceLock::new();
     let all = HISTOGRAMS.get_or_init(|| {
         let make = |kind: BackendKind| {
             registry().histogram(
                 "haqjsk_gram_build_seconds",
-                "Wall-clock time of one Gram matrix build, by execution backend.",
+                "Wall-clock time of one Gram matrix build, by the execution path that ran it.",
                 &[("backend", kind.label())],
             )
         };
         [
             make(BackendKind::Serial),
-            make(BackendKind::TiledPool),
-            make(BackendKind::BatchedTile),
+            make(BackendKind::Local),
             make(BackendKind::Distributed),
         ]
     });
-    match backend {
+    match ran {
         BackendKind::Serial => &all[0],
-        BackendKind::TiledPool => &all[1],
-        BackendKind::BatchedTile => &all[2],
-        BackendKind::Distributed => &all[3],
+        BackendKind::Local => &all[1],
+        BackendKind::Distributed => &all[2],
     }
 }
 
-/// Histogram of per-tile evaluation latency on the pooled Gram paths.
+/// Histogram of per-tile evaluation latency of the Gram tile scheduler.
 pub fn tile_eval_histogram() -> &'static Histogram {
     static HISTOGRAM: OnceLock<Histogram> = OnceLock::new();
     HISTOGRAM.get_or_init(|| {

@@ -6,7 +6,7 @@
 //!   whole Gram computation (instrumented through the feature cache),
 //! * incremental Gram extension matches full recomputation exactly.
 
-use haqjsk_engine::{graph_key, BackendKind, Engine, FeatureCache};
+use haqjsk_engine::{graph_key, per_pair, Engine, FeatureCache};
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk_graph::Graph;
 use haqjsk_quantum::{ctqw_density_infinite, qjsd_padded, DensityMatrix};
@@ -59,7 +59,12 @@ fn tiled_parallel_gram_is_byte_identical_to_serial_with_exactly_once_features() 
 
     // The n(n+1)/2 pair evaluations only read cached state; the parallel
     // tiled schedule must reproduce the serial result bit for bit.
-    let parallel = engine.gram(n, |i, j| pair_kernel(&densities, i, j));
+    let parallel = engine.gram(
+        None,
+        n,
+        per_pair(|i, j| pair_kernel(&densities, i, j)),
+        None,
+    );
     let serial = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
     assert_eq!(parallel, serial, "tiled schedule must not change any bit");
 
@@ -90,61 +95,31 @@ fn incremental_extension_matches_full_recomputation_on_graph_features() {
         })
     });
 
-    let full = engine.gram(n, |i, j| pair_kernel(&densities, i, j));
-    let base = engine.gram(split, |i, j| pair_kernel(&densities, i, j));
-    let extended = engine.gram_extend(&base, n, |i, j| {
-        assert!(
-            i >= split || j >= split,
-            "extension re-evaluated already-known pair ({i},{j})"
-        );
-        pair_kernel(&densities, i, j)
-    });
-    assert_eq!(extended, full, "extension must equal full recomputation");
-}
-
-/// Satellite acceptance: the `BatchedTile` and `Serial` backends produce
-/// byte-identical Gram matrices on the 32-graph dataset, with the batched
-/// backend extracting every feature through the cache *before* its pair
-/// loop starts.
-#[test]
-fn batched_and_serial_backends_are_byte_identical_on_the_dataset() {
-    let graphs = synthetic_dataset();
-    let n = graphs.len();
-    let engine = Engine::with_tile(4, 5);
-
-    let run = |backend: BackendKind| {
-        let cache: FeatureCache<DensityMatrix> = FeatureCache::new();
-        let density = |i: usize| {
-            cache.get_or_compute(graph_key(&graphs[i]), || {
-                ctqw_density_infinite(&graphs[i]).expect("non-empty graph")
-            })
-        };
-        let gram = engine.gram_prefetched(
-            Some(backend),
-            n,
-            |i| {
-                let _ = density(i);
-            },
-            |i, j| {
-                let d = qjsd_padded(&density(i), &density(j)).expect("valid densities");
-                (-d).exp()
-            },
-        );
-        (gram, cache.stats())
-    };
-
-    let (serial, serial_stats) = run(BackendKind::Serial);
-    let (batched, batched_stats) = run(BackendKind::BatchedTile);
-    assert_eq!(
-        batched, serial,
-        "BatchedTile must reproduce the serial Gram bit for bit"
+    let full = engine.gram(
+        None,
+        n,
+        per_pair(|i, j| pair_kernel(&densities, i, j)),
+        None,
     );
-    // Both schedules computed each distinct graph's density exactly once.
-    assert_eq!(serial_stats.misses, n);
-    assert_eq!(batched_stats.misses, n);
-    // The tiled backend agrees too.
-    let (tiled, _) = run(BackendKind::TiledPool);
-    assert_eq!(tiled, serial);
+    let base = engine.gram(
+        None,
+        split,
+        per_pair(|i, j| pair_kernel(&densities, i, j)),
+        None,
+    );
+    let extended = engine.gram_extend(
+        None,
+        &base,
+        n,
+        per_pair(|i, j| {
+            assert!(
+                i >= split || j >= split,
+                "extension re-evaluated already-known pair ({i},{j})"
+            );
+            pair_kernel(&densities, i, j)
+        }),
+    );
+    assert_eq!(extended, full, "extension must equal full recomputation");
 }
 
 #[test]
@@ -158,7 +133,12 @@ fn gram_agreement_holds_across_tile_sizes_and_thread_counts() {
     let reference = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
     for (threads, tile) in [(1, 7), (2, 16), (8, 1), (3, 64)] {
         let engine = Engine::with_tile(threads, tile);
-        let gram = engine.gram(n, |i, j| pair_kernel(&densities, i, j));
+        let gram = engine.gram(
+            None,
+            n,
+            per_pair(|i, j| pair_kernel(&densities, i, j)),
+            None,
+        );
         assert_eq!(
             gram, reference,
             "threads={threads} tile={tile} must match the serial path"

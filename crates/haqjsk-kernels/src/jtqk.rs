@@ -20,7 +20,7 @@ use crate::features::{
     cached_ctqw_density, cached_graph_spectrals, cached_wl_histogram, WlHistogram,
 };
 use crate::kernel::sparse_dot;
-use crate::kernel::{gram_from_tiles_spec, GraphKernel, PinnedFeatures};
+use crate::kernel::{gram_from_tiles, GraphKernel, PinnedFeatures};
 use crate::matrix::KernelMatrix;
 use haqjsk_engine::{BackendKind, RemoteGram};
 use haqjsk_graph::Graph;
@@ -222,10 +222,9 @@ impl GraphKernel for JensenTsallisKernel {
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
         let _timer = crate::kernel::time_kernel_gram(self.name());
         // Every per-graph artifact — CTQW density, Tsallis entropy, WL
-        // label histogram — is pinned once per Gram computation; batched
-        // backends extract all of them as one parallel batch before the
-        // pair loop, which then pays one batched values-only mixture solve
-        // per tile plus one sparse WL dot per pair.
+        // label histogram — is pinned once per Gram computation, so the
+        // pair loop pays one batched values-only mixture solve per tile
+        // plus one sparse WL dot per pair.
         let pinned: PinnedFeatures<'_, JtqkInputs> = PinnedFeatures::new(graphs);
         let extract = |g: &Graph| self.extract(g);
         let spec = RemoteGram {
@@ -234,12 +233,9 @@ impl GraphKernel for JensenTsallisKernel {
             graphs,
             artifact: None,
         };
-        gram_from_tiles_spec(
+        gram_from_tiles(
             graphs.len(),
             backend,
-            |i| {
-                let _ = pinned.get(i, extract);
-            },
             |pairs: &[(usize, usize)], out: &mut [f64]| {
                 self.kernel_tile(pairs, &pinned, extract, out)
             },

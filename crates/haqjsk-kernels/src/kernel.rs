@@ -1,16 +1,17 @@
-//! The [`GraphKernel`] trait and the Gram-matrix builders.
+//! The [`GraphKernel`] trait and the Gram-matrix builder.
 //!
 //! Every kernel in the workspace (the baselines in this crate and the HAQJSK
 //! kernels in `haqjsk-core`) exposes the same two operations: a pairwise
 //! kernel value and a Gram matrix over a dataset. All Gram computation is
-//! routed through the shared [`Engine`](haqjsk_engine::Engine) — a
-//! process-global worker pool with a tiled scheduler — because the quantum
+//! routed through [`gram_from_tiles`] into the shared
+//! [`Engine`](haqjsk_engine::Engine) — a process-global worker pool with
+//! one tile scheduler — because the quantum
 //! kernels pay an `O(n³)` eigendecomposition per pair and datasets contain
 //! hundreds to thousands of graphs. The worker count is controlled by the
 //! `HAQJSK_THREADS` environment variable.
 
 use crate::matrix::KernelMatrix;
-use haqjsk_engine::{BackendKind, Engine};
+use haqjsk_engine::{per_pair, BackendKind, Engine, RemoteGram, TileEvaluator};
 use haqjsk_graph::Graph;
 use haqjsk_linalg::Matrix;
 
@@ -31,13 +32,14 @@ pub trait GraphKernel: Sync {
 
     /// Gram matrix over a dataset on an explicit execution backend (`None`
     /// = the engine default, which honours `HAQJSK_BACKEND`). The default
-    /// implementation evaluates all pairs through the chosen backend;
-    /// kernels with per-graph features override this to add a prefetch
-    /// hook (so batched backends extract features as one batch) or to
-    /// factor through explicit feature maps entirely.
+    /// implementation evaluates every pair through
+    /// [`GraphKernel::compute`]; kernels with per-graph features override
+    /// this to hoist them, to hand whole tiles to a batched evaluator, or
+    /// to factor through explicit feature maps entirely.
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
         let _timer = time_kernel_gram(self.name());
-        gram_from_pairwise_on(graphs, backend, |a, b| self.compute(a, b))
+        let pairs = per_pair(|i, j| self.compute(&graphs[i], &graphs[j]));
+        gram_from_tiles(graphs.len(), backend, pairs, None)
     }
 }
 
@@ -70,111 +72,29 @@ impl Drop for KernelGramTimer {
     }
 }
 
-/// Builds a Gram matrix by evaluating `f` on every unordered pair of graphs
-/// on the engine's default backend.
-pub fn gram_from_pairwise<F>(graphs: &[Graph], f: F) -> KernelMatrix
-where
-    F: Fn(&Graph, &Graph) -> f64 + Sync,
-{
-    gram_from_pairwise_on(graphs, None, f)
-}
-
-/// [`gram_from_pairwise`] with an explicit backend choice.
-pub fn gram_from_pairwise_on<F>(
-    graphs: &[Graph],
-    backend: Option<BackendKind>,
-    f: F,
-) -> KernelMatrix
-where
-    F: Fn(&Graph, &Graph) -> f64 + Sync,
-{
-    gram_from_indexed_on(graphs.len(), backend, |i, j| f(&graphs[i], &graphs[j]))
-}
-
-/// Builds a Gram matrix from an index-pair kernel function — the preferred
-/// entry point when per-item features are precomputed, since it avoids any
-/// graph-to-index lookup in the hot pair loop.
-pub fn gram_from_indexed<F>(n: usize, f: F) -> KernelMatrix
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    gram_from_indexed_on(n, None, f)
-}
-
-/// [`gram_from_indexed`] with an explicit backend choice.
-pub fn gram_from_indexed_on<F>(n: usize, backend: Option<BackendKind>, f: F) -> KernelMatrix
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let values = Engine::global().gram_on(backend, n, f);
-    KernelMatrix::new(values).expect("pairwise construction is symmetric")
-}
-
-/// Builds a Gram matrix with a per-item `prefetch` hook: backends that
-/// batch feature extraction run `prefetch(i)` for every item before the
-/// pair loop, the others let `f` compute features lazily. `f` must remain
-/// correct without the hook (compute-through-cache is the usual shape).
-pub fn gram_from_indexed_prefetched<P, F>(
+/// Builds a Gram matrix over `n` items through the engine's tile
+/// scheduler: each tile's index pairs go to `tiles` in one call, so kernels
+/// that batch per-pair work (the tile-batched mixture eigensolves of
+/// QJSK/JTQK) see whole tiles; per-pair kernels wrap their entry function
+/// in [`per_pair`]. `spec`, when given, describes the same computation for
+/// the distributed backend, which ships tiles to worker processes and keeps
+/// `tiles` as the byte-identical local evaluator — attaching a spec never
+/// changes the result, only where it is computed.
+pub fn gram_from_tiles<T: TileEvaluator>(
     n: usize,
     backend: Option<BackendKind>,
-    prefetch: P,
-    f: F,
-) -> KernelMatrix
-where
-    P: Fn(usize) + Sync,
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let values = Engine::global().gram_prefetched(backend, n, prefetch, f);
-    KernelMatrix::new(values).expect("pairwise construction is symmetric")
-}
-
-/// Builds a Gram matrix through a whole-tile evaluator with a per-item
-/// `prefetch` hook: the execution backend hands each scheduling tile's
-/// upper-triangle index pairs to `tiles` in one call, so kernels that
-/// batch per-pair work (the tile-batched mixture eigensolves of QJSK/JTQK)
-/// see whole tiles instead of single pairs. The evaluator must produce
-/// values byte-identical to the kernel's per-pair entry function; batched
-/// backends additionally run `prefetch(i)` for every item first.
-pub fn gram_from_tiles_prefetched<P, T>(
-    n: usize,
-    backend: Option<BackendKind>,
-    prefetch: P,
     tiles: T,
-) -> KernelMatrix
-where
-    P: Fn(usize) + Sync,
-    T: haqjsk_engine::TileEvaluator,
-{
-    gram_from_tiles_spec(n, backend, prefetch, tiles, None)
-}
-
-/// [`gram_from_tiles_prefetched`] with an optional declarative
-/// [`RemoteGram`](haqjsk_engine::RemoteGram) description of the same
-/// computation. Local backends ignore the spec; the distributed backend
-/// uses it to ship tiles to worker processes, keeping `tiles` as the
-/// byte-identical local fallback — so attaching a spec never changes the
-/// result, only where it is computed.
-pub fn gram_from_tiles_spec<P, T>(
-    n: usize,
-    backend: Option<BackendKind>,
-    prefetch: P,
-    tiles: T,
-    spec: Option<&haqjsk_engine::RemoteGram<'_>>,
-) -> KernelMatrix
-where
-    P: Fn(usize) + Sync,
-    T: haqjsk_engine::TileEvaluator,
-{
-    let values = Engine::global().gram_tiles_spec(backend, n, prefetch, tiles, spec);
-    KernelMatrix::new(values).expect("pairwise construction is symmetric")
+    spec: Option<&RemoteGram<'_>>,
+) -> KernelMatrix {
+    let values = Engine::global().gram(backend, n, tiles, spec);
+    KernelMatrix::new(values).expect("tile construction is symmetric")
 }
 
 /// Per-Gram pin of per-graph artifacts: each slot is filled at most once
 /// per Gram computation (through the global feature caches or directly) and
 /// the held values stay alive even if a byte budget evicts them from the
 /// cache mid-computation — the pair loop then reads a lock-free slot.
-/// Batched backends fill every slot as one parallel batch through the
-/// prefetch hook; lazy backends fill on first touch.
+/// Slots fill on first touch, by whichever tile reaches the graph first.
 pub(crate) struct PinnedFeatures<'a, T> {
     graphs: &'a [Graph],
     slots: Vec<std::sync::OnceLock<T>>,
@@ -306,31 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn gram_agrees_across_backends() {
-        let graphs = vec![path_graph(4), cycle_graph(5), star_graph(6), path_graph(7)];
-        let kernel = EdgeCountKernel;
-        let reference = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-        for backend in BackendKind::ALL {
-            let gram = kernel.gram_matrix_on(&graphs, Some(backend));
-            assert_eq!(
-                gram.matrix(),
-                reference.matrix(),
-                "backend {backend} must match the serial reference"
-            );
-        }
-        let prefetched = gram_from_indexed_prefetched(
-            graphs.len(),
-            Some(BackendKind::BatchedTile),
-            |_i| {},
-            |i, j| kernel.compute(&graphs[i], &graphs[j]),
-        );
-        assert_eq!(prefetched.matrix(), reference.matrix());
-    }
-
-    #[test]
-    fn indexed_gram_matches_engine_serial_path() {
+    fn tile_gram_matches_engine_serial_path() {
         let f = |i: usize, j: usize| (i * 7 + j * 3) as f64;
-        let gram = gram_from_indexed(9, f);
+        let gram = gram_from_tiles(9, None, per_pair(f), None);
         let serial = Engine::gram_serial(9, f);
         assert_eq!(gram.matrix(), &serial);
     }

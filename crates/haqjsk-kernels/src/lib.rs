@@ -18,8 +18,8 @@
 //!   ([`depth_based`]),
 //!
 //! together with the [`GraphKernel`] trait, the engine-backed Gram-matrix
-//! builders ([`kernel`], routed through `haqjsk-engine`'s tiled parallel
-//! scheduler), the process-global CTQW density cache ([`features`]), and the
+//! builder ([`kernel`], routed through `haqjsk-engine`'s tile scheduler),
+//! the process-global CTQW density cache ([`features`]), and the
 //! [`KernelMatrix`] type with normalisation / centring / positive
 //! semidefiniteness checks ([`matrix`]). The static property tables of the
 //! paper (Table I and Table III) live in [`properties`].
@@ -31,7 +31,6 @@ pub mod graphlet;
 pub mod jtqk;
 pub mod kernel;
 pub mod matrix;
-pub mod nystrom;
 pub mod properties;
 pub mod qjsk;
 pub mod random_walk;
@@ -49,7 +48,6 @@ pub use graphlet::GraphletKernel;
 pub use jtqk::JensenTsallisKernel;
 pub use kernel::GraphKernel;
 pub use matrix::KernelMatrix;
-pub use nystrom::{LandmarkSelection, NystromApproximation};
 pub use qjsk::{QjskAligned, QjskUnaligned};
 pub use random_walk::RandomWalkKernel;
 pub use shortest_path::ShortestPathKernel;

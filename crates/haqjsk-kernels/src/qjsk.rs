@@ -16,7 +16,7 @@
 use crate::features::{
     cached_alignment_basis, cached_ctqw_density, cached_graph_spectrals, pad_to, AlignmentBasis,
 };
-use crate::kernel::{gram_from_tiles_spec, GraphKernel, PinnedFeatures};
+use crate::kernel::{gram_from_tiles, GraphKernel, PinnedFeatures};
 use crate::matrix::KernelMatrix;
 use haqjsk_engine::{BackendKind, RemoteGram};
 use haqjsk_graph::Graph;
@@ -165,12 +165,9 @@ impl GraphKernel for QjskUnaligned {
             graphs,
             artifact: None,
         };
-        gram_from_tiles_spec(
+        gram_from_tiles(
             graphs.len(),
             backend,
-            |i| {
-                let _ = pinned.get(i, SpectralInputs::extract);
-            },
             |pairs: &[(usize, usize)], out: &mut [f64]| self.kernel_tile(pairs, &pinned, out),
             Some(&spec),
         )
@@ -337,12 +334,9 @@ impl GraphKernel for QjskAligned {
             graphs,
             artifact: None,
         };
-        gram_from_tiles_spec(
+        gram_from_tiles(
             graphs.len(),
             backend,
-            |i| {
-                let _ = pinned.get(i, AlignedInputs::extract);
-            },
             |pairs: &[(usize, usize)], out: &mut [f64]| self.kernel_tile(pairs, &pinned, out),
             Some(&spec),
         )

@@ -6,9 +6,9 @@
 //! the classic local R-convolution baseline of the paper's Table III/IV:
 //! positive definite, but blind to structural correspondence.
 
-use crate::kernel::{gram_from_indexed_on, sorted_histogram, sparse_dot, GraphKernel};
+use crate::kernel::{gram_from_tiles, sorted_histogram, sparse_dot, GraphKernel};
 use crate::matrix::KernelMatrix;
-use haqjsk_engine::BackendKind;
+use haqjsk_engine::{per_pair, BackendKind};
 use haqjsk_graph::shortest_paths::{all_pairs_shortest_paths, INFINITE_DISTANCE};
 use haqjsk_graph::Graph;
 
@@ -79,9 +79,8 @@ impl GraphKernel for ShortestPathKernel {
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
         let _timer = crate::kernel::time_kernel_gram(self.name());
         let sparse: Vec<SpFeatureVec> = graphs.iter().map(|g| self.feature_map(g)).collect();
-        gram_from_indexed_on(graphs.len(), backend, |i, j| {
-            sparse_dot(&sparse[i], &sparse[j])
-        })
+        let pairs = per_pair(|i, j| sparse_dot(&sparse[i], &sparse[j]));
+        gram_from_tiles(graphs.len(), backend, pairs, None)
     }
 }
 

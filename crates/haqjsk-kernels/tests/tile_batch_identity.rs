@@ -9,10 +9,10 @@
 //!    dictionary-based WL refinement within 1e-12 on the 32-graph
 //!    acceptance dataset.
 
-use haqjsk_engine::BackendKind;
+use haqjsk_engine::{per_pair, BackendKind};
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk_graph::Graph;
-use haqjsk_kernels::kernel::gram_from_pairwise_on;
+use haqjsk_kernels::kernel::gram_from_tiles;
 use haqjsk_kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
 use std::collections::HashMap;
 
@@ -61,8 +61,8 @@ fn tile_batched_gram_is_byte_identical_to_per_pair_on_all_backends() {
         // per-graph artifacts, scheduled by the same backend.
         for backend in BackendKind::ALL {
             let tile = kernel.gram_matrix_on(&graphs, Some(backend));
-            let pairwise =
-                gram_from_pairwise_on(&graphs, Some(backend), |a, b| kernel.compute(a, b));
+            let per_pair = per_pair(|i, j| kernel.compute(&graphs[i], &graphs[j]));
+            let pairwise = gram_from_tiles(graphs.len(), Some(backend), per_pair, None);
             assert_bytes_equal(
                 name,
                 backend,

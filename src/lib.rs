@@ -13,12 +13,13 @@
 //! * [`quantum`] — continuous-time quantum walks, density matrices, von
 //!   Neumann entropy and the quantum Jensen–Shannon divergence,
 //! * [`engine`] — the parallel Gram-computation engine: the shared worker
-//!   pool (`HAQJSK_THREADS` controls its size), pluggable Gram execution
-//!   backends (serial / tiled / batched-tile, `HAQJSK_BACKEND` selects the
-//!   default), the sharded LRU feature cache with optional byte budgets
+//!   pool (`HAQJSK_THREADS` controls its size), one Gram tile scheduler that
+//!   runs inline (`serial`), on the pool (`local`, the default) or through
+//!   the distributed hook (`dist:…`) — `HAQJSK_BACKEND` selects the
+//!   default, with `tiled`/`batched` kept as aliases of `local` — the
+//!   sharded LRU feature cache with optional byte budgets
 //!   (`HAQJSK_CACHE_SHARDS` / `HAQJSK_CACHE_BUDGET`), incremental Gram
-//!   extension plus sliding-window retention, and the JSON-lines TCP
-//!   serving substrate,
+//!   extension, and the JSON-lines TCP serving substrate,
 //! * [`dist`] — distributed tile execution: a coordinator that fans one
 //!   Gram matrix's tiles out over `haqjsk-worker` processes
 //!   (`HAQJSK_BACKEND=dist:addr,addr`), with content-hash-deduplicated

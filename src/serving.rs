@@ -641,7 +641,7 @@ fn worker_addrs(request: &Json) -> Result<Vec<String>, String> {
 /// The pool is installed process-wide (it serves the spec-carrying Grams
 /// of the quantum baseline kernels *and* the fitted model, which ships as
 /// a content-addressed artifact); computations without a serialisable
-/// spec execute locally on the tiled pool, so configuring workers never
+/// spec execute locally on the engine's pool, so configuring workers never
 /// makes a fit fail. The connect itself is resilient: each unreachable
 /// address is retried once with a short backoff, and the fit proceeds
 /// degraded (with a loud warning and a `workers_unreachable` count in the

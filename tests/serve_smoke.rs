@@ -217,7 +217,7 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     let stats = client.expect_ok("{\"cmd\":\"stats\"}");
     assert_eq!(stats.get("fitted").and_then(Json::as_bool), Some(true));
     let backend = stats.get("engine_backend").and_then(Json::as_str).unwrap();
-    assert!(["serial", "tiled", "batched"].contains(&backend));
+    assert!(["serial", "local"].contains(&backend));
 
     let entries = stats
         .get("aligned_cache_entries")
