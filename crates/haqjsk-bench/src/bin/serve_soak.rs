@@ -13,7 +13,10 @@
 //!    reloads byte-identically after the server is gone;
 //! 5. checks the active-connections gauge returns to baseline (no thread
 //!    leak) once the abusive clients disconnect;
-//! 6. sends SIGTERM mid-run and checks the server drains and exits 0
+//! 6. fills the HTTP sidecar (`--http-addr`) past the same cap and checks
+//!    every over-cap connection gets exactly one `503` and a clean close,
+//!    and `haqjsk_http_active_connections` returns to baseline;
+//! 7. sends SIGTERM mid-run and checks the server drains and exits 0
 //!    within the drain deadline.
 //!
 //! Usage: `cargo run --release -p haqjsk-bench --bin serve_soak`
@@ -37,6 +40,8 @@ fn fail(message: &str) -> ! {
 struct ServeProcess {
     child: std::process::Child,
     addr: String,
+    /// The HTTP sidecar's address, when spawned with one.
+    http_addr: Option<String>,
 }
 
 impl Drop for ServeProcess {
@@ -46,7 +51,21 @@ impl Drop for ServeProcess {
     }
 }
 
-fn spawn_serve(model_path: &std::path::Path) -> ServeProcess {
+/// The `host:port` token of a listening banner line.
+fn banner_addr(line: &str) -> String {
+    line.split_whitespace()
+        .find(|token| {
+            token.contains(':')
+                && token
+                    .rsplit(':')
+                    .next()
+                    .is_some_and(|p| p.parse::<u16>().is_ok())
+        })
+        .unwrap_or_else(|| fail(&format!("no listen address in banner: {line:?}")))
+        .to_string()
+}
+
+fn spawn_serve(model_path: &std::path::Path, with_http: bool) -> ServeProcess {
     let bin = std::env::current_exe()
         .expect("current exe path")
         .parent()
@@ -58,10 +77,12 @@ fn spawn_serve(model_path: &std::path::Path) -> ServeProcess {
             bin.display()
         ));
     }
-    let mut child = std::process::Command::new(bin)
-        .arg("127.0.0.1:0")
-        .arg("--model")
-        .arg(model_path)
+    let mut command = std::process::Command::new(bin);
+    command.arg("127.0.0.1:0").arg("--model").arg(model_path);
+    if with_http {
+        command.args(["--http-addr", "127.0.0.1:0"]);
+    }
+    let mut child = command
         .env_remove("HAQJSK_BACKEND")
         .env("HAQJSK_SERVE_MAX_CONNS", MAX_CONNS.to_string())
         .env("HAQJSK_SERVE_IO_TIMEOUT_MS", IO_TIMEOUT_MS.to_string())
@@ -70,24 +91,23 @@ fn spawn_serve(model_path: &std::path::Path) -> ServeProcess {
         .stderr(std::process::Stdio::inherit())
         .spawn()
         .unwrap_or_else(|e| fail(&format!("cannot spawn haqjsk-serve: {e}")));
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut line = String::new();
-    BufReader::new(stdout)
-        .read_line(&mut line)
-        .unwrap_or_else(|e| fail(&format!("cannot read serve banner: {e}")));
-    // Banner shape: "haqjsk-serve listening on 127.0.0.1:PORT (...)".
-    let addr = line
-        .split_whitespace()
-        .find(|token| {
-            token.contains(':')
-                && token
-                    .rsplit(':')
-                    .next()
-                    .is_some_and(|p| p.parse::<u16>().is_ok())
-        })
-        .unwrap_or_else(|| fail(&format!("no listen address in banner: {line:?}")))
-        .to_string();
-    ServeProcess { child, addr }
+    // Banner shape: "haqjsk-serve listening on 127.0.0.1:PORT (...)",
+    // then "haqjsk-serve http listening on 127.0.0.1:PORT" with a sidecar.
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut banner = || {
+        let mut line = String::new();
+        stdout
+            .read_line(&mut line)
+            .unwrap_or_else(|e| fail(&format!("cannot read serve banner: {e}")));
+        banner_addr(&line)
+    };
+    let addr = banner();
+    let http_addr = with_http.then(banner);
+    ServeProcess {
+        child,
+        addr,
+        http_addr,
+    }
 }
 
 struct Client {
@@ -139,6 +159,45 @@ impl Client {
     }
 }
 
+/// Sends one keep-alive `GET /healthz` and returns the connection once the
+/// status line is back (the sidecar has registered it).
+fn http_occupant(addr: &str) -> TcpStream {
+    let mut stream =
+        TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect http {addr}: {e}")));
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: soak\r\n\r\n")
+        .unwrap_or_else(|e| fail(&format!("http send: {e}")));
+    let mut status = [0u8; 12];
+    match stream.read_exact(&mut status) {
+        Ok(()) if &status == b"HTTP/1.1 200" => stream,
+        other => fail(&format!(
+            "http occupant not answered with 200: {other:?} {:?}",
+            String::from_utf8_lossy(&status)
+        )),
+    }
+}
+
+/// The registry's `haqjsk_http_active_connections`, read over the
+/// JSON-lines wire so that reading it opens no HTTP connection (absent
+/// before the first HTTP connection: 0).
+fn http_active_connections(control: &mut Client) -> f64 {
+    let metrics = control.expect_ok("{\"cmd\":\"metrics\"}");
+    let text = metrics
+        .get("prometheus")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| fail("metrics carries no prometheus text"));
+    text.lines()
+        .find_map(|line| line.strip_prefix("haqjsk_http_active_connections "))
+        .map_or(0.0, |v| {
+            v.trim()
+                .parse()
+                .unwrap_or_else(|e| fail(&format!("bad gauge value {v:?}: {e}")))
+        })
+}
+
 fn fit_request() -> String {
     let graphs: Vec<Json> = (5..9)
         .flat_map(|n| {
@@ -162,7 +221,7 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap_or_else(|e| fail(&format!("mkdir scratch: {e}")));
     let model_path = dir.join("soak-model.haqjsk");
 
-    let mut serve = spawn_serve(&model_path);
+    let mut serve = spawn_serve(&model_path, true);
     let mut control = Client::connect(&serve.addr);
     control.expect_ok("{\"cmd\":\"ping\"}");
 
@@ -267,7 +326,49 @@ fn main() {
         ));
     }
 
-    // --- Phase 5: SIGTERM drains in-flight work, then the process exits 0.
+    // --- Phase 5: the HTTP sidecar sheds at the same cap: fill it with
+    // keep-alive scrapers, check every connection past it gets exactly one
+    // 503 and a clean close, then that the sidecar's connection gauge
+    // returns to baseline once the scrapers leave.
+    let http_addr = serve.http_addr.clone().expect("spawned with a sidecar");
+    let http_baseline = http_active_connections(&mut control);
+    let scrapers: Vec<TcpStream> = (0..MAX_CONNS).map(|_| http_occupant(&http_addr)).collect();
+    let mut http_sheds = 0;
+    for _ in 0..6 {
+        let mut extra = TcpStream::connect(&http_addr)
+            .unwrap_or_else(|e| fail(&format!("connect http {http_addr}: {e}")));
+        extra
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let mut raw = String::new();
+        if let Err(e) = extra.read_to_string(&mut raw) {
+            fail(&format!("over-cap http connection not closed cleanly: {e}"));
+        }
+        if !raw.starts_with("HTTP/1.1 503 ")
+            || raw.matches("HTTP/1.1 ").count() != 1
+            || !raw.ends_with("\r\n\r\nbusy\n")
+        {
+            fail(&format!("malformed http shed: {raw:?}"));
+        }
+        http_sheds += 1;
+    }
+    drop(scrapers);
+    let http_deadline = Instant::now() + Duration::from_secs(10);
+    let mut http_active = f64::MAX;
+    while Instant::now() < http_deadline {
+        http_active = http_active_connections(&mut control);
+        if http_active <= http_baseline {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    if http_active > http_baseline {
+        fail(&format!(
+            "http active connections stuck at {http_active} (baseline {http_baseline})"
+        ));
+    }
+
+    // --- Phase 6: SIGTERM drains in-flight work, then the process exits 0.
     let pid = serve.child.id().to_string();
     let status = std::process::Command::new("kill")
         .args(["-TERM", &pid])
@@ -302,14 +403,14 @@ fn main() {
         fail(&format!("server exited with {code:?}, expected 0"));
     }
 
-    // --- Phase 6: the saved model survives the process byte-identically
+    // --- Phase 7: the saved model survives the process byte-identically
     // and recovers on the next startup.
     let reread =
         std::fs::read(&model_path).unwrap_or_else(|e| fail(&format!("re-read model: {e}")));
     if reread != saved_bytes {
         fail("saved model changed on disk across the drain");
     }
-    let mut serve2 = spawn_serve(&model_path);
+    let mut serve2 = spawn_serve(&model_path, false);
     let mut client2 = Client::connect(&serve2.addr);
     let save = client2.expect_ok("{\"cmd\":\"save\"}");
     let recovered = save.get("model").and_then(Json::as_str).unwrap_or("");
@@ -323,6 +424,7 @@ fn main() {
     println!(
         "serve_soak: OK — {sheds} clean sheds at the connection cap, slow-loris cut off, \
          {probes} bounded ping/metrics probes under abuse, gauge back to baseline, \
-         SIGTERM drained to exit 0, model file byte-identical and recovered on restart"
+         {http_sheds} clean 503 sheds at the http sidecar's cap with its gauge back to \
+         baseline, SIGTERM drained to exit 0, model file byte-identical and recovered on restart"
     );
 }

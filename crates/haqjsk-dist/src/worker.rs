@@ -54,7 +54,7 @@ use crate::wire::{self, KernelSpec};
 use haqjsk_core::{model_artifact_id, model_from_string, AlignedGraph, HaqjskModel};
 use haqjsk_engine::cache::FeatureCache;
 use haqjsk_engine::serve::error_response;
-use haqjsk_engine::{graph_from_json, Engine, Handler, Json, Server};
+use haqjsk_engine::{graph_from_json, Codec, Engine, Handler, Json, Server};
 use haqjsk_graph::Graph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
@@ -184,7 +184,7 @@ impl WorkerServer {
         });
         let handler: Arc<dyn Handler> = Arc::new(WorkerHandler { state });
         Ok(WorkerServer {
-            server: Server::spawn(addr, handler)?,
+            server: Server::spawn(addr, Codec::JsonLines(handler))?,
         })
     }
 

@@ -1,32 +1,35 @@
-//! A minimal HTTP/1.1 GET endpoint over the hardened serving substrate.
+//! The HTTP/1.1 GET codec of the one [`Server`] listener.
 //!
 //! Scrape tooling (Prometheus, load balancer health checks, humans with
-//! `curl`) speaks HTTP, not the JSON-lines wire. This module serves GET
-//! requests with the same defensive posture as [`crate::serve`] — bounded
-//! request lines, capped header counts, slow-loris cutoffs, connection
-//! shedding — by reusing its [`BoundedLineReader`] and lingering close.
+//! `curl`) speaks HTTP, not the JSON-lines wire. A [`Server`] spawned with
+//! [`Codec::Http`] shares the JSON-lines listener's connection cap, I/O
+//! timeout and shutdown; this module adds only the protocol half: the
+//! request parser over the same [`BoundedLineReader`] (an 8 KiB line cap,
+//! capped header counts, a head deadline), the `503 busy` shed reply, and
+//! the response writer.
 //!
 //! Deliberately tiny: `GET` only (anything else is `405`), no bodies read,
 //! no chunked encoding, `Content-Length` responses with keep-alive and
 //! pipelining. Routes live in the caller-provided responder closure; the
 //! transport only knows paths and status codes.
 //!
-//! Unlike the JSON-lines server, the HTTP listener has no drain phase: it
-//! keeps answering until process exit so `/healthz` can report `503` while
-//! the main server drains.
+//! Nothing drains the HTTP listener: it keeps answering until process exit
+//! so `/healthz` can report `503` while the JSON-lines server drains.
+//!
+//! [`Server`]: crate::serve::Server
+//! [`Codec::Http`]: crate::serve::Codec::Http
 
-use crate::serve::{linger_close, BoundedLineReader, Poll, ServeConfig};
+use crate::serve::{linger_close, BoundedLineReader, Poll, ServeConfig, ServeShared};
 use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Hard cap on one request line. Far below the JSON frame knob: scrape
 /// targets are short, and an 8 KiB GET line is already abuse.
-const MAX_REQUEST_LINE_BYTES: usize = 8 << 10;
+pub(crate) const MAX_REQUEST_LINE_BYTES: usize = 8 << 10;
 /// Maximum header lines accepted per request before `431`.
 const MAX_HEADER_LINES: usize = 64;
 
@@ -60,153 +63,6 @@ impl HttpResponse {
 /// Maps a request path (query string already stripped) to a response.
 pub type HttpResponder = dyn Fn(&str) -> HttpResponse + Send + Sync;
 
-struct HttpShared {
-    shutdown: AtomicBool,
-    active: AtomicUsize,
-}
-
-/// A running HTTP listener: accept loop on a background thread, one thread
-/// per connection, shut down on drop.
-pub struct HttpServer {
-    local_addr: SocketAddr,
-    shared: Arc<HttpShared>,
-    accept_thread: Option<thread::JoinHandle<()>>,
-    tick: Duration,
-}
-
-impl HttpServer {
-    /// Binds `addr` and serves `responder`, with the connection cap, I/O
-    /// timeout and tick of [`ServeConfig::from_env`] (the `HAQJSK_SERVE_*`
-    /// knobs govern both listeners).
-    pub fn spawn(addr: &str, responder: Arc<HttpResponder>) -> std::io::Result<HttpServer> {
-        let config = ServeConfig::from_env()
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        HttpServer::spawn_with_config(addr, responder, config)
-    }
-
-    /// [`HttpServer::spawn`] with explicit limits (tests shrink them).
-    pub fn spawn_with_config(
-        addr: &str,
-        responder: Arc<HttpResponder>,
-        config: ServeConfig,
-    ) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shared = Arc::new(HttpShared {
-            shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-        });
-
-        let accept_shared = Arc::clone(&shared);
-        let tick = config.tick;
-        let accept_thread = thread::Builder::new()
-            .name("haqjsk-http-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_shared.shutdown.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    stream.set_nodelay(true).ok();
-                    if accept_shared.active.load(Ordering::Acquire) >= config.max_conns {
-                        shed_http_connection(stream);
-                        continue;
-                    }
-                    crate::obs::http_connections_counter().inc();
-                    let guard = HttpConnGuard::register(&accept_shared);
-                    let responder = Arc::clone(&responder);
-                    let conn_shared = Arc::clone(&accept_shared);
-                    let conn_config = config.clone();
-                    let _ = thread::Builder::new()
-                        .name("haqjsk-http-conn".to_string())
-                        .spawn(move || {
-                            let _guard = guard;
-                            let _ = serve_http_connection(
-                                stream,
-                                responder.as_ref(),
-                                &conn_shared,
-                                &conn_config,
-                            );
-                        });
-                }
-            })?;
-
-        Ok(HttpServer {
-            local_addr,
-            shared,
-            accept_thread: Some(accept_thread),
-            tick,
-        })
-    }
-
-    /// The bound address (useful with an ephemeral port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Connections currently open.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active.load(Ordering::Acquire)
-    }
-
-    /// Same wildcard-vs-loopback dance as the JSON-lines server: dial the
-    /// listener once to unblock its blocking accept.
-    fn unblock_addr(&self) -> SocketAddr {
-        let ip = match self.local_addr.ip() {
-            ip if !ip.is_unspecified() => ip,
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        };
-        SocketAddr::new(ip, self.local_addr.port())
-    }
-
-    /// Stops accepting and gives open connections a few ticks to observe
-    /// the flag and exit.
-    pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        let _ = TcpStream::connect_timeout(&self.unblock_addr(), Duration::from_secs(1));
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-        let grace = self.tick * 4;
-        let start = Instant::now();
-        while self.shared.active.load(Ordering::Acquire) > 0 && start.elapsed() < grace {
-            thread::sleep(self.tick.min(Duration::from_millis(10)));
-        }
-    }
-}
-
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shutdown();
-        }
-    }
-}
-
-/// RAII registration of one open HTTP connection (count + gauge exact on
-/// every exit path).
-struct HttpConnGuard {
-    shared: Arc<HttpShared>,
-}
-
-impl HttpConnGuard {
-    fn register(shared: &Arc<HttpShared>) -> HttpConnGuard {
-        shared.active.fetch_add(1, Ordering::AcqRel);
-        crate::obs::http_active_connections_gauge().add(1.0);
-        HttpConnGuard {
-            shared: Arc::clone(shared),
-        }
-    }
-}
-
-impl Drop for HttpConnGuard {
-    fn drop(&mut self) {
-        self.shared.active.fetch_sub(1, Ordering::AcqRel);
-        crate::obs::http_active_connections_gauge().add(-1.0);
-    }
-}
-
 fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
@@ -223,7 +79,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes a full response. `extra` carries pre-formatted additional header
 /// lines (each `\r\n`-terminated), e.g. `Allow: GET` on a `405`.
-fn write_response(
+pub(crate) fn write_response(
     writer: &mut TcpStream,
     response: &HttpResponse,
     close: bool,
@@ -244,26 +100,15 @@ fn write_response(
     writer.flush()
 }
 
-/// Answers an over-cap connection with one `503` and a clean close.
-fn shed_http_connection(stream: TcpStream) {
-    let mut stream = stream;
-    stream.set_write_timeout(Some(Duration::from_secs(1))).ok();
-    let response = HttpResponse::text(503, "transport", "busy\n");
-    let _ = write_response(&mut stream, &response, true, "");
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-}
-
 /// Serves one HTTP connection until EOF, a protocol violation, a timeout,
 /// or shutdown. Keep-alive by default; `Connection: close` honored.
-fn serve_http_connection(
-    stream: TcpStream,
+pub(crate) fn serve_http_connection(
+    mut reader: BoundedLineReader,
+    mut writer: TcpStream,
     responder: &HttpResponder,
-    shared: &Arc<HttpShared>,
+    shared: &Arc<ServeShared>,
     config: &ServeConfig,
 ) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    writer.set_write_timeout(config.io_timeout)?;
-    let mut reader = BoundedLineReader::new(stream, MAX_REQUEST_LINE_BYTES, config.tick)?;
     // Mid-line stall timer for the request-line phase: idle between
     // requests is fine (keep-alive), a half-sent line is not.
     let mut frame_started: Option<Instant> = None;
@@ -392,14 +237,16 @@ fn serve_http_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::{Codec, Server};
     use std::io::{BufRead, BufReader, Read};
+    use std::time::Duration;
 
-    fn echo_responder() -> Arc<HttpResponder> {
-        Arc::new(|path: &str| match path {
+    fn echo_codec() -> Codec {
+        Codec::Http(Arc::new(|path: &str| match path {
             "/hello" => HttpResponse::text(200, "/hello", "hi\n"),
             "/boom" => panic!("deliberate test panic"),
             _ => HttpResponse::text(404, "other", "not found\n"),
-        })
+        }))
     }
 
     fn fast_config() -> ServeConfig {
@@ -440,7 +287,7 @@ mod tests {
     #[test]
     fn get_roundtrip_with_keep_alive_and_pipelining() {
         let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -467,7 +314,7 @@ mod tests {
     #[test]
     fn connection_close_is_honored() {
         let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -484,7 +331,7 @@ mod tests {
     #[test]
     fn non_get_methods_are_rejected() {
         let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -500,7 +347,7 @@ mod tests {
     #[test]
     fn oversized_request_line_is_rejected() {
         let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -519,8 +366,7 @@ mod tests {
             io_timeout: Some(Duration::from_millis(80)),
             ..fast_config()
         };
-        let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), config).unwrap();
+        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_codec(), config).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -539,7 +385,7 @@ mod tests {
     #[test]
     fn responder_panics_become_500() {
         let mut server =
-            HttpServer::spawn_with_config("127.0.0.1:0", echo_responder(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);

@@ -32,9 +32,10 @@
 //!   slice of an optional byte budget (value sizes via [`CacheWeight`]),
 //!   with exactly-once compute semantics per resident key and full
 //!   hit/miss/eviction instrumentation per shard,
-//! * [`json`] + [`serve`] — the JSON-lines TCP serving substrate used by the
-//!   `haqjsk-serve` binary (transport loop, graph wire format, dependency-
-//!   free JSON).
+//! * [`json`] + [`serve`] + [`http`] — the TCP serving substrate: one
+//!   hardened [`Server`] speaking one [`Codec`] (JSON-lines for
+//!   `haqjsk-serve` and dist workers, HTTP/1.1 GET for the observability
+//!   sidecar), the graph wire format and a dependency-free JSON.
 //!
 //! ## Architecture: one seam per scaling axis
 //!
@@ -85,10 +86,10 @@ pub use cache::{
 };
 pub use engine::{Engine, EngineBuilder};
 pub use hash::{graph_key, GraphKey};
-pub use http::{HttpResponder, HttpResponse, HttpServer};
+pub use http::{HttpResponder, HttpResponse};
 pub use json::Json;
 pub use pool::{default_thread_count, WorkerPool, THREADS_ENV_VAR};
 pub use serve::{
-    error_response, graph_from_json, graph_to_json, DrainReport, Handler, ServeConfig,
+    error_response, graph_from_json, graph_to_json, Codec, DrainReport, Handler, ServeConfig,
     ServeControl, Server,
 };

@@ -1,9 +1,13 @@
-//! The JSON-lines TCP serving substrate.
+//! The TCP serving substrate: one hardened listener, two protocol codecs.
 //!
-//! Protocol: one JSON object per line, one response line per request, over a
-//! plain `TcpStream`. The engine provides the transport loop and graph
-//! (de)serialisation; the `haqjsk-serve` binary (umbrella crate) wires in
-//! the model-level handlers (fit / transform / predict / save / load).
+//! A [`Server`] binds one address and speaks the [`Codec`] it was spawned
+//! with on every connection, never switching per request:
+//!
+//! * [`Codec::JsonLines`] — one JSON object per line, one response line per
+//!   request, answered by a [`Handler`]: the `haqjsk-serve` model handlers
+//!   (umbrella crate) and every distributed worker.
+//! * [`Codec::Http`] — HTTP/1.1 GET answered by an [`HttpResponder`]: the
+//!   observability sidecar, whose protocol half is [`crate::http`].
 //!
 //! ```text
 //! -> {"cmd":"ping"}
@@ -12,22 +16,24 @@
 //! <- {"ok":true,"num_graphs":32,"levels":3}
 //! ```
 //!
-//! Malformed lines never kill the connection: they produce
+//! Malformed lines never kill a JSON-lines connection: they produce
 //! `{"ok":false,"error":"..."}` responses.
 //!
 //! ## Overload safety
 //!
-//! The transport is hardened against misbehaving clients and overload
-//! spikes ([`ServeConfig`] holds the knobs, all settable via environment
-//! variables):
+//! The listener is hardened against misbehaving clients and overload
+//! spikes, whichever codec it speaks ([`ServeConfig`] holds the knobs, all
+//! settable via environment variables):
 //!
 //! * **Connection cap** (`HAQJSK_SERVE_MAX_CONNS`): connections beyond the
-//!   cap receive one `{"ok":false,"error":"overloaded"}` line and a clean
-//!   close instead of a thread.
-//! * **Bounded frames** (`HAQJSK_SERVE_MAX_FRAME_BYTES`): a request line
-//!   longer than the cap is answered with an error line and the connection
-//!   closed — the server never buffers an unbounded line. The distributed
-//!   worker wire shares this framing (a worker is a [`Server`]).
+//!   cap receive the codec's shed reply — one
+//!   `{"ok":false,"error":"overloaded"}` line, or one `503 busy` — and a
+//!   clean close instead of a thread.
+//! * **Bounded frames**: a request line longer than the codec's cap
+//!   (`HAQJSK_SERVE_MAX_FRAME_BYTES` for JSON-lines, a fixed 8 KiB for
+//!   HTTP) is answered with an error and the connection closed — the
+//!   server never buffers an unbounded line. The distributed worker wire
+//!   shares the JSON-lines framing (a worker is a [`Server`]).
 //! * **Slow-client defense** (`HAQJSK_SERVE_IO_TIMEOUT_MS`): a connection
 //!   that stalls *mid-frame* longer than the timeout is closed (slow-loris
 //!   cannot pin a thread), and writes that stall are bounded by the same
@@ -35,19 +41,23 @@
 //!   keep-alive clients (the distributed coordinator, serving clients
 //!   between requests) never time out while quiescent.
 //! * **Panic isolation**: a handler panic is caught, answered with
-//!   `{"ok":false,"error":"internal error ..."}`, counted in
-//!   `haqjsk_serve_panics_total`, and the connection (and process) live on.
+//!   `{"ok":false,"error":"internal error ..."}` (a responder panic with a
+//!   `500`), counted in `haqjsk_serve_panics_total`, and the connection
+//!   (and process) live on.
 //! * **Graceful drain** ([`Server::drain`]): stop accepting, answer
 //!   in-flight requests, close idle connections, all within a deadline —
-//!   observable via the `haqjsk_serve_state` one-hot gauge.
+//!   observable via the `haqjsk_serve_state` one-hot gauge. Nothing drains
+//!   the HTTP sidecar, so `/healthz` can report the JSON-lines drain.
 //!
 //! Internally every connection polls its socket on a short tick so it can
 //! observe shutdown/drain flags while blocked on a quiet peer; the tick
 //! only matters when a socket is idle, so the request/response hot path is
 //! unaffected.
 
+use crate::http::{HttpResponder, HttpResponse};
 use crate::json::Json;
 use haqjsk_graph::Graph;
+use haqjsk_obs::metrics::{Counter, Gauge};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,10 +80,10 @@ pub const IO_TIMEOUT_ENV_VAR: &str = "HAQJSK_SERVE_IO_TIMEOUT_MS";
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Maximum concurrently open connections; over-limit connections get
-    /// one `overloaded` error line and a clean close.
+    /// the codec's shed reply and a clean close.
     pub max_conns: usize,
-    /// Maximum bytes of a single request line; longer frames are rejected
-    /// with an error line and the connection is closed.
+    /// Maximum bytes of a single JSON-lines request line; longer frames
+    /// are rejected with an error line and the connection is closed.
     pub max_frame_bytes: usize,
     /// How long a connection may stall mid-frame (reading) or mid-response
     /// (writing) before it is closed. `None` disables the defense.
@@ -119,7 +129,9 @@ impl ServeConfig {
     }
 }
 
-fn parse_env_usize(name: &str) -> Result<Option<usize>, String> {
+/// Reads a non-negative integer environment variable: `Ok(None)` when
+/// unset, an error naming the variable when it does not parse.
+pub fn parse_env_usize(name: &str) -> Result<Option<usize>, String> {
     match std::env::var(name) {
         Err(_) => Ok(None),
         Ok(raw) => raw
@@ -163,11 +175,97 @@ where
     }
 }
 
+/// The protocol a [`Server`] speaks: only what differs between protocols
+/// (frame cap, connection loop, shed reply, connection metrics).
+#[derive(Clone)]
+pub enum Codec {
+    /// JSON-lines requests answered by a [`Handler`] (serving, dist
+    /// workers); accounted in `haqjsk_serve_*`.
+    JsonLines(Arc<dyn Handler>),
+    /// HTTP/1.1 GET requests answered by an [`HttpResponder`] (the
+    /// observability sidecar); accounted in `haqjsk_http_*`.
+    Http(Arc<HttpResponder>),
+}
+
+impl Codec {
+    /// Thread-name label: `serve` or `http`.
+    fn label(&self) -> &'static str {
+        match self {
+            Codec::JsonLines(_) => "serve",
+            Codec::Http(_) => "http",
+        }
+    }
+
+    fn connections_counter(&self) -> &'static Counter {
+        match self {
+            Codec::JsonLines(_) => crate::obs::serve_connections_counter(),
+            Codec::Http(_) => crate::obs::http_connections_counter(),
+        }
+    }
+
+    fn active_gauge(&self) -> &'static Gauge {
+        match self {
+            Codec::JsonLines(_) => crate::obs::serve_active_connections_gauge(),
+            Codec::Http(_) => crate::obs::http_active_connections_gauge(),
+        }
+    }
+
+    /// Answers an over-cap connection with the codec's one shed reply and a
+    /// clean close; never spawns a thread or blocks the accept loop for long.
+    fn shed(&self, mut stream: TcpStream) {
+        stream.set_write_timeout(Some(Duration::from_secs(1))).ok();
+        let _ = match self {
+            Codec::JsonLines(_) => {
+                crate::obs::serve_conns_rejected_counter().inc();
+                let line = format!("{}\n", error_response("overloaded"));
+                stream
+                    .write_all(line.as_bytes())
+                    .and_then(|()| stream.flush())
+            }
+            Codec::Http(_) => {
+                let busy = HttpResponse::text(503, "transport", "busy\n");
+                crate::http::write_response(&mut stream, &busy, true, "")
+            }
+        };
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
+
+    /// Serves one accepted connection until EOF, a limit violation, or
+    /// shutdown/drain.
+    fn serve(
+        &self,
+        stream: TcpStream,
+        shared: &Arc<ServeShared>,
+        config: &ServeConfig,
+    ) -> std::io::Result<()> {
+        let frame_cap = match self {
+            Codec::JsonLines(_) => config.max_frame_bytes,
+            Codec::Http(_) => crate::http::MAX_REQUEST_LINE_BYTES,
+        };
+        let writer = stream.try_clone()?;
+        writer.set_write_timeout(config.io_timeout)?;
+        let reader = BoundedLineReader::new(stream, frame_cap, config.tick)?;
+        match self {
+            Codec::JsonLines(handler) => {
+                serve_connection_bounded(reader, writer, handler.as_ref(), shared, config)
+            }
+            Codec::Http(responder) => crate::http::serve_http_connection(
+                reader,
+                writer,
+                responder.as_ref(),
+                shared,
+                config,
+            ),
+        }
+    }
+}
+
 /// State shared between the accept loop, every connection thread, and the
 /// [`ServeControl`] handles.
-struct ServeShared {
+#[derive(Default)]
+pub(crate) struct ServeShared {
     /// Hard stop: connections exit at their next flag check.
-    shutdown: AtomicBool,
+    pub(crate) shutdown: AtomicBool,
     /// Drain phase: no new connections, idle connections close, in-flight
     /// requests are answered.
     draining: AtomicBool,
@@ -175,17 +273,8 @@ struct ServeShared {
     active: AtomicUsize,
     /// Requests currently being handled or answered.
     busy: AtomicUsize,
-}
-
-impl ServeShared {
-    fn new() -> Arc<ServeShared> {
-        Arc::new(ServeShared {
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
-            busy: AtomicUsize::new(0),
-        })
-    }
+    /// Whether this listener drives `haqjsk_serve_state` (JSON-lines only).
+    owns_state_gauge: bool,
 }
 
 /// A cheap, cloneable handle onto a running server's lifecycle state:
@@ -202,7 +291,7 @@ impl ServeControl {
     /// in-flight requests are still answered. Idempotent. The owner of the
     /// [`Server`] completes the drain with [`Server::drain`].
     pub fn begin_drain(&self) {
-        if !self.shared.draining.swap(true, Ordering::AcqRel) {
+        if !self.shared.draining.swap(true, Ordering::AcqRel) && self.shared.owns_state_gauge {
             crate::obs::set_serve_state(true);
         }
     }
@@ -224,17 +313,20 @@ impl ServeControl {
 }
 
 /// RAII registration of one open connection: keeps the active-connections
-/// count and gauge exact on every exit path (EOF, error, panic, drain).
+/// count and the codec's gauge exact on every exit path (EOF, error, panic,
+/// drain).
 struct ConnGuard {
     shared: Arc<ServeShared>,
+    gauge: &'static Gauge,
 }
 
 impl ConnGuard {
-    fn register(shared: &Arc<ServeShared>) -> ConnGuard {
+    fn register(shared: &Arc<ServeShared>, gauge: &'static Gauge) -> ConnGuard {
         shared.active.fetch_add(1, Ordering::AcqRel);
-        crate::obs::serve_active_connections_gauge().add(1.0);
+        gauge.add(1.0);
         ConnGuard {
             shared: Arc::clone(shared),
+            gauge,
         }
     }
 }
@@ -242,7 +334,7 @@ impl ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.shared.active.fetch_sub(1, Ordering::AcqRel);
-        crate::obs::serve_active_connections_gauge().add(-1.0);
+        self.gauge.add(-1.0);
     }
 }
 
@@ -276,43 +368,45 @@ pub struct DrainReport {
     pub remaining_connections: usize,
 }
 
-/// A running server: the listener address plus shutdown/bookkeeping handles.
+/// A running listener: the bound address plus shutdown/bookkeeping handles.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<ServeShared>,
-    connections: Arc<AtomicUsize>,
     accept_thread: Option<thread::JoinHandle<()>>,
     tick: Duration,
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serves
-    /// `handler` on a background accept thread, one thread per connection,
+    /// `codec` on a background accept thread, one thread per connection,
     /// with the limits of [`ServeConfig::from_env`].
-    pub fn spawn(addr: &str, handler: Arc<dyn Handler>) -> std::io::Result<Server> {
+    pub fn spawn(addr: &str, codec: Codec) -> std::io::Result<Server> {
         let config =
             ServeConfig::from_env().map_err(|e| std::io::Error::new(ErrorKind::InvalidInput, e))?;
-        Server::spawn_with_config(addr, handler, config)
+        Server::spawn_with_config(addr, codec, config)
     }
 
     /// [`Server::spawn`] with explicit limits (tests shrink them; the
     /// serving layer threads its own parsed configuration through).
     pub fn spawn_with_config(
         addr: &str,
-        handler: Arc<dyn Handler>,
+        codec: Codec,
         config: ServeConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let shared = ServeShared::new();
-        let connections = Arc::new(AtomicUsize::new(0));
-        crate::obs::set_serve_state(false);
+        let shared = Arc::new(ServeShared {
+            owns_state_gauge: matches!(codec, Codec::JsonLines(_)),
+            ..ServeShared::default()
+        });
+        if shared.owns_state_gauge {
+            crate::obs::set_serve_state(false);
+        }
 
         let accept_shared = Arc::clone(&shared);
-        let accept_connections = Arc::clone(&connections);
         let tick = config.tick;
         let accept_thread = thread::Builder::new()
-            .name("haqjsk-serve-accept".to_string())
+            .name(format!("haqjsk-{}-accept", codec.label()))
             .spawn(move || {
                 for stream in listener.incoming() {
                     if accept_shared.shutdown.load(Ordering::Acquire)
@@ -321,29 +415,22 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    // One JSON line per request/response: Nagle + delayed
+                    // One request per line (or per GET): Nagle + delayed
                     // ACK would add tens of milliseconds per exchange.
                     stream.set_nodelay(true).ok();
                     if accept_shared.active.load(Ordering::Acquire) >= config.max_conns {
-                        shed_connection(stream);
+                        codec.shed(stream);
                         continue;
                     }
-                    accept_connections.fetch_add(1, Ordering::Relaxed);
-                    crate::obs::serve_connections_counter().inc();
-                    let guard = ConnGuard::register(&accept_shared);
-                    let handler = Arc::clone(&handler);
-                    let conn_shared = Arc::clone(&accept_shared);
+                    codec.connections_counter().inc();
+                    let guard = ConnGuard::register(&accept_shared, codec.active_gauge());
+                    let conn_codec = codec.clone();
                     let conn_config = config.clone();
                     let _ = thread::Builder::new()
-                        .name("haqjsk-serve-conn".to_string())
+                        .name(format!("haqjsk-{}-conn", codec.label()))
                         .spawn(move || {
-                            let _guard = guard;
-                            let _ = serve_connection_bounded(
-                                stream,
-                                handler.as_ref(),
-                                &conn_shared,
-                                &conn_config,
-                            );
+                            let _ = conn_codec.serve(stream, &guard.shared, &conn_config);
+                            drop(guard);
                         });
                 }
             })?;
@@ -351,7 +438,6 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            connections,
             accept_thread: Some(accept_thread),
             tick,
         })
@@ -360,13 +446,6 @@ impl Server {
     /// The bound address (useful with an ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Number of connections accepted so far (monotone; see
-    /// [`Server::active_connections`] for the gauge that returns to
-    /// baseline).
-    pub fn connections_accepted(&self) -> usize {
-        self.connections.load(Ordering::Relaxed)
     }
 
     /// Number of connections currently open.
@@ -446,18 +525,6 @@ impl Drop for Server {
             self.shutdown();
         }
     }
-}
-
-/// Answers an over-cap connection with one `overloaded` error line and a
-/// clean close; never spawns a thread or blocks the accept loop for long.
-fn shed_connection(stream: TcpStream) {
-    crate::obs::serve_conns_rejected_counter().inc();
-    let mut stream = stream;
-    stream.set_write_timeout(Some(Duration::from_secs(1))).ok();
-    let line = format!("{}\n", error_response("overloaded"));
-    let _ = stream.write_all(line.as_bytes());
-    let _ = stream.flush();
-    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 /// What one poll of the bounded line reader produced.
@@ -563,21 +630,19 @@ pub(crate) fn linger_close(stream: &TcpStream, tick: Duration, shutdown: &Atomic
     }
 }
 
-/// Serves one connection with the production limits: request line in,
-/// response line out, until EOF, a limit violation, or shutdown/drain.
+/// The JSON-lines connection loop: request line in, response line out,
+/// until EOF, a limit violation, or shutdown/drain.
 /// Every request is accounted in the metrics registry (request counter and
 /// wall-time histogram by `cmd`, in-flight gauge, error counter), and a
 /// panicking handler is answered with an error envelope instead of killing
 /// the thread.
 fn serve_connection_bounded(
-    stream: TcpStream,
+    mut reader: BoundedLineReader,
+    mut writer: TcpStream,
     handler: &dyn Handler,
     shared: &Arc<ServeShared>,
     config: &ServeConfig,
 ) -> std::io::Result<()> {
-    let mut writer = stream.try_clone()?;
-    writer.set_write_timeout(config.io_timeout)?;
-    let mut reader = BoundedLineReader::new(stream, config.max_frame_bytes, config.tick)?;
     // When the current partial frame started arriving; slow-loris clients
     // are cut off `io_timeout` after their first partial byte.
     let mut frame_started: Option<Instant> = None;
@@ -734,18 +799,6 @@ fn write_line(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
     writer.flush()
 }
 
-/// Serves one connection with default limits and no lifecycle flags —
-/// the embedded/test entry point kept for compatibility; [`Server`] uses
-/// the bounded loop internally.
-pub fn serve_connection(stream: TcpStream, handler: &dyn Handler) -> std::io::Result<()> {
-    serve_connection_bounded(
-        stream,
-        handler,
-        &ServeShared::new(),
-        &ServeConfig::default(),
-    )
-}
-
 /// The standard `{"ok":false,"error":...}` response.
 pub fn error_response(message: &str) -> Json {
     Json::obj([
@@ -819,11 +872,11 @@ mod tests {
     use haqjsk_graph::generators::{cycle_graph, star_graph};
     use std::io::{BufRead, BufReader, Write};
 
-    fn echo_handler() -> Arc<dyn Handler> {
-        Arc::new(|request: &Json| {
+    fn echo_codec() -> Codec {
+        Codec::JsonLines(Arc::new(|request: &Json| {
             let echo = request.get("echo").cloned().unwrap_or(Json::Null);
             Json::obj([("ok", Json::Bool(true)), ("echo", echo)])
-        })
+        }))
     }
 
     fn fast_config() -> ServeConfig {
@@ -866,8 +919,9 @@ mod tests {
 
     #[test]
     fn server_answers_over_loopback() {
+        let accepted_before = crate::obs::serve_connections_counter().value();
         let mut server =
-            Server::spawn_with_config("127.0.0.1:0", echo_handler(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -882,14 +936,14 @@ mod tests {
         let response = read_json_line(&mut reader).unwrap();
         assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
 
-        assert!(server.connections_accepted() >= 1);
+        assert!(crate::obs::serve_connections_counter().value() > accepted_before);
         server.shutdown();
     }
 
     #[test]
     fn pipelined_requests_are_answered_in_order() {
         let mut server =
-            Server::spawn_with_config("127.0.0.1:0", echo_handler(), fast_config()).unwrap();
+            Server::spawn_with_config("127.0.0.1:0", echo_codec(), fast_config()).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -909,44 +963,120 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn connection_cap_sheds_with_an_overloaded_line() {
-        let config = ServeConfig {
-            max_conns: 1,
-            ..fast_config()
-        };
-        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_handler(), config).unwrap();
+    /// A codec, a request it answers, a check of that answer, and a check
+    /// of its whole shed stream (one reply, then a clean close).
+    type CodecCase = (Codec, &'static [u8], fn(&str) -> bool, fn(&str) -> bool);
 
-        // First connection occupies the only slot.
-        let first = TcpStream::connect(server.local_addr()).unwrap();
-        let mut first_writer = first.try_clone().unwrap();
-        let mut first_reader = BufReader::new(first);
-        first_writer.write_all(b"{\"echo\":1}\n").unwrap();
-        assert!(read_json_line(&mut first_reader).is_some());
+    fn codec_cases() -> [CodecCase; 2] {
+        [
+            (
+                echo_codec(),
+                b"{\"echo\":3}\n",
+                |reply| {
+                    Json::parse(reply.trim())
+                        .is_ok_and(|line| line.get("echo").and_then(Json::as_f64) == Some(3.0))
+                },
+                |shed| {
+                    shed.ends_with('\n')
+                        && shed.lines().count() == 1
+                        && Json::parse(shed.trim()).is_ok_and(|line| {
+                            line.get("ok").and_then(Json::as_bool) == Some(false)
+                                && line.get("error").and_then(Json::as_str) == Some("overloaded")
+                        })
+                },
+            ),
+            (
+                Codec::Http(Arc::new(|_: &str| {
+                    crate::http::HttpResponse::text(200, "/hello", "hi\n")
+                })),
+                b"GET /hello HTTP/1.1\r\n\r\n",
+                |reply| reply.starts_with("HTTP/1.1 200 ") && reply.ends_with("\r\n\r\nhi\n"),
+                |shed| {
+                    shed.starts_with("HTTP/1.1 503 ")
+                        && shed.matches("HTTP/1.1 ").count() == 1
+                        && shed.contains("\r\nConnection: close\r\n")
+                        && shed.ends_with("\r\n\r\nbusy\n")
+                },
+            ),
+        ]
+    }
 
-        // Second connection: one overloaded line, then EOF.
-        let second = TcpStream::connect(server.local_addr()).unwrap();
-        let mut second_reader = BufReader::new(second.try_clone().unwrap());
-        let shed = read_json_line(&mut second_reader).expect("shed line");
-        assert_eq!(shed.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(shed.get("error").and_then(Json::as_str), Some("overloaded"));
-        assert!(read_json_line(&mut second_reader).is_none(), "clean close");
-
-        // Closing the first frees the slot for a third.
-        drop(first_writer);
-        drop(first_reader);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while server.active_connections() > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
+    /// Sends `request` and reads until `is_answer` accepts the reply so far
+    /// (a shed reply, EOF or a 10 s stall returns `false`).
+    fn answered(stream: &mut TcpStream, request: &[u8], is_answer: fn(&str) -> bool) -> bool {
+        stream.write_all(request).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (mut reply, mut buf) = (Vec::new(), [0u8; 256]);
+        while let Ok(n @ 1..) = stream.read(&mut buf) {
+            reply.extend_from_slice(&buf[..n]);
+            if is_answer(&String::from_utf8_lossy(&reply)) {
+                return true;
+            }
         }
-        assert_eq!(server.active_connections(), 0, "guard returned to baseline");
-        let third = TcpStream::connect(server.local_addr()).unwrap();
-        let mut third_writer = third.try_clone().unwrap();
-        let mut third_reader = BufReader::new(third);
-        third_writer.write_all(b"{\"echo\":3}\n").unwrap();
-        let response = read_json_line(&mut third_reader).unwrap();
-        assert_eq!(response.get("echo").and_then(Json::as_f64), Some(3.0));
-        server.shutdown();
+        false
+    }
+
+    #[test]
+    fn connection_cap_sheds_with_one_reply_on_both_codecs() {
+        for (codec, request, is_answer, shed_is_well_formed) in codec_cases() {
+            let label = codec.label();
+            let config = ServeConfig {
+                max_conns: 1,
+                ..fast_config()
+            };
+            let mut server = Server::spawn_with_config("127.0.0.1:0", codec, config).unwrap();
+
+            // The first connection occupies the only slot.
+            let mut first = TcpStream::connect(server.local_addr()).unwrap();
+            assert!(answered(&mut first, request, is_answer), "{label}: first");
+            assert_eq!(server.active_connections(), 1, "{label}");
+
+            // The second gets the codec's one shed reply, then EOF.
+            let mut second = TcpStream::connect(server.local_addr()).unwrap();
+            second
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut shed = String::new();
+            second.read_to_string(&mut shed).expect("clean close");
+            assert!(shed_is_well_formed(&shed), "{label}: shed {shed:?}");
+
+            // Closing the first returns the guard to baseline and frees
+            // the slot for a third.
+            drop(first);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while server.active_connections() > 0 && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(5));
+            }
+            assert_eq!(server.active_connections(), 0, "{label}: baseline");
+            let mut third = TcpStream::connect(server.local_addr()).unwrap();
+            assert!(answered(&mut third, request, is_answer), "{label}: third");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn shutdown_of_a_wildcard_bound_server_returns_promptly_on_both_codecs() {
+        for (codec, request, is_answer, _) in codec_cases() {
+            let label = codec.label();
+            let mut server = Server::spawn_with_config("0.0.0.0:0", codec, fast_config()).unwrap();
+            assert!(server.local_addr().ip().is_unspecified());
+            let loopback = SocketAddr::new(Ipv4Addr::LOCALHOST.into(), server.local_addr().port());
+            let mut idle = TcpStream::connect(loopback).unwrap();
+            assert!(answered(&mut idle, request, is_answer), "{label}: answered");
+
+            // A hang in shutdown fails the test instead of wedging it.
+            let (done, finished) = std::sync::mpsc::channel();
+            let stopper = thread::spawn(move || {
+                server.shutdown();
+                done.send(()).ok();
+            });
+            finished
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{label}: shutdown hung"));
+            stopper.join().expect("shutdown thread");
+        }
     }
 
     #[test]
@@ -955,7 +1085,7 @@ mod tests {
             max_frame_bytes: 256,
             ..fast_config()
         };
-        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_handler(), config).unwrap();
+        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_codec(), config).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -984,7 +1114,7 @@ mod tests {
             io_timeout: Some(Duration::from_millis(80)),
             ..fast_config()
         };
-        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_handler(), config).unwrap();
+        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_codec(), config).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -1013,7 +1143,7 @@ mod tests {
             io_timeout: Some(Duration::from_millis(60)),
             ..fast_config()
         };
-        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_handler(), config).unwrap();
+        let mut server = Server::spawn_with_config("127.0.0.1:0", echo_codec(), config).unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -1037,7 +1167,9 @@ mod tests {
             Json::obj([("ok", Json::Bool(true))])
         });
         let before = crate::obs::serve_panics_counter().value();
-        let mut server = Server::spawn_with_config("127.0.0.1:0", handler, fast_config()).unwrap();
+        let mut server =
+            Server::spawn_with_config("127.0.0.1:0", Codec::JsonLines(handler), fast_config())
+                .unwrap();
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -1075,7 +1207,9 @@ mod tests {
         let handler = Arc::new(Slow {
             delay: Mutex::new(Duration::from_millis(200)),
         });
-        let mut server = Server::spawn_with_config("127.0.0.1:0", handler, fast_config()).unwrap();
+        let mut server =
+            Server::spawn_with_config("127.0.0.1:0", Codec::JsonLines(handler), fast_config())
+                .unwrap();
         let control = server.control();
 
         // An idle connection and a busy one.

@@ -430,14 +430,16 @@ mod tests {
 
     #[test]
     fn repeated_requests_hit_the_cache() {
+        // The second request returns the very allocation the first one
+        // cached. Pointer identity, not the process-global hit/miss
+        // counters, which other tests in this binary move concurrently;
+        // exact counting is pinned on a private cache by the engine's
+        // `cache::tests::computes_once_and_counts`.
         let g = path_graph(9);
         let first = cached_ctqw_density(&g);
-        let before = density_cache_stats();
         let second = cached_ctqw_density(&g);
-        let after = density_cache_stats();
+        assert!(Arc::ptr_eq(&first, &second), "served from the cache");
         assert_eq!(first.matrix(), second.matrix());
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.misses, before.misses);
     }
 
     #[test]
@@ -448,13 +450,11 @@ mod tests {
         for (g, rho) in graphs.iter().zip(&densities) {
             assert_eq!(rho.dim(), g.num_vertices());
         }
-        // A second pass is answered from the cache entirely.
-        let before = density_cache_stats();
+        // A second pass is answered from the cache entirely: every graph
+        // gets back the allocation the first pass cached.
         let again = cached_ctqw_densities(&graphs);
-        let after = density_cache_stats();
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(after.hits, before.hits + graphs.len());
         for (a, b) in densities.iter().zip(&again) {
+            assert!(Arc::ptr_eq(a, b), "served from the cache");
             assert_eq!(a.matrix(), b.matrix());
         }
     }

@@ -72,8 +72,9 @@
 //! that instrumentation lives in the engine's serve transport). `metrics`
 //! exposes the whole registry — engine, cache, eigen-batch, distributed and
 //! serve families in one scrape — as Prometheus text plus an engine-`Json`
-//! snapshot; `stats` keeps its historical field names but its aggregate
-//! cache and eigen counters are read back out of the same registry. See
+//! snapshot; `stats` keeps its historical field names, and every field
+//! that mirrors a registry family (cache, serve-overload and eigen-batch
+//! counters) comes from one table read out of the same snapshot. See
 //! `docs/observability.md`.
 
 use crate::core::{
@@ -82,11 +83,11 @@ use crate::core::{
 };
 use crate::dist::{Coordinator, DistConfig, DistStats};
 use crate::engine::serve::{
-    error_response, graph_from_json, Handler, ServeConfig, ServeControl, Server,
+    error_response, graph_from_json, parse_env_usize, Codec, Handler, ServeConfig, ServeControl,
+    Server,
 };
 use crate::engine::{
-    BackendKind, CacheConfig, Engine, FeatureCache, HttpResponder, HttpResponse, HttpServer, Json,
-    ShardStats,
+    BackendKind, CacheConfig, Engine, FeatureCache, HttpResponder, HttpResponse, Json, ShardStats,
 };
 use crate::graph::Graph;
 use crate::kernels::{density_cache_shard_stats, KernelMatrix};
@@ -150,17 +151,6 @@ impl ServingConfig {
             config.max_inflight_heavy = v;
         }
         Ok(config)
-    }
-}
-
-fn parse_env_usize(name: &str) -> Result<Option<usize>, String> {
-    match std::env::var(name) {
-        Err(_) => Ok(None),
-        Ok(raw) => raw
-            .trim()
-            .parse::<usize>()
-            .map(Some)
-            .map_err(|e| format!("invalid {name}='{raw}': {e}")),
     }
 }
 
@@ -345,7 +335,11 @@ impl Serving {
         register_metric_exporters();
         let serving = self.clone();
         let handler: Arc<dyn Handler> = Arc::new(move |request: &Json| serving.handle(request));
-        let server = Server::spawn_with_config(addr, handler, self.inner.config.serve.clone())?;
+        let server = Server::spawn_with_config(
+            addr,
+            Codec::JsonLines(handler),
+            self.inner.config.serve.clone(),
+        )?;
         let _ = self.inner.control.set(server.control());
         Ok(server)
     }
@@ -355,12 +349,18 @@ impl Serving {
     /// (Prometheus text), `/healthz` (200 while serving, 503 while draining
     /// or overloaded), `/traces` (drained span records as JSON lines behind
     /// a meta line) and `/debug/requests` (the flight recorder). The
-    /// listener keeps answering during a drain so `/healthz` can report it.
-    pub fn spawn_http(&self, addr: &str) -> std::io::Result<HttpServer> {
+    /// listener shares this application's transport limits with the
+    /// JSON-lines one, and keeps answering during a drain so `/healthz`
+    /// can report it.
+    pub fn spawn_http(&self, addr: &str) -> std::io::Result<Server> {
         register_metric_exporters();
         let serving = self.clone();
         let responder: Arc<HttpResponder> = Arc::new(move |path: &str| serving.http_respond(path));
-        HttpServer::spawn(addr, responder)
+        Server::spawn_with_config(
+            addr,
+            Codec::Http(responder),
+            self.inner.config.serve.clone(),
+        )
     }
 
     /// Routes one HTTP GET path to its response. Public so tests can
@@ -1116,31 +1116,156 @@ fn cmd_trace_dump() -> Json {
     ])
 }
 
-fn cmd_stats(serving: &Serving) -> Json {
-    // The aggregate cache and eigen-batch counters are read back out of the
-    // metrics registry — the same numbers a `metrics` scrape reports — so
-    // `stats` and Prometheus can never disagree. Per-shard arrays, the
-    // per-model aligned cache and the `distributed` object keep their
-    // direct reads (they are not registry families).
-    register_metric_exporters();
-    let snapshot = crate::obs::registry().snapshot();
-    let counter = |name: &str, cache: &str| {
-        Json::Num(
-            snapshot
-                .counter_value(name, &[("cache", cache)])
-                .unwrap_or(0) as f64,
-        )
-    };
-    let gauge = |name: &str, cache: &str| {
-        Json::Num(
-            snapshot
-                .gauge_value(name, &[("cache", cache)])
+/// How a `stats` field reduces its registry series.
+#[derive(Clone, Copy)]
+enum Reduce {
+    /// The one counter or gauge with exactly the filter's labels (0 when
+    /// absent).
+    One,
+    /// The sum over every series of the family, whatever their labels
+    /// (histograms contribute their observation count).
+    Sum,
+}
+
+/// Label filters, and `(stats field, family)` rows.
+type StrPairs = &'static [(&'static str, &'static str)];
+
+/// The `stats` fields that mirror the metrics registry, grouped by how
+/// they read it: `(label filter, reduction, [(stats field, family)])`. They
+/// are read out of the same snapshot a `metrics` scrape renders, so `stats`
+/// and Prometheus can never disagree.
+const REGISTRY_FIELDS: &[(StrPairs, Reduce, StrPairs)] = &[
+    (
+        &[("cache", "density")],
+        Reduce::One,
+        &[
+            ("density_cache_hits", "haqjsk_cache_hits_total"),
+            ("density_cache_misses", "haqjsk_cache_misses_total"),
+            ("density_cache_entries", "haqjsk_cache_entries"),
+            ("density_cache_evictions", "haqjsk_cache_evictions_total"),
+            (
+                "density_cache_admission_rejects",
+                "haqjsk_cache_admission_rejects_total",
+            ),
+            (
+                "density_cache_resident_bytes",
+                "haqjsk_cache_resident_bytes",
+            ),
+        ],
+    ),
+    // The spectral/alignment artifact caches of the per-pair fast path
+    // (entropies and Umeyama bases hoisted out of the Gram pair loop) sit
+    // beside the density cache they derive from.
+    (
+        &[("cache", "spectral")],
+        Reduce::One,
+        &[
+            ("spectral_cache_hits", "haqjsk_cache_hits_total"),
+            ("spectral_cache_misses", "haqjsk_cache_misses_total"),
+            ("spectral_cache_entries", "haqjsk_cache_entries"),
+        ],
+    ),
+    (
+        &[("cache", "alignment")],
+        Reduce::One,
+        &[
+            ("alignment_cache_hits", "haqjsk_cache_hits_total"),
+            ("alignment_cache_misses", "haqjsk_cache_misses_total"),
+            ("alignment_cache_entries", "haqjsk_cache_entries"),
+        ],
+    ),
+    (
+        &[("cache", "wl")],
+        Reduce::One,
+        &[
+            ("wl_cache_hits", "haqjsk_cache_hits_total"),
+            ("wl_cache_misses", "haqjsk_cache_misses_total"),
+            ("wl_cache_entries", "haqjsk_cache_entries"),
+        ],
+    ),
+    // Overload counters of the serving loop, summed over their op labels.
+    (
+        &[],
+        Reduce::Sum,
+        &[
+            ("requests_rejected", "haqjsk_serve_rejected_total"),
+            ("deadline_exceeded", "haqjsk_serve_deadline_exceeded_total"),
+            ("conns_rejected", "haqjsk_serve_conns_rejected_total"),
+            ("frames_oversized", "haqjsk_serve_frames_oversized_total"),
+            ("io_timeouts", "haqjsk_serve_io_timeouts_total"),
+            ("handler_panics", "haqjsk_serve_panics_total"),
+        ],
+    ),
+    // How much of the mixture eigen work the tile-batched Gram paths ran
+    // lane-parallel.
+    (
+        &[],
+        Reduce::One,
+        &[
+            ("eigen_batched_calls", "haqjsk_eigen_batched_calls_total"),
+            (
+                "eigen_batched_matrices",
+                "haqjsk_eigen_batched_matrices_total",
+            ),
+            (
+                "eigen_scalar_fallbacks",
+                "haqjsk_eigen_scalar_fallbacks_total",
+            ),
+        ],
+    ),
+];
+
+impl Reduce {
+    fn read(self, snapshot: &crate::obs::Snapshot, family: &str, labels: &[(&str, &str)]) -> f64 {
+        match self {
+            Reduce::One => snapshot
+                .counter_value(family, labels)
+                .map(|v| v as f64)
+                .or_else(|| snapshot.gauge_value(family, labels))
                 .unwrap_or(0.0),
-        )
+            Reduce::Sum => snapshot
+                .family(family)
+                .iter()
+                .map(|entry| match &entry.value {
+                    crate::obs::MetricValue::Counter(v) => *v as f64,
+                    crate::obs::MetricValue::Gauge(v) => *v,
+                    crate::obs::MetricValue::Histogram(h) => h.count as f64,
+                })
+                .sum(),
+        }
+    }
+}
+
+fn cmd_stats(serving: &Serving) -> Json {
+    // Everything outside the table is a direct read: not a registry family,
+    // or (the aligned cache) owned by this `Serving`, not by the process.
+    register_metric_exporters();
+    let snapshot = &crate::obs::registry().snapshot();
+    let mut pairs: Vec<(&'static str, Json)> = REGISTRY_FIELDS
+        .iter()
+        .flat_map(|&(labels, reduce, fields)| {
+            fields.iter().map(move |&(field, family)| {
+                (field, Json::Num(reduce.read(snapshot, family, labels)))
+            })
+        })
+        .collect();
+    let (batched_calls, batched_matrices) = (
+        Reduce::One.read(snapshot, "haqjsk_eigen_batched_calls_total", &[]),
+        Reduce::One.read(snapshot, "haqjsk_eigen_batched_matrices_total", &[]),
+    );
+    let serve_state = if serving.drain_requested() {
+        "draining"
+    } else {
+        "serving"
     };
+    let active_connections = serving
+        .inner
+        .control
+        .get()
+        .map_or(0, ServeControl::active_connections);
     let guard = serving.inner.state.lock().expect("state poisoned");
     let engine = Engine::global();
-    let mut pairs = vec![
+    pairs.extend([
         ("ok", Json::Bool(true)),
         ("engine_threads", Json::Num(engine.threads() as f64)),
         (
@@ -1159,26 +1284,6 @@ fn cmd_stats(serving: &Serving) -> Json {
             ]),
         ),
         (
-            "density_cache_hits",
-            counter("haqjsk_cache_hits_total", "density"),
-        ),
-        (
-            "density_cache_misses",
-            counter("haqjsk_cache_misses_total", "density"),
-        ),
-        (
-            "density_cache_entries",
-            gauge("haqjsk_cache_entries", "density"),
-        ),
-        (
-            "density_cache_evictions",
-            counter("haqjsk_cache_evictions_total", "density"),
-        ),
-        (
-            "density_cache_admission_rejects",
-            counter("haqjsk_cache_admission_rejects_total", "density"),
-        ),
-        (
             "cache_admission",
             Json::Str(
                 crate::kernels::features::density_cache()
@@ -1188,142 +1293,50 @@ fn cmd_stats(serving: &Serving) -> Json {
             ),
         ),
         (
-            "density_cache_resident_bytes",
-            gauge("haqjsk_cache_resident_bytes", "density"),
-        ),
-        (
             "density_cache_shards",
             shard_stats_array(&density_cache_shard_stats()),
         ),
-    ];
-    // Overload/lifecycle state: the serving loop's admission and drain
-    // posture, readable without a Prometheus scrape.
-    let draining = serving.drain_requested();
-    pairs.push((
-        "serve_state",
-        Json::Str(if draining { "draining" } else { "serving" }.to_string()),
-    ));
-    pairs.push((
-        "active_connections",
-        Json::Num(
-            serving
-                .inner
-                .control
-                .get()
-                .map_or(0, ServeControl::active_connections) as f64,
+        // Overload/lifecycle state: the serving loop's admission and drain
+        // posture, readable without a Prometheus scrape.
+        ("serve_state", Json::Str(serve_state.to_string())),
+        ("active_connections", Json::Num(active_connections as f64)),
+        (
+            "heavy_inflight",
+            Json::Num(serving.inner.heavy_inflight.load(Ordering::Acquire) as f64),
         ),
-    ));
-    pairs.push((
-        "heavy_inflight",
-        Json::Num(serving.inner.heavy_inflight.load(Ordering::Acquire) as f64),
-    ));
-    pairs.push((
-        "max_inflight_heavy",
-        Json::Num(serving.inner.config.max_inflight_heavy as f64),
-    ));
-    let family_sum = |name: &str| {
-        Json::Num(
-            snapshot
-                .family(name)
-                .iter()
-                .map(|entry| match &entry.value {
-                    crate::obs::MetricValue::Counter(v) => *v as f64,
-                    crate::obs::MetricValue::Gauge(v) => *v,
-                    crate::obs::MetricValue::Histogram(h) => h.count as f64,
-                })
-                .sum::<f64>(),
-        )
-    };
-    pairs.push((
-        "requests_rejected",
-        family_sum("haqjsk_serve_rejected_total"),
-    ));
-    pairs.push((
-        "deadline_exceeded",
-        family_sum("haqjsk_serve_deadline_exceeded_total"),
-    ));
-    pairs.push((
-        "conns_rejected",
-        family_sum("haqjsk_serve_conns_rejected_total"),
-    ));
-    pairs.push((
-        "frames_oversized",
-        family_sum("haqjsk_serve_frames_oversized_total"),
-    ));
-    pairs.push(("io_timeouts", family_sum("haqjsk_serve_io_timeouts_total")));
-    pairs.push(("handler_panics", family_sum("haqjsk_serve_panics_total")));
-    // The spectral/alignment artifact caches introduced with the per-pair
-    // fast path (entropies and Umeyama bases hoisted out of the Gram pair
-    // loop) are observable alongside the density cache they derive from.
-    pairs.push((
-        "spectral_cache_hits",
-        counter("haqjsk_cache_hits_total", "spectral"),
-    ));
-    pairs.push((
-        "spectral_cache_misses",
-        counter("haqjsk_cache_misses_total", "spectral"),
-    ));
-    pairs.push((
-        "spectral_cache_entries",
-        gauge("haqjsk_cache_entries", "spectral"),
-    ));
-    pairs.push((
-        "alignment_cache_hits",
-        counter("haqjsk_cache_hits_total", "alignment"),
-    ));
-    pairs.push((
-        "alignment_cache_misses",
-        counter("haqjsk_cache_misses_total", "alignment"),
-    ));
-    pairs.push((
-        "alignment_cache_entries",
-        gauge("haqjsk_cache_entries", "alignment"),
-    ));
-    pairs.push(("wl_cache_hits", counter("haqjsk_cache_hits_total", "wl")));
-    pairs.push((
-        "wl_cache_misses",
-        counter("haqjsk_cache_misses_total", "wl"),
-    ));
-    pairs.push(("wl_cache_entries", gauge("haqjsk_cache_entries", "wl")));
-    // Batched-eigensolver counters: how much of the mixture eigen work the
-    // tile-batched Gram paths actually ran lane-parallel.
-    let plain = |name: &str| snapshot.counter_value(name, &[]).unwrap_or(0) as f64;
-    let batched_calls = plain("haqjsk_eigen_batched_calls_total");
-    let batched_matrices = plain("haqjsk_eigen_batched_matrices_total");
-    pairs.push(("eigen_batched_calls", Json::Num(batched_calls)));
-    pairs.push(("eigen_batched_matrices", Json::Num(batched_matrices)));
-    pairs.push((
-        "eigen_scalar_fallbacks",
-        Json::Num(plain("haqjsk_eigen_scalar_fallbacks_total")),
-    ));
-    pairs.push((
-        "eigen_mean_batch",
-        Json::Num(if batched_calls > 0.0 {
-            batched_matrices / batched_calls
-        } else {
-            0.0
-        }),
-    ));
-    // SIMD dispatch of the batched eigensolver: the active path plus the
-    // per-path solve counters (mirrors the `haqjsk_eigen_simd_path` info
-    // gauge and `haqjsk_eigen_simd_calls_total` family in the registry).
-    pairs.push((
-        "eigen_simd_path",
-        Json::Str(haqjsk_linalg::active_simd_label().to_string()),
-    ));
-    pairs.push((
-        "eigen_simd_calls",
-        Json::obj(haqjsk_linalg::SimdPath::ALL.map(|path| {
-            (
-                path.label(),
-                Json::Num(
-                    snapshot
-                        .counter_value("haqjsk_eigen_simd_calls_total", &[("path", path.label())])
-                        .unwrap_or(0) as f64,
-                ),
-            )
-        })),
-    ));
+        (
+            "max_inflight_heavy",
+            Json::Num(serving.inner.config.max_inflight_heavy as f64),
+        ),
+        (
+            "eigen_mean_batch",
+            Json::Num(if batched_calls > 0.0 {
+                batched_matrices / batched_calls
+            } else {
+                0.0
+            }),
+        ),
+        // SIMD dispatch of the batched eigensolver: the active path plus the
+        // per-path solve counters (mirrors the `haqjsk_eigen_simd_path` info
+        // gauge and `haqjsk_eigen_simd_calls_total` family in the registry).
+        (
+            "eigen_simd_path",
+            Json::Str(haqjsk_linalg::active_simd_label().to_string()),
+        ),
+        (
+            "eigen_simd_calls",
+            Json::obj(haqjsk_linalg::SimdPath::ALL.map(|path| {
+                (
+                    path.label(),
+                    Json::Num(Reduce::One.read(
+                        snapshot,
+                        "haqjsk_eigen_simd_calls_total",
+                        &[("path", path.label())],
+                    )),
+                )
+            })),
+        ),
+    ]);
     // Distributed-pool state, when a worker pool is installed: per-worker
     // tiles dispatched / completed / re-dispatched, bytes shipped, and the
     // dataset-dedup hit rate.

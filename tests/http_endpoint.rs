@@ -12,19 +12,21 @@
 //!   serves pipelined requests in order, rejects an oversized request line
 //!   with 431 and a stalled header section with 408, and its connection
 //!   gauge returns to baseline when the clients go away.
+//! * **Configured limits.** The sidecar enforces the `ServingConfig` its
+//!   `Serving` was built with: a connection over its cap gets one `503`.
 //!
 //! The span rings, the flight recorder and the coordinator slot are
 //! process-global, so the tests serialise on one mutex.
 
 use haqjsk::dist::{WorkerOptions, WorkerServer};
 use haqjsk::engine::serve::{graph_to_json, ServeConfig};
-use haqjsk::engine::{HttpResponder, HttpServer, Json};
+use haqjsk::engine::Json;
 use haqjsk::graph::generators::{cycle_graph, star_graph};
 use haqjsk::obs::parse_exposition;
 use haqjsk::serving::{Serving, ServingConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Serialises tests: the trace rings, flight recorder, HTTP connection
@@ -239,17 +241,16 @@ fn one_trace_links_serve_request_to_distributed_worker_spans() {
 fn http_endpoint_survives_abuse_and_returns_to_baseline() {
     let _guard = global_lock().lock().unwrap_or_else(|p| p.into_inner());
 
-    let serving = Serving::new(ServingConfig::from_env().expect("serving config"));
-    let responder: Arc<HttpResponder> = {
-        let serving = serving.clone();
-        Arc::new(move |path: &str| serving.http_respond(path))
-    };
-    let config = ServeConfig {
-        io_timeout: Some(Duration::from_millis(300)),
-        tick: Duration::from_millis(20),
-        ..ServeConfig::default()
-    };
-    let http = HttpServer::spawn_with_config("127.0.0.1:0", responder, config)
+    let serving = Serving::new(ServingConfig {
+        serve: ServeConfig {
+            io_timeout: Some(Duration::from_millis(300)),
+            tick: Duration::from_millis(20),
+            ..ServeConfig::default()
+        },
+        ..ServingConfig::from_env().expect("serving config")
+    });
+    let http = serving
+        .spawn_http("127.0.0.1:0")
         .expect("bind http listener");
     let addr = http.local_addr();
     let baseline = http.active_connections();
@@ -327,4 +328,61 @@ fn http_endpoint_survives_abuse_and_returns_to_baseline() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+}
+
+/// The sidecar obeys the `ServingConfig` of its `Serving`, not only the
+/// environment: with `max_conns = 1`, a second concurrent connection gets
+/// one `503` and a clean close, and the slot frees when the first leaves.
+#[test]
+fn http_sidecar_enforces_its_serving_config_connection_cap() {
+    let _guard = global_lock().lock().unwrap_or_else(|p| p.into_inner());
+
+    let serving = Serving::new(ServingConfig {
+        serve: ServeConfig {
+            max_conns: 1,
+            tick: Duration::from_millis(20),
+            ..ServeConfig::default()
+        },
+        ..ServingConfig::default()
+    });
+    let http = serving
+        .spawn_http("127.0.0.1:0")
+        .expect("bind http listener");
+    let addr = http.local_addr();
+
+    // A keep-alive client holds the only slot.
+    let mut first = TcpStream::connect(addr).expect("connect");
+    first
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    first
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send keep-alive request");
+    let mut status = [0u8; 13];
+    first.read_exact(&mut status).expect("healthz answered");
+    assert_eq!(&status, b"HTTP/1.1 200 ");
+    assert_eq!(http.active_connections(), 1);
+
+    // The second concurrent connection: one 503, then a clean close.
+    let mut second = TcpStream::connect(addr).expect("connect");
+    second
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    let mut raw = String::new();
+    second
+        .read_to_string(&mut raw)
+        .expect("clean close after the 503");
+    assert!(raw.starts_with("HTTP/1.1 503 "), "{raw:?}");
+    assert_eq!(raw.matches("HTTP/1.1 ").count(), 1, "{raw:?}");
+    assert!(raw.ends_with("\r\n\r\nbusy\n"), "{raw:?}");
+
+    // Once the first client leaves, the slot serves again.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while http.active_connections() > 0 {
+        assert!(Instant::now() < deadline, "slot never freed");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (status, body) = http_get(addr, "/healthz");
+    assert_eq!((status, body.trim()), (200, "ok"));
 }

@@ -285,3 +285,82 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     let predicted = client.expect_ok(&format!("{{\"cmd\":\"predict\",\"graph\":{unseen}}}"));
     assert_eq!(predicted.get("label").and_then(Json::as_usize), Some(0));
 }
+
+/// Every top-level field a fitted single-process server's `stats` returns,
+/// pinned so that no field silently appears or disappears. `distributed`
+/// joins only when a worker pool is installed.
+const STATS_FIELDS: &[&str] = &[
+    "active_connections",
+    "aligned_cache_admission_rejects",
+    "aligned_cache_budget_bytes",
+    "aligned_cache_entries",
+    "aligned_cache_evictions",
+    "aligned_cache_hits",
+    "aligned_cache_misses",
+    "aligned_cache_resident_bytes",
+    "aligned_cache_shards",
+    "alignment_cache_entries",
+    "alignment_cache_hits",
+    "alignment_cache_misses",
+    "build",
+    "cache_admission",
+    "conns_rejected",
+    "deadline_exceeded",
+    "density_cache_admission_rejects",
+    "density_cache_entries",
+    "density_cache_evictions",
+    "density_cache_hits",
+    "density_cache_misses",
+    "density_cache_resident_bytes",
+    "density_cache_shards",
+    "eigen_batched_calls",
+    "eigen_batched_matrices",
+    "eigen_mean_batch",
+    "eigen_scalar_fallbacks",
+    "eigen_simd_calls",
+    "eigen_simd_path",
+    "engine_backend",
+    "engine_threads",
+    "fitted",
+    "frames_oversized",
+    "handler_panics",
+    "heavy_inflight",
+    "io_timeouts",
+    "max_inflight_heavy",
+    "num_graphs",
+    "ok",
+    "requests_rejected",
+    "serve_state",
+    "spectral_cache_entries",
+    "spectral_cache_hits",
+    "spectral_cache_misses",
+    "wl_cache_entries",
+    "wl_cache_hits",
+    "wl_cache_misses",
+];
+
+#[test]
+fn stats_returns_exactly_the_pinned_field_set() {
+    let server = spawn_server("127.0.0.1:0").expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr());
+    let (graphs, labels) = training_set();
+    let graphs_json = Json::Arr(graphs.iter().map(graph_to_json).collect());
+    let labels_json = Json::Arr(labels.iter().map(|&l| Json::Num(l as f64)).collect());
+    // An explicit budget makes `aligned_cache_budget_bytes` present
+    // whatever `HAQJSK_CACHE_BUDGET` says.
+    client.expect_ok(&format!(
+        "{{\"cmd\":\"fit\",\"graphs\":{graphs_json},\"labels\":{labels_json},\
+         \"variant\":\"A\",\"config\":{{\"hierarchy_levels\":2,\"num_prototypes\":8,\
+         \"layer_cap\":3,\"kmeans_max_iterations\":15,\"cache_budget_bytes\":1048576}}}}"
+    ));
+    let stats = client.expect_ok("{\"cmd\":\"stats\"}");
+    let Json::Obj(fields) = &stats else {
+        panic!("stats is not an object: {stats}");
+    };
+    let returned: Vec<&str> = fields
+        .keys()
+        .map(String::as_str)
+        .filter(|&field| field != "distributed")
+        .collect();
+    assert_eq!(returned, STATS_FIELDS, "stats field set changed");
+}
