@@ -1,7 +1,7 @@
 //! Deterministic chaos soak of the self-healing distributed backend.
 //!
 //! Spawns **real** `haqjsk-worker` processes with a seeded
-//! [`ChaosPlan`](haqjsk_dist::ChaosPlan) in their environment, then drives
+//! [`ChaosPlan`] in their environment, then drives
 //! hundreds of Gram computations through a coordinator while the workers
 //! inject connection kills, mid-stream hangups, bounded delays and
 //! transient `store_miss` replies — all drawn from a fixed seed, so a

@@ -111,61 +111,54 @@ fn main() {
             ("warm_ms", Json::Num(warm * 1000.0)),
         ]));
     }
-    println!("\nBackend x shard sweep — QJSK Gram on 32 graphs, per-configuration cache\n");
+    println!("\nBackend sweep — QJSK Gram on 32 graphs, per-backend budgeted cache\n");
     println!(
-        "{:>8} {:>7} {:>10} {:>10} {:>9} {:>10}",
-        "backend", "shards", "cold s", "warm s", "hit rate", "evictions"
+        "{:>8} {:>10} {:>10} {:>9} {:>10}",
+        "backend", "cold s", "warm s", "hit rate", "evictions"
     );
     let sweep_graphs: Vec<Graph> = (0..32)
         .map(|i| erdos_renyi(20 + i % 8, 0.25, 1000 + i as u64))
         .collect();
     let n = sweep_graphs.len();
     // A budget sized to roughly half the working set, so the sweep also
-    // exercises LRU eviction under each shard count.
+    // exercises LRU eviction.
     let one_density = (28usize * 28 * 8) + 64;
     let budget = one_density * n / 2;
     for backend in BackendKind::ALL {
-        for shards in [1usize, 4, 16] {
-            let cache: FeatureCache<DensityMatrix> = FeatureCache::with_config(CacheConfig {
-                shards,
-                budget_bytes: Some(budget),
-                ..CacheConfig::default()
-            });
-            let density = |i: usize| {
-                cache.get_or_compute(graph_key(&sweep_graphs[i]), || {
-                    ctqw_density_infinite(&sweep_graphs[i]).expect("non-empty graph")
-                })
-            };
-            let entry = |i: usize, j: usize| {
-                let d = haqjsk_quantum::qjsd_padded(&density(i), &density(j)).unwrap();
-                (-d).exp()
-            };
-            let run = || {
-                let start = Instant::now();
-                let _ = Engine::global().gram(Some(backend), n, per_pair(entry), None);
-                start.elapsed().as_secs_f64()
-            };
-            let cold = run();
-            let warm = run();
-            let stats = cache.stats();
-            println!(
-                "{:>8} {:>7} {:>10.3} {:>10.3} {:>8.1}% {:>10}",
-                backend.label(),
-                shards,
-                cold,
-                warm,
-                stats.hit_rate() * 100.0,
-                stats.evictions
-            );
-            sweep_rows.push(Json::obj([
-                ("backend", Json::Str(backend.label().to_string())),
-                ("shards", Json::Num(shards as f64)),
-                ("cold_ms", Json::Num(cold * 1000.0)),
-                ("warm_ms", Json::Num(warm * 1000.0)),
-                ("cache_hit_rate", Json::Num(stats.hit_rate())),
-                ("evictions", Json::Num(stats.evictions as f64)),
-            ]));
-        }
+        let cache: FeatureCache<DensityMatrix> =
+            FeatureCache::with_config(CacheConfig::with_budget(budget));
+        let density = |i: usize| {
+            cache.get_or_compute(graph_key(&sweep_graphs[i]), || {
+                ctqw_density_infinite(&sweep_graphs[i]).expect("non-empty graph")
+            })
+        };
+        let entry = |i: usize, j: usize| {
+            let d = haqjsk_quantum::qjsd_padded(&density(i), &density(j)).unwrap();
+            (-d).exp()
+        };
+        let run = || {
+            let start = Instant::now();
+            let _ = Engine::global().gram(Some(backend), n, per_pair(entry), None);
+            start.elapsed().as_secs_f64()
+        };
+        let cold = run();
+        let warm = run();
+        let stats = cache.stats();
+        println!(
+            "{:>8} {:>10.3} {:>10.3} {:>8.1}% {:>10}",
+            backend.label(),
+            cold,
+            warm,
+            stats.hit_rate() * 100.0,
+            stats.evictions
+        );
+        sweep_rows.push(Json::obj([
+            ("backend", Json::Str(backend.label().to_string())),
+            ("cold_ms", Json::Num(cold * 1000.0)),
+            ("warm_ms", Json::Num(warm * 1000.0)),
+            ("cache_hit_rate", Json::Num(stats.hit_rate())),
+            ("evictions", Json::Num(stats.evictions as f64)),
+        ]));
     }
 
     let dist_rows = distributed_section();
@@ -181,7 +174,7 @@ fn main() {
             ("ctqw_density", Json::Arr(ctqw_rows)),
             ("haqjsk_gram", Json::Arr(gram_rows)),
             ("engine_gram", Json::Arr(engine_rows)),
-            ("backend_shard_sweep", Json::Arr(sweep_rows)),
+            ("backend_sweep", Json::Arr(sweep_rows)),
             ("distributed", Json::Arr(dist_rows)),
         ]);
         write_json_report(&path, &report);

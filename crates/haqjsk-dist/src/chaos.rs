@@ -215,7 +215,7 @@ impl ChaosState {
 
     /// Draws at most one fault for a `tile` request, recording it in the
     /// counters. Repeat misses for the same `(dataset, job)` are
-    /// suppressed (see [`ChaosState::last_miss`]'s invariant).
+    /// suppressed (see the invariant on `ChaosState::last_miss`).
     pub fn draw(&self, dataset: &str, job: usize) -> Option<ChaosFault> {
         let mut rng = self.rng.lock().expect("chaos rng poisoned");
         let roll = rng.gen_range(0u32..1000);

@@ -5,7 +5,7 @@
 //! shipping the dataset — and, for fitted-model kernels, the persisted
 //! model artifact — to every reachable worker (content-hash-deduplicated —
 //! re-fits with overlapping datasets only ship new graphs), (2) running the
-//! tile list through the [`scheduler`](crate::scheduler) with an
+//! tile list through the private `scheduler` module with an
 //! outstanding-tile window per worker and deadline-based straggler
 //! re-dispatch, and (3) evaluating any tiles no worker returned with the
 //! kernel's local tile evaluator. The resulting matrix is

@@ -22,10 +22,9 @@
 //! ## Bounded residency
 //!
 //! The store reuses the budgeted-LRU machinery of the engine's feature
-//! caches ([`LruList`], [`FrequencySketch`], [`parse_byte_size`]): a byte
-//! budget (`HAQJSK_WORKER_STORE_BUDGET`) bounds resident graphs, with LRU
-//! eviction by default and TinyLFU-biased victim selection opt-in
-//! (`HAQJSK_WORKER_STORE_ADMISSION=tinylfu`). Two protections keep
+//! caches ([`LruList`], [`parse_byte_size`]): a byte budget
+//! (`HAQJSK_WORKER_STORE_BUDGET`) bounds resident graphs, evicting the
+//! least recently used evictable graph first. Two protections keep
 //! eviction safe under concurrency with tile evaluation:
 //!
 //! * **Pinning** — [`GraphStore::pin_dataset`] materialises a dataset and
@@ -42,8 +41,7 @@
 //! targeted re-ship, never a worker death.
 
 use crate::wire;
-use haqjsk_engine::cache::AdmissionPolicy;
-use haqjsk_engine::{graph_key, parse_byte_size, FrequencySketch, GraphKey, LruList};
+use haqjsk_engine::{graph_key, parse_byte_size, GraphKey, LruList};
 use haqjsk_graph::Graph;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -55,14 +53,6 @@ pub const SHIP_CHUNK: usize = 64;
 /// Environment variable bounding a worker's resident graph bytes
 /// (`parse_byte_size` syntax: `"64m"`, `"1g"`, ...). Unset = unbounded.
 pub const WORKER_STORE_BUDGET_ENV_VAR: &str = "HAQJSK_WORKER_STORE_BUDGET";
-
-/// Environment variable selecting the store's victim-selection policy
-/// (`lru` default, `tinylfu` for frequency-biased eviction).
-pub const WORKER_STORE_ADMISSION_ENV_VAR: &str = "HAQJSK_WORKER_STORE_ADMISSION";
-
-/// Under TinyLFU, how many tail-ward candidates an eviction inspects
-/// before settling for the least-frequent one seen.
-const EVICTION_SCAN: usize = 8;
 
 /// The structural keys of a dataset, in dataset order.
 pub fn dataset_keys(graphs: &[Graph]) -> Vec<GraphKey> {
@@ -96,30 +86,21 @@ fn graph_weight(graph: &Graph) -> usize {
         + graph.labels().map_or(0, |l| l.len() * 8)
 }
 
-/// Budget and eviction policy of a [`GraphStore`].
+/// The byte budget of a [`GraphStore`], its only setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreConfig {
     /// Byte budget over resident graphs; `None` = unbounded.
     pub budget_bytes: Option<usize>,
-    /// Victim selection under pressure: plain LRU, or TinyLFU-biased
-    /// (keep frequently re-shipped graphs, evict one-dataset wonders).
-    pub admission: AdmissionPolicy,
 }
 
 impl StoreConfig {
-    /// Reads [`WORKER_STORE_BUDGET_ENV_VAR`] and
-    /// [`WORKER_STORE_ADMISSION_ENV_VAR`] on top of the defaults.
+    /// Reads [`WORKER_STORE_BUDGET_ENV_VAR`] (unset = unbounded).
     pub fn from_env() -> StoreConfig {
-        let mut config = StoreConfig::default();
-        if let Ok(raw) = std::env::var(WORKER_STORE_BUDGET_ENV_VAR) {
-            config.budget_bytes = parse_byte_size(&raw);
+        StoreConfig {
+            budget_bytes: std::env::var(WORKER_STORE_BUDGET_ENV_VAR)
+                .ok()
+                .and_then(|raw| parse_byte_size(&raw)),
         }
-        if let Ok(raw) = std::env::var(WORKER_STORE_ADMISSION_ENV_VAR) {
-            if let Some(policy) = AdmissionPolicy::parse(&raw) {
-                config.admission = policy;
-            }
-        }
-        config
     }
 }
 
@@ -153,7 +134,6 @@ pub struct GraphStore {
     config: StoreConfig,
     graphs: HashMap<GraphKey, StoredGraph>,
     lru: LruList,
-    sketch: FrequencySketch,
     resident_bytes: usize,
     evictions: u64,
     pin_misses: u64,
@@ -169,7 +149,7 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    /// An empty store with the given budget/policy.
+    /// An empty store with the given budget.
     pub fn new(config: StoreConfig) -> GraphStore {
         GraphStore {
             config,
@@ -182,7 +162,7 @@ impl GraphStore {
         GraphStore::new(StoreConfig::from_env())
     }
 
-    /// The store's budget/policy.
+    /// The store's budget.
     pub fn config(&self) -> StoreConfig {
         self.config
     }
@@ -267,7 +247,6 @@ impl GraphStore {
     /// (shipped graphs are protected); pressure is relieved by evicting
     /// older unprotected entries in [`GraphStore::enforce_budget`].
     fn insert_graph(&mut self, key: GraphKey, graph: Graph) -> bool {
-        self.sketch.record(key);
         if let Some(entry) = self.graphs.get(&key) {
             self.lru.touch(entry.node);
             return false;
@@ -303,45 +282,20 @@ impl GraphStore {
         }
     }
 
-    /// The next eviction victim: the coldest evictable graph under LRU, or
-    /// the least-frequent of the coldest [`EVICTION_SCAN`] candidates
-    /// under TinyLFU.
+    /// The next eviction victim: the least recently used graph that is
+    /// neither pinned nor protected.
     fn pick_victim(&self) -> Option<GraphKey> {
-        let evictable = |key: GraphKey| {
-            !self.protected.contains_key(&key) && self.graphs.get(&key).is_some_and(|e| e.pins == 0)
-        };
         let mut cursor = self.lru.tail_idx();
-        match self.config.admission {
-            AdmissionPolicy::Lru => {
-                while let Some(idx) = cursor {
-                    let key = self.lru.key_at(idx);
-                    if evictable(key) {
-                        return Some(key);
-                    }
-                    cursor = self.lru.toward_head(idx);
-                }
-                None
+        while let Some(idx) = cursor {
+            let key = self.lru.key_at(idx);
+            if !self.protected.contains_key(&key)
+                && self.graphs.get(&key).is_some_and(|e| e.pins == 0)
+            {
+                return Some(key);
             }
-            AdmissionPolicy::TinyLfu => {
-                let mut best: Option<(GraphKey, u32)> = None;
-                let mut inspected = 0;
-                while let Some(idx) = cursor {
-                    if inspected >= EVICTION_SCAN && best.is_some() {
-                        break;
-                    }
-                    let key = self.lru.key_at(idx);
-                    if evictable(key) {
-                        inspected += 1;
-                        let freq = self.sketch.estimate(key);
-                        if best.is_none_or(|(_, f)| freq < f) {
-                            best = Some((key, freq));
-                        }
-                    }
-                    cursor = self.lru.toward_head(idx);
-                }
-                best.map(|(key, _)| key)
-            }
+            cursor = self.lru.toward_head(idx);
         }
+        None
     }
 
     /// Evicts `key` unconditionally (callers check pins/protection).
@@ -411,7 +365,6 @@ impl GraphStore {
             graphs.push(entry.graph.clone());
             let node = entry.node;
             self.lru.touch(node);
-            self.sketch.record(*key);
         }
         let graphs = Arc::new(graphs);
         self.active
@@ -566,7 +519,6 @@ mod tests {
     fn budget_evicts_cold_graphs_but_commits_still_succeed() {
         let mut store = GraphStore::new(StoreConfig {
             budget_bytes: Some(2048),
-            admission: AdmissionPolicy::Lru,
         });
         // Ship several datasets; the tiny budget forces evictions, but
         // each in-flight shipment is protected so its commit succeeds.
@@ -603,7 +555,6 @@ mod tests {
     fn pinned_datasets_survive_budget_pressure() {
         let mut store = GraphStore::new(StoreConfig {
             budget_bytes: Some(1), // everything is over budget
-            admission: AdmissionPolicy::Lru,
         });
         let graphs = [path_graph(5), star_graph(6)];
         let id = ship(&mut store, &graphs);
@@ -634,22 +585,29 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_keeps_hot_graphs_over_cold_ones() {
-        let mut store = GraphStore::new(StoreConfig {
-            budget_bytes: Some(1600),
-            admission: AdmissionPolicy::TinyLfu,
-        });
-        // A hot graph shared by many datasets accumulates frequency.
+    fn lru_keeps_a_re_pinned_graph_over_colder_ones() {
+        // Room for the hot graph and two of the largest cold graphs.
         let hot = path_graph(6);
-        let mut hot_id = String::new();
+        let budget = graph_weight(&hot) + 2 * graph_weight(&cycle_graph(9));
+        let mut store = GraphStore::new(StoreConfig {
+            budget_bytes: Some(budget),
+        });
+        let hot_id = ship(&mut store, &[hot]);
+        // Shipped just after the hot graph but never used again.
+        let idle_id = ship(&mut store, &[star_graph(5)]);
+        let mut cold_ids = Vec::new();
         for n in 4..10 {
-            hot_id = ship(&mut store, &[hot.clone(), cycle_graph(n)]);
+            // Pinning for a tile moves the hot graph to the LRU head, so
+            // each shipment's budget pressure reaches it last.
+            assert!(store.pin_dataset(&hot_id).is_ok(), "hot graph evicted");
+            store.unpin_dataset(&hot_id);
+            cold_ids.push(ship(&mut store, &[cycle_graph(n)]));
         }
-        // Under pressure the cold cycle graphs go first; the hot graph's
-        // latest dataset stays pinnable.
-        assert!(store.pin_dataset(&hot_id).is_ok());
-        store.unpin_dataset(&hot_id);
         assert!(store.stats().evictions > 0);
+        assert!(store.pin_dataset(&hot_id).is_ok(), "hot graph evicted");
+        store.unpin_dataset(&hot_id);
+        assert!(store.pin_dataset(&idle_id).is_err(), "idle graph survived");
+        assert!(store.pin_dataset(&cold_ids[0]).is_err(), "oldest survived");
     }
 
     #[test]
@@ -658,6 +616,5 @@ mod tests {
         assert_eq!(parse_byte_size("64k"), Some(64 << 10));
         let config = StoreConfig::default();
         assert_eq!(config.budget_bytes, None);
-        assert_eq!(config.admission, AdmissionPolicy::Lru);
     }
 }

@@ -27,7 +27,7 @@
 //! coordinator retries its address on a jittered exponential backoff
 //! schedule (`HAQJSK_DIST_RECONNECT_BASE_MS` / `..._MAX_MS`), so a
 //! restarted worker rejoins the pool without coordinator intervention and
-//! without per-Gram connect-timeout stalls — [`WorkerLink::checkout`]
+//! without per-Gram connect-timeout stalls — `WorkerLink::checkout`
 //! refuses to dial a probationed address before its retry is due. A
 //! **draining** worker (removed via `Coordinator::remove_worker`) accepts
 //! no further tiles; its in-flight tiles requeue through the ordinary

@@ -40,7 +40,8 @@
 //! * **Fault handling.** Outstanding-tile windows per worker,
 //!   deadline-based straggler re-dispatch, death recovery with requeueing,
 //!   and a local evaluator of last resort: a Gram never fails because a
-//!   worker vanished. See [`fault`] and [`scheduler`].
+//!   worker vanished. See [`fault`] and the private
+//!   `scheduler` module.
 //! * **What distributes.** Gram computations carrying a serialisable
 //!   kernel spec: QJSK unaligned/aligned and JTQK publish one directly,
 //!   and fitted HAQJSK models distribute by shipping their persisted-model
@@ -73,9 +74,7 @@ pub use coordinator::{
     Coordinator, DistConfig, DistStats, DIST_CONNECT_TIMEOUT_ENV_VAR, DIST_DEADLINE_ENV_VAR,
     DIST_RECONNECT_BASE_ENV_VAR, DIST_RECONNECT_MAX_ENV_VAR, DIST_WINDOW_ENV_VAR,
 };
-pub use dataset::{
-    StoreConfig, StoreStats, WORKER_STORE_ADMISSION_ENV_VAR, WORKER_STORE_BUDGET_ENV_VAR,
-};
+pub use dataset::{StoreConfig, StoreStats, WORKER_STORE_BUDGET_ENV_VAR};
 pub use fault::{LinkState, WorkerStatsSnapshot};
 pub use obs::register_dist_metrics;
 pub use wire::KernelSpec;
@@ -90,7 +89,7 @@ fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-/// Installs [`remote_tiles`] as the engine's remote-tiles hook, so
+/// Installs `remote_tiles` as the engine's remote-tiles hook, so
 /// `BackendKind::Distributed` Grams that carry a spec reach the current
 /// coordinator. Idempotent.
 pub fn install() {

@@ -5,31 +5,24 @@
 //! (`O(n^3)` eigendecompositions), depth-based vertex representations,
 //! aligned structure families — are reusable across every pair and every
 //! request that involves the same graph. [`FeatureCache`] memoises them
-//! under a [`GraphKey`](crate::hash::GraphKey) and guarantees each value is
+//! under a [`GraphKey`] and guarantees each value is
 //! computed **exactly once per resident key** even under concurrent access.
 //!
 //! Two properties make the cache production-shaped rather than a plain
 //! mutex-guarded map:
 //!
 //! * **Key-range sharding.** The key space (the upper 64 bits of the
-//!   structural hash) is partitioned into [`CacheConfig::shards`]
-//!   contiguous ranges, each guarded by its own mutex, so concurrent
-//!   lookups for different graphs rarely contend on one lock.
-//! * **Frequency-gated admission (optional).** Under
-//!   [`AdmissionPolicy::TinyLfu`] each shard keeps a compact frequency
-//!   sketch (doorkeeper Bloom filter + 4-bit count-min counters) and only
-//!   lets a freshly computed value displace the LRU victim when the
-//!   newcomer's estimated frequency is at least the victim's — so a scan of
-//!   one-hit wonders cannot flush a shard of hot entries. Select with
-//!   `HAQJSK_CACHE_ADMISSION=tinylfu` or [`CacheConfig::admission`];
-//!   rejected admissions are counted per shard.
+//!   structural hash) is partitioned into a fixed eight contiguous ranges,
+//!   each guarded by its own mutex, so concurrent lookups for different
+//!   graphs rarely contend on one lock.
 //! * **Budgeted LRU eviction.** Each shard tracks an intrusive LRU list and
 //!   the approximate resident bytes of its values (via the [`CacheWeight`]
-//!   trait). When a total byte budget is configured, inserts that push a
-//!   shard over its slice of the budget evict least-recently-used entries
-//!   until it fits — so long-running serving processes handle unbounded
-//!   graph streams with bounded memory. Evicted values stay alive for
-//!   callers already holding their `Arc`; only residency is bounded.
+//!   trait). When a total byte budget is configured — the cache's only
+//!   setting, see [`CacheConfig`] — inserts that push a shard over its
+//!   slice of the budget evict least-recently-used entries until it fits,
+//!   so long-running serving processes handle unbounded graph streams with
+//!   bounded memory. Evicted values stay alive for callers already holding
+//!   their `Arc`; only residency is bounded.
 //!
 //! The exactly-once guarantee is scoped to residency: while a key stays
 //! resident, concurrent requests for it block on the first compute instead
@@ -87,118 +80,39 @@ impl CacheWeight for haqjsk_linalg::Matrix {
     }
 }
 
-/// Environment variable overriding the shard count of environment-configured
-/// caches (see [`CacheConfig::from_env`]).
-pub const CACHE_SHARDS_ENV_VAR: &str = "HAQJSK_CACHE_SHARDS";
-
 /// Environment variable overriding the byte budget of environment-configured
-/// caches; accepts plain bytes or `k`/`m`/`g` suffixes (e.g. `256m`).
+/// caches (see [`CacheConfig::from_env`]); accepts plain bytes or
+/// `k`/`m`/`g` suffixes (e.g. `256m`).
 pub const CACHE_BUDGET_ENV_VAR: &str = "HAQJSK_CACHE_BUDGET";
 
-/// Environment variable selecting the admission policy of
-/// environment-configured caches: `lru` (default) or `tinylfu`.
-pub const CACHE_ADMISSION_ENV_VAR: &str = "HAQJSK_CACHE_ADMISSION";
+/// Key-range shards per cache.
+const SHARDS: usize = 8;
 
-const DEFAULT_SHARDS: usize = 8;
-
-/// What happens when an insert pushes a shard over its byte budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AdmissionPolicy {
-    /// Always admit the newcomer; evict from the LRU tail until the shard
-    /// fits (the classic behavior).
-    #[default]
-    Lru,
-    /// TinyLFU-style frequency gating: each shard keeps a compact
-    /// frequency sketch (doorkeeper Bloom filter + 4-bit count-min
-    /// counters) over the keys it has seen; a newcomer is admitted only
-    /// while its estimated frequency is **at least** the LRU victim's.
-    /// A one-hit-wonder can no longer flush a shard of hot entries.
-    TinyLfu,
-}
-
-impl AdmissionPolicy {
-    /// The canonical lower-case label (`lru` / `tinylfu`).
-    pub fn label(self) -> &'static str {
-        match self {
-            AdmissionPolicy::Lru => "lru",
-            AdmissionPolicy::TinyLfu => "tinylfu",
-        }
-    }
-
-    /// Parses an admission-policy label.
-    pub fn parse(raw: &str) -> Option<AdmissionPolicy> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "lru" => Some(AdmissionPolicy::Lru),
-            "tinylfu" | "tiny_lfu" | "lfu" => Some(AdmissionPolicy::TinyLfu),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for AdmissionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Shard count, byte budget and admission policy of a [`FeatureCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The byte budget of a [`FeatureCache`], its only setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheConfig {
-    /// Number of key-range shards (clamped to at least 1).
-    pub shards: usize,
-    /// Total byte budget across all shards; `None` = unbounded. Each shard
-    /// enforces `budget / shards` (floor), so budgets should be large
-    /// relative to the shard count and the per-value weight.
+    /// Total byte budget across all shards; `None` = unbounded. Each of
+    /// the eight shards enforces `budget / 8` (floor), so budgets should be
+    /// large relative to the per-value weight.
     pub budget_bytes: Option<usize>,
-    /// What happens when an insert pushes a shard over budget (only
-    /// relevant with a budget configured).
-    pub admission: AdmissionPolicy,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            shards: DEFAULT_SHARDS,
-            budget_bytes: None,
-            admission: AdmissionPolicy::Lru,
-        }
-    }
 }
 
 impl CacheConfig {
-    /// Default shards, no budget.
-    pub fn unbounded() -> Self {
-        CacheConfig::default()
-    }
-
-    /// Default shards with a total byte budget.
+    /// A total byte budget.
     pub fn with_budget(budget_bytes: usize) -> Self {
         CacheConfig {
             budget_bytes: Some(budget_bytes),
-            ..CacheConfig::default()
         }
     }
 
-    /// Reads `HAQJSK_CACHE_SHARDS` and `HAQJSK_CACHE_BUDGET` on top of the
-    /// defaults — how the process-global caches configure themselves.
+    /// Reads `HAQJSK_CACHE_BUDGET` (unset = unbounded) — how the
+    /// process-global caches configure themselves.
     pub fn from_env() -> Self {
-        let mut config = CacheConfig::default();
-        if let Ok(raw) = std::env::var(CACHE_SHARDS_ENV_VAR) {
-            if let Ok(n) = raw.trim().parse::<usize>() {
-                if n > 0 {
-                    config.shards = n;
-                }
-            }
+        CacheConfig {
+            budget_bytes: std::env::var(CACHE_BUDGET_ENV_VAR)
+                .ok()
+                .and_then(|raw| parse_byte_size(&raw)),
         }
-        if let Ok(raw) = std::env::var(CACHE_BUDGET_ENV_VAR) {
-            config.budget_bytes = parse_byte_size(&raw);
-        }
-        if let Ok(raw) = std::env::var(CACHE_ADMISSION_ENV_VAR) {
-            if let Some(policy) = AdmissionPolicy::parse(&raw) {
-                config.admission = policy;
-            }
-        }
-        config
     }
 }
 
@@ -235,11 +149,6 @@ pub struct CacheStats {
     /// Entries evicted to satisfy the budget since creation (or since the
     /// last [`FeatureCache::clear`], which resets this counter).
     pub evictions: usize,
-    /// Freshly computed values the TinyLFU admission gate declined to keep
-    /// resident (the caller still received the value; it was simply not
-    /// worth displacing a hotter victim). Always zero under
-    /// [`AdmissionPolicy::Lru`].
-    pub admission_rejects: usize,
     /// Approximate bytes currently resident across all shards.
     pub resident_bytes: usize,
 }
@@ -268,137 +177,10 @@ pub struct ShardStats {
     pub misses: usize,
     /// Entries this shard evicted.
     pub evictions: usize,
-    /// Values this shard's admission gate declined to keep resident.
-    pub admission_rejects: usize,
     /// Approximate resident bytes in this shard.
     pub resident_bytes: usize,
     /// This shard's slice of the budget; `None` = unbounded.
     pub budget_bytes: Option<usize>,
-}
-
-/// A compact per-shard frequency sketch: a doorkeeper Bloom filter that
-/// absorbs one-hit wonders, backed by 4-bit count-min counters (4 hash
-/// functions) for keys seen more than once. Counters are halved (and the
-/// doorkeeper reset) every [`FrequencySketch::sample`] recorded accesses so
-/// estimates track *recent* popularity — the standard TinyLFU aging scheme.
-pub struct FrequencySketch {
-    /// Two 4-bit counters per byte; `SKETCH_COUNTERS` logical slots.
-    counters: Vec<u8>,
-    /// Doorkeeper bitset (`DOORKEEPER_BITS` bits).
-    doorkeeper: Vec<u64>,
-    /// Accesses recorded since the last aging pass.
-    increments: usize,
-    /// Aging period.
-    sample: usize,
-}
-
-/// Logical 4-bit counter slots per shard sketch (power of two; 4 KiB).
-const SKETCH_COUNTERS: usize = 8192;
-/// Doorkeeper bits per shard sketch (1 KiB).
-const DOORKEEPER_BITS: usize = 8192;
-/// Seeds of the four count-min hash functions and the doorkeeper hash.
-const SKETCH_SEEDS: [u64; 4] = [
-    0x9E37_79B9_7F4A_7C15,
-    0xC2B2_AE3D_27D4_EB4F,
-    0x1656_67B1_9E37_79F9,
-    0x27D4_EB2F_1656_67C5,
-];
-const DOORKEEPER_SEED: u64 = 0x5851_F42D_4C95_7F2D;
-
-fn sketch_mix(key: GraphKey, seed: u64) -> u64 {
-    let mut x = (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ seed;
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-impl Default for FrequencySketch {
-    fn default() -> Self {
-        FrequencySketch::new()
-    }
-}
-
-impl FrequencySketch {
-    /// An empty sketch (all frequencies zero).
-    pub fn new() -> Self {
-        FrequencySketch {
-            counters: vec![0u8; SKETCH_COUNTERS / 2],
-            doorkeeper: vec![0u64; DOORKEEPER_BITS / 64],
-            increments: 0,
-            sample: SKETCH_COUNTERS * 4,
-        }
-    }
-
-    fn counter(&self, slot: usize) -> u32 {
-        let byte = self.counters[slot >> 1];
-        u32::from(if slot & 1 == 0 {
-            byte & 0x0F
-        } else {
-            byte >> 4
-        })
-    }
-
-    fn bump(&mut self, slot: usize) {
-        let byte = &mut self.counters[slot >> 1];
-        if slot & 1 == 0 {
-            if *byte & 0x0F < 0x0F {
-                *byte += 1;
-            }
-        } else if *byte >> 4 < 0x0F {
-            *byte += 0x10;
-        }
-    }
-
-    fn doorkeeper_slot(key: GraphKey) -> usize {
-        sketch_mix(key, DOORKEEPER_SEED) as usize % DOORKEEPER_BITS
-    }
-
-    fn doorkeeper_contains(&self, key: GraphKey) -> bool {
-        let bit = Self::doorkeeper_slot(key);
-        self.doorkeeper[bit / 64] & (1u64 << (bit % 64)) != 0
-    }
-
-    /// Records one access to `key`.
-    pub fn record(&mut self, key: GraphKey) {
-        let bit = Self::doorkeeper_slot(key);
-        let word = &mut self.doorkeeper[bit / 64];
-        let mask = 1u64 << (bit % 64);
-        if *word & mask == 0 {
-            // First sighting (this aging period): the doorkeeper absorbs it
-            // without touching the counters.
-            *word |= mask;
-        } else {
-            for seed in SKETCH_SEEDS {
-                let slot = sketch_mix(key, seed) as usize & (SKETCH_COUNTERS - 1);
-                self.bump(slot);
-            }
-        }
-        self.increments += 1;
-        if self.increments >= self.sample {
-            self.age();
-        }
-    }
-
-    /// The estimated access frequency of `key` this aging period.
-    pub fn estimate(&self, key: GraphKey) -> u32 {
-        let min = SKETCH_SEEDS
-            .iter()
-            .map(|&seed| self.counter(sketch_mix(key, seed) as usize & (SKETCH_COUNTERS - 1)))
-            .min()
-            .unwrap_or(0);
-        min + u32::from(self.doorkeeper_contains(key))
-    }
-
-    /// Halves every counter and resets the doorkeeper, so stale popularity
-    /// decays instead of pinning entries forever.
-    fn age(&mut self) {
-        for byte in &mut self.counters {
-            *byte = (*byte >> 1) & 0x77;
-        }
-        self.doorkeeper.fill(0);
-        self.increments = 0;
-    }
 }
 
 const NIL: usize = usize::MAX;
@@ -542,9 +324,6 @@ struct ShardState<V> {
     lru: LruList,
     resident_bytes: usize,
     evictions: usize,
-    admission_rejects: usize,
-    /// Present only under [`AdmissionPolicy::TinyLfu`].
-    sketch: Option<FrequencySketch>,
 }
 
 struct Shard<V> {
@@ -554,18 +333,13 @@ struct Shard<V> {
 }
 
 impl<V> Shard<V> {
-    fn new(admission: AdmissionPolicy) -> Self {
+    fn new() -> Self {
         Shard {
             state: Mutex::new(ShardState {
                 entries: HashMap::new(),
                 lru: LruList::new(),
                 resident_bytes: 0,
                 evictions: 0,
-                admission_rejects: 0,
-                sketch: match admission {
-                    AdmissionPolicy::Lru => None,
-                    AdmissionPolicy::TinyLfu => Some(FrequencySketch::new()),
-                },
             }),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
@@ -594,34 +368,6 @@ impl<V> ShardState<V> {
             self.evictions += 1;
         }
     }
-
-    /// Budget enforcement after `candidate` was freshly inserted and
-    /// accounted. Under LRU this is plain [`ShardState::enforce_budget`];
-    /// under TinyLFU the candidate must *earn* residency: while the shard
-    /// is over budget, the LRU victim is evicted only if the candidate's
-    /// estimated frequency is at least the victim's — otherwise the
-    /// candidate itself gives up residency (an admission reject, not an
-    /// eviction) and the remaining overflow (if any) falls back to LRU.
-    fn admit_and_enforce(&mut self, budget: usize, candidate: GraphKey) {
-        while self.resident_bytes > budget {
-            let Some(victim) = self.lru.tail_key() else {
-                break;
-            };
-            if victim != candidate {
-                if let Some(sketch) = &self.sketch {
-                    if sketch.estimate(victim) > sketch.estimate(candidate) {
-                        if let Some(entry) = self.entries.remove(&candidate) {
-                            self.lru.remove(entry.node);
-                            self.resident_bytes -= entry.weight;
-                            self.admission_rejects += 1;
-                        }
-                        continue;
-                    }
-                }
-            }
-            self.evict(victim);
-        }
-    }
 }
 
 /// A concurrent, instrumented, sharded memo table from [`GraphKey`] to a
@@ -635,7 +381,6 @@ pub struct FeatureCache<V> {
     shards: Vec<Shard<V>>,
     /// Total byte budget; `usize::MAX` encodes "unbounded".
     budget: AtomicUsize,
-    admission: AdmissionPolicy,
 }
 
 impl<V> Default for FeatureCache<V> {
@@ -653,39 +398,24 @@ impl<V> std::fmt::Debug for FeatureCache<V> {
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .field("evictions", &stats.evictions)
-            .field("admission_rejects", &stats.admission_rejects)
             .field("resident_bytes", &stats.resident_bytes)
             .field("budget_bytes", &self.budget_bytes())
-            .field("admission", &self.admission)
             .finish()
     }
 }
 
 impl<V> FeatureCache<V> {
-    /// Creates an unbounded cache with the default shard count.
+    /// Creates an unbounded cache.
     pub fn new() -> Self {
         FeatureCache::with_config(CacheConfig::default())
     }
 
-    /// Creates a cache with an explicit shard count, budget and admission
-    /// policy.
+    /// Creates a cache with the given byte budget.
     pub fn with_config(config: CacheConfig) -> Self {
-        let shards = config.shards.max(1);
         FeatureCache {
-            shards: (0..shards).map(|_| Shard::new(config.admission)).collect(),
+            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
             budget: AtomicUsize::new(config.budget_bytes.unwrap_or(usize::MAX)),
-            admission: config.admission,
         }
-    }
-
-    /// Number of key-range shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured admission policy.
-    pub fn admission(&self) -> AdmissionPolicy {
-        self.admission
     }
 
     /// The total byte budget, if one is configured.
@@ -735,9 +465,6 @@ impl<V> FeatureCache<V> {
         let shard = &self.shards[self.shard_of(key)];
         let value = {
             let mut state = shard.state.lock().expect("cache shard poisoned");
-            if let Some(sketch) = &mut state.sketch {
-                sketch.record(key);
-            }
             match state.entries.get(&key) {
                 Some(entry) => {
                     let node = entry.node;
@@ -773,7 +500,6 @@ impl<V> FeatureCache<V> {
             let state = shard.state.lock().expect("cache shard poisoned");
             stats.entries += state.entries.len();
             stats.evictions += state.evictions;
-            stats.admission_rejects += state.admission_rejects;
             stats.resident_bytes += state.resident_bytes;
             stats.hits += shard.hits.load(Ordering::Relaxed);
             stats.misses += shard.misses.load(Ordering::Relaxed);
@@ -793,7 +519,6 @@ impl<V> FeatureCache<V> {
                     hits: shard.hits.load(Ordering::Relaxed),
                     misses: shard.misses.load(Ordering::Relaxed),
                     evictions: state.evictions,
-                    admission_rejects: state.admission_rejects,
                     resident_bytes: state.resident_bytes,
                     budget_bytes: (budget != usize::MAX).then_some(budget),
                 }
@@ -817,10 +542,6 @@ impl<V> FeatureCache<V> {
                 state.evict(key);
             }
             state.evictions = 0;
-            state.admission_rejects = 0;
-            if let Some(sketch) = &mut state.sketch {
-                *sketch = FrequencySketch::new();
-            }
             shard.hits.store(0, Ordering::Relaxed);
             shard.misses.store(0, Ordering::Relaxed);
         }
@@ -838,9 +559,6 @@ impl<V: CacheWeight> FeatureCache<V> {
         let shard = &self.shards[self.shard_of(key)];
         let slot = {
             let mut state = shard.state.lock().expect("cache shard poisoned");
-            if let Some(sketch) = &mut state.sketch {
-                sketch.record(key);
-            }
             match state.entries.get(&key) {
                 Some(entry) => {
                     let node = entry.node;
@@ -881,7 +599,7 @@ impl<V: CacheWeight> FeatureCache<V> {
                 if Arc::ptr_eq(&entry.slot, &slot) && entry.weight == 0 {
                     entry.weight = weight;
                     state.resident_bytes += weight;
-                    state.admit_and_enforce(self.shard_budget(), key);
+                    state.enforce_budget(self.shard_budget());
                 }
             }
         } else {
@@ -963,32 +681,27 @@ mod tests {
 
     #[test]
     fn keys_spread_over_shards_by_range() {
-        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig {
-            shards: 4,
-            budget_bytes: None,
-            ..CacheConfig::default()
-        });
-        assert_eq!(cache.shards(), 4);
-        let mut seen = [false; 4];
+        let cache: FeatureCache<u64> = FeatureCache::new();
+        assert_eq!(cache.shard_stats().len(), SHARDS);
+        let mut seen = [false; SHARDS];
         for i in 0..64 {
             let s = cache.shard_of(spread_key(i));
-            assert!(s < 4);
+            assert!(s < SHARDS);
             seen[s] = true;
         }
         assert!(seen.iter().all(|&s| s), "all shards should receive keys");
         // Range partition: ordered high bits map to non-decreasing shards.
         assert_eq!(cache.shard_of(GraphKey(0)), 0);
-        assert_eq!(cache.shard_of(GraphKey(u128::MAX)), 3);
+        assert_eq!(cache.shard_of(GraphKey(u128::MAX)), SHARDS - 1);
     }
+
+    // Small-integer keys have zero upper bits, so they all land in shard 0:
+    // its LRU order is deterministic, and it enforces `budget / SHARDS`.
 
     #[test]
     fn budget_evicts_least_recently_used() {
-        // Single shard so the LRU order is global and deterministic.
-        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig {
-            shards: 1,
-            budget_bytes: Some(3 * 8),
-            ..CacheConfig::default()
-        });
+        let cache: FeatureCache<u64> =
+            FeatureCache::with_config(CacheConfig::with_budget(SHARDS * 3 * 8));
         for i in 0..3u64 {
             cache.get_or_compute(GraphKey(i as u128), || i);
         }
@@ -1015,11 +728,8 @@ mod tests {
 
     #[test]
     fn oversized_value_is_returned_but_not_retained() {
-        let cache: FeatureCache<String> = FeatureCache::with_config(CacheConfig {
-            shards: 1,
-            budget_bytes: Some(16),
-            ..CacheConfig::default()
-        });
+        let cache: FeatureCache<String> =
+            FeatureCache::with_config(CacheConfig::with_budget(SHARDS * 16));
         let v = cache.get_or_compute(GraphKey(9), || "x".repeat(4096));
         assert_eq!(v.len(), 4096, "caller still gets the value");
         let stats = cache.stats();
@@ -1030,126 +740,22 @@ mod tests {
 
     #[test]
     fn set_budget_evicts_immediately_and_lifts() {
-        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig {
-            shards: 1,
-            budget_bytes: None,
-            ..CacheConfig::default()
-        });
+        let cache: FeatureCache<u64> = FeatureCache::new();
         for i in 0..10u64 {
             cache.get_or_compute(GraphKey(i as u128), || i);
         }
         assert_eq!(cache.stats().entries, 10);
-        cache.set_budget(Some(4 * 8));
+        cache.set_budget(Some(SHARDS * 4 * 8));
         let stats = cache.stats();
         assert_eq!(stats.entries, 4);
         assert_eq!(stats.evictions, 6);
-        assert_eq!(cache.budget_bytes(), Some(32));
+        assert_eq!(cache.budget_bytes(), Some(SHARDS * 32));
         cache.set_budget(None);
         assert_eq!(cache.budget_bytes(), None);
         for i in 0..10u64 {
             cache.get_or_compute(GraphKey((100 + i) as u128), || i);
         }
         assert_eq!(cache.stats().entries, 14, "unbounded again");
-    }
-
-    #[test]
-    fn tinylfu_keeps_hot_entries_against_cold_scans() {
-        // Single shard, budget for three 8-byte values, TinyLFU admission.
-        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig {
-            shards: 1,
-            budget_bytes: Some(3 * 8),
-            admission: AdmissionPolicy::TinyLfu,
-        });
-        assert_eq!(cache.admission(), AdmissionPolicy::TinyLfu);
-        // Make keys 0..3 hot (several recorded accesses each).
-        for _ in 0..4 {
-            for i in 0..3u64 {
-                cache.get_or_compute(GraphKey(i as u128), || i);
-            }
-        }
-        assert_eq!(cache.stats().entries, 3);
-        // A scan of one-hit wonders: each is seen once, colder than every
-        // resident, so the gate rejects them and the hot set survives.
-        for i in 100..108u64 {
-            let v = cache.get_or_compute(GraphKey(i as u128), || i);
-            assert_eq!(*v, i, "caller still receives the rejected value");
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 3, "hot entries survived the scan");
-        assert_eq!(stats.admission_rejects, 8);
-        assert_eq!(stats.evictions, 0);
-        for i in 0..3u64 {
-            assert!(cache.peek(GraphKey(i as u128)).is_some(), "hot key {i}");
-        }
-        // Shard stats expose the reject counter too.
-        let shard_rejects: usize = cache
-            .shard_stats()
-            .iter()
-            .map(|s| s.admission_rejects)
-            .sum();
-        assert_eq!(shard_rejects, 8);
-        // A newcomer that proves itself hot *is* admitted (≥ victim rule).
-        for _ in 0..8 {
-            cache.get_or_compute(GraphKey(500), || 500);
-        }
-        assert!(
-            cache.peek(GraphKey(500)).is_some(),
-            "a repeatedly requested key must eventually be admitted"
-        );
-        // clear() resets the reject counter with the rest.
-        cache.clear();
-        assert_eq!(cache.stats().admission_rejects, 0);
-    }
-
-    #[test]
-    fn lru_policy_never_counts_admission_rejects() {
-        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig {
-            shards: 1,
-            budget_bytes: Some(2 * 8),
-            ..CacheConfig::default()
-        });
-        for i in 0..10u64 {
-            cache.get_or_compute(GraphKey(i as u128), || i);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.admission_rejects, 0);
-        assert_eq!(stats.evictions, 8);
-    }
-
-    #[test]
-    fn frequency_sketch_estimates_and_ages() {
-        let mut sketch = FrequencySketch::new();
-        let hot = GraphKey(7);
-        let cold = GraphKey(1234567);
-        assert_eq!(sketch.estimate(hot), 0);
-        for _ in 0..6 {
-            sketch.record(hot);
-        }
-        sketch.record(cold);
-        assert!(sketch.estimate(hot) >= 5);
-        assert!(sketch.estimate(cold) <= 1);
-        assert!(sketch.estimate(hot) > sketch.estimate(cold));
-        // Counters saturate at 15 + doorkeeper bit.
-        for _ in 0..100 {
-            sketch.record(hot);
-        }
-        assert!(sketch.estimate(hot) <= 16);
-        // Aging halves the estimate instead of pinning it forever.
-        let before = sketch.estimate(hot);
-        sketch.age();
-        assert!(sketch.estimate(hot) <= before / 2 + 1);
-    }
-
-    #[test]
-    fn admission_policy_labels_parse() {
-        assert_eq!(AdmissionPolicy::parse("lru"), Some(AdmissionPolicy::Lru));
-        assert_eq!(
-            AdmissionPolicy::parse(" TinyLFU "),
-            Some(AdmissionPolicy::TinyLfu)
-        );
-        assert_eq!(AdmissionPolicy::parse("arc"), None);
-        assert_eq!(AdmissionPolicy::TinyLfu.label(), "tinylfu");
-        assert_eq!(AdmissionPolicy::default(), AdmissionPolicy::Lru);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `curl`) speaks HTTP, not the JSON-lines wire. A [`Server`] spawned with
 //! [`Codec::Http`] shares the JSON-lines listener's connection cap, I/O
 //! timeout and shutdown; this module adds only the protocol half: the
-//! request parser over the same [`BoundedLineReader`] (an 8 KiB line cap,
+//! request parser over the same `BoundedLineReader` (an 8 KiB line cap,
 //! capped header counts, a head deadline), the `503 busy` shed reply, and
 //! the response writer.
 //!

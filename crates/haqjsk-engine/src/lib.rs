@@ -28,7 +28,7 @@
 //! * [`cache`] — a **sharded, budgeted** per-graph feature cache
 //!   ([`FeatureCache`]) keyed by a structural graph hash
 //!   ([`hash::graph_key`]): the key space is range-partitioned into
-//!   independently locked shards, each maintaining an LRU list and its
+//!   eight independently locked shards, each maintaining an LRU list and its
 //!   slice of an optional byte budget (value sizes via [`CacheWeight`]),
 //!   with exactly-once compute semantics per resident key and full
 //!   hit/miss/eviction instrumentation per shard,
@@ -50,7 +50,7 @@
 //!   Engine::gram / gram_extend ── one tile scheduler (gram::run_tiles)
 //!        │      serial: inline │ local: WorkerPool │ dist: remote-tiles hook
 //!        │                                                     │
-//!        └────────── FeatureCache (N key-range shards, ────────┘
+//!        └────────── FeatureCache (8 key-range shards, ────────┘
 //!                    LRU + byte budget per shard)
 //! ```
 //!
@@ -80,9 +80,8 @@ pub use backend::{
     TileEvaluator, BACKEND_ENV_VAR,
 };
 pub use cache::{
-    parse_byte_size, AdmissionPolicy, CacheConfig, CacheStats, CacheWeight, FeatureCache,
-    FrequencySketch, LruList, ShardStats, CACHE_ADMISSION_ENV_VAR, CACHE_BUDGET_ENV_VAR,
-    CACHE_SHARDS_ENV_VAR,
+    parse_byte_size, CacheConfig, CacheStats, CacheWeight, FeatureCache, LruList, ShardStats,
+    CACHE_BUDGET_ENV_VAR,
 };
 pub use engine::{Engine, EngineBuilder};
 pub use hash::{graph_key, GraphKey};

@@ -271,15 +271,13 @@ pub(crate) struct ServeShared {
     draining: AtomicBool,
     /// Currently open connections (RAII-guarded).
     active: AtomicUsize,
-    /// Requests currently being handled or answered.
-    busy: AtomicUsize,
     /// Whether this listener drives `haqjsk_serve_state` (JSON-lines only).
     owns_state_gauge: bool,
 }
 
 /// A cheap, cloneable handle onto a running server's lifecycle state:
 /// lets a request handler (which is built before the server exists)
-/// request a drain and observe connection/request gauges.
+/// request a drain and observe the open-connection count.
 #[derive(Clone)]
 pub struct ServeControl {
     shared: Arc<ServeShared>,
@@ -304,11 +302,6 @@ impl ServeControl {
     /// Connections currently open.
     pub fn active_connections(&self) -> usize {
         self.shared.active.load(Ordering::Acquire)
-    }
-
-    /// Requests currently being handled or answered.
-    pub fn busy_requests(&self) -> usize {
-        self.shared.busy.load(Ordering::Acquire)
     }
 }
 
@@ -335,27 +328,6 @@ impl Drop for ConnGuard {
     fn drop(&mut self) {
         self.shared.active.fetch_sub(1, Ordering::AcqRel);
         self.gauge.add(-1.0);
-    }
-}
-
-/// RAII in-flight request marker (see [`ServeShared::busy`]); a drain waits
-/// for this to reach zero before force-closing connections.
-struct BusyGuard {
-    shared: Arc<ServeShared>,
-}
-
-impl BusyGuard {
-    fn enter(shared: &Arc<ServeShared>) -> BusyGuard {
-        shared.busy.fetch_add(1, Ordering::AcqRel);
-        BusyGuard {
-            shared: Arc::clone(shared),
-        }
-    }
-}
-
-impl Drop for BusyGuard {
-    fn drop(&mut self) {
-        self.shared.busy.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -695,7 +667,6 @@ fn serve_connection_bounded(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let busy = BusyGuard::enter(shared);
                 let (response, request) = answer_line(&line, handler);
                 if let Some(request) = &request {
                     if handler.swallow_response(request) {
@@ -706,7 +677,6 @@ fn serve_connection_bounded(
                     }
                 }
                 write_line(&mut writer, &response)?;
-                drop(busy);
                 // The hangup hook runs only after the response has been
                 // written and flushed, so a deliberate hangup (or process
                 // exit) never swallows its own acknowledgement.

@@ -101,19 +101,15 @@ proptest! {
 
     /// The real cache and the shadow model agree on hits, residency, LRU
     /// eviction order and byte accounting for every op sequence, and the
-    /// per-shard budget invariant holds after every insert.
+    /// per-shard budget invariant holds after every insert. Budgets span
+    /// 8..160 bytes per shard.
     #[test]
     fn eviction_respects_lru_budget_and_exactly_once(
-        shards in 1usize..5,
-        budget in 8usize..160,
+        budget in 64usize..1280,
         ops in proptest::collection::vec((0u64..24, 1usize..48), 1..120),
     ) {
-        let cache: FeatureCache<Blob> = FeatureCache::with_config(CacheConfig {
-            shards,
-            budget_bytes: Some(budget),
-            ..CacheConfig::default()
-        });
-        let mut model = ModelCache::new(cache.shards(), budget);
+        let cache: FeatureCache<Blob> = FeatureCache::with_config(CacheConfig::with_budget(budget));
+        let mut model = ModelCache::new(cache.shard_stats().len(), budget);
         let mut computes: HashMap<GraphKey, usize> = HashMap::new();
 
         for (case, &(key_index, weight)) in ops.iter().enumerate() {
@@ -183,13 +179,10 @@ proptest! {
 /// so computes never exceed evictions + resident entries.
 #[test]
 fn concurrent_eviction_preserves_value_integrity_and_budget() {
-    let shards = 4;
-    let budget = 64 * 48;
-    let cache: Arc<FeatureCache<Blob>> = Arc::new(FeatureCache::with_config(CacheConfig {
-        shards,
-        budget_bytes: Some(budget),
-        ..CacheConfig::default()
-    }));
+    // Eight shards of about three values each, against six keys per shard.
+    let budget = 8 * 3 * 48;
+    let cache: Arc<FeatureCache<Blob>> =
+        Arc::new(FeatureCache::with_config(CacheConfig::with_budget(budget)));
     let computes = Arc::new(AtomicUsize::new(0));
 
     let threads: Vec<_> = (0..8)

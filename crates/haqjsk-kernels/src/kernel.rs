@@ -4,7 +4,7 @@
 //! kernels in `haqjsk-core`) exposes the same two operations: a pairwise
 //! kernel value and a Gram matrix over a dataset. All Gram computation is
 //! routed through [`gram_from_tiles`] into the shared
-//! [`Engine`](haqjsk_engine::Engine) — a process-global worker pool with
+//! [`Engine`] — a process-global worker pool with
 //! one tile scheduler — because the quantum
 //! kernels pay an `O(n³)` eigendecomposition per pair and datasets contain
 //! hundreds to thousands of graphs. The worker count is controlled by the

@@ -23,7 +23,7 @@
 //! * mixed-dimension batches are chunked by dimension class (each chunk
 //!   holds up to [`MAX_BATCH_LANES`] matrices of one size), and straggler
 //!   chunks of a single matrix fall back to the scalar
-//!   [`EigenWorkspace`](crate::EigenWorkspace) path.
+//!   [`EigenWorkspace`] path.
 //!
 //! Because each lane executes exactly the scalar driver's arithmetic — same
 //! operations, same order, same `f64` semantics (no fast-math, no fusion) —

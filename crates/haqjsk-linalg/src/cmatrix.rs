@@ -1,6 +1,6 @@
 //! Dense complex matrices for the finite-time CTQW evolution.
 //!
-//! [`CMatrix`] mirrors the real [`Matrix`](crate::Matrix) API for the small
+//! [`CMatrix`] mirrors the real [`Matrix`] API for the small
 //! set of operations the quantum-walk simulation needs: construction from a
 //! real matrix, multiplication, conjugate transpose, outer products of state
 //! vectors and extraction of the real part (the time-averaged density matrix

@@ -455,7 +455,7 @@ pub(crate) const WORKSPACE_DIM_LIMIT: usize = 256;
 /// allocates the `n × n` eigenvector matrix — for graph-sized inputs the
 /// only per-call allocation is the returned `Vec` (the matrix scratch lives
 /// in a thread-local [`EigenWorkspace`]; dimensions above
-/// [`WORKSPACE_DIM_LIMIT`] use a transient one). The eigenvalues are
+/// `WORKSPACE_DIM_LIMIT` use a transient one). The eigenvalues are
 /// bit-identical to the full decomposition's.
 pub fn symmetric_eigenvalues(a: &Matrix) -> Result<Vec<f64>> {
     if a.rows() > WORKSPACE_DIM_LIMIT {

@@ -8,7 +8,7 @@
 //! * dense real matrices and vectors ([`Matrix`], [`vector`]),
 //! * the symmetric eigendecomposition used to evolve continuous-time quantum
 //!   walks and to compute von Neumann entropies ([`eigen`]),
-//! * linear solvers and matrix inverses ([`solve`]),
+//! * linear solvers and matrix inverses ([`solve`](mod@solve)),
 //! * complex arithmetic for finite-time CTQW evolution ([`Complex`],
 //!   [`CMatrix`]),
 //! * the Hungarian (Kuhn–Munkres) assignment algorithm used by the Umeyama

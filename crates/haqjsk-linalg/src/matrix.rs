@@ -5,7 +5,7 @@
 //! Gram matrices are all stored in this representation. The type favours
 //! clarity and predictable performance over generality: it is always dense,
 //! always `f64`, and all shape errors are reported through
-//! [`LinalgError`](crate::LinalgError) rather than panics (except for indexing,
+//! [`LinalgError`] rather than panics (except for indexing,
 //! which follows the standard library convention of panicking on
 //! out-of-bounds access).
 
@@ -391,7 +391,7 @@ impl Matrix {
     }
 
     /// Permutes rows and columns of a square matrix by the same permutation:
-    /// result[i][j] = self[perm[i]][perm[j]].
+    /// `result[i][j] = self[perm[i]][perm[j]]`.
     ///
     /// This is exactly the `Q A Q^T` relabelling used in the paper's
     /// permutation-invariance discussion.

@@ -6,12 +6,12 @@
 //! vectorisation explicit instead of relying on LLVM auto-vectorising the
 //! plain `f64` lane loops:
 //!
-//! * a [`LaneVec`] trait abstracts a block of `WIDTH` adjacent lanes with
+//! * a `LaneVec` trait abstracts a block of `WIDTH` adjacent lanes with
 //!   **IEEE-exact** `f64` operations only — add/sub/mul/div/sqrt plus
 //!   bitwise `abs`/`neg` and ordered compares. No FMA contraction, no
 //!   reassociation, no approximate reciprocals: every lane of every vector
 //!   op produces exactly the bits the scalar driver would,
-//! * generic block kernels ([`tred2_block`], [`tqli_block`]) run the
+//! * generic block kernels (`tred2_block`, `tqli_block`) run the
 //!   Householder reduction and the implicit-QL sweep over one `WIDTH`-lane
 //!   block, mirroring the scalar lane loop of `crate::batch` op for op.
 //!   Data-dependent control flow (the zero-scale skip, QL split points,
@@ -20,7 +20,7 @@
 //!   computed in a masked-off lane is discarded, never stored,
 //! * thin `#[target_feature]` wrappers monomorphise the generic kernels per
 //!   ISA — AVX-512F (8 × f64), AVX2 (4 × f64), NEON (2 × f64) — and a
-//!   width-1 [`ScalarLane`] runs straggler tail lanes through the *same*
+//!   width-1 `ScalarLane` runs straggler tail lanes through the *same*
 //!   generic code, so tails are bit-identical by construction,
 //! * [`active_simd_path`] picks the widest ISA the host supports at
 //!   runtime (`is_x86_feature_detected!`), overridable via the

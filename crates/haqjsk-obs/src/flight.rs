@@ -4,7 +4,7 @@
 //! Every served request — including rejected and panicked ones — appends
 //! one [`RequestRecord`] (op, trace id, duration, status, rejection
 //! marker) to a process-global ring of the most recent
-//! [`RECENT_CAPACITY`] requests. Requests that were slow (duration at or
+//! `RECENT_CAPACITY` requests. Requests that were slow (duration at or
 //! above `HAQJSK_SLOW_REQUEST_MS`, default 500), errored, or rejected are
 //! *promoted* to a second, sticky slow-log ring that fast requests never
 //! overwrite — so the interesting requests before an incident survive

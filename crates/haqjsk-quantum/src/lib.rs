@@ -12,7 +12,7 @@
 //! * the **von Neumann entropy** `H_N(ρ) = -tr(ρ log ρ)` of Eq. (6)–(7)
 //!   ([`entropy`]),
 //! * the **quantum Jensen–Shannon divergence** between two density matrices,
-//!   Eq. (8) ([`qjsd`]),
+//!   Eq. (8) ([`qjsd`](mod@qjsd)),
 //! * the density-matrix wrapper type with its validity checks ([`density`]),
 //! * the classical continuous-time random walk used as a discrimination
 //!   baseline in the paper's remarks ([`ctrw`]).

@@ -196,11 +196,10 @@ fn main() {
     let engine = Engine::global();
     let cache = CacheConfig::from_env();
     println!(
-        "haqjsk-serve listening on {} ({} engine workers, '{}' backend, {} cache shards, cache budget {})",
+        "haqjsk-serve listening on {} ({} engine workers, '{}' backend, cache budget {})",
         server.local_addr(),
         engine.threads(),
         engine.backend(),
-        cache.shards,
         cache
             .budget_bytes
             .map_or_else(|| "unbounded".to_string(), |b| format!("{b} bytes")),

@@ -10,8 +10,8 @@
 //! port). The bound address is printed on stdout as
 //! `haqjsk-worker listening on HOST:PORT` — process-pool launchers parse
 //! that line to learn the port. Worker threads via `HAQJSK_THREADS`,
-//! feature-cache shape via `HAQJSK_CACHE_*`. The `shutdown` command exits
-//! the process.
+//! feature-cache budget via `HAQJSK_CACHE_BUDGET`. The `shutdown` command
+//! exits the process.
 
 use haqjsk::dist::{WorkerOptions, WorkerServer};
 use haqjsk::engine::Engine;

@@ -17,8 +17,8 @@
 //!   runs inline (`serial`), on the pool (`local`, the default) or through
 //!   the distributed hook (`dist:…`) — `HAQJSK_BACKEND` selects the
 //!   default, with `tiled`/`batched` kept as aliases of `local` — the
-//!   sharded LRU feature cache with optional byte budgets
-//!   (`HAQJSK_CACHE_SHARDS` / `HAQJSK_CACHE_BUDGET`), incremental Gram
+//!   sharded LRU feature cache with an optional byte budget
+//!   (`HAQJSK_CACHE_BUDGET`), incremental Gram
 //!   extension, and the JSON-lines TCP serving substrate,
 //! * [`dist`] — distributed tile execution: a coordinator that fans one
 //!   Gram matrix's tiles out over `haqjsk-worker` processes

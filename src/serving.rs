@@ -34,21 +34,19 @@
 //! Graphs travel as `{"n":N,"edges":[[u,v],...],"labels":[...]?}`. Config
 //! fields (all optional): `hierarchy_levels`, `num_prototypes`, `layer_cap`,
 //! `kmeans_max_iterations`, `seed`, `mu`, `small` (bool, default true —
-//! start from [`HaqjskConfig::small`]), plus the cache shape of the aligned
-//! feature cache: `cache_shards` and `cache_budget_bytes` (LRU byte budget;
-//! omit for the `HAQJSK_CACHE_SHARDS` / `HAQJSK_CACHE_BUDGET` environment
-//! defaults). A `fit` may also list `workers` (`["host:port", ...]`): the
-//! server connects a distributed worker pool ([`crate::dist`]) and runs the
-//! model's Gram computations on the `dist` backend — spec-carrying kernel
-//! Grams fan out over the pool, everything else executes locally (never
-//! failing). `stats` reports the engine's active execution backend; for
-//! the feature caches, aggregate *and* per-shard
-//! hit/miss/entry/eviction/admission-reject/byte counters (so bounded-
-//! memory operation under a budget — and the TinyLFU admission gate — is
-//! observable from the wire); and, when a worker pool is installed, a
-//! `distributed` object with per-worker tiles
-//! dispatched/completed/re-dispatched, bytes shipped, and the
-//! dataset-dedup hit rate.
+//! start from [`HaqjskConfig::small`]), plus the aligned feature cache's
+//! `cache_budget_bytes` (LRU byte budget; omit for the
+//! `HAQJSK_CACHE_BUDGET` environment default). A `fit` may also list
+//! `workers` (`["host:port", ...]`): the server connects a distributed
+//! worker pool ([`crate::dist`]) and runs the model's Gram computations on
+//! the `dist` backend — spec-carrying kernel Grams fan out over the pool,
+//! everything else executes locally (never failing). `stats` reports the
+//! engine's active execution backend; for the feature caches, aggregate
+//! *and* per-shard hit/miss/entry/eviction/byte counters (so
+//! bounded-memory operation under a budget is observable from the wire);
+//! and, when a worker pool is installed, a `distributed` object with
+//! per-worker tiles dispatched/completed/re-dispatched, bytes shipped, and
+//! the dataset-dedup hit rate.
 //!
 //! ## Overload safety
 //!
@@ -578,24 +576,17 @@ fn parse_config(request: &Json) -> Result<HaqjskConfig, String> {
     Ok(config)
 }
 
-/// Cache shape for the aligned feature cache: request `config` fields on
-/// top of the environment defaults.
+/// Byte budget of the aligned feature cache: the request's
+/// `config.cache_budget_bytes` on top of the environment default.
 fn parse_cache_config(request: &Json) -> CacheConfig {
-    let mut config = CacheConfig::from_env();
-    if let Some(config_json) = request.get("config") {
-        if let Some(shards) = config_json.get("cache_shards").and_then(Json::as_usize) {
-            if shards > 0 {
-                config.shards = shards;
-            }
-        }
-        if let Some(budget) = config_json
-            .get("cache_budget_bytes")
-            .and_then(Json::as_usize)
-        {
-            config.budget_bytes = Some(budget);
-        }
+    let budget = request
+        .get("config")
+        .and_then(|config| config.get("cache_budget_bytes"))
+        .and_then(Json::as_usize);
+    match budget {
+        Some(budget) => CacheConfig::with_budget(budget),
+        None => CacheConfig::from_env(),
     }
-    config
 }
 
 fn parse_labels(request: &Json, expected: usize) -> Result<Option<Vec<usize>>, String> {
@@ -1017,10 +1008,6 @@ fn shard_stats_to_json(shard: &ShardStats) -> Json {
         ("hits", Json::Num(shard.hits as f64)),
         ("misses", Json::Num(shard.misses as f64)),
         ("evictions", Json::Num(shard.evictions as f64)),
-        (
-            "admission_rejects",
-            Json::Num(shard.admission_rejects as f64),
-        ),
         ("resident_bytes", Json::Num(shard.resident_bytes as f64)),
     ];
     if let Some(budget) = shard.budget_bytes {
@@ -1143,10 +1130,6 @@ const REGISTRY_FIELDS: &[(StrPairs, Reduce, StrPairs)] = &[
             ("density_cache_misses", "haqjsk_cache_misses_total"),
             ("density_cache_entries", "haqjsk_cache_entries"),
             ("density_cache_evictions", "haqjsk_cache_evictions_total"),
-            (
-                "density_cache_admission_rejects",
-                "haqjsk_cache_admission_rejects_total",
-            ),
             (
                 "density_cache_resident_bytes",
                 "haqjsk_cache_resident_bytes",
@@ -1284,15 +1267,6 @@ fn cmd_stats(serving: &Serving) -> Json {
             ]),
         ),
         (
-            "cache_admission",
-            Json::Str(
-                crate::kernels::features::density_cache()
-                    .admission()
-                    .label()
-                    .to_string(),
-            ),
-        ),
-        (
             "density_cache_shards",
             shard_stats_array(&density_cache_shard_stats()),
         ),
@@ -1353,10 +1327,6 @@ fn cmd_stats(serving: &Serving) -> Json {
             pairs.push(("aligned_cache_misses", Json::Num(stats.misses as f64)));
             pairs.push(("aligned_cache_entries", Json::Num(stats.entries as f64)));
             pairs.push(("aligned_cache_evictions", Json::Num(stats.evictions as f64)));
-            pairs.push((
-                "aligned_cache_admission_rejects",
-                Json::Num(stats.admission_rejects as f64),
-            ));
             pairs.push((
                 "aligned_cache_resident_bytes",
                 Json::Num(stats.resident_bytes as f64),

@@ -195,13 +195,15 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     let (graphs, labels) = training_set();
     let graphs_json = Json::Arr(graphs.iter().map(graph_to_json).collect());
     let labels_json = Json::Arr(labels.iter().map(|&l| Json::Num(l as f64)).collect());
-    let budget = 6000usize;
-    let shards = 2usize;
+    // The caches have a fixed eight key-range shards; 3000 bytes per shard
+    // keeps some of the streamed graphs resident and evicts the rest.
+    let shards = 8usize;
+    let budget = shards * 3000;
     client.expect_ok(&format!(
         "{{\"cmd\":\"fit\",\"graphs\":{graphs_json},\"labels\":{labels_json},\
          \"variant\":\"A\",\"config\":{{\"hierarchy_levels\":2,\"num_prototypes\":8,\
          \"layer_cap\":3,\"kmeans_max_iterations\":15,\
-         \"cache_shards\":{shards},\"cache_budget_bytes\":{budget}}}}}"
+         \"cache_budget_bytes\":{budget}}}}}"
     ));
 
     // Stream distinct never-repeating graphs — far more than the budget
@@ -249,6 +251,7 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
         entries < graphs.len() + streamed,
         "every distinct graph resident: the budget did nothing"
     );
+    assert!(entries > 0, "the budget evicted every graph");
 
     // Per-shard counters decompose the aggregates and respect the
     // per-shard budget slice.
@@ -291,7 +294,6 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
 /// joins only when a worker pool is installed.
 const STATS_FIELDS: &[&str] = &[
     "active_connections",
-    "aligned_cache_admission_rejects",
     "aligned_cache_budget_bytes",
     "aligned_cache_entries",
     "aligned_cache_evictions",
@@ -303,10 +305,8 @@ const STATS_FIELDS: &[&str] = &[
     "alignment_cache_hits",
     "alignment_cache_misses",
     "build",
-    "cache_admission",
     "conns_rejected",
     "deadline_exceeded",
-    "density_cache_admission_rejects",
     "density_cache_entries",
     "density_cache_evictions",
     "density_cache_hits",
