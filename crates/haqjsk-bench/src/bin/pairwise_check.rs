@@ -27,8 +27,7 @@
 //!
 //! Exit codes: 0 = all matched rows within threshold, 1 = regression (or
 //! nothing matched — a guard that compares nothing must not pass), 2 =
-//! usage/parse error. `PAIRWISE_CHECK_THRESHOLD` overrides the default
-//! threshold; `--threshold` wins over both.
+//! usage/parse error. `--threshold` overrides the default of 1.25.
 
 use haqjsk_engine::Json;
 
@@ -81,13 +80,7 @@ fn load(path: &str) -> Json {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut paths: Vec<&str> = Vec::new();
-    // `PAIRWISE_CHECK_THRESHOLD` lets an operator loosen/tighten the guard
-    // (e.g. for a known-slower runner class) without editing the workflow;
-    // `--threshold` still wins.
-    let mut threshold = std::env::var("PAIRWISE_CHECK_THRESHOLD")
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-        .unwrap_or(1.25_f64);
+    let mut threshold = 1.25_f64;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         if arg == "--threshold" {

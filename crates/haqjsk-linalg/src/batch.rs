@@ -10,11 +10,12 @@
 //! * the K same-dimension matrices are transposed into a
 //!   **structure-of-arrays** (SoA) layout — element `(i, j)` of all K
 //!   matrices sits contiguously — so every inner loop of the Householder
-//!   reduction becomes a `f64` array loop over lanes that maps directly
-//!   onto vector registers: the hot phases dispatch to the explicit-SIMD
-//!   kernels of [`crate::simd`] (AVX-512F / AVX2 / NEON, picked at runtime
-//!   and overridable via `HAQJSK_SIMD`), with the plain lane loops in this
-//!   module as the always-compiled scalar fallback,
+//!   reduction becomes a loop over lanes that maps directly onto vector
+//!   registers. Both phases run in the one set of generic lane kernels of
+//!   [`crate::simd`], instantiated per dispatch path (AVX-512F / AVX2 /
+//!   NEON vectors, or portable `f64` arrays on the always-compiled scalar
+//!   path; picked at runtime and overridable via `HAQJSK_SIMD`); this
+//!   module owns the SoA layout, the chunking and the counters,
 //! * the Householder reduction and the implicit-QL sweep run
 //!   **lane-parallel**: all lanes advance through the same loop structure,
 //!   but every data-dependent decision (the zero-scale skip, the QL split
@@ -31,17 +32,14 @@
 //! [`symmetric_eigenvalues`](crate::symmetric_eigenvalues); the property
 //! tests assert this across mixed batch shapes. The payoff is in the
 //! `O(n³)` Householder phase, whose hot loops vectorize across lanes; the
-//! QL sweep is `O(n²)` and dominated by per-lane `hypot` calls, so it
+//! QL sweep is `O(n²)` and dominated by per-lane `pythag` calls, so it
 //! mostly benefits from the amortised bookkeeping.
 //!
 //! This is the CPU half of the roadmap's batched-eigendecomposition
-//! backend: a GPU backend replaces the lane loops with device kernels
+//! backend: a GPU backend replaces the lane kernels with device kernels
 //! behind the same batch entry point.
 
-use crate::eigen::{
-    check_symmetric, pythag, EigenWorkspace, MAX_QL_ITERATIONS, WORKSPACE_DIM_LIMIT,
-};
-use crate::error::LinalgError;
+use crate::eigen::{check_symmetric, EigenWorkspace, WORKSPACE_DIM_LIMIT};
 use crate::matrix::Matrix;
 use crate::simd::{self, SimdPath};
 use crate::Result;
@@ -50,7 +48,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hard cap on matrices solved by one SoA kernel invocation (sizes the
-/// per-lane state arrays). The *effective* chunk width is per dispatch
+/// per-lane arrays of the [`crate::simd`] kernels). The *effective* chunk width is per dispatch
 /// path — [`max_batch_lanes`](crate::simd::max_batch_lanes): 16 under
 /// AVX-512F (two ZMM registers per SoA element row), 8 for AVX2 / NEON /
 /// scalar (the pre-SIMD width, which keeps the SoA working set of
@@ -189,361 +187,16 @@ pub fn register_batch_metrics() {
     });
 }
 
-/// Per-lane scalar registers of the two batched phases. Fixed-size arrays
-/// (indexed `..lanes`) so the compiler keeps them in registers / on one
-/// cache line instead of behind a heap indirection.
-#[derive(Debug)]
-struct LaneState {
-    scale: [f64; MAX_BATCH_LANES],
-    h: [f64; MAX_BATCH_LANES],
-    f: [f64; MAX_BATCH_LANES],
-    g: [f64; MAX_BATCH_LANES],
-    hh: [f64; MAX_BATCH_LANES],
-    fj: [f64; MAX_BATCH_LANES],
-    gj: [f64; MAX_BATCH_LANES],
-    s: [f64; MAX_BATCH_LANES],
-    c: [f64; MAX_BATCH_LANES],
-    p: [f64; MAX_BATCH_LANES],
-    r: [f64; MAX_BATCH_LANES],
-    m: [usize; MAX_BATCH_LANES],
-    iter: [usize; MAX_BATCH_LANES],
-    skip: [bool; MAX_BATCH_LANES],
-    active: [bool; MAX_BATCH_LANES],
-    done: [bool; MAX_BATCH_LANES],
-}
-
-impl Default for LaneState {
-    fn default() -> Self {
-        LaneState {
-            scale: [0.0; MAX_BATCH_LANES],
-            h: [0.0; MAX_BATCH_LANES],
-            f: [0.0; MAX_BATCH_LANES],
-            g: [0.0; MAX_BATCH_LANES],
-            hh: [0.0; MAX_BATCH_LANES],
-            fj: [0.0; MAX_BATCH_LANES],
-            gj: [0.0; MAX_BATCH_LANES],
-            s: [0.0; MAX_BATCH_LANES],
-            c: [0.0; MAX_BATCH_LANES],
-            p: [0.0; MAX_BATCH_LANES],
-            r: [0.0; MAX_BATCH_LANES],
-            m: [0; MAX_BATCH_LANES],
-            iter: [0; MAX_BATCH_LANES],
-            skip: [false; MAX_BATCH_LANES],
-            active: [false; MAX_BATCH_LANES],
-            done: [false; MAX_BATCH_LANES],
-        }
-    }
-}
-
-/// Lane-parallel Householder tridiagonalisation (values-only `tred2`) of
-/// `lanes` matrices stored SoA in `z` (`z[(i*n + j) * lanes + lane]`).
-/// `e[i*lanes + lane]` receives the sub-diagonal; the diagonal is read off
-/// `z` by the caller, exactly like the scalar driver. Each lane performs
-/// the scalar reduction's arithmetic verbatim; the rare all-zero-row skip
-/// is decided per lane and masked out of the updates.
-fn batch_tred2(z: &mut [f64], n: usize, lanes: usize, e: &mut [f64], ws: &mut LaneState) {
-    for i in (1..n).rev() {
-        let l = i - 1;
-        if l == 0 {
-            // i == 1: the reduction is trivial, e[1] = z[1, 0].
-            let src = (i * n) * lanes;
-            for lane in 0..lanes {
-                e[i * lanes + lane] = z[src + lane];
-            }
-            continue;
-        }
-
-        // scale[lane] = Σ_k |z[i, k]| over the active row prefix.
-        ws.scale[..lanes].fill(0.0);
-        for k in 0..=l {
-            let zi = (i * n + k) * lanes;
-            for lane in 0..lanes {
-                ws.scale[lane] += z[zi + lane].abs();
-            }
-        }
-        let mut any_skip = false;
-        let mut any_live = false;
-        for lane in 0..lanes {
-            let skip = ws.scale[lane] == 0.0;
-            ws.skip[lane] = skip;
-            any_skip |= skip;
-            any_live |= !skip;
-            ws.h[lane] = 0.0;
-            if skip {
-                e[i * lanes + lane] = z[(i * n + l) * lanes + lane];
-            }
-        }
-        if !any_live {
-            continue;
-        }
-
-        if any_skip {
-            householder_step::<true>(z, n, lanes, e, ws, i, l);
-        } else {
-            householder_step::<false>(z, n, lanes, e, ws, i, l);
-        }
-    }
-    // Final sub-diagonal slot, matching the scalar driver's e[0] = 0.
-    e[..lanes].fill(0.0);
-}
-
-/// One Householder step for row `i` (active prefix `0..=l`, `l > 0`).
-/// `MASKED` statically selects the predicated variant used when some lane
-/// has a zero scale; the common all-live case monomorphises to clean,
-/// unconditionally vectorizable lane loops.
-#[inline(always)]
-fn householder_step<const MASKED: bool>(
-    z: &mut [f64],
-    n: usize,
-    lanes: usize,
-    e: &mut [f64],
-    ws: &mut LaneState,
-    i: usize,
-    l: usize,
-) {
-    macro_rules! live {
-        ($skip:expr, $lane:expr) => {
-            !MASKED || !$skip[$lane]
-        };
-    }
-
-    // Split off row i: the reduction reads it everywhere but only mutates
-    // rows `0..=l` in the rank-2 update, and the split lets the hot loops
-    // borrow both halves without bounds checks.
-    let row_i_base = (i * n) * lanes;
-    let (zl, zi_row) = z.split_at_mut(row_i_base);
-    let row_i = &mut zi_row[..(l + 1) * lanes];
-    let skip = &ws.skip[..lanes];
-    let scale = &ws.scale[..lanes];
-    let h = &mut ws.h[..lanes];
-
-    // Normalise the row by its scale and accumulate h = Σ v².
-    for k in 0..=l {
-        let row_k = &mut row_i[k * lanes..(k + 1) * lanes];
-        for lane in 0..lanes {
-            if live!(skip, lane) {
-                let v = row_k[lane] / scale[lane];
-                row_k[lane] = v;
-                h[lane] += v * v;
-            }
-        }
-    }
-    // Householder head: choose the reflection sign per lane.
-    for lane in 0..lanes {
-        if live!(skip, lane) {
-            let f = row_i[l * lanes + lane];
-            let sqrt_h = h[lane].sqrt();
-            let g = if f >= 0.0 { -sqrt_h } else { sqrt_h };
-            e[i * lanes + lane] = scale[lane] * g;
-            h[lane] -= f * g;
-            row_i[l * lanes + lane] = f - g;
-            ws.f[lane] = 0.0;
-        }
-    }
-    // p = A·v (stored in e[0..=l]) and f = vᵀ·p. The two k-loops read the
-    // symmetric half exactly like the scalar reduction; they run
-    // unpredicated (skipped lanes compute garbage that is never written).
-    for j in 0..=l {
-        let g = &mut ws.g[..lanes];
-        g.fill(0.0);
-        let row_j = &zl[(j * n) * lanes..(j * n + j + 1) * lanes];
-        for k in 0..=j {
-            let zj = &row_j[k * lanes..(k + 1) * lanes];
-            let zi = &row_i[k * lanes..(k + 1) * lanes];
-            for ((gl, &a), &b) in g.iter_mut().zip(zj).zip(zi) {
-                *gl += a * b;
-            }
-        }
-        for k in (j + 1)..=l {
-            let zk = &zl[(k * n + j) * lanes..(k * n + j + 1) * lanes];
-            let zi = &row_i[k * lanes..(k + 1) * lanes];
-            for ((gl, &a), &b) in g.iter_mut().zip(zk).zip(zi) {
-                *gl += a * b;
-            }
-        }
-        let ej = &mut e[j * lanes..(j + 1) * lanes];
-        let zij = &row_i[j * lanes..(j + 1) * lanes];
-        for lane in 0..lanes {
-            if live!(skip, lane) {
-                let v = g[lane] / h[lane];
-                ej[lane] = v;
-                ws.f[lane] += v * zij[lane];
-            }
-        }
-    }
-    for lane in 0..lanes {
-        if live!(skip, lane) {
-            ws.hh[lane] = ws.f[lane] / (h[lane] + h[lane]);
-        }
-    }
-    // Rank-2 update A ← A - v·qᵀ - q·vᵀ on the lower triangle.
-    for j in 0..=l {
-        let fj = &mut ws.fj[..lanes];
-        let gj = &mut ws.gj[..lanes];
-        {
-            let ej = &mut e[j * lanes..(j + 1) * lanes];
-            let zij = &row_i[j * lanes..(j + 1) * lanes];
-            for lane in 0..lanes {
-                if live!(skip, lane) {
-                    let f = zij[lane];
-                    let g = ej[lane] - ws.hh[lane] * f;
-                    ej[lane] = g;
-                    fj[lane] = f;
-                    gj[lane] = g;
-                }
-            }
-        }
-        let row_j = &mut zl[(j * n) * lanes..(j * n + j + 1) * lanes];
-        for k in 0..=j {
-            let zjk = &mut row_j[k * lanes..(k + 1) * lanes];
-            let zik = &row_i[k * lanes..(k + 1) * lanes];
-            let ek = &e[k * lanes..(k + 1) * lanes];
-            for lane in 0..lanes {
-                if live!(skip, lane) {
-                    let delta = fj[lane] * ek[lane] + gj[lane] * zik[lane];
-                    zjk[lane] -= delta;
-                }
-            }
-        }
-    }
-}
-
-/// Lane-parallel values-only implicit-QL sweep (`tqli`) over `lanes`
-/// tridiagonal systems stored SoA in `d`/`e` (`d[i*lanes + lane]`).
-///
-/// The eigenvalue index loop is lane-uniform; inside it every lane runs its
-/// **own** shift sequence: its own split point `m`, its own iteration count
-/// and its own early termination, decided per lane each pass. Converged
-/// lanes idle (masked off) while the rest finish, which reproduces the
-/// scalar per-matrix arithmetic exactly.
-fn batch_tqli(
-    d: &mut [f64],
-    e: &mut [f64],
-    n: usize,
-    lanes: usize,
-    ws: &mut LaneState,
-) -> Result<()> {
-    for i in 1..n {
-        for lane in 0..lanes {
-            e[(i - 1) * lanes + lane] = e[i * lanes + lane];
-        }
-    }
-    for lane in 0..lanes {
-        e[(n - 1) * lanes + lane] = 0.0;
-    }
-
-    for l in 0..n {
-        ws.iter[..lanes].fill(0);
-        loop {
-            // Per-lane search for a small off-diagonal split element.
-            let mut any_active = false;
-            let mut max_m = l;
-            for lane in 0..lanes {
-                let mut m = l;
-                while m + 1 < n {
-                    let dd = d[m * lanes + lane].abs() + d[(m + 1) * lanes + lane].abs();
-                    if e[m * lanes + lane].abs() <= f64::EPSILON * dd {
-                        break;
-                    }
-                    m += 1;
-                }
-                ws.m[lane] = m;
-                let active = m > l;
-                ws.active[lane] = active;
-                if active {
-                    any_active = true;
-                    max_m = max_m.max(m);
-                }
-            }
-            if !any_active {
-                break;
-            }
-
-            // Per-lane shift initialisation.
-            for lane in 0..lanes {
-                if !ws.active[lane] {
-                    continue;
-                }
-                ws.iter[lane] += 1;
-                if ws.iter[lane] > MAX_QL_ITERATIONS {
-                    return Err(LinalgError::NoConvergence {
-                        algorithm: "batched symmetric QL iteration",
-                        iterations: MAX_QL_ITERATIONS,
-                    });
-                }
-                let el = e[l * lanes + lane];
-                let mut g = (d[(l + 1) * lanes + lane] - d[l * lanes + lane]) / (2.0 * el);
-                let r = pythag(g, 1.0);
-                g = d[ws.m[lane] * lanes + lane] - d[l * lanes + lane]
-                    + el / (g + if g >= 0.0 { r.abs() } else { -r.abs() });
-                ws.g[lane] = g;
-                ws.s[lane] = 1.0;
-                ws.c[lane] = 1.0;
-                ws.p[lane] = 0.0;
-                ws.r[lane] = r;
-                ws.done[lane] = false;
-            }
-
-            // Lockstep plane rotations: lane `k` participates exactly for
-            // its own index range `l..m[k]`, in descending order.
-            for i in (l..max_m).rev() {
-                for lane in 0..lanes {
-                    if !ws.active[lane] || ws.done[lane] || i >= ws.m[lane] {
-                        continue;
-                    }
-                    let ei = e[i * lanes + lane];
-                    let f = ws.s[lane] * ei;
-                    let b = ws.c[lane] * ei;
-                    let r = pythag(f, ws.g[lane]);
-                    e[(i + 1) * lanes + lane] = r;
-                    if r == 0.0 {
-                        d[(i + 1) * lanes + lane] -= ws.p[lane];
-                        e[ws.m[lane] * lanes + lane] = 0.0;
-                        ws.r[lane] = r;
-                        ws.done[lane] = true;
-                        continue;
-                    }
-                    let s = f / r;
-                    let c = ws.g[lane] / r;
-                    let g = d[(i + 1) * lanes + lane] - ws.p[lane];
-                    let r2 = (d[i * lanes + lane] - g) * s + 2.0 * c * b;
-                    let p = s * r2;
-                    d[(i + 1) * lanes + lane] = g + p;
-                    ws.g[lane] = c * r2 - b;
-                    ws.s[lane] = s;
-                    ws.c[lane] = c;
-                    ws.p[lane] = p;
-                    ws.r[lane] = r2;
-                }
-            }
-            for lane in 0..lanes {
-                if !ws.active[lane] {
-                    continue;
-                }
-                // Mirrors the scalar `if r == 0.0 && m > l { continue; }`.
-                if ws.r[lane] == 0.0 && ws.m[lane] > l {
-                    continue;
-                }
-                d[l * lanes + lane] -= ws.p[lane];
-                e[l * lanes + lane] = ws.g[lane];
-                e[ws.m[lane] * lanes + lane] = 0.0;
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Reusable buffers of the batched values-only eigensolver: the SoA matrix
-/// block, the SoA tridiagonal pair, the per-lane registers, and a scalar
-/// [`EigenWorkspace`] serving the straggler fallback. Buffers grow to the
-/// largest `dimension² × lanes` seen and are reused across calls, so tiled
+/// block, the SoA tridiagonal pair, and a scalar [`EigenWorkspace`]
+/// serving the straggler fallback. Buffers grow to the largest
+/// `dimension² × lanes` seen and are reused across calls, so tiled
 /// Gram loops stop allocating per tile.
 #[derive(Debug, Default)]
 pub struct BatchEigenWorkspace {
     soa: Vec<f64>,
     d: Vec<f64>,
     e: Vec<f64>,
-    lanes: Box<LaneState>,
     scalar: EigenWorkspace,
 }
 
@@ -644,10 +297,7 @@ impl BatchEigenWorkspace {
         d.fill(0.0);
         e.fill(0.0);
         PATH_CALLS[path.index()].fetch_add(1, Ordering::Relaxed);
-        match path {
-            SimdPath::Scalar => batch_tred2(soa, n, lanes, e, &mut self.lanes),
-            _ => simd::dispatch_tred2(path, soa, n, lanes, e),
-        }
+        simd::dispatch_tred2(path, soa, n, lanes, e)?;
         // The scalar driver reads the reduced diagonal into d after the
         // Householder phase; do the same per lane.
         for i in 0..n {
@@ -656,10 +306,7 @@ impl BatchEigenWorkspace {
                 d[i * lanes + lane] = soa[zii + lane];
             }
         }
-        match path {
-            SimdPath::Scalar => batch_tqli(d, e, n, lanes, &mut self.lanes)?,
-            _ => simd::dispatch_tqli(path, d, e, n, lanes)?,
-        }
+        simd::dispatch_tqli(path, d, e, n, lanes)?;
 
         for (lane, &idx) in chunk.iter().enumerate() {
             let mut vals: Vec<f64> = (0..n).map(|i| d[i * lanes + lane]).collect();
@@ -817,6 +464,7 @@ mod tests {
         // Forces each compiled path in turn and re-runs the bit-equality
         // gauntlet: mixed dimensions, zero rows (masked Householder),
         // oversized batches (straggler tails inside the dispatch blocks).
+        let _lock = crate::simd::override_test_lock();
         let mut mats: Vec<Matrix> = (0..crate::simd::max_batch_lanes() * 2 + 3)
             .map(|k| lcg_symmetric([3, 6, 9, 17][k % 4], k as u64 + 900))
             .collect();

@@ -3,7 +3,7 @@
 //! The SoA layout of [`crate::batch`] puts lane `k` of element `(i, j)` at
 //! `z[(i*n + j) * lanes + k]`: the lane axis is contiguous, which is exactly
 //! the shape `core::arch` vector registers want. This module makes the
-//! vectorisation explicit instead of relying on LLVM auto-vectorising the
+//! vectorisation explicit instead of relying on LLVM auto-vectorising
 //! plain `f64` lane loops:
 //!
 //! * a `LaneVec` trait abstracts a block of `WIDTH` adjacent lanes with
@@ -13,27 +13,31 @@
 //!   op produces exactly the bits the scalar driver would,
 //! * generic block kernels (`tred2_block`, `tqli_block`) run the
 //!   Householder reduction and the implicit-QL sweep over one `WIDTH`-lane
-//!   block, mirroring the scalar lane loop of `crate::batch` op for op.
-//!   Data-dependent control flow (the zero-scale skip, QL split points,
-//!   shift sequences, iteration counts, convergence) stays **per lane**:
+//!   block, performing the scalar driver's arithmetic
+//!   ([`crate::eigen::symmetric_eigenvalues`]) op for op per lane. They
+//!   are the only batched implementation. Data-dependent control flow (the
+//!   zero-scale skip, QL split points, shift sequences, iteration counts,
+//!   convergence) stays **per lane**:
 //!   diverging lanes are masked with IEEE-exact selects, so garbage
 //!   computed in a masked-off lane is discarded, never stored,
 //! * thin `#[target_feature]` wrappers monomorphise the generic kernels per
-//!   ISA — AVX-512F (8 × f64), AVX2 (4 × f64), NEON (2 × f64) — and a
-//!   width-1 `ScalarLane` runs straggler tail lanes through the *same*
-//!   generic code, so tails are bit-identical by construction,
+//!   ISA — AVX-512F (8 × f64), AVX2 (4 × f64), NEON (2 × f64). The portable
+//!   `ArrayLane<W>` (plain `f64` ops on a `[f64; W]`) runs the scalar
+//!   path's blocks and every path's leftover tail lanes through the *same*
+//!   generic code, so scalar blocks and tails are bit-identical by
+//!   construction,
 //! * [`active_simd_path`] picks the widest ISA the host supports at
 //!   runtime (`is_x86_feature_detected!`), overridable via the
 //!   [`SIMD_ENV_VAR`] knob (`HAQJSK_SIMD=auto|avx512|avx2|neon|scalar`).
 //!   Unknown values and unavailable ISAs are hard errors, mirroring the
 //!   `HAQJSK_BACKEND` convention: a typo must never silently change paths.
 //!
-//! The scalar lane loop in `crate::batch` remains the always-compiled
-//! fallback (and the reference the property tests compare against); the
-//! kernels here are an *optimisation* of it, never a semantic fork — every
-//! compiled path must produce bit-identical eigenvalues, which the forced
-//! path proptests assert.
+//! The reference is the scalar driver, not any lane path: every compiled
+//! path, the portable scalar one included, must produce eigenvalues
+//! bit-identical to [`crate::eigen::symmetric_eigenvalues`], which the
+//! forced-path proptests assert.
 
+use crate::batch::MAX_BATCH_LANES;
 use crate::eigen::{pythag, MAX_QL_ITERATIONS};
 use crate::error::LinalgError;
 use crate::Result;
@@ -43,15 +47,11 @@ use std::sync::OnceLock;
 /// Name of the environment variable forcing the SIMD dispatch path.
 pub const SIMD_ENV_VAR: &str = "HAQJSK_SIMD";
 
-/// Hard cap on lanes per SoA chunk; [`SimdPath::batch_lanes`] picks the
-/// effective width per path (16 under AVX-512F, 8 otherwise). Mirrored by
-/// `crate::batch::MAX_BATCH_LANES`, which sizes the lane-state arrays.
-pub(crate) const LANE_CAP: usize = 16;
-
 /// A runtime-dispatched implementation of the batched eigensolver lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdPath {
-    /// The plain `f64` lane loops of `crate::batch` (always compiled).
+    /// Portable `f64` array lanes, 4 per block (always compiled, no
+    /// intrinsics).
     Scalar,
     /// AVX2: 4 × f64 per vector, x86-64 only.
     Avx2,
@@ -92,10 +92,11 @@ impl SimdPath {
         }
     }
 
-    /// `f64` lanes per vector register on this path (1 for scalar).
+    /// `f64` lanes per kernel block on this path: the vector register
+    /// width, or the portable array width (4) for scalar.
     pub fn lane_width(self) -> usize {
         match self {
-            SimdPath::Scalar => 1,
+            SimdPath::Scalar => ScalarBlock::WIDTH,
             SimdPath::Avx2 => 4,
             SimdPath::Avx512 => 8,
             SimdPath::Neon => 2,
@@ -104,8 +105,8 @@ impl SimdPath {
 
     /// Matrices per SoA chunk on this path: 16 under AVX-512F (two ZMM
     /// registers per SoA element row keep the rank-2 update busy), 8
-    /// everywhere else (the pre-SIMD width, one ZMM / two YMM / four
-    /// NEON registers).
+    /// everywhere else (the pre-SIMD width: two YMM or portable scalar
+    /// blocks, four NEON registers).
     pub fn batch_lanes(self) -> usize {
         match self {
             SimdPath::Avx512 => 16,
@@ -244,6 +245,15 @@ pub fn set_simd_path(path: Option<SimdPath>) -> Result<()> {
     Ok(())
 }
 
+/// Serialises this crate's unit tests that set the process override, so
+/// one test's forced path cannot change which kernels another test's
+/// solves (and per-path counters) see mid-assertion.
+#[cfg(test)]
+pub(crate) fn override_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// The path the batched eigensolver dispatches to: the process override if
 /// set, else the cached [`SIMD_ENV_VAR`] + detection resolution. A
 /// malformed or unavailable env request is a hard error on every call.
@@ -325,77 +335,110 @@ trait LaneVec: Copy {
     fn eq_bits(self, o: Self) -> u16;
     /// Per lane: bit set → `on_true`, clear → `on_false` (exact copy).
     fn blend_bits(bits: u16, on_true: Self, on_false: Self) -> Self;
+    /// [`crate::eigen::pythag`] per lane. The default computes both of its
+    /// branches and blends (free on a vector unit); the portable lanes
+    /// call the scalar function instead, halving their divides and square
+    /// roots.
+    #[inline(always)]
+    fn pythag(a: Self, b: Self) -> Self {
+        pythag_v(a, b)
+    }
 }
 
-/// Width-1 lane used for straggler tails: runs the *same* generic block
-/// kernels as the vector paths, so tail lanes are bit-identical to full
-/// blocks by construction (scalar `f64` ops are trivially IEEE-exact).
+/// Portable block of `W` lanes: every operation is the plain `f64`
+/// operator applied per element, so it is IEEE-exact by construction.
+/// It runs the scalar path's blocks and the leftover tail lanes of every
+/// path (see [`run_blocks`]) through the *same* generic kernels as the ISA
+/// vectors.
 #[derive(Debug, Clone, Copy)]
-struct ScalarLane(f64);
+struct ArrayLane<const W: usize>([f64; W]);
 
-impl LaneVec for ScalarLane {
-    const WIDTH: usize = 1;
-    const FULL: u16 = 1;
+/// The block type of [`SimdPath::Scalar`]. Four lanes give the kernels'
+/// accumulation chains enough independent work: width 1 measured 1.2–1.5×
+/// slower than width 4 on the `pairwise` rows (2-vCPU Xeon), and widths 2
+/// and 8 were no faster in a batched-solve micro-benchmark.
+type ScalarBlock = ArrayLane<4>;
+
+impl<const W: usize> ArrayLane<W> {
+    #[inline(always)]
+    fn zip(self, o: Self, op: impl Fn(f64, f64) -> f64) -> Self {
+        ArrayLane(std::array::from_fn(|k| op(self.0[k], o.0[k])))
+    }
+    #[inline(always)]
+    fn mask(self, o: Self, pred: impl Fn(f64, f64) -> bool) -> u16 {
+        (0..W).fold(0, |bits, k| bits | (pred(self.0[k], o.0[k]) as u16) << k)
+    }
+}
+
+impl<const W: usize> LaneVec for ArrayLane<W> {
+    const WIDTH: usize = W;
+    const FULL: u16 = ((1u32 << W) - 1) as u16;
 
     #[inline(always)]
     unsafe fn load(ptr: *const f64) -> Self {
-        ScalarLane(*ptr)
+        ArrayLane(ptr.cast::<[f64; W]>().read_unaligned())
     }
     #[inline(always)]
     unsafe fn store(self, ptr: *mut f64) {
-        *ptr = self.0;
+        ptr.cast::<[f64; W]>().write_unaligned(self.0)
     }
     #[inline(always)]
     fn splat(x: f64) -> Self {
-        ScalarLane(x)
+        ArrayLane([x; W])
     }
     #[inline(always)]
     fn add(self, o: Self) -> Self {
-        ScalarLane(self.0 + o.0)
+        self.zip(o, |a, b| a + b)
     }
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
-        ScalarLane(self.0 - o.0)
+        self.zip(o, |a, b| a - b)
     }
     #[inline(always)]
     fn mul(self, o: Self) -> Self {
-        ScalarLane(self.0 * o.0)
+        self.zip(o, |a, b| a * b)
     }
     #[inline(always)]
     fn div(self, o: Self) -> Self {
-        ScalarLane(self.0 / o.0)
+        self.zip(o, |a, b| a / b)
     }
     #[inline(always)]
     fn sqrt(self) -> Self {
-        ScalarLane(self.0.sqrt())
+        ArrayLane(self.0.map(f64::sqrt))
     }
     #[inline(always)]
     fn abs(self) -> Self {
-        ScalarLane(self.0.abs())
+        ArrayLane(self.0.map(f64::abs))
     }
     #[inline(always)]
     fn neg(self) -> Self {
-        ScalarLane(-self.0)
+        ArrayLane(self.0.map(|x| -x))
     }
     #[inline(always)]
     fn ge_bits(self, o: Self) -> u16 {
-        (self.0 >= o.0) as u16
+        self.mask(o, |a, b| a >= b)
     }
     #[inline(always)]
     fn gt_bits(self, o: Self) -> u16 {
-        (self.0 > o.0) as u16
+        self.mask(o, |a, b| a > b)
     }
     #[inline(always)]
     fn eq_bits(self, o: Self) -> u16 {
-        (self.0 == o.0) as u16
+        self.mask(o, |a, b| a == b)
+    }
+    #[inline(always)]
+    fn pythag(a: Self, b: Self) -> Self {
+        a.zip(b, pythag)
     }
     #[inline(always)]
     fn blend_bits(bits: u16, on_true: Self, on_false: Self) -> Self {
-        if bits & 1 == 1 {
-            on_true
-        } else {
-            on_false
-        }
+        ArrayLane(std::array::from_fn(|k| {
+            if bits >> k & 1 == 1 {
+                on_true.0[k]
+            } else {
+                on_false.0[k]
+            }
+        }))
     }
 }
 
@@ -681,8 +724,8 @@ fn pythag_v<V: LaneVec>(a: V, b: V) -> V {
 }
 
 /// Values-only Householder tridiagonalisation of the `V::WIDTH` SoA lanes
-/// starting at lane `base`: the explicit-SIMD mirror of the scalar lane
-/// loop in `crate::batch::batch_tred2`, op for op per lane. The per-lane
+/// starting at lane `base`: the scalar driver's `tred2` arithmetic, op for
+/// op per lane, on the SoA layout of [`crate::batch`]. The per-lane
 /// zero-scale skip becomes a lane mask: masked-off lanes keep computing
 /// (their garbage is IEEE-legal) but every store blends against the mask,
 /// so their memory never changes except where the scalar driver writes it.
@@ -801,15 +844,15 @@ unsafe fn tred2_block<V: LaneVec>(
 }
 
 /// Values-only implicit-QL sweep of the `V::WIDTH` SoA lanes starting at
-/// lane `base`: the explicit-SIMD mirror of `crate::batch::batch_tqli`'s
-/// lane loop. All data-dependent control flow stays scalar per lane — the
+/// lane `base`: the scalar driver's `tqli` arithmetic, op for op per lane.
+/// All data-dependent control flow stays scalar per lane — the
 /// split-point search, the shift initialisation, iteration counting and
 /// convergence — while the hot rotation recurrence runs vectorised with
 /// the lane registers (`s`, `c`, `g`, `p`, `r`) held in vectors across the
 /// descending rotation index. The rare degenerate rotation (`r == 0`) is
 /// handled by a scalar fixup exactly where the scalar driver takes its
 /// early-out branch. Expects the caller to have already shifted `e` down
-/// one slot (as both scalar drivers do first).
+/// one slot (as the scalar driver does first).
 ///
 /// # Safety
 ///
@@ -828,13 +871,13 @@ unsafe fn tqli_block<V: LaneVec>(
     let w = V::WIDTH;
     let zero = V::splat(0.0);
     let two = V::splat(2.0);
-    let mut m_arr = [0usize; LANE_CAP];
-    let mut iter = [0usize; LANE_CAP];
-    let mut active = [false; LANE_CAP];
-    let mut done = [false; LANE_CAP];
-    let mut fixed = [false; LANE_CAP];
-    let mut init = [0.0f64; LANE_CAP];
-    let mut spill = [0.0f64; LANE_CAP];
+    let mut m_arr = [0usize; MAX_BATCH_LANES];
+    let mut iter = [0usize; MAX_BATCH_LANES];
+    let mut active = [false; MAX_BATCH_LANES];
+    let mut done = [false; MAX_BATCH_LANES];
+    let mut fixed = [false; MAX_BATCH_LANES];
+    let mut init = [0.0f64; MAX_BATCH_LANES];
+    let mut spill = [0.0f64; MAX_BATCH_LANES];
 
     for l in 0..n {
         iter[..w].fill(0);
@@ -866,10 +909,10 @@ unsafe fn tqli_block<V: LaneVec>(
             // Per-lane shift initialisation (scalar: one-off per pass).
             let (mut sv, mut cv, mut gv, mut pv, mut rv);
             {
-                let mut s_a = [0.0f64; LANE_CAP];
-                let mut c_a = [0.0f64; LANE_CAP];
-                let mut g_a = [0.0f64; LANE_CAP];
-                let mut r_a = [0.0f64; LANE_CAP];
+                let mut s_a = [0.0f64; MAX_BATCH_LANES];
+                let mut c_a = [0.0f64; MAX_BATCH_LANES];
+                let mut g_a = [0.0f64; MAX_BATCH_LANES];
+                let mut r_a = [0.0f64; MAX_BATCH_LANES];
                 for lane in 0..w {
                     if !active[lane] {
                         continue;
@@ -917,13 +960,17 @@ unsafe fn tqli_block<V: LaneVec>(
                 let ei = V::load(e.as_ptr().add(i * lanes + base));
                 let f = sv.mul(ei);
                 let b = cv.mul(ei);
-                let r_new = pythag_v::<V>(f, gv);
+                let r_new = V::pythag(f, gv);
                 {
                     let off = (i + 1) * lanes + base;
                     let old = V::load(e.as_ptr().add(off));
                     V::blend_bits(alive, r_new, old).store(e.as_mut_ptr().add(off));
                 }
                 let r_zero = r_new.eq_bits(zero) & alive;
+                // `alive2` takes a data dependency on `r_new` only on the
+                // rare degenerate branch, keeping the masks off the
+                // recurrence's critical path.
+                let mut alive2 = alive;
                 if r_zero != 0 {
                     // Degenerate rotation: the scalar driver's early-out
                     // branch, taken per lane (rare — both f and g zero).
@@ -936,10 +983,10 @@ unsafe fn tqli_block<V: LaneVec>(
                             fixed[lane] = true;
                         }
                     }
-                }
-                let alive2 = alive & !r_zero;
-                if alive2 == 0 {
-                    continue;
+                    alive2 &= !r_zero;
+                    if alive2 == 0 {
+                        continue;
+                    }
                 }
                 let s_new = f.div(r_new);
                 let c_new = gv.div(r_new);
@@ -955,18 +1002,23 @@ unsafe fn tqli_block<V: LaneVec>(
                     V::blend_bits(alive2, g1.add(p_new), old).store(d.as_mut_ptr().add(off));
                 }
                 let g_new = c_new.mul(r2).sub(b);
-                sv = V::blend_bits(alive2, s_new, sv);
-                cv = V::blend_bits(alive2, c_new, cv);
-                gv = V::blend_bits(alive2, g_new, gv);
-                pv = V::blend_bits(alive2, p_new, pv);
-                rv = V::blend_bits(alive2, r2, rv);
+                if alive2 == V::FULL {
+                    // Every lane rotated (the common case): nothing to keep.
+                    (sv, cv, gv, pv, rv) = (s_new, c_new, g_new, p_new, r2);
+                } else {
+                    sv = V::blend_bits(alive2, s_new, sv);
+                    cv = V::blend_bits(alive2, c_new, cv);
+                    gv = V::blend_bits(alive2, g_new, gv);
+                    pv = V::blend_bits(alive2, p_new, pv);
+                    rv = V::blend_bits(alive2, r2, rv);
+                }
             }
 
             // Per-lane tail, mirroring the scalar `if r == 0 && m > l`
             // early-out (fixed lanes carry r = 0 by construction).
             pv.store(spill.as_mut_ptr());
             gv.store(init.as_mut_ptr());
-            let mut r_s = [0.0f64; LANE_CAP];
+            let mut r_s = [0.0f64; MAX_BATCH_LANES];
             rv.store(r_s.as_mut_ptr());
             for lane in 0..w {
                 if !active[lane] {
@@ -990,6 +1042,50 @@ unsafe fn tqli_block<V: LaneVec>(
 // Target-feature wrappers and dispatch
 // ---------------------------------------------------------------------------
 
+/// One batched phase over the SoA lanes, runnable on any lane type, so one
+/// block loop ([`run_blocks`]) and one `#[target_feature]` wrapper per ISA
+/// serve both phases.
+trait Phase {
+    /// Runs the phase on the `V::WIDTH` lanes starting at lane `base`.
+    ///
+    /// # Safety
+    ///
+    /// `base + V::WIDTH <= lanes`, the phase's slices hold all `lanes`, and
+    /// the host must support `V`'s ISA.
+    unsafe fn run<V: LaneVec>(&mut self, base: usize) -> Result<()>;
+}
+
+/// The Householder phase ([`tred2_block`]).
+struct Tred2<'a> {
+    z: &'a mut [f64],
+    e: &'a mut [f64],
+    n: usize,
+    lanes: usize,
+}
+
+impl Phase for Tred2<'_> {
+    #[inline(always)]
+    unsafe fn run<V: LaneVec>(&mut self, base: usize) -> Result<()> {
+        tred2_block::<V>(self.z, self.n, self.lanes, base, self.e);
+        Ok(())
+    }
+}
+
+/// The QL phase ([`tqli_block`]).
+struct Tqli<'a> {
+    d: &'a mut [f64],
+    e: &'a mut [f64],
+    n: usize,
+    lanes: usize,
+}
+
+impl Phase for Tqli<'_> {
+    #[inline(always)]
+    unsafe fn run<V: LaneVec>(&mut self, base: usize) -> Result<()> {
+        tqli_block::<V>(self.d, self.e, self.n, self.lanes, base)
+    }
+}
+
 // The generic kernels are `#[inline(always)]` all the way down to the
 // intrinsics, so monomorphising them inside a `#[target_feature]` wrapper
 // compiles the whole phase with that ISA enabled — the supported pattern
@@ -997,89 +1093,79 @@ unsafe fn tqli_block<V: LaneVec>(
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn tred2_avx2(z: &mut [f64], n: usize, lanes: usize, base: usize, e: &mut [f64]) {
-    tred2_block::<x86::Avx2Vec>(z, n, lanes, base, e)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tqli_avx2(
-    d: &mut [f64],
-    e: &mut [f64],
-    n: usize,
-    lanes: usize,
-    base: usize,
-) -> Result<()> {
-    tqli_block::<x86::Avx2Vec>(d, e, n, lanes, base)
+unsafe fn run_avx2(phase: &mut impl Phase, base: usize) -> Result<()> {
+    phase.run::<x86::Avx2Vec>(base)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn tred2_avx512(z: &mut [f64], n: usize, lanes: usize, base: usize, e: &mut [f64]) {
-    tred2_block::<x86::Avx512Vec>(z, n, lanes, base, e)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn tqli_avx512(
-    d: &mut [f64],
-    e: &mut [f64],
-    n: usize,
-    lanes: usize,
-    base: usize,
-) -> Result<()> {
-    tqli_block::<x86::Avx512Vec>(d, e, n, lanes, base)
+unsafe fn run_avx512(phase: &mut impl Phase, base: usize) -> Result<()> {
+    phase.run::<x86::Avx512Vec>(base)
 }
 
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-unsafe fn tred2_neon(z: &mut [f64], n: usize, lanes: usize, base: usize, e: &mut [f64]) {
-    tred2_block::<arm::NeonVec>(z, n, lanes, base, e)
+unsafe fn run_neon(phase: &mut impl Phase, base: usize) -> Result<()> {
+    phase.run::<arm::NeonVec>(base)
 }
 
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn tqli_neon(
-    d: &mut [f64],
-    e: &mut [f64],
-    n: usize,
-    lanes: usize,
-    base: usize,
-) -> Result<()> {
-    tqli_block::<arm::NeonVec>(d, e, n, lanes, base)
-}
-
-/// Runs the explicit-SIMD Householder phase over all `lanes` on `path`:
-/// full `lane_width` blocks through the ISA wrapper, tail lanes one at a
-/// time through the width-1 instantiation of the same generic kernel.
+/// Runs `phase` over all `lanes` on `path`: full `lane_width` blocks of
+/// the path's lane type, then the lanes left over in portable blocks —
+/// `ArrayLane<4>` while four remain, then one `ArrayLane` of the last one
+/// to three. (Single-lane tails cost almost a full block each: a lone lane
+/// runs the kernels' accumulation chains at latency, not throughput.)
 /// Must only be called with a path that [`SimdPath::is_available`] — the
-/// resolver guarantees this; `Scalar` routes to the width-1 kernel.
-pub(crate) fn dispatch_tred2(path: SimdPath, z: &mut [f64], n: usize, lanes: usize, e: &mut [f64]) {
+/// resolver guarantees this.
+fn run_blocks(path: SimdPath, lanes: usize, phase: &mut impl Phase) -> Result<()> {
     debug_assert!(path.is_available());
     let width = path.lane_width();
     let mut base = 0;
-    while base < lanes {
-        if width > 1 && base + width <= lanes {
+    // SAFETY: each block starts at a `base` with `base + WIDTH <= lanes`
+    // for its lane type (`width` is the path type's `WIDTH`; the tail
+    // match never takes more lanes than are left), the callers assert
+    // their slices hold all `lanes`, and the resolver only hands out paths
+    // the host can execute.
+    unsafe {
+        while base + width <= lanes {
             match path {
+                SimdPath::Scalar => phase.run::<ScalarBlock>(base)?,
                 #[cfg(target_arch = "x86_64")]
-                SimdPath::Avx2 => unsafe { tred2_avx2(z, n, lanes, base, e) },
+                SimdPath::Avx2 => run_avx2(phase, base)?,
                 #[cfg(target_arch = "x86_64")]
-                SimdPath::Avx512 => unsafe { tred2_avx512(z, n, lanes, base, e) },
+                SimdPath::Avx512 => run_avx512(phase, base)?,
                 #[cfg(target_arch = "aarch64")]
-                SimdPath::Neon => unsafe { tred2_neon(z, n, lanes, base, e) },
+                SimdPath::Neon => run_neon(phase, base)?,
                 _ => unreachable!("dispatched SIMD path unavailable on this architecture"),
             }
             base += width;
-        } else {
-            unsafe { tred2_block::<ScalarLane>(z, n, lanes, base, e) };
-            base += 1;
+        }
+        while base < lanes {
+            base += match lanes - base {
+                1 => phase.run::<ArrayLane<1>>(base).map(|()| 1)?,
+                2 => phase.run::<ArrayLane<2>>(base).map(|()| 2)?,
+                3 => phase.run::<ArrayLane<3>>(base).map(|()| 3)?,
+                _ => phase.run::<ArrayLane<4>>(base).map(|()| 4)?,
+            };
         }
     }
+    Ok(())
 }
 
-/// Runs the explicit-SIMD QL phase over all `lanes` on `path` (including
-/// the initial `e` shift-down both scalar drivers perform). Same block /
-/// tail structure and availability contract as [`dispatch_tred2`].
+/// Runs the Householder phase ([`tred2_block`]) over all `lanes` of the
+/// SoA block `z` on `path`.
+pub(crate) fn dispatch_tred2(
+    path: SimdPath,
+    z: &mut [f64],
+    n: usize,
+    lanes: usize,
+    e: &mut [f64],
+) -> Result<()> {
+    assert!(z.len() >= n * n * lanes && e.len() >= n * lanes);
+    run_blocks(path, lanes, &mut Tred2 { z, e, n, lanes })
+}
+
+/// Runs the QL phase ([`tqli_block`]) over all `lanes` on `path`, after
+/// the initial `e` shift-down the scalar driver performs.
 pub(crate) fn dispatch_tqli(
     path: SimdPath,
     d: &mut [f64],
@@ -1087,7 +1173,7 @@ pub(crate) fn dispatch_tqli(
     n: usize,
     lanes: usize,
 ) -> Result<()> {
-    debug_assert!(path.is_available());
+    assert!(d.len() >= n * lanes && e.len() >= n * lanes);
     for i in 1..n {
         for lane in 0..lanes {
             e[(i - 1) * lanes + lane] = e[i * lanes + lane];
@@ -1096,26 +1182,7 @@ pub(crate) fn dispatch_tqli(
     for lane in 0..lanes {
         e[(n - 1) * lanes + lane] = 0.0;
     }
-    let width = path.lane_width();
-    let mut base = 0;
-    while base < lanes {
-        if width > 1 && base + width <= lanes {
-            match path {
-                #[cfg(target_arch = "x86_64")]
-                SimdPath::Avx2 => unsafe { tqli_avx2(d, e, n, lanes, base)? },
-                #[cfg(target_arch = "x86_64")]
-                SimdPath::Avx512 => unsafe { tqli_avx512(d, e, n, lanes, base)? },
-                #[cfg(target_arch = "aarch64")]
-                SimdPath::Neon => unsafe { tqli_neon(d, e, n, lanes, base)? },
-                _ => unreachable!("dispatched SIMD path unavailable on this architecture"),
-            }
-            base += width;
-        } else {
-            unsafe { tqli_block::<ScalarLane>(d, e, n, lanes, base)? };
-            base += 1;
-        }
-    }
-    Ok(())
+    run_blocks(path, lanes, &mut Tqli { d, e, n, lanes })
 }
 
 #[cfg(test)]
@@ -1168,7 +1235,7 @@ mod tests {
         assert!(avail.contains(&SimdPath::Scalar));
         assert!(avail.contains(&best));
         for path in avail {
-            assert!(path.batch_lanes() <= LANE_CAP);
+            assert!(path.batch_lanes() <= MAX_BATCH_LANES);
             assert!(path.lane_width() <= path.batch_lanes());
             assert_eq!(path.batch_lanes() % path.lane_width(), 0);
         }
@@ -1176,6 +1243,7 @@ mod tests {
 
     #[test]
     fn override_forces_each_available_path_and_rejects_missing_ones() {
+        let _lock = override_test_lock();
         for path in available_simd_paths() {
             set_simd_path(Some(path)).unwrap();
             assert_eq!(active_simd_path().unwrap(), path);

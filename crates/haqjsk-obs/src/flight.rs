@@ -265,8 +265,13 @@ pub fn flight_jsonl() -> String {
 mod tests {
     use super::*;
 
+    /// Both tests write the process-global recorder; run concurrently, the
+    /// bounded-ring flood lands inside the exact-count test's window.
+    static RECORDER: Mutex<()> = Mutex::new(());
+
     #[test]
     fn requests_record_and_slow_errored_rejected_promote() {
+        let _serial = RECORDER.lock().unwrap_or_else(|p| p.into_inner());
         let before = flight_snapshot();
         record_request(
             "flight_test_fast",
@@ -321,6 +326,7 @@ mod tests {
 
     #[test]
     fn rings_stay_bounded() {
+        let _serial = RECORDER.lock().unwrap_or_else(|p| p.into_inner());
         for i in 0..(RECENT_CAPACITY + SLOW_CAPACITY + 32) {
             record_request(
                 "flight_test_bound",
