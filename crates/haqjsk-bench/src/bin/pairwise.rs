@@ -21,10 +21,13 @@
 //!   run.
 //!
 //! Both columns run serially so the numbers are honest per-pair latencies,
-//! not parallel throughput. Every timed column is the minimum over enough
-//! repeats to accumulate ~0.2 s of wall-clock, so the printed speedups
-//! compare like statistics and the CI regression guard (`pairwise_check`)
-//! diffs stable numbers.
+//! not parallel throughput. `before` and warm `after` are timed in
+//! interleaved rounds (a short block of each per round, ~0.4 s in all), so
+//! both sides of their ratio see the same host load; the warm column is
+//! the median `before` block scaled by the median per-round warm/before
+//! ratio. That ratio is what the CI regression guard (`pairwise_check`)
+//! diffs, and the median discards rounds that a burst of host noise hit.
+//! The cold column is the minimum over ~0.2 s of repeats.
 //!
 //! ```text
 //! cargo run --release -p haqjsk-bench --bin pairwise [--smoke] [--json <path>] [--metrics]
@@ -60,7 +63,8 @@ struct Row {
     /// artifact extraction.
     after_cold_ms: f64,
     /// Fast-path Gram with per-graph artifacts already cached — the
-    /// steady-state per-pair latency, apples-to-apples with `before_ms`.
+    /// steady-state per-pair latency, apples-to-apples with `before_ms`:
+    /// `before_ms` times the median per-round warm/before ratio.
     after_warm_ms: f64,
     hit_rate: f64,
     /// Mean mixtures per batched eigensolve during the warm run (0 when
@@ -120,24 +124,53 @@ fn time_pairs(n: usize, mut f: impl FnMut(usize, usize)) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Minimum over enough repeats of `measure` to accumulate ~0.2 s of
-/// wall-clock (starting from the already-taken `first` sample) — every
-/// column uses this, so the printed ratios compare like statistics and
-/// even sub-millisecond smoke rows get a stable minimum. The repeat cap
-/// only backstops a pathologically fast clock.
-fn min_over_repeats(first: f64, mut measure: impl FnMut() -> f64) -> f64 {
-    const BUDGET_S: f64 = 0.2;
+/// Minimum over enough repeats of `measure` to accumulate `budget_s` of
+/// wall-clock (at least one repeat), so even sub-millisecond smoke rows
+/// get a stable figure. The repeat cap only backstops a pathologically
+/// fast clock.
+fn min_over(budget_s: f64, mut measure: impl FnMut() -> f64) -> f64 {
     const MAX_REPEATS: usize = 20_000;
-    let mut best = first;
-    let mut spent = first;
+    let mut best = f64::INFINITY;
+    let mut spent = 0.0;
     let mut repeats = 0;
-    while spent < BUDGET_S && repeats < MAX_REPEATS {
+    while (repeats == 0 || spent < budget_s) && repeats < MAX_REPEATS {
         let sample = measure();
         best = best.min(sample);
         spent += sample;
         repeats += 1;
     }
     best
+}
+
+/// Median of a non-empty sample.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+/// Times the anchor (`before`) and the subject (`warm`) in interleaved
+/// rounds — per round, the minimum over a short block of each — and
+/// returns `(before_s, warm_s)`: the median anchor block minimum and that
+/// median scaled by the median per-round `warm / before` ratio. A slow
+/// spell of the host lands on both blocks of a round, so it cancels in
+/// that round's ratio; the median drops the rounds it hit unevenly.
+fn interleaved_rounds(
+    mut before: impl FnMut() -> f64,
+    mut warm: impl FnMut() -> f64,
+) -> (f64, f64) {
+    const ROUNDS: usize = 9;
+    // ~0.4 s in all, split evenly over both sides of every round.
+    const BLOCK_S: f64 = 0.4 / (2 * ROUNDS) as f64;
+    let mut befores = Vec::with_capacity(ROUNDS);
+    let mut ratios = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let before_s = min_over(BLOCK_S, &mut before);
+        let warm_s = min_over(BLOCK_S, &mut warm);
+        befores.push(before_s);
+        ratios.push(warm_s / before_s.max(1e-12));
+    }
+    let before_s = median(&mut befores);
+    (before_s, before_s * median(&mut ratios))
 }
 
 fn bench_kernel(
@@ -149,11 +182,6 @@ fn bench_kernel(
 ) -> Row {
     let n = graphs.len();
     let pairs = n * (n + 1) / 2;
-
-    // Before: densities precomputed (the pre-refactor code cached those
-    // too), everything else recomputed inside the pair loop.
-    let first = time_pairs(n, &mut legacy_pair);
-    let before_s = min_over_repeats(first, || time_pairs(n, &mut legacy_pair));
 
     // After, cold: caches dropped, so the run pays the hoisted per-graph
     // artifact extraction too — the end-to-end cost of one Gram matrix.
@@ -170,26 +198,27 @@ fn bench_kernel(
     } else {
         hits as f64 / (hits + misses) as f64
     };
-    let after_cold_s = min_over_repeats(first_cold_s, || {
+    let after_cold_s = first_cold_s.min(min_over(0.2, || {
         clear_density_cache();
         let start = Instant::now();
         let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
         start.elapsed().as_secs_f64()
-    });
+    }));
 
     // After, warm: per-graph artifacts resident, so this is the
     // steady-state per-pair latency — the apples-to-apples counterpart of
-    // the `before` column, which also had its per-graph state precomputed.
-    let batch_before = haqjsk_linalg::batch_solve_stats();
-    let start = Instant::now();
-    let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
-    let first_warm_s = start.elapsed().as_secs_f64();
-    let batch_after = haqjsk_linalg::batch_solve_stats();
-    let after_warm_s = min_over_repeats(first_warm_s, || {
+    // the `before` column, which also had its per-graph state precomputed
+    // (densities; everything else recomputed inside the pair loop).
+    let warm_gram = || {
         let start = Instant::now();
         let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
         start.elapsed().as_secs_f64()
-    });
+    };
+    let batch_before = haqjsk_linalg::batch_solve_stats();
+    warm_gram();
+    let batch_after = haqjsk_linalg::batch_solve_stats();
+    let (before_s, after_warm_s) =
+        interleaved_rounds(|| time_pairs(n, &mut legacy_pair), warm_gram);
     let batched_calls = batch_after.batched_calls - batch_before.batched_calls;
     let batched_matrices = batch_after.batched_matrices - batch_before.batched_matrices;
     let eigen_batch = if batched_calls == 0 {

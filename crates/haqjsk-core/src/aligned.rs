@@ -27,24 +27,7 @@ pub fn aligned_adjacency_family(
     graph: &Graph,
     correspondences: &GraphCorrespondences,
 ) -> Vec<Matrix> {
-    let adjacency = graph.adjacency_matrix();
-    let levels = correspondences.num_levels();
-    let max_k = correspondences.max_layers();
-    let mut family = Vec::with_capacity(levels);
-    for h in 1..=levels {
-        let mut accumulated: Option<Matrix> = None;
-        for k in 1..=max_k {
-            let aligned = correspondences.at(h, k).transform(&adjacency);
-            accumulated = Some(match accumulated {
-                None => aligned,
-                Some(acc) => &acc + &aligned,
-            });
-        }
-        let mut averaged = accumulated.expect("at least one layer");
-        averaged = averaged.scale(1.0 / max_k as f64);
-        family.push(averaged);
-    }
-    family
+    aligned_family(&graph.adjacency_matrix(), correspondences).collect()
 }
 
 /// The hierarchical transitive aligned density matrices `ρ̄^h_p` of one
@@ -55,24 +38,25 @@ pub fn aligned_density_family(
     correspondences: &GraphCorrespondences,
 ) -> Result<Vec<DensityMatrix>, LinalgError> {
     let rho = ctqw_density_infinite(graph)?;
-    let levels = correspondences.num_levels();
+    aligned_family(rho.matrix(), correspondences)
+        .map(|averaged| DensityMatrix::from_unnormalized(&averaged))
+        .collect()
+}
+
+/// Per hierarchy level `h`: the congruence `C^{h,k}ᵀ X C^{h,k}` of a
+/// vertex-indexed matrix, averaged over `k = 1..K`.
+fn aligned_family<'a>(
+    vertex_matrix: &'a Matrix,
+    correspondences: &'a GraphCorrespondences,
+) -> impl Iterator<Item = Matrix> + 'a {
     let max_k = correspondences.max_layers();
-    let mut family = Vec::with_capacity(levels);
-    for h in 1..=levels {
-        let mut accumulated: Option<Matrix> = None;
-        for k in 1..=max_k {
-            let aligned = correspondences.at(h, k).transform(rho.matrix());
-            accumulated = Some(match accumulated {
-                None => aligned,
-                Some(acc) => &acc + &aligned,
-            });
+    (1..=correspondences.num_levels()).map(move |h| {
+        let mut sum = correspondences.at(h, 1).transform(vertex_matrix);
+        for k in 2..=max_k {
+            sum += &correspondences.at(h, k).transform(vertex_matrix);
         }
-        let averaged = accumulated
-            .expect("at least one layer")
-            .scale(1.0 / max_k as f64);
-        family.push(DensityMatrix::from_unnormalized(&averaged)?);
-    }
-    Ok(family)
+        sum.scale(1.0 / max_k as f64)
+    })
 }
 
 #[cfg(test)]

@@ -1,58 +1,56 @@
-//! Correspondence matrices between graph vertices and hierarchical
-//! prototypes (Eq. 15 / Eq. 17 of the paper).
+//! Correspondences between graph vertices and hierarchical prototypes
+//! (Eq. 15 / Eq. 17 of the paper).
 //!
 //! `C^{h,k}_p ∈ {0,1}^{|V_p| × |P^{h,k}|}` has a single 1 per row: vertex
 //! `v_i` is aligned to its nearest `h`-level prototype in the `k`-dimensional
-//! depth-based representation space. Two vertices (of the same or of
-//! different graphs) are *transitively aligned* whenever they map to the same
-//! prototype — the key property that makes the resulting kernels positive
-//! definite.
+//! depth-based representation space. The matrix is therefore kept as its
+//! assignment vector — one prototype index per vertex. Two vertices (of the
+//! same or of different graphs) are *transitively aligned* whenever they map
+//! to the same prototype — the key property that makes the resulting
+//! kernels positive definite.
 
 use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
 use crate::kmeans::nearest;
 use haqjsk_linalg::Matrix;
 
-/// The correspondence matrix of one graph against one prototype set.
+/// The correspondence matrix of one graph against one prototype set, as
+/// the column index of the single 1 in each row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrespondenceMatrix {
-    matrix: Matrix,
     /// `assignment[v]` = prototype index that vertex `v` is aligned to.
     assignment: Vec<usize>,
+    /// Number of prototypes (columns of `C`).
+    num_prototypes: usize,
 }
 
 impl CorrespondenceMatrix {
     /// Aligns each vertex representation to its nearest prototype.
-    pub fn align(vertex_representations: &[Vec<f64>], prototypes: &[Vec<f64>]) -> Self {
-        let n = vertex_representations.len();
-        let m = prototypes.len();
-        let mut matrix = Matrix::zeros(n, m);
-        let mut assignment = Vec::with_capacity(n);
-        for (i, rep) in vertex_representations.iter().enumerate() {
-            if m == 0 {
-                assignment.push(0);
-                continue;
-            }
-            let (j, _) = nearest(rep, prototypes);
-            matrix[(i, j)] = 1.0;
-            assignment.push(j);
+    pub fn align<'a>(
+        vertex_representations: impl IntoIterator<Item = &'a [f64]>,
+        prototypes: &[Vec<f64>],
+    ) -> Self {
+        let assignment = vertex_representations
+            .into_iter()
+            .map(|rep| match prototypes {
+                [] => 0,
+                _ => nearest(rep, prototypes).0,
+            })
+            .collect();
+        CorrespondenceMatrix {
+            assignment,
+            num_prototypes: prototypes.len(),
         }
-        CorrespondenceMatrix { matrix, assignment }
-    }
-
-    /// The 0/1 matrix `C^{h,k}_p`.
-    pub fn matrix(&self) -> &Matrix {
-        &self.matrix
     }
 
     /// Number of vertices (rows).
     pub fn num_vertices(&self) -> usize {
-        self.matrix.rows()
+        self.assignment.len()
     }
 
     /// Number of prototypes (columns).
     pub fn num_prototypes(&self) -> usize {
-        self.matrix.cols()
+        self.num_prototypes
     }
 
     /// Prototype index assigned to vertex `v`.
@@ -86,12 +84,6 @@ impl CorrespondenceMatrix {
         }
         out
     }
-
-    /// Whether two vertices of (possibly different) graphs are transitively
-    /// aligned, i.e. mapped to the same prototype.
-    pub fn transitively_aligned(&self, v: usize, other: &CorrespondenceMatrix, w: usize) -> bool {
-        self.prototype_of(v) == other.prototype_of(w)
-    }
 }
 
 /// All correspondence matrices of one graph: indexed by hierarchy level `h`
@@ -104,24 +96,24 @@ pub struct GraphCorrespondences {
 
 impl GraphCorrespondences {
     /// Computes every `C^{h,k}_p` for one graph against a prototype
-    /// hierarchy.
+    /// hierarchy. The `k`-dimensional representations are read in place as
+    /// prefixes of the graph's DB traces.
     pub fn compute(
         representations: &DbRepresentations,
         graph_index: usize,
         hierarchy: &PrototypeHierarchy,
     ) -> Self {
-        let levels = hierarchy.num_levels();
-        let max_k = hierarchy.max_layers();
-        let mut per_level = Vec::with_capacity(levels);
-        for h in 1..=levels {
-            let mut per_k = Vec::with_capacity(max_k);
-            for k in 1..=max_k {
-                let reps = representations.graph_representations(graph_index, k);
-                let prototypes = hierarchy.layer(k).prototypes(h);
-                per_k.push(CorrespondenceMatrix::align(&reps, prototypes));
-            }
-            per_level.push(per_k);
-        }
+        let traces = representations.graph_traces(graph_index);
+        let per_level = (1..=hierarchy.num_levels())
+            .map(|h| {
+                (1..=hierarchy.max_layers())
+                    .map(|k| {
+                        let prefixes = traces.iter().map(|t| &t[..k.min(t.len())]);
+                        CorrespondenceMatrix::align(prefixes, hierarchy.layer(k).prototypes(h))
+                    })
+                    .collect()
+            })
+            .collect();
         GraphCorrespondences { per_level }
     }
 
@@ -147,22 +139,29 @@ mod tests {
     use crate::config::HaqjskConfig;
     use haqjsk_graph::generators::{cycle_graph, path_graph, star_graph};
 
+    fn align(reps: &[Vec<f64>], prototypes: &[Vec<f64>]) -> CorrespondenceMatrix {
+        CorrespondenceMatrix::align(reps.iter().map(Vec::as_slice), prototypes)
+    }
+
+    /// The dense 0/1 matrix `C` the assignment vector stands for.
+    fn dense(c: &CorrespondenceMatrix) -> Matrix {
+        let mut matrix = Matrix::zeros(c.num_vertices(), c.num_prototypes());
+        for v in 0..c.num_vertices() {
+            matrix[(v, c.prototype_of(v))] = 1.0;
+        }
+        matrix
+    }
+
     #[test]
     fn rows_have_exactly_one_assignment() {
         let reps = vec![vec![0.1, 0.2], vec![5.0, 5.0], vec![0.15, 0.25]];
         let prototypes = vec![vec![0.0, 0.0], vec![5.0, 5.0]];
-        let c = CorrespondenceMatrix::align(&reps, &prototypes);
+        let c = align(&reps, &prototypes);
         assert_eq!(c.num_vertices(), 3);
         assert_eq!(c.num_prototypes(), 2);
-        for i in 0..3 {
-            let row_sum: f64 = (0..2).map(|j| c.matrix()[(i, j)]).sum();
-            assert_eq!(row_sum, 1.0);
-        }
         assert_eq!(c.prototype_of(0), 0);
         assert_eq!(c.prototype_of(1), 1);
         assert_eq!(c.prototype_of(2), 0);
-        assert!(c.transitively_aligned(0, &c, 2));
-        assert!(!c.transitively_aligned(0, &c, 1));
     }
 
     #[test]
@@ -171,7 +170,7 @@ mod tests {
         // aligned to prototype 1.
         let reps = vec![vec![0.0], vec![10.0], vec![0.0]];
         let prototypes = vec![vec![0.0], vec![10.0]];
-        let c = CorrespondenceMatrix::align(&reps, &prototypes);
+        let c = align(&reps, &prototypes);
         let adjacency = haqjsk_graph::generators::path_graph(3).adjacency_matrix();
         let aligned = c.transform(&adjacency);
         assert_eq!(aligned.shape(), (2, 2));
@@ -184,12 +183,12 @@ mod tests {
         // 0/1 matrix.
         assert_eq!(aligned.sum(), adjacency.sum());
         // Matches the explicit matrix product CᵀAC.
-        let explicit = c
-            .matrix()
+        let matrix = dense(&c);
+        let explicit = matrix
             .transpose()
             .matmul(&adjacency)
             .unwrap()
-            .matmul(c.matrix())
+            .matmul(&matrix)
             .unwrap();
         assert!((&explicit - &aligned).max_abs() < 1e-12);
     }
@@ -197,7 +196,7 @@ mod tests {
     #[test]
     fn empty_prototype_set_is_tolerated() {
         let reps = vec![vec![1.0], vec![2.0]];
-        let c = CorrespondenceMatrix::align(&reps, &[]);
+        let c = align(&reps, &[]);
         assert_eq!(c.num_prototypes(), 0);
         let transformed = c.transform(&Matrix::identity(2));
         assert_eq!(transformed.shape(), (0, 0));

@@ -3,9 +3,9 @@
 //! Following Sec. III-A of the paper (and the depth-based complexity traces
 //! of Bai & Hancock), each vertex `v` of each graph is represented, for a
 //! layer parameter `k`, by the `k`-dimensional vector of Shannon entropies of
-//! its `1..k`-layer expansion subgraphs. The HAQJSK kernels use the whole
-//! family `k = 1..K`, where `K` is the greatest shortest-path length over the
-//! dataset (capped for tractability).
+//! the degree distributions inside its `1..k`-hop balls. The HAQJSK kernels
+//! use the whole family `k = 1..K`, where `K` is the greatest shortest-path
+//! length over the dataset (capped for tractability).
 
 use haqjsk_graph::shortest_paths::greatest_shortest_path_length;
 use haqjsk_graph::subgraph::depth_based_traces;
@@ -56,13 +56,10 @@ impl DbRepresentations {
         &self.traces[graph][vertex][..k.min(self.max_layers)]
     }
 
-    /// All `k`-dimensional vertex representations of one graph.
-    pub fn graph_representations(&self, graph: usize, k: usize) -> Vec<Vec<f64>> {
-        let k = k.min(self.max_layers);
-        self.traces[graph]
-            .iter()
-            .map(|trace| trace[..k].to_vec())
-            .collect()
+    /// The `K`-dimensional DB traces of every vertex of one graph; a
+    /// `k`-dimensional representation is a prefix of its vertex's trace.
+    pub(crate) fn graph_traces(&self, graph: usize) -> &[Vec<f64>] {
+        &self.traces[graph]
     }
 
     /// The pooled `k`-dimensional representations of **all** vertices of
@@ -101,7 +98,7 @@ mod tests {
         assert_eq!(reps.representation(0, 0, 2).len(), 2);
         // Requesting more layers than computed clamps.
         assert_eq!(reps.representation(0, 0, 10).len(), 3);
-        assert_eq!(reps.graph_representations(1, 2).len(), 6);
+        assert_eq!(reps.graph_traces(1).len(), 6);
         assert_eq!(reps.pooled_representations(3).len(), 15);
     }
 

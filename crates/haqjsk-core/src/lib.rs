@@ -7,16 +7,19 @@
 //! The pipeline (Sec. III of the paper) is:
 //!
 //! 1. **Depth-based vertex representations** (`R^k(v)`, [`db_representation`]):
-//!    each vertex is described, for every layer `k = 1..K`, by the entropies
-//!    of its `k`-layer expansion subgraphs.
+//!    each vertex is described, for every layer `k = 1..K`, by the entropy
+//!    of the degree distribution inside its `k`-hop ball, counted from one
+//!    BFS per vertex.
 //! 2. **Hierarchical prototypes** ([`kmeans`], [`hierarchy`]): κ-means over
 //!    the vertex representations of *all* graphs gives the 1-level prototype
 //!    set `P^{1,k}`; running κ-means again on the `h-1`-level prototypes gives
 //!    the `h`-level prototypes (Eq. 16, Fig. 2).
-//! 3. **Correspondence matrices** (`C^{h,k}_p`, [`correspondence`]): each
-//!    vertex of each graph is aligned to its nearest `h`-level prototype
-//!    (Eq. 15/17). Because every graph is aligned to the *same* prototypes,
-//!    the correspondence is transitive across the dataset.
+//! 3. **Correspondences** (`C^{h,k}_p`, [`correspondence`]): each vertex of
+//!    each graph is aligned to its nearest `h`-level prototype (Eq. 15/17).
+//!    The 0/1 matrix `C^{h,k}_p` is kept as its assignment vector (one
+//!    prototype index per vertex). Because every graph is aligned to the
+//!    *same* prototypes, the correspondence is transitive across the
+//!    dataset.
 //! 4. **Hierarchical transitive aligned structures** ([`aligned`]): the
 //!    aligned adjacency matrices `Ā^h_p` and aligned CTQW density matrices
 //!    `ρ̄^h_p` (Eq. 18–25), fixed-size regardless of the original graph size.

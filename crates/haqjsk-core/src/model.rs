@@ -342,21 +342,11 @@ impl HaqjskModel {
     /// Incrementally extends a Gram matrix with out-of-sample graphs: given
     /// the Gram matrix of `graphs[..base.len()]`, returns the Gram matrix of
     /// all of `graphs` while evaluating only the new rows/columns
-    /// (`base.len()` must not exceed `graphs.len()`). The streaming serving
-    /// path uses this to append arrivals without recomputing history.
-    pub fn gram_matrix_extended(
-        &self,
-        base: &KernelMatrix,
-        graphs: &[Graph],
-        cache: &FeatureCache<AlignedGraph>,
-    ) -> Result<KernelMatrix, LinalgError> {
-        self.gram_matrix_extended_on(base, graphs, cache, None)
-    }
-
-    /// [`HaqjskModel::gram_matrix_extended`] on an explicit execution
-    /// backend. The new rows/columns go through the same tile evaluator as
-    /// a full Gram, on the engine's tile scheduler (extensions always run
-    /// in this process).
+    /// (`base.len()` must not exceed `graphs.len()`), on an explicit
+    /// execution backend. The streaming serving path uses this to append
+    /// arrivals without recomputing history. The new rows/columns go
+    /// through the same tile evaluator as a full Gram, on the engine's tile
+    /// scheduler (extensions always run in this process).
     pub fn gram_matrix_extended_on(
         &self,
         base: &KernelMatrix,

@@ -22,7 +22,7 @@
 //! | `stats`           | —                                               | worker-side counters (store, chaos, epoch) |
 //! | `fail_after`      | `tiles`                                         | chaos knob: serve N more tiles, then fail + hang up |
 //! | `chaos`           | `seed`, `kill`, `hangup`, `delay`, `delay_ms`, `miss` (permille rates) or `off` | arms/disarms the seeded chaos plan |
-//! | `shutdown`        | —                                               | ack, then hang up (process workers exit) |
+//! | `shutdown`        | —                                               | ack, then hang up (process workers drain and exit) |
 //!
 //! `epoch` is the coordinator's membership epoch at dispatch time; workers
 //! echo it and report the last value seen, making split-horizon membership

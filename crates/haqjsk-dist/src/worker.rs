@@ -33,12 +33,11 @@
 //! `{"cmd":"fail_after","tiles":N}` arms deterministic fault injection: the
 //! next `N` tile requests succeed, after which every tile request answers
 //! an injected error and the connection is dropped — how the fault tests
-//! kill a worker mid-Gram without races. `shutdown` acks, hangs up, and (in
-//! the standalone binary) exits the process. The hangup flag is
-//! process-wide, matching the deployment shape (one coordinator, one
-//! connection): with multiple concurrent connections an armed fault can
-//! close whichever connection's tile request trips it — fine for chaos
-//! testing, which *wants* the worker to die messily.
+//! kill a worker mid-Gram without races. `shutdown` acks and hangs up; in
+//! the standalone binary it also begins a drain of the listener, and the
+//! process exits once the drain completes. Every hangup is decided per
+//! request and travels with that request's response, so it only ever
+//! closes the connection that carried the faulting request.
 //!
 //! The seeded chaos harness is richer: `HAQJSK_CHAOS=seed:N,...` at spawn
 //! (or a `chaos` command at runtime) arms a [`ChaosState`] that injects
@@ -54,11 +53,14 @@ use crate::wire::{self, KernelSpec};
 use haqjsk_core::{model_artifact_id, model_from_string, AlignedGraph, HaqjskModel};
 use haqjsk_engine::cache::FeatureCache;
 use haqjsk_engine::serve::error_response;
-use haqjsk_engine::{graph_from_json, Codec, Engine, Handler, Json, Server};
+use haqjsk_engine::{
+    graph_from_json, Codec, Disposition, DrainReport, Engine, Handler, Json, ServeControl, Server,
+};
 use haqjsk_graph::Graph;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Duration;
 
 /// Minimum pairs per parallel chunk of a tile — below this, lane-starved
 /// batches and scheduling overhead cost more than the parallelism buys.
@@ -71,8 +73,10 @@ const MODEL_STORE_CAP: usize = 4;
 /// Behavioral options of a worker server.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerOptions {
-    /// Whether a `shutdown` command exits the process (the standalone
-    /// `haqjsk-worker` binary sets this; in-process test workers do not).
+    /// Whether a `shutdown` command also drains the listener so the
+    /// hosting process can exit (the standalone `haqjsk-worker` binary sets
+    /// this and polls [`WorkerServer::exit_requested`]; in-process test
+    /// workers do not).
     pub exit_on_shutdown: bool,
 }
 
@@ -140,14 +144,30 @@ struct WorkerState {
     /// `< 0`: disabled. `> 0`: tile requests to serve before failing.
     /// `== 0`: every tile request fails (and hangs up).
     fail_after: AtomicIsize,
-    /// Set when the current request decided to hang up afterwards.
-    hangup_pending: AtomicBool,
-    /// Set when the current request's response must be swallowed (chaos
-    /// mid-stream hangup: the peer sees EOF where a response line was due).
-    swallow_pending: AtomicBool,
-    /// Set when the current request should exit the process afterwards.
-    exit_pending: AtomicBool,
     options: WorkerOptions,
+    /// The listener's lifecycle handle, set once it is bound: `shutdown`
+    /// begins its drain when the options ask for an exit.
+    control: OnceLock<ServeControl>,
+}
+
+impl WorkerState {
+    fn new(options: WorkerOptions, chaos: Option<Arc<ChaosState>>) -> WorkerState {
+        WorkerState {
+            store: Mutex::new(GraphStore::from_env()),
+            models: Mutex::new(ModelStore::default()),
+            chaos: RwLock::new(chaos),
+            counters: WorkerCounters {
+                tiles_served: AtomicUsize::new(0),
+                pairs_evaluated: AtomicUsize::new(0),
+                faults_injected: AtomicUsize::new(0),
+                store_miss_replies: AtomicUsize::new(0),
+            },
+            last_epoch: AtomicUsize::new(0),
+            fail_after: AtomicIsize::new(-1),
+            options,
+            control: OnceLock::new(),
+        }
+    }
 }
 
 /// A running distributed worker bound to a TCP address.
@@ -165,27 +185,13 @@ impl WorkerServer {
         let chaos = ChaosPlan::from_env()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
             .map(|plan| Arc::new(ChaosState::new(plan)));
-        let state = Arc::new(WorkerState {
-            store: Mutex::new(GraphStore::from_env()),
-            models: Mutex::new(ModelStore::default()),
-            chaos: RwLock::new(chaos),
-            counters: WorkerCounters {
-                tiles_served: AtomicUsize::new(0),
-                pairs_evaluated: AtomicUsize::new(0),
-                faults_injected: AtomicUsize::new(0),
-                store_miss_replies: AtomicUsize::new(0),
-            },
-            last_epoch: AtomicUsize::new(0),
-            fail_after: AtomicIsize::new(-1),
-            hangup_pending: AtomicBool::new(false),
-            swallow_pending: AtomicBool::new(false),
-            exit_pending: AtomicBool::new(false),
-            options,
+        let state = Arc::new(WorkerState::new(options, chaos));
+        let handler: Arc<dyn Handler> = Arc::new(WorkerHandler {
+            state: Arc::clone(&state),
         });
-        let handler: Arc<dyn Handler> = Arc::new(WorkerHandler { state });
-        Ok(WorkerServer {
-            server: Server::spawn(addr, Codec::JsonLines(handler))?,
-        })
+        let server = Server::spawn(addr, Codec::JsonLines(handler))?;
+        let _ = state.control.set(server.control());
+        Ok(WorkerServer { server })
     }
 
     /// The bound address.
@@ -197,6 +203,20 @@ impl WorkerServer {
     pub fn shutdown(&mut self) {
         self.server.shutdown();
     }
+
+    /// Whether a `shutdown` command asked this worker to exit (only with
+    /// [`WorkerOptions::exit_on_shutdown`]). The listener is already
+    /// draining; the host completes it with [`WorkerServer::drain`].
+    pub fn exit_requested(&self) -> bool {
+        self.server.control().is_draining()
+    }
+
+    /// Drains the listener: stops accepting, lets in-flight requests
+    /// (including the `shutdown` acknowledgement) finish, and waits up to
+    /// `deadline` for every connection to close.
+    pub fn drain(&mut self, deadline: Duration) -> DrainReport {
+        self.server.drain(deadline)
+    }
 }
 
 struct WorkerHandler {
@@ -204,11 +224,12 @@ struct WorkerHandler {
 }
 
 impl Handler for WorkerHandler {
-    fn handle(&self, request: &Json) -> Json {
+    fn handle(&self, request: &Json) -> (Json, Disposition) {
         let Some(cmd) = request.get("cmd").and_then(Json::as_str) else {
-            return error_response("request needs a string field 'cmd'");
+            let response = error_response("request needs a string field 'cmd'");
+            return (response, Disposition::Keep);
         };
-        match cmd {
+        let response = match cmd {
             "ping" => Json::obj([
                 ("ok", Json::Bool(true)),
                 ("pong", Json::Bool(true)),
@@ -221,32 +242,21 @@ impl Handler for WorkerHandler {
             "artifact_begin" => cmd_artifact_begin(&self.state, request),
             "artifact_chunk" => cmd_artifact_chunk(&self.state, request),
             "artifact_commit" => cmd_artifact_commit(&self.state, request),
-            "tile" => cmd_tile(&self.state, request),
+            "tile" => return cmd_tile(&self.state, request),
             "stats" => cmd_stats(&self.state),
             "fail_after" => cmd_fail_after(&self.state, request),
             "chaos" => cmd_chaos(&self.state, request),
             "shutdown" => {
-                self.state.hangup_pending.store(true, Ordering::Release);
                 if self.state.options.exit_on_shutdown {
-                    self.state.exit_pending.store(true, Ordering::Release);
+                    if let Some(control) = self.state.control.get() {
+                        control.begin_drain();
+                    }
                 }
-                Json::obj([("ok", Json::Bool(true))])
+                return (Json::obj([("ok", Json::Bool(true))]), Disposition::Close);
             }
             other => error_response(&format!("unknown worker command '{other}'")),
-        }
-    }
-
-    fn swallow_response(&self, _request: &Json) -> bool {
-        self.state.swallow_pending.swap(false, Ordering::AcqRel)
-    }
-
-    fn hangup_after(&self, _request: &Json) -> bool {
-        if self.state.exit_pending.load(Ordering::Acquire) {
-            // The ack has been written and flushed; a standalone worker
-            // leaves the process now.
-            std::process::exit(0);
-        }
-        self.state.hangup_pending.swap(false, Ordering::AcqRel)
+        };
+        (response, Disposition::Keep)
     }
 }
 
@@ -434,9 +444,9 @@ fn fault_fires(state: &WorkerState) -> bool {
 /// — and every engine-pool span it opens — joins the caller's trace, and
 /// the records drained for that trace ride back on a successful reply as
 /// a `spans` array for the coordinator to merge.
-fn cmd_tile(state: &WorkerState, request: &Json) -> Json {
+fn cmd_tile(state: &WorkerState, request: &Json) -> (Json, Disposition) {
     let ctx = wire::trace_stamp(request);
-    let mut response = {
+    let (mut response, disposition) = {
         let _adopted = haqjsk_obs::TraceContext::attach(ctx);
         let _span = haqjsk_obs::span("worker_tile");
         cmd_tile_inner(state, request)
@@ -454,19 +464,23 @@ fn cmd_tile(state: &WorkerState, request: &Json) -> Json {
             }
         }
     }
-    response
+    (response, disposition)
 }
 
-fn cmd_tile_inner(state: &WorkerState, request: &Json) -> Json {
+/// Evaluates one tile request. An injected fault answers an error and
+/// closes this request's connection (or, for a chaos hangup, closes it
+/// without answering).
+fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
     if fault_fires(state) {
         state
             .counters
             .faults_injected
             .fetch_add(1, Ordering::Relaxed);
-        state.hangup_pending.store(true, Ordering::Release);
-        return error_response("injected worker fault (fail_after)");
+        let response = error_response("injected worker fault (fail_after)");
+        return (response, Disposition::Close);
     }
-    let run = || -> Result<Json, String> {
+    let mut disposition = Disposition::Keep;
+    let mut run = || -> Result<Json, String> {
         let dataset = dataset_field(request)?;
         let job = request
             .get("job")
@@ -485,13 +499,13 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> Json {
         if let Some(chaos) = chaos {
             match chaos.draw(dataset, job) {
                 Some(ChaosFault::Kill) => {
-                    state.hangup_pending.store(true, Ordering::Release);
+                    disposition = Disposition::Close;
                     return Err("chaos: injected kill".to_string());
                 }
                 Some(ChaosFault::Hangup) => {
                     // The response is swallowed, so its content is moot —
                     // the peer sees a mid-stream EOF.
-                    state.swallow_pending.store(true, Ordering::Release);
+                    disposition = Disposition::Swallow;
                     return Err("chaos: injected hangup (never written)".to_string());
                 }
                 Some(ChaosFault::Delay(pause)) => std::thread::sleep(pause),
@@ -586,7 +600,8 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> Json {
             ("values", wire::values_to_json(&values)),
         ]))
     };
-    run().unwrap_or_else(|e| error_response(&e))
+    let response = run().unwrap_or_else(|e| error_response(&e));
+    (response, disposition)
 }
 
 /// Evaluates a tile's pair list, splitting it into contiguous chunks over
@@ -1055,6 +1070,71 @@ mod tests {
         match reader.read_line(&mut line) {
             Ok(n) => assert_eq!(n, 0, "connection closed, got {line:?}"),
             Err(_) => {} // reset by peer — also a hangup
+        }
+    }
+
+    fn fail_after(tiles: usize) -> Json {
+        Json::obj([
+            ("cmd", Json::Str("fail_after".to_string())),
+            ("tiles", Json::Num(tiles as f64)),
+        ])
+    }
+
+    #[test]
+    fn a_faulting_tile_closes_only_its_own_connection() {
+        // Handler level: the hangup travels with the faulting tile's own
+        // response, so a ping handled right after it keeps its connection.
+        let handler = WorkerHandler {
+            state: Arc::new(WorkerState::new(WorkerOptions::default(), None)),
+        };
+        handler.handle(&fail_after(0));
+        let kernel = KernelSpec::QjskUnaligned { mu: 1.0 }.to_json();
+        let tile = wire::tile_request("ffff", 0, &kernel, &[(0, 1)], 1, None);
+        let (faulted, disposition) = handler.handle(&tile);
+        assert_eq!(faulted.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(disposition, Disposition::Close);
+        let (pong, disposition) = handler.handle(&wire::ping_request());
+        assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+        assert_eq!(disposition, Disposition::Keep);
+
+        // Over the wire: the faulting connection is closed, a second
+        // connection keeps answering.
+        let server = WorkerServer::spawn("127.0.0.1:0", WorkerOptions::default()).unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        };
+        let (mut faulty_writer, mut faulty_reader) = connect();
+        let (mut writer, mut reader) = connect();
+        exchange(&mut faulty_writer, &mut faulty_reader, &fail_after(0));
+        let faulted = exchange(&mut faulty_writer, &mut faulty_reader, &tile);
+        assert_eq!(faulted.get("ok").and_then(Json::as_bool), Some(false));
+        let mut line = String::new();
+        assert_eq!(faulty_reader.read_line(&mut line).unwrap_or(0), 0);
+        for _ in 0..2 {
+            let pong = exchange(&mut writer, &mut reader, &wire::ping_request());
+            assert_eq!(pong.get("pong").and_then(Json::as_bool), Some(true));
+        }
+    }
+
+    #[test]
+    fn shutdown_acks_then_drains_only_when_asked_to_exit() {
+        let shutdown = Json::obj([("cmd", Json::Str("shutdown".to_string()))]);
+        for exit_on_shutdown in [false, true] {
+            let mut server =
+                WorkerServer::spawn("127.0.0.1:0", WorkerOptions { exit_on_shutdown }).unwrap();
+            let stream = TcpStream::connect(server.local_addr()).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let ack = exchange(&mut writer, &mut reader, &shutdown);
+            assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(true));
+            // The ack was written before the hangup.
+            let mut line = String::new();
+            assert_eq!(reader.read_line(&mut line).unwrap_or(0), 0);
+            assert_eq!(server.exit_requested(), exit_on_shutdown);
+            if exit_on_shutdown {
+                assert!(server.drain(Duration::from_secs(5)).drained);
+            }
         }
     }
 }

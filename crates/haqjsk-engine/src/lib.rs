@@ -89,6 +89,6 @@ pub use http::{HttpResponder, HttpResponse};
 pub use json::Json;
 pub use pool::{default_thread_count, WorkerPool, THREADS_ENV_VAR};
 pub use serve::{
-    error_response, graph_from_json, graph_to_json, Codec, DrainReport, Handler, ServeConfig,
-    ServeControl, Server,
+    error_response, graph_from_json, graph_to_json, Codec, Disposition, DrainReport, Handler,
+    ServeConfig, ServeControl, Server, MAX_GRAPH_VERTICES,
 };

@@ -142,36 +142,39 @@ pub fn parse_env_usize(name: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// A request handler: maps one request value to one response value. Must be
-/// shareable across connection threads.
-pub trait Handler: Send + Sync + 'static {
-    /// Handles a single request.
-    fn handle(&self, request: &Json) -> Json;
-
-    /// Whether the connection should be closed after the response to
-    /// `request` has been written — the hook fault-injection and shutdown
-    /// commands use to hang up deliberately (the distributed worker's
-    /// chaos knob relies on it). The default keeps every connection open.
-    fn hangup_after(&self, _request: &Json) -> bool {
-        false
-    }
-
-    /// Whether the response to `request` should be *swallowed*: the
-    /// connection closes immediately without writing anything, so the peer
-    /// observes a mid-stream EOF instead of a reply. The distributed
-    /// worker's chaos harness uses this to simulate a worker dying between
-    /// receiving a request and answering it. The default never swallows.
-    fn swallow_response(&self, _request: &Json) -> bool {
-        false
-    }
+/// What a connection does once a request has been handled. It travels with
+/// the request's own response, so it can only ever act on the connection
+/// that carried that request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Disposition {
+    /// Write the response and keep serving the connection.
+    Keep,
+    /// Write (and flush) the response, then close the connection — how
+    /// fault-injection and shutdown commands hang up deliberately without
+    /// swallowing their own acknowledgement.
+    Close,
+    /// Close without writing the response, so the peer observes a
+    /// mid-stream EOF where a reply was due. The distributed worker's
+    /// chaos harness uses this to simulate dying mid-request.
+    Swallow,
 }
 
+/// A request handler: maps one request value to one response value and
+/// the connection's [`Disposition`]. Must be shareable across connection
+/// threads.
+pub trait Handler: Send + Sync + 'static {
+    /// Handles a single request.
+    fn handle(&self, request: &Json) -> (Json, Disposition);
+}
+
+/// A plain function handler answers every request and keeps the
+/// connection open.
 impl<F> Handler for F
 where
     F: Fn(&Json) -> Json + Send + Sync + 'static,
 {
-    fn handle(&self, request: &Json) -> Json {
-        self(request)
+    fn handle(&self, request: &Json) -> (Json, Disposition) {
+        (self(request), Disposition::Keep)
     }
 }
 
@@ -667,23 +670,13 @@ fn serve_connection_bounded(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let (response, request) = answer_line(&line, handler);
-                if let Some(request) = &request {
-                    if handler.swallow_response(request) {
-                        // Deliberate mid-stream hangup: drop the connection
-                        // without answering, so the peer sees an EOF where
-                        // a response line was due.
-                        break;
-                    }
+                let (response, disposition) = answer_line(&line, handler);
+                if disposition == Disposition::Swallow {
+                    break;
                 }
                 write_line(&mut writer, &response)?;
-                // The hangup hook runs only after the response has been
-                // written and flushed, so a deliberate hangup (or process
-                // exit) never swallows its own acknowledgement.
-                if let Some(request) = request {
-                    if handler.hangup_after(&request) {
-                        break;
-                    }
+                if disposition == Disposition::Close {
+                    break;
                 }
             }
         }
@@ -692,8 +685,8 @@ fn serve_connection_bounded(
 }
 
 /// Parses and handles one request line, with metrics accounting and panic
-/// isolation. Returns the response and the parsed request (when any).
-fn answer_line(line: &str, handler: &dyn Handler) -> (Json, Option<Json>) {
+/// isolation. Returns the response and what the connection does next.
+fn answer_line(line: &str, handler: &dyn Handler) -> (Json, Disposition) {
     match Json::parse(line) {
         Ok(request) => {
             let op = crate::obs::sanitize_op(
@@ -710,14 +703,16 @@ fn answer_line(line: &str, handler: &dyn Handler) -> (Json, Option<Json>) {
             let trace_id = span.trace_id();
             let timer =
                 crate::obs::HistogramTimer::start(&crate::obs::serve_request_histogram(&op));
-            let response = match catch_unwind(AssertUnwindSafe(|| handler.handle(&request))) {
-                Ok(response) => response,
-                Err(panic) => {
-                    crate::obs::serve_panics_counter().inc();
-                    let what = panic_message(panic.as_ref());
-                    error_response(&format!("internal error: handler panicked: {what}"))
-                }
-            };
+            let (response, disposition) =
+                match catch_unwind(AssertUnwindSafe(|| handler.handle(&request))) {
+                    Ok(handled) => handled,
+                    Err(panic) => {
+                        crate::obs::serve_panics_counter().inc();
+                        let what = panic_message(panic.as_ref());
+                        let message = format!("internal error: handler panicked: {what}");
+                        (error_response(&message), Disposition::Keep)
+                    }
+                };
             drop(timer);
             drop(span);
             inflight.add(-1.0);
@@ -733,7 +728,7 @@ fn answer_line(line: &str, handler: &dyn Handler) -> (Json, Option<Json>) {
                 response.get("rejected").and_then(Json::as_str),
                 response.get("error").and_then(Json::as_str),
             );
-            (response, Some(request))
+            (response, disposition)
         }
         Err(e) => {
             crate::obs::serve_requests_counter("malformed").inc();
@@ -747,7 +742,7 @@ fn answer_line(line: &str, handler: &dyn Handler) -> (Json, Option<Json>) {
                 None,
                 Some(&message),
             );
-            (error_response(&message), None)
+            (error_response(&message), Disposition::Keep)
         }
     }
 }
@@ -798,12 +793,24 @@ pub fn graph_to_json(graph: &Graph) -> Json {
     Json::obj(pairs)
 }
 
-/// Restores a graph from its wire form.
+/// The most vertices a graph on the wire may declare. A graph is allocated
+/// from its declared `n` before any edge is read, so an unchecked `n` lets a
+/// one-line request exhaust memory or pin a CPU. 4096 covers the largest
+/// graphs of the paper's benchmark datasets (RED-B: 3782 vertices).
+pub const MAX_GRAPH_VERTICES: usize = 4096;
+
+/// Restores a graph from its wire form. Graphs declaring more than
+/// [`MAX_GRAPH_VERTICES`] vertices are rejected.
 pub fn graph_from_json(value: &Json) -> Result<Graph, String> {
     let n = value
         .get("n")
         .and_then(Json::as_usize)
         .ok_or("graph needs a non-negative integer field 'n'")?;
+    if n > MAX_GRAPH_VERTICES {
+        return Err(format!(
+            "graph declares {n} vertices; the limit is {MAX_GRAPH_VERTICES}"
+        ));
+    }
     let edges_json = value
         .get("edges")
         .and_then(Json::as_array)
@@ -885,6 +892,17 @@ mod tests {
         assert!(graph_from_json(&Json::parse(r#"{"n":2}"#).unwrap()).is_err());
         assert!(graph_from_json(&Json::parse(r#"{"n":2,"edges":[[0]]}"#).unwrap()).is_err());
         assert!(graph_from_json(&Json::parse(r#"{"n":2,"edges":[[0,5]]}"#).unwrap()).is_err());
+        let sized =
+            |n: usize| Json::obj([("n", Json::Num(n as f64)), ("edges", Json::Arr(vec![]))]);
+        assert_eq!(
+            graph_from_json(&sized(MAX_GRAPH_VERTICES))
+                .unwrap()
+                .num_vertices(),
+            MAX_GRAPH_VERTICES
+        );
+        let error = graph_from_json(&sized(MAX_GRAPH_VERTICES + 1)).unwrap_err();
+        assert!(error.contains("limit"), "got: {error}");
+        assert!(graph_from_json(&sized(1_000_000_000_000)).is_err());
     }
 
     #[test]
@@ -1167,11 +1185,11 @@ mod tests {
             delay: Mutex<Duration>,
         }
         impl Handler for Slow {
-            fn handle(&self, request: &Json) -> Json {
+            fn handle(&self, request: &Json) -> (Json, Disposition) {
                 if request.get("slow").is_some() {
                     thread::sleep(*self.delay.lock().unwrap());
                 }
-                Json::obj([("ok", Json::Bool(true))])
+                (Json::obj([("ok", Json::Bool(true))]), Disposition::Keep)
             }
         }
         let handler = Arc::new(Slow {

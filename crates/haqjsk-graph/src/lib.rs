@@ -8,8 +8,10 @@
 //!
 //! * the [`Graph`] type with adjacency / degree / Laplacian matrix views,
 //! * breadth-first and all-pairs shortest paths ([`shortest_paths`]),
-//! * `k`-layer expansion subgraphs rooted at a vertex ([`subgraph`]), the
-//!   ingredient of the depth-based vertex representations,
+//! * depth-based complexity traces ([`subgraph`]): per vertex, the entropy
+//!   of the degree distribution inside its `1..K`-hop balls, read from one
+//!   BFS per vertex — the ingredient of the depth-based vertex
+//!   representations,
 //! * random graph generators used to synthesise the benchmark datasets
 //!   ([`generators`]),
 //! * structural analysis helpers (degree statistics, connectivity,

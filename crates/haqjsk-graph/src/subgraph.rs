@@ -1,67 +1,45 @@
-//! `k`-layer expansion subgraphs.
+//! Depth-based complexity traces.
 //!
 //! The depth-based (DB) vertex representations of the paper (Sec. III-A,
 //! following Bai & Hancock's "Depth-based complexity traces of graphs") are
-//! built from the family of `k`-layer expansion subgraphs rooted at each
-//! vertex: the induced subgraph on all vertices within `k` hops of the root.
-//! This module provides those subgraphs plus the entropy measure evaluated on
-//! them.
+//! read off the `k`-layer expansion subgraphs rooted at each vertex: the
+//! induced subgraph on all vertices within `k` hops of the root. Each layer
+//! contributes the Shannon entropy of that subgraph's degree distribution.
+//! The subgraphs are never built: one BFS per root gives every vertex's hop
+//! distance, and a vertex's degree inside the `k`-hop ball is the number of
+//! its neighbours that are in the ball too.
 
 use crate::graph::Graph;
-use crate::shortest_paths::{bfs_distances, INFINITE_DISTANCE};
-
-/// The `k`-layer expansion subgraph rooted at `root`: the subgraph induced by
-/// all vertices within `k` hops of the root. Returns the subgraph together
-/// with the original indices of its vertices (ascending).
-pub fn expansion_subgraph(graph: &Graph, root: usize, k: usize) -> (Graph, Vec<usize>) {
-    let dist = bfs_distances(graph, root);
-    let vertices: Vec<usize> = dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != INFINITE_DISTANCE && d <= k)
-        .map(|(v, _)| v)
-        .collect();
-    graph
-        .induced_subgraph(&vertices)
-        .expect("vertices come from the same graph")
-}
-
-/// Shannon entropy of the steady-state random-walk distribution (degree
-/// distribution) of a graph. This is the entropy measure used to summarise
-/// each expansion subgraph into one number of the DB complexity trace.
-pub fn steady_state_entropy(graph: &Graph) -> f64 {
-    let degs: Vec<f64> = graph.degrees().iter().map(|&d| d as f64).collect();
-    haqjsk_linalg::vector::shannon_entropy(&degs)
-}
-
-/// The depth-based complexity trace of a single vertex: for each layer
-/// `k = 1..=max_k`, the Shannon entropy of the `k`-layer expansion subgraph
-/// rooted at that vertex. The resulting `max_k`-dimensional vector is the
-/// vectorial vertex representation `R^k(v)` aligned by the HAQJSK kernels.
-pub fn depth_based_trace(graph: &Graph, root: usize, max_k: usize) -> Vec<f64> {
-    // One BFS suffices: grow the vertex set layer by layer.
-    let dist = bfs_distances(graph, root);
-    let mut trace = Vec::with_capacity(max_k);
-    for k in 1..=max_k {
-        let vertices: Vec<usize> = dist
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != INFINITE_DISTANCE && d <= k)
-            .map(|(v, _)| v)
-            .collect();
-        let (sub, _) = graph
-            .induced_subgraph(&vertices)
-            .expect("vertices come from the same graph");
-        trace.push(steady_state_entropy(&sub));
-    }
-    trace
-}
+use crate::shortest_paths::bfs_distances;
+use haqjsk_linalg::vector::shannon_entropy;
 
 /// Depth-based complexity traces for every vertex of the graph, as an
-/// `n x max_k` table (row per vertex).
+/// `n x max_k` table (row per vertex). Entry `k - 1` of a row is the
+/// Shannon entropy of the degree distribution of the `k`-layer expansion
+/// subgraph rooted at that vertex, with degrees listed in ascending vertex
+/// order — bit for bit what the materialised induced subgraph would give.
+/// A row is the vectorial vertex representation `R^k(v)` aligned by the
+/// HAQJSK kernels.
 pub fn depth_based_traces(graph: &Graph, max_k: usize) -> Vec<Vec<f64>> {
-    (0..graph.num_vertices())
-        .map(|v| depth_based_trace(graph, v, max_k))
+    let n = graph.num_vertices();
+    let mut degrees = Vec::with_capacity(n);
+    (0..n)
+        .map(|root| {
+            // Unreachable vertices sit at `INFINITE_DISTANCE`, beyond every
+            // layer.
+            let dist = bfs_distances(graph, root);
+            (1..=max_k)
+                .map(|k| {
+                    degrees.clear();
+                    degrees.extend(
+                        (0..n)
+                            .filter(|&u| dist[u] <= k)
+                            .map(|u| graph.neighbors(u).filter(|&v| dist[v] <= k).count() as f64),
+                    );
+                    shannon_entropy(&degrees)
+                })
+                .collect()
+        })
         .collect()
 }
 
@@ -75,43 +53,24 @@ mod tests {
     }
 
     #[test]
-    fn expansion_layers_grow() {
-        let g = path(6);
-        let (s1, v1) = expansion_subgraph(&g, 0, 1);
-        assert_eq!(v1, vec![0, 1]);
-        assert_eq!(s1.num_edges(), 1);
-        let (s3, v3) = expansion_subgraph(&g, 0, 3);
-        assert_eq!(v3, vec![0, 1, 2, 3]);
-        assert_eq!(s3.num_edges(), 3);
-        // Layer larger than the diameter captures the whole component.
-        let (s9, v9) = expansion_subgraph(&g, 0, 9);
-        assert_eq!(v9.len(), 6);
-        assert_eq!(s9.num_edges(), 5);
-    }
-
-    #[test]
-    fn expansion_ignores_other_components() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
-        let (_, verts) = expansion_subgraph(&g, 0, 10);
-        assert_eq!(verts, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn entropy_of_regular_graph_is_log_n() {
+    fn whole_ball_entropy_reflects_degree_uniformity() {
         // Cycle C4 is 2-regular: uniform degree distribution, entropy ln 4.
         let c4 = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert!((steady_state_entropy(&c4) - 4.0_f64.ln()).abs() < 1e-12);
-        // Star graph is maximally non-uniform among trees on 4 vertices.
+        let cycle = depth_based_traces(&c4, 2)[0][1];
+        assert!((cycle - 4.0_f64.ln()).abs() < 1e-12);
+        // A star is less uniform than the cycle on the same vertex count.
         let star = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]).unwrap();
-        assert!(steady_state_entropy(&star) < steady_state_entropy(&c4));
-        // Edgeless graph has zero entropy.
-        assert_eq!(steady_state_entropy(&Graph::new(3)), 0.0);
+        assert!(depth_based_traces(&star, 1)[0][0] < cycle);
+        // Edgeless graphs have zero entropy at every layer.
+        assert!(depth_based_traces(&Graph::new(3), 2)
+            .iter()
+            .flatten()
+            .all(|&h| h == 0.0));
     }
 
     #[test]
     fn trace_is_monotone_in_information_for_path_interior() {
-        let g = path(7);
-        let t = depth_based_trace(&g, 3, 3);
+        let t = &depth_based_traces(&path(7), 3)[3];
         assert_eq!(t.len(), 3);
         // As layers expand, the subgraph grows and so does its entropy.
         assert!(t[0] <= t[1] + 1e-12);
@@ -134,8 +93,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_layers_gives_empty_trace() {
-        let g = path(4);
-        assert!(depth_based_trace(&g, 0, 0).is_empty());
+    fn layers_ignore_other_components() {
+        // Vertex 0's component is the path 0-1-2; the edge 3-4 never
+        // enters its balls, so its trace equals that of a path's endpoint.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+        assert_eq!(
+            depth_based_traces(&g, 4)[0],
+            depth_based_traces(&path(3), 4)[0]
+        );
+    }
+
+    #[test]
+    fn zero_layers_gives_empty_traces() {
+        assert!(depth_based_traces(&path(4), 0).iter().all(Vec::is_empty));
     }
 }

@@ -1,13 +1,83 @@
 //! Property-based tests for the graph substrate.
 
-use haqjsk_graph::generators::{barabasi_albert, erdos_renyi, random_tree};
-use haqjsk_graph::shortest_paths::{all_pairs_shortest_paths, diameter, INFINITE_DISTANCE};
-use haqjsk_graph::subgraph::{depth_based_traces, expansion_subgraph};
+use haqjsk_graph::generators::{
+    barabasi_albert, complete_graph, erdos_renyi, path_graph, random_tree, star_graph,
+};
+use haqjsk_graph::shortest_paths::{
+    all_pairs_shortest_paths, bfs_distances, diameter, INFINITE_DISTANCE,
+};
+use haqjsk_graph::subgraph::depth_based_traces;
 use haqjsk_graph::{analysis, io, Graph};
+use haqjsk_linalg::vector::shannon_entropy;
 use proptest::prelude::*;
 
 fn random_graph_strategy() -> impl Strategy<Value = Graph> {
     (3usize..20, 0.05f64..0.8, 0u64..1000).prop_map(|(n, p, seed)| erdos_renyi(n, p, seed))
+}
+
+/// Reference DB traces from materialised expansion subgraphs: for every
+/// root and layer `k`, the Shannon entropy of the degree vector of the
+/// subgraph induced by the `k`-hop ball.
+fn traces_from_induced_subgraphs(g: &Graph, max_k: usize) -> Vec<Vec<f64>> {
+    (0..g.num_vertices())
+        .map(|root| {
+            let dist = bfs_distances(g, root);
+            (1..=max_k)
+                .map(|k| {
+                    let ball: Vec<usize> = (0..g.num_vertices())
+                        .filter(|&v| dist[v] != INFINITE_DISTANCE && dist[v] <= k)
+                        .collect();
+                    let (sub, _) = g.induced_subgraph(&ball).unwrap();
+                    let degrees: Vec<f64> = sub.degrees().iter().map(|&d| d as f64).collect();
+                    shannon_entropy(&degrees)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Bit-level view of a trace table, so equality means bit-identical.
+fn trace_bits(traces: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    traces
+        .iter()
+        .map(|t| t.iter().map(|x| x.to_bits()).collect())
+        .collect()
+}
+
+/// The BFS-counted traces equal the induced-subgraph traces bit for bit on
+/// degenerate shapes: 0- and 1-node, edgeless, disconnected, complete and
+/// star graphs.
+#[test]
+fn depth_based_traces_match_induced_subgraphs_on_degenerate_graphs() {
+    let mut two_components = path_graph(4);
+    let offset = two_components.num_vertices();
+    for _ in 0..5 {
+        two_components.add_vertex();
+    }
+    for (u, v) in star_graph(5).edges() {
+        two_components.add_edge(offset + u, offset + v).unwrap();
+    }
+    let graphs = [
+        Graph::new(0),
+        Graph::new(1),
+        Graph::new(5),
+        two_components,
+        Graph::from_edges(6, &[(0, 1), (3, 4)]).unwrap(),
+        complete_graph(1),
+        complete_graph(2),
+        complete_graph(7),
+        star_graph(2),
+        star_graph(9),
+    ];
+    for g in &graphs {
+        for max_k in [0, 1, 3, 8] {
+            assert_eq!(
+                trace_bits(&depth_based_traces(g, max_k)),
+                trace_bits(&traces_from_induced_subgraphs(g, max_k)),
+                "graph {g:?}, K = {max_k}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -72,20 +142,14 @@ proptest! {
         prop_assert_eq!(diameter(&p), diameter(&g));
     }
 
-    /// Expansion subgraphs are monotone in the layer parameter.
+    /// The BFS-counted traces equal, bit for bit, the Shannon entropy of
+    /// each materialised expansion subgraph's degree vector.
     #[test]
-    fn expansion_subgraphs_monotone(g in random_graph_strategy(), root_frac in 0.0f64..1.0) {
-        let root = ((g.num_vertices() - 1) as f64 * root_frac) as usize;
-        let mut prev_vertices = 0usize;
-        let mut prev_edges = 0usize;
-        for k in 1..=4 {
-            let (sub, verts) = expansion_subgraph(&g, root, k);
-            prop_assert!(verts.len() >= prev_vertices);
-            prop_assert!(sub.num_edges() >= prev_edges);
-            prop_assert!(verts.contains(&root));
-            prev_vertices = verts.len();
-            prev_edges = sub.num_edges();
-        }
+    fn depth_based_traces_match_induced_subgraphs(g in random_graph_strategy(), max_k in 0usize..7) {
+        prop_assert_eq!(
+            trace_bits(&depth_based_traces(&g, max_k)),
+            trace_bits(&traces_from_induced_subgraphs(&g, max_k))
+        );
     }
 
     /// Depth-based traces have the requested dimensionality and are finite

@@ -1,7 +1,7 @@
 //! Dense, row-major, `f64` matrices.
 //!
 //! [`Matrix`] is the workhorse type of the whole workspace: adjacency
-//! matrices, Laplacians, CTQW density matrices, correspondence matrices and
+//! matrices, Laplacians, CTQW density matrices, aligned structures and
 //! Gram matrices are all stored in this representation. The type favours
 //! clarity and predictable performance over generality: it is always dense,
 //! always `f64`, and all shape errors are reported through

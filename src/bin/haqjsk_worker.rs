@@ -11,16 +11,21 @@
 //! `haqjsk-worker listening on HOST:PORT` — process-pool launchers parse
 //! that line to learn the port. Worker threads via `HAQJSK_THREADS`,
 //! feature-cache budget via `HAQJSK_CACHE_BUDGET`. The `shutdown` command
+//! drains the listener (its own acknowledgement is written first) and then
 //! exits the process.
 
 use haqjsk::dist::{WorkerOptions, WorkerServer};
 use haqjsk::engine::Engine;
+use std::time::Duration;
+
+/// How long a `shutdown` waits for open connections to finish.
+const SHUTDOWN_DRAIN: Duration = Duration::from_secs(5);
 
 fn main() {
     let addr = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let server = WorkerServer::spawn(
+    let mut server = WorkerServer::spawn(
         &addr,
         WorkerOptions {
             exit_on_shutdown: true,
@@ -39,8 +44,17 @@ fn main() {
         "haqjsk-worker: {} engine workers ready",
         Engine::global().threads()
     );
-    // The accept loop runs on its own thread; keep the process alive.
-    loop {
-        std::thread::park();
+    // The accept loop runs on its own thread; supervise it until a
+    // `shutdown` command asks the worker to exit.
+    while !server.exit_requested() {
+        std::thread::sleep(Duration::from_millis(50));
     }
+    let report = server.drain(SHUTDOWN_DRAIN);
+    if !report.drained {
+        eprintln!(
+            "haqjsk-worker: shutting down with {} connection(s) still open",
+            report.remaining_connections
+        );
+    }
+    std::process::exit(0);
 }

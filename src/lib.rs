@@ -9,7 +9,8 @@
 //!
 //! * [`linalg`] — dense matrices, symmetric eigendecomposition, Hungarian
 //!   assignment, complex arithmetic,
-//! * [`graph`] — graphs, shortest paths, expansion subgraphs, generators,
+//! * [`graph`] — graphs, shortest paths, depth-based complexity traces,
+//!   generators,
 //! * [`quantum`] — continuous-time quantum walks, density matrices, von
 //!   Neumann entropy and the quantum Jensen–Shannon divergence,
 //! * [`engine`] — the parallel Gram-computation engine: the shared worker
@@ -42,7 +43,7 @@
 //! `n(n+1)/2` pairwise kernel evaluations are scheduled as cache-friendly
 //! tiles over a persistent worker pool. Streaming workloads append
 //! out-of-sample rows/columns to an existing Gram matrix through
-//! `HaqjskModel::gram_matrix_extended` instead of recomputing it.
+//! `HaqjskModel::gram_matrix_extended_on` instead of recomputing it.
 //!
 //! The `haqjsk-serve` binary exposes fit / transform / kernel-row / append /
 //! predict / save / load / stats over a `TcpListener` speaking JSON-lines

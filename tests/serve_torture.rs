@@ -127,6 +127,27 @@ fn garbage_and_malformed_lines_get_error_envelopes() {
 }
 
 #[test]
+fn oversized_graph_is_rejected_and_the_server_keeps_answering() {
+    let (_serving, mut server) = spawn(tight_config());
+    let mut client = Client::connect(server.local_addr());
+    let fitted = client.request(&small_fit_request());
+    assert_eq!(fitted.get("ok").and_then(Json::as_bool), Some(true));
+
+    // A ~60-byte line declaring 10^12 vertices: allocating that graph
+    // would abort the process, so it must be refused before allocation.
+    let huge = r#"{"cmd":"transform","graph":{"n":1000000000000,"edges":[]}}"#;
+    let error = assert_error_envelope(&client.request(huge));
+    assert!(error.contains("limit"), "got: {error}");
+    let huge_fit = r#"{"cmd":"fit","graphs":[{"n":20000,"edges":[]}],"variant":"A"}"#;
+    let error = assert_error_envelope(&client.request(huge_fit));
+    assert!(error.contains("limit"), "got: {error}");
+
+    let response = client.request(r#"{"cmd":"ping"}"#);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frame_is_rejected_with_metric_delta() {
     let before = haqjsk::obs::registry()
         .snapshot()
