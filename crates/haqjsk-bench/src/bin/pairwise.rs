@@ -3,22 +3,25 @@
 //! The QJSD core (Eq. 6–9) is evaluated O(N²) times per Gram matrix, so the
 //! per-pair cost of the inner loop is the single biggest wall-clock lever in
 //! the codebase. This binary measures it directly, before and after the
-//! spectral-caching refactor:
+//! spectral-caching refactor, for the three baseline kernels and for the
+//! paper's HAQJSK(A)/(D):
 //!
-//! * **before** — the pre-refactor *algorithm*: densities cached, but
-//!   every pair recomputes both endpoint entropies from scratch and (for
-//!   the aligned variant) eigendecomposes both padded densities for the
-//!   Umeyama matching — up to five eigensolves per pair. It executes on
+//! * **before** — the pre-refactor *algorithm*: densities (for HAQJSK, the
+//!   aligned per-level states) cached, but every pair recomputes both
+//!   endpoint entropies from scratch and (for the aligned QJSK)
+//!   eigendecomposes both padded densities for the Umeyama matching — up
+//!   to five eigensolves per pair, three per level for HAQJSK. It executes on
 //!   today's primitives, so its entropy solves already benefit from the
 //!   values-only driver; the reported speedups are therefore a
 //!   **conservative lower bound** on the improvement over the actual
 //!   pre-refactor build.
 //! * **after** — the shipped fast path: per-graph spectral artifacts
-//!   (entropies, alignment bases, WL histograms) hoisted out of the loop,
-//!   and the tile-batched pipeline solving each tile's values-only mixture
-//!   eigenproblems as one lane-parallel SoA batch. The `batch` column
-//!   reports the mean number of mixtures per batched solve during the warm
-//!   run.
+//!   (entropies, alignment bases, WL histograms; for HAQJSK the aligned
+//!   states with their memoised entropies) hoisted out of the loop, and the
+//!   tile-batched pipeline solving each tile's values-only mixture
+//!   eigenproblems as one lane-parallel SoA batch (per level, for HAQJSK).
+//!   The `batch` column reports the mean number of mixtures per batched
+//!   solve during the warm run.
 //!
 //! Both columns run serially so the numbers are honest per-pair latencies,
 //! not parallel throughput. `before` and warm `after` are timed in
@@ -39,7 +42,8 @@
 //! registry as Prometheus text after the run.
 
 use haqjsk_bench::{dump_metrics_if_requested, engine_banner, json_output_path, write_json_report};
-use haqjsk_engine::{BackendKind, Json};
+use haqjsk_core::{AlignedGraph, HaqjskConfig, HaqjskModel, HaqjskVariant};
+use haqjsk_engine::{BackendKind, CacheStats, FeatureCache, Json};
 use haqjsk_graph::generators::erdos_renyi;
 use haqjsk_graph::Graph;
 use haqjsk_kernels::jtqk::jensen_tsallis_difference;
@@ -47,7 +51,9 @@ use haqjsk_kernels::{
     clear_density_cache, density_cache_stats, GraphKernel, JensenTsallisKernel, QjskAligned,
     QjskUnaligned,
 };
-use haqjsk_quantum::{ctqw_density_infinite, qjsd, DensityMatrix};
+use haqjsk_quantum::{
+    ctqw_density_infinite, entropy_of_spectrum, qjsd, qjsd_from_entropies, DensityMatrix,
+};
 use std::time::Instant;
 
 /// One benchmarked configuration.
@@ -110,6 +116,59 @@ mod legacy {
         let pa = a.zero_pad(n).unwrap();
         let pb = b.zero_pad(n).unwrap();
         (-jensen_tsallis_difference(&pa, &pb, kernel.q)).exp() * kernel.local_factor(ga, gb)
+    }
+
+    /// `Σ_h exp(-μ · D_QJS)` with all three entropies of every level —
+    /// both endpoints and the mixture — solved from scratch.
+    pub fn haqjsk(model: &HaqjskModel, a: &AlignedGraph, b: &AlignedGraph) -> f64 {
+        let entropy = |rho: &DensityMatrix| entropy_of_spectrum(&rho.spectrum().unwrap());
+        let variant = model.variant();
+        let mut total = 0.0;
+        for (rho, sigma) in a.densities(variant).iter().zip(b.densities(variant)) {
+            let mixture = rho.mix(sigma).unwrap();
+            let d = qjsd_from_entropies(entropy(&mixture), entropy(rho), entropy(sigma));
+            total += (-model.config().mu * d).exp();
+        }
+        total
+    }
+}
+
+/// The fast path under test, with the per-graph caches it runs from.
+enum FastPath<'a> {
+    /// A baseline kernel over the process-global feature caches.
+    Baseline(&'a dyn GraphKernel),
+    /// A fitted HAQJSK model over its aligned-feature cache.
+    Haqjsk(&'a HaqjskModel, FeatureCache<AlignedGraph>),
+}
+
+impl FastPath<'_> {
+    fn clear(&self) {
+        match self {
+            FastPath::Baseline(_) => clear_density_cache(),
+            FastPath::Haqjsk(_, cache) => cache.clear(),
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        match self {
+            FastPath::Baseline(_) => density_cache_stats(),
+            FastPath::Haqjsk(_, cache) => cache.stats(),
+        }
+    }
+
+    /// One serial Gram through the caches.
+    fn gram(&self, graphs: &[Graph]) {
+        let serial = Some(BackendKind::Serial);
+        match self {
+            FastPath::Baseline(kernel) => {
+                kernel.gram_matrix_on(graphs, serial);
+            }
+            FastPath::Haqjsk(model, cache) => {
+                model
+                    .gram_matrix_cached_on(graphs, cache, serial)
+                    .expect("a benchmark graph transforms");
+            }
+        }
     }
 }
 
@@ -178,19 +237,19 @@ fn bench_kernel(
     node_size: usize,
     graphs: &[Graph],
     mut legacy_pair: impl FnMut(usize, usize),
-    kernel: &dyn GraphKernel,
+    fast: &FastPath<'_>,
 ) -> Row {
     let n = graphs.len();
     let pairs = n * (n + 1) / 2;
 
     // After, cold: caches dropped, so the run pays the hoisted per-graph
     // artifact extraction too — the end-to-end cost of one Gram matrix.
-    clear_density_cache();
-    let stats_before = density_cache_stats();
+    fast.clear();
+    let stats_before = fast.cache_stats();
     let start = Instant::now();
-    let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
+    fast.gram(graphs);
     let first_cold_s = start.elapsed().as_secs_f64();
-    let stats_after = density_cache_stats();
+    let stats_after = fast.cache_stats();
     let hits = stats_after.hits - stats_before.hits;
     let misses = stats_after.misses - stats_before.misses;
     let hit_rate = if hits + misses == 0 {
@@ -199,9 +258,9 @@ fn bench_kernel(
         hits as f64 / (hits + misses) as f64
     };
     let after_cold_s = first_cold_s.min(min_over(0.2, || {
-        clear_density_cache();
+        fast.clear();
         let start = Instant::now();
-        let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
+        fast.gram(graphs);
         start.elapsed().as_secs_f64()
     }));
 
@@ -211,7 +270,7 @@ fn bench_kernel(
     // (densities; everything else recomputed inside the pair loop).
     let warm_gram = || {
         let start = Instant::now();
-        let _ = kernel.gram_matrix_on(graphs, Some(BackendKind::Serial));
+        fast.gram(graphs);
         start.elapsed().as_secs_f64()
     };
     let batch_before = haqjsk_linalg::batch_solve_stats();
@@ -286,7 +345,7 @@ fn main() {
             |i, j| {
                 let _ = legacy::unaligned(unaligned.mu, &rhos[i], &rhos[j]);
             },
-            &unaligned,
+            &FastPath::Baseline(&unaligned),
         ));
 
         let aligned = QjskAligned::default();
@@ -297,7 +356,7 @@ fn main() {
             |i, j| {
                 let _ = legacy::aligned(aligned.mu, &rhos[i], &rhos[j]);
             },
-            &aligned,
+            &FastPath::Baseline(&aligned),
         ));
 
         let jtqk = JensenTsallisKernel::default();
@@ -308,10 +367,30 @@ fn main() {
             |i, j| {
                 let _ = legacy::jtqk(&jtqk, &graphs[i], &graphs[j], &rhos[i], &rhos[j]);
             },
-            &jtqk,
+            &FastPath::Baseline(&jtqk),
         ));
 
-        for row in rows.iter().skip(rows.len() - 3) {
+        for variant in [
+            HaqjskVariant::AlignedAdjacency,
+            HaqjskVariant::AlignedDensity,
+        ] {
+            let model = HaqjskModel::fit(&graphs, HaqjskConfig::small(), variant)
+                .expect("the benchmark dataset fits");
+            let features = model
+                .transform_all(&graphs)
+                .expect("a benchmark graph transforms");
+            rows.push(bench_kernel(
+                variant.label(),
+                node_size,
+                &graphs,
+                |i, j| {
+                    let _ = legacy::haqjsk(&model, &features[i], &features[j]);
+                },
+                &FastPath::Haqjsk(&model, FeatureCache::new()),
+            ));
+        }
+
+        for row in rows.iter().skip(rows.len() - 5) {
             println!(
                 "{:<18} {:>6} {:>8} {:>7} {:>11.4} {:>9.4} {:>9.4} {:>8.2}x {:>8.1}% {:>7.2}",
                 row.kernel,
@@ -369,7 +448,9 @@ fn main() {
          three entropy decompositions) to one values-only mixture solve; unaligned QJSK and JTQK \
          drop from three to one. The warm path additionally batches each scheduling tile's mixture \
          solves through the lane-parallel SoA eigensolver ('batch' column = mean mixtures per \
-         batched solve) and evaluates JTQK's WL factor as a cached sparse dot."
+         batched solve) and evaluates JTQK's WL factor as a cached sparse dot. HAQJSK drops from \
+         three eigensolves per pair and level to one batched mixture solve: its aligned states \
+         memoise their entropies."
     );
 
     dump_metrics_if_requested();

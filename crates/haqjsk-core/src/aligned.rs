@@ -108,7 +108,7 @@ mod tests {
             assert_eq!(family.len(), hierarchy.num_levels());
             for rho in &family {
                 assert!((rho.matrix().trace() - 1.0).abs() < 1e-9);
-                assert!(rho.spectrum().iter().all(|&l| l >= -1e-8));
+                assert!(rho.spectrum().unwrap().iter().all(|&l| l >= -1e-8));
             }
         }
     }

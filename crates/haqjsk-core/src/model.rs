@@ -3,7 +3,7 @@
 //! [`HaqjskModel::fit`] learns the prototype hierarchy from a dataset;
 //! [`HaqjskModel::transform`] maps any graph (from the training set or not)
 //! into its hierarchical transitive aligned structures; and
-//! [`HaqjskModel::kernel`] / [`HaqjskModel::gram_matrix`] evaluate
+//! [`HaqjskModel::kernel_batch`] / [`HaqjskModel::gram_matrix`] evaluate
 //!
 //! ```text
 //! K^A_HAQJS(G_p, G_q) = Σ_{h=1..H} exp(-μ · D_QJS(δ(Ā^h_p), δ(Ā^h_q)))      (Eq. 26)
@@ -15,6 +15,12 @@
 //! fixed-size, transitively aligned structures, the kernels are permutation
 //! invariant and positive definite (the paper's Lemma); the property-based
 //! tests and the `psd_check` benchmark verify this empirically.
+//!
+//! Every evaluation — a single pair, a Gram tile, a served kernel row, a
+//! dist worker's tile — runs through [`HaqjskModel::kernel_batch`]: the
+//! endpoint entropies are memoised in the per-level states, so each pair
+//! costs one new eigensolve per level (its mixture's), and each level's
+//! mixtures are solved together by the batched eigensolver.
 
 use crate::aligned::{aligned_adjacency_family, aligned_density_family};
 use crate::config::{HaqjskConfig, HaqjskVariant};
@@ -22,17 +28,20 @@ use crate::correspondence::GraphCorrespondences;
 use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
 use haqjsk_engine::{
-    graph_key, per_pair, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact,
-    RemoteGram, TileEvaluator,
+    graph_key, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact, RemoteGram,
+    TileEvaluator,
 };
 use haqjsk_graph::Graph;
 use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram};
 use haqjsk_kernels::{GraphKernel, KernelMatrix};
-use haqjsk_linalg::LinalgError;
+use haqjsk_linalg::{max_batch_lanes, LinalgError};
 use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
-use haqjsk_quantum::{qjsd, DensityMatrix};
+use haqjsk_quantum::{
+    batch_mixture_entropies, qjsd_from_entropies, von_neumann_entropy, DensityMatrix,
+    MixtureEntropy,
+};
 use std::borrow::Borrow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The hierarchical aligned representation of a single graph, ready for
 /// kernel evaluation against any other graph aligned to the same prototypes.
@@ -233,23 +242,75 @@ impl HaqjskModel {
     }
 
     /// Kernel value between two already-transformed graphs:
-    /// `Σ_h exp(-μ · D_QJS)` over the hierarchy levels (Eq. 26 / Eq. 29).
+    /// `Σ_h exp(-μ · D_QJS)` over the hierarchy levels (Eq. 26 / Eq. 29) —
+    /// the one-pair case of [`HaqjskModel::kernel_batch`].
+    ///
+    /// # Panics
+    /// Panics if an eigensolve fails or the graphs were aligned to
+    /// different prototypes; [`HaqjskModel::kernel_batch`] returns those
+    /// errors instead.
     pub fn kernel(&self, a: &AlignedGraph, b: &AlignedGraph) -> f64 {
-        let da = a.densities(self.variant);
-        let db = b.densities(self.variant);
-        let levels = da.len().min(db.len());
-        let mut total = 0.0;
-        for h in 0..levels {
-            let divergence =
-                qjsd(&da[h], &db[h]).expect("aligned structures share the prototype dimension");
-            total += (-self.config.mu * divergence).exp();
+        self.kernel_batch(&[(a, b)])
+            .expect("aligned structures of one model evaluate")[0]
+    }
+
+    /// Kernel values of many pairs of already-transformed graphs. Pairs go
+    /// one solver lane width (`max_batch_lanes`) at a time, and each chunk
+    /// one hierarchy level at a time: one batched solve of the level's
+    /// mixture entropies, then the QJSD from those and the states'
+    /// memoised endpoint entropies, then `exp(-μ · D_QJS)` added into each
+    /// pair's total. Totals start at `0.0` and add levels in order
+    /// `h = 0..H`, so each value is bit-identical to evaluating its pair
+    /// alone; every buffer stays at most one lane-width chunk.
+    pub fn kernel_batch(
+        &self,
+        pairs: &[(&AlignedGraph, &AlignedGraph)],
+    ) -> Result<Vec<f64>, LinalgError> {
+        let lanes = max_batch_lanes();
+        let mut totals = vec![0.0; pairs.len()];
+        let mut states = Vec::with_capacity(lanes);
+        let mut members = Vec::with_capacity(lanes);
+        for (chunk, out) in pairs.chunks(lanes).zip(totals.chunks_mut(lanes)) {
+            for h in 0.. {
+                states.clear();
+                members.clear();
+                for (k, (a, b)) in chunk.iter().enumerate() {
+                    let da = a.densities(self.variant);
+                    let db = b.densities(self.variant);
+                    let (Some(rho), Some(sigma)) = (da.get(h), db.get(h)) else {
+                        continue;
+                    };
+                    if rho.dim() != sigma.dim() {
+                        return Err(LinalgError::ShapeMismatch {
+                            op: "HAQJSK level states",
+                            left: rho.matrix().shape(),
+                            right: sigma.matrix().shape(),
+                        });
+                    }
+                    states.push((rho, sigma));
+                    members.push(k);
+                }
+                if states.is_empty() {
+                    break;
+                }
+                let mixtures = batch_mixture_entropies(&states, MixtureEntropy::VonNeumann)?;
+                for ((&k, &(rho, sigma)), h_mixture) in members.iter().zip(&states).zip(mixtures) {
+                    let divergence = qjsd_from_entropies(
+                        h_mixture,
+                        von_neumann_entropy(rho)?,
+                        von_neumann_entropy(sigma)?,
+                    );
+                    out[k] += (-self.config.mu * divergence).exp();
+                }
+            }
         }
-        total
+        Ok(totals)
     }
 
     /// Convenience: transform two graphs and evaluate the kernel.
     pub fn kernel_between(&self, a: &Graph, b: &Graph) -> Result<f64, LinalgError> {
-        Ok(self.kernel(&self.transform(a)?, &self.transform(b)?))
+        let (a, b) = (self.transform(a)?, self.transform(b)?);
+        Ok(self.kernel_batch(&[(&a, &b)])?[0])
     }
 
     /// Gram matrix over a dataset: each graph is transformed once (in
@@ -268,17 +329,38 @@ impl HaqjskModel {
     ) -> Result<KernelMatrix, LinalgError> {
         let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all(graphs)?;
-        Ok(self.gram_over_aligned(graphs, &aligned, backend))
+        self.gram_over_aligned(graphs, &aligned, backend)
     }
 
-    /// The Gram tile evaluator over already-transformed graphs: each pair
-    /// `(i, j)` of a tile evaluates [`HaqjskModel::kernel`] of `aligned[i]`
-    /// and `aligned[j]`. Full Grams and extensions both run through it.
-    fn aligned_tiles<'a, A>(&'a self, aligned: &'a [A]) -> impl TileEvaluator + 'a
+    /// The Gram tile evaluator over already-transformed graphs: each
+    /// lane-width chunk of a tile is one [`HaqjskModel::kernel_batch`] over
+    /// its pairs of `aligned`, so no buffer grows with the tile width.
+    /// Full Grams and extensions both run through it. A failing tile keeps
+    /// its first error in `failure` (its entries stay 0) rather than
+    /// panicking on a pool thread; the Gram caller returns that error.
+    fn aligned_tiles<'a, A>(
+        &'a self,
+        aligned: &'a [A],
+        failure: &'a OnceLock<LinalgError>,
+    ) -> impl TileEvaluator + 'a
     where
         A: Borrow<AlignedGraph> + Sync,
     {
-        per_pair(move |i, j| self.kernel(aligned[i].borrow(), aligned[j].borrow()))
+        move |pairs: &[(usize, usize)], out: &mut [f64]| {
+            let lanes = max_batch_lanes();
+            for (chunk, out) in pairs.chunks(lanes).zip(out.chunks_mut(lanes)) {
+                let chunk: Vec<_> = chunk
+                    .iter()
+                    .map(|&(i, j)| (aligned[i].borrow(), aligned[j].borrow()))
+                    .collect();
+                match self.kernel_batch(&chunk) {
+                    Ok(values) => out.copy_from_slice(&values),
+                    Err(e) => {
+                        let _ = failure.set(e);
+                    }
+                }
+            }
+        }
     }
 
     /// Gram assembly over already-transformed features through
@@ -294,7 +376,7 @@ impl HaqjskModel {
         graphs: &[Graph],
         aligned: &[A],
         backend: Option<BackendKind>,
-    ) -> KernelMatrix {
+    ) -> Result<KernelMatrix, LinalgError> {
         let effective = backend.unwrap_or_else(|| Engine::global().backend());
         let payload = (effective == BackendKind::Distributed)
             .then(|| crate::persistence::model_to_string(self));
@@ -307,12 +389,17 @@ impl HaqjskModel {
                 payload: text,
             }),
         });
-        gram_from_tiles(
+        let failure = OnceLock::new();
+        let gram = gram_from_tiles(
             graphs.len(),
             backend,
-            self.aligned_tiles(aligned),
+            self.aligned_tiles(aligned, &failure),
             spec.as_ref(),
-        )
+        );
+        match failure.into_inner() {
+            Some(e) => Err(e),
+            None => Ok(gram),
+        }
     }
 
     /// Gram matrix over a dataset with the per-graph aligned features
@@ -336,7 +423,7 @@ impl HaqjskModel {
     ) -> Result<KernelMatrix, LinalgError> {
         let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all_cached(graphs, cache)?;
-        Ok(self.gram_over_aligned(graphs, &aligned, backend))
+        self.gram_over_aligned(graphs, &aligned, backend)
     }
 
     /// Incrementally extends a Gram matrix with out-of-sample graphs: given
@@ -362,12 +449,16 @@ impl HaqjskModel {
             )));
         }
         let aligned = self.transform_all_cached(graphs, cache)?;
+        let failure = OnceLock::new();
         let values = Engine::global().gram_extend(
             backend,
             base.matrix(),
             graphs.len(),
-            self.aligned_tiles(&aligned),
+            self.aligned_tiles(&aligned, &failure),
         );
+        if let Some(e) = failure.into_inner() {
+            return Err(e);
+        }
         KernelMatrix::new(values)
     }
 

@@ -58,7 +58,7 @@ proptest! {
             let density_family = aligned_density_family(graph, &corr).unwrap();
             for rho in &density_family {
                 prop_assert!((rho.matrix().trace() - 1.0).abs() < 1e-8);
-                prop_assert!(rho.spectrum().iter().all(|&l| l >= -1e-7));
+                prop_assert!(rho.spectrum().unwrap().iter().all(|&l| l >= -1e-7));
             }
         }
     }

@@ -62,10 +62,6 @@ use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
-/// Minimum pairs per parallel chunk of a tile — below this, lane-starved
-/// batches and scheduling overhead cost more than the parallelism buys.
-const MIN_CHUNK_PAIRS: usize = 8;
-
 /// Reconstructed models kept per worker. Small: a worker serves one
 /// coordinator, which rarely juggles more than a couple of fitted models.
 const MODEL_STORE_CAP: usize = 4;
@@ -604,33 +600,24 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
     (response, disposition)
 }
 
-/// Evaluates a tile's pair list, splitting it into contiguous chunks over
-/// the worker's own engine pool when large enough to be worth it.
-/// Byte-identical to one whole-tile call (per-pair values are independent
-/// and the batched eigensolver is bit-identical per matrix).
+/// Evaluates a tile's pair list in contiguous, lane-aligned chunks over
+/// the worker's own engine pool (`Engine::map_chunks`). Byte-identical to
+/// one whole-tile call (per-pair values are independent and the batched
+/// eigensolver is bit-identical per matrix).
 fn eval_tile_chunked(kernel: &KernelSpec, graphs: &[Graph], pairs: &[(usize, usize)]) -> Vec<f64> {
-    let engine = Engine::global();
-    let chunks = (pairs.len() / MIN_CHUNK_PAIRS).clamp(1, engine.threads());
-    if chunks <= 1 {
-        let mut out = vec![0.0; pairs.len()];
-        kernel.eval_tile(graphs, pairs, &mut out);
-        return out;
-    }
-    let per_chunk = pairs.len().div_ceil(chunks);
-    let parts = engine.map(chunks, |c| {
-        let start = c * per_chunk;
-        let end = ((c + 1) * per_chunk).min(pairs.len());
-        let mut out = vec![0.0; end - start];
-        kernel.eval_tile(graphs, &pairs[start..end], &mut out);
-        out
-    });
-    parts.concat()
+    Engine::global()
+        .map_chunks(pairs.len(), |range| {
+            let mut out = vec![0.0; range.len()];
+            kernel.eval_tile(graphs, &pairs[range], &mut out);
+            out
+        })
+        .concat()
 }
 
 /// Evaluates a fitted-model tile against the worker's reconstructed
 /// model: aligned transforms come from the entry's cache (computed at most
-/// once per distinct graph across all tiles), then the per-pair kernel is
-/// chunked over the engine pool. Byte-identical to the coordinator's
+/// once per distinct graph across all tiles), then each chunk of the tile
+/// is one `HaqjskModel::kernel_batch`. Byte-identical to the coordinator's
 /// serial `gram_over_aligned` path because persistence round-trips the
 /// model exactly and the transform and kernel are deterministic.
 fn eval_model_tile_chunked(
@@ -642,23 +629,15 @@ fn eval_model_tile_chunked(
         .model
         .transform_all_cached(graphs, &entry.cache)
         .map_err(|e| e.to_string())?;
-    let engine = Engine::global();
-    let chunks = (pairs.len() / MIN_CHUNK_PAIRS).clamp(1, engine.threads());
-    if chunks <= 1 {
-        return Ok(pairs
-            .iter()
-            .map(|&(i, j)| entry.model.kernel(&aligned[i], &aligned[j]))
-            .collect());
-    }
-    let per_chunk = pairs.len().div_ceil(chunks);
-    let parts = engine.map(chunks, |c| {
-        let start = c * per_chunk;
-        let end = ((c + 1) * per_chunk).min(pairs.len());
-        pairs[start..end]
-            .iter()
-            .map(|&(i, j)| entry.model.kernel(&aligned[i], &aligned[j]))
-            .collect::<Vec<f64>>()
-    });
+    let pairs: Vec<_> = pairs
+        .iter()
+        .map(|&(i, j)| (&*aligned[i], &*aligned[j]))
+        .collect();
+    let parts = Engine::global()
+        .map_chunks(pairs.len(), |range| entry.model.kernel_batch(&pairs[range]))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
     Ok(parts.concat())
 }
 

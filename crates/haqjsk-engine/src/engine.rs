@@ -20,6 +20,7 @@ use crate::backend::{remote_tiles, BackendKind, RemoteGram, TileEvaluator};
 use crate::gram;
 use crate::pool::{default_thread_count, WorkerPool};
 use haqjsk_linalg::Matrix;
+use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -212,6 +213,24 @@ impl Engine {
         gram::gram_serial(n, f)
     }
 
+    /// Runs `f` over contiguous chunks of `0..count` through
+    /// [`Engine::map`] and returns the results in chunk order. Every chunk
+    /// but the last is one batched-eigensolver lane width
+    /// (`haqjsk_linalg::max_batch_lanes`), so a caller that batch-solves
+    /// each chunk fills its lanes, and the pool hands chunks out one at a
+    /// time: a thread that is descheduled or slow holds up one lane width
+    /// of work, not a fixed share of the range.
+    pub fn map_chunks<T, F>(&self, count: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(Range<usize>) -> T + Sync,
+    {
+        let lanes = haqjsk_linalg::max_batch_lanes();
+        self.map(count.div_ceil(lanes), |c| {
+            f(c * lanes..((c + 1) * lanes).min(count))
+        })
+    }
+
     /// Runs `f` over `0..count` and collects results in index order — the
     /// per-graph feature-extraction companion to [`Engine::gram`]. Inline
     /// when the engine's default backend is [`BackendKind::Serial`], on the
@@ -349,6 +368,35 @@ mod tests {
             assert_eq!(squares.len(), 100);
             for (i, &v) in squares.iter().enumerate() {
                 assert_eq!(v, i * i, "backend={backend}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_chunks_tiles_the_range_in_whole_lane_widths() {
+        let lanes = haqjsk_linalg::max_batch_lanes();
+        for threads in [1, 2, 4] {
+            let engine = Engine::new(threads);
+            for count in [
+                0,
+                1,
+                lanes,
+                2 * lanes - 1,
+                2 * lanes,
+                5 * lanes + 3,
+                64 * lanes,
+            ] {
+                let chunks = engine.map_chunks(count, |range| range);
+                assert_eq!(chunks.len(), count.div_ceil(lanes));
+                assert_eq!(
+                    chunks.iter().flat_map(Clone::clone).collect::<Vec<_>>(),
+                    (0..count).collect::<Vec<_>>(),
+                    "threads={threads} count={count}"
+                );
+                for (c, chunk) in chunks.iter().enumerate() {
+                    let last = c + 1 == chunks.len();
+                    assert!(chunk.len() == lanes || (last && !chunk.is_empty()));
+                }
             }
         }
     }

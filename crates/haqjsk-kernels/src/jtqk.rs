@@ -27,6 +27,8 @@ use haqjsk_graph::Graph;
 use haqjsk_quantum::{batch_mixture_entropies, DensityMatrix, MixtureEntropy};
 use std::sync::Arc;
 
+const SPECTRUM: &str = "the eigensolver converges on a density matrix";
+
 /// Tsallis q-entropy of a probability spectrum:
 /// `S_q(p) = (1 - Σ_i p_i^q) / (q - 1)`, recovering the von Neumann /
 /// Shannon entropy as `q → 1`. (Re-exported quantum primitive; see
@@ -41,8 +43,8 @@ pub fn jensen_tsallis_difference(rho: &DensityMatrix, sigma: &DensityMatrix, q: 
     jensen_tsallis_difference_with_entropies(
         rho,
         sigma,
-        tsallis_entropy(&rho.spectrum(), q),
-        tsallis_entropy(&sigma.spectrum(), q),
+        tsallis_entropy(&rho.spectrum().expect(SPECTRUM), q),
+        tsallis_entropy(&sigma.spectrum().expect(SPECTRUM), q),
         q,
     )
 }
@@ -60,7 +62,11 @@ pub fn jensen_tsallis_difference_with_entropies(
     q: f64,
 ) -> f64 {
     let mixture = rho.mix(sigma).expect("equal dimensions");
-    jensen_tsallis_from_entropies(tsallis_entropy(&mixture.spectrum(), q), s_rho, s_sigma)
+    jensen_tsallis_from_entropies(
+        tsallis_entropy(&mixture.spectrum().expect(SPECTRUM), q),
+        s_rho,
+        s_sigma,
+    )
 }
 
 /// The Jensen–Tsallis q-difference once all three entropies are known:

@@ -435,6 +435,38 @@ mod tests {
         assert_bits_equal(&batch, &refs, "zero-rows");
     }
 
+    /// A 116-dimensional HAQJSK(A) mixture state with 112 all-zero rows:
+    /// the 4x4 block left at rows 0, 6, 15 and 91 reduces to a stalled QL
+    /// block of subnormal residue, where the relative split test underflows
+    /// and never fires. Both solvers must split it and agree bit for bit.
+    fn subnormal_residue_state() -> Matrix {
+        let (a, b, c) = (
+            f64::from_bits(0x3fd1902db281bef5),
+            f64::from_bits(0x3fcf4391f222eb33),
+            f64::from_bits(0x3fccdfa49afc8214),
+        );
+        let block = [[a, b, b, a], [b, c, c, b], [b, c, c, b], [a, b, b, a]];
+        let rows = [0, 6, 15, 91];
+        let mut m = Matrix::zeros(116, 116);
+        for (bi, &i) in rows.iter().enumerate() {
+            for (bj, &j) in rows.iter().enumerate() {
+                m[(i, j)] = block[bi][bj];
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn subnormal_residue_splits_in_both_solvers() {
+        let state = subnormal_residue_state();
+        let scalar = symmetric_eigenvalues(&state).expect("the scalar QL sweep converges");
+        assert!((scalar.iter().sum::<f64>() - state.trace()).abs() < 1e-12);
+        let dense = lcg_symmetric(116, 5);
+        let refs: Vec<&Matrix> = vec![&state, &dense, &state];
+        let batch = batch_symmetric_eigenvalues(&refs).expect("the batched QL sweep converges");
+        assert_bits_equal(&batch, &refs, "subnormal residue");
+    }
+
     #[test]
     fn tiny_dimensions_and_empty_batches() {
         assert!(batch_symmetric_eigenvalues(&[]).unwrap().is_empty());

@@ -111,6 +111,19 @@ impl SymmetricEigen {
 /// Maximum QL sweeps per eigenvalue before declaring non-convergence.
 pub(crate) const MAX_QL_ITERATIONS: usize = 64;
 
+/// The QL split test shared by the scalar and batched sweeps: is the
+/// off-diagonal `e_m` negligible next to its diagonal neighbours `d_m` and
+/// `d_{m+1}`? The relative clause is the classic `tqli` test. The absolute
+/// clause catches a stalled block of subnormal residue, where
+/// `ε·(|d_m| + |d_{m+1}|)` underflows to zero and the relative clause can
+/// never fire (every iteration then ends in `NoConvergence`).
+#[inline(always)]
+pub(crate) fn ql_negligible(e_m: f64, d_m: f64, d_m1: f64) -> bool {
+    let dd = d_m.abs() + d_m1.abs();
+    let e = e_m.abs();
+    e <= f64::EPSILON * dd || e < f64::MIN_POSITIVE
+}
+
 /// `sqrt(a² + b²)` without destructive overflow — the classic `pythag`
 /// scaling. Used by every QL sweep (scalar and batched) instead of the libm
 /// `hypot` call: it inlines to a handful of arithmetic ops (and therefore
@@ -256,11 +269,7 @@ fn tqli(d: &mut [f64], e: &mut [f64], n: usize, mut z: Option<&mut [f64]>) -> Re
         loop {
             // Find a small off-diagonal element to split the problem.
             let mut m = l;
-            while m + 1 < n {
-                let dd = d[m].abs() + d[m + 1].abs();
-                if e[m].abs() <= f64::EPSILON * dd {
-                    break;
-                }
+            while m + 1 < n && !ql_negligible(e[m], d[m], d[m + 1]) {
                 m += 1;
             }
             if m == l {

@@ -38,7 +38,7 @@
 //! forced-path proptests assert.
 
 use crate::batch::MAX_BATCH_LANES;
-use crate::eigen::{pythag, MAX_QL_ITERATIONS};
+use crate::eigen::{pythag, ql_negligible, MAX_QL_ITERATIONS};
 use crate::error::LinalgError;
 use crate::Result;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -888,11 +888,7 @@ unsafe fn tqli_block<V: LaneVec>(
             for lane in 0..w {
                 let at = |i: usize| i * lanes + base + lane;
                 let mut m = l;
-                while m + 1 < n {
-                    let dd = d[at(m)].abs() + d[at(m + 1)].abs();
-                    if e[at(m)].abs() <= f64::EPSILON * dd {
-                        break;
-                    }
+                while m + 1 < n && !ql_negligible(e[at(m)], d[at(m)], d[at(m + 1)]) {
                     m += 1;
                 }
                 m_arr[lane] = m;

@@ -133,7 +133,7 @@ mod tests {
                 .unwrap()
                 .mix(&sigma.zero_pad(n).unwrap())
                 .unwrap();
-            let direct = von_neumann_entropy(&mixture);
+            let direct = von_neumann_entropy(&mixture).unwrap();
             assert_eq!(
                 batched[k].to_bits(),
                 direct.to_bits(),
@@ -157,7 +157,7 @@ mod tests {
                     .unwrap()
                     .mix(&sigma.zero_pad(n).unwrap())
                     .unwrap();
-                let direct = tsallis_entropy_of_spectrum(&mixture.spectrum(), q);
+                let direct = tsallis_entropy_of_spectrum(&mixture.spectrum().unwrap(), q);
                 assert_eq!(batched[k].to_bits(), direct.to_bits(), "pair {k} q={q}");
             }
         }

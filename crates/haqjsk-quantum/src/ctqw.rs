@@ -219,7 +219,7 @@ mod tests {
             assert_eq!(rho.dim(), g.num_vertices());
             assert!((m.trace() - 1.0).abs() < 1e-9);
             assert!(m.is_symmetric(1e-9));
-            let spectrum = rho.spectrum();
+            let spectrum = rho.spectrum().unwrap();
             assert!(spectrum.iter().all(|&l| l >= -1e-9));
         }
     }
@@ -297,7 +297,7 @@ mod tests {
         a[(2, 1)] = 0.5;
         let rho = ctqw_density_from_adjacency(&a).unwrap();
         assert!((rho.matrix().trace() - 1.0).abs() < 1e-9);
-        assert!(rho.spectrum().iter().all(|&l| l >= -1e-9));
+        assert!(rho.spectrum().unwrap().iter().all(|&l| l >= -1e-9));
         // All-zero adjacency still produces a valid (uniform-ish) state.
         let z = Matrix::zeros(3, 3);
         let rho_z = ctqw_density_from_adjacency(&z).unwrap();

@@ -131,8 +131,8 @@ mod tests {
 
         let rho_a = crate::ctqw::ctqw_density_infinite(&a).unwrap();
         let rho_b = crate::ctqw::ctqw_density_infinite(&b).unwrap();
-        let ha = crate::entropy::von_neumann_entropy(&rho_a);
-        let hb = crate::entropy::von_neumann_entropy(&rho_b);
+        let ha = crate::entropy::von_neumann_entropy(&rho_a).unwrap();
+        let hb = crate::entropy::von_neumann_entropy(&rho_b).unwrap();
         assert!(
             (ha - hb).abs() > 1e-3,
             "CTQW entropies should differ: {ha} vs {hb}"

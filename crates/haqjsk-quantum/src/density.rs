@@ -6,14 +6,28 @@
 //! (entropy, QJSD, kernel values) silently degrades if they are violated.
 
 use haqjsk_linalg::{symmetric_eigenvalues, LinalgError, Matrix};
+use std::sync::OnceLock;
 
 /// Tolerance used when validating symmetry / trace / positivity.
 pub const DENSITY_TOL: f64 = 1e-8;
 
 /// A validated quantum density matrix (real, symmetric, PSD, unit trace).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The state is immutable once built, so it memoises its von Neumann
+/// entropy on first use ([`crate::von_neumann_entropy`]): a state that is
+/// compared against many others — an aligned graph's per-level state in a
+/// Gram or a kernel row — pays its eigensolve once. Clones carry the memo;
+/// equality compares only the matrix.
+#[derive(Debug, Clone)]
 pub struct DensityMatrix {
     matrix: Matrix,
+    entropy: OnceLock<Result<f64, LinalgError>>,
+}
+
+impl PartialEq for DensityMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.matrix == other.matrix
+    }
 }
 
 impl DensityMatrix {
@@ -49,7 +63,7 @@ impl DensityMatrix {
                 "density matrix has negative eigenvalue {min_eigenvalue}"
             )));
         }
-        Ok(DensityMatrix { matrix })
+        Ok(DensityMatrix::wrap(matrix))
     }
 
     /// Builds a density matrix from an arbitrary symmetric PSD-ish matrix by
@@ -69,14 +83,12 @@ impl DensityMatrix {
         } else {
             sym.scale(1.0 / trace)
         };
-        Ok(DensityMatrix { matrix: normalized })
+        Ok(DensityMatrix::wrap(normalized))
     }
 
     /// The maximally mixed state `I / n`.
     pub fn maximally_mixed(n: usize) -> Self {
-        DensityMatrix {
-            matrix: Matrix::identity(n.max(1)).scale(1.0 / n.max(1) as f64),
-        }
+        DensityMatrix::wrap(Matrix::identity(n.max(1)).scale(1.0 / n.max(1) as f64))
     }
 
     /// A pure state `|ψ⟩⟨ψ|` from a real amplitude vector (normalised first).
@@ -99,7 +111,16 @@ impl DensityMatrix {
                 m[(i, j)] = amplitudes[i] * amplitudes[j] / (norm * norm);
             }
         }
-        Ok(DensityMatrix { matrix: m })
+        Ok(DensityMatrix::wrap(m))
+    }
+
+    /// The one place a state is built from an already-valid matrix, with
+    /// an empty entropy memo.
+    fn wrap(matrix: Matrix) -> Self {
+        DensityMatrix {
+            matrix,
+            entropy: OnceLock::new(),
+        }
     }
 
     /// Dimension of the state space.
@@ -127,7 +148,7 @@ impl DensityMatrix {
             });
         }
         let m = (&self.matrix + &other.matrix).scale(0.5);
-        Ok(DensityMatrix { matrix: m })
+        Ok(DensityMatrix::wrap(m))
     }
 
     /// Zero-pads the state to dimension `n` (embedding the state space into
@@ -141,18 +162,14 @@ impl DensityMatrix {
                 self.dim()
             )));
         }
-        Ok(DensityMatrix {
-            matrix: self.matrix.zero_pad(n, n)?,
-        })
+        Ok(DensityMatrix::wrap(self.matrix.zero_pad(n, n)?))
     }
 
     /// Conjugates the state by a permutation: `ρ' = P ρ Pᵀ` with
     /// `P` the permutation matrix defined by `perm` (row `i` of `P` selects
     /// old index `perm[i]`).
     pub fn permute(&self, perm: &[usize]) -> Result<DensityMatrix, LinalgError> {
-        Ok(DensityMatrix {
-            matrix: self.matrix.permute_symmetric(perm)?,
-        })
+        Ok(DensityMatrix::wrap(self.matrix.permute_symmetric(perm)?))
     }
 
     /// Eigenvalues of the state in ascending order, clamped to `[0, 1]` to
@@ -160,11 +177,22 @@ impl DensityMatrix {
     ///
     /// Routed through the values-only eigen driver: no eigenvector matrix
     /// is ever formed, which is what makes entropy evaluation cheap enough
-    /// for the O(N²) kernel pair loops.
-    pub fn spectrum(&self) -> Vec<f64> {
-        symmetric_eigenvalues(&self.matrix)
-            .map(|values| values.into_iter().map(|l| l.clamp(0.0, 1.0)).collect())
-            .unwrap_or_default()
+    /// for the O(N²) kernel pair loops. A solver failure is returned, never
+    /// mistaken for an empty spectrum (which would read as entropy 0).
+    pub fn spectrum(&self) -> Result<Vec<f64>, LinalgError> {
+        let values = symmetric_eigenvalues(&self.matrix)?;
+        Ok(values.into_iter().map(|l| l.clamp(0.0, 1.0)).collect())
+    }
+
+    /// The memoised entropy, computing it with `compute` on first use.
+    /// Threads that ask while it is being computed wait for that one
+    /// solve instead of repeating it. The solve is deterministic, so a
+    /// failure is memoised and returned like a value.
+    pub(crate) fn memoised_entropy(
+        &self,
+        compute: impl FnOnce() -> Result<f64, LinalgError>,
+    ) -> Result<f64, LinalgError> {
+        self.entropy.get_or_init(compute).clone()
     }
 
     /// Purity `tr(ρ²)`: 1 for pure states, `1/n` for the maximally mixed
@@ -194,7 +222,7 @@ mod tests {
         assert_eq!(rho.dim(), 4);
         assert!((rho.matrix().trace() - 1.0).abs() < 1e-12);
         assert!((rho.purity() - 0.25).abs() < 1e-12);
-        let spectrum = rho.spectrum();
+        let spectrum = rho.spectrum().unwrap();
         assert!(spectrum.iter().all(|&l| (l - 0.25).abs() < 1e-9));
     }
 
@@ -270,11 +298,68 @@ mod tests {
         .unwrap();
         let p = rho.permute(&[2, 0, 1]).unwrap();
         assert!((p.purity() - rho.purity()).abs() < 1e-12);
-        let s1 = rho.spectrum();
-        let s2 = p.spectrum();
+        let s1 = rho.spectrum().unwrap();
+        let s2 = p.spectrum().unwrap();
         for (a, b) in s1.iter().zip(s2.iter()) {
             assert!((a - b).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn clones_keep_the_entropy_memo_and_equality_ignores_it() {
+        let rho = DensityMatrix::from_unnormalized(&Matrix::from_diag(&[3.0, 1.0])).unwrap();
+        let fresh = rho.clone();
+        assert_eq!(rho.entropy.get(), None);
+        let h = crate::von_neumann_entropy(&rho).unwrap();
+        assert_eq!(rho.entropy.get(), Some(&Ok(h)));
+        let clone = rho.clone();
+        assert_eq!(
+            clone.entropy.get().map(|v| v.clone().map(f64::to_bits)),
+            Some(Ok(h.to_bits()))
+        );
+        // The memo is the value a fresh solve gives, and only the matrix
+        // takes part in equality.
+        assert_eq!(fresh.entropy.get(), None);
+        assert_eq!(fresh, rho);
+        assert_eq!(
+            crate::von_neumann_entropy(&fresh).unwrap().to_bits(),
+            h.to_bits()
+        );
+        assert_ne!(rho, DensityMatrix::maximally_mixed(2));
+    }
+
+    #[test]
+    fn concurrent_first_uses_share_one_solve() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let rho = DensityMatrix::maximally_mixed(3);
+        let failure = LinalgError::NoConvergence {
+            algorithm: "test solve",
+            iterations: 7,
+        };
+        let solves = AtomicUsize::new(0);
+        let barrier = Barrier::new(4);
+        let results: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        rho.memoised_entropy(|| {
+                            solves.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Err(failure.clone())
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(solves.load(Ordering::SeqCst), 1);
+        // The solve is deterministic, so its failure is the memo too.
+        for result in results {
+            assert_eq!(result, Err(failure.clone()));
+        }
+        assert_eq!(crate::von_neumann_entropy(&rho), Err(failure));
     }
 
     #[test]

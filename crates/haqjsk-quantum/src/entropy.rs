@@ -1,23 +1,18 @@
 //! Von Neumann entropy of quantum states (Eq. 6–7 of the paper).
 
 use crate::density::DensityMatrix;
-use haqjsk_linalg::Matrix;
+use haqjsk_linalg::LinalgError;
 
 /// Von Neumann entropy `H_N(ρ) = -tr(ρ log ρ) = -Σ_j λ_j ln λ_j` of a
 /// density matrix, computed from its spectrum. Zero eigenvalues contribute
 /// zero (the `x ln x → 0` limit).
-pub fn von_neumann_entropy(rho: &DensityMatrix) -> f64 {
-    entropy_of_spectrum(&rho.spectrum())
-}
-
-/// Von Neumann entropy of an *unnormalised* symmetric PSD matrix: the matrix
-/// is first renormalised to unit trace. Convenience used by the kernels when
-/// working with raw matrices.
-pub fn von_neumann_entropy_of_matrix(matrix: &Matrix) -> f64 {
-    match DensityMatrix::from_unnormalized(matrix) {
-        Ok(rho) => von_neumann_entropy(&rho),
-        Err(_) => 0.0,
-    }
+///
+/// The value is memoised in the state: only the first call pays the
+/// eigensolve, later calls (and calls on clones) return the same bits, and
+/// calls made while another thread solves wait for its result. An
+/// eigensolver failure is returned as an error, and memoised the same way.
+pub fn von_neumann_entropy(rho: &DensityMatrix) -> Result<f64, LinalgError> {
+    rho.memoised_entropy(|| Ok(entropy_of_spectrum(&rho.spectrum()?)))
 }
 
 /// Entropy of a list of eigenvalues interpreted as a probability
@@ -71,14 +66,14 @@ mod tests {
     #[test]
     fn pure_state_has_zero_entropy() {
         let rho = DensityMatrix::pure_state(&[1.0, 2.0, 2.0]).unwrap();
-        assert!(von_neumann_entropy(&rho).abs() < 1e-9);
+        assert!(von_neumann_entropy(&rho).unwrap().abs() < 1e-9);
     }
 
     #[test]
     fn maximally_mixed_state_has_max_entropy() {
         for n in [2usize, 3, 5, 8] {
             let rho = DensityMatrix::maximally_mixed(n);
-            let h = von_neumann_entropy(&rho);
+            let h = von_neumann_entropy(&rho).unwrap();
             assert!((h - max_entropy(n)).abs() < 1e-9, "n={n}");
         }
     }
@@ -92,7 +87,7 @@ mod tests {
         ])
         .unwrap();
         let rho = DensityMatrix::from_unnormalized(&m).unwrap();
-        let h = von_neumann_entropy(&rho);
+        let h = von_neumann_entropy(&rho).unwrap();
         assert!(h >= 0.0);
         assert!(h <= max_entropy(3) + 1e-12);
     }
@@ -104,16 +99,7 @@ mod tests {
         let m = Matrix::from_diag(&[p, 1.0 - p]);
         let rho = DensityMatrix::new(m).unwrap();
         let expected = -p * p.ln() - (1.0 - p) * (1.0 - p).ln();
-        assert!((von_neumann_entropy(&rho) - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn matrix_helper_renormalises() {
-        let m = Matrix::identity(4).scale(3.0);
-        let h = von_neumann_entropy_of_matrix(&m);
-        assert!((h - max_entropy(4)).abs() < 1e-9);
-        // A non-square matrix maps to zero rather than panicking.
-        assert_eq!(von_neumann_entropy_of_matrix(&Matrix::zeros(2, 3)), 0.0);
+        assert!((von_neumann_entropy(&rho).unwrap() - expected).abs() < 1e-9);
     }
 
     #[test]

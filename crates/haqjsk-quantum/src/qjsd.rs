@@ -18,13 +18,16 @@ use haqjsk_linalg::LinalgError;
 /// Upper bound of the QJSD between any two states (`ln 2`).
 pub const QJSD_MAX: f64 = std::f64::consts::LN_2;
 
-/// QJSD between two density matrices of equal dimension.
+/// QJSD between two density matrices of equal dimension. The endpoint
+/// entropies come from the states' memos ([`von_neumann_entropy`]), so
+/// repeated calls against one state pay one new eigensolve each: the
+/// mixture's.
 pub fn qjsd(rho: &DensityMatrix, sigma: &DensityMatrix) -> Result<f64, LinalgError> {
     qjsd_with_entropies(
         rho,
         sigma,
-        von_neumann_entropy(rho),
-        von_neumann_entropy(sigma),
+        von_neumann_entropy(rho)?,
+        von_neumann_entropy(sigma)?,
     )
 }
 
@@ -45,7 +48,7 @@ pub fn qjsd_with_entropies(
 ) -> Result<f64, LinalgError> {
     let mixture = rho.mix(sigma)?;
     Ok(qjsd_from_entropies(
-        von_neumann_entropy(&mixture),
+        von_neumann_entropy(&mixture)?,
         h_rho,
         h_sigma,
     ))

@@ -32,8 +32,8 @@ proptest! {
         let hoisted = qjsd_with_entropies(
             &rho,
             &sigma,
-            von_neumann_entropy(&rho),
-            von_neumann_entropy(&sigma),
+            von_neumann_entropy(&rho).unwrap(),
+            von_neumann_entropy(&sigma).unwrap(),
         )
         .unwrap();
         prop_assert!((direct - hoisted).abs() < 1e-12, "{direct} vs {hoisted}");
@@ -53,8 +53,8 @@ proptest! {
         let hoisted = qjsd_with_entropies(
             &pr,
             &ps,
-            von_neumann_entropy(&rho),
-            von_neumann_entropy(&sigma),
+            von_neumann_entropy(&rho).unwrap(),
+            von_neumann_entropy(&sigma).unwrap(),
         )
         .unwrap();
         prop_assert!((reference - hoisted).abs() < 1e-12, "{reference} vs {hoisted}");

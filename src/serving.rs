@@ -789,8 +789,9 @@ fn cmd_transform(
         let entropies: Vec<Json> = aligned[0]
             .densities(fitted.model.variant())
             .iter()
-            .map(|rho| Json::Num(von_neumann_entropy(rho)))
-            .collect();
+            .map(|rho| von_neumann_entropy(rho).map(Json::Num))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("entropy failed: {e:?}"))?;
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("levels", Json::Num(entropies.len() as f64)),
@@ -817,7 +818,15 @@ fn kernel_row(
         .transform_all_cached(std::slice::from_ref(graph), &fitted.cache)
         .map_err(|e| format!("transform failed: {e:?}"))?;
     deadline.check("kernel_row: row evaluation")?;
-    Ok(Engine::global().map(train.len(), |j| fitted.model.kernel(&query[0], &train[j])))
+    let pairs: Vec<_> = train.iter().map(|t| (&*query[0], &**t)).collect();
+    let parts = Engine::global()
+        .map_chunks(pairs.len(), |range| {
+            fitted.model.kernel_batch(&pairs[range])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("kernel evaluation failed: {e:?}"))?;
+    Ok(parts.concat())
 }
 
 fn cmd_kernel_row(

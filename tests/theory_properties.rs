@@ -84,7 +84,7 @@ proptest! {
         let d = qjsd_padded(&rho_a, &rho_b).unwrap();
         prop_assert!(d >= 0.0);
         prop_assert!(d <= std::f64::consts::LN_2 + 1e-9);
-        let h_a = von_neumann_entropy(&rho_a);
+        let h_a = von_neumann_entropy(&rho_a).unwrap();
         prop_assert!(h_a >= 0.0);
         prop_assert!(h_a <= (a.num_vertices() as f64).ln() + 1e-9);
     }
