@@ -113,8 +113,8 @@ impl HaqjskConfig {
                 return Err("max_layers must be at least 1 when given".to_string());
             }
         }
-        if self.mu <= 0.0 {
-            return Err("mu must be positive".to_string());
+        if !(self.mu.is_finite() && self.mu > 0.0) {
+            return Err(format!("mu must be finite and positive, got {}", self.mu));
         }
         if self.kmeans_max_iterations == 0 {
             return Err("kmeans_max_iterations must be at least 1".to_string());
@@ -159,27 +159,23 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_parameters() {
-        let mut c = HaqjskConfig::default();
-        c.hierarchy_levels = 0;
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.level_shrink = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.level_shrink = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.mu = 0.0;
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.max_layers = Some(0);
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.num_prototypes = 1;
-        assert!(c.validate().is_err());
-        let mut c = HaqjskConfig::default();
-        c.kmeans_max_iterations = 0;
-        assert!(c.validate().is_err());
+        let tweaks: [fn(&mut HaqjskConfig); 10] = [
+            |c| c.hierarchy_levels = 0,
+            |c| c.level_shrink = 0.0,
+            |c| c.level_shrink = 1.5,
+            |c| c.mu = 0.0,
+            |c| c.mu = -1.0,
+            |c| c.mu = f64::NAN,
+            |c| c.mu = f64::INFINITY,
+            |c| c.max_layers = Some(0),
+            |c| c.num_prototypes = 1,
+            |c| c.kmeans_max_iterations = 0,
+        ];
+        for (i, tweak) in tweaks.iter().enumerate() {
+            let mut c = HaqjskConfig::default();
+            tweak(&mut c);
+            assert!(c.validate().is_err(), "case {i}: {c:?}");
+        }
     }
 
     #[test]

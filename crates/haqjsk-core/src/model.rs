@@ -36,10 +36,7 @@ use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram};
 use haqjsk_kernels::{GraphKernel, KernelMatrix};
 use haqjsk_linalg::{max_batch_lanes, LinalgError};
 use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
-use haqjsk_quantum::{
-    batch_mixture_entropies, qjsd_from_entropies, von_neumann_entropy, DensityMatrix,
-    MixtureEntropy,
-};
+use haqjsk_quantum::{batch_qjsd, DensityMatrix};
 use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 
@@ -293,13 +290,8 @@ impl HaqjskModel {
                 if states.is_empty() {
                     break;
                 }
-                let mixtures = batch_mixture_entropies(&states, MixtureEntropy::VonNeumann)?;
-                for ((&k, &(rho, sigma)), h_mixture) in members.iter().zip(&states).zip(mixtures) {
-                    let divergence = qjsd_from_entropies(
-                        h_mixture,
-                        von_neumann_entropy(rho)?,
-                        von_neumann_entropy(sigma)?,
-                    );
+                let divergences = batch_qjsd(&states, states.iter().copied())?;
+                for (&k, divergence) in members.iter().zip(divergences) {
                     out[k] += (-self.config.mu * divergence).exp();
                 }
             }

@@ -192,7 +192,9 @@ pub fn model_from_string(text: &str) -> Result<HaqjskModel, PersistenceError> {
     let mut config: Option<HaqjskConfig> = None;
     let mut max_layers: Option<usize> = None;
     let mut layers: Vec<LayerHierarchy> = Vec::new();
-    let mut current_layer: Option<LayerHierarchy> = None;
+    // The declared prototype count of every level, checked once parsed:
+    // nothing is sized from a declared count.
+    let mut declared: Vec<Vec<usize>> = Vec::new();
 
     for line in lines {
         if line == "end" {
@@ -215,14 +217,8 @@ pub fn model_from_string(text: &str) -> Result<HaqjskModel, PersistenceError> {
                 if values.len() != 8 {
                     return Err(PersistenceError("config line needs 8 fields".to_string()));
                 }
-                let parse_usize = |s: &str| -> Result<usize, PersistenceError> {
-                    s.parse()
-                        .map_err(|e| PersistenceError(format!("bad integer '{s}': {e}")))
-                };
-                let parse_f64 = |s: &str| -> Result<f64, PersistenceError> {
-                    s.parse()
-                        .map_err(|e| PersistenceError(format!("bad float '{s}': {e}")))
-                };
+                let parse_usize = |s: &str| parse_field(s, "integer");
+                let parse_f64 = |s: &str| parse_field(s, "float");
                 config = Some(HaqjskConfig {
                     hierarchy_levels: parse_usize(values[0])?,
                     num_prototypes: parse_usize(values[1])?,
@@ -230,63 +226,46 @@ pub fn model_from_string(text: &str) -> Result<HaqjskModel, PersistenceError> {
                     min_prototypes: parse_usize(values[3])?,
                     layer_cap: parse_usize(values[4])?,
                     kmeans_max_iterations: parse_usize(values[5])?,
-                    seed: values[6]
-                        .parse()
-                        .map_err(|e| PersistenceError(format!("bad seed: {e}")))?,
+                    seed: parse_field(values[6], "seed")?,
                     mu: parse_f64(values[7])?,
                     max_layers: None,
                 });
             }
-            "max_layers" => {
-                max_layers = Some(
-                    parts
-                        .next()
-                        .ok_or_else(|| PersistenceError("max_layers needs a value".to_string()))?
-                        .parse()
-                        .map_err(|e| PersistenceError(format!("bad max_layers: {e}")))?,
-                );
-            }
+            "max_layers" => max_layers = Some(parse_field(next_field(&mut parts)?, "max_layers")?),
             "layer" => {
-                if let Some(layer) = current_layer.take() {
-                    layers.push(layer);
-                }
-                let k: usize = parts
-                    .next()
-                    .ok_or_else(|| PersistenceError("layer needs an index".to_string()))?
-                    .parse()
-                    .map_err(|e| PersistenceError(format!("bad layer index: {e}")))?;
-                current_layer = Some(LayerHierarchy {
+                let k = parse_field(next_field(&mut parts)?, "layer index")?;
+                layers.push(LayerHierarchy {
                     k,
                     levels: Vec::new(),
                 });
+                declared.push(Vec::new());
             }
             "level" => {
-                let layer = current_layer
-                    .as_mut()
-                    .ok_or_else(|| PersistenceError("level before layer".to_string()))?;
-                let _h: usize = parts
-                    .next()
-                    .ok_or_else(|| PersistenceError("level needs an index".to_string()))?
-                    .parse()
-                    .map_err(|e| PersistenceError(format!("bad level index: {e}")))?;
-                let expected_protos: usize = parts
-                    .next()
-                    .ok_or_else(|| PersistenceError("level needs a prototype count".to_string()))?
-                    .parse()
-                    .map_err(|e| PersistenceError(format!("bad prototype count: {e}")))?;
-                layer.levels.push(Vec::with_capacity(expected_protos));
+                let (Some(layer), Some(counts)) = (layers.last_mut(), declared.last_mut()) else {
+                    return Err(PersistenceError("level before layer".to_string()));
+                };
+                let h: usize = parse_field(next_field(&mut parts)?, "level index")?;
+                if h != layer.levels.len() + 1 {
+                    return fail(format!("layer {}: level {h} out of sequence", layer.k));
+                }
+                counts.push(parse_field(next_field(&mut parts)?, "prototype count")?);
+                layer.levels.push(Vec::new());
             }
             "proto" => {
-                let layer = current_layer
-                    .as_mut()
+                let layer = layers
+                    .last_mut()
                     .ok_or_else(|| PersistenceError("proto before layer".to_string()))?;
+                let k = layer.k;
                 let level = layer
                     .levels
                     .last_mut()
                     .ok_or_else(|| PersistenceError("proto before level".to_string()))?;
-                let values: Result<Vec<f64>, _> = parts.map(str::parse).collect();
-                let values =
-                    values.map_err(|e| PersistenceError(format!("bad prototype value: {e}")))?;
+                let values = parts
+                    .map(|s| parse_field::<f64>(s, "prototype value"))
+                    .collect::<Result<Vec<f64>, _>>()?;
+                if values.len() != k || values.iter().any(|v| !v.is_finite()) {
+                    return fail(format!("layer {k} needs {k} finite values: '{line}'"));
+                }
                 level.push(values);
             }
             other => {
@@ -294,23 +273,64 @@ pub fn model_from_string(text: &str) -> Result<HaqjskModel, PersistenceError> {
             }
         }
     }
-    if let Some(layer) = current_layer.take() {
-        layers.push(layer);
-    }
 
     let variant = variant.ok_or_else(|| PersistenceError("missing variant".to_string()))?;
     let config = config.ok_or_else(|| PersistenceError("missing config".to_string()))?;
     let max_layers =
         max_layers.ok_or_else(|| PersistenceError("missing max_layers".to_string()))?;
-    if layers.is_empty() {
-        return Err(PersistenceError(
-            "model has no prototype layers".to_string(),
-        ));
+    // The loaded model's K is fixed, so the config is checked as if it had
+    // asked for it explicitly.
+    HaqjskConfig {
+        max_layers: Some(max_layers),
+        ..config.clone()
+    }
+    .validate()
+    .map_err(|e| PersistenceError(format!("invalid config: {e}")))?;
+    if layers.len() != max_layers {
+        return fail(format!("max_layers is {max_layers}, not {}", layers.len()));
+    }
+    for (i, (layer, counts)) in layers.iter().zip(&declared).enumerate() {
+        let (k, levels, most) = (layer.k, layer.levels.len(), config.hierarchy_levels);
+        if k != i + 1 {
+            return fail(format!("layer {k} is out of sequence"));
+        }
+        if levels == 0 || levels > most {
+            return fail(format!("layer {k}: {levels} levels, not 1..={most}"));
+        }
+        for (h, (prototypes, &count)) in (1..).zip(layer.levels.iter().zip(counts)) {
+            let listed = prototypes.len();
+            if listed != count {
+                return fail(format!(
+                    "layer {k} level {h}: {count} declared, {listed} given"
+                ));
+            }
+        }
     }
     let hierarchy = PrototypeHierarchy::from_layers(layers);
     Ok(HaqjskModel::from_parts(
         config, variant, max_layers, hierarchy,
     ))
+}
+
+/// A parse error.
+fn fail<T>(message: String) -> Result<T, PersistenceError> {
+    Err(PersistenceError(message))
+}
+
+/// The next whitespace-separated field of a declaration line.
+fn next_field<'a>(parts: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, PersistenceError> {
+    parts
+        .next()
+        .ok_or_else(|| PersistenceError("declaration is missing a field".to_string()))
+}
+
+/// Parses one field, naming `what` in the error.
+fn parse_field<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, PersistenceError>
+where
+    T::Err: std::fmt::Display,
+{
+    s.parse()
+        .map_err(|e| PersistenceError(format!("bad {what} '{s}': {e}")))
 }
 
 /// The sibling temporary path an in-progress [`save_model_file`] writes
@@ -450,6 +470,48 @@ mod tests {
         )
         .is_err()); // no layers
         assert!(model_from_string("haqjsk-model v1\nbogus line\nend\n").is_err());
+    }
+
+    #[test]
+    fn text_no_fit_could_produce_is_rejected_without_sizing_anything_from_it() {
+        let (_, model) = fitted_model();
+        let text = model_to_string(&model);
+        let line = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let with = |prefix: &str, new: &str| text.replacen(line(prefix), new, 1);
+        let (level, proto, config) = (line("level 1 "), line("proto "), line("config "));
+        let count: usize = level.rsplit(' ').next().unwrap().parse().unwrap();
+        let mu = |mu: &str| format!("{} {mu}", &config[..config.rfind(' ').unwrap()]);
+        let k = model.max_layers();
+        let block = |k: usize| {
+            let start = text.find(&format!("layer {k}\n")).unwrap();
+            let len = text[start..].find(&format!("layer {}\n", k + 1)).unwrap();
+            &text[start..start + len]
+        };
+        let cases = [
+            // Layer 1 listed twice (every prototype the right width).
+            text.replacen(block(2), block(1), 1),
+            with("level 1 ", "level 1 100000000000000000"),
+            with("level 1 ", "level 1 1000000000000000000"),
+            with("level 1 ", &format!("level 1 {}", count + 1)),
+            with("level 1 ", &format!("level 1 {}", count - 1)),
+            with("level 1 ", &format!("level 2 {count}")),
+            with("proto ", "proto"),
+            with("proto ", &format!("{proto} 0.5")),
+            with("proto ", "proto NaN"),
+            with("proto ", "proto inf"),
+            with("max_layers ", "max_layers 0"),
+            with("max_layers ", &format!("max_layers {}", k + 1)),
+            with("layer 1", "layer 0"),
+            with("layer 2", &format!("layer {}", k + 1)),
+            with("layer 2", "layer 1"),
+            with("config ", &mu("-1")),
+            with("config ", &mu("NaN")),
+            with("config ", &mu("inf")),
+        ];
+        for (i, bad) in cases.iter().enumerate() {
+            assert!(model_from_string(bad).is_err(), "case {i} must be rejected");
+        }
+        assert!(model_from_string(&text).is_ok());
     }
 
     #[test]

@@ -1046,9 +1046,9 @@ mod tests {
         let _ = writer.write_all(format!("{}\n", wire::ping_request()).as_bytes());
         let _ = writer.flush();
         let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(n) => assert_eq!(n, 0, "connection closed, got {line:?}"),
-            Err(_) => {} // reset by peer — also a hangup
+        // An error is a reset by peer — also a hangup.
+        if let Ok(n) = reader.read_line(&mut line) {
+            assert_eq!(n, 0, "connection closed, got {line:?}");
         }
     }
 

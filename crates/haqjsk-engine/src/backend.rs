@@ -30,16 +30,6 @@ use std::sync::OnceLock;
 /// Name of the environment variable selecting the default backend.
 pub const BACKEND_ENV_VAR: &str = "HAQJSK_BACKEND";
 
-/// Older backend spellings, accepted as aliases of `local`.
-const LOCAL_ALIASES: [&str; 6] = [
-    "tiled",
-    "tiled_pool",
-    "pool",
-    "batched",
-    "batched_tile",
-    "batch",
-];
-
 /// A declarative description of a Gram computation that a *remote* backend
 /// can serialise and ship to worker processes: which kernel (a stable
 /// string id plus its numeric parameters) over which graphs. Local
@@ -143,11 +133,9 @@ impl BackendKind {
     }
 
     /// Parses a backend label, rejecting anything unrecognised with an
-    /// error that lists the valid spellings. Accepts the canonical labels,
-    /// the older local spellings (`tiled`, `tiled_pool`, `pool`, `batched`,
-    /// `batched_tile`, `batch`) as aliases of `local`, and the distributed
-    /// form `dist:<addr,addr>` (the address list is read separately via
-    /// [`BackendKind::dist_addresses`]).
+    /// error that lists the valid spellings. Accepts the canonical labels
+    /// and the distributed form `dist:<addr,addr>` (the address list is
+    /// read separately via [`BackendKind::dist_addresses`]).
     pub fn try_parse(raw: &str) -> Result<BackendKind, String> {
         let trimmed = raw.trim();
         let lower = trimmed.to_ascii_lowercase();
@@ -167,11 +155,9 @@ impl BackendKind {
         match lower.as_str() {
             "serial" => Ok(BackendKind::Serial),
             "local" => Ok(BackendKind::Local),
-            alias if LOCAL_ALIASES.contains(&alias) => Ok(BackendKind::Local),
             other => Err(format!(
                 "unknown backend '{other}' (valid: serial, local, \
-                 dist:host:port[,host:port...]; {} are aliases of local)",
-                LOCAL_ALIASES.join(", ")
+                 dist:host:port[,host:port...])"
             )),
         }
     }
@@ -283,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn every_old_spelling_is_an_alias_of_local() {
+    fn every_old_spelling_is_rejected() {
         for old in [
             "tiled",
             "tiled_pool",
@@ -294,10 +280,10 @@ mod tests {
             " Tiled_Pool ",
             "BATCH",
         ] {
-            assert_eq!(
-                BackendKind::resolve_env_value(Some(old)),
-                Ok(Some(BackendKind::Local)),
-                "{old}"
+            let err = BackendKind::resolve_env_value(Some(old)).unwrap_err();
+            assert!(
+                err.contains("unknown backend") && err.contains("valid: serial, local"),
+                "{old}: {err}"
             );
         }
     }

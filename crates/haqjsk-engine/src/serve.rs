@@ -1093,7 +1093,7 @@ mod tests {
 
     /// A newline-free blob larger than any small frame cap.
     fn hammer_bytes(n: usize) -> Vec<u8> {
-        std::iter::repeat(b'x').take(n).collect()
+        std::iter::repeat_n(b'x', n).collect()
     }
 
     #[test]

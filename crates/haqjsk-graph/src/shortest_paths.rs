@@ -120,10 +120,10 @@ mod tests {
     fn all_pairs_symmetry() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let d = all_pairs_shortest_paths(&g);
-        for i in 0..4 {
-            assert_eq!(d[i][i], 0);
-            for j in 0..4 {
-                assert_eq!(d[i][j], d[j][i]);
+        for (i, row) in d.iter().enumerate() {
+            assert_eq!(row[i], 0);
+            for (j, &dij) in row.iter().enumerate() {
+                assert_eq!(dij, d[j][i]);
             }
         }
         assert_eq!(d[0][2], 2);

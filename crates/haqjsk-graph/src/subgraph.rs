@@ -86,9 +86,10 @@ mod tests {
         // The centre vertex sees more structure at layer 2 than an endpoint.
         assert!(traces[3][1] > traces[0][1]);
         // Symmetric vertices have identical traces.
-        for k in 0..3 {
-            assert!((traces[0][k] - traces[6][k]).abs() < 1e-12);
-            assert!((traces[1][k] - traces[5][k]).abs() < 1e-12);
+        for (a, b) in [(0, 6), (1, 5)] {
+            for (x, y) in traces[a].iter().zip(&traces[b]) {
+                assert!((x - y).abs() < 1e-12);
+            }
         }
     }
 

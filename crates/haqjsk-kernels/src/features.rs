@@ -5,7 +5,12 @@
 //! engine's [`FeatureCache`] memoises it under the structural graph hash:
 //! within one Gram computation each graph's density is computed exactly
 //! once, and across calls (cross-validation repetitions, serving requests
-//! touching the same graphs) previously seen graphs are free.
+//! touching the same graphs) previously seen graphs are free. A cached
+//! density also carries its spectrum and von Neumann entropy in its own
+//! memo ([`DensityMatrix::memoised_spectrum`]), so the endpoint solves of
+//! the pair loops are paid once per resident graph with no cache of their
+//! own. Three caches remain: densities, Umeyama alignment bases and WL
+//! label histograms.
 //!
 //! ## Memory policy
 //!
@@ -26,37 +31,13 @@ use haqjsk_engine::{
     graph_key, CacheConfig, CacheStats, CacheWeight, Engine, FeatureCache, GraphKey, ShardStats,
 };
 use haqjsk_graph::Graph;
-use haqjsk_linalg::{symmetric_eigen, Matrix};
-use haqjsk_quantum::{ctqw_density_infinite, entropy_of_spectrum, DensityMatrix};
+use haqjsk_linalg::Matrix;
+use haqjsk_quantum::{ctqw_density_infinite, DensityMatrix};
 use std::sync::{Arc, OnceLock};
 
 static DENSITY_CACHE: OnceLock<FeatureCache<DensityMatrix>> = OnceLock::new();
-static SPECTRAL_CACHE: OnceLock<FeatureCache<GraphSpectrals>> = OnceLock::new();
 static ALIGNMENT_CACHE: OnceLock<FeatureCache<AlignmentBasis>> = OnceLock::new();
 static WL_CACHE: OnceLock<FeatureCache<WlHistogram>> = OnceLock::new();
-
-/// Per-graph spectral summary of the CTQW density matrix: the clamped
-/// eigenvalue spectrum and its von Neumann entropy.
-///
-/// Both quantities depend only on the graph, and both are invariant under
-/// the zero-padding the pairwise kernels apply (padding adds exact-zero
-/// eigenvalues, which contribute nothing to any entropy), so the pair loops
-/// can consume these cached values instead of re-decomposing the endpoint
-/// states for every pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphSpectrals {
-    /// Eigenvalues of the CTQW density in ascending order, clamped to
-    /// `[0, 1]` (exactly [`DensityMatrix::spectrum`]).
-    pub spectrum: Vec<f64>,
-    /// Von Neumann entropy `H_N(ρ) = -Σ λ ln λ` of that spectrum.
-    pub von_neumann_entropy: f64,
-}
-
-impl CacheWeight for GraphSpectrals {
-    fn weight(&self) -> usize {
-        std::mem::size_of::<GraphSpectrals>() + self.spectrum.len() * std::mem::size_of::<f64>()
-    }
-}
 
 /// Per-graph eigenvector-magnitude basis used by the Umeyama spectral
 /// matching of the aligned QJSK kernel.
@@ -79,13 +60,6 @@ pub struct AlignmentBasis {
 }
 
 impl AlignmentBasis {
-    /// Builds the basis from a density matrix.
-    pub fn from_density(rho: &DensityMatrix) -> AlignmentBasis {
-        AlignmentBasis::from_eigen(
-            &symmetric_eigen(rho.matrix()).expect("density matrices are symmetric"),
-        )
-    }
-
     /// Builds the basis from an already-computed decomposition of the
     /// density.
     pub fn from_eigen(eig: &haqjsk_linalg::SymmetricEigen) -> AlignmentBasis {
@@ -160,45 +134,28 @@ impl CacheWeight for WlHistogram {
     }
 }
 
-/// Zero-pads `rho` up to dimension `n`, borrowing it unchanged when it is
-/// already that size — the common same-sized-graphs case in the kernel
-/// pair loops skips the O(n²) copy.
-pub(crate) fn pad_to<'a>(
-    rho: &'a DensityMatrix,
-    n: usize,
-    storage: &'a mut Option<DensityMatrix>,
-) -> &'a DensityMatrix {
-    if rho.dim() == n {
-        rho
-    } else {
-        storage.insert(rho.zero_pad(n).expect("padding up never fails"))
-    }
-}
+/// The caches' budget slices: `(density, alignment, wl)`.
+type BudgetSplit = (Option<usize>, Option<usize>, Option<usize>);
 
-/// Splits a total feature-cache byte budget across the four caches by
+/// Splits a total feature-cache byte budget across the three caches by
 /// weight class: densities and alignment bases are both `n²` residents and
-/// share the bulk evenly; spectra and WL histograms are `O(n)` and split
-/// the small remainder. Keeps `HAQJSK_CACHE_BUDGET` (and
+/// share the bulk evenly; WL histograms are `O(n)` and get the small
+/// remainder. Keeps `HAQJSK_CACHE_BUDGET` (and
 /// [`set_density_cache_budget`]) meaning "total resident feature bytes",
 /// as it did when the density cache was the only cache.
-/// The caches' budget slices: `(density, alignment, spectral, wl)`.
-type BudgetSplit = (Option<usize>, Option<usize>, Option<usize>, Option<usize>);
-
 fn split_budget(total: Option<usize>) -> BudgetSplit {
     match total {
-        None => (None, None, None, None),
+        None => (None, None, None),
         Some(total) => {
-            let small = total / 8;
-            let spectral = small / 2;
-            let wl = small - spectral;
-            let density = (total - small) / 2;
-            let alignment = total - small - density;
-            (Some(density), Some(alignment), Some(spectral), Some(wl))
+            let wl = total / 8;
+            let density = (total - wl) / 2;
+            let alignment = total - wl - density;
+            (Some(density), Some(alignment), Some(wl))
         }
     }
 }
 
-/// Environment configuration of one of the four feature caches: this
+/// Environment configuration of one of the three feature caches: this
 /// cache's slice of the total budget.
 fn cache_from_env<V>(slice: fn(&BudgetSplit) -> Option<usize>) -> FeatureCache<V> {
     let mut config = CacheConfig::from_env();
@@ -208,7 +165,7 @@ fn cache_from_env<V>(slice: fn(&BudgetSplit) -> Option<usize>) -> FeatureCache<V
 
 /// The process-global CTQW density-matrix cache, configured on first use
 /// from the environment (`HAQJSK_CACHE_BUDGET` — a *total* across the
-/// density/spectral/alignment/WL caches, split by `split_budget`).
+/// density/alignment/WL caches, split by `split_budget`).
 pub fn density_cache() -> &'static FeatureCache<DensityMatrix> {
     DENSITY_CACHE.get_or_init(|| cache_from_env(|b| b.0))
 }
@@ -227,36 +184,6 @@ pub fn cached_ctqw_densities(graphs: &[Graph]) -> Vec<Arc<DensityMatrix>> {
     Engine::global().map(graphs.len(), |i| cached_ctqw_density(&graphs[i]))
 }
 
-/// The process-global spectral-summary cache (spectrum + von Neumann
-/// entropy of each graph's CTQW density), sharing the density cache's
-/// environment configuration (and its slice of the total budget).
-pub fn spectral_cache() -> &'static FeatureCache<GraphSpectrals> {
-    SPECTRAL_CACHE.get_or_init(|| cache_from_env(|b| b.2))
-}
-
-/// Builds the spectral summary from an already-computed spectrum.
-fn spectrals_from_spectrum(spectrum: Vec<f64>) -> GraphSpectrals {
-    let von_neumann_entropy = entropy_of_spectrum(&spectrum);
-    GraphSpectrals {
-        spectrum,
-        von_neumann_entropy,
-    }
-}
-
-/// The cached spectral summary of `graph`'s CTQW density: eigenvalue
-/// spectrum (values-only solve) and von Neumann entropy, computed once per
-/// resident graph. This is the per-graph half of the QJSD the pair loops
-/// no longer recompute per pair.
-pub fn cached_graph_spectrals(graph: &Graph) -> Arc<GraphSpectrals> {
-    spectral_cache().get_or_compute(graph_key(graph), || {
-        spectrals_from_spectrum(
-            cached_ctqw_density(graph)
-                .spectrum()
-                .expect("the eigensolver converges on a CTQW density"),
-        )
-    })
-}
-
 /// The process-global Umeyama alignment-basis cache (eigenvector
 /// magnitudes of each graph's CTQW density), with its slice of the total
 /// byte budget.
@@ -269,18 +196,16 @@ pub fn alignment_cache() -> &'static FeatureCache<AlignmentBasis> {
 /// the pair loop because `|U|` of any zero-padded version is
 /// reconstructible from it ([`AlignmentBasis::padded_abs_eigenvectors`]).
 ///
-/// The full decomposition computed here also yields the eigenvalue
-/// spectrum bit-identically to the values-only driver, so the spectral
-/// cache is warmed from the same solve — a cold aligned Gram pays one
-/// eigensolve per graph for both artifacts, not two.
+/// The full decomposition computed here ([`DensityMatrix::eigen`]) also
+/// yields the eigenvalue spectrum bit-identically to the values-only
+/// driver, so it fills the cached density's spectral memo from the same
+/// solve — a cold aligned Gram pays one eigensolve per graph for both, not
+/// two.
 pub fn cached_alignment_basis(graph: &Graph) -> Arc<AlignmentBasis> {
-    let key = graph_key(graph);
-    alignment_cache().get_or_compute(key, || {
-        let rho = cached_ctqw_density(graph);
-        let eig = symmetric_eigen(rho.matrix()).expect("density matrices are symmetric");
-        let _ = spectral_cache().get_or_compute(key, || {
-            spectrals_from_spectrum(eig.eigenvalues.iter().map(|l| l.clamp(0.0, 1.0)).collect())
-        });
+    alignment_cache().get_or_compute(graph_key(graph), || {
+        let eig = cached_ctqw_density(graph)
+            .eigen()
+            .expect("the eigensolver converges on a CTQW density");
         AlignmentBasis::from_eigen(&eig)
     })
 }
@@ -288,7 +213,7 @@ pub fn cached_alignment_basis(graph: &Graph) -> Arc<AlignmentBasis> {
 /// The process-global WL label-histogram cache (the JTQK local-factor
 /// artifact), with its slice of the total byte budget.
 pub fn wl_cache() -> &'static FeatureCache<WlHistogram> {
-    WL_CACHE.get_or_init(|| cache_from_env(|b| b.3))
+    WL_CACHE.get_or_init(|| cache_from_env(|b| b.2))
 }
 
 /// The cached WL label histogram of `graph` at `iterations` refinement
@@ -321,7 +246,6 @@ pub fn register_cache_metrics() {
         let registry = haqjsk_obs::registry();
         let caches: Vec<(&'static str, StatsFn)> = vec![
             ("density", || density_cache().stats()),
-            ("spectral", || spectral_cache().stats()),
             ("alignment", || alignment_cache().stats()),
             ("wl", || wl_cache().stats()),
         ];
@@ -385,29 +309,27 @@ pub fn density_cache_shard_stats() -> Vec<ShardStats> {
 /// Re-budgets the per-graph feature caches at runtime: `Some(bytes)` bounds
 /// the **total** resident feature bytes (evicting LRU entries immediately
 /// if needed), `None` lifts the bound. The total is split across the
-/// density, spectral and alignment caches by `split_budget` — the
-/// alignment bases are the same `n²` weight class as the densities, so
+/// density, alignment and WL caches by `split_budget` — the alignment
+/// bases are the same `n²` weight class as the densities, so
 /// bounding only the density cache would leave roughly half the resident
 /// footprint uncontrolled. This mirrors `HAQJSK_CACHE_BUDGET` (also a
 /// total) and is the recommended memory-pressure control for long-running
 /// processes.
 pub fn set_density_cache_budget(budget_bytes: Option<usize>) {
-    let (density, alignment, spectral, wl) = split_budget(budget_bytes);
+    let (density, alignment, wl) = split_budget(budget_bytes);
     density_cache().set_budget(density);
     alignment_cache().set_budget(alignment);
-    spectral_cache().set_budget(spectral);
     wl_cache().set_budget(wl);
 }
 
-/// Drops all cached density matrices **and the spectral/alignment
-/// artifacts derived from them**, resetting every counter — a hard boundary
+/// Drops all cached density matrices (with their spectral memos) **and
+/// the alignment bases and WL histograms**, resetting every counter — a hard boundary
 /// for benchmarks and tests. For bounded memory in production use
 /// [`set_density_cache_budget`] (or the `HAQJSK_CACHE_BUDGET` environment
 /// variable) instead: eviction keeps hot graphs resident, a clear forgets
 /// everything.
 pub fn clear_density_cache() {
     density_cache().clear();
-    spectral_cache().clear();
     alignment_cache().clear();
     wl_cache().clear();
 }
@@ -416,6 +338,8 @@ pub fn clear_density_cache() {
 mod tests {
     use super::*;
     use haqjsk_graph::generators::{cycle_graph, path_graph};
+    use haqjsk_linalg::symmetric_eigen;
+    use haqjsk_quantum::entropy_of_spectrum;
 
     #[test]
     fn cached_density_matches_direct_computation() {
@@ -457,22 +381,31 @@ mod tests {
     }
 
     #[test]
-    fn spectral_artifacts_match_direct_computation() {
-        let g = cycle_graph(6);
-        let rho = cached_ctqw_density(&g);
-        let spectrals = cached_graph_spectrals(&g);
-        assert_eq!(spectrals.spectrum, rho.spectrum().unwrap());
-        assert_eq!(
-            spectrals.von_neumann_entropy,
-            entropy_of_spectrum(&rho.spectrum().unwrap())
-        );
-        // Padding invariance: the entropy of the padded state is the same.
-        let padded = rho.zero_pad(9).unwrap();
-        assert_eq!(
-            spectrals.von_neumann_entropy,
-            entropy_of_spectrum(&padded.spectrum().unwrap()),
-            "zero-padding must not change the entropy at all"
-        );
+    fn the_spectral_memo_has_the_same_bits_whichever_solve_fills_it() {
+        use haqjsk_graph::generators::erdos_renyi;
+        use haqjsk_quantum::von_neumann_entropy;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // A graph no other test touches, so `cached_alignment_basis` is
+        // the first to solve its cached density; a fresh copy of the state
+        // fills its memo from a values-only solve.
+        let g = erdos_renyi(11, 0.45, 4242);
+        let _ = cached_alignment_basis(&g);
+        let (rho, fresh) = (cached_ctqw_density(&g), ctqw_density_infinite(&g).unwrap());
+        let spectrum = bits(rho.memoised_spectrum().unwrap());
+        assert_eq!(spectrum, bits(fresh.memoised_spectrum().unwrap()));
+        assert_eq!(spectrum, bits(&rho.spectrum().unwrap()));
+        let h = von_neumann_entropy(&rho).unwrap().to_bits();
+        assert_eq!(h, von_neumann_entropy(&fresh).unwrap().to_bits());
+        assert_eq!(h, entropy_of_spectrum(&rho.spectrum().unwrap()).to_bits());
+        // Zero-padding leaves the entropy bits unchanged.
+        for n in [rho.dim() + 1, rho.dim() + 3] {
+            let padded = rho.zero_pad(n).unwrap();
+            assert_eq!(
+                von_neumann_entropy(&padded).unwrap().to_bits(),
+                h,
+                "dim {n}"
+            );
+        }
     }
 
     #[test]
@@ -491,7 +424,7 @@ mod tests {
         ];
         for g in &graphs {
             let rho = cached_ctqw_density(g);
-            let basis = AlignmentBasis::from_density(&rho);
+            let basis = AlignmentBasis::from_eigen(&symmetric_eigen(rho.matrix()).unwrap());
             for n in [rho.dim(), rho.dim() + 1, rho.dim() + 4] {
                 let padded = rho.zero_pad(n).unwrap();
                 let direct = symmetric_eigen(padded.matrix())

@@ -11,68 +11,40 @@
 //! The simplification is recorded in DESIGN.md.
 //!
 //! Both factors are fully factored through per-graph artifacts: the
-//! quantum factor through the cached CTQW spectra (leaving one values-only
-//! mixture solve per pair, batched per tile in the Gram path), and the
+//! quantum factor through the memoised spectrum of each graph's cached
+//! CTQW density (leaving one values-only mixture solve per pair), and the
 //! local factor through cached WL label histograms (leaving one merge-join
 //! sparse dot per pair instead of a full WL refinement of both graphs).
+//! Like the QJSK baselines, every evaluation — one pair, a Gram tile or a
+//! dist worker's tile — is one call over a slice of input pairs, whose
+//! mixtures go through one batched Tsallis-entropy solve.
 
-use crate::features::{
-    cached_ctqw_density, cached_graph_spectrals, cached_wl_histogram, WlHistogram,
-};
-use crate::kernel::sparse_dot;
-use crate::kernel::{gram_from_tiles, GraphKernel, PinnedFeatures};
+use crate::features::{cached_ctqw_density, cached_wl_histogram, WlHistogram};
+use crate::kernel::{compute_pair, pair_batch_gram, sparse_dot, GraphKernel, PairBatchKernel};
 use crate::matrix::KernelMatrix;
-use haqjsk_engine::{BackendKind, RemoteGram};
+use haqjsk_engine::BackendKind;
 use haqjsk_graph::Graph;
-use haqjsk_quantum::{batch_mixture_entropies, DensityMatrix, MixtureEntropy};
+use haqjsk_quantum::{
+    batch_mixture_entropies, tsallis_entropy_of_spectrum, DensityMatrix, MixtureEntropy,
+};
 use std::sync::Arc;
 
 const SPECTRUM: &str = "the eigensolver converges on a density matrix";
 
-/// Tsallis q-entropy of a probability spectrum:
-/// `S_q(p) = (1 - Σ_i p_i^q) / (q - 1)`, recovering the von Neumann /
-/// Shannon entropy as `q → 1`. (Re-exported quantum primitive; see
-/// [`haqjsk_quantum::tsallis_entropy_of_spectrum`].)
-pub fn tsallis_entropy(spectrum: &[f64], q: f64) -> f64 {
-    haqjsk_quantum::tsallis_entropy_of_spectrum(spectrum, q)
-}
-
 /// Jensen–Tsallis q-difference between two density matrices of equal
 /// dimension: `S_q((ρ+σ)/2) - (S_q(ρ) + S_q(σ)) / 2`, clamped at zero.
+/// Each spectrum is read from its state's memo.
 pub fn jensen_tsallis_difference(rho: &DensityMatrix, sigma: &DensityMatrix, q: f64) -> f64 {
-    jensen_tsallis_difference_with_entropies(
-        rho,
-        sigma,
-        tsallis_entropy(&rho.spectrum().expect(SPECTRUM), q),
-        tsallis_entropy(&sigma.spectrum().expect(SPECTRUM), q),
-        q,
-    )
-}
-
-/// [`jensen_tsallis_difference`] with precomputed endpoint entropies: only
-/// the mixture's spectrum (one values-only eigenvalue solve) remains
-/// pair-specific. Like the von Neumann entropy, `S_q` is invariant under
-/// zero-padding — the added exact-zero eigenvalues contribute nothing — so
-/// entropies of the unpadded states serve their padded versions.
-pub fn jensen_tsallis_difference_with_entropies(
-    rho: &DensityMatrix,
-    sigma: &DensityMatrix,
-    s_rho: f64,
-    s_sigma: f64,
-    q: f64,
-) -> f64 {
     let mixture = rho.mix(sigma).expect("equal dimensions");
-    jensen_tsallis_from_entropies(
-        tsallis_entropy(&mixture.spectrum().expect(SPECTRUM), q),
-        s_rho,
-        s_sigma,
-    )
+    let s_q = |state: &DensityMatrix| {
+        tsallis_entropy_of_spectrum(state.memoised_spectrum().expect(SPECTRUM), q)
+    };
+    jensen_tsallis_from_entropies(s_q(&mixture), s_q(rho), s_q(sigma))
 }
 
 /// The Jensen–Tsallis q-difference once all three entropies are known:
-/// `S_q(mix) - (S_q(ρ) + S_q(σ))/2`, clamped at zero. The per-pair and
-/// tile-batched paths both reduce through this one expression so their
-/// values stay bit-identical.
+/// `S_q(mix) - (S_q(ρ) + S_q(σ))/2`, clamped at zero. The kernel and
+/// [`jensen_tsallis_difference`] both reduce through this one expression.
 pub fn jensen_tsallis_from_entropies(s_mixture: f64, s_rho: f64, s_sigma: f64) -> f64 {
     let d = s_mixture - 0.5 * (s_rho + s_sigma);
     d.max(0.0)
@@ -112,15 +84,16 @@ impl JensenTsallisKernel {
     /// [`crate::QjskUnaligned::eval_tile`]); byte-identical to the
     /// in-process Gram paths.
     pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        let pinned: PinnedFeatures<'_, JtqkInputs> = PinnedFeatures::new(graphs);
-        let extract = |g: &Graph| self.extract(g);
-        self.kernel_tile(pairs, &pinned, extract, out);
+        crate::kernel::eval_tile(self, graphs, pairs, out);
     }
 
     /// The global (quantum) factor: `exp(-JT_q(ρ_p, ρ_q))` with zero-padded
     /// density matrices.
     pub fn quantum_factor(&self, a: &Graph, b: &Graph) -> f64 {
-        self.quantum_factor_from_parts(&self.extract_quantum(a), &self.extract_quantum(b))
+        let (a, b) = (self.extract(a), self.extract(b));
+        let mut out = [0.0];
+        self.quantum_factors(&[(&a, &b)], &mut out);
+        out[0]
     }
 
     /// The local factor: the cosine-normalised WL subtree similarity,
@@ -142,78 +115,59 @@ impl JensenTsallisKernel {
         }
     }
 
-    /// Extracts the quantum half of the per-graph artifacts: the CTQW
-    /// density and its Tsallis q-entropy (derived in O(n) from the cached
-    /// spectrum).
-    fn extract_quantum(&self, graph: &Graph) -> QuantumInputs {
-        QuantumInputs {
-            density: cached_ctqw_density(graph),
-            tsallis: tsallis_entropy(&cached_graph_spectrals(graph).spectrum, self.q),
+    /// The quantum factor of every input pair, the mixtures solved as one
+    /// batch (which zero-pads the smaller state of each pair itself).
+    fn quantum_factors(&self, pairs: &[(&JtqkInputs, &JtqkInputs)], out: &mut [f64]) {
+        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = pairs
+            .iter()
+            .map(|(a, b)| (&*a.density, &*b.density))
+            .collect();
+        let s_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::Tsallis(self.q))
+            .expect("padded mixtures share a dimension");
+        for (k, (a, b)) in pairs.iter().enumerate() {
+            out[k] = (-jensen_tsallis_from_entropies(s_mix[k], a.tsallis, b.tsallis)).exp();
         }
     }
+}
 
-    /// Extracts everything a Gram pair evaluation consumes: the quantum
-    /// artifacts plus the cached WL label histogram of the local factor.
+/// Per-graph inputs of the JTQK pair evaluation: the CTQW density, its
+/// Tsallis q-entropy (from the density's memoised spectrum, which
+/// zero-padding leaves unchanged) and the WL label histogram.
+pub(crate) struct JtqkInputs {
+    density: Arc<DensityMatrix>,
+    tsallis: f64,
+    wl: Arc<WlHistogram>,
+}
+
+impl PairBatchKernel for JensenTsallisKernel {
+    type Inputs = JtqkInputs;
+
     fn extract(&self, graph: &Graph) -> JtqkInputs {
+        let density = cached_ctqw_density(graph);
+        let tsallis =
+            tsallis_entropy_of_spectrum(density.memoised_spectrum().expect(SPECTRUM), self.q);
         JtqkInputs {
-            quantum: self.extract_quantum(graph),
+            density,
+            tsallis,
             wl: cached_wl_histogram(graph, self.wl_iterations),
         }
     }
 
-    fn quantum_factor_from_parts(&self, a: &QuantumInputs, b: &QuantumInputs) -> f64 {
-        let n = a.density.dim().max(b.density.dim());
-        let (mut sa, mut sb) = (None, None);
-        let pa = crate::features::pad_to(&a.density, n, &mut sa);
-        let pb = crate::features::pad_to(&b.density, n, &mut sb);
-        (-jensen_tsallis_difference_with_entropies(pa, pb, a.tsallis, b.tsallis, self.q)).exp()
-    }
-
-    fn kernel_from_inputs(&self, a: &JtqkInputs, b: &JtqkInputs) -> f64 {
-        self.quantum_factor_from_parts(&a.quantum, &b.quantum)
-            * Self::local_factor_from(&a.wl, &b.wl)
-    }
-
-    /// Whole-tile fast path: all of the tile's quantum mixtures go through
-    /// one batched Tsallis-entropy solve; the local factor stays a sparse
-    /// dot per pair. Byte-identical to
-    /// [`JensenTsallisKernel::kernel_from_inputs`].
-    fn kernel_tile(
-        &self,
-        pairs: &[(usize, usize)],
-        pinned: &PinnedFeatures<'_, JtqkInputs>,
-        extract: impl Fn(&Graph) -> JtqkInputs + Copy,
-        out: &mut [f64],
-    ) {
-        let inputs: Vec<(&JtqkInputs, &JtqkInputs)> = pairs
-            .iter()
-            .map(|&(i, j)| (pinned.get(i, extract), pinned.get(j, extract)))
-            .collect();
-        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = inputs
-            .iter()
-            .map(|(a, b)| (&*a.quantum.density, &*b.quantum.density))
-            .collect();
-        let s_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::Tsallis(self.q))
-            .expect("padded mixtures share a dimension");
-        for (k, (a, b)) in inputs.iter().enumerate() {
-            let quantum =
-                (-jensen_tsallis_from_entropies(s_mix[k], a.quantum.tsallis, b.quantum.tsallis))
-                    .exp();
-            out[k] = quantum * Self::local_factor_from(&a.wl, &b.wl);
+    /// The quantum factors of the whole slice, each times one sparse WL
+    /// dot.
+    fn kernel_batch(&self, pairs: &[(&JtqkInputs, &JtqkInputs)], out: &mut [f64]) {
+        self.quantum_factors(pairs, out);
+        for (k, (a, b)) in pairs.iter().enumerate() {
+            out[k] *= Self::local_factor_from(&a.wl, &b.wl);
         }
     }
-}
 
-/// The quantum-factor half of the per-graph JTQK artifacts.
-struct QuantumInputs {
-    density: Arc<DensityMatrix>,
-    tsallis: f64,
-}
-
-/// Per-graph artifacts of the JTQK Gram pair loop.
-struct JtqkInputs {
-    quantum: QuantumInputs,
-    wl: Arc<WlHistogram>,
+    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
+        (
+            JensenTsallisKernel::REMOTE_KERNEL_ID,
+            vec![("q", self.q), ("wl_iterations", self.wl_iterations as f64)],
+        )
+    }
 }
 
 impl GraphKernel for JensenTsallisKernel {
@@ -222,31 +176,11 @@ impl GraphKernel for JensenTsallisKernel {
     }
 
     fn compute(&self, a: &Graph, b: &Graph) -> f64 {
-        self.kernel_from_inputs(&self.extract(a), &self.extract(b))
+        compute_pair(self, a, b)
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
-        let _timer = crate::kernel::time_kernel_gram(self.name());
-        // Every per-graph artifact — CTQW density, Tsallis entropy, WL
-        // label histogram — is pinned once per Gram computation, so the
-        // pair loop pays one batched values-only mixture solve per tile
-        // plus one sparse WL dot per pair.
-        let pinned: PinnedFeatures<'_, JtqkInputs> = PinnedFeatures::new(graphs);
-        let extract = |g: &Graph| self.extract(g);
-        let spec = RemoteGram {
-            kernel_id: JensenTsallisKernel::REMOTE_KERNEL_ID,
-            params: vec![("q", self.q), ("wl_iterations", self.wl_iterations as f64)],
-            graphs,
-            artifact: None,
-        };
-        gram_from_tiles(
-            graphs.len(),
-            backend,
-            |pairs: &[(usize, usize)], out: &mut [f64]| {
-                self.kernel_tile(pairs, &pinned, extract, out)
-            },
-            Some(&spec),
-        )
+        pair_batch_gram(self, graphs, backend)
     }
 }
 
@@ -259,12 +193,12 @@ mod tests {
     fn tsallis_entropy_limits() {
         // q -> 1 recovers Shannon entropy of the uniform distribution.
         let uniform = [0.25; 4];
-        assert!((tsallis_entropy(&uniform, 1.0) - 4.0_f64.ln()).abs() < 1e-9);
+        assert!((tsallis_entropy_of_spectrum(&uniform, 1.0) - 4.0_f64.ln()).abs() < 1e-9);
         // q = 2: S_2 = 1 - sum p^2 = 1 - 0.25 = 0.75.
-        assert!((tsallis_entropy(&uniform, 2.0) - 0.75).abs() < 1e-12);
+        assert!((tsallis_entropy_of_spectrum(&uniform, 2.0) - 0.75).abs() < 1e-12);
         // Deterministic distribution has zero entropy for every q.
-        assert_eq!(tsallis_entropy(&[1.0, 0.0], 2.0), 0.0);
-        assert_eq!(tsallis_entropy(&[1.0, 0.0], 1.0), 0.0);
+        assert_eq!(tsallis_entropy_of_spectrum(&[1.0, 0.0], 2.0), 0.0);
+        assert_eq!(tsallis_entropy_of_spectrum(&[1.0, 0.0], 1.0), 0.0);
     }
 
     #[test]
@@ -300,7 +234,7 @@ mod tests {
         let b = cycle_graph(7);
         let v = kernel.compute(&a, &b);
         assert!((v - kernel.compute(&b, &a)).abs() < 1e-9);
-        assert!(v >= 0.0 && v <= 1.0 + 1e-9);
+        assert!((0.0..=1.0 + 1e-9).contains(&v));
     }
 
     #[test]
@@ -311,6 +245,6 @@ mod tests {
         let qf = kernel.quantum_factor(&a, &b);
         let lf = kernel.local_factor(&a, &b);
         assert!(qf > 0.0 && qf <= 1.0 + 1e-12);
-        assert!(lf >= 0.0 && lf <= 1.0 + 1e-12);
+        assert!((0.0..=1.0 + 1e-12).contains(&lf));
     }
 }

@@ -14,6 +14,7 @@ use crate::matrix::KernelMatrix;
 use haqjsk_engine::{per_pair, BackendKind, Engine, RemoteGram, TileEvaluator};
 use haqjsk_graph::Graph;
 use haqjsk_linalg::Matrix;
+use std::sync::OnceLock;
 
 /// A positive (or, for some baselines, indefinite) similarity measure between
 /// pairs of graphs.
@@ -90,29 +91,88 @@ pub fn gram_from_tiles<T: TileEvaluator>(
     KernelMatrix::new(values).expect("tile construction is symmetric")
 }
 
-/// Per-Gram pin of per-graph artifacts: each slot is filled at most once
-/// per Gram computation (through the global feature caches or directly) and
-/// the held values stay alive even if a byte budget evicts them from the
-/// cache mid-computation — the pair loop then reads a lock-free slot.
-/// Slots fill on first touch, by whichever tile reaches the graph first.
-pub(crate) struct PinnedFeatures<'a, T> {
-    graphs: &'a [Graph],
-    slots: Vec<std::sync::OnceLock<T>>,
+/// A quantum baseline (QJSK-U, QJSK-A, JTQK) with one evaluation path:
+/// per-graph inputs come out of the global feature caches, and every
+/// evaluation — one pair ([`GraphKernel::compute`]), a Gram tile or a dist
+/// worker's tile — is one [`PairBatchKernel::kernel_batch`] call over a
+/// slice of input pairs, which makes one batched mixture-entropy solve.
+pub(crate) trait PairBatchKernel: GraphKernel {
+    /// The per-graph artifacts one pair evaluation reads.
+    type Inputs: Send + Sync;
+
+    /// Extracts (through the feature caches) the inputs of one graph.
+    fn extract(&self, graph: &Graph) -> Self::Inputs;
+
+    /// Writes the kernel value of every input pair to `out`.
+    fn kernel_batch(&self, pairs: &[(&Self::Inputs, &Self::Inputs)], out: &mut [f64]);
+
+    /// The kernel id and parameters the distributed backend rebuilds the
+    /// kernel from on a worker.
+    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>);
 }
 
-impl<'a, T> PinnedFeatures<'a, T> {
-    pub(crate) fn new(graphs: &'a [Graph]) -> Self {
-        PinnedFeatures {
-            graphs,
-            slots: graphs.iter().map(|_| std::sync::OnceLock::new()).collect(),
-        }
-    }
+/// The one-pair case of [`PairBatchKernel::kernel_batch`].
+pub(crate) fn compute_pair<K: PairBatchKernel>(kernel: &K, a: &Graph, b: &Graph) -> f64 {
+    let (a, b) = (kernel.extract(a), kernel.extract(b));
+    let mut out = [0.0];
+    kernel.kernel_batch(&[(&a, &b)], &mut out);
+    out[0]
+}
 
-    /// The pinned artifact of graph `i`, extracting it with `init` on first
-    /// touch.
-    pub(crate) fn get(&self, i: usize, init: impl FnOnce(&Graph) -> T) -> &T {
-        self.slots[i].get_or_init(|| init(&self.graphs[i]))
-    }
+/// Evaluates one tile of index pairs over `graphs` with freshly pinned
+/// inputs — the dist worker's entry point, byte-identical to the
+/// in-process Gram tiles.
+pub(crate) fn eval_tile<K: PairBatchKernel>(
+    kernel: &K,
+    graphs: &[Graph],
+    pairs: &[(usize, usize)],
+    out: &mut [f64],
+) {
+    eval_pinned(kernel, graphs, &pins(graphs), pairs, out);
+}
+
+/// The Gram matrix of a [`PairBatchKernel`]: inputs pinned once per
+/// computation, every tile one [`PairBatchKernel::kernel_batch`] call, and
+/// the kernel's remote spec attached for the distributed backend.
+pub(crate) fn pair_batch_gram<K: PairBatchKernel>(
+    kernel: &K,
+    graphs: &[Graph],
+    backend: Option<BackendKind>,
+) -> KernelMatrix {
+    let _timer = time_kernel_gram(kernel.name());
+    let pins = pins(graphs);
+    let (kernel_id, params) = kernel.remote_kernel();
+    let spec = RemoteGram {
+        kernel_id,
+        params,
+        graphs,
+        artifact: None,
+    };
+    let tiles =
+        |pairs: &[(usize, usize)], out: &mut [f64]| eval_pinned(kernel, graphs, &pins, pairs, out);
+    gram_from_tiles(graphs.len(), backend, tiles, Some(&spec))
+}
+
+/// One empty pin slot per graph. A Gram fills each slot at most once
+/// (through the global feature caches), on first touch by whichever tile
+/// reaches the graph first, and the pinned inputs stay alive even if a
+/// byte budget evicts them from a cache mid-computation.
+fn pins<T>(graphs: &[Graph]) -> Vec<OnceLock<T>> {
+    graphs.iter().map(|_| OnceLock::new()).collect()
+}
+
+/// The pin-and-map step: pins both endpoints of every index pair and maps
+/// the tile through one [`PairBatchKernel::kernel_batch`] call.
+fn eval_pinned<K: PairBatchKernel>(
+    kernel: &K,
+    graphs: &[Graph],
+    pins: &[OnceLock<K::Inputs>],
+    pairs: &[(usize, usize)],
+    out: &mut [f64],
+) {
+    let pin = |i: usize| pins[i].get_or_init(|| kernel.extract(&graphs[i]));
+    let inputs: Vec<_> = pairs.iter().map(|&(i, j)| (pin(i), pin(j))).collect();
+    kernel.kernel_batch(&inputs, out);
 }
 
 /// Builds a Gram matrix from explicit feature vectors using the linear kernel

@@ -40,9 +40,9 @@ pub mod wl;
 pub use depth_based::DepthBasedAlignedKernel;
 pub use embedding::{kernel_distance_matrix, kernel_pca, KernelPca};
 pub use features::{
-    cached_alignment_basis, cached_ctqw_densities, cached_ctqw_density, cached_graph_spectrals,
-    cached_wl_histogram, clear_density_cache, density_cache_shard_stats, density_cache_stats,
-    register_cache_metrics, set_density_cache_budget, AlignmentBasis, GraphSpectrals, WlHistogram,
+    cached_alignment_basis, cached_ctqw_densities, cached_ctqw_density, cached_wl_histogram,
+    clear_density_cache, density_cache_shard_stats, density_cache_stats, register_cache_metrics,
+    set_density_cache_budget, AlignmentBasis, WlHistogram,
 };
 pub use graphlet::GraphletKernel;
 pub use jtqk::JensenTsallisKernel;

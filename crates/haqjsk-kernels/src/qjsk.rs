@@ -12,59 +12,26 @@
 //!   alignment restores permutation invariance but is not transitive, so the
 //!   kernel is still not guaranteed positive definite — exactly the drawback
 //!   the HAQJSK kernels remove.
+//!
+//! Both evaluate every pair through one function over a slice of input
+//! pairs (`PairBatchKernel::kernel_batch`): per pair only the padding (and,
+//! for the aligned kernel, the Umeyama matching) is done, and all the
+//! mixtures go through one batched values-only eigensolve. The endpoint
+//! entropies are read from the memo of each graph's cached CTQW density,
+//! so `compute`, a Gram tile and a dist worker's tile are the same code and
+//! give the same bits.
 
-use crate::features::{
-    cached_alignment_basis, cached_ctqw_density, cached_graph_spectrals, pad_to, AlignmentBasis,
-};
-use crate::kernel::{gram_from_tiles, GraphKernel, PinnedFeatures};
+use crate::features::{cached_alignment_basis, cached_ctqw_density, AlignmentBasis};
+use crate::kernel::{compute_pair, pair_batch_gram, GraphKernel, PairBatchKernel};
 use crate::matrix::KernelMatrix;
-use haqjsk_engine::{BackendKind, RemoteGram};
+use haqjsk_engine::BackendKind;
 use haqjsk_graph::Graph;
 use haqjsk_linalg::assignment::hungarian_max;
 use haqjsk_linalg::{symmetric_eigen, Matrix};
-use haqjsk_quantum::{
-    batch_mixture_entropies, qjsd_from_entropies, qjsd_with_entropies, DensityMatrix,
-    MixtureEntropy,
-};
+use haqjsk_quantum::{batch_qjsd, DensityMatrix};
 use std::sync::Arc;
 
-/// The per-graph artifacts the unaligned QJSK pair loop consumes: the CTQW
-/// density and its von Neumann entropy. Everything else a pair needs — the
-/// mixture spectrum — is genuinely pair-specific and is the single
-/// values-only eigenvalue solve left in the loop.
-struct SpectralInputs {
-    density: Arc<DensityMatrix>,
-    entropy: f64,
-}
-
-impl SpectralInputs {
-    fn extract(graph: &Graph) -> SpectralInputs {
-        SpectralInputs {
-            density: cached_ctqw_density(graph),
-            entropy: cached_graph_spectrals(graph).von_neumann_entropy,
-        }
-    }
-}
-
-/// [`SpectralInputs`] plus the Umeyama eigenvector-magnitude basis the
-/// aligned kernel needs.
-struct AlignedInputs {
-    spectral: SpectralInputs,
-    basis: Arc<AlignmentBasis>,
-}
-
-impl AlignedInputs {
-    fn extract(graph: &Graph) -> AlignedInputs {
-        // Basis first: its full decomposition warms the spectral cache, so
-        // the entropy lookup below is a hit and a cold aligned Gram pays
-        // one eigensolve per graph, not two.
-        let basis = cached_alignment_basis(graph);
-        AlignedInputs {
-            spectral: SpectralInputs::extract(graph),
-            basis,
-        }
-    }
-}
+const SOLVES: &str = "padded mixtures share a dimension and CTQW spectra converge";
 
 /// The unaligned QJSK kernel of Eq. (9).
 #[derive(Debug, Clone)]
@@ -93,57 +60,34 @@ impl QjskUnaligned {
     /// serialisation boundary: a distributed worker receives the dataset
     /// once and then replays `(kernel id + params + index-pair tile)` work
     /// units through this entry point. Values are byte-identical to the
-    /// in-process Gram paths (per-graph artifacts come from the same
+    /// in-process Gram paths: the per-graph inputs come from the same
     /// deterministic feature caches, and the batched mixture eigensolver is
-    /// bit-identical per matrix regardless of batch composition).
+    /// bit-identical per matrix regardless of batch composition.
     pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        let pinned: PinnedFeatures<'_, SpectralInputs> = PinnedFeatures::new(graphs);
-        self.kernel_tile(pairs, &pinned, out);
+        crate::kernel::eval_tile(self, graphs, pairs, out);
+    }
+}
+
+impl PairBatchKernel for QjskUnaligned {
+    /// The graph's cached CTQW density, whose memo holds its entropy.
+    type Inputs = Arc<DensityMatrix>;
+
+    fn extract(&self, graph: &Graph) -> Arc<DensityMatrix> {
+        cached_ctqw_density(graph)
     }
 
-    /// The pairwise fast path: zero-pad, then one values-only mixture solve
-    /// against the precomputed endpoint entropies (which zero-padding leaves
-    /// unchanged).
-    fn kernel_from_inputs(&self, a: &SpectralInputs, b: &SpectralInputs) -> f64 {
-        let n = a.density.dim().max(b.density.dim());
-        let (mut sa, mut sb) = (None, None);
-        let pa = pad_to(&a.density, n, &mut sa);
-        let pb = pad_to(&b.density, n, &mut sb);
-        let d = qjsd_with_entropies(pa, pb, a.entropy, b.entropy)
-            .expect("equal dimensions after padding");
-        (-self.mu * d).exp()
-    }
-
-    /// The whole-tile fast path: every pair of the tile contributes one
-    /// padded mixture, all of which go through **one** batched values-only
-    /// eigensolve; the entries then reduce through the same
-    /// `qjsd_from_entropies` expression as the per-pair path, so the tile
-    /// values are byte-identical to [`QjskUnaligned::kernel_from_inputs`].
-    fn kernel_tile(
-        &self,
-        pairs: &[(usize, usize)],
-        pinned: &PinnedFeatures<'_, SpectralInputs>,
-        out: &mut [f64],
-    ) {
-        let inputs: Vec<(&SpectralInputs, &SpectralInputs)> = pairs
-            .iter()
-            .map(|&(i, j)| {
-                (
-                    pinned.get(i, SpectralInputs::extract),
-                    pinned.get(j, SpectralInputs::extract),
-                )
-            })
-            .collect();
-        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = inputs
-            .iter()
-            .map(|(a, b)| (&*a.density, &*b.density))
-            .collect();
-        let h_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::VonNeumann)
-            .expect("padded mixtures share a dimension");
-        for (k, (a, b)) in inputs.iter().enumerate() {
-            let d = qjsd_from_entropies(h_mix[k], a.entropy, b.entropy);
-            out[k] = (-self.mu * d).exp();
+    /// The batch zero-pads the smaller state of each pair itself.
+    fn kernel_batch(&self, pairs: &[(&Self::Inputs, &Self::Inputs)], out: &mut [f64]) {
+        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> =
+            pairs.iter().map(|&(a, b)| (&**a, &**b)).collect();
+        let divergences = batch_qjsd(&mixtures, mixtures.iter().copied()).expect(SOLVES);
+        for (value, d) in out.iter_mut().zip(divergences) {
+            *value = (-self.mu * d).exp();
         }
+    }
+
+    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
+        (QjskUnaligned::REMOTE_KERNEL_ID, vec![("mu", self.mu)])
     }
 }
 
@@ -153,25 +97,19 @@ impl GraphKernel for QjskUnaligned {
     }
 
     fn compute(&self, a: &Graph, b: &Graph) -> f64 {
-        self.kernel_from_inputs(&SpectralInputs::extract(a), &SpectralInputs::extract(b))
+        compute_pair(self, a, b)
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
-        let _timer = crate::kernel::time_kernel_gram(self.name());
-        let pinned: PinnedFeatures<'_, SpectralInputs> = PinnedFeatures::new(graphs);
-        let spec = RemoteGram {
-            kernel_id: QjskUnaligned::REMOTE_KERNEL_ID,
-            params: vec![("mu", self.mu)],
-            graphs,
-            artifact: None,
-        };
-        gram_from_tiles(
-            graphs.len(),
-            backend,
-            |pairs: &[(usize, usize)], out: &mut [f64]| self.kernel_tile(pairs, &pinned, out),
-            Some(&spec),
-        )
+        pair_batch_gram(self, graphs, backend)
     }
+}
+
+/// The per-graph inputs of the aligned kernel: the CTQW density and its
+/// Umeyama eigenvector-magnitude basis.
+pub(crate) struct AlignedInputs {
+    density: Arc<DensityMatrix>,
+    basis: Arc<AlignmentBasis>,
 }
 
 /// The Umeyama-aligned QJSK kernel of Eq. (11).
@@ -202,8 +140,7 @@ impl QjskAligned {
     /// [`QjskUnaligned::eval_tile`]); byte-identical to the in-process
     /// Gram paths.
     pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        let pinned: PinnedFeatures<'_, AlignedInputs> = PinnedFeatures::new(graphs);
-        self.kernel_tile(pairs, &pinned, out);
+        crate::kernel::eval_tile(self, graphs, pairs, out);
     }
 
     /// Umeyama spectral matching between two symmetric matrices of equal
@@ -212,10 +149,10 @@ impl QjskAligned {
     /// `perm` such that vertex `i` of `a` is matched to vertex `perm[i]` of
     /// `b`.
     ///
-    /// This entry point decomposes both matrices from scratch; the Gram
-    /// pair loop instead reuses per-graph [`AlignmentBasis`] artifacts and
-    /// goes through [`QjskAligned::umeyama_match_bases`], which produces
-    /// the identical permutation without any per-pair eigendecomposition.
+    /// This entry point decomposes both matrices from scratch; the kernel
+    /// instead reuses per-graph [`AlignmentBasis`] artifacts and goes
+    /// through [`QjskAligned::umeyama_match_bases`], which produces the
+    /// identical permutation without any per-pair eigendecomposition.
     pub fn umeyama_match(a: &Matrix, b: &Matrix) -> Vec<usize> {
         let n = a.rows();
         debug_assert_eq!(n, b.rows());
@@ -244,75 +181,59 @@ impl QjskAligned {
         let (assignment, _) = hungarian_max(profit.data(), profit.rows());
         assignment
     }
+}
 
-    fn kernel_from_inputs(&self, a: &AlignedInputs, b: &AlignedInputs) -> f64 {
-        let rho_a = &a.spectral.density;
-        let rho_b = &b.spectral.density;
-        let n = rho_a.dim().max(rho_b.dim());
-        // perm[i] = vertex of b matched to vertex i of a. Re-order b so that
-        // its matched vertex sits at index i: new_b[i][j] = b[perm[i]][perm[j]].
-        let perm = Self::umeyama_match_bases(&a.basis, &b.basis, n);
-        let (mut sa, mut sb) = (None, None);
-        let pa = pad_to(rho_a, n, &mut sa);
-        let pb = pad_to(rho_b, n, &mut sb);
-        let aligned_b = pb.permute(&perm).expect("valid permutation");
-        // Conjugating by a permutation preserves the spectrum, so b's
-        // precomputed entropy serves the aligned state too; the mixture is
-        // the one values-only eigenvalue solve this pair pays for.
-        let d = qjsd_with_entropies(pa, &aligned_b, a.spectral.entropy, b.spectral.entropy)
-            .expect("equal dimensions after padding");
-        (-self.mu * d).exp()
+impl PairBatchKernel for QjskAligned {
+    type Inputs = AlignedInputs;
+
+    /// Basis first: its full decomposition fills the density's spectral
+    /// memo, so a cold aligned Gram pays one eigensolve per graph, not two.
+    fn extract(&self, graph: &Graph) -> AlignedInputs {
+        let basis = cached_alignment_basis(graph);
+        AlignedInputs {
+            density: cached_ctqw_density(graph),
+            basis,
+        }
     }
 
-    /// Whole-tile fast path: the Umeyama matching stays per pair (the
-    /// Hungarian assignment is inherently sequential), but all of the
-    /// tile's aligned mixtures go through one batched values-only
-    /// eigensolve. Byte-identical to [`QjskAligned::kernel_from_inputs`].
-    fn kernel_tile(
-        &self,
-        pairs: &[(usize, usize)],
-        pinned: &PinnedFeatures<'_, AlignedInputs>,
-        out: &mut [f64],
-    ) {
-        let inputs: Vec<(&AlignedInputs, &AlignedInputs)> = pairs
+    /// The Umeyama matching stays per pair (the Hungarian assignment is
+    /// inherently sequential); all the aligned mixtures go through one
+    /// batched values-only eigensolve.
+    fn kernel_batch(&self, pairs: &[(&AlignedInputs, &AlignedInputs)], out: &mut [f64]) {
+        // perm[i] = vertex of b matched to vertex i of a. Re-order the
+        // padded b so that its matched vertex sits at index i:
+        // new_b[i][j] = b[perm[i]][perm[j]]. Conjugating by a permutation
+        // preserves the spectrum, so b's memoised entropy serves the
+        // aligned state too.
+        let aligned_b: Vec<DensityMatrix> = pairs
             .iter()
-            .map(|&(i, j)| {
-                (
-                    pinned.get(i, AlignedInputs::extract),
-                    pinned.get(j, AlignedInputs::extract),
-                )
+            .map(|(a, b)| {
+                let n = a.density.dim().max(b.density.dim());
+                let perm = Self::umeyama_match_bases(&a.basis, &b.basis, n);
+                let padded;
+                let pb = if b.density.dim() == n {
+                    &*b.density
+                } else {
+                    padded = b.density.zero_pad(n).expect("padding up never fails");
+                    &padded
+                };
+                pb.permute(&perm).expect("valid permutation")
             })
             .collect();
-        // Per-pair alignment: padded basis reconstruction, Hungarian
-        // matching, then the aligned (permuted) padded partner state.
-        let mut padded_a: Vec<Option<DensityMatrix>> = Vec::with_capacity(pairs.len());
-        let mut aligned_b: Vec<DensityMatrix> = Vec::with_capacity(pairs.len());
-        for (a, b) in &inputs {
-            let rho_a = &a.spectral.density;
-            let rho_b = &b.spectral.density;
-            let n = rho_a.dim().max(rho_b.dim());
-            let perm = Self::umeyama_match_bases(&a.basis, &b.basis, n);
-            let mut sb = None;
-            let pb = pad_to(rho_b, n, &mut sb);
-            aligned_b.push(pb.permute(&perm).expect("valid permutation"));
-            padded_a.push(if rho_a.dim() == n {
-                None
-            } else {
-                Some(rho_a.zero_pad(n).expect("padding up never fails"))
-            });
-        }
-        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = inputs
+        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = pairs
             .iter()
-            .zip(&padded_a)
             .zip(&aligned_b)
-            .map(|(((a, _), pa), ab)| (pa.as_ref().unwrap_or(&*a.spectral.density), ab))
+            .map(|((a, _), ab)| (&*a.density, ab))
             .collect();
-        let h_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::VonNeumann)
-            .expect("aligned mixtures share a dimension");
-        for (k, (a, b)) in inputs.iter().enumerate() {
-            let d = qjsd_from_entropies(h_mix[k], a.spectral.entropy, b.spectral.entropy);
-            out[k] = (-self.mu * d).exp();
+        let endpoints = pairs.iter().map(|(a, b)| (&*a.density, &*b.density));
+        let divergences = batch_qjsd(&mixtures, endpoints).expect(SOLVES);
+        for (value, d) in out.iter_mut().zip(divergences) {
+            *value = (-self.mu * d).exp();
         }
+    }
+
+    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
+        (QjskAligned::REMOTE_KERNEL_ID, vec![("mu", self.mu)])
     }
 }
 
@@ -322,24 +243,11 @@ impl GraphKernel for QjskAligned {
     }
 
     fn compute(&self, a: &Graph, b: &Graph) -> f64 {
-        self.kernel_from_inputs(&AlignedInputs::extract(a), &AlignedInputs::extract(b))
+        compute_pair(self, a, b)
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
-        let _timer = crate::kernel::time_kernel_gram(self.name());
-        let pinned: PinnedFeatures<'_, AlignedInputs> = PinnedFeatures::new(graphs);
-        let spec = RemoteGram {
-            kernel_id: QjskAligned::REMOTE_KERNEL_ID,
-            params: vec![("mu", self.mu)],
-            graphs,
-            artifact: None,
-        };
-        gram_from_tiles(
-            graphs.len(),
-            backend,
-            |pairs: &[(usize, usize)], out: &mut [f64]| self.kernel_tile(pairs, &pinned, out),
-            Some(&spec),
-        )
+        pair_batch_gram(self, graphs, backend)
     }
 }
 

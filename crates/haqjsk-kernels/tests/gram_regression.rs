@@ -13,8 +13,8 @@ use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_g
 use haqjsk_graph::Graph;
 use haqjsk_kernels::jtqk::jensen_tsallis_difference;
 use haqjsk_kernels::{
-    cached_alignment_basis, cached_ctqw_density, cached_graph_spectrals, clear_density_cache,
-    GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned,
+    cached_alignment_basis, cached_ctqw_density, clear_density_cache, GraphKernel,
+    JensenTsallisKernel, QjskAligned, QjskUnaligned,
 };
 use haqjsk_quantum::{ctqw_density_infinite, qjsd, DensityMatrix};
 
@@ -133,13 +133,8 @@ fn jtqk_gram_matches_pre_refactor_values() {
 fn clearing_the_density_cache_clears_derived_artifact_caches() {
     let g = cycle_graph(9);
     let _ = cached_ctqw_density(&g);
-    let _ = cached_graph_spectrals(&g);
     let _ = cached_alignment_basis(&g);
     clear_density_cache();
-    assert_eq!(
-        haqjsk_kernels::features::spectral_cache().stats().entries,
-        0
-    );
     assert_eq!(
         haqjsk_kernels::features::alignment_cache().stats().entries,
         0

@@ -119,7 +119,7 @@ proptest! {
         let b = random_graph(seed + 31, 3);
         let kernel = JensenTsallisKernel::new(2.0, 2);
         let ab = kernel.compute(&a, &b);
-        prop_assert!(ab >= 0.0 && ab <= 1.0 + 1e-9);
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&ab));
         prop_assert!((ab - kernel.compute(&b, &a)).abs() < 1e-9);
     }
 

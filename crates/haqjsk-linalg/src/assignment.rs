@@ -160,7 +160,7 @@ mod tests {
         let (assignment, total) = hungarian(&cost, 3);
         assert_eq!(total, 5.0);
         // Assignment must be a permutation.
-        let mut seen = vec![false; 3];
+        let mut seen = [false; 3];
         for &j in &assignment {
             assert!(!seen[j]);
             seen[j] = true;

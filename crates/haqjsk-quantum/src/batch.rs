@@ -14,8 +14,9 @@
 //! and every surrounding operation is shared with the per-pair path, the
 //! returned entropies are **bit-identical** to evaluating each pair alone.
 
-use crate::density::DensityMatrix;
-use crate::entropy::{entropy_of_spectrum, tsallis_entropy_of_spectrum};
+use crate::density::{clamp_spectrum, DensityMatrix};
+use crate::entropy::{entropy_of_spectrum, tsallis_entropy_of_spectrum, von_neumann_entropy};
+use crate::qjsd::qjsd_from_entropies;
 use haqjsk_linalg::{batch_symmetric_eigenvalues, max_batch_lanes, LinalgError, Matrix};
 use std::collections::BTreeMap;
 
@@ -83,27 +84,43 @@ pub fn batch_mixture_entropies(
             }
             let matrices: Vec<&Matrix> = mixtures.iter().map(DensityMatrix::matrix).collect();
             let spectra = batch_symmetric_eigenvalues(&matrices)?;
-            for (&idx, mut spectrum) in chunk.iter().zip(spectra) {
-                // Same clamp as `DensityMatrix::spectrum`.
-                for l in spectrum.iter_mut() {
-                    *l = l.clamp(0.0, 1.0);
-                }
-                out[idx] = entropy.of_spectrum(&spectrum);
+            for (&idx, spectrum) in chunk.iter().zip(spectra) {
+                out[idx] = entropy.of_spectrum(&clamp_spectrum(spectrum));
             }
         }
     }
     Ok(out)
 }
 
+/// `D_QJS` of every pair: the `mixtures` (each pair's smaller state
+/// zero-padded) solved as one batch by [`batch_mixture_entropies`], and the
+/// endpoint entropies read from the memos of the matching `endpoints`
+/// pair. The endpoints are the mixture's own states, or states with the
+/// same spectrum (an aligned kernel mixes a permuted copy of its second
+/// state). Each value is bit-identical to [`qjsd`](fn@crate::qjsd) on that pair.
+pub fn batch_qjsd<'a>(
+    mixtures: &[(&DensityMatrix, &DensityMatrix)],
+    endpoints: impl IntoIterator<Item = (&'a DensityMatrix, &'a DensityMatrix)>,
+) -> Result<Vec<f64>, LinalgError> {
+    let h_mixtures = batch_mixture_entropies(mixtures, MixtureEntropy::VonNeumann)?;
+    h_mixtures
+        .into_iter()
+        .zip(endpoints)
+        .map(|(h_mixture, (rho, sigma))| {
+            let (h_rho, h_sigma) = (von_neumann_entropy(rho)?, von_neumann_entropy(sigma)?);
+            Ok(qjsd_from_entropies(h_mixture, h_rho, h_sigma))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ctqw::ctqw_density_infinite;
-    use crate::entropy::von_neumann_entropy;
     use haqjsk_graph::generators::{cycle_graph, erdos_renyi, path_graph, star_graph};
 
     fn states() -> Vec<DensityMatrix> {
-        let graphs = vec![
+        let graphs = [
             path_graph(5),
             cycle_graph(6),
             star_graph(7),

@@ -5,23 +5,46 @@
 //! those invariants at construction, because every downstream quantity
 //! (entropy, QJSD, kernel values) silently degrades if they are violated.
 
-use haqjsk_linalg::{symmetric_eigenvalues, LinalgError, Matrix};
+use crate::entropy::entropy_of_spectrum;
+use haqjsk_linalg::{symmetric_eigen, symmetric_eigenvalues, LinalgError, Matrix, SymmetricEigen};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Tolerance used when validating symmetry / trace / positivity.
 pub const DENSITY_TOL: f64 = 1e-8;
 
+/// Eigensolves that filled a state's spectral memo, process-wide.
+static MEMO_SOLVES: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide count of state eigensolves made for the spectral memo:
+/// one per values-only solve that fills a memo, plus one per full
+/// decomposition through [`DensityMatrix::eigen`]. Tests and benchmarks
+/// read it to check that per-graph spectra are solved once, not per pair.
+pub fn memo_solves() -> u64 {
+    MEMO_SOLVES.load(Ordering::Relaxed)
+}
+
 /// A validated quantum density matrix (real, symmetric, PSD, unit trace).
 ///
-/// The state is immutable once built, so it memoises its von Neumann
-/// entropy on first use ([`crate::von_neumann_entropy`]): a state that is
-/// compared against many others — an aligned graph's per-level state in a
-/// Gram or a kernel row — pays its eigensolve once. Clones carry the memo;
+/// The state is immutable once built, so it memoises its clamped spectrum
+/// together with that spectrum's von Neumann entropy on first use
+/// ([`DensityMatrix::memoised_spectrum`], [`crate::von_neumann_entropy`]):
+/// a state that is compared against many others — a graph's CTQW state in
+/// a baseline Gram, an aligned graph's per-level state in a HAQJSK Gram or
+/// a kernel row — pays its eigensolve once. Clones carry the memo;
 /// equality compares only the matrix.
 #[derive(Debug, Clone)]
 pub struct DensityMatrix {
     matrix: Matrix,
-    entropy: OnceLock<Result<f64, LinalgError>>,
+    spectral: OnceLock<Result<Spectral, LinalgError>>,
+}
+
+/// The memo of a [`DensityMatrix`]: its clamped ascending spectrum and the
+/// von Neumann entropy of that spectrum.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Spectral {
+    values: Vec<f64>,
+    pub(crate) entropy: f64,
 }
 
 impl PartialEq for DensityMatrix {
@@ -115,11 +138,11 @@ impl DensityMatrix {
     }
 
     /// The one place a state is built from an already-valid matrix, with
-    /// an empty entropy memo.
+    /// an empty spectral memo.
     fn wrap(matrix: Matrix) -> Self {
         DensityMatrix {
             matrix,
-            entropy: OnceLock::new(),
+            spectral: OnceLock::new(),
         }
     }
 
@@ -176,23 +199,56 @@ impl DensityMatrix {
     /// absorb numerical noise around zero.
     ///
     /// Routed through the values-only eigen driver: no eigenvector matrix
-    /// is ever formed, which is what makes entropy evaluation cheap enough
-    /// for the O(N²) kernel pair loops. A solver failure is returned, never
-    /// mistaken for an empty spectrum (which would read as entropy 0).
+    /// is ever formed. Every call solves afresh; the kernels read
+    /// [`DensityMatrix::memoised_spectrum`] instead. A solver failure is
+    /// returned, never mistaken for an empty spectrum (which would read as
+    /// entropy 0).
     pub fn spectrum(&self) -> Result<Vec<f64>, LinalgError> {
-        let values = symmetric_eigenvalues(&self.matrix)?;
-        Ok(values.into_iter().map(|l| l.clamp(0.0, 1.0)).collect())
+        symmetric_eigenvalues(&self.matrix).map(clamp_spectrum)
     }
 
-    /// The memoised entropy, computing it with `compute` on first use.
-    /// Threads that ask while it is being computed wait for that one
-    /// solve instead of repeating it. The solve is deterministic, so a
-    /// failure is memoised and returned like a value.
-    pub(crate) fn memoised_entropy(
+    /// The memoised spectrum: exactly [`DensityMatrix::spectrum`], solved
+    /// on first use only. Zero-padding adds exact-zero eigenvalues, so the
+    /// spectrum of an unpadded state serves every entropy of its padded
+    /// versions.
+    pub fn memoised_spectrum(&self) -> Result<&[f64], LinalgError> {
+        Ok(&self.memo()?.values)
+    }
+
+    /// The full eigendecomposition of the state. Its eigenvalues are
+    /// bit-identical to the values-only solve's, so they fill an empty
+    /// spectral memo: a caller that needs the eigenvectors anyway (the
+    /// Umeyama alignment basis) pays one solve for both.
+    pub fn eigen(&self) -> Result<SymmetricEigen, LinalgError> {
+        MEMO_SOLVES.fetch_add(1, Ordering::Relaxed);
+        let eig = symmetric_eigen(&self.matrix)?;
+        let _ = self.memo_with(|| Ok(clamp_spectrum(eig.eigenvalues.clone())));
+        Ok(eig)
+    }
+
+    /// The memo, solved on first use.
+    pub(crate) fn memo(&self) -> Result<&Spectral, LinalgError> {
+        self.memo_with(|| {
+            MEMO_SOLVES.fetch_add(1, Ordering::Relaxed);
+            self.spectrum()
+        })
+    }
+
+    /// The memo, filled from `solve` on first use. Threads that ask while
+    /// it is being filled wait for that one solve instead of repeating it.
+    /// The solve is deterministic, so a failure is memoised and returned
+    /// like a value.
+    fn memo_with(
         &self,
-        compute: impl FnOnce() -> Result<f64, LinalgError>,
-    ) -> Result<f64, LinalgError> {
-        self.entropy.get_or_init(compute).clone()
+        solve: impl FnOnce() -> Result<Vec<f64>, LinalgError>,
+    ) -> Result<&Spectral, LinalgError> {
+        let memo = self.spectral.get_or_init(|| {
+            solve().map(|values| Spectral {
+                entropy: entropy_of_spectrum(&values),
+                values,
+            })
+        });
+        memo.as_ref().map_err(LinalgError::clone)
     }
 
     /// Purity `tr(ρ²)`: 1 for pure states, `1/n` for the maximally mixed
@@ -203,12 +259,24 @@ impl DensityMatrix {
     }
 }
 
+/// Clamps eigenvalues to `[0, 1]`, the one clamp every spectrum goes
+/// through.
+pub(crate) fn clamp_spectrum(mut values: Vec<f64>) -> Vec<f64> {
+    for l in values.iter_mut() {
+        *l = l.clamp(0.0, 1.0);
+    }
+    values
+}
+
 /// Density matrices are the dominant residents of the engine's budgeted
-/// feature caches; their weight is the `n x n` coefficient block plus the
-/// wrapper itself.
+/// feature caches; their weight is the `n x n` coefficient block, the `n`
+/// floats of the spectral memo and the wrapper itself. The memo is counted
+/// whether or not it is filled yet, so a cached entry's weight never
+/// changes after insertion.
 impl haqjsk_engine::CacheWeight for DensityMatrix {
     fn weight(&self) -> usize {
-        std::mem::size_of::<DensityMatrix>() + self.dim() * self.dim() * std::mem::size_of::<f64>()
+        std::mem::size_of::<DensityMatrix>()
+            + (self.dim() * self.dim() + self.dim()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -306,20 +374,20 @@ mod tests {
     }
 
     #[test]
-    fn clones_keep_the_entropy_memo_and_equality_ignores_it() {
+    fn clones_keep_the_spectral_memo_and_equality_ignores_it() {
         let rho = DensityMatrix::from_unnormalized(&Matrix::from_diag(&[3.0, 1.0])).unwrap();
         let fresh = rho.clone();
-        assert_eq!(rho.entropy.get(), None);
+        assert_eq!(rho.spectral.get(), None);
         let h = crate::von_neumann_entropy(&rho).unwrap();
-        assert_eq!(rho.entropy.get(), Some(&Ok(h)));
-        let clone = rho.clone();
-        assert_eq!(
-            clone.entropy.get().map(|v| v.clone().map(f64::to_bits)),
-            Some(Ok(h.to_bits()))
-        );
+        let memo = Spectral {
+            values: rho.spectrum().unwrap(),
+            entropy: h,
+        };
+        assert_eq!(rho.spectral.get(), Some(&Ok(memo.clone())));
+        assert_eq!(rho.clone().spectral.get(), Some(&Ok(memo)));
         // The memo is the value a fresh solve gives, and only the matrix
         // takes part in equality.
-        assert_eq!(fresh.entropy.get(), None);
+        assert_eq!(fresh.spectral.get(), None);
         assert_eq!(fresh, rho);
         assert_eq!(
             crate::von_neumann_entropy(&fresh).unwrap().to_bits(),
@@ -330,7 +398,7 @@ mod tests {
 
     #[test]
     fn concurrent_first_uses_share_one_solve() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::atomic::AtomicUsize;
         use std::sync::Barrier;
         let rho = DensityMatrix::maximally_mixed(3);
         let failure = LinalgError::NoConvergence {
@@ -344,11 +412,12 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        rho.memoised_entropy(|| {
+                        rho.memo_with(|| {
                             solves.fetch_add(1, Ordering::SeqCst);
                             std::thread::sleep(std::time::Duration::from_millis(20));
                             Err(failure.clone())
                         })
+                        .map(|memo| memo.entropy)
                     })
                 })
                 .collect();
@@ -359,7 +428,8 @@ mod tests {
         for result in results {
             assert_eq!(result, Err(failure.clone()));
         }
-        assert_eq!(crate::von_neumann_entropy(&rho), Err(failure));
+        assert_eq!(crate::von_neumann_entropy(&rho), Err(failure.clone()));
+        assert_eq!(rho.memoised_spectrum(), Err(failure));
     }
 
     #[test]

@@ -7,12 +7,14 @@ use haqjsk_linalg::LinalgError;
 /// density matrix, computed from its spectrum. Zero eigenvalues contribute
 /// zero (the `x ln x → 0` limit).
 ///
-/// The value is memoised in the state: only the first call pays the
-/// eigensolve, later calls (and calls on clones) return the same bits, and
-/// calls made while another thread solves wait for its result. An
-/// eigensolver failure is returned as an error, and memoised the same way.
+/// The value is memoised in the state beside its spectrum
+/// ([`DensityMatrix::memoised_spectrum`]): only the first call pays the
+/// eigensolve, later calls (and calls on clones) return the same bits
+/// without allocating, and calls made while another thread solves wait
+/// for its result. An eigensolver failure is returned as an error, and
+/// memoised the same way.
 pub fn von_neumann_entropy(rho: &DensityMatrix) -> Result<f64, LinalgError> {
-    rho.memoised_entropy(|| Ok(entropy_of_spectrum(&rho.spectrum()?)))
+    Ok(rho.memo()?.entropy)
 }
 
 /// Entropy of a list of eigenvalues interpreted as a probability

@@ -21,44 +21,23 @@ pub const QJSD_MAX: f64 = std::f64::consts::LN_2;
 /// QJSD between two density matrices of equal dimension. The endpoint
 /// entropies come from the states' memos ([`von_neumann_entropy`]), so
 /// repeated calls against one state pay one new eigensolve each: the
-/// mixture's.
+/// mixture's. Zero-padding leaves a state's entropy unchanged (its zero
+/// eigenvalues contribute nothing), which is why the kernels can read the
+/// memo of an unpadded state for its padded version.
 pub fn qjsd(rho: &DensityMatrix, sigma: &DensityMatrix) -> Result<f64, LinalgError> {
-    qjsd_with_entropies(
-        rho,
-        sigma,
-        von_neumann_entropy(rho)?,
-        von_neumann_entropy(sigma)?,
-    )
-}
-
-/// QJSD between two density matrices whose endpoint von Neumann entropies
-/// `H_N(ρ)` and `H_N(σ)` are already known.
-///
-/// The endpoint entropies depend only on the individual states, so Gram
-/// computations hoist them out of the O(N²) pair loop and pay a **single**
-/// values-only eigenvalue solve per pair — the mixture's. Note that the
-/// entropy is invariant under zero-padding (zero eigenvalues contribute
-/// nothing), so an entropy computed on the unpadded state can be supplied
-/// for its padded version.
-pub fn qjsd_with_entropies(
-    rho: &DensityMatrix,
-    sigma: &DensityMatrix,
-    h_rho: f64,
-    h_sigma: f64,
-) -> Result<f64, LinalgError> {
     let mixture = rho.mix(sigma)?;
     Ok(qjsd_from_entropies(
         von_neumann_entropy(&mixture)?,
-        h_rho,
-        h_sigma,
+        von_neumann_entropy(rho)?,
+        von_neumann_entropy(sigma)?,
     ))
 }
 
 /// The QJSD expression once all three entropies are known:
 /// `H_N((ρ+σ)/2) - H_N(ρ)/2 - H_N(σ)/2`, clamped to `[0, ln 2]` to absorb
-/// eigenvalue noise. Both the per-pair path ([`qjsd_with_entropies`]) and
-/// the tile-batched path ([`crate::batch_mixture_entropies`] consumers)
-/// reduce through this one function so their values stay bit-identical.
+/// eigenvalue noise. [`qjsd`] and every batched kernel path (the
+/// [`crate::batch_mixture_entropies`] consumers) reduce through this one
+/// function so their values stay bit-identical.
 pub fn qjsd_from_entropies(h_mixture: f64, h_rho: f64, h_sigma: f64) -> f64 {
     let d = h_mixture - 0.5 * h_rho - 0.5 * h_sigma;
     // Clamp the tiny negative values that eigenvalue noise can produce.
@@ -74,13 +53,6 @@ pub fn qjsd_padded(rho: &DensityMatrix, sigma: &DensityMatrix) -> Result<f64, Li
     let rho_p = rho.zero_pad(n)?;
     let sigma_p = sigma.zero_pad(n)?;
     qjsd(&rho_p, &sigma_p)
-}
-
-/// Square root of the QJSD, which is known to be a metric between quantum
-/// states (Lamberti et al., Phys. Rev. A 77, 052311). Exposed for analyses
-/// that need a distance rather than a divergence.
-pub fn qjsd_distance(rho: &DensityMatrix, sigma: &DensityMatrix) -> Result<f64, LinalgError> {
-    Ok(qjsd(rho, sigma)?.sqrt())
 }
 
 #[cfg(test)]
@@ -133,14 +105,6 @@ mod tests {
         // Same-dimension inputs go through padding unchanged.
         let c = DensityMatrix::maximally_mixed(2);
         assert!((qjsd_padded(&a, &c).unwrap() - qjsd(&a, &c).unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn qjsd_distance_is_sqrt() {
-        let a = DensityMatrix::pure_state(&[1.0, 0.0]).unwrap();
-        let b = DensityMatrix::pure_state(&[0.0, 1.0]).unwrap();
-        let d = qjsd_distance(&a, &b).unwrap();
-        assert!((d - QJSD_MAX.sqrt()).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! Property-based tests for the QJSD fast path: supplying precomputed
-//! endpoint entropies (the per-graph artifacts the kernel pair loops hoist)
-//! must not change the divergence, including across zero-padding.
+//! Property-based tests for the QJSD fast path: reading the endpoint
+//! entropies from the states' memos (the per-graph values the kernel pair
+//! loops hoist) must not change the divergence, including across
+//! zero-padding.
 
 use haqjsk_linalg::Matrix;
-use haqjsk_quantum::{qjsd, qjsd_padded, qjsd_with_entropies, von_neumann_entropy, DensityMatrix};
+use haqjsk_quantum::{
+    entropy_of_spectrum, qjsd, qjsd_from_entropies, qjsd_padded, von_neumann_entropy, DensityMatrix,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a random density matrix of dimension `n`: `AᵀA` is
@@ -20,43 +23,43 @@ fn density_pair() -> impl Strategy<Value = (DensityMatrix, DensityMatrix)> {
     (2usize..=8).prop_flat_map(|n| (density(n), density(n)))
 }
 
+/// Entropy from a fresh values-only solve, bypassing every memo.
+fn fresh_entropy(rho: &DensityMatrix) -> f64 {
+    entropy_of_spectrum(&rho.spectrum().unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `qjsd_with_entropies` with independently computed endpoint entropies
-    /// matches `qjsd` within 1e-12 on random density pairs.
+    /// `qjsd_from_entropies` over memoised endpoint entropies is `qjsd`
+    /// bit for bit, and both equal the divergence assembled from fresh
+    /// solves of all three states.
     #[test]
-    fn qjsd_with_entropies_matches_qjsd(pair in density_pair()) {
+    fn memoised_entropies_match_fresh_solves(pair in density_pair()) {
         let (rho, sigma) = pair;
+        let mixture = rho.mix(&sigma).unwrap();
+        let h = |state: &DensityMatrix| von_neumann_entropy(state).unwrap();
+        let reference =
+            qjsd_from_entropies(fresh_entropy(&mixture), fresh_entropy(&rho), fresh_entropy(&sigma));
         let direct = qjsd(&rho, &sigma).unwrap();
-        let hoisted = qjsd_with_entropies(
-            &rho,
-            &sigma,
-            von_neumann_entropy(&rho).unwrap(),
-            von_neumann_entropy(&sigma).unwrap(),
-        )
-        .unwrap();
-        prop_assert!((direct - hoisted).abs() < 1e-12, "{direct} vs {hoisted}");
+        let hoisted = qjsd_from_entropies(h(&mixture), h(&rho), h(&sigma));
+        prop_assert_eq!(direct.to_bits(), reference.to_bits());
+        prop_assert_eq!(hoisted.to_bits(), reference.to_bits());
     }
 
     /// Zero-padding invariance of the hoisted entropies: the QJSD of padded
-    /// states computed against the *unpadded* endpoint entropies matches
-    /// the all-padded reference — the exact substitution the Gram pair
-    /// loops perform.
+    /// states computed against the *unpadded* states' memoised entropies
+    /// matches the all-padded reference — the exact substitution the Gram
+    /// pair loops perform.
     #[test]
-    fn unpadded_entropies_serve_padded_states(pair in density_pair(), pad in 0usize..4) {
+    fn unpadded_memos_serve_padded_states(pair in density_pair(), pad in 0usize..4) {
         let (rho, sigma) = pair;
         let n = rho.dim() + pad;
         let pr = rho.zero_pad(n).unwrap();
         let ps = sigma.zero_pad(n).unwrap();
         let reference = qjsd_padded(&rho, &ps).unwrap();
-        let hoisted = qjsd_with_entropies(
-            &pr,
-            &ps,
-            von_neumann_entropy(&rho).unwrap(),
-            von_neumann_entropy(&sigma).unwrap(),
-        )
-        .unwrap();
-        prop_assert!((reference - hoisted).abs() < 1e-12, "{reference} vs {hoisted}");
+        let h = |state: &DensityMatrix| von_neumann_entropy(state).unwrap();
+        let hoisted = qjsd_from_entropies(h(&pr.mix(&ps).unwrap()), h(&rho), h(&sigma));
+        prop_assert!((reference - hoisted).abs() < 1e-12, "{} vs {}", reference, hoisted);
     }
 }

@@ -41,12 +41,21 @@
 //! worker pool ([`crate::dist`]) and runs the model's Gram computations on
 //! the `dist` backend — spec-carrying kernel Grams fan out over the pool,
 //! everything else executes locally (never failing). `stats` reports the
-//! engine's active execution backend; for the feature caches, aggregate
-//! *and* per-shard hit/miss/entry/eviction/byte counters (so
-//! bounded-memory operation under a budget is observable from the wire);
-//! and, when a worker pool is installed, a `distributed` object with
-//! per-worker tiles dispatched/completed/re-dispatched, bytes shipped, and
-//! the dataset-dedup hit rate.
+//! engine's active execution backend; for the feature caches (densities,
+//! alignment bases and WL histograms — a density's spectrum and entropy
+//! live in its own memo, not in a cache), aggregate *and* per-shard
+//! hit/miss/entry/eviction/byte counters (so bounded-memory operation
+//! under a budget is observable from the wire); and, when a worker pool is
+//! installed, a `distributed` object with per-worker tiles
+//! dispatched/completed/re-dispatched, bytes shipped, and the
+//! dataset-dedup hit rate.
+//!
+//! `load` and `load_file` answer `ok:false` for model text no fit could
+//! produce (declared prototype counts that differ from the listed
+//! prototypes, prototypes of the wrong width or with non-finite values,
+//! layer indices other than `1..=max_layers`, a config that fails
+//! [`HaqjskConfig::validate`]); the parser never sizes an allocation from
+//! a declared count.
 //!
 //! ## Overload safety
 //!
@@ -1145,18 +1154,9 @@ const REGISTRY_FIELDS: &[(StrPairs, Reduce, StrPairs)] = &[
             ),
         ],
     ),
-    // The spectral/alignment artifact caches of the per-pair fast path
-    // (entropies and Umeyama bases hoisted out of the Gram pair loop) sit
-    // beside the density cache they derive from.
-    (
-        &[("cache", "spectral")],
-        Reduce::One,
-        &[
-            ("spectral_cache_hits", "haqjsk_cache_hits_total"),
-            ("spectral_cache_misses", "haqjsk_cache_misses_total"),
-            ("spectral_cache_entries", "haqjsk_cache_entries"),
-        ],
-    ),
+    // The alignment-basis cache of the aligned baseline (Umeyama bases
+    // hoisted out of the Gram pair loop) sits beside the density cache it
+    // derives from; the endpoint spectra live in the densities' memos.
     (
         &[("cache", "alignment")],
         Reduce::One,

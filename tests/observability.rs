@@ -169,7 +169,6 @@ fn metrics_scrape_matches_requests_sent() {
     for field in [
         "density_cache_hits",
         "density_cache_misses",
-        "spectral_cache_hits",
         "eigen_batched_calls",
         "eigen_mean_batch",
     ] {

@@ -331,9 +331,6 @@ const STATS_FIELDS: &[&str] = &[
     "ok",
     "requests_rejected",
     "serve_state",
-    "spectral_cache_entries",
-    "spectral_cache_hits",
-    "spectral_cache_misses",
     "wl_cache_entries",
     "wl_cache_hits",
     "wl_cache_misses",

@@ -148,6 +148,38 @@ fn oversized_graph_is_rejected_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn malformed_model_loads_are_refused_and_the_server_keeps_answering() {
+    let (_serving, mut server) = spawn(tight_config());
+    let mut client = Client::connect(server.local_addr());
+    assert_eq!(
+        client.request(&small_fit_request()).get("ok"),
+        Some(&Json::Bool(true))
+    );
+    let saved = client.request(r#"{"cmd":"save"}"#);
+    let text = saved.get("model").and_then(Json::as_str).unwrap();
+    let line = |prefix: &str| text.lines().find(|l| l.starts_with(prefix)).unwrap();
+    let with = |prefix: &str, new: &str| text.replacen(line(prefix), new, 1);
+    let config = line("config ");
+    let mu = |mu: &str| format!("{} {mu}", &config[..config.rfind(' ').unwrap()]);
+    for bad in [
+        with("level 1 ", "level 1 100000000000000000"),
+        with("level 1 ", "level 1 1000000000000000000"),
+        with("proto ", "proto"),
+        with("proto ", "proto NaN"),
+        with("max_layers ", "max_layers 0"),
+        with("config ", &mu("-1")),
+        with("config ", &mu("NaN")),
+    ] {
+        let load = Json::obj([("cmd", Json::Str("load".into())), ("model", Json::Str(bad))]);
+        let error = assert_error_envelope(&client.request(&load.to_string()));
+        assert!(error.contains("model parse error"), "got: {error}");
+    }
+    let response = client.request(r#"{"cmd":"ping"}"#);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frame_is_rejected_with_metric_delta() {
     let before = haqjsk::obs::registry()
         .snapshot()
