@@ -164,9 +164,12 @@ impl FastPath<'_> {
                 kernel.gram_matrix_on(graphs, serial);
             }
             FastPath::Haqjsk(model, cache) => {
-                model
-                    .gram_matrix_cached_on(graphs, cache, serial)
+                let aligned = model
+                    .transform_all_cached(graphs, cache)
                     .expect("a benchmark graph transforms");
+                model
+                    .gram_over_transforms(graphs, &aligned, serial)
+                    .expect("a benchmark Gram evaluates");
             }
         }
     }

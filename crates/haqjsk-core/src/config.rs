@@ -21,6 +21,11 @@ impl HaqjskVariant {
     }
 }
 
+/// Largest hierarchy level `H` that [`HaqjskConfig::validate`] accepts. The
+/// paper uses 5; the bound only keeps a hostile request or model text from
+/// asking for an unbounded amount of work.
+pub const MAX_HIERARCHY_LEVELS: usize = 64;
+
 /// Hyper-parameters of the HAQJSK kernels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HaqjskConfig {
@@ -90,8 +95,11 @@ impl HaqjskConfig {
     /// Validates the configuration, returning a human-readable error when a
     /// parameter is out of its valid domain.
     pub fn validate(&self) -> Result<(), String> {
-        if self.hierarchy_levels == 0 {
-            return Err("hierarchy_levels must be at least 1".to_string());
+        if !(1..=MAX_HIERARCHY_LEVELS).contains(&self.hierarchy_levels) {
+            return Err(format!(
+                "hierarchy_levels must lie in 1..={MAX_HIERARCHY_LEVELS}, got {}",
+                self.hierarchy_levels
+            ));
         }
         if self.num_prototypes < self.min_prototypes {
             return Err(format!(
@@ -159,8 +167,9 @@ mod tests {
 
     #[test]
     fn validation_catches_bad_parameters() {
-        let tweaks: [fn(&mut HaqjskConfig); 10] = [
+        let tweaks: [fn(&mut HaqjskConfig); 11] = [
             |c| c.hierarchy_levels = 0,
+            |c| c.hierarchy_levels = MAX_HIERARCHY_LEVELS + 1,
             |c| c.level_shrink = 0.0,
             |c| c.level_shrink = 1.5,
             |c| c.mu = 0.0,

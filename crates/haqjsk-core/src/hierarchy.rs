@@ -55,7 +55,7 @@ impl PrototypeHierarchy {
         let mut layers = Vec::with_capacity(representations.max_layers());
         for k in 1..=representations.max_layers() {
             let pooled = representations.pooled_representations(k);
-            let mut levels: Vec<Vec<Vec<f64>>> = Vec::with_capacity(config.hierarchy_levels);
+            let mut levels: Vec<Vec<Vec<f64>>> = Vec::new();
             let mut current = pooled;
             for h in 1..=config.hierarchy_levels {
                 let requested = config.prototypes_at_level(h);

@@ -42,7 +42,7 @@ pub mod kmeans;
 pub mod model;
 pub mod persistence;
 
-pub use config::{HaqjskConfig, HaqjskVariant};
+pub use config::{HaqjskConfig, HaqjskVariant, MAX_HIERARCHY_LEVELS};
 pub use hierarchy::PrototypeHierarchy;
 pub use model::{AlignedGraph, HaqjskModel};
 pub use persistence::{

@@ -208,32 +208,21 @@ impl HaqjskModel {
             .filter(|&i| first_occurrence.insert(keys[i], i).is_none())
             .collect();
 
-        // The engine cache guarantees a single stored value per key, but
-        // its closure cannot return an error; compute failures are
-        // reproduced outside the cache on the (cold) failing graph.
-        let attempts: Vec<Option<Arc<AlignedGraph>>> = Engine::global().map(distinct.len(), |d| {
-            let i = distinct[d];
-            if let Some(hit) = cache.get(keys[i]) {
-                return Some(hit);
-            }
-            match self.transform(&graphs[i]) {
-                Ok(aligned) => Some(cache.get_or_compute(keys[i], || aligned)),
-                Err(_) => None,
+        // The engine cache's closure cannot fail, so a transform runs
+        // outside it and only a successful one is stored (once per key).
+        let attempts = Engine::global().map(distinct.len(), |d| {
+            let key = keys[distinct[d]];
+            match cache.get(key) {
+                Some(hit) => Ok(hit),
+                None => self
+                    .transform(&graphs[distinct[d]])
+                    .map(|aligned| cache.get_or_compute(key, || aligned)),
             }
         });
 
         let mut by_key: HashMap<_, Arc<AlignedGraph>> = HashMap::new();
-        for (d, slot) in attempts.into_iter().enumerate() {
-            let i = distinct[d];
-            match slot {
-                Some(aligned) => {
-                    by_key.insert(keys[i], aligned);
-                }
-                // Re-run the failing transform to surface its error.
-                None => {
-                    by_key.insert(keys[i], self.transform(&graphs[i]).map(Arc::new)?);
-                }
-            }
+        for (d, attempt) in attempts.into_iter().enumerate() {
+            by_key.insert(keys[distinct[d]], attempt?);
         }
         Ok(keys.iter().map(|key| Arc::clone(&by_key[key])).collect())
     }
@@ -319,9 +308,8 @@ impl HaqjskModel {
         graphs: &[Graph],
         backend: Option<BackendKind>,
     ) -> Result<KernelMatrix, LinalgError> {
-        let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all(graphs)?;
-        self.gram_over_aligned(graphs, &aligned, backend)
+        self.gram_over_transforms(graphs, &aligned, backend)
     }
 
     /// The Gram tile evaluator over already-transformed graphs: each
@@ -355,20 +343,27 @@ impl HaqjskModel {
         }
     }
 
-    /// Gram assembly over already-transformed features through
-    /// [`HaqjskModel::aligned_tiles`], attaching a [`RemoteGram`] spec (kernel id
-    /// [`HaqjskModel::REMOTE_KERNEL_ID`] plus the persisted model as a
-    /// content-addressed artifact) when the effective backend is
-    /// distributed — so fitted-model Grams fan out to workers exactly like
-    /// the closed-form kernels instead of falling back to local execution.
-    /// The artifact is only serialised on the distributed path; local
-    /// backends ignore the spec entirely.
-    fn gram_over_aligned<A: Borrow<AlignedGraph> + Sync>(
+    /// Gram matrix of `graphs` from their transforms `aligned` (one per
+    /// graph, in order) on an explicit execution backend; every HAQJSK Gram
+    /// runs through here, timed into `haqjsk_kernel_gram_seconds`. On the
+    /// distributed backend it attaches a [`RemoteGram`] spec (kernel id
+    /// [`HaqjskModel::REMOTE_KERNEL_ID`], the persisted model as a
+    /// content-addressed artifact, and `graphs`), so fitted-model Grams fan
+    /// out to workers like the closed-form kernels; local backends ignore it.
+    pub fn gram_over_transforms<A: Borrow<AlignedGraph> + Sync>(
         &self,
         graphs: &[Graph],
         aligned: &[A],
         backend: Option<BackendKind>,
     ) -> Result<KernelMatrix, LinalgError> {
+        if aligned.len() != graphs.len() {
+            return Err(LinalgError::InvalidArgument(format!(
+                "{} transforms supplied for {} graphs",
+                aligned.len(),
+                graphs.len()
+            )));
+        }
+        let _timer = time_kernel_gram(GraphKernel::name(self));
         let effective = backend.unwrap_or_else(|| Engine::global().backend());
         let payload = (effective == BackendKind::Distributed)
             .then(|| crate::persistence::model_to_string(self));
@@ -402,30 +397,14 @@ impl HaqjskModel {
         graphs: &[Graph],
         cache: &FeatureCache<AlignedGraph>,
     ) -> Result<KernelMatrix, LinalgError> {
-        self.gram_matrix_cached_on(graphs, cache, None)
-    }
-
-    /// [`HaqjskModel::gram_matrix_cached`] on an explicit execution
-    /// backend.
-    pub fn gram_matrix_cached_on(
-        &self,
-        graphs: &[Graph],
-        cache: &FeatureCache<AlignedGraph>,
-        backend: Option<BackendKind>,
-    ) -> Result<KernelMatrix, LinalgError> {
-        let _timer = time_kernel_gram(GraphKernel::name(self));
         let aligned = self.transform_all_cached(graphs, cache)?;
-        self.gram_over_aligned(graphs, &aligned, backend)
+        self.gram_over_transforms(graphs, &aligned, None)
     }
 
     /// Incrementally extends a Gram matrix with out-of-sample graphs: given
     /// the Gram matrix of `graphs[..base.len()]`, returns the Gram matrix of
-    /// all of `graphs` while evaluating only the new rows/columns
-    /// (`base.len()` must not exceed `graphs.len()`), on an explicit
-    /// execution backend. The streaming serving path uses this to append
-    /// arrivals without recomputing history. The new rows/columns go
-    /// through the same tile evaluator as a full Gram, on the engine's tile
-    /// scheduler (extensions always run in this process).
+    /// all of `graphs`, transforming them through `cache` and then running
+    /// [`HaqjskModel::extend_gram_over_transforms`].
     pub fn gram_matrix_extended_on(
         &self,
         base: &KernelMatrix,
@@ -433,20 +412,36 @@ impl HaqjskModel {
         cache: &FeatureCache<AlignedGraph>,
         backend: Option<BackendKind>,
     ) -> Result<KernelMatrix, LinalgError> {
+        let aligned = self.transform_all_cached(graphs, cache)?;
+        self.extend_gram_over_transforms(base, &aligned, backend)
+    }
+
+    /// Extends the Gram matrix `base` of the transforms `aligned[..base.len()]`
+    /// to the Gram matrix of all of `aligned`, evaluating only the new
+    /// rows/columns (`base.len()` must not exceed `aligned.len()`), on an
+    /// explicit execution backend. The serving layer appends arrivals this
+    /// way without recomputing history. The new rows/columns go through the
+    /// same tile evaluator as a full Gram, on the engine's tile scheduler
+    /// (extensions always run in this process).
+    pub fn extend_gram_over_transforms<A: Borrow<AlignedGraph> + Sync>(
+        &self,
+        base: &KernelMatrix,
+        aligned: &[A],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
         let m = base.len();
-        if m > graphs.len() {
+        if m > aligned.len() {
             return Err(LinalgError::InvalidArgument(format!(
                 "base Gram matrix covers {m} graphs but only {} were supplied",
-                graphs.len()
+                aligned.len()
             )));
         }
-        let aligned = self.transform_all_cached(graphs, cache)?;
         let failure = OnceLock::new();
         let values = Engine::global().gram_extend(
             backend,
             base.matrix(),
-            graphs.len(),
-            self.aligned_tiles(&aligned, &failure),
+            aligned.len(),
+            self.aligned_tiles(aligned, &failure),
         );
         if let Some(e) = failure.into_inner() {
             return Err(e);
@@ -643,15 +638,21 @@ mod tests {
                     let extended = model
                         .gram_matrix_extended_on(&base, &graphs, &cache, backend)
                         .unwrap();
+                    let aligned = model.transform_all(&graphs).unwrap();
+                    let over_transforms = model
+                        .extend_gram_over_transforms(&base, &aligned, backend)
+                        .unwrap();
                     let bits = |k: &KernelMatrix| -> Vec<u64> {
                         k.matrix().data().iter().map(|v| v.to_bits()).collect()
                     };
-                    assert_eq!(
-                        bits(&extended),
-                        bits(&full),
-                        "{} extended from {m} on {backend:?}",
-                        variant.label()
-                    );
+                    for (path, gram) in [("cache", &extended), ("transforms", &over_transforms)] {
+                        assert_eq!(
+                            bits(gram),
+                            bits(&full),
+                            "{} extended from {m} on {backend:?} through {path}",
+                            variant.label()
+                        );
+                    }
                 }
             }
         }

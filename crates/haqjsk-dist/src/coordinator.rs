@@ -33,7 +33,6 @@
 //! backoff (see [`crate::fault`]), so a restarted worker rejoins without
 //! intervention.
 
-use crate::chaos::ChaosPlan;
 use crate::dataset::{dataset_id, dataset_keys, SHIP_CHUNK};
 use crate::fault::{Conn, LinkState, WorkerLink, WorkerStatsSnapshot};
 use crate::scheduler::{self, TileRun};
@@ -414,29 +413,6 @@ impl Coordinator {
         let result = conn.call(&request, Some(self.config.deadline));
         link.checkin(conn);
         result.map(|_| ())
-    }
-
-    /// Arms (or, with `None`, disarms) a seeded chaos plan on every
-    /// reachable worker; returns how many workers acknowledged.
-    pub fn arm_chaos(&self, plan: Option<&ChaosPlan>) -> Result<usize, String> {
-        let request = wire::chaos_request(plan);
-        let mut armed = 0;
-        for link in self.members() {
-            let Some(mut conn) = link.checkout(&self.config) else {
-                continue;
-            };
-            match conn.call(&request, Some(self.config.deadline)) {
-                Ok(_) => {
-                    link.checkin(conn);
-                    armed += 1;
-                }
-                Err(_) => link.mark_dead(),
-            }
-        }
-        if armed == 0 {
-            return Err("no worker acknowledged the chaos plan".to_string());
-        }
-        Ok(armed)
     }
 
     /// The distributed Gram entry point (called by the remote-tiles hook):

@@ -407,13 +407,6 @@ impl GraphStore {
         Some(index)
     }
 
-    /// Whether `dataset` has been committed (its graphs may still have
-    /// been evicted since — [`GraphStore::pin_dataset`] is the check that
-    /// matters for tiles).
-    pub fn knows_dataset(&self, dataset: &str) -> bool {
-        self.datasets.contains_key(dataset)
-    }
-
     /// Distinct graphs resident in the store.
     pub fn num_graphs(&self) -> usize {
         self.graphs.len()

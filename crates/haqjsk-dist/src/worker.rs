@@ -618,8 +618,9 @@ fn eval_tile_chunked(kernel: &KernelSpec, graphs: &[Graph], pairs: &[(usize, usi
 /// model: aligned transforms come from the entry's cache (computed at most
 /// once per distinct graph across all tiles), then each chunk of the tile
 /// is one `HaqjskModel::kernel_batch`. Byte-identical to the coordinator's
-/// serial `gram_over_aligned` path because persistence round-trips the
-/// model exactly and the transform and kernel are deterministic.
+/// serial `HaqjskModel::gram_over_transforms` because persistence
+/// round-trips the model exactly and the transform and kernel are
+/// deterministic.
 fn eval_model_tile_chunked(
     entry: &ModelEntry,
     graphs: &[Graph],

@@ -78,11 +78,6 @@ impl WorkerPool {
         WorkerPool { shared, handles }
     }
 
-    /// Spawns a pool sized by [`default_thread_count`].
-    pub fn with_default_threads() -> Self {
-        WorkerPool::new(default_thread_count())
-    }
-
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.handles.len()

@@ -86,17 +86,6 @@ pub struct BatchSolveStats {
     pub simd_path_calls: [u64; 4],
 }
 
-impl BatchSolveStats {
-    /// Mean number of matrices per SoA kernel invocation.
-    pub fn mean_batch(&self) -> f64 {
-        if self.batched_calls == 0 {
-            0.0
-        } else {
-            self.batched_matrices as f64 / self.batched_calls as f64
-        }
-    }
-}
-
 /// Snapshot of the process-wide batched-solve counters.
 pub fn batch_solve_stats() -> BatchSolveStats {
     let mut simd_path_calls = [0u64; 4];

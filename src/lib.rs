@@ -43,7 +43,7 @@
 //! `n(n+1)/2` pairwise kernel evaluations are scheduled as cache-friendly
 //! tiles over a persistent worker pool. Streaming workloads append
 //! out-of-sample rows/columns to an existing Gram matrix through
-//! `HaqjskModel::gram_matrix_extended_on` instead of recomputing it.
+//! `HaqjskModel::extend_gram_over_transforms` instead of recomputing it.
 //!
 //! The `haqjsk-serve` binary exposes fit / transform / kernel-row / append /
 //! predict / save / load / stats over a `TcpListener` speaking JSON-lines

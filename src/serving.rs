@@ -10,6 +10,15 @@
 //! library (rather than the binary) lets the loopback smoke test drive the
 //! exact production handler.
 //!
+//! The fitted model is served as one immutable snapshot (model, aligned
+//! cache, the served graphs' transforms, labels, Gram) behind an `Arc`.
+//! Reads never wait: they clone the `Arc` and pair their query's one
+//! cached transform with the snapshot's. `fit`/`load` publish a snapshot
+//! with a fresh cache; appends run one at a time, each publishing a
+//! successor with one more transform and the extended Gram. The cache
+//! holds every transform the model made; the snapshot pins the served
+//! set's. See `docs/serving.md` ("The served snapshot").
+//!
 //! Command table (see `docs/serving.md` for the full protocol reference):
 //!
 //! | command      | request fields                                   | response |
@@ -32,11 +41,15 @@
 //! | `drain`      | —                                                 | begins a graceful drain (stop accepting, finish in-flight) |
 //!
 //! Graphs travel as `{"n":N,"edges":[[u,v],...],"labels":[...]?}`. Config
-//! fields (all optional): `hierarchy_levels`, `num_prototypes`, `layer_cap`,
+//! fields (all optional): `hierarchy_levels` (at most
+//! [`crate::core::MAX_HIERARCHY_LEVELS`]), `num_prototypes`, `layer_cap`,
 //! `kmeans_max_iterations`, `seed`, `mu`, `small` (bool, default true —
 //! start from [`HaqjskConfig::small`]), plus the aligned feature cache's
 //! `cache_budget_bytes` (LRU byte budget; omit for the
-//! `HAQJSK_CACHE_BUDGET` environment default). A `fit` may also list
+//! `HAQJSK_CACHE_BUDGET` environment default). A request field of the
+//! wrong type (`"mu":"0.5"`, `"variant":5`, `"label":-1`) is an error that
+//! names the field, never a silent default; so is an `append` `label` on a
+//! model fitted without labels. A `fit` may also list
 //! `workers` (`["host:port", ...]`): the server connects a distributed
 //! worker pool ([`crate::dist`]) and runs the model's Gram computations on
 //! the `dist` backend — spec-carrying kernel Grams fan out over the pool,
@@ -101,7 +114,7 @@ use crate::kernels::{density_cache_shard_stats, KernelMatrix};
 use crate::quantum::von_neumann_entropy;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Environment variable giving every request a default deadline budget in
@@ -161,34 +174,84 @@ impl ServingConfig {
     }
 }
 
-/// Everything tied to the currently fitted model. Replaced wholesale on
-/// `fit`/`load` so the feature cache can never outlive its model.
-struct ModelState {
-    model: HaqjskModel,
-    cache: FeatureCache<AlignedGraph>,
-    train_graphs: Vec<Graph>,
+/// One immutable published state of the served model. `fit` and `load`
+/// publish a fresh one; `append` publishes a successor that shares the
+/// model and its cache. Readers clone the `Arc` and never wait on compute.
+struct Snapshot {
+    model: Arc<HaqjskModel>,
+    /// The model's aligned-feature cache, shared by every snapshot of one
+    /// fit or load (so it can never outlive its model): it holds every
+    /// transform the model made, within its budget.
+    cache: Arc<FeatureCache<AlignedGraph>>,
+    /// The served graphs' transforms, pinned whatever the cache evicts.
+    transforms: Vec<Arc<AlignedGraph>>,
     labels: Option<Vec<usize>>,
     gram: KernelMatrix,
-    /// Execution backend of this model's Gram computations (`Distributed`
-    /// when the fit request configured a worker pool).
-    backend: Option<BackendKind>,
 }
 
-/// Mutable server state shared across connections.
-#[derive(Default)]
-pub struct ServerState {
-    fitted: Option<ModelState>,
+impl Snapshot {
+    /// A new model's first snapshot: `graphs` transformed through a fresh
+    /// cache and their Gram built on `backend`.
+    fn fresh(
+        model: HaqjskModel,
+        graphs: &[Graph],
+        labels: Option<Vec<usize>>,
+        cache: CacheConfig,
+        backend: Option<BackendKind>,
+    ) -> Result<Snapshot, String> {
+        let cache = FeatureCache::with_config(cache);
+        let failed = |e| format!("gram computation failed: {e:?}");
+        let transforms = model.transform_all_cached(graphs, &cache).map_err(failed)?;
+        let gram = model
+            .gram_over_transforms(graphs, &transforms, backend)
+            .map_err(failed)?;
+        Ok(Snapshot {
+            model: Arc::new(model),
+            cache: Arc::new(cache),
+            transforms,
+            labels,
+            gram,
+        })
+    }
+}
+
+/// Locks a mutex whose data stays valid across a panicking holder: the
+/// published `Arc` is swapped whole, and the append mutex guards nothing.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct ServingInner {
-    state: Mutex<ServerState>,
+    /// The published snapshot; locked only to clone or swap the `Arc`.
+    current: Mutex<Option<Arc<Snapshot>>>,
+    /// Held by `append` from reading the snapshot until it publishes the
+    /// successor, and by `fit`/`load` while they publish: appends run one
+    /// at a time, and none can lose a write or bring back a replaced model.
+    publishing: Mutex<()>,
     config: ServingConfig,
-    /// Requests currently inside a heavy handler (including those queued
-    /// on the state mutex) — the application half of the admission load.
+    /// Requests currently inside a heavy handler — the application half of
+    /// the admission load.
     heavy_inflight: AtomicUsize,
     /// Lifecycle handle of the server this handler is mounted on; set by
     /// [`Serving::spawn`], absent for embedded (serverless) use.
     control: OnceLock<ServeControl>,
+}
+
+impl ServingInner {
+    /// The published snapshot: a clone of the `Arc`, never a wait on
+    /// compute.
+    fn snapshot(&self) -> Result<Arc<Snapshot>, Fail> {
+        lock(&self.current)
+            .clone()
+            .ok_or_else(|| Fail::Error("no model fitted yet (use 'fit' or 'load')".to_string()))
+    }
+
+    /// Publishes `next` as the served snapshot; `_publishing` shows the
+    /// caller holds the publishing mutex. The replaced snapshot is dropped
+    /// after the state lock is released.
+    fn publish(&self, _publishing: &MutexGuard<'_, ()>, next: Snapshot) {
+        let _replaced = lock(&self.current).replace(Arc::new(next));
+    }
 }
 
 /// The serving application: configuration, model state and overload
@@ -328,7 +391,8 @@ impl Serving {
     pub fn new(config: ServingConfig) -> Serving {
         Serving {
             inner: Arc::new(ServingInner {
-                state: Mutex::new(ServerState::default()),
+                current: Mutex::new(None),
+                publishing: Mutex::new(()),
                 config,
                 heavy_inflight: AtomicUsize::new(0),
                 control: OnceLock::new(),
@@ -493,25 +557,34 @@ impl Serving {
         let Some(cmd) = request.get("cmd").and_then(Json::as_str) else {
             return error_response("request needs a string field 'cmd'");
         };
-        let state = &self.inner.state;
+        let inner = &*self.inner;
+        // Reads run against the published snapshot, heavy ones behind
+        // admission control.
+        let read = |op, f: fn(&Snapshot, &Json, &RequestDeadline) -> Result<Json, Fail>| {
+            self.heavy(op, request, |d| f(&*inner.snapshot()?, request, d))
+        };
+        let cheap = |f: fn(&Snapshot, &Json) -> Result<Json, Fail>| {
+            let response = inner.snapshot().and_then(|s| f(&s, request));
+            response.unwrap_or_else(fail_to_response)
+        };
         match cmd {
             "ping" => Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))]),
-            "fit" => self.heavy("fit", request, |d| cmd_fit(state, request, d)),
-            "transform" => self.heavy("transform", request, |d| cmd_transform(state, request, d)),
-            "kernel_row" => {
-                self.heavy("kernel_row", request, |d| cmd_kernel_row(state, request, d))
-            }
-            "append" => self.heavy("append", request, |d| cmd_append(state, request, d)),
-            "predict" => self.heavy("predict", request, |d| cmd_predict(state, request, d)),
-            "save" => cmd_save(state),
-            "load" => self.heavy("load", request, |d| cmd_load(state, request, d)),
-            "save_file" => cmd_save_file(state, request),
-            "load_file" => self.heavy("load_file", request, |d| cmd_load_file(state, request, d)),
+            "fit" => self.heavy("fit", request, |d| cmd_fit(inner, request, d)),
+            "transform" => read("transform", cmd_transform),
+            "kernel_row" => read("kernel_row", cmd_kernel_row),
+            "append" => self.heavy("append", request, |d| cmd_append(inner, request, d)),
+            "predict" => read("predict", cmd_predict),
+            "save" => cheap(cmd_save),
+            "load" => self.heavy("load", request, |d| cmd_load(inner, request, "model", d)),
+            "save_file" => cheap(cmd_save_file),
+            "load_file" => self.heavy("load_file", request, |d| {
+                cmd_load(inner, request, "path", d)
+            }),
             "stats" => cmd_stats(self),
             "metrics" => cmd_metrics(),
             "trace_dump" => cmd_trace_dump(),
-            "add_workers" => cmd_add_workers(request),
-            "remove_workers" => cmd_remove_workers(request),
+            "add_workers" => cmd_membership(request, "added", Coordinator::add_worker),
+            "remove_workers" => cmd_membership(request, "removed", Coordinator::remove_worker),
             "drain" => self.cmd_drain(),
             other => error_response(&format!("unknown command '{other}'")),
         }
@@ -546,39 +619,56 @@ fn parse_graphs(request: &Json) -> Result<Vec<Graph>, String> {
 }
 
 fn parse_variant(request: &Json) -> Result<HaqjskVariant, String> {
-    match request.get("variant").and_then(Json::as_str) {
-        None | Some("A") => Ok(HaqjskVariant::AlignedAdjacency),
-        Some("D") => Ok(HaqjskVariant::AlignedDensity),
-        Some(other) => Err(format!("unknown variant '{other}' (expected 'A' or 'D')")),
+    match request.get("variant").map(Json::as_str) {
+        None | Some(Some("A")) => Ok(HaqjskVariant::AlignedAdjacency),
+        Some(Some("D")) => Ok(HaqjskVariant::AlignedDensity),
+        Some(Some(other)) => Err(format!("unknown variant '{other}' (expected 'A' or 'D')")),
+        Some(None) => Err("'variant' must be the string 'A' or 'D'".to_string()),
     }
 }
 
+/// The request's optional `config.<name>` read through `read`; a value of
+/// the wrong type is an error naming the field and the type `what`.
+fn config_field<T>(
+    request: &Json,
+    name: &str,
+    what: &str,
+    read: fn(&Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(value) = request.get("config").and_then(|config| config.get(name)) else {
+        return Ok(None);
+    };
+    read(value)
+        .map(Some)
+        .ok_or_else(|| format!("config field '{name}' must be {what}"))
+}
+
 fn parse_config(request: &Json) -> Result<HaqjskConfig, String> {
-    let Some(config_json) = request.get("config") else {
-        return Ok(HaqjskConfig::small());
+    match request.get("config") {
+        None => return Ok(HaqjskConfig::small()),
+        Some(Json::Obj(_)) => {}
+        Some(_) => return Err("'config' must be an object".to_string()),
+    }
+    let mut config = match config_field(request, "small", "a boolean", Json::as_bool)? {
+        Some(false) => HaqjskConfig::default(),
+        _ => HaqjskConfig::small(),
     };
-    let mut config = if config_json.get("small").and_then(Json::as_bool) == Some(false) {
-        HaqjskConfig::default()
-    } else {
-        HaqjskConfig::small()
-    };
-    let usize_field = |name: &str| config_json.get(name).and_then(Json::as_usize);
-    if let Some(v) = usize_field("hierarchy_levels") {
-        config.hierarchy_levels = v;
+    let usize_field =
+        |name: &str| config_field(request, name, "a non-negative integer", Json::as_usize);
+    for (name, slot) in [
+        ("hierarchy_levels", &mut config.hierarchy_levels),
+        ("num_prototypes", &mut config.num_prototypes),
+        ("layer_cap", &mut config.layer_cap),
+        ("kmeans_max_iterations", &mut config.kmeans_max_iterations),
+    ] {
+        if let Some(v) = usize_field(name)? {
+            *slot = v;
+        }
     }
-    if let Some(v) = usize_field("num_prototypes") {
-        config.num_prototypes = v;
-    }
-    if let Some(v) = usize_field("layer_cap") {
-        config.layer_cap = v;
-    }
-    if let Some(v) = usize_field("kmeans_max_iterations") {
-        config.kmeans_max_iterations = v;
-    }
-    if let Some(v) = usize_field("seed") {
+    if let Some(v) = usize_field("seed")? {
         config.seed = v as u64;
     }
-    if let Some(v) = config_json.get("mu").and_then(Json::as_f64) {
+    if let Some(v) = config_field(request, "mu", "a number", Json::as_f64)? {
         config.mu = v;
     }
     config.validate()?;
@@ -587,15 +677,10 @@ fn parse_config(request: &Json) -> Result<HaqjskConfig, String> {
 
 /// Byte budget of the aligned feature cache: the request's
 /// `config.cache_budget_bytes` on top of the environment default.
-fn parse_cache_config(request: &Json) -> CacheConfig {
-    let budget = request
-        .get("config")
-        .and_then(|config| config.get("cache_budget_bytes"))
-        .and_then(Json::as_usize);
-    match budget {
-        Some(budget) => CacheConfig::with_budget(budget),
-        None => CacheConfig::from_env(),
-    }
+fn parse_cache_config(request: &Json) -> Result<CacheConfig, String> {
+    let what = "a non-negative integer";
+    let budget = config_field(request, "cache_budget_bytes", what, Json::as_usize)?;
+    Ok(budget.map_or_else(CacheConfig::from_env, CacheConfig::with_budget))
 }
 
 fn parse_labels(request: &Json, expected: usize) -> Result<Option<Vec<usize>>, String> {
@@ -658,83 +743,56 @@ fn parse_workers(request: &Json) -> Result<Option<BackendKind>, String> {
     Ok(Some(BackendKind::Distributed))
 }
 
-/// Joins each listed address to the running pool
-/// ([`Coordinator::add_worker`]); per-address failures are reported, not
-/// fatal, so one dead address cannot block a batch join.
-fn cmd_add_workers(request: &Json) -> Json {
-    let run = || -> Result<Json, String> {
-        let coordinator = crate::dist::current_coordinator()
-            .ok_or("no worker pool installed (fit with 'workers' first)")?;
-        let addrs = worker_addrs(request)?;
-        let mut errors = Vec::new();
-        let mut added = 0;
-        for addr in &addrs {
-            match coordinator.add_worker(addr) {
-                Ok(()) => added += 1,
-                Err(e) => errors.push(Json::Str(format!("{addr}: {e}"))),
-            }
-        }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("added", Json::Num(added as f64)),
-            ("errors", Json::Arr(errors)),
-            ("workers", Json::Num(coordinator.num_workers() as f64)),
-            ("epoch", Json::Num(coordinator.epoch() as f64)),
-        ]))
-    };
-    run().unwrap_or_else(|e| error_response(&e))
-}
-
-/// Drains each listed address out of the running pool
-/// ([`Coordinator::remove_worker`]).
-fn cmd_remove_workers(request: &Json) -> Json {
-    let run = || -> Result<Json, String> {
-        let coordinator = crate::dist::current_coordinator()
-            .ok_or("no worker pool installed (fit with 'workers' first)")?;
-        let addrs = worker_addrs(request)?;
-        let mut errors = Vec::new();
-        let mut removed = 0;
-        for addr in &addrs {
-            match coordinator.remove_worker(addr) {
-                Ok(()) => removed += 1,
-                Err(e) => errors.push(Json::Str(format!("{addr}: {e}"))),
-            }
-        }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("removed", Json::Num(removed as f64)),
-            ("errors", Json::Arr(errors)),
-            ("workers", Json::Num(coordinator.num_workers() as f64)),
-            ("epoch", Json::Num(coordinator.epoch() as f64)),
-        ]))
-    };
-    run().unwrap_or_else(|e| error_response(&e))
-}
-
-fn cmd_fit(
-    state: &Mutex<ServerState>,
+/// Joins (`add_workers`) or drains (`remove_workers`) each listed
+/// address through `change` ([`Coordinator::add_worker`] or
+/// [`Coordinator::remove_worker`]); per-address failures are reported, not
+/// fatal, so one dead address cannot block a batch change. `counted` names
+/// the response's success count.
+fn cmd_membership(
     request: &Json,
-    deadline: &RequestDeadline,
-) -> Result<Json, Fail> {
+    counted: &'static str,
+    change: fn(&Coordinator, &str) -> Result<(), String>,
+) -> Json {
+    let run = || -> Result<Json, String> {
+        let coordinator = crate::dist::current_coordinator()
+            .ok_or("no worker pool installed (fit with 'workers' first)")?;
+        let mut errors = Vec::new();
+        let mut changed = 0;
+        for addr in &worker_addrs(request)? {
+            match change(&coordinator, addr) {
+                Ok(()) => changed += 1,
+                Err(e) => errors.push(Json::Str(format!("{addr}: {e}"))),
+            }
+        }
+        Ok(Json::obj([
+            ("ok", Json::Bool(true)),
+            (counted, Json::Num(changed as f64)),
+            ("errors", Json::Arr(errors)),
+            ("workers", Json::Num(coordinator.num_workers() as f64)),
+            ("epoch", Json::Num(coordinator.epoch() as f64)),
+        ]))
+    };
+    run().unwrap_or_else(|e| error_response(&e))
+}
+
+fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> Result<Json, Fail> {
     let graphs = parse_graphs(request)?;
     let variant = parse_variant(request)?;
     let config = parse_config(request)?;
+    let cache = parse_cache_config(request)?;
     let labels = parse_labels(request, graphs.len())?;
     let backend = parse_workers(request)?;
     deadline.check("fit: prototype hierarchy")?;
     let model =
         HaqjskModel::fit(&graphs, config, variant).map_err(|e| format!("fit failed: {e:?}"))?;
     deadline.check("fit: gram computation")?;
-    let cache = FeatureCache::with_config(parse_cache_config(request));
-    let gram = model
-        .gram_matrix_cached_on(&graphs, &cache, backend)
-        .map_err(|e| format!("gram computation failed: {e:?}"))?;
     let mut pairs = vec![
         ("ok", Json::Bool(true)),
         ("num_graphs", Json::Num(graphs.len() as f64)),
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
         ("max_layers", Json::Num(model.max_layers() as f64)),
     ];
+    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, backend)?;
     if let Some(backend) = backend {
         pairs.push(("backend", Json::Str(backend.label().to_string())));
         if let Some(coordinator) = crate::dist::current_coordinator() {
@@ -751,29 +809,8 @@ fn cmd_fit(
             pairs.push(("degraded", Json::Bool(unreachable > 0)));
         }
     }
-    let response = Json::obj(pairs);
-    state.lock().expect("state poisoned").fitted = Some(ModelState {
-        model,
-        cache,
-        train_graphs: graphs,
-        labels,
-        gram,
-        backend,
-    });
-    Ok(response)
-}
-
-fn with_fitted<F>(state: &Mutex<ServerState>, f: F) -> Result<Json, Fail>
-where
-    F: FnOnce(&mut ModelState) -> Result<Json, Fail>,
-{
-    let mut guard = state.lock().expect("state poisoned");
-    match guard.fitted.as_mut() {
-        None => Err(Fail::Error(
-            "no model fitted yet (use 'fit' or 'load')".to_string(),
-        )),
-        Some(fitted) => f(fitted),
-    }
+    inner.publish(&lock(&inner.publishing), snapshot);
+    Ok(Json::obj(pairs))
 }
 
 fn parse_one_graph(request: &Json) -> Result<Graph, String> {
@@ -783,54 +820,55 @@ fn parse_one_graph(request: &Json) -> Result<Graph, String> {
     graph_from_json(graph_json)
 }
 
+/// The transform of `graph` under the served model: one cache lookup, or
+/// one transform.
+fn query_transform(snapshot: &Snapshot, graph: &Graph) -> Result<Arc<AlignedGraph>, String> {
+    let mut one = snapshot
+        .model
+        .transform_all_cached(std::slice::from_ref(graph), &snapshot.cache)
+        .map_err(|e| format!("transform failed: {e:?}"))?;
+    Ok(one.remove(0))
+}
+
 fn cmd_transform(
-    state: &Mutex<ServerState>,
+    snapshot: &Snapshot,
     request: &Json,
     deadline: &RequestDeadline,
 ) -> Result<Json, Fail> {
-    with_fitted(state, |fitted| {
-        let graph = parse_one_graph(request)?;
-        deadline.check("transform")?;
-        let aligned = fitted
-            .model
-            .transform_all_cached(std::slice::from_ref(&graph), &fitted.cache)
-            .map_err(|e| format!("transform failed: {e:?}"))?;
-        let entropies: Vec<Json> = aligned[0]
-            .densities(fitted.model.variant())
-            .iter()
-            .map(|rho| von_neumann_entropy(rho).map(Json::Num))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("entropy failed: {e:?}"))?;
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("levels", Json::Num(entropies.len() as f64)),
-            ("entropies", Json::Arr(entropies)),
-        ]))
-    })
+    let graph = parse_one_graph(request)?;
+    deadline.check("transform")?;
+    let aligned = query_transform(snapshot, &graph)?;
+    let entropies: Vec<Json> = aligned
+        .densities(snapshot.model.variant())
+        .iter()
+        .map(|rho| von_neumann_entropy(rho).map(Json::Num))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("entropy failed: {e:?}"))?;
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("levels", Json::Num(entropies.len() as f64)),
+        ("entropies", Json::Arr(entropies)),
+    ]))
 }
 
+/// The kernel row of `graph` against the served set: its one transform
+/// paired with the snapshot's, O(n) work per query.
 fn kernel_row(
-    fitted: &ModelState,
+    snapshot: &Snapshot,
     graph: &Graph,
     deadline: &RequestDeadline,
 ) -> Result<Vec<f64>, Fail> {
-    // Evaluate the row directly against the cached training features —
-    // O(n) work per query, no cloning and no (n+1)x(n+1) intermediate.
-    deadline.check("kernel_row: training features")?;
-    let train = fitted
-        .model
-        .transform_all_cached(&fitted.train_graphs, &fitted.cache)
-        .map_err(|e| format!("transform failed: {e:?}"))?;
     deadline.check("kernel_row: query features")?;
-    let query = fitted
-        .model
-        .transform_all_cached(std::slice::from_ref(graph), &fitted.cache)
-        .map_err(|e| format!("transform failed: {e:?}"))?;
+    let query = query_transform(snapshot, graph)?;
     deadline.check("kernel_row: row evaluation")?;
-    let pairs: Vec<_> = train.iter().map(|t| (&*query[0], &**t)).collect();
+    let pairs: Vec<_> = snapshot
+        .transforms
+        .iter()
+        .map(|t| (&*query, &**t))
+        .collect();
     let parts = Engine::global()
         .map_chunks(pairs.len(), |range| {
-            fitted.model.kernel_batch(&pairs[range])
+            snapshot.model.kernel_batch(&pairs[range])
         })
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
@@ -839,91 +877,102 @@ fn kernel_row(
 }
 
 fn cmd_kernel_row(
-    state: &Mutex<ServerState>,
+    snapshot: &Snapshot,
     request: &Json,
     deadline: &RequestDeadline,
 ) -> Result<Json, Fail> {
-    with_fitted(state, |fitted| {
-        let graph = parse_one_graph(request)?;
-        let row = kernel_row(fitted, &graph, deadline)?;
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            (
-                "values",
-                Json::Arr(row.into_iter().map(Json::Num).collect()),
-            ),
-        ]))
-    })
+    let graph = parse_one_graph(request)?;
+    let row = kernel_row(snapshot, &graph, deadline)?;
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        (
+            "values",
+            Json::Arr(row.into_iter().map(Json::Num).collect()),
+        ),
+    ]))
 }
 
+/// Grows the served set by one graph: holds the publishing mutex from
+/// reading the snapshot until its successor is published, transforms the
+/// one new graph and extends the Gram over the snapshot's transforms.
 fn cmd_append(
-    state: &Mutex<ServerState>,
+    inner: &ServingInner,
     request: &Json,
     deadline: &RequestDeadline,
 ) -> Result<Json, Fail> {
-    with_fitted(state, |fitted| {
-        let graph = parse_one_graph(request)?;
-        let label = request.get("label").and_then(Json::as_usize);
-        if fitted.labels.is_some() && label.is_none() {
-            return Err("this model serves labels; 'append' needs a 'label'".into());
-        }
-        // The only checkpoint is *before* the extension: once the Gram is
-        // extended the append has happened, and reporting a deadline trip
-        // over committed state would lie about the server's contents.
-        deadline.check("append: gram extension")?;
-        let mut all = fitted.train_graphs.clone();
-        all.push(graph);
-        fitted.gram = fitted
-            .model
-            .gram_matrix_extended_on(&fitted.gram, &all, &fitted.cache, fitted.backend)
-            .map_err(|e| format!("gram extension failed: {e:?}"))?;
-        // Commit labels only after the extension succeeded, so a failed
-        // append can never desynchronise labels from the graph list.
-        fitted.train_graphs = all;
-        if let (Some(labels), Some(l)) = (&mut fitted.labels, label) {
-            labels.push(l);
-        }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("num_graphs", Json::Num(fitted.train_graphs.len() as f64)),
-        ]))
-    })
+    let publishing = lock(&inner.publishing);
+    let current = inner.snapshot()?;
+    let graph = parse_one_graph(request)?;
+    let label = match (request.get("label"), current.labels.is_some()) {
+        (None, false) => None,
+        (None, true) => return Err("this model serves labels; 'append' needs a 'label'".into()),
+        (Some(_), false) => return Err("unlabelled model; 'append' takes no 'label'".into()),
+        (Some(label), true) => Some(
+            label
+                .as_usize()
+                .ok_or("'label' must be a non-negative integer")?,
+        ),
+    };
+    // The only checkpoint is *before* the extension: once the Gram is
+    // extended the append has happened, and reporting a deadline trip
+    // over committed state would lie about the server's contents.
+    deadline.check("append: gram extension")?;
+    let mut transforms = current.transforms.clone();
+    transforms.push(query_transform(&current, &graph)?);
+    let gram = current
+        .model
+        .extend_gram_over_transforms(&current.gram, &transforms, None)
+        .map_err(|e| format!("gram extension failed: {e:?}"))?;
+    let num_graphs = transforms.len();
+    let labels = current
+        .labels
+        .as_ref()
+        .map(|l| [l, label.as_slice()].concat());
+    inner.publish(
+        &publishing,
+        Snapshot {
+            model: Arc::clone(&current.model),
+            cache: Arc::clone(&current.cache),
+            transforms,
+            labels,
+            gram,
+        },
+    );
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("num_graphs", Json::Num(num_graphs as f64)),
+    ]))
 }
 
 fn cmd_predict(
-    state: &Mutex<ServerState>,
+    snapshot: &Snapshot,
     request: &Json,
     deadline: &RequestDeadline,
 ) -> Result<Json, Fail> {
-    with_fitted(state, |fitted| {
-        let labels = fitted
-            .labels
-            .clone()
-            .ok_or("model was fitted without labels; 'predict' unavailable")?;
-        let graph = parse_one_graph(request)?;
-        let row = kernel_row(fitted, &graph, deadline)?;
-        let (best, value) = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .ok_or("training set is empty")?;
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("label", Json::Num(labels[best] as f64)),
-            ("nearest", Json::Num(best as f64)),
-            ("kernel_value", Json::Num(*value)),
-        ]))
-    })
+    let labels = snapshot
+        .labels
+        .as_ref()
+        .ok_or("model was fitted without labels; 'predict' unavailable")?;
+    let graph = parse_one_graph(request)?;
+    let row = kernel_row(snapshot, &graph, deadline)?;
+    let (best, value) = row
+        .iter()
+        .enumerate()
+        .max_by(|a, b| a.1.total_cmp(b.1))
+        .ok_or("training set is empty")?;
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("label", Json::Num(labels[best] as f64)),
+        ("nearest", Json::Num(best as f64)),
+        ("kernel_value", Json::Num(*value)),
+    ]))
 }
 
-fn cmd_save(state: &Mutex<ServerState>) -> Json {
-    with_fitted(state, |fitted| {
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("model", Json::Str(model_to_string(&fitted.model))),
-        ]))
-    })
-    .unwrap_or_else(fail_to_response)
+fn cmd_save(snapshot: &Snapshot, _request: &Json) -> Result<Json, Fail> {
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("model", Json::Str(model_to_string(&snapshot.model))),
+    ]))
 }
 
 fn fail_to_response(fail: Fail) -> Json {
@@ -935,88 +984,59 @@ fn fail_to_response(fail: Fail) -> Json {
 /// Atomically persists the fitted model to `path` on the server's
 /// filesystem ([`save_model_file`]: tmp write, fsync, rename, checksum
 /// footer), reporting the artifact id the bytes hash to.
-fn cmd_save_file(state: &Mutex<ServerState>, request: &Json) -> Json {
-    with_fitted(state, |fitted| {
-        let path = request
-            .get("path")
-            .and_then(Json::as_str)
-            .ok_or("request needs a string field 'path'")?;
-        save_model_file(&fitted.model, Path::new(path))
-            .map_err(|e| format!("cannot save model to {path}: {e}"))?;
-        let text = model_to_string(&fitted.model);
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("path", Json::Str(path.to_string())),
-            (
-                "artifact_id",
-                Json::Str(crate::core::model_artifact_id(&text)),
-            ),
-        ]))
-    })
-    .unwrap_or_else(fail_to_response)
+fn cmd_save_file(snapshot: &Snapshot, request: &Json) -> Result<Json, Fail> {
+    let path = request
+        .get("path")
+        .and_then(Json::as_str)
+        .ok_or("request needs a string field 'path'")?;
+    save_model_file(&snapshot.model, Path::new(path))
+        .map_err(|e| format!("cannot save model to {path}: {e}"))?;
+    let text = model_to_string(&snapshot.model);
+    Ok(Json::obj([
+        ("ok", Json::Bool(true)),
+        ("path", Json::Str(path.to_string())),
+        (
+            "artifact_id",
+            Json::Str(crate::core::model_artifact_id(&text)),
+        ),
+    ]))
 }
 
-/// Installs a restored model as the served state, recomputing the Gram
-/// over any provided training graphs — shared by `load` and `load_file`.
-fn install_model(
-    state: &Mutex<ServerState>,
+/// Publishes the model a `load` (`source` = `"model"`: persisted text) or
+/// `load_file` (`"path"`: a checksum-verified file on the server's
+/// filesystem, [`load_model_file`]) restores, with the Gram over any
+/// provided training graphs.
+fn cmd_load(
+    inner: &ServingInner,
     request: &Json,
-    model: HaqjskModel,
+    source: &str,
     deadline: &RequestDeadline,
 ) -> Result<Json, Fail> {
+    let value = request
+        .get(source)
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("request needs a string field '{source}'"))?;
+    let model = match source {
+        "path" => load_model_file(Path::new(value)),
+        _ => model_from_string(value),
+    }
+    .map_err(|e| e.to_string())?;
     let graphs = if request.get("graphs").is_some() {
         parse_graphs(request)?
     } else {
         Vec::new()
     };
     let labels = parse_labels(request, graphs.len())?;
+    let cache = parse_cache_config(request)?;
     deadline.check("load: gram computation")?;
-    let cache = FeatureCache::with_config(parse_cache_config(request));
-    let gram = model
-        .gram_matrix_cached(&graphs, &cache)
-        .map_err(|e| format!("gram computation failed: {e:?}"))?;
     let response = Json::obj([
         ("ok", Json::Bool(true)),
         ("num_graphs", Json::Num(graphs.len() as f64)),
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
     ]);
-    state.lock().expect("state poisoned").fitted = Some(ModelState {
-        model,
-        cache,
-        train_graphs: graphs,
-        labels,
-        gram,
-        backend: None,
-    });
+    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, None)?;
+    inner.publish(&lock(&inner.publishing), snapshot);
     Ok(response)
-}
-
-fn cmd_load(
-    state: &Mutex<ServerState>,
-    request: &Json,
-    deadline: &RequestDeadline,
-) -> Result<Json, Fail> {
-    let text = request
-        .get("model")
-        .and_then(Json::as_str)
-        .ok_or("request needs a string field 'model'")?;
-    let model = model_from_string(text).map_err(|e| e.to_string())?;
-    install_model(state, request, model, deadline)
-}
-
-/// Restores a model from a checksum-verified file on the server's
-/// filesystem ([`load_model_file`]) and installs it like `load`.
-fn cmd_load_file(
-    state: &Mutex<ServerState>,
-    request: &Json,
-    deadline: &RequestDeadline,
-) -> Result<Json, Fail> {
-    let path = request
-        .get("path")
-        .and_then(Json::as_str)
-        .ok_or("request needs a string field 'path'")?;
-    let model = load_model_file(Path::new(path)).map_err(|e| e.to_string())?;
-    install_model(state, request, model, deadline)
 }
 
 /// One shard's counters on the wire.
@@ -1255,7 +1275,6 @@ fn cmd_stats(serving: &Serving) -> Json {
         .control
         .get()
         .map_or(0, ServeControl::active_connections);
-    let guard = serving.inner.state.lock().expect("state poisoned");
     let engine = Engine::global();
     pairs.extend([
         ("ok", Json::Bool(true)),
@@ -1326,12 +1345,12 @@ fn cmd_stats(serving: &Serving) -> Json {
     if let Some(coordinator) = crate::dist::current_coordinator() {
         pairs.push(("distributed", dist_stats_to_json(&coordinator.stats())));
     }
-    match guard.fitted.as_ref() {
-        None => pairs.push(("fitted", Json::Bool(false))),
-        Some(fitted) => {
+    match serving.inner.snapshot() {
+        Err(_) => pairs.push(("fitted", Json::Bool(false))),
+        Ok(fitted) => {
             let stats = fitted.cache.stats();
             pairs.push(("fitted", Json::Bool(true)));
-            pairs.push(("num_graphs", Json::Num(fitted.train_graphs.len() as f64)));
+            pairs.push(("num_graphs", Json::Num(fitted.transforms.len() as f64)));
             pairs.push(("aligned_cache_hits", Json::Num(stats.hits as f64)));
             pairs.push(("aligned_cache_misses", Json::Num(stats.misses as f64)));
             pairs.push(("aligned_cache_entries", Json::Num(stats.entries as f64)));

@@ -180,6 +180,80 @@ fn malformed_model_loads_are_refused_and_the_server_keeps_answering() {
 }
 
 #[test]
+fn an_unbounded_hierarchy_fit_is_refused_and_the_server_keeps_answering() {
+    let (_serving, mut server) = spawn(tight_config());
+    let mut client = Client::connect(server.local_addr());
+    // Sizing the prototype hierarchy from this count would abort the
+    // process on a 24-petabyte allocation.
+    let fit = small_fit_request().replace(
+        "\"hierarchy_levels\":2",
+        "\"hierarchy_levels\":1000000000000000",
+    );
+    let error = assert_error_envelope(&client.request(&fit));
+    assert!(error.contains("hierarchy_levels"), "got: {error}");
+    let response = client.request(r#"{"cmd":"ping"}"#);
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+    server.shutdown();
+}
+
+#[test]
+fn wrong_typed_fields_are_errors_that_name_the_field() {
+    let (_serving, mut server) = spawn(tight_config());
+    let mut client = Client::connect(server.local_addr());
+    let fit = small_fit_request();
+    for (from, to, field) in [
+        (
+            "\"kmeans_max_iterations\":8",
+            "\"kmeans_max_iterations\":8,\"mu\":\"0.5\"",
+            "mu",
+        ),
+        (
+            "\"hierarchy_levels\":2",
+            "\"hierarchy_levels\":\"x\"",
+            "hierarchy_levels",
+        ),
+        ("\"layer_cap\":2", "\"layer_cap\":-2", "layer_cap"),
+        (
+            "\"kmeans_max_iterations\":8",
+            "\"kmeans_max_iterations\":8,\"small\":\"no\"",
+            "small",
+        ),
+        (
+            "\"kmeans_max_iterations\":8",
+            "\"kmeans_max_iterations\":8,\"cache_budget_bytes\":\"1MB\"",
+            "cache_budget_bytes",
+        ),
+        ("\"variant\":\"A\"", "\"variant\":5", "variant"),
+    ] {
+        assert!(fit.contains(from));
+        let error = assert_error_envelope(&client.request(&fit.replacen(from, to, 1)));
+        assert!(error.contains(field), "{to}: got {error}");
+    }
+    let error = assert_error_envelope(
+        &client.request(r#"{"cmd":"fit","graphs":[{"n":3,"edges":[[0,1]]}],"config":5}"#),
+    );
+    assert!(error.contains("config"), "got: {error}");
+
+    let graph = graph_to_json(&cycle_graph(6));
+    // A model fitted without labels refuses a label rather than dropping it.
+    assert_eq!(client.request(&fit).get("ok"), Some(&Json::Bool(true)));
+    let append = |label: &str| format!("{{\"cmd\":\"append\",\"graph\":{graph}{label}}}");
+    let error = assert_error_envelope(&client.request(&append(",\"label\":7")));
+    assert!(error.contains("label"), "got: {error}");
+    let appended = client.request(&append(""));
+    assert_eq!(appended.get("num_graphs").and_then(Json::as_usize), Some(9));
+
+    // A labelled model names a malformed label instead of calling it absent.
+    let labelled = fit.replacen("\"variant\"", "\"labels\":[0,1,0,1,0,1,0,1],\"variant\"", 1);
+    assert_eq!(client.request(&labelled).get("ok"), Some(&Json::Bool(true)));
+    let error = assert_error_envelope(&client.request(&append(",\"label\":-1")));
+    assert!(error.contains("'label' must be"), "got: {error}");
+    let appended = client.request(&append(",\"label\":1"));
+    assert_eq!(appended.get("num_graphs").and_then(Json::as_usize), Some(9));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frame_is_rejected_with_metric_delta() {
     let before = haqjsk::obs::registry()
         .snapshot()
