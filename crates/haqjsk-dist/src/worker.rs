@@ -6,16 +6,16 @@
 //! (content-hash-deduplicated into a byte-budgeted [`GraphStore`]), then
 //! answers `tile` work units by running the requested kernel's tile
 //! evaluator over its local engine. Per-graph features warm the worker's
-//! own sharded `FeatureCache`s exactly as an in-process Gram would, so
+//! own `FeatureCache`s exactly as an in-process Gram would, so
 //! repeated tiles over the same rows are cache-hot.
 //!
 //! Fitted-model kernels arrive as content-addressed **artifacts**
 //! (`artifact_begin` / `artifact_chunk` / `artifact_commit`): the worker
 //! verifies the digest, parses the persisted model eagerly, and keeps a
 //! small LRU of reconstructed models, each with its own aligned-transform
-//! cache. Model tiles evaluate against the reconstruction — byte-identical
-//! to the coordinator's serial path because persistence round-trips `f64`s
-//! exactly.
+//! cache bounded by `HAQJSK_CACHE_BUDGET`. Model tiles evaluate against the
+//! reconstruction — byte-identical to the coordinator's serial path because
+//! persistence round-trips `f64`s exactly.
 //!
 //! The graph store is bounded (`HAQJSK_WORKER_STORE_BUDGET`): tiles pin
 //! their dataset for the duration of evaluation, and a tile whose graphs
@@ -51,7 +51,7 @@ use crate::chaos::{ChaosFault, ChaosPlan, ChaosState};
 use crate::dataset::GraphStore;
 use crate::wire::{self, KernelSpec};
 use haqjsk_core::{model_artifact_id, model_from_string, AlignedGraph, HaqjskModel};
-use haqjsk_engine::cache::FeatureCache;
+use haqjsk_engine::cache::{CacheConfig, FeatureCache};
 use haqjsk_engine::serve::error_response;
 use haqjsk_engine::{
     graph_from_json, Codec, Disposition, DrainReport, Engine, Handler, Json, ServeControl, Server,
@@ -90,6 +90,16 @@ struct WorkerCounters {
 struct ModelEntry {
     model: HaqjskModel,
     cache: FeatureCache<AlignedGraph>,
+}
+
+impl ModelEntry {
+    /// A model with an empty transform cache under `cache`'s byte budget.
+    fn new(model: HaqjskModel, cache: CacheConfig) -> ModelEntry {
+        ModelEntry {
+            model,
+            cache: FeatureCache::with_config(cache),
+        }
+    }
 }
 
 /// The worker's content-addressed model artifacts: in-flight text
@@ -401,10 +411,7 @@ fn cmd_artifact_commit(state: &WorkerState, request: &Json) -> Json {
         let model = model_from_string(&text).map_err(|e| format!("artifact parse failed: {e}"))?;
         models.insert(
             artifact.to_string(),
-            ModelEntry {
-                model,
-                cache: FeatureCache::new(),
-            },
+            ModelEntry::new(model, CacheConfig::from_env()),
         );
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
@@ -937,6 +944,43 @@ mod tests {
             &wire::artifact_commit_request("bogus"),
         );
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn a_model_entry_cache_holds_to_its_budget() {
+        use haqjsk_graph::generators::erdos_renyi;
+
+        let graphs: Vec<Graph> = (0..12)
+            .map(|i| erdos_renyi(6 + i % 5, 0.4, 300 + i as u64))
+            .collect();
+        let config = HaqjskConfig {
+            max_layers: Some(2),
+            ..HaqjskConfig::default()
+        };
+        let model = HaqjskModel::fit(&graphs, config, HaqjskVariant::AlignedAdjacency).unwrap();
+        let pairs: Vec<(usize, usize)> = (0..graphs.len())
+            .flat_map(|i| (i..graphs.len()).map(move |j| (i, j)))
+            .collect();
+
+        let unbounded = ModelEntry::new(model.clone(), CacheConfig::default());
+        let expected = eval_model_tile_chunked(&unbounded, &graphs, &pairs).unwrap();
+        let total = unbounded.cache.stats().resident_bytes;
+
+        let budget = total / 3;
+        let bounded = ModelEntry::new(model, CacheConfig::with_budget(budget));
+        let values = eval_model_tile_chunked(&bounded, &graphs, &pairs).unwrap();
+        let stats = bounded.cache.stats();
+        assert!(
+            stats.resident_bytes <= budget,
+            "{} bytes resident over a {budget}-byte budget",
+            stats.resident_bytes
+        );
+        assert!(
+            stats.evictions > 0,
+            "{total} bytes of transforms never evicted"
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), bits(&expected));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Memoisation of expensive per-graph features — sharded, budgeted, LRU.
+//! Memoisation of expensive per-graph features — budgeted, LRU.
 //!
 //! The HAQJSK pipeline's cost is dominated by per-*pair* kernel evaluations,
 //! but the per-*graph* inputs to those evaluations — CTQW density matrices
@@ -8,21 +8,14 @@
 //! under a [`GraphKey`] and guarantees each value is
 //! computed **exactly once per resident key** even under concurrent access.
 //!
-//! Two properties make the cache production-shaped rather than a plain
-//! mutex-guarded map:
-//!
-//! * **Key-range sharding.** The key space (the upper 64 bits of the
-//!   structural hash) is partitioned into a fixed eight contiguous ranges,
-//!   each guarded by its own mutex, so concurrent lookups for different
-//!   graphs rarely contend on one lock.
-//! * **Budgeted LRU eviction.** Each shard tracks an intrusive LRU list and
-//!   the approximate resident bytes of its values (via the [`CacheWeight`]
-//!   trait). When a total byte budget is configured — the cache's only
-//!   setting, see [`CacheConfig`] — inserts that push a shard over its
-//!   slice of the budget evict least-recently-used entries until it fits,
-//!   so long-running serving processes handle unbounded graph streams with
-//!   bounded memory. Evicted values stay alive for callers already holding
-//!   their `Arc`; only residency is bounded.
+//! One mutex guards the table, an intrusive LRU list and the approximate
+//! resident bytes of its values (via the [`CacheWeight`] trait); it is held
+//! only for lookup and bookkeeping, never across a compute. When a byte
+//! budget is configured — the cache's only setting, see [`CacheConfig`] —
+//! an insert that pushes the cache over it evicts least-recently-used
+//! entries until it fits, so long-running serving processes handle
+//! unbounded graph streams with bounded memory. Evicted values stay alive
+//! for callers already holding their `Arc`; only residency is bounded.
 //!
 //! The exactly-once guarantee is scoped to residency: while a key stays
 //! resident, concurrent requests for it block on the first compute instead
@@ -85,20 +78,15 @@ impl CacheWeight for haqjsk_linalg::Matrix {
 /// `k`/`m`/`g` suffixes (e.g. `256m`).
 pub const CACHE_BUDGET_ENV_VAR: &str = "HAQJSK_CACHE_BUDGET";
 
-/// Key-range shards per cache.
-const SHARDS: usize = 8;
-
 /// The byte budget of a [`FeatureCache`], its only setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheConfig {
-    /// Total byte budget across all shards; `None` = unbounded. Each of
-    /// the eight shards enforces `budget / 8` (floor), so budgets should be
-    /// large relative to the per-value weight.
+    /// Byte bound on the resident values; `None` = unbounded.
     pub budget_bytes: Option<usize>,
 }
 
 impl CacheConfig {
-    /// A total byte budget.
+    /// A byte budget.
     pub fn with_budget(budget_bytes: usize) -> Self {
         CacheConfig {
             budget_bytes: Some(budget_bytes),
@@ -149,7 +137,7 @@ pub struct CacheStats {
     /// Entries evicted to satisfy the budget since creation (or since the
     /// last [`FeatureCache::clear`], which resets this counter).
     pub evictions: usize,
-    /// Approximate bytes currently resident across all shards.
+    /// Approximate bytes currently resident.
     pub resident_bytes: usize,
 }
 
@@ -165,27 +153,9 @@ impl CacheStats {
     }
 }
 
-/// Per-shard counters, for observability (`stats` serving responses, the
-/// scaling benchmark) and for the eviction property tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardStats {
-    /// Distinct keys resident in this shard.
-    pub entries: usize,
-    /// Lookups this shard answered from cache.
-    pub hits: usize,
-    /// Lookups this shard had to compute.
-    pub misses: usize,
-    /// Entries this shard evicted.
-    pub evictions: usize,
-    /// Approximate resident bytes in this shard.
-    pub resident_bytes: usize,
-    /// This shard's slice of the budget; `None` = unbounded.
-    pub budget_bytes: Option<usize>,
-}
-
 const NIL: usize = usize::MAX;
 
-/// One node of a shard's intrusive LRU list, slab-allocated so that map
+/// One node of an intrusive LRU list, slab-allocated so that map
 /// entries can hold a stable index instead of a pointer.
 struct LruNode {
     key: GraphKey,
@@ -319,40 +289,25 @@ struct Entry<V> {
     node: usize,
 }
 
-struct ShardState<V> {
+/// Everything the cache's one mutex guards.
+struct State<V> {
     entries: HashMap<GraphKey, Entry<V>>,
     lru: LruList,
     resident_bytes: usize,
     evictions: usize,
+    /// `None` = unbounded.
+    budget: Option<usize>,
 }
 
-struct Shard<V> {
-    state: Mutex<ShardState<V>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-impl<V> Shard<V> {
-    fn new() -> Self {
-        Shard {
-            state: Mutex::new(ShardState {
-                entries: HashMap::new(),
-                lru: LruList::new(),
-                resident_bytes: 0,
-                evictions: 0,
-            }),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl<V> ShardState<V> {
-    /// Evicts LRU-tail entries until `resident_bytes <= budget`. The entry
-    /// just inserted sits at the LRU head, so it is evicted only when it
-    /// alone exceeds the shard budget — in which case residency is given
+impl<V> State<V> {
+    /// Evicts LRU-tail entries until `resident_bytes` is within the budget.
+    /// The entry just inserted sits at the LRU head, so it is evicted only
+    /// when it alone exceeds the budget — in which case residency is given
     /// up (the caller still holds the value through its `Arc`).
-    fn enforce_budget(&mut self, budget: usize) {
+    fn enforce_budget(&mut self) {
+        let Some(budget) = self.budget else {
+            return;
+        };
         while self.resident_bytes > budget {
             let Some(key) = self.lru.tail_key() else {
                 break;
@@ -370,17 +325,17 @@ impl<V> ShardState<V> {
     }
 }
 
-/// A concurrent, instrumented, sharded memo table from [`GraphKey`] to a
-/// feature value of type `V`, with optional LRU byte-budget eviction.
+/// A concurrent, instrumented memo table from [`GraphKey`] to a feature
+/// value of type `V`, with optional LRU byte-budget eviction.
 ///
-/// Shard mutexes are held only for entry lookup/insertion and LRU/budget
-/// bookkeeping; the (potentially very expensive) compute runs outside them,
+/// The mutex is held only for entry lookup/insertion and LRU/budget
+/// bookkeeping; the (potentially very expensive) compute runs outside it,
 /// serialised per key by a [`OnceLock`] so concurrent requests for the
 /// *same* graph block until the first finishes rather than recomputing.
 pub struct FeatureCache<V> {
-    shards: Vec<Shard<V>>,
-    /// Total byte budget; `usize::MAX` encodes "unbounded".
-    budget: AtomicUsize,
+    state: Mutex<State<V>>,
+    hits: AtomicUsize,
+    misses: AtomicUsize,
 }
 
 impl<V> Default for FeatureCache<V> {
@@ -393,7 +348,6 @@ impl<V> std::fmt::Debug for FeatureCache<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("FeatureCache")
-            .field("shards", &self.shards.len())
             .field("entries", &stats.entries)
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
@@ -413,74 +367,50 @@ impl<V> FeatureCache<V> {
     /// Creates a cache with the given byte budget.
     pub fn with_config(config: CacheConfig) -> Self {
         FeatureCache {
-            shards: (0..SHARDS).map(|_| Shard::new()).collect(),
-            budget: AtomicUsize::new(config.budget_bytes.unwrap_or(usize::MAX)),
+            state: Mutex::new(State {
+                entries: HashMap::new(),
+                lru: LruList::new(),
+                resident_bytes: 0,
+                evictions: 0,
+                budget: config.budget_bytes,
+            }),
+            hits: AtomicUsize::new(0),
+            misses: AtomicUsize::new(0),
         }
     }
 
-    /// The total byte budget, if one is configured.
+    fn lock(&self) -> std::sync::MutexGuard<'_, State<V>> {
+        self.state.lock().expect("feature cache poisoned")
+    }
+
+    /// The byte budget, if one is configured.
     pub fn budget_bytes(&self) -> Option<usize> {
-        let raw = self.budget.load(Ordering::Relaxed);
-        (raw != usize::MAX).then_some(raw)
-    }
-
-    /// Each shard's slice of the budget (floor division — see
-    /// [`CacheConfig::budget_bytes`]).
-    fn shard_budget(&self) -> usize {
-        match self.budget.load(Ordering::Relaxed) {
-            usize::MAX => usize::MAX,
-            total => total / self.shards.len(),
-        }
+        self.lock().budget
     }
 
     /// Re-budgets the cache at runtime (`None` lifts the bound), evicting
-    /// immediately if shards now exceed their slice. This is the
+    /// immediately if the cache is now over it. This is the
     /// memory-pressure lever for long-running processes.
     pub fn set_budget(&self, budget_bytes: Option<usize>) {
-        self.budget
-            .store(budget_bytes.unwrap_or(usize::MAX), Ordering::Relaxed);
-        let per_shard = self.shard_budget();
-        for shard in &self.shards {
-            shard
-                .state
-                .lock()
-                .expect("cache shard poisoned")
-                .enforce_budget(per_shard);
-        }
-    }
-
-    /// The shard index serving `key` — a contiguous range partition of the
-    /// upper 64 bits of the structural hash. Exposed so tests and
-    /// observability can attribute keys to shards.
-    pub fn shard_of(&self, key: GraphKey) -> usize {
-        let high = (key.0 >> 64) as u64;
-        // Multiply-shift range partition: shard i serves an equal-width
-        // contiguous slice of the 64-bit key space.
-        ((high as u128 * self.shards.len() as u128) >> 64) as usize
+        let mut state = self.lock();
+        state.budget = budget_bytes;
+        state.enforce_budget();
     }
 
     /// Returns the cached value for `key` if present, counting a hit and
     /// refreshing the key's LRU position.
     pub fn get(&self, key: GraphKey) -> Option<Arc<V>> {
-        let shard = &self.shards[self.shard_of(key)];
         let value = {
-            let mut state = shard.state.lock().expect("cache shard poisoned");
-            match state.entries.get(&key) {
-                Some(entry) => {
-                    let node = entry.node;
-                    let value = entry.slot.get().cloned();
-                    if value.is_some() {
-                        state.lru.touch(node);
-                    }
-                    value
-                }
-                None => None,
-            }
+            let mut state = self.lock();
+            let (node, value) = {
+                let entry = state.entries.get(&key)?;
+                (entry.node, entry.slot.get().cloned()?)
+            };
+            state.lru.touch(node);
+            value
         };
-        if value.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
     }
 
     /// Returns the cached value for `key` without computing, if present.
@@ -488,42 +418,20 @@ impl<V> FeatureCache<V> {
     /// nor the LRU order — it is for introspection, not for serving
     /// lookups.
     pub fn peek(&self, key: GraphKey) -> Option<Arc<V>> {
-        let shard = &self.shards[self.shard_of(key)];
-        let state = shard.state.lock().expect("cache shard poisoned");
+        let state = self.lock();
         state.entries.get(&key).and_then(|e| e.slot.get().cloned())
     }
 
-    /// Aggregate counters across all shards.
+    /// The cache's counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            let state = shard.state.lock().expect("cache shard poisoned");
-            stats.entries += state.entries.len();
-            stats.evictions += state.evictions;
-            stats.resident_bytes += state.resident_bytes;
-            stats.hits += shard.hits.load(Ordering::Relaxed);
-            stats.misses += shard.misses.load(Ordering::Relaxed);
+        let state = self.lock();
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: state.entries.len(),
+            evictions: state.evictions,
+            resident_bytes: state.resident_bytes,
         }
-        stats
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        let budget = self.shard_budget();
-        self.shards
-            .iter()
-            .map(|shard| {
-                let state = shard.state.lock().expect("cache shard poisoned");
-                ShardStats {
-                    entries: state.entries.len(),
-                    hits: shard.hits.load(Ordering::Relaxed),
-                    misses: shard.misses.load(Ordering::Relaxed),
-                    evictions: state.evictions,
-                    resident_bytes: state.resident_bytes,
-                    budget_bytes: (budget != usize::MAX).then_some(budget),
-                }
-            })
-            .collect()
     }
 
     /// Evicts every resident value through the normal eviction path and
@@ -534,17 +442,15 @@ impl<V> FeatureCache<V> {
     ///
     /// [`set_budget`]: FeatureCache::set_budget
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut state = shard.state.lock().expect("cache shard poisoned");
-            // Draining the LRU through evict() empties the entry map and
-            // the byte counter too (including weight-0 in-flight entries).
-            while let Some(key) = state.lru.tail_key() {
-                state.evict(key);
-            }
-            state.evictions = 0;
-            shard.hits.store(0, Ordering::Relaxed);
-            shard.misses.store(0, Ordering::Relaxed);
+        let mut state = self.lock();
+        // Draining the LRU through evict() empties the entry map and the
+        // byte counter too (including weight-0 in-flight entries).
+        while let Some(key) = state.lru.tail_key() {
+            state.evict(key);
         }
+        state.evictions = 0;
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -556,9 +462,8 @@ impl<V: CacheWeight> FeatureCache<V> {
     /// a later request recomputes (observable through
     /// [`CacheStats::evictions`]).
     pub fn get_or_compute(&self, key: GraphKey, compute: impl FnOnce() -> V) -> Arc<V> {
-        let shard = &self.shards[self.shard_of(key)];
         let slot = {
-            let mut state = shard.state.lock().expect("cache shard poisoned");
+            let mut state = self.lock();
             match state.entries.get(&key) {
                 Some(entry) => {
                     let node = entry.node;
@@ -589,9 +494,9 @@ impl<V: CacheWeight> FeatureCache<V> {
         }));
 
         if computed_here {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            self.misses.fetch_add(1, Ordering::Relaxed);
             let weight = CacheWeight::weight(value.as_ref()).max(1);
-            let mut state = shard.state.lock().expect("cache shard poisoned");
+            let mut state = self.lock();
             // Account the weight only if our entry is still the resident
             // one (it may have been evicted, or evicted-and-replaced by a
             // fresh entry, while we computed).
@@ -599,11 +504,11 @@ impl<V: CacheWeight> FeatureCache<V> {
                 if Arc::ptr_eq(&entry.slot, &slot) && entry.weight == 0 {
                     entry.weight = weight;
                     state.resident_bytes += weight;
-                    state.enforce_budget(self.shard_budget());
+                    state.enforce_budget();
                 }
             }
         } else {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         value
     }
@@ -673,35 +578,9 @@ mod tests {
         assert_eq!(cache.stats().resident_bytes, 0);
     }
 
-    /// Spread keys across the upper-64-bit range so they land in distinct
-    /// shard ranges.
-    fn spread_key(i: u64) -> GraphKey {
-        GraphKey(((i.wrapping_mul(0x9E3779B97F4A7C15)) as u128) << 64 | i as u128)
-    }
-
-    #[test]
-    fn keys_spread_over_shards_by_range() {
-        let cache: FeatureCache<u64> = FeatureCache::new();
-        assert_eq!(cache.shard_stats().len(), SHARDS);
-        let mut seen = [false; SHARDS];
-        for i in 0..64 {
-            let s = cache.shard_of(spread_key(i));
-            assert!(s < SHARDS);
-            seen[s] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "all shards should receive keys");
-        // Range partition: ordered high bits map to non-decreasing shards.
-        assert_eq!(cache.shard_of(GraphKey(0)), 0);
-        assert_eq!(cache.shard_of(GraphKey(u128::MAX)), SHARDS - 1);
-    }
-
-    // Small-integer keys have zero upper bits, so they all land in shard 0:
-    // its LRU order is deterministic, and it enforces `budget / SHARDS`.
-
     #[test]
     fn budget_evicts_least_recently_used() {
-        let cache: FeatureCache<u64> =
-            FeatureCache::with_config(CacheConfig::with_budget(SHARDS * 3 * 8));
+        let cache: FeatureCache<u64> = FeatureCache::with_config(CacheConfig::with_budget(3 * 8));
         for i in 0..3u64 {
             cache.get_or_compute(GraphKey(i as u128), || i);
         }
@@ -728,8 +607,7 @@ mod tests {
 
     #[test]
     fn oversized_value_is_returned_but_not_retained() {
-        let cache: FeatureCache<String> =
-            FeatureCache::with_config(CacheConfig::with_budget(SHARDS * 16));
+        let cache: FeatureCache<String> = FeatureCache::with_config(CacheConfig::with_budget(16));
         let v = cache.get_or_compute(GraphKey(9), || "x".repeat(4096));
         assert_eq!(v.len(), 4096, "caller still gets the value");
         let stats = cache.stats();
@@ -745,11 +623,11 @@ mod tests {
             cache.get_or_compute(GraphKey(i as u128), || i);
         }
         assert_eq!(cache.stats().entries, 10);
-        cache.set_budget(Some(SHARDS * 4 * 8));
+        cache.set_budget(Some(4 * 8));
         let stats = cache.stats();
         assert_eq!(stats.entries, 4);
         assert_eq!(stats.evictions, 6);
-        assert_eq!(cache.budget_bytes(), Some(SHARDS * 32));
+        assert_eq!(cache.budget_bytes(), Some(32));
         cache.set_budget(None);
         assert_eq!(cache.budget_bytes(), None);
         for i in 0..10u64 {

@@ -18,20 +18,19 @@
 //!   [`TileEvaluator`] on the pool or inline on the calling thread,
 //! * [`backend`] — where a Gram runs ([`BackendKind`]: `serial` inline,
 //!   `local` on the pool, `dist` through the remote-tiles hook installed
-//!   by `haqjsk-dist`; `tiled`/`batched` and their variants are aliases of
-//!   `local`), the [`TileEvaluator`] seam and the [`per_pair`] shim.
+//!   by `haqjsk-dist`; any other spelling, the old `tiled`/`batched` ones
+//!   included, is an unknown-backend error), the [`TileEvaluator`] seam and
+//!   the [`per_pair`] shim.
 //!   Selected per engine (builder) or per call, with a process-wide
 //!   `HAQJSK_BACKEND` override; every path is byte-identical,
 //! * [`engine`] — the [`Engine`] that ties pool, backend and tile width
 //!   together: `gram` (full), `gram_extend` (appending rows/columns for
 //!   streaming workloads) and `map` (per-graph feature extraction),
-//! * [`cache`] — a **sharded, budgeted** per-graph feature cache
-//!   ([`FeatureCache`]) keyed by a structural graph hash
-//!   ([`hash::graph_key`]): the key space is range-partitioned into
-//!   eight independently locked shards, each maintaining an LRU list and its
-//!   slice of an optional byte budget (value sizes via [`CacheWeight`]),
-//!   with exactly-once compute semantics per resident key and full
-//!   hit/miss/eviction instrumentation per shard,
+//! * [`cache`] — a **budgeted** per-graph feature cache ([`FeatureCache`])
+//!   keyed by a structural graph hash ([`hash::graph_key`]): one LRU list
+//!   under one mutex, bounded by an optional byte budget (value sizes via
+//!   [`CacheWeight`]), with exactly-once compute semantics per resident key
+//!   and hit/miss/eviction instrumentation,
 //! * [`json`] + [`serve`] + [`http`] — the TCP serving substrate: one
 //!   hardened [`Server`] speaking one [`Codec`] (JSON-lines for
 //!   `haqjsk-serve` and dist workers, HTTP/1.1 GET for the observability
@@ -50,8 +49,7 @@
 //!   Engine::gram / gram_extend ── one tile scheduler (gram::run_tiles)
 //!        │      serial: inline │ local: WorkerPool │ dist: remote-tiles hook
 //!        │                                                     │
-//!        └────────── FeatureCache (8 key-range shards, ────────┘
-//!                    LRU + byte budget per shard)
+//!        └────────── FeatureCache (one LRU + byte budget) ─────┘
 //! ```
 //!
 //! Batched kernels plug in at the evaluator (one tile, one batched
@@ -80,7 +78,7 @@ pub use backend::{
     TileEvaluator, BACKEND_ENV_VAR,
 };
 pub use cache::{
-    parse_byte_size, CacheConfig, CacheStats, CacheWeight, FeatureCache, LruList, ShardStats,
+    parse_byte_size, CacheConfig, CacheStats, CacheWeight, FeatureCache, LruList,
     CACHE_BUDGET_ENV_VAR,
 };
 pub use engine::{Engine, EngineBuilder};

@@ -1,11 +1,11 @@
-//! Property tests for the sharded, budgeted feature cache: under any
+//! Property tests for the budgeted feature cache: under any
 //! interleaving of `get_or_compute` / `get` / eviction pressure,
 //!
 //! * the exactly-once guarantee holds per **resident** key — a key whose
 //!   value is resident never recomputes,
 //! * LRU order is respected — the resident set always equals a reference
 //!   model that evicts strictly least-recently-used-first,
-//! * per-shard budgets are never exceeded after an insert completes.
+//! * the budget is never exceeded after an insert completes.
 //!
 //! The deterministic single-threaded properties drive a shadow model; a
 //! separate multi-threaded stress test checks the invariants that survive
@@ -30,68 +30,51 @@ impl CacheWeight for Blob {
     }
 }
 
-/// Reference single-threaded model of one cache: per-shard LRU queues
-/// (front = most recent) with the same floor-divided budget policy.
+/// Reference single-threaded model of one cache: one LRU queue (front =
+/// most recent) evicting from the back while over the whole budget.
 struct ModelCache {
-    shards: Vec<ModelShard>,
-    per_shard_budget: usize,
-}
-
-struct ModelShard {
     /// Keys most-recent-first, with their weights.
     lru: Vec<(GraphKey, usize)>,
     bytes: usize,
     evictions: usize,
+    budget: usize,
 }
 
 impl ModelCache {
-    fn new(shards: usize, budget: usize) -> ModelCache {
+    fn new(budget: usize) -> ModelCache {
         ModelCache {
-            shards: (0..shards)
-                .map(|_| ModelShard {
-                    lru: Vec::new(),
-                    bytes: 0,
-                    evictions: 0,
-                })
-                .collect(),
-            per_shard_budget: budget / shards,
+            lru: Vec::new(),
+            bytes: 0,
+            evictions: 0,
+            budget,
         }
-    }
-
-    fn shard_of(&self, key: GraphKey) -> usize {
-        let high = (key.0 >> 64) as u64;
-        ((high as u128 * self.shards.len() as u128) >> 64) as usize
     }
 
     /// Returns true when the key was resident (a hit).
     fn access(&mut self, key: GraphKey, weight: usize) -> bool {
-        let budget = self.per_shard_budget;
-        let shard_idx = self.shard_of(key);
-        let shard = &mut self.shards[shard_idx];
-        if let Some(pos) = shard.lru.iter().position(|&(k, _)| k == key) {
-            let entry = shard.lru.remove(pos);
-            shard.lru.insert(0, entry);
+        if let Some(pos) = self.lru.iter().position(|&(k, _)| k == key) {
+            let entry = self.lru.remove(pos);
+            self.lru.insert(0, entry);
             return true;
         }
         let weight = weight.max(1);
-        shard.lru.insert(0, (key, weight));
-        shard.bytes += weight;
-        while shard.bytes > budget {
-            let (_, w) = shard.lru.pop().expect("bytes > 0 implies entries");
-            shard.bytes -= w;
-            shard.evictions += 1;
+        self.lru.insert(0, (key, weight));
+        self.bytes += weight;
+        while self.bytes > self.budget {
+            let (_, w) = self.lru.pop().expect("bytes > 0 implies entries");
+            self.bytes -= w;
+            self.evictions += 1;
         }
         false
     }
 
     fn resident(&self, key: GraphKey) -> bool {
-        let shard = &self.shards[self.shard_of(key)];
-        shard.lru.iter().any(|&(k, _)| k == key)
+        self.lru.iter().any(|&(k, _)| k == key)
     }
 }
 
-/// Spread small key indices over the full upper-64-bit range so every shard
-/// receives traffic.
+/// Small key indices scattered over the 128-bit key space, like the
+/// structural hashes real callers use.
 fn spread_key(i: u64) -> GraphKey {
     GraphKey(((i.wrapping_mul(0x9E3779B97F4A7C15)) as u128) << 64 | i as u128)
 }
@@ -101,15 +84,16 @@ proptest! {
 
     /// The real cache and the shadow model agree on hits, residency, LRU
     /// eviction order and byte accounting for every op sequence, and the
-    /// per-shard budget invariant holds after every insert. Budgets span
-    /// 8..160 bytes per shard.
+    /// budget invariant holds after every insert. Budgets span 8..640
+    /// bytes: from under one value's weight to more than the 24 keys'
+    /// mean total, so runs range from constant eviction to none.
     #[test]
     fn eviction_respects_lru_budget_and_exactly_once(
-        budget in 64usize..1280,
+        budget in 8usize..640,
         ops in proptest::collection::vec((0u64..24, 1usize..48), 1..120),
     ) {
         let cache: FeatureCache<Blob> = FeatureCache::with_config(CacheConfig::with_budget(budget));
-        let mut model = ModelCache::new(cache.shard_stats().len(), budget);
+        let mut model = ModelCache::new(budget);
         let mut computes: HashMap<GraphKey, usize> = HashMap::new();
 
         for (case, &(key_index, weight)) in ops.iter().enumerate() {
@@ -140,13 +124,11 @@ proptest! {
             prop_assert_eq!(model_hit, was_resident);
 
             // Budgets never exceeded after the insert finished.
-            for (s, shard) in cache.shard_stats().iter().enumerate() {
-                prop_assert!(
-                    shard.resident_bytes <= shard.budget_bytes.unwrap(),
-                    "op {}: shard {} holds {} bytes over budget {:?}",
-                    case, s, shard.resident_bytes, shard.budget_bytes
-                );
-            }
+            let resident = cache.stats().resident_bytes;
+            prop_assert!(
+                resident <= budget,
+                "op {}: {} bytes resident over budget {}", case, resident, budget
+            );
 
             // The resident sets agree key by key (this is exactly the LRU
             // order check: any deviation from least-recently-used-first
@@ -164,23 +146,21 @@ proptest! {
         // Counter cross-checks: model and cache agree on evictions; every
         // compute was for a non-resident key at its time.
         let stats = cache.stats();
-        let model_evictions: usize = model.shards.iter().map(|s| s.evictions).sum();
-        prop_assert_eq!(stats.evictions, model_evictions);
-        let model_bytes: usize = model.shards.iter().map(|s| s.bytes).sum();
-        prop_assert_eq!(stats.resident_bytes, model_bytes);
+        prop_assert_eq!(stats.evictions, model.evictions);
+        prop_assert_eq!(stats.resident_bytes, model.bytes);
         prop_assert_eq!(stats.misses, computes.values().sum::<usize>());
     }
 }
 
 /// Multithreaded stress: concurrent get_or_compute over an overlapping key
-/// set with a tight budget must terminate, keep every shard within budget
+/// set with a tight budget must terminate, keep the cache within budget
 /// at quiescence, and never return a wrong value. Exactly-once is asserted
 /// in its residency-scoped form: recomputes require an eviction in between,
 /// so computes never exceed evictions + resident entries.
 #[test]
 fn concurrent_eviction_preserves_value_integrity_and_budget() {
-    // Eight shards of about three values each, against six keys per shard.
-    let budget = 8 * 3 * 48;
+    // About 24 values resident against 48 keys.
+    let budget = 24 * 48;
     let cache: Arc<FeatureCache<Blob>> =
         Arc::new(FeatureCache::with_config(CacheConfig::with_budget(budget)));
     let computes = Arc::new(AtomicUsize::new(0));
@@ -210,9 +190,11 @@ fn concurrent_eviction_preserves_value_integrity_and_budget() {
     }
 
     let stats = cache.stats();
-    for shard in cache.shard_stats() {
-        assert!(shard.resident_bytes <= shard.budget_bytes.unwrap());
-    }
+    assert!(
+        stats.resident_bytes <= budget,
+        "{} bytes resident over budget {budget}",
+        stats.resident_bytes
+    );
     // Residency-scoped exactly-once: every compute beyond the first for a
     // key must have been preceded by that key's eviction.
     assert!(

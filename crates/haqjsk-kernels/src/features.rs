@@ -14,7 +14,7 @@
 //!
 //! ## Memory policy
 //!
-//! The cache is sharded by key range and supports an LRU byte budget (see
+//! Each cache is one LRU list with an optional byte budget (see
 //! [`CacheConfig`]): long-running processes serving unbounded graph streams
 //! should bound residency with a budget — set `HAQJSK_CACHE_BUDGET` (bytes,
 //! or `64k`/`256m`/`2g`) before the first use, or call
@@ -22,13 +22,13 @@
 //! hot graphs resident. [`clear_density_cache`] still
 //! exists for *hard* boundaries (switching datasets in a benchmark, model
 //! replacement) where stale features must not survive at all; it is no
-//! longer the memory-pressure answer — it drains every shard through the
+//! longer the memory-pressure answer — it drains each cache through the
 //! same eviction path the budget uses and resets the counters.
 
 use crate::kernel::sparse_dot;
 use crate::wl::{WeisfeilerLehmanKernel, WlFeatureVec};
 use haqjsk_engine::{
-    graph_key, CacheConfig, CacheStats, CacheWeight, Engine, FeatureCache, GraphKey, ShardStats,
+    graph_key, CacheConfig, CacheStats, CacheWeight, Engine, FeatureCache, GraphKey,
 };
 use haqjsk_graph::Graph;
 use haqjsk_linalg::Matrix;
@@ -301,11 +301,6 @@ pub fn density_cache_stats() -> CacheStats {
     density_cache().stats()
 }
 
-/// Per-shard counters of the density cache, in shard order.
-pub fn density_cache_shard_stats() -> Vec<ShardStats> {
-    density_cache().shard_stats()
-}
-
 /// Re-budgets the per-graph feature caches at runtime: `Some(bytes)` bounds
 /// the **total** resident feature bytes (evicting LRU entries immediately
 /// if needed), `None` lifts the bound. The total is split across the
@@ -440,29 +435,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shard_stats_cover_the_aggregate() {
-        // The sums are checked on a private cache: the process-global one
-        // moves between its aggregate and per-shard reads while other
-        // tests in this binary insert.
-        let cache: FeatureCache<DensityMatrix> =
-            FeatureCache::with_config(CacheConfig::with_budget(16 << 10));
-        for n in (4..16).chain(4..9) {
-            let g = path_graph(n);
-            cache.get_or_compute(graph_key(&g), || ctqw_density_infinite(&g).unwrap());
-        }
-        let total = cache.stats();
-        let shards = cache.shard_stats();
-        let sum = |field: fn(&ShardStats) -> usize| shards.iter().map(field).sum::<usize>();
-        assert_eq!(sum(|s| s.entries), total.entries);
-        assert_eq!(sum(|s| s.hits), total.hits);
-        assert_eq!(sum(|s| s.misses), total.misses);
-        assert_eq!(sum(|s| s.evictions), total.evictions);
-        assert_eq!(sum(|s| s.resident_bytes), total.resident_bytes);
-        assert_eq!(total.hits + total.misses, 17);
-        // The global accessor reports one row per shard.
-        assert_eq!(density_cache_shard_stats().len(), shards.len());
     }
 }

@@ -41,8 +41,8 @@ pub use depth_based::DepthBasedAlignedKernel;
 pub use embedding::{kernel_distance_matrix, kernel_pca, KernelPca};
 pub use features::{
     cached_alignment_basis, cached_ctqw_densities, cached_ctqw_density, cached_wl_histogram,
-    clear_density_cache, density_cache_shard_stats, density_cache_stats, register_cache_metrics,
-    set_density_cache_budget, AlignmentBasis, WlHistogram,
+    clear_density_cache, density_cache_stats, register_cache_metrics, set_density_cache_budget,
+    AlignmentBasis, WlHistogram,
 };
 pub use graphlet::GraphletKernel;
 pub use jtqk::JensenTsallisKernel;

@@ -3,7 +3,7 @@
 //! Runs one [`haqjsk::dist::WorkerServer`]: a TCP JSON-lines server that
 //! receives a dataset once (content-hash-deduplicated) and then evaluates
 //! tile work units (`kernel id + params + index-pair tile`) with its own
-//! local engine, warming its own sharded feature caches. Point a
+//! local engine, warming its own feature caches. Point a
 //! coordinator at it with `HAQJSK_BACKEND=dist:host:port[,host:port...]`.
 //!
 //! Usage: `haqjsk-worker [ADDR]` (default `127.0.0.1:0`, i.e. an ephemeral

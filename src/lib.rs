@@ -17,8 +17,8 @@
 //!   pool (`HAQJSK_THREADS` controls its size), one Gram tile scheduler that
 //!   runs inline (`serial`), on the pool (`local`, the default) or through
 //!   the distributed hook (`dist:…`) — `HAQJSK_BACKEND` selects the
-//!   default, with `tiled`/`batched` kept as aliases of `local` — the
-//!   sharded LRU feature cache with an optional byte budget
+//!   default; the old `tiled`/`batched` spellings are errors — the LRU
+//!   feature cache with an optional byte budget
 //!   (`HAQJSK_CACHE_BUDGET`), incremental Gram
 //!   extension, and the JSON-lines TCP serving substrate,
 //! * [`dist`] — distributed tile execution: a coordinator that fans one

@@ -56,12 +56,11 @@
 //! everything else executes locally (never failing). `stats` reports the
 //! engine's active execution backend; for the feature caches (densities,
 //! alignment bases and WL histograms — a density's spectrum and entropy
-//! live in its own memo, not in a cache), aggregate *and* per-shard
-//! hit/miss/entry/eviction/byte counters (so bounded-memory operation
-//! under a budget is observable from the wire); and, when a worker pool is
-//! installed, a `distributed` object with per-worker tiles
-//! dispatched/completed/re-dispatched, bytes shipped, and the
-//! dataset-dedup hit rate.
+//! live in its own memo, not in a cache), the hit/miss/entry/eviction/byte
+//! counters (so bounded-memory operation under a budget is observable from
+//! the wire); and, when a worker pool is installed, a `distributed` object
+//! with per-worker tiles dispatched/completed/re-dispatched, bytes shipped,
+//! and the dataset-dedup hit rate.
 //!
 //! `load` and `load_file` answer `ok:false` for model text no fit could
 //! produce (declared prototype counts that differ from the listed
@@ -107,10 +106,10 @@ use crate::engine::serve::{
     Server,
 };
 use crate::engine::{
-    BackendKind, CacheConfig, Engine, FeatureCache, HttpResponder, HttpResponse, Json, ShardStats,
+    BackendKind, CacheConfig, Engine, FeatureCache, HttpResponder, HttpResponse, Json,
 };
 use crate::graph::Graph;
-use crate::kernels::{density_cache_shard_stats, KernelMatrix};
+use crate::kernels::KernelMatrix;
 use crate::quantum::von_neumann_entropy;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1039,21 +1038,6 @@ fn cmd_load(
     Ok(response)
 }
 
-/// One shard's counters on the wire.
-fn shard_stats_to_json(shard: &ShardStats) -> Json {
-    let mut pairs = vec![
-        ("entries", Json::Num(shard.entries as f64)),
-        ("hits", Json::Num(shard.hits as f64)),
-        ("misses", Json::Num(shard.misses as f64)),
-        ("evictions", Json::Num(shard.evictions as f64)),
-        ("resident_bytes", Json::Num(shard.resident_bytes as f64)),
-    ];
-    if let Some(budget) = shard.budget_bytes {
-        pairs.push(("budget_bytes", Json::Num(budget as f64)));
-    }
-    Json::obj(pairs)
-}
-
 /// The distributed-pool state on the wire: per-worker dispatch counters
 /// plus dataset-dedup aggregates.
 fn dist_stats_to_json(stats: &DistStats) -> Json {
@@ -1104,10 +1088,6 @@ fn dist_stats_to_json(stats: &DistStats) -> Json {
         ),
         ("dedup_hit_rate", Json::Num(stats.dedup_hit_rate())),
     ])
-}
-
-fn shard_stats_array(shards: &[ShardStats]) -> Json {
-    Json::Arr(shards.iter().map(shard_stats_to_json).collect())
 }
 
 /// The whole metrics registry in one response: Prometheus text exposition
@@ -1294,10 +1274,6 @@ fn cmd_stats(serving: &Serving) -> Json {
                 ("backend", Json::Str(engine.backend().label().to_string())),
             ]),
         ),
-        (
-            "density_cache_shards",
-            shard_stats_array(&density_cache_shard_stats()),
-        ),
         // Overload/lifecycle state: the serving loop's admission and drain
         // posture, readable without a Prometheus scrape.
         ("serve_state", Json::Str(serve_state.to_string())),
@@ -1362,10 +1338,6 @@ fn cmd_stats(serving: &Serving) -> Json {
             if let Some(budget) = fitted.cache.budget_bytes() {
                 pairs.push(("aligned_cache_budget_bytes", Json::Num(budget as f64)));
             }
-            pairs.push((
-                "aligned_cache_shards",
-                shard_stats_array(&fitted.cache.shard_stats()),
-            ));
         }
     }
     Json::obj(pairs)

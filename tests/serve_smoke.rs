@@ -184,7 +184,7 @@ fn full_protocol_over_loopback() {
 /// Acceptance: a serving process with a finite aligned-cache budget
 /// completes a stream of more distinct graphs than the budget can hold,
 /// with residency bounded and the overflow observable through the
-/// per-shard eviction counters in `stats`.
+/// eviction counter in `stats`.
 #[test]
 fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     use haqjsk::graph::generators::erdos_renyi;
@@ -195,10 +195,9 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     let (graphs, labels) = training_set();
     let graphs_json = Json::Arr(graphs.iter().map(graph_to_json).collect());
     let labels_json = Json::Arr(labels.iter().map(|&l| Json::Num(l as f64)).collect());
-    // The caches have a fixed eight key-range shards; 3000 bytes per shard
-    // keeps some of the streamed graphs resident and evicts the rest.
-    let shards = 8usize;
-    let budget = shards * 3000;
+    // 24000 bytes keeps some of the streamed graphs resident and evicts
+    // the rest.
+    let budget = 24_000;
     client.expect_ok(&format!(
         "{{\"cmd\":\"fit\",\"graphs\":{graphs_json},\"labels\":{labels_json},\
          \"variant\":\"A\",\"config\":{{\"hierarchy_levels\":2,\"num_prototypes\":8,\
@@ -253,40 +252,84 @@ fn budgeted_cache_bounds_residency_over_a_distinct_graph_stream() {
     );
     assert!(entries > 0, "the budget evicted every graph");
 
-    // Per-shard counters decompose the aggregates and respect the
-    // per-shard budget slice.
-    let shard_stats = stats
-        .get("aligned_cache_shards")
-        .and_then(Json::as_array)
-        .unwrap();
-    assert_eq!(shard_stats.len(), shards);
-    let mut entry_sum = 0;
-    let mut eviction_sum = 0;
-    for shard in shard_stats {
-        let shard_entries = shard.get("entries").and_then(Json::as_usize).unwrap();
-        let shard_resident = shard
-            .get("resident_bytes")
-            .and_then(Json::as_usize)
-            .unwrap();
-        let shard_budget = shard.get("budget_bytes").and_then(Json::as_usize).unwrap();
-        assert_eq!(shard_budget, budget / shards);
-        assert!(shard_resident <= shard_budget);
-        entry_sum += shard_entries;
-        eviction_sum += shard.get("evictions").and_then(Json::as_usize).unwrap();
-    }
-    assert_eq!(entry_sum, entries);
-    assert_eq!(eviction_sum, evictions);
-
-    // The density cache reports its shards too (environment-configured).
-    assert!(stats
-        .get("density_cache_shards")
-        .and_then(Json::as_array)
-        .is_some());
-
     // The stream left the server fully operational.
     let unseen = graph_to_json(&cycle_graph(10));
     let predicted = client.expect_ok(&format!("{{\"cmd\":\"predict\",\"graph\":{unseen}}}"));
     assert_eq!(predicted.get("label").and_then(Json::as_usize), Some(0));
+}
+
+/// A `cache_budget_bytes` bound is exact: a budget equal to an unbudgeted
+/// fit's resident bytes evicts nothing, and half of it keeps resident all
+/// but less than one transform's weight of it.
+#[test]
+fn an_aligned_cache_budget_is_the_exact_byte_bound() {
+    use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
+    use haqjsk::engine::CacheWeight;
+    use haqjsk::graph::generators::erdos_renyi;
+
+    let graphs: Vec<Graph> = (0..24)
+        .map(|i| erdos_renyi(6 + i % 7, 0.35, 9100 + i as u64))
+        .collect();
+    let graphs_json = Json::Arr(graphs.iter().map(graph_to_json).collect());
+    let server = spawn_server("127.0.0.1:0").expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr());
+    let mut fit = |budget: Option<usize>| -> (usize, usize, usize) {
+        let budget = budget.map_or(String::new(), |b| format!(",\"cache_budget_bytes\":{b}"));
+        client.expect_ok(&format!(
+            "{{\"cmd\":\"fit\",\"graphs\":{graphs_json},\"variant\":\"A\",\
+             \"config\":{{\"hierarchy_levels\":2,\"num_prototypes\":8,\"layer_cap\":3,\
+             \"kmeans_max_iterations\":15{budget}}}}}"
+        ));
+        let stats = client.expect_ok("{\"cmd\":\"stats\"}");
+        let field = |name: &str| stats.get(name).and_then(Json::as_usize).unwrap();
+        (
+            field("aligned_cache_resident_bytes"),
+            field("aligned_cache_entries"),
+            field("aligned_cache_evictions"),
+        )
+    };
+
+    let (resident, entries, evictions) = fit(None);
+    assert_eq!((entries, evictions), (graphs.len(), 0));
+
+    // The served fit is deterministic, so an in-process fit yields the
+    // same transforms and hence each entry's weight.
+    let config = HaqjskConfig {
+        hierarchy_levels: 2,
+        num_prototypes: 8,
+        layer_cap: 3,
+        kmeans_max_iterations: 15,
+        ..HaqjskConfig::small()
+    };
+    let model = HaqjskModel::fit(&graphs, config, HaqjskVariant::AlignedAdjacency).unwrap();
+    let weights: Vec<usize> = model
+        .transform_all(&graphs)
+        .unwrap()
+        .iter()
+        .map(|aligned| aligned.weight())
+        .collect();
+    assert_eq!(weights.iter().sum::<usize>(), resident);
+    let largest = *weights.iter().max().unwrap();
+
+    let (at_budget, entries, evictions) = fit(Some(resident));
+    assert_eq!(
+        (at_budget, entries, evictions),
+        (resident, graphs.len(), 0),
+        "a budget of exactly the resident bytes must evict nothing"
+    );
+
+    let half = resident / 2;
+    let (under_half, entries, evictions) = fit(Some(half));
+    assert!(
+        under_half <= half,
+        "{under_half} bytes resident over {half}"
+    );
+    assert!(
+        under_half > half - largest,
+        "{under_half} bytes resident: a {half}-byte budget evicted more than one \
+         {largest}-byte entry past its bound"
+    );
+    assert!(evictions > 0 && entries < graphs.len());
 }
 
 /// Every top-level field a fitted single-process server's `stats` returns,
@@ -300,7 +343,6 @@ const STATS_FIELDS: &[&str] = &[
     "aligned_cache_hits",
     "aligned_cache_misses",
     "aligned_cache_resident_bytes",
-    "aligned_cache_shards",
     "alignment_cache_entries",
     "alignment_cache_hits",
     "alignment_cache_misses",
@@ -312,7 +354,6 @@ const STATS_FIELDS: &[&str] = &[
     "density_cache_hits",
     "density_cache_misses",
     "density_cache_resident_bytes",
-    "density_cache_shards",
     "eigen_batched_calls",
     "eigen_batched_matrices",
     "eigen_mean_batch",
