@@ -2,7 +2,7 @@
 //! deep-learning models on the MUTAG, PTC(MR), IMDB-B, IMDB-M, RED-B and
 //! COLLAB stand-ins. The published baselines (DGCNN, PSGCNN, DCNN, DGK, AWE)
 //! are represented by two from-scratch, WL-bounded message-passing models: a
-//! GCN and a WL-feature MLP (see DESIGN.md for the substitution note).
+//! GCN and a WL-feature MLP.
 //!
 //! ```text
 //! cargo run --release -p haqjsk-bench --bin table5_deep_learning [--medium|--full]
@@ -137,5 +137,5 @@ fn main() {
         );
     }
 
-    println!("\nThe published DGCNN/PSGCNN/DCNN/DGK/AWE numbers in the paper are quoted from their original papers; here the comparison is against from-scratch WL-bounded models trained on the same synthetic data (see DESIGN.md).");
+    println!("\nThe published DGCNN/PSGCNN/DCNN/DGK/AWE numbers in the paper are quoted from their original papers; here the comparison is against from-scratch WL-bounded models trained on the same synthetic data.");
 }

@@ -3,10 +3,11 @@
 //! Shared harness code for the binaries that regenerate the paper's tables
 //! and figures, plus the Criterion micro-benchmarks.
 //!
-//! Each table/figure of the paper has a dedicated binary under `src/bin/`
-//! (see DESIGN.md for the per-experiment index); this library holds the
-//! pieces they share: command-line scale handling, kernel evaluation through
-//! the paper's C-SVM protocol, and simple fixed-width table printing.
+//! Each table/figure of the paper has a dedicated binary under `src/bin/`,
+//! named after it (`table1_properties` … `table5_deep_learning`, the
+//! ablations and `ctqw_vs_ctrw`); this library holds the pieces they
+//! share: command-line scale handling, kernel evaluation through the
+//! paper's C-SVM protocol, and simple fixed-width table printing.
 
 use haqjsk_core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk_datasets::GeneratedDataset;

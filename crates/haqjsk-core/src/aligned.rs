@@ -13,8 +13,7 @@
 //! rectangular whenever the level-1 and level-h prototype sets differ in
 //! size; the surrounding text, Eq. (28) and the positive-definiteness lemma
 //! all require square fixed-size matrices in `R^{|P^{h,k}| × |P^{h,k}|}`, so
-//! this implementation uses the square congruence `C^{h,k}ᵀ X C^{h,k}` and
-//! documents the discrepancy (see DESIGN.md).
+//! this implementation uses the square congruence `C^{h,k}ᵀ X C^{h,k}`.
 
 use crate::correspondence::GraphCorrespondences;
 use haqjsk_graph::Graph;

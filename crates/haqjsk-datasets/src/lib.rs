@@ -12,7 +12,7 @@
 //! structure, density, hub counts, motif composition). The kernels under
 //! study consume only un-attributed adjacency structure, so class-dependent
 //! generative parameters provide the same kind of discriminative signal the
-//! real datasets do; DESIGN.md documents the substitution.
+//! real datasets do.
 //!
 //! * [`spec`] — the Table II statistics, encoded as data,
 //! * [`synth`] — the per-domain class-conditional graph generators,

@@ -3,7 +3,7 @@
 //! The benchmark datasets of the paper are not redistributable inside this
 //! repository, so the dataset crate synthesises stand-ins whose per-class
 //! structure differs. The generators here are the building blocks: classic
-//! deterministic families (paths, cycles, stars, grids, complete graphs),
+//! deterministic families (paths, cycles, stars, complete graphs),
 //! Erdős–Rényi / Barabási–Albert / Watts–Strogatz random models, stochastic
 //! block models, random regular graphs and random trees, plus perturbation
 //! helpers (edge rewiring / addition / deletion).
@@ -46,23 +46,6 @@ pub fn complete_graph(n: usize) -> Graph {
     for i in 0..n {
         for j in (i + 1)..n {
             g.add_edge(i, j).expect("indices in range");
-        }
-    }
-    g
-}
-
-/// `rows x cols` grid graph.
-pub fn grid_graph(rows: usize, cols: usize) -> Graph {
-    let mut g = Graph::new(rows * cols);
-    let idx = |r: usize, c: usize| r * cols + c;
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                g.add_edge(idx(r, c), idx(r, c + 1)).expect("in range");
-            }
-            if r + 1 < rows {
-                g.add_edge(idx(r, c), idx(r + 1, c)).expect("in range");
-            }
         }
     }
     g
@@ -353,9 +336,6 @@ mod tests {
         assert_eq!(star_graph(6).num_edges(), 5);
         assert_eq!(star_graph(6).degree(0), 5);
         assert_eq!(complete_graph(5).num_edges(), 10);
-        let grid = grid_graph(3, 4);
-        assert_eq!(grid.num_vertices(), 12);
-        assert_eq!(grid.num_edges(), 3 * 3 + 2 * 4);
     }
 
     #[test]

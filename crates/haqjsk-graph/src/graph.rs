@@ -5,7 +5,7 @@
 //! labels, and the paper substitutes vertex degrees when a dataset carries no
 //! labels. [`Graph`] therefore stores an adjacency structure plus optional
 //! integer labels per vertex, and exposes the matrix views (adjacency, degree,
-//! Laplacian, transition) that the quantum-walk machinery consumes.
+//! Laplacian) that the quantum-walk machinery consumes.
 
 use crate::error::GraphError;
 use crate::Result;
@@ -39,28 +39,6 @@ impl Graph {
         let mut g = Graph::new(n);
         for &(u, v) in edges {
             g.add_edge(u, v)?;
-        }
-        Ok(g)
-    }
-
-    /// Creates a graph from a symmetric 0/1 adjacency matrix; any strictly
-    /// positive entry is treated as an edge.
-    pub fn from_adjacency_matrix(a: &Matrix) -> Result<Self> {
-        if !a.is_square() {
-            return Err(GraphError::InvalidArgument(format!(
-                "adjacency matrix must be square, got {}x{}",
-                a.rows(),
-                a.cols()
-            )));
-        }
-        let n = a.rows();
-        let mut g = Graph::new(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if a[(i, j)] > 0.0 || a[(j, i)] > 0.0 {
-                    g.add_edge(i, j)?;
-                }
-            }
         }
         Ok(g)
     }
@@ -193,41 +171,6 @@ impl Graph {
         &self.degree_matrix() - &self.adjacency_matrix()
     }
 
-    /// Symmetric normalised Laplacian `I - D^{-1/2} A D^{-1/2}` (isolated
-    /// vertices contribute zero rows/columns in the normalised adjacency).
-    pub fn normalized_laplacian(&self) -> Matrix {
-        let n = self.num_vertices;
-        let a = self.adjacency_matrix();
-        let degs = self.degrees();
-        let mut l = Matrix::identity(n);
-        for i in 0..n {
-            for j in 0..n {
-                if a[(i, j)] > 0.0 && degs[i] > 0 && degs[j] > 0 {
-                    let v = a[(i, j)] / ((degs[i] as f64).sqrt() * (degs[j] as f64).sqrt());
-                    l[(i, j)] -= v;
-                }
-            }
-        }
-        l
-    }
-
-    /// Row-stochastic transition matrix of the classical random walk
-    /// (`P = D^{-1} A`); rows of isolated vertices stay zero.
-    pub fn transition_matrix(&self) -> Matrix {
-        let n = self.num_vertices;
-        let mut p = Matrix::zeros(n, n);
-        for u in 0..n {
-            let d = self.degree(u);
-            if d == 0 {
-                continue;
-            }
-            for &v in &self.adjacency[u] {
-                p[(u, v)] = 1.0 / d as f64;
-            }
-        }
-        p
-    }
-
     /// The degree distribution normalised to a probability vector. This is
     /// the distribution whose square root initialises the CTQW amplitude
     /// vector in the paper (`α_u(0) ∝ sqrt(d_u)` after normalisation).
@@ -301,23 +244,6 @@ impl Graph {
             g.set_labels(sorted.iter().map(|&v| labels[v]).collect())?;
         }
         Ok((g, sorted))
-    }
-
-    /// The complement graph (no self loops).
-    pub fn complement(&self) -> Graph {
-        let n = self.num_vertices;
-        let mut g = Graph::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                if !self.has_edge(u, v) {
-                    g.add_edge(u, v).expect("indices are in range");
-                }
-            }
-        }
-        if let Some(labels) = &self.labels {
-            g.set_labels(labels.clone()).expect("length matches");
-        }
-        g
     }
 
     /// Graph density `2m / (n (n-1))`; zero for graphs with fewer than two
@@ -410,38 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_laplacian_diagonal() {
-        let g = triangle();
-        let l = g.normalized_laplacian();
-        for i in 0..3 {
-            assert!((l[(i, i)] - 1.0).abs() < 1e-12);
-        }
-        assert!((l[(0, 1)] + 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transition_matrix_rows_are_stochastic() {
-        let g = path3();
-        let p = g.transition_matrix();
-        for i in 0..3 {
-            let s: f64 = (0..3).map(|j| p[(i, j)]).sum();
-            assert!((s - 1.0).abs() < 1e-12);
-        }
-        // Isolated vertex keeps a zero row.
-        let mut g2 = Graph::new(2);
-        g2.add_edge(0, 1).unwrap();
-        let g3 = {
-            let mut g = Graph::new(3);
-            g.add_edge(0, 1).unwrap();
-            g
-        };
-        let p3 = g3.transition_matrix();
-        let s: f64 = (0..3).map(|j| p3[(2, j)]).sum();
-        assert_eq!(s, 0.0);
-        let _ = g2;
-    }
-
-    #[test]
     fn degree_distribution_sums_to_one() {
         let g = path3();
         let p = g.degree_distribution();
@@ -462,14 +356,6 @@ mod tests {
         g.set_labels(vec![7, 8, 9]).unwrap();
         assert_eq!(g.effective_labels(), vec![7, 8, 9]);
         assert!(g.set_labels(vec![1]).is_err());
-    }
-
-    #[test]
-    fn from_adjacency_matrix_roundtrip() {
-        let g = triangle();
-        let back = Graph::from_adjacency_matrix(&g.adjacency_matrix()).unwrap();
-        assert_eq!(back.edges(), g.edges());
-        assert!(Graph::from_adjacency_matrix(&Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]
@@ -496,15 +382,6 @@ mod tests {
         assert_eq!(mapping, vec![1, 2, 3]);
         assert_eq!(sub.labels().unwrap(), &[1, 2, 3]);
         assert!(g.induced_subgraph(&[99]).is_err());
-    }
-
-    #[test]
-    fn complement_of_triangle_is_empty() {
-        let g = triangle();
-        let c = g.complement();
-        assert_eq!(c.num_edges(), 0);
-        let cc = c.complement();
-        assert_eq!(cc.num_edges(), 3);
     }
 
     #[test]

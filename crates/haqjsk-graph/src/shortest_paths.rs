@@ -66,26 +66,6 @@ pub fn greatest_shortest_path_length(graphs: &[Graph]) -> usize {
     graphs.iter().map(diameter).max().unwrap_or(0)
 }
 
-/// Vertices at exactly distance `k` from `source`.
-pub fn vertices_at_distance(graph: &Graph, source: usize, k: usize) -> Vec<usize> {
-    bfs_distances(graph, source)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, d)| d == k)
-        .map(|(v, _)| v)
-        .collect()
-}
-
-/// Vertices within distance `k` of `source` (including the source itself).
-pub fn vertices_within_distance(graph: &Graph, source: usize, k: usize) -> Vec<usize> {
-    bfs_distances(graph, source)
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, d)| d != INFINITE_DISTANCE && d <= k)
-        .map(|(v, _)| v)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,15 +126,5 @@ mod tests {
         let graphs = vec![path(3), path(6), path(2)];
         assert_eq!(greatest_shortest_path_length(&graphs), 5);
         assert_eq!(greatest_shortest_path_length(&[]), 0);
-    }
-
-    #[test]
-    fn distance_shells() {
-        let g = path(5);
-        assert_eq!(vertices_at_distance(&g, 0, 2), vec![2]);
-        assert_eq!(vertices_within_distance(&g, 0, 2), vec![0, 1, 2]);
-        assert_eq!(vertices_at_distance(&g, 2, 1), vec![1, 3]);
-        // The whole component is within a large radius.
-        assert_eq!(vertices_within_distance(&g, 0, 100).len(), 5);
     }
 }

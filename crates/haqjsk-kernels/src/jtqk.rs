@@ -8,7 +8,6 @@
 //! combines it multiplicatively with a WL subtree similarity, giving a
 //! baseline with the same two ingredients (CTQW global information +
 //! R-convolution local information) that the paper's JTQK column represents.
-//! The simplification is recorded in DESIGN.md.
 //!
 //! Both factors are fully factored through per-graph artifacts: the
 //! quantum factor through the memoised spectrum of each graph's cached

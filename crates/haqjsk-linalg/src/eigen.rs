@@ -87,11 +87,6 @@ impl SymmetricEigen {
         self.eigenvalues.first().copied().unwrap_or(0.0)
     }
 
-    /// Largest eigenvalue.
-    pub fn max_eigenvalue(&self) -> f64 {
-        self.eigenvalues.last().copied().unwrap_or(0.0)
-    }
-
     /// Groups eigenvalue indices into eigenspaces of (numerically) equal
     /// eigenvalues. The paper's closed-form density matrix (Eq. 5) sums over
     /// the basis `B_λ` of each distinct eigenvalue's eigenspace; this helper
@@ -598,7 +593,6 @@ mod tests {
         let s = symmetric_eigen(&Matrix::from_diag(&[7.0])).unwrap();
         assert_eq!(s.eigenvalues, vec![7.0]);
         assert_eq!(s.min_eigenvalue(), 7.0);
-        assert_eq!(s.max_eigenvalue(), 7.0);
     }
 
     #[test]

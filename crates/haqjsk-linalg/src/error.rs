@@ -22,9 +22,6 @@ pub enum LinalgError {
         /// Columns of the offending matrix.
         cols: usize,
     },
-    /// The matrix is singular (or numerically singular) and cannot be
-    /// inverted / solved against.
-    Singular,
     /// An iterative algorithm (eigen iteration, k-means, SMO, ...) failed to
     /// converge within its iteration budget.
     NoConvergence {
@@ -54,7 +51,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "expected a square matrix, got {rows}x{cols}")
             }
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NoConvergence {
                 algorithm,
                 iterations,
@@ -98,8 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn display_singular_and_convergence() {
-        assert_eq!(LinalgError::Singular.to_string(), "matrix is singular");
+    fn display_no_convergence() {
         let err = LinalgError::NoConvergence {
             algorithm: "ql",
             iterations: 30,
@@ -111,6 +106,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn assert_error<E: std::error::Error>(_: &E) {}
-        assert_error(&LinalgError::Singular);
+        assert_error(&LinalgError::NotSquare { rows: 1, cols: 2 });
     }
 }

@@ -8,9 +8,6 @@
 //! * dense real matrices and vectors ([`Matrix`], [`vector`]),
 //! * the symmetric eigendecomposition used to evolve continuous-time quantum
 //!   walks and to compute von Neumann entropies ([`eigen`]),
-//! * linear solvers and matrix inverses ([`solve`](mod@solve)),
-//! * complex arithmetic for finite-time CTQW evolution ([`Complex`],
-//!   [`CMatrix`]),
 //! * the Hungarian (Kuhn–Munkres) assignment algorithm used by the Umeyama
 //!   spectral matching step of the aligned QJSK baseline ([`assignment`]),
 //! * small statistical helpers shared by the clustering and evaluation code
@@ -25,13 +22,10 @@
 
 pub mod assignment;
 pub mod batch;
-pub mod cmatrix;
-pub mod complex;
 pub mod eigen;
 pub mod error;
 pub mod matrix;
 pub mod simd;
-pub mod solve;
 pub mod stats;
 pub mod vector;
 
@@ -40,8 +34,6 @@ pub use batch::{
     batch_solve_stats, batch_symmetric_eigenvalues, register_batch_metrics, BatchEigenWorkspace,
     BatchSolveStats, MAX_BATCH_LANES,
 };
-pub use cmatrix::CMatrix;
-pub use complex::Complex;
 pub use eigen::{symmetric_eigen, symmetric_eigenvalues, EigenWorkspace, SymmetricEigen};
 pub use error::LinalgError;
 pub use matrix::Matrix;
@@ -49,10 +41,6 @@ pub use simd::{
     active_simd_label, active_simd_path, available_simd_paths, max_batch_lanes,
     resolve_simd_env_value, set_simd_path, SimdChoice, SimdPath, SIMD_ENV_VAR,
 };
-pub use solve::{determinant, inverse, solve};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Absolute tolerance used by the crate's convergence checks and tests.
-pub const EPS: f64 = 1e-10;

@@ -32,15 +32,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a `rows x cols` matrix filled with `value`.
-    pub fn filled(rows: usize, cols: usize, value: f64) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
@@ -162,17 +153,6 @@ impl Matrix {
     pub fn row(&self, i: usize) -> &[f64] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Returns a copy of column `j`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "col index {j} out of bounds ({})", self.cols);
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
-    /// Iterates over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks(self.cols.max(1)).take(self.rows)
     }
 
     /// Transposed copy of the matrix.
@@ -323,28 +303,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        if self.shape() != other.shape() {
-            return Err(LinalgError::ShapeMismatch {
-                op: "hadamard",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let data = self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .collect();
-        Ok(Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        })
     }
 
     /// Extracts the main diagonal.
@@ -648,13 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_product() {
-        let a = sample();
-        let h = a.hadamard(&a).unwrap();
-        assert_eq!(h[(1, 1)], 16.0);
-    }
-
-    #[test]
     fn zero_pad_and_submatrix() {
         let a = sample();
         let p = a.zero_pad(3, 3).unwrap();
@@ -712,13 +663,9 @@ mod tests {
     fn row_col_accessors() {
         let a = sample();
         assert_eq!(a.row(1), &[3.0, 4.0]);
-        assert_eq!(a.col(0), vec![1.0, 3.0]);
         assert_eq!(a.diagonal(), vec![1.0, 4.0]);
         assert_eq!(a.get(5, 5), None);
         assert_eq!(a.get(0, 1), Some(2.0));
-        let rows: Vec<&[f64]> = a.rows_iter().collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], &[1.0, 2.0]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Small statistical helpers shared by the clustering, evaluation and
-//! benchmarking code (means, variances, standard errors, histograms).
+//! Small statistical helpers shared by the evaluation and benchmarking code
+//! (means, sample variances, standard errors).
 
 /// Sample mean; `0.0` for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -8,15 +8,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Population variance (divides by `n`); `0.0` for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
 /// Sample variance (divides by `n - 1`); `0.0` for fewer than two samples.
@@ -42,60 +33,6 @@ pub fn standard_error(xs: &[f64]) -> f64 {
     std_dev(xs) / (xs.len() as f64).sqrt()
 }
 
-/// Minimum value; `None` for empty input.
-pub fn min(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::min)
-}
-
-/// Maximum value; `None` for empty input.
-pub fn max(xs: &[f64]) -> Option<f64> {
-    xs.iter().copied().reduce(f64::max)
-}
-
-/// Histogram of values into `bins` equal-width bins over `[lo, hi]`.
-/// Values outside the range are clamped into the first/last bin.
-pub fn histogram(xs: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<usize> {
-    assert!(bins > 0, "histogram needs at least one bin");
-    assert!(hi > lo, "histogram range must be non-empty");
-    let mut counts = vec![0usize; bins];
-    let width = (hi - lo) / bins as f64;
-    for &x in xs {
-        let mut idx = ((x - lo) / width).floor() as isize;
-        if idx < 0 {
-            idx = 0;
-        }
-        if idx as usize >= bins {
-            idx = bins as isize - 1;
-        }
-        counts[idx as usize] += 1;
-    }
-    counts
-}
-
-/// Pearson correlation coefficient between two equal-length samples; `0.0`
-/// when either sample is constant.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut num = 0.0;
-    let mut dx = 0.0;
-    let mut dy = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        num += (x - mx) * (y - my);
-        dx += (x - mx) * (x - mx);
-        dy += (y - my) * (y - my);
-    }
-    if dx == 0.0 || dy == 0.0 {
-        0.0
-    } else {
-        num / (dx.sqrt() * dy.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,7 +41,6 @@ mod tests {
     fn mean_variance_known() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&xs), 5.0);
-        assert!((variance(&xs) - 4.0).abs() < 1e-12);
         assert!((sample_variance(&xs) - 32.0 / 7.0).abs() < 1e-12);
         assert!((std_dev(&xs) - (32.0_f64 / 7.0).sqrt()).abs() < 1e-12);
     }
@@ -112,10 +48,8 @@ mod tests {
     #[test]
     fn degenerate_inputs() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[1.0]), 0.0);
+        assert_eq!(sample_variance(&[1.0]), 0.0);
         assert_eq!(standard_error(&[1.0]), 0.0);
-        assert_eq!(min(&[]), None);
-        assert_eq!(max(&[]), None);
     }
 
     #[test]
@@ -123,32 +57,5 @@ mod tests {
         let small = [1.0, 2.0, 3.0, 4.0];
         let large: Vec<f64> = small.iter().cycle().take(64).copied().collect();
         assert!(standard_error(&large) < standard_error(&small));
-    }
-
-    #[test]
-    fn min_max() {
-        let xs = [3.0, -1.0, 7.0];
-        assert_eq!(min(&xs), Some(-1.0));
-        assert_eq!(max(&xs), Some(7.0));
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let xs = [0.1, 0.2, 0.6, 0.9, -5.0, 5.0];
-        let h = histogram(&xs, 0.0, 1.0, 2);
-        assert_eq!(h.iter().sum::<usize>(), xs.len());
-        assert_eq!(h[0], 3); // 0.1, 0.2, -5.0 (clamped)
-        assert_eq!(h[1], 3); // 0.6, 0.9, 5.0 (clamped)
-    }
-
-    #[test]
-    fn pearson_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let zs = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&xs, &zs) + 1.0).abs() < 1e-12);
-        let constant = [3.0, 3.0, 3.0, 3.0];
-        assert_eq!(pearson(&xs, &constant), 0.0);
     }
 }

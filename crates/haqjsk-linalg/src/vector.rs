@@ -35,20 +35,6 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
     squared_distance(a, b).sqrt()
 }
 
-/// Sum of the entries.
-pub fn sum(a: &[f64]) -> f64 {
-    a.iter().sum()
-}
-
-/// Arithmetic mean; `0.0` for an empty slice.
-pub fn mean(a: &[f64]) -> f64 {
-    if a.is_empty() {
-        0.0
-    } else {
-        sum(a) / a.len() as f64
-    }
-}
-
 /// Normalises the slice to unit L2 norm in place. Leaves the all-zero vector
 /// untouched.
 pub fn normalize_l2(a: &mut [f64]) {
@@ -71,23 +57,6 @@ pub fn normalize_l1(a: &mut [f64]) {
     }
 }
 
-/// `a + b` elementwise.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "vector addition length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
-}
-
-/// `a - b` elementwise.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "vector subtraction length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x - y).collect()
-}
-
-/// `a * s` elementwise.
-pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
-    a.iter().map(|x| x * s).collect()
-}
-
 /// Index of the maximum entry (first one on ties); `None` for empty input.
 pub fn argmax(a: &[f64]) -> Option<usize> {
     if a.is_empty() {
@@ -96,20 +65,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
     let mut best = 0;
     for (i, &x) in a.iter().enumerate() {
         if x > a[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Index of the minimum entry (first one on ties); `None` for empty input.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, &x) in a.iter().enumerate() {
-        if x < a[best] {
             best = i;
         }
     }
@@ -150,20 +105,13 @@ mod tests {
     }
 
     #[test]
-    fn sums_and_means() {
-        assert_eq!(sum(&[1.0, 2.0, 3.0]), 6.0);
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
     fn normalization() {
         let mut v = vec![3.0, 4.0];
         normalize_l2(&mut v);
         assert!((norm(&v) - 1.0).abs() < 1e-12);
         let mut p = vec![2.0, 2.0, 4.0];
         normalize_l1(&mut p);
-        assert!((sum(&p) - 1.0).abs() < 1e-12);
+        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         let mut z = vec![0.0, 0.0];
         normalize_l2(&mut z);
         normalize_l1(&mut z);
@@ -171,18 +119,9 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_ops() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(sub(&[3.0, 4.0], &[1.0, 2.0]), vec![2.0, 2.0]);
-        assert_eq!(scale(&[1.0, 2.0], 3.0), vec![3.0, 6.0]);
-    }
-
-    #[test]
     fn arg_extrema() {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 5.0, 3.0, 0.5]), Some(3));
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
         // First index wins on ties.
         assert_eq!(argmax(&[2.0, 2.0]), Some(0));
     }

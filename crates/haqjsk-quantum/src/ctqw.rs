@@ -19,7 +19,7 @@
 
 use crate::density::DensityMatrix;
 use haqjsk_graph::Graph;
-use haqjsk_linalg::{cmatrix, symmetric_eigen, CMatrix, Complex, LinalgError, Matrix};
+use haqjsk_linalg::{symmetric_eigen, LinalgError, Matrix};
 
 /// Tolerance for grouping numerically equal Laplacian eigenvalues into one
 /// eigenspace when evaluating the closed form of Eq. (5).
@@ -130,65 +130,6 @@ pub fn ctqw_density_infinite(graph: &Graph) -> Result<DensityMatrix, LinalgError
     ctqw_density_from_adjacency(&graph.adjacency_matrix())
 }
 
-/// The (pure) CTQW state at a single time `t`, as a complex amplitude vector
-/// `|ψ_t⟩ = Φ e^{-iΛt} Φᵀ |ψ_0⟩`.
-pub fn ctqw_state_at(graph: &Graph, t: f64) -> Result<Vec<Complex>, LinalgError> {
-    let laplacian = graph.laplacian();
-    let eig = symmetric_eigen(&laplacian)?;
-    let psi0: Vec<Complex> = initial_state(graph)
-        .into_iter()
-        .map(Complex::real)
-        .collect();
-    let q = CMatrix::from_real(&eig.eigenvectors);
-    let diag = CMatrix::evolution_diagonal(&eig.eigenvalues, t);
-    // U_t = Q e^{-iΛt} Qᵀ
-    let u = q.matmul(&diag)?.matmul(&q.conj_transpose())?;
-    u.matvec(&psi0)
-}
-
-/// Finite-horizon time-averaged density matrix `ρ_G^T = (1/T)∫_0^T |ψ_t⟩⟨ψ_t| dt`,
-/// approximated by averaging `steps` equally spaced sample times.
-///
-/// The exact finite-horizon operator is Hermitian with complex off-diagonal
-/// entries; its imaginary parts decay as `T` grows and vanish in the
-/// `T → ∞` limit used by the kernels. This function returns the real part
-/// re-projected onto a valid density matrix, and exists for analysis,
-/// convergence tests and the CTQW-vs-CTRW comparison — the kernels always use
-/// [`ctqw_density_infinite`].
-pub fn ctqw_density_finite_time(
-    graph: &Graph,
-    horizon: f64,
-    steps: usize,
-) -> Result<DensityMatrix, LinalgError> {
-    if steps == 0 || horizon <= 0.0 {
-        return Err(LinalgError::InvalidArgument(
-            "finite-time CTQW needs a positive horizon and at least one step".to_string(),
-        ));
-    }
-    let n = graph.num_vertices();
-    let laplacian = graph.laplacian();
-    let eig = symmetric_eigen(&laplacian)?;
-    let psi0: Vec<Complex> = initial_state(graph)
-        .into_iter()
-        .map(Complex::real)
-        .collect();
-    let q = CMatrix::from_real(&eig.eigenvectors);
-    let qt = q.conj_transpose();
-
-    let mut accumulated = Matrix::zeros(n, n);
-    for step in 0..steps {
-        // Midpoint rule over [0, horizon].
-        let t = horizon * (step as f64 + 0.5) / steps as f64;
-        let diag = CMatrix::evolution_diagonal(&eig.eigenvalues, t);
-        let u = q.matmul(&diag)?.matmul(&qt)?;
-        let psi_t = u.matvec(&psi0)?;
-        let outer = cmatrix::outer_product(&psi_t);
-        accumulated += &outer.real_part();
-    }
-    accumulated = accumulated.scale(1.0 / steps as f64);
-    DensityMatrix::from_unnormalized(&accumulated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,44 +187,47 @@ mod tests {
         assert!((rho_p.matrix() - conjugated.matrix()).max_abs() < 1e-9);
     }
 
-    #[test]
-    fn state_evolution_is_norm_preserving() {
-        let g = cycle_graph(5);
-        for t in [0.0, 0.3, 1.0, 4.0] {
-            let psi = ctqw_state_at(&g, t).unwrap();
-            let norm: f64 = psi.iter().map(|z| z.norm_sqr()).sum();
-            assert!((norm - 1.0).abs() < 1e-9, "t={t}: norm {norm}");
+    /// The real part of the finite-horizon average
+    /// `ρ_G^T = (1/T)∫_0^T |ψ_t⟩⟨ψ_t| dt`, by the midpoint rule over
+    /// `steps` sample times. With `u_t = Φ cos(Λt) Φᵀψ0` and
+    /// `v_t = Φ sin(Λt) Φᵀψ0` the state is `|ψ_t⟩ = u_t - i v_t`, so
+    /// `Re |ψ_t⟩⟨ψ_t| = u_t u_tᵀ + v_t v_tᵀ` and no complex arithmetic is
+    /// needed. Independent of the closed form: no eigenspace grouping.
+    fn finite_time_average(graph: &Graph, horizon: f64, steps: usize) -> Matrix {
+        let n = graph.num_vertices();
+        let eig = symmetric_eigen(&graph.laplacian()).unwrap();
+        let phi = &eig.eigenvectors;
+        let projected = phi.transpose().matvec(&initial_state(graph)).unwrap();
+        let mut average = Matrix::zeros(n, n);
+        for step in 0..steps {
+            let t = horizon * (step as f64 + 0.5) / steps as f64;
+            let (cos, sin): (Vec<f64>, Vec<f64>) = eig
+                .eigenvalues
+                .iter()
+                .zip(&projected)
+                .map(|(&lambda, &p)| ((lambda * t).cos() * p, (lambda * t).sin() * p))
+                .unzip();
+            let u = phi.matvec(&cos).unwrap();
+            let v = phi.matvec(&sin).unwrap();
+            for r in 0..n {
+                for c in 0..n {
+                    average[(r, c)] += u[r] * u[c] + v[r] * v[c];
+                }
+            }
         }
-    }
-
-    #[test]
-    fn state_at_time_zero_is_initial_state() {
-        let g = path_graph(4);
-        let psi = ctqw_state_at(&g, 0.0).unwrap();
-        let expected = initial_state(&g);
-        for (z, e) in psi.iter().zip(expected.iter()) {
-            assert!((z.re - e).abs() < 1e-9);
-            assert!(z.im.abs() < 1e-9);
-        }
+        average.scale(1.0 / steps as f64)
     }
 
     #[test]
     fn finite_time_density_converges_to_infinite_limit() {
         let g = path_graph(5);
         let limit = ctqw_density_infinite(&g).unwrap();
-        let short = ctqw_density_finite_time(&g, 5.0, 64).unwrap();
-        let long = ctqw_density_finite_time(&g, 200.0, 512).unwrap();
-        let err_short = (short.matrix() - limit.matrix()).max_abs();
-        let err_long = (long.matrix() - limit.matrix()).max_abs();
+        let short = finite_time_average(&g, 5.0, 64);
+        let long = finite_time_average(&g, 200.0, 512);
+        let err_short = (&short - limit.matrix()).max_abs();
+        let err_long = (&long - limit.matrix()).max_abs();
         assert!(err_long < err_short, "long {err_long} vs short {err_short}");
         assert!(err_long < 0.05, "long-horizon error too large: {err_long}");
-    }
-
-    #[test]
-    fn finite_time_rejects_bad_arguments() {
-        let g = path_graph(3);
-        assert!(ctqw_density_finite_time(&g, 0.0, 10).is_err());
-        assert!(ctqw_density_finite_time(&g, 1.0, 0).is_err());
     }
 
     #[test]

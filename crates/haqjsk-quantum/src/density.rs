@@ -156,11 +156,6 @@ impl DensityMatrix {
         &self.matrix
     }
 
-    /// Consumes the wrapper and returns the matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.matrix
-    }
-
     /// Equal-weight mixture `(ρ + σ)/2` of two states of equal dimension.
     pub fn mix(&self, other: &DensityMatrix) -> Result<DensityMatrix, LinalgError> {
         if self.dim() != other.dim() {
@@ -250,13 +245,6 @@ impl DensityMatrix {
         });
         memo.as_ref().map_err(LinalgError::clone)
     }
-
-    /// Purity `tr(ρ²)`: 1 for pure states, `1/n` for the maximally mixed
-    /// state.
-    pub fn purity(&self) -> f64 {
-        // tr(ρ²) = Σ_ij ρ_ij ρ_ji = Σ_ij ρ_ij² for symmetric ρ.
-        self.matrix.data().iter().map(|x| x * x).sum()
-    }
 }
 
 /// Clamps eigenvalues to `[0, 1]`, the one clamp every spectrum goes
@@ -284,12 +272,18 @@ impl haqjsk_engine::CacheWeight for DensityMatrix {
 mod tests {
     use super::*;
 
+    /// `tr(ρ²) = Σ_ij ρ_ij²` for a symmetric state: 1 for a pure state,
+    /// `1/n` for the maximally mixed one.
+    fn trace_of_square(rho: &DensityMatrix) -> f64 {
+        rho.matrix().data().iter().map(|x| x * x).sum()
+    }
+
     #[test]
     fn maximally_mixed_state() {
         let rho = DensityMatrix::maximally_mixed(4);
         assert_eq!(rho.dim(), 4);
         assert!((rho.matrix().trace() - 1.0).abs() < 1e-12);
-        assert!((rho.purity() - 0.25).abs() < 1e-12);
+        assert!((trace_of_square(&rho) - 0.25).abs() < 1e-12);
         let spectrum = rho.spectrum().unwrap();
         assert!(spectrum.iter().all(|&l| (l - 0.25).abs() < 1e-9));
     }
@@ -298,7 +292,7 @@ mod tests {
     fn pure_state_has_unit_purity() {
         let rho = DensityMatrix::pure_state(&[1.0, 1.0, 0.0]).unwrap();
         assert!((rho.matrix().trace() - 1.0).abs() < 1e-12);
-        assert!((rho.purity() - 1.0).abs() < 1e-12);
+        assert!((trace_of_square(&rho) - 1.0).abs() < 1e-12);
         assert!(DensityMatrix::pure_state(&[]).is_err());
         assert!(DensityMatrix::pure_state(&[0.0, 0.0]).is_err());
     }
@@ -339,7 +333,7 @@ mod tests {
         let b = DensityMatrix::pure_state(&[0.0, 1.0]).unwrap();
         let m = a.mix(&b).unwrap();
         assert!((m.matrix().trace() - 1.0).abs() < 1e-12);
-        assert!((m.purity() - 0.5).abs() < 1e-12);
+        assert!((trace_of_square(&m) - 0.5).abs() < 1e-12);
         let c = DensityMatrix::maximally_mixed(3);
         assert!(a.mix(&c).is_err());
     }
@@ -365,7 +359,7 @@ mod tests {
         )
         .unwrap();
         let p = rho.permute(&[2, 0, 1]).unwrap();
-        assert!((p.purity() - rho.purity()).abs() < 1e-12);
+        assert!((trace_of_square(&p) - trace_of_square(&rho)).abs() < 1e-12);
         let s1 = rho.spectrum().unwrap();
         let s2 = p.spectrum().unwrap();
         for (a, b) in s1.iter().zip(s2.iter()) {
@@ -430,12 +424,5 @@ mod tests {
         }
         assert_eq!(crate::von_neumann_entropy(&rho), Err(failure.clone()));
         assert_eq!(rho.memoised_spectrum(), Err(failure));
-    }
-
-    #[test]
-    fn into_matrix_returns_inner() {
-        let rho = DensityMatrix::maximally_mixed(2);
-        let m = rho.into_matrix();
-        assert_eq!(m.shape(), (2, 2));
     }
 }

@@ -25,7 +25,7 @@ pub mod entropy;
 pub mod qjsd;
 
 pub use batch::{batch_mixture_entropies, batch_qjsd, MixtureEntropy};
-pub use ctqw::{ctqw_density_finite_time, ctqw_density_infinite, ctqw_state_at};
+pub use ctqw::ctqw_density_infinite;
 pub use density::{memo_solves, DensityMatrix};
 pub use entropy::{entropy_of_spectrum, tsallis_entropy_of_spectrum, von_neumann_entropy};
 pub use qjsd::{qjsd, qjsd_from_entropies, qjsd_padded};
