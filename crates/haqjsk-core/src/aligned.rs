@@ -9,6 +9,10 @@
 //!   averaged over `k` into `ρ̄^h_p` (Eq. 24–25), re-normalised to unit trace
 //!   so they remain valid quantum states.
 //!
+//! HAQJSK(A) reads only the first family (through the CTQW density of each
+//! `Ā^h_p`) and HAQJSK(D) only the second, so a fitted model's transform
+//! builds the one family its variant reads.
+//!
 //! The paper's Eq. (19)/(21) literally write `C^{1,k}ᵀ X C^{h,k}`, which is
 //! rectangular whenever the level-1 and level-h prototype sets differ in
 //! size; the surrounding text, Eq. (28) and the positive-definiteness lemma

@@ -42,13 +42,13 @@ use std::sync::{Arc, OnceLock};
 
 /// The hierarchical aligned representation of a single graph, ready for
 /// kernel evaluation against any other graph aligned to the same prototypes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AlignedGraph {
     /// Per hierarchy level `h`: the CTQW density matrix `δ(Ā^h)` of the
-    /// aligned adjacency matrix (the ingredient of HAQJSK(A)).
+    /// aligned adjacency matrix (HAQJSK(A)); empty from a (D) model.
     pub adjacency_densities: Vec<DensityMatrix>,
-    /// Per hierarchy level `h`: the aligned density matrix `ρ̄^h` (the
-    /// ingredient of HAQJSK(D)).
+    /// Per hierarchy level `h`: the aligned density matrix `ρ̄^h`
+    /// (HAQJSK(D)); empty from an (A) model.
     pub aligned_densities: Vec<DensityMatrix>,
 }
 
@@ -63,7 +63,8 @@ impl AlignedGraph {
 }
 
 /// Aligned representations live in the serving layer's budgeted feature
-/// cache; their weight is the two per-level density families.
+/// cache; their weight is the per-level density families they hold (one,
+/// for a model's transform).
 impl CacheWeight for AlignedGraph {
     fn weight(&self) -> usize {
         let densities = self
@@ -155,25 +156,33 @@ impl HaqjskModel {
     }
 
     /// Transforms a single graph into its hierarchical transitive aligned
-    /// representation. Works for training graphs and unseen graphs alike —
-    /// the prototypes are fixed at fit time.
+    /// representation: the `H` per-level states of this model's variant
+    /// only. Works for training graphs and unseen graphs alike — the
+    /// prototypes are fixed at fit time. A graph with no vertices is an error.
     pub fn transform(&self, graph: &Graph) -> Result<AlignedGraph, LinalgError> {
+        if graph.num_vertices() == 0 {
+            return Err(LinalgError::InvalidArgument(
+                "cannot evolve a CTQW on an empty graph".to_string(),
+            ));
+        }
         // Depth-based representations of this graph alone, truncated to the
         // layer count the prototypes were built with.
         let single = DbRepresentations::compute(std::slice::from_ref(graph), self.max_layers);
         let correspondences = GraphCorrespondences::compute(&single, 0, &self.hierarchy);
 
-        let adjacency_family = aligned_adjacency_family(graph, &correspondences);
-        let adjacency_densities = adjacency_family
-            .iter()
-            .map(ctqw_density_from_adjacency)
-            .collect::<Result<Vec<_>, _>>()?;
-        let aligned_densities = aligned_density_family(graph, &correspondences)?;
-
-        Ok(AlignedGraph {
-            adjacency_densities,
-            aligned_densities,
-        })
+        let mut aligned = AlignedGraph::default();
+        match self.variant {
+            HaqjskVariant::AlignedAdjacency => {
+                aligned.adjacency_densities = aligned_adjacency_family(graph, &correspondences)
+                    .iter()
+                    .map(ctqw_density_from_adjacency)
+                    .collect::<Result<_, _>>()?;
+            }
+            HaqjskVariant::AlignedDensity => {
+                aligned.aligned_densities = aligned_density_family(graph, &correspondences)?;
+            }
+        }
+        Ok(aligned)
     }
 
     /// Transforms a whole dataset, in parallel on the engine's worker pool.
@@ -247,25 +256,30 @@ impl HaqjskModel {
     /// memoised endpoint entropies, then `exp(-μ · D_QJS)` added into each
     /// pair's total. Totals start at `0.0` and add levels in order
     /// `h = 0..H`, so each value is bit-identical to evaluating its pair
-    /// alone; every buffer stays at most one lane-width chunk.
+    /// alone; every buffer stays at most one lane-width chunk. A transform
+    /// without exactly `H` states of this model's variant (one made by a
+    /// model of the other variant, say) is an invalid argument.
     pub fn kernel_batch(
         &self,
         pairs: &[(&AlignedGraph, &AlignedGraph)],
     ) -> Result<Vec<f64>, LinalgError> {
+        let levels = self.hierarchy.num_levels();
+        let mut sides = pairs.iter().flat_map(|&(a, b)| [a, b]);
+        if sides.any(|x| x.densities(self.variant).len() != levels) {
+            return Err(LinalgError::InvalidArgument(format!(
+                "a {} transform must hold {levels} level states",
+                self.name()
+            )));
+        }
         let lanes = max_batch_lanes();
         let mut totals = vec![0.0; pairs.len()];
         let mut states = Vec::with_capacity(lanes);
-        let mut members = Vec::with_capacity(lanes);
         for (chunk, out) in pairs.chunks(lanes).zip(totals.chunks_mut(lanes)) {
-            for h in 0.. {
+            for h in 0..levels {
                 states.clear();
-                members.clear();
-                for (k, (a, b)) in chunk.iter().enumerate() {
-                    let da = a.densities(self.variant);
-                    let db = b.densities(self.variant);
-                    let (Some(rho), Some(sigma)) = (da.get(h), db.get(h)) else {
-                        continue;
-                    };
+                for (a, b) in chunk {
+                    let rho = &a.densities(self.variant)[h];
+                    let sigma = &b.densities(self.variant)[h];
                     if rho.dim() != sigma.dim() {
                         return Err(LinalgError::ShapeMismatch {
                             op: "HAQJSK level states",
@@ -274,14 +288,10 @@ impl HaqjskModel {
                         });
                     }
                     states.push((rho, sigma));
-                    members.push(k);
-                }
-                if states.is_empty() {
-                    break;
                 }
                 let divergences = batch_qjsd(&states, states.iter().copied())?;
-                for (&k, divergence) in members.iter().zip(divergences) {
-                    out[k] += (-self.config.mu * divergence).exp();
+                for (total, divergence) in out.iter_mut().zip(divergences) {
+                    *total += (-self.config.mu * divergence).exp();
                 }
             }
         }
@@ -513,26 +523,101 @@ mod tests {
         assert!(HaqjskModel::fit(&dataset(), bad, HaqjskVariant::AlignedDensity).is_err());
     }
 
-    #[test]
-    fn transform_produces_per_level_states() {
-        let graphs = dataset();
-        let model =
-            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedAdjacency).unwrap();
-        let aligned = model.transform(&graphs[0]).unwrap();
-        assert_eq!(
-            aligned.adjacency_densities.len(),
-            model.hierarchy().num_levels()
-        );
-        assert_eq!(
-            aligned.aligned_densities.len(),
-            model.hierarchy().num_levels()
-        );
-        for rho in aligned
-            .adjacency_densities
+    const VARIANTS: [HaqjskVariant; 2] = [
+        HaqjskVariant::AlignedAdjacency,
+        HaqjskVariant::AlignedDensity,
+    ];
+
+    /// The family a variant's model does not read.
+    fn other_family(aligned: &AlignedGraph, variant: HaqjskVariant) -> &[DensityMatrix] {
+        match variant {
+            HaqjskVariant::AlignedAdjacency => &aligned.aligned_densities,
+            HaqjskVariant::AlignedDensity => &aligned.adjacency_densities,
+        }
+    }
+
+    fn bits(states: &[DensityMatrix]) -> Vec<Vec<u64>> {
+        states
             .iter()
-            .chain(aligned.aligned_densities.iter())
-        {
-            assert!((rho.matrix().trace() - 1.0).abs() < 1e-9);
+            .map(|rho| rho.matrix().data().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn transform_builds_only_its_variants_per_level_states() {
+        let graphs = dataset();
+        for variant in VARIANTS {
+            let model = HaqjskModel::fit(&graphs, small_config(), variant).unwrap();
+            for g in &graphs {
+                let aligned = model.transform(g).unwrap();
+                let states = aligned.densities(variant);
+                assert_eq!(states.len(), model.hierarchy().num_levels());
+                for rho in states {
+                    assert!((rho.matrix().trace() - 1.0).abs() < 1e-9);
+                }
+                assert!(other_family(&aligned, variant).is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn transform_states_are_the_aligned_families_bit_for_bit() {
+        let graphs = dataset();
+        for variant in VARIANTS {
+            let model = HaqjskModel::fit(&graphs, small_config(), variant).unwrap();
+            for g in &graphs {
+                let single =
+                    DbRepresentations::compute(std::slice::from_ref(g), model.max_layers());
+                let correspondences = GraphCorrespondences::compute(&single, 0, model.hierarchy());
+                let direct = match variant {
+                    HaqjskVariant::AlignedAdjacency => {
+                        aligned_adjacency_family(g, &correspondences)
+                            .iter()
+                            .map(ctqw_density_from_adjacency)
+                            .collect::<Result<Vec<_>, _>>()
+                            .unwrap()
+                    }
+                    HaqjskVariant::AlignedDensity => {
+                        aligned_density_family(g, &correspondences).unwrap()
+                    }
+                };
+                let aligned = model.transform(g).unwrap();
+                assert_eq!(bits(aligned.densities(variant)), bits(&direct));
+            }
+        }
+    }
+
+    #[test]
+    fn transform_rejects_a_graph_without_vertices() {
+        let graphs = dataset();
+        for variant in VARIANTS {
+            let model = HaqjskModel::fit(&graphs, small_config(), variant).unwrap();
+            assert_eq!(
+                model.transform(&Graph::new(0)).unwrap_err(),
+                LinalgError::InvalidArgument("cannot evolve a CTQW on an empty graph".to_string()),
+                "{}",
+                variant.label()
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_batch_rejects_transforms_of_the_other_variant() {
+        let graphs = dataset();
+        let model_a =
+            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedAdjacency).unwrap();
+        let model_d =
+            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedDensity).unwrap();
+        let a = model_a.transform(&graphs[0]).unwrap();
+        let d = model_d.transform(&graphs[1]).unwrap();
+        for (model, own, foreign) in [(&model_d, &d, &a), (&model_a, &a, &d)] {
+            assert!(model.kernel_batch(&[(own, own)]).is_ok());
+            for pair in [(own, foreign), (foreign, own), (foreign, foreign)] {
+                assert!(matches!(
+                    model.kernel_batch(&[(own, own), pair]),
+                    Err(LinalgError::InvalidArgument(_))
+                ));
+            }
         }
     }
 
@@ -659,19 +744,22 @@ mod tests {
     }
 
     #[test]
-    fn aligned_graph_weight_counts_density_payload() {
+    fn aligned_graph_weight_counts_its_variants_family() {
         let graphs = dataset();
-        let model =
-            HaqjskModel::fit(&graphs, small_config(), HaqjskVariant::AlignedAdjacency).unwrap();
-        let aligned = model.transform(&graphs[0]).unwrap();
-        let payload: usize = aligned
-            .adjacency_densities
-            .iter()
-            .chain(aligned.aligned_densities.iter())
-            .map(|rho| rho.dim() * rho.dim() * std::mem::size_of::<f64>())
-            .sum();
-        assert!(CacheWeight::weight(&aligned) >= payload);
-        assert!(payload > 0);
+        for variant in VARIANTS {
+            let model = HaqjskModel::fit(&graphs, small_config(), variant).unwrap();
+            let aligned = model.transform(&graphs[0]).unwrap();
+            let family: usize = aligned
+                .densities(variant)
+                .iter()
+                .map(CacheWeight::weight)
+                .sum();
+            assert!(family > 0);
+            assert_eq!(
+                CacheWeight::weight(&aligned),
+                std::mem::size_of::<AlignedGraph>() + family
+            );
+        }
     }
 
     #[test]

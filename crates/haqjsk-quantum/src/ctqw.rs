@@ -25,19 +25,9 @@ use haqjsk_linalg::{symmetric_eigen, LinalgError, Matrix};
 /// eigenspace when evaluating the closed form of Eq. (5).
 pub const EIGENSPACE_TOL: f64 = 1e-8;
 
-/// The CTQW initial state used throughout the paper: the square root of the
-/// (normalised) degree distribution.
-pub fn initial_state(graph: &Graph) -> Vec<f64> {
-    graph
-        .degree_distribution()
-        .into_iter()
-        .map(f64::sqrt)
-        .collect()
-}
-
-/// Initial state for an arbitrary weighted adjacency matrix: square root of
-/// the normalised (weighted) degree distribution; uniform when the matrix has
-/// no mass.
+/// The CTQW initial state used throughout the paper, for an arbitrary
+/// weighted adjacency matrix: the square root of the normalised (weighted)
+/// degree distribution; uniform when the matrix has no mass.
 pub fn initial_state_from_adjacency(adjacency: &Matrix) -> Vec<f64> {
     let n = adjacency.rows();
     let mut degrees = vec![0.0_f64; n];
@@ -88,14 +78,7 @@ pub fn ctqw_density_from_adjacency(adjacency: &Matrix) -> Result<DensityMatrix, 
 
     // Project the initial state onto the eigenbasis: ψ̄_a = ⟨φ_a | ψ_0⟩.
     let q = &eig.eigenvectors;
-    let mut projected = vec![0.0_f64; n];
-    for a in 0..n {
-        let mut acc = 0.0;
-        for u in 0..n {
-            acc += q[(u, a)] * psi0[u];
-        }
-        projected[a] = acc;
-    }
+    let projected = q.transpose().matvec(&psi0)?;
 
     // ρ^∞ = Σ_λ (P_λ ψ0)(P_λ ψ0)ᵀ, with P_λ ψ0 = Σ_{a ∈ B_λ} ψ̄_a φ_a.
     let mut rho = Matrix::zeros(n, n);
@@ -138,12 +121,12 @@ mod tests {
     #[test]
     fn initial_state_is_normalized() {
         let g = path_graph(4);
-        let psi = initial_state(&g);
+        let psi = initial_state_from_adjacency(&g.adjacency_matrix());
         let norm: f64 = psi.iter().map(|x| x * x).sum();
         assert!((norm - 1.0).abs() < 1e-12);
         // Edgeless graph gets the uniform state.
         let e = Graph::new(3);
-        let psi_e = initial_state(&e);
+        let psi_e = initial_state_from_adjacency(&e.adjacency_matrix());
         assert!((psi_e[0] - (1.0 / 3.0_f64).sqrt()).abs() < 1e-12);
     }
 
@@ -197,7 +180,8 @@ mod tests {
         let n = graph.num_vertices();
         let eig = symmetric_eigen(&graph.laplacian()).unwrap();
         let phi = &eig.eigenvectors;
-        let projected = phi.transpose().matvec(&initial_state(graph)).unwrap();
+        let psi0 = initial_state_from_adjacency(&graph.adjacency_matrix());
+        let projected = phi.transpose().matvec(&psi0).unwrap();
         let mut average = Matrix::zeros(n, n);
         for step in 0..steps {
             let t = horizon * (step as f64 + 0.5) / steps as f64;
@@ -227,7 +211,7 @@ mod tests {
         let err_short = (&short - limit.matrix()).max_abs();
         let err_long = (&long - limit.matrix()).max_abs();
         assert!(err_long < err_short, "long {err_long} vs short {err_short}");
-        assert!(err_long < 0.05, "long-horizon error too large: {err_long}");
+        assert!(err_long < 5e-4, "long-horizon error too large: {err_long}");
     }
 
     #[test]
