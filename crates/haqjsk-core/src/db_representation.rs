@@ -7,6 +7,7 @@
 //! use the whole family `k = 1..K`, where `K` is the greatest shortest-path
 //! length over the dataset (capped for tractability).
 
+use haqjsk_engine::Engine;
 use haqjsk_graph::shortest_paths::greatest_shortest_path_length;
 use haqjsk_graph::subgraph::depth_based_traces;
 use haqjsk_graph::Graph;
@@ -23,13 +24,12 @@ pub struct DbRepresentations {
 
 impl DbRepresentations {
     /// Computes the DB traces of every vertex of every graph up to layer
-    /// `max_layers`.
+    /// `max_layers`, one graph per task on the engine's worker pool (each
+    /// graph's traces depend on that graph alone).
     pub fn compute(graphs: &[Graph], max_layers: usize) -> Self {
         let max_layers = max_layers.max(1);
-        let traces = graphs
-            .iter()
-            .map(|g| depth_based_traces(g, max_layers))
-            .collect();
+        let traces =
+            Engine::global().map(graphs.len(), |g| depth_based_traces(&graphs[g], max_layers));
         DbRepresentations { traces, max_layers }
     }
 

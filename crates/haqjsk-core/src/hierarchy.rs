@@ -12,6 +12,7 @@
 use crate::config::HaqjskConfig;
 use crate::db_representation::DbRepresentations;
 use crate::kmeans::KMeans;
+use haqjsk_engine::Engine;
 
 /// The prototype hierarchy for one layer parameter `k`: `levels[h-1]` holds
 /// the `h`-level prototype vectors (each of dimension `k`).
@@ -34,6 +35,34 @@ impl LayerHierarchy {
     pub fn num_levels(&self) -> usize {
         self.levels.len()
     }
+
+    /// The κ-means chain of layer `k`: level 1 clusters the pooled
+    /// `k`-dimensional representations, each further level the level
+    /// before it.
+    fn build(representations: &DbRepresentations, config: &HaqjskConfig, k: usize) -> Self {
+        let mut levels: Vec<Vec<Vec<f64>>> = Vec::new();
+        let mut current = representations.pooled_representations(k);
+        for h in 1..=config.hierarchy_levels {
+            let kmeans = KMeans {
+                k: config.prototypes_at_level(h),
+                max_iterations: config.kmeans_max_iterations,
+                tolerance: 1e-9,
+                // Mix level and layer into the seed so each clustering is
+                // independent but still deterministic.
+                seed: config
+                    .seed
+                    .wrapping_add(h as u64)
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add(k as u64),
+            };
+            current = kmeans.fit(&current).centroids;
+            levels.push(current.clone());
+            if current.is_empty() {
+                break;
+            }
+        }
+        LayerHierarchy { k, levels }
+    }
 }
 
 /// The full family of prototype hierarchies `HP^{H,k}(G)` for `k = 1..K`.
@@ -51,35 +80,13 @@ impl PrototypeHierarchy {
 
     /// Builds the hierarchy from the pooled depth-based representations of a
     /// dataset, following the configuration's prototype counts per level.
+    /// The layers are independent, seeded κ-means chains, so they run on
+    /// the engine's worker pool and the result does not depend on the
+    /// thread count.
     pub fn build(representations: &DbRepresentations, config: &HaqjskConfig) -> Self {
-        let mut layers = Vec::with_capacity(representations.max_layers());
-        for k in 1..=representations.max_layers() {
-            let pooled = representations.pooled_representations(k);
-            let mut levels: Vec<Vec<Vec<f64>>> = Vec::new();
-            let mut current = pooled;
-            for h in 1..=config.hierarchy_levels {
-                let requested = config.prototypes_at_level(h);
-                let kmeans = KMeans {
-                    k: requested,
-                    max_iterations: config.kmeans_max_iterations,
-                    tolerance: 1e-9,
-                    // Mix level and layer into the seed so each clustering is
-                    // independent but still deterministic.
-                    seed: config
-                        .seed
-                        .wrapping_add(h as u64)
-                        .wrapping_mul(1_000_003)
-                        .wrapping_add(k as u64),
-                };
-                let result = kmeans.fit(&current);
-                levels.push(result.centroids.clone());
-                current = result.centroids;
-                if current.is_empty() {
-                    break;
-                }
-            }
-            layers.push(LayerHierarchy { k, levels });
-        }
+        let layers = Engine::global().map(representations.max_layers(), |layer| {
+            LayerHierarchy::build(representations, config, layer + 1)
+        });
         PrototypeHierarchy { layers }
     }
 
@@ -181,6 +188,63 @@ mod tests {
             for h in 1..=a.num_levels() {
                 assert_eq!(a.layer(k).prototypes(h), b.layer(k).prototypes(h));
             }
+        }
+    }
+
+    fn bits(levels: &[Vec<Vec<f64>>]) -> Vec<Vec<Vec<u64>>> {
+        levels
+            .iter()
+            .map(|level| {
+                level
+                    .iter()
+                    .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pool_built_hierarchy_matches_a_serial_kmeans_loop_bit_for_bit() {
+        // Regular graphs share their 1-D traces, so 64 prototypes over a
+        // few distinct values leave most level-1 clusters empty.
+        let graphs: Vec<Graph> = (4..12)
+            .flat_map(|n| [cycle_graph(n), path_graph(n), star_graph(n)])
+            .chain([erdos_renyi(12, 0.3, 3)])
+            .collect();
+        let reps = DbRepresentations::compute_auto(&graphs, 4);
+        let config = HaqjskConfig {
+            hierarchy_levels: 4,
+            num_prototypes: 64,
+            layer_cap: 4,
+            ..HaqjskConfig::small()
+        };
+        let mut distinct = reps.pooled_representations(1);
+        distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        distinct.dedup();
+        assert!(distinct.len() < config.num_prototypes);
+        assert!(reps.total_vertices() > config.num_prototypes);
+
+        let built = PrototypeHierarchy::build(&reps, &config);
+        assert_eq!(built.max_layers(), reps.max_layers());
+        for k in 1..=reps.max_layers() {
+            let mut levels = Vec::new();
+            let mut current = reps.pooled_representations(k);
+            for h in 1..=config.hierarchy_levels {
+                let kmeans = KMeans {
+                    k: config.prototypes_at_level(h),
+                    max_iterations: config.kmeans_max_iterations,
+                    tolerance: 1e-9,
+                    seed: config
+                        .seed
+                        .wrapping_add(h as u64)
+                        .wrapping_mul(1_000_003)
+                        .wrapping_add(k as u64),
+                };
+                current = kmeans.fit(&current).centroids;
+                levels.push(current.clone());
+            }
+            assert_eq!(built.layer(k).k, k);
+            assert_eq!(bits(&built.layer(k).levels), bits(&levels), "layer {k}");
         }
     }
 

@@ -2,7 +2,9 @@
 //!
 //! [`HaqjskModel::fit`] learns the prototype hierarchy from a dataset;
 //! [`HaqjskModel::transform`] maps any graph (from the training set or not)
-//! into its hierarchical transitive aligned structures; and
+//! into its hierarchical transitive aligned structures
+//! ([`HaqjskModel::fit_transform_cached`] does both for a training set,
+//! reusing the fit's DB traces); and
 //! [`HaqjskModel::kernel_batch`] / [`HaqjskModel::gram_matrix`] evaluate
 //!
 //! ```text
@@ -77,6 +79,10 @@ impl CacheWeight for AlignedGraph {
     }
 }
 
+/// A dataset's transforms through a [`FeatureCache`], or the first failing
+/// transform's error.
+pub type CachedTransforms = Result<Vec<Arc<AlignedGraph>>, LinalgError>;
+
 /// A HAQJSK model fitted to a dataset: the depth-based representation layer
 /// count `K`, the prototype hierarchy, and the configuration.
 #[derive(Debug, Clone)]
@@ -116,23 +122,59 @@ impl HaqjskModel {
         config: HaqjskConfig,
         variant: HaqjskVariant,
     ) -> Result<Self, LinalgError> {
+        Self::fit_traced(graphs, config, variant).map(|(model, _)| model)
+    }
+
+    /// [`HaqjskModel::fit`], also returning the training graphs' DB traces
+    /// it learned the prototypes from. Emits one `hierarchy.db_repr` and
+    /// one `hierarchy.build` span.
+    fn fit_traced(
+        graphs: &[Graph],
+        config: HaqjskConfig,
+        variant: HaqjskVariant,
+    ) -> Result<(Self, DbRepresentations), LinalgError> {
         config.validate().map_err(LinalgError::InvalidArgument)?;
         if graphs.is_empty() {
             return Err(LinalgError::InvalidArgument(
                 "cannot fit a HAQJSK model on an empty dataset".to_string(),
             ));
         }
-        let representations = match config.max_layers {
-            Some(k) => DbRepresentations::compute(graphs, k),
-            None => DbRepresentations::compute_auto(graphs, config.layer_cap),
+        let representations = {
+            let _span = haqjsk_obs::span("hierarchy.db_repr");
+            match config.max_layers {
+                Some(k) => DbRepresentations::compute(graphs, k),
+                None => DbRepresentations::compute_auto(graphs, config.layer_cap),
+            }
         };
-        let hierarchy = PrototypeHierarchy::build(&representations, &config);
-        Ok(HaqjskModel {
+        let hierarchy = {
+            let _span = haqjsk_obs::span("hierarchy.build");
+            PrototypeHierarchy::build(&representations, &config)
+        };
+        let model = HaqjskModel {
             max_layers: representations.max_layers(),
             config,
             variant,
             hierarchy,
-        })
+        };
+        Ok((model, representations))
+    }
+
+    /// Fits a model on `graphs` and transforms them through `cache`, as
+    /// [`HaqjskModel::fit`] then [`HaqjskModel::transform_all_cached`]
+    /// would, bit for bit, but each training graph's transform reads the
+    /// DB traces the fit already computed. The outer error is the fit's;
+    /// the inner one is the first failing transform's.
+    pub fn fit_transform_cached(
+        graphs: &[Graph],
+        config: HaqjskConfig,
+        variant: HaqjskVariant,
+        cache: &FeatureCache<AlignedGraph>,
+    ) -> Result<(Self, CachedTransforms), LinalgError> {
+        let (model, representations) = Self::fit_traced(graphs, config, variant)?;
+        let transforms = Self::transforms_through_cache(graphs, cache, |g| {
+            model.transform_traced(&graphs[g], &representations, g)
+        });
+        Ok((model, transforms))
     }
 
     /// The configuration the model was fitted with.
@@ -160,15 +202,27 @@ impl HaqjskModel {
     /// only. Works for training graphs and unseen graphs alike — the
     /// prototypes are fixed at fit time. A graph with no vertices is an error.
     pub fn transform(&self, graph: &Graph) -> Result<AlignedGraph, LinalgError> {
+        // Depth-based representations of this graph alone, truncated to the
+        // layer count the prototypes were built with.
+        let single = DbRepresentations::compute(std::slice::from_ref(graph), self.max_layers);
+        self.transform_traced(graph, &single, 0)
+    }
+
+    /// The one transform body: `graph` aligned through its DB traces, graph
+    /// `index` of `representations` (computed to this model's layer count).
+    fn transform_traced(
+        &self,
+        graph: &Graph,
+        representations: &DbRepresentations,
+        index: usize,
+    ) -> Result<AlignedGraph, LinalgError> {
         if graph.num_vertices() == 0 {
             return Err(LinalgError::InvalidArgument(
                 "cannot evolve a CTQW on an empty graph".to_string(),
             ));
         }
-        // Depth-based representations of this graph alone, truncated to the
-        // layer count the prototypes were built with.
-        let single = DbRepresentations::compute(std::slice::from_ref(graph), self.max_layers);
-        let correspondences = GraphCorrespondences::compute(&single, 0, &self.hierarchy);
+        let correspondences =
+            GraphCorrespondences::compute(representations, index, &self.hierarchy);
 
         let mut aligned = AlignedGraph::default();
         match self.variant {
@@ -205,7 +259,17 @@ impl HaqjskModel {
         &self,
         graphs: &[Graph],
         cache: &FeatureCache<AlignedGraph>,
-    ) -> Result<Vec<Arc<AlignedGraph>>, LinalgError> {
+    ) -> CachedTransforms {
+        Self::transforms_through_cache(graphs, cache, |g| self.transform(&graphs[g]))
+    }
+
+    /// The transforms of `graphs` through `cache`, where `transform(g)`
+    /// computes graph `g`'s: once per distinct key, inserted once.
+    fn transforms_through_cache(
+        graphs: &[Graph],
+        cache: &FeatureCache<AlignedGraph>,
+        transform: impl Fn(usize) -> Result<AlignedGraph, LinalgError> + Sync,
+    ) -> CachedTransforms {
         use std::collections::HashMap;
 
         // Deduplicate by structural key first, so a batch containing the
@@ -223,9 +287,7 @@ impl HaqjskModel {
             let key = keys[distinct[d]];
             match cache.get(key) {
                 Some(hit) => Ok(hit),
-                None => self
-                    .transform(&graphs[distinct[d]])
-                    .map(|aligned| cache.get_or_compute(key, || aligned)),
+                None => transform(distinct[d]).map(|aligned| cache.get_or_compute(key, || aligned)),
             }
         });
 
@@ -585,6 +647,65 @@ mod tests {
                 assert_eq!(bits(aligned.densities(variant)), bits(&direct));
             }
         }
+    }
+
+    #[test]
+    fn fit_time_transforms_are_bit_identical_to_transform() {
+        // A duplicated training graph shares one cache entry; an explicit
+        // layer count takes the fit's other DB-trace path.
+        let mut graphs = dataset();
+        graphs.insert(3, graphs[1].clone());
+        let configs = [
+            small_config(),
+            HaqjskConfig {
+                max_layers: Some(2),
+                ..small_config()
+            },
+        ];
+        for variant in VARIANTS {
+            for config in configs.clone() {
+                let cache = FeatureCache::new();
+                let (model, transforms) =
+                    HaqjskModel::fit_transform_cached(&graphs, config.clone(), variant, &cache)
+                        .unwrap();
+                let transforms = transforms.unwrap();
+                let fitted = HaqjskModel::fit(&graphs, config, variant).unwrap();
+                assert_eq!(
+                    crate::persistence::model_to_string(&model),
+                    crate::persistence::model_to_string(&fitted)
+                );
+                assert_eq!(transforms.len(), graphs.len());
+                for (g, aligned) in graphs.iter().zip(&transforms) {
+                    let direct = model.transform(g).unwrap();
+                    assert_eq!(
+                        bits(aligned.densities(variant)),
+                        bits(direct.densities(variant))
+                    );
+                    assert!(other_family(aligned, variant).is_empty());
+                }
+                assert!(Arc::ptr_eq(&transforms[1], &transforms[3]));
+                assert_eq!(cache.stats().entries, graphs.len() - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn fit_transform_reports_fit_and_transform_errors_apart() {
+        let cache = FeatureCache::new();
+        let bad = HaqjskConfig {
+            hierarchy_levels: 0,
+            ..small_config()
+        };
+        let variant = HaqjskVariant::AlignedDensity;
+        assert!(HaqjskModel::fit_transform_cached(&dataset(), bad, variant, &cache).is_err());
+        let graphs = vec![path_graph(4), Graph::new(0)];
+        let (_, transforms) =
+            HaqjskModel::fit_transform_cached(&graphs, small_config(), variant, &cache).unwrap();
+        assert_eq!(
+            transforms.unwrap_err(),
+            LinalgError::InvalidArgument("cannot evolve a CTQW on an empty graph".to_string())
+        );
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

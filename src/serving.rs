@@ -96,6 +96,7 @@
 //! counters) comes from one table read out of the same snapshot. See
 //! `docs/observability.md`.
 
+use crate::core::model::CachedTransforms;
 use crate::core::{
     load_model_file, model_from_string, model_to_string, save_model_file, AlignedGraph,
     HaqjskConfig, HaqjskModel, HaqjskVariant,
@@ -199,8 +200,22 @@ impl Snapshot {
         backend: Option<BackendKind>,
     ) -> Result<Snapshot, String> {
         let cache = FeatureCache::with_config(cache);
+        let transforms = model.transform_all_cached(graphs, &cache);
+        Snapshot::over(model, cache, graphs, transforms, labels, backend)
+    }
+
+    /// A new model's first snapshot from `graphs`' transforms, made
+    /// through `cache`, with their Gram built on `backend`.
+    fn over(
+        model: HaqjskModel,
+        cache: FeatureCache<AlignedGraph>,
+        graphs: &[Graph],
+        transforms: CachedTransforms,
+        labels: Option<Vec<usize>>,
+        backend: Option<BackendKind>,
+    ) -> Result<Snapshot, String> {
         let failed = |e| format!("gram computation failed: {e:?}");
-        let transforms = model.transform_all_cached(graphs, &cache).map_err(failed)?;
+        let transforms = transforms.map_err(failed)?;
         let gram = model
             .gram_over_transforms(graphs, &transforms, backend)
             .map_err(failed)?;
@@ -782,8 +797,10 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
     let labels = parse_labels(request, graphs.len())?;
     let backend = parse_workers(request)?;
     deadline.check("fit: prototype hierarchy")?;
-    let model =
-        HaqjskModel::fit(&graphs, config, variant).map_err(|e| format!("fit failed: {e:?}"))?;
+    // The training graphs' transforms reuse the fit's DB traces.
+    let cache = FeatureCache::with_config(cache);
+    let (model, transforms) = HaqjskModel::fit_transform_cached(&graphs, config, variant, &cache)
+        .map_err(|e| format!("fit failed: {e:?}"))?;
     deadline.check("fit: gram computation")?;
     let mut pairs = vec![
         ("ok", Json::Bool(true)),
@@ -791,7 +808,7 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
         ("max_layers", Json::Num(model.max_layers() as f64)),
     ];
-    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, backend)?;
+    let snapshot = Snapshot::over(model, cache, &graphs, transforms, labels, backend)?;
     if let Some(backend) = backend {
         pairs.push(("backend", Json::Str(backend.label().to_string())));
         if let Some(coordinator) = crate::dist::current_coordinator() {

@@ -207,11 +207,32 @@ fn metrics_scrape_matches_requests_sent() {
     let jsonl = dump.get("jsonl").and_then(Json::as_str).unwrap();
     let lines: Vec<&str> = jsonl.lines().collect();
     assert_eq!(lines.len(), spans);
+    let mut records = Vec::new();
     for line in lines {
         let record = Json::parse(line).expect("span record is valid JSON");
         assert!(record.get("name").and_then(Json::as_str).is_some());
         assert!(record.get("start_us").and_then(Json::as_f64).is_some());
         assert!(record.get("dur_us").and_then(Json::as_f64).is_some());
         assert!(record.get("thread").and_then(Json::as_f64).is_some());
+        records.push(record);
+    }
+
+    // The one fit emitted one span per hierarchy stage, each a child of
+    // the fit's `serve_request` span.
+    let field = |record: &Json, key: &str| record.get(key).and_then(Json::as_str).map(String::from);
+    for stage in ["hierarchy.db_repr", "hierarchy.build"] {
+        let stage_spans: Vec<&Json> = records
+            .iter()
+            .filter(|r| field(r, "name").as_deref() == Some(stage))
+            .collect();
+        assert_eq!(stage_spans.len(), 1, "one {stage} span per fit");
+        let parent =
+            field(stage_spans[0], "parent").unwrap_or_else(|| panic!("{stage} has no parent span"));
+        let request = records
+            .iter()
+            .find(|r| field(r, "span").as_deref() == Some(parent.as_str()))
+            .unwrap_or_else(|| panic!("{stage}'s parent span was drained too"));
+        assert_eq!(field(request, "name").as_deref(), Some("serve_request"));
+        assert_eq!(field(request, "trace"), field(stage_spans[0], "trace"));
     }
 }
