@@ -8,7 +8,7 @@
 //! length over the dataset (capped for tractability).
 
 use haqjsk_engine::Engine;
-use haqjsk_graph::shortest_paths::greatest_shortest_path_length;
+use haqjsk_graph::shortest_paths::diameter;
 use haqjsk_graph::subgraph::depth_based_traces;
 use haqjsk_graph::Graph;
 
@@ -34,10 +34,15 @@ impl DbRepresentations {
     }
 
     /// Derives `K` from the dataset (greatest shortest-path length, clamped
-    /// to `[1, layer_cap]`) and computes the representations.
+    /// to `[1, layer_cap]`) and computes the representations. The graphs'
+    /// diameters are found one graph per task on the engine's pool.
     pub fn compute_auto(graphs: &[Graph], layer_cap: usize) -> Self {
-        let k = greatest_shortest_path_length(graphs).clamp(1, layer_cap.max(1));
-        Self::compute(graphs, k)
+        let greatest = Engine::global()
+            .map(graphs.len(), |g| diameter(&graphs[g]))
+            .into_iter()
+            .max()
+            .unwrap_or(0);
+        Self::compute(graphs, greatest.clamp(1, layer_cap.max(1)))
     }
 
     /// The largest layer `K`.
@@ -112,6 +117,36 @@ mod tests {
         // A dataset of singleton graphs still gets at least one layer.
         let trivial = vec![Graph::new(1)];
         assert_eq!(DbRepresentations::compute_auto(&trivial, 5).max_layers(), 1);
+    }
+
+    /// `compute_auto` is `compute` at the clamped greatest diameter, with
+    /// the same traces, on a path, a disconnected graph, an edgeless graph
+    /// and a 1-vertex graph.
+    #[test]
+    fn auto_layers_match_compute_at_the_clamped_max_diameter() {
+        let graphs = vec![
+            path_graph(6),
+            Graph::from_edges(7, &[(0, 1), (1, 2), (2, 3), (4, 5)]).unwrap(),
+            Graph::new(4),
+            Graph::new(1),
+        ];
+        let greatest = graphs.iter().map(diameter).max().unwrap();
+        assert_eq!(greatest, 5);
+        for layer_cap in [0, 2, 5, 9] {
+            let auto = DbRepresentations::compute_auto(&graphs, layer_cap);
+            let k = greatest.clamp(1, layer_cap.max(1));
+            let reference = DbRepresentations::compute(&graphs, k);
+            assert_eq!(auto.max_layers(), k);
+            for g in 0..graphs.len() {
+                let bits = |reps: &DbRepresentations| -> Vec<Vec<u64>> {
+                    reps.graph_traces(g)
+                        .iter()
+                        .map(|trace| trace.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(bits(&auto), bits(&reference), "graph {g}, cap {layer_cap}");
+            }
+        }
     }
 
     #[test]

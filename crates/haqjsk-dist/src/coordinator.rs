@@ -62,7 +62,8 @@ pub const DIST_RECONNECT_BASE_ENV_VAR: &str = "HAQJSK_DIST_RECONNECT_BASE_MS";
 /// milliseconds.
 pub const DIST_RECONNECT_MAX_ENV_VAR: &str = "HAQJSK_DIST_RECONNECT_MAX_MS";
 
-/// How often the probation thread wakes to check for due retries.
+/// How often the probation thread wakes to check for due retries. It
+/// parks between polls, so a dropped coordinator wakes it at once.
 const PROBATION_POLL: Duration = Duration::from_millis(50);
 
 /// Tuning knobs of the distributed scheduler.
@@ -75,8 +76,6 @@ pub struct DistConfig {
     /// How long a dispatched tile may stay unanswered before it becomes
     /// claimable by other workers (and its worker is considered hung).
     pub deadline: Duration,
-    /// Back-off while a worker has nothing claimable.
-    pub idle_backoff: Duration,
     /// Connect (and handshake) timeout per worker.
     pub connect_timeout: Duration,
     /// First probation-retry backoff (doubles per failed attempt, with
@@ -91,7 +90,6 @@ impl Default for DistConfig {
         DistConfig {
             window: 2,
             deadline: Duration::from_secs(10),
-            idle_backoff: Duration::from_millis(2),
             connect_timeout: Duration::from_secs(5),
             reconnect_base: Duration::from_millis(200),
             reconnect_max: Duration::from_secs(5),
@@ -285,29 +283,32 @@ impl Coordinator {
 
     /// Starts the background reconnect thread: probationed links whose
     /// backoff has expired are redialed; success revives them (bumping the
-    /// epoch), failure reschedules with a longer backoff.
+    /// epoch), failure reschedules with a longer backoff. The thread parks
+    /// between polls and re-checks the shutdown flag after every wake, so
+    /// `Drop` (which unparks it) never waits out a poll.
     fn spawn_probation_thread(&self) {
         let workers = Arc::clone(&self.workers);
         let shutdown = Arc::clone(&self.probation_shutdown);
         let config = self.config;
         let handle = std::thread::Builder::new()
             .name("haqjsk-dist-probation".to_string())
-            .spawn(move || {
-                while !shutdown.load(Ordering::Acquire) {
-                    std::thread::sleep(PROBATION_POLL);
-                    let snapshot: Vec<Arc<WorkerLink>> =
-                        workers.read().expect("worker list poisoned").clone();
-                    for link in snapshot {
-                        if link.state() != LinkState::Probation || !link.retry_due() {
-                            continue;
+            .spawn(move || loop {
+                std::thread::park_timeout(PROBATION_POLL);
+                if shutdown.load(Ordering::Acquire) {
+                    break;
+                }
+                let snapshot: Vec<Arc<WorkerLink>> =
+                    workers.read().expect("worker list poisoned").clone();
+                for link in snapshot {
+                    if link.state() != LinkState::Probation || !link.retry_due() {
+                        continue;
+                    }
+                    match Conn::connect(&link.addr, config.connect_timeout) {
+                        Ok(conn) => {
+                            link.note_revival();
+                            link.checkin(conn);
                         }
-                        match Conn::connect(&link.addr, config.connect_timeout) {
-                            Ok(conn) => {
-                                link.note_revival();
-                                link.checkin(conn);
-                            }
-                            Err(_) => link.schedule_retry(&config),
-                        }
+                        Err(_) => link.schedule_retry(&config),
                     }
                 }
             })
@@ -579,6 +580,7 @@ impl Drop for Coordinator {
             .expect("probation handle poisoned")
             .take()
         {
+            handle.thread().unpark();
             handle.join().ok();
         }
     }

@@ -35,7 +35,7 @@ use haqjsk_engine::{GraphKey, Json};
 use haqjsk_graph::Graph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Everything one Gram's scheduling run needs: the work, the dataset (for
@@ -64,6 +64,9 @@ pub(crate) struct TileRun<'a> {
 struct Shared<'a> {
     tiles: &'a [Vec<(usize, usize)>],
     queue: Mutex<SchedState>,
+    /// Notified whenever `queue` changes in a way an idle dispatcher can
+    /// act on: a commit or a requeue.
+    changed: Condvar,
     results: Vec<OnceLock<Vec<f64>>>,
 }
 
@@ -105,6 +108,7 @@ pub(crate) fn run_tiles(
             done: vec![false; run.tiles.len()],
             remaining: run.tiles.len(),
         }),
+        changed: Condvar::new(),
         results: (0..run.tiles.len()).map(|_| OnceLock::new()).collect(),
     };
 
@@ -179,6 +183,7 @@ fn commit(shared: &Shared<'_>, tile: usize, values: Vec<f64>) -> Option<Duration
     if !state.done[tile] {
         state.done[tile] = true;
         state.remaining -= 1;
+        shared.changed.notify_all();
         state.inflight.remove(&tile).map(|since| since.elapsed())
     } else {
         None
@@ -194,6 +199,7 @@ fn requeue(shared: &Shared<'_>, own: &VecDeque<usize>) {
             state.queue.push_front(tile);
         }
     }
+    shared.changed.notify_all();
 }
 
 /// Requeues one tile (the store-miss path: the tile was answered but not
@@ -203,16 +209,35 @@ fn requeue_one(shared: &Shared<'_>, tile: usize) {
     if !state.done[tile] {
         state.inflight.remove(&tile);
         state.queue.push_front(tile);
+        shared.changed.notify_all();
     }
 }
 
-fn finished(shared: &Shared<'_>) -> bool {
-    shared
-        .queue
-        .lock()
-        .expect("scheduler state poisoned")
-        .remaining
-        == 0
+/// Blocks a dispatcher with nothing in flight and nothing to claim until
+/// the state can offer it work: a commit or requeue notifies `changed`,
+/// and the earliest in-flight tile's deadline expiring makes that tile a
+/// claimable straggler, so the wait times out then. Returns `true`,
+/// without waiting, once every tile is committed.
+fn wait_idle(shared: &Shared<'_>, config: &DistConfig) -> bool {
+    let state = shared.queue.lock().expect("scheduler state poisoned");
+    if state.remaining == 0 {
+        return true;
+    }
+    if !state.queue.is_empty() {
+        return false;
+    }
+    let timeout = state
+        .inflight
+        .values()
+        .min()
+        .map_or(config.deadline, |&since| {
+            (since + config.deadline).saturating_duration_since(Instant::now())
+        });
+    let _woken = shared
+        .changed
+        .wait_timeout(state, timeout)
+        .expect("scheduler state poisoned");
+    false
 }
 
 /// One worker's dispatch loop (see [`LoopExit`] for the endings).
@@ -299,13 +324,12 @@ fn worker_loop(
             if reship.is_some() {
                 continue;
             }
-            if finished(shared) {
+            // Nothing claimable right now: other workers hold the remaining
+            // tiles within their deadline. Wait for a commit, a requeue
+            // (a death frees work) or the earliest deadline to expire.
+            if wait_idle(shared, config) {
                 return LoopExit::Done;
             }
-            // Nothing claimable right now: other workers hold the remaining
-            // tiles within their deadline. Back off briefly and re-check
-            // (the deadline expiring or a death will free work).
-            std::thread::sleep(config.idle_backoff);
             continue;
         }
 
@@ -380,7 +404,6 @@ mod tests {
         DistConfig {
             window: 2,
             deadline: Duration::from_millis(150),
-            idle_backoff: Duration::from_millis(1),
             connect_timeout: Duration::from_millis(500),
             ..DistConfig::default()
         }
@@ -504,6 +527,105 @@ mod tests {
         let link = Arc::new(WorkerLink::new(addr, epoch));
         assert!(link.checkout(&test_config()).is_none());
         assert_eq!(link.state(), LinkState::Probation);
+    }
+
+    /// The reply a scripted worker sends for one tile request: each pair
+    /// `(i, j)` evaluates to `10 i + j`.
+    fn scripted_reply(line: &str) -> String {
+        let request = Json::parse(line.trim()).unwrap();
+        let job = request.get("job").and_then(Json::as_usize).unwrap();
+        let values: Vec<String> = request
+            .get("pairs")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .map(|pair| {
+                let pair = pair.as_array().unwrap();
+                let (i, j) = (pair[0].as_usize().unwrap(), pair[1].as_usize().unwrap());
+                format!("{}.0", 10 * i + j)
+            })
+            .collect();
+        format!(
+            "{{\"ok\":true,\"job\":{job},\"values\":[{}]}}\n",
+            values.join(",")
+        )
+    }
+
+    /// An idle dispatcher wakes when a peer's tile passes its deadline:
+    /// the straggler is re-dispatched to the answering worker and the Gram
+    /// commits every tile long before the silent worker would have died.
+    #[test]
+    fn idle_dispatcher_redispatches_a_silent_straggler_at_its_deadline() {
+        let (holding, held) = std::sync::mpsc::channel::<()>();
+        let (silent_addr, silent) = scripted_worker(move |mut stream, mut reader| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            holding.send(()).unwrap();
+            // Silent past the deadline, answering well before a second
+            // deadline would count the worker hung.
+            std::thread::sleep(Duration::from_millis(250));
+            stream.write_all(scripted_reply(&line).as_bytes()).unwrap();
+        });
+        let (healthy_addr, healthy) = scripted_worker(move |mut stream, mut reader| {
+            // Answer nothing until the silent worker holds its tile.
+            held.recv().unwrap();
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 {
+                stream.write_all(scripted_reply(&line).as_bytes()).unwrap();
+                line.clear();
+            }
+        });
+        // One tile in flight per worker, so the silent one holds exactly
+        // one tile.
+        let config = DistConfig {
+            window: 1,
+            ..test_config()
+        };
+        let epoch = Arc::new(std::sync::atomic::AtomicUsize::new(1));
+        let links: Vec<Arc<WorkerLink>> = [&healthy_addr, &silent_addr]
+            .iter()
+            .map(|addr| Arc::new(WorkerLink::new(addr.to_string(), Arc::clone(&epoch))))
+            .collect();
+        let workers = links
+            .iter()
+            .map(|link| {
+                let conn = link.checkout(&config).expect("scripted worker reachable");
+                (Arc::clone(link), conn)
+            })
+            .collect();
+        let tiles: Vec<Vec<(usize, usize)>> = (0..6).map(|t| vec![(t, t), (t, t + 1)]).collect();
+        let kernel = Json::obj([("id", Json::Str("test".to_string()))]);
+        let run = TileRun {
+            dataset: "feedbeef",
+            kernel: &kernel,
+            tiles: &tiles,
+            keys: &[],
+            graphs: &[],
+            artifact: None,
+            epoch: 1,
+            config: &config,
+        };
+        let started = Instant::now();
+        let results = run_tiles(workers, &run);
+        let elapsed = started.elapsed();
+
+        for (tile, result) in tiles.iter().zip(&results) {
+            let expected: Vec<f64> = tile.iter().map(|&(i, j)| (10 * i + j) as f64).collect();
+            assert_eq!(result.as_ref(), Some(&expected));
+        }
+        assert!(
+            elapsed < 3 * config.deadline,
+            "the Gram took {elapsed:?} against a {:?} deadline",
+            config.deadline
+        );
+        assert!(
+            links[0].stats().tiles_redispatched >= 1,
+            "the answering worker took over the straggler: {:?}",
+            links[0].stats()
+        );
+        drop(links);
+        silent.join().unwrap();
+        healthy.join().unwrap();
     }
 
     /// A worker that answers tiles normally: the happy path commits every

@@ -41,29 +41,16 @@ pub fn all_pairs_shortest_paths(graph: &Graph) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The eccentricity of a vertex: the greatest finite distance from it, or 0
-/// for an isolated vertex with no reachable peers.
-pub fn eccentricity(graph: &Graph, vertex: usize) -> usize {
-    bfs_distances(graph, vertex)
-        .into_iter()
+/// The diameter restricted to reachable pairs (the greatest finite shortest
+/// path length in the graph). Returns 0 for edgeless graphs. The paper sets
+/// the largest expansion-subgraph layer `K` to the greatest diameter over
+/// the dataset.
+pub fn diameter(graph: &Graph) -> usize {
+    (0..graph.num_vertices())
+        .flat_map(|v| bfs_distances(graph, v))
         .filter(|&d| d != INFINITE_DISTANCE)
         .max()
         .unwrap_or(0)
-}
-
-/// The diameter restricted to reachable pairs (the greatest finite shortest
-/// path length in the graph). Returns 0 for edgeless graphs.
-pub fn diameter(graph: &Graph) -> usize {
-    (0..graph.num_vertices())
-        .map(|v| eccentricity(graph, v))
-        .max()
-        .unwrap_or(0)
-}
-
-/// The greatest finite shortest-path length over a whole set of graphs. The
-/// paper sets the largest expansion-subgraph layer `K` to this value.
-pub fn greatest_shortest_path_length(graphs: &[Graph]) -> usize {
-    graphs.iter().map(diameter).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -110,21 +97,12 @@ mod tests {
     }
 
     #[test]
-    fn eccentricity_and_diameter() {
+    fn diameter_keeps_the_greatest_finite_distance() {
         let g = path(5);
-        assert_eq!(eccentricity(&g, 0), 4);
-        assert_eq!(eccentricity(&g, 2), 2);
         assert_eq!(diameter(&g), 4);
         assert_eq!(diameter(&Graph::new(3)), 0);
         // Diameter ignores unreachable pairs but keeps the largest finite one.
         let disc = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
         assert_eq!(diameter(&disc), 2);
-    }
-
-    #[test]
-    fn greatest_over_dataset() {
-        let graphs = vec![path(3), path(6), path(2)];
-        assert_eq!(greatest_shortest_path_length(&graphs), 5);
-        assert_eq!(greatest_shortest_path_length(&[]), 0);
     }
 }

@@ -746,11 +746,17 @@ fn worker_addrs(request: &Json) -> Result<Vec<String>, String> {
 /// degraded (with a loud warning and a `workers_unreachable` count in the
 /// response) as long as *one* worker answers — only a fully dark pool is
 /// an error.
+///
+/// Every such fit installs a fresh coordinator, so the dist counters that
+/// `stats` reports restart with each `workers` fit. The replaced
+/// coordinator is dropped here; one `dist.connect` span covers the
+/// connect, the install and that drop.
 fn parse_workers(request: &Json) -> Result<Option<BackendKind>, String> {
     if request.get("workers").is_none() {
         return Ok(None);
     };
     let addrs = worker_addrs(request)?;
+    let _span = crate::obs::span("dist.connect");
     let coordinator = Coordinator::connect(&addrs, DistConfig::from_env())
         .map_err(|e| format!("cannot connect worker pool: {e}"))?;
     crate::dist::set_coordinator(Some(Arc::new(coordinator)));

@@ -18,13 +18,17 @@ use haqjsk::engine::BackendKind;
 use haqjsk::graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk::graph::Graph;
 use haqjsk::kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
-/// Serialises tests that install a process-wide coordinator.
-fn dist_lock() -> &'static Mutex<()> {
+/// Serialises tests that install a process-wide coordinator. A test that
+/// panicked while holding the lock poisons it; the next test recovers the
+/// guard, so one failure reports once.
+fn dist_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The 32-graph synthetic acceptance dataset (same construction as the
@@ -74,7 +78,7 @@ fn assert_bytes_equal(name: &str, distributed: &[f64], serial: &[f64]) {
 
 #[test]
 fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
@@ -123,16 +127,16 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
 
 #[test]
 fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
     haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
-    // Worker 0 serves two more tiles, then fails and hangs up — a
-    // deterministic mid-Gram death.
+    // Worker 0 fails its first tile and hangs up — a deterministic
+    // mid-Gram death, however many of the Gram's tiles it wins.
     coordinator
-        .inject_worker_fault(0, 2)
+        .inject_worker_fault(0, 0)
         .expect("arm fault injection");
 
     let kernel = QjskUnaligned { mu: 1.0 };
@@ -169,7 +173,7 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     );
 
     // The pool recovers for the next Gram: worker 0 reconnects (its
-    // fail_after counter is exhausted at 0, so it keeps failing — but
+    // fail_after counter stays at 0, so it keeps failing — but
     // worker 1 and the local fallback still complete the Gram).
     let again = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
     assert_bytes_equal(
@@ -184,9 +188,30 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     }
 }
 
+/// Replacing the installed coordinator drops the old one at once: its
+/// probation thread is unparked and joined, not left to finish a poll.
+#[test]
+fn replacing_the_coordinator_never_waits_out_a_probation_poll() {
+    let _guard = dist_lock();
+    let (mut servers, addrs) = spawn_workers(1);
+    let started = Instant::now();
+    for _ in 0..20 {
+        haqjsk::dist::set_coordinator(Some(connect(&addrs)));
+    }
+    haqjsk::dist::set_coordinator(None);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(250),
+        "20 connect-and-replace cycles took {elapsed:?}"
+    );
+    for server in &mut servers {
+        server.shutdown();
+    }
+}
+
 #[test]
 fn total_worker_loss_falls_back_to_local_execution() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
     let (mut servers, addrs) = spawn_workers(1);
     let coordinator = connect(&addrs);
@@ -223,7 +248,7 @@ fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
 
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     haqjsk::dist::set_coordinator(None);
     let (mut workers, addrs) = spawn_workers(2);
 
@@ -283,7 +308,7 @@ fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
 fn model_grams_distribute_via_artifacts_byte_identically() {
     use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(16).collect();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
@@ -340,7 +365,7 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
 
 #[test]
 fn workers_join_and_drain_on_a_running_coordinator() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
@@ -411,7 +436,7 @@ fn workers_join_and_drain_on_a_running_coordinator() {
 
 #[test]
 fn bounded_worker_stores_recover_evictions_through_reshipping() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     // Spawn the worker under a budget far below the dataset size: most
     // graphs are evicted whenever the store is idle, so tiles keep hitting
     // store misses that the scheduler must repair by re-shipping.
@@ -447,7 +472,7 @@ fn bounded_worker_stores_recover_evictions_through_reshipping() {
 
 #[test]
 fn distributed_kind_without_a_coordinator_executes_locally() {
-    let _guard = dist_lock().lock().unwrap();
+    let _guard = dist_lock();
     haqjsk::dist::set_coordinator(None);
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(8).collect();
     let kernel = QjskAligned { mu: 1.0 };

@@ -6,7 +6,8 @@
 //!   `serve_request` root span, at least one coordinator-side `dist_tile`
 //!   span, and at least one worker-side span merged back over the wire
 //!   (tagged with its worker's address in `src`), all observable in one
-//!   `GET /traces` drain. The same server's `GET /metrics` must survive
+//!   `GET /traces` drain. Its one `dist.connect` span sits directly under
+//!   the `serve_request` span. The same server's `GET /metrics` must survive
 //!   the strict exposition parser.
 //! * **Abuse battery.** The GET endpoint answers 404 on unknown paths,
 //!   serves pipelined requests in order, rejects an oversized request line
@@ -195,6 +196,27 @@ fn one_trace_links_serve_request_to_distributed_worker_spans() {
     assert!(
         named("dist_tile") >= 1,
         "trace {fit_trace} misses coordinator tile spans: {spans:?}"
+    );
+    // The worker-pool connect (with the install and the replaced
+    // coordinator's drop) is one span under the fit's request span.
+    let field = |span: &Json, key: &str| span.get(key).and_then(Json::as_str).map(str::to_string);
+    let connects: Vec<&Json> = spans
+        .iter()
+        .filter(|s| field(s, "name").as_deref() == Some("dist.connect"))
+        .collect();
+    assert_eq!(
+        connects.len(),
+        1,
+        "trace {fit_trace} holds one dist.connect span: {spans:?}"
+    );
+    let parent = field(connects[0], "parent").expect("dist.connect has a parent span");
+    let request_span = spans
+        .iter()
+        .find(|s| field(s, "span").as_deref() == Some(parent.as_str()))
+        .expect("dist.connect's parent is in the fit's trace");
+    assert_eq!(
+        field(request_span, "name").as_deref(),
+        Some("serve_request")
     );
     let merged_worker_spans = spans
         .iter()
