@@ -30,10 +30,13 @@
 //! operations, same order, same `f64` semantics (no fast-math, no fusion) —
 //! the per-matrix eigenvalues are **bit-identical** to
 //! [`symmetric_eigenvalues`](crate::symmetric_eigenvalues); the property
-//! tests assert this across mixed batch shapes. The payoff is in the
-//! `O(n³)` Householder phase, whose hot loops vectorize across lanes; the
-//! QL sweep is `O(n²)` and dominated by per-lane `pythag` calls, so it
-//! mostly benefits from the amortised bookkeeping.
+//! tests assert this across mixed batch shapes. Both phases vectorize
+//! across lanes. At the kernel's small dimensions the `O(n²)` QL sweep,
+//! not the `O(n³)` Householder phase, is the larger cost: each rotation
+//! step is a chain of divides and square roots, and each pass starts with
+//! a split search and a shift. So the sweep takes those decisions with
+//! lane masks, and a full chunk runs as one block of two vectors per step
+//! (see `docs/perf.md`, "SIMD dispatch", for the per-matrix figures).
 //!
 //! This is the CPU half of the roadmap's batched-eigendecomposition
 //! backend: a GPU backend replaces the lane kernels with device kernels
@@ -356,6 +359,43 @@ mod tests {
         m
     }
 
+    /// A rank-deficient, trace-1 PSD matrix shaped like the kernel's
+    /// mixtures: `Σ_k w_k v_k v_kᵀ` over `rank` random vectors supported
+    /// on every row but those `≡ skip (mod 3)`, which stay exactly zero.
+    fn psd_state(n: usize, rank: usize, skip: usize, seed: u64) -> Matrix {
+        let v = lcg_symmetric(n.max(rank), seed);
+        let mut m = Matrix::zeros(n, n);
+        for k in 0..rank {
+            let w = 1.0 + k as f64;
+            for i in (0..n).filter(|i| i % 3 != skip) {
+                for j in (0..n).filter(|j| j % 3 != skip) {
+                    m[(i, j)] += w * v[(k, i)] * v[(k, j)];
+                }
+            }
+        }
+        m.scale(1.0 / m.trace())
+    }
+
+    /// `count` matrices of one dimension, as the kernel solves them: dense
+    /// lanes, rank-deficient trace-1 PSD lanes with zero rows, and diagonal
+    /// lanes whose QL sweep never rotates.
+    fn full_chunk_class(n: usize, count: usize, seed: u64) -> Vec<Matrix> {
+        (0..count)
+            .map(|k| {
+                let seed = seed + k as u64;
+                match k % 4 {
+                    0 => lcg_symmetric(n, seed),
+                    1 | 2 => psd_state(n, 1 + k % (n / 2).max(1), k % 3, seed),
+                    _ => Matrix::from_diag(
+                        &(0..n)
+                            .map(|i| ((i * 7 + k) % 5) as f64 / 8.0)
+                            .collect::<Vec<_>>(),
+                    ),
+                }
+            })
+            .collect()
+    }
+
     fn assert_bits_equal(batch: &[Vec<f64>], mats: &[&Matrix], label: &str) {
         for (k, mat) in mats.iter().enumerate() {
             let scalar = symmetric_eigenvalues(mat).unwrap();
@@ -484,7 +524,9 @@ mod tests {
     fn every_available_simd_path_is_bit_identical() {
         // Forces each compiled path in turn and re-runs the bit-equality
         // gauntlet: mixed dimensions, zero rows (masked Householder),
-        // oversized batches (straggler tails inside the dispatch blocks).
+        // oversized batches (straggler tails inside the dispatch blocks),
+        // and classes that fill whole chunks on every path (paired blocks),
+        // one of them with a part chunk left (single block plus tail).
         let _lock = crate::simd::override_test_lock();
         let mut mats: Vec<Matrix> = (0..crate::simd::max_batch_lanes() * 2 + 3)
             .map(|k| lcg_symmetric([3, 6, 9, 17][k % 4], k as u64 + 900))
@@ -495,6 +537,9 @@ mod tests {
             sparse[(k, 4)] = 0.0;
         }
         mats.push(sparse);
+        mats.extend(full_chunk_class(12, 2 * MAX_BATCH_LANES + 3, 950));
+        mats.extend(full_chunk_class(16, MAX_BATCH_LANES + 13, 990));
+        mats.extend(full_chunk_class(4, MAX_BATCH_LANES, 1030));
         let refs: Vec<&Matrix> = mats.iter().collect();
         for path in crate::simd::available_simd_paths() {
             crate::simd::set_simd_path(Some(path)).unwrap();
@@ -507,6 +552,40 @@ mod tests {
                 "{}: per-path counter must record the dispatch",
                 path.label()
             );
+        }
+        crate::simd::set_simd_path(None).unwrap();
+    }
+
+    #[test]
+    fn a_bad_lane_fails_the_call_on_every_path() {
+        // One NaN or infinite entry in one lane of a full-width chunk: that
+        // lane's QL sweep never splits, so the call must end in
+        // `NoConvergence` on every path (and in the scalar driver), without
+        // a panic or a hang, wherever the lane sits in the chunk.
+        let _lock = crate::simd::override_test_lock();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = psd_state(6, 3, 1, 77);
+            poisoned[(0, 2)] = bad;
+            poisoned[(2, 0)] = bad;
+            assert!(matches!(
+                symmetric_eigenvalues(&poisoned),
+                Err(crate::LinalgError::NoConvergence { .. })
+            ));
+            for path in crate::simd::available_simd_paths() {
+                crate::simd::set_simd_path(Some(path)).unwrap();
+                let lanes = path.batch_lanes();
+                for at in [0, lanes / 2 + 1, lanes - 1] {
+                    let mut mats = full_chunk_class(6, lanes, 60);
+                    mats[at] = poisoned.clone();
+                    let refs: Vec<&Matrix> = mats.iter().collect();
+                    let result = batch_symmetric_eigenvalues(&refs);
+                    assert!(
+                        matches!(result, Err(crate::LinalgError::NoConvergence { .. })),
+                        "{}: {bad} in lane {at} gave {result:?}",
+                        path.label()
+                    );
+                }
+            }
         }
         crate::simd::set_simd_path(None).unwrap();
     }

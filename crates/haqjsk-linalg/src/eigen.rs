@@ -119,6 +119,16 @@ pub(crate) fn ql_negligible(e_m: f64, d_m: f64, d_m1: f64) -> bool {
     e <= f64::EPSILON * dd || e < f64::MIN_POSITIVE
 }
 
+/// The implicit shift that starts a QL pass at row `l` with split point
+/// `m`, shared by the scalar and batched sweeps: Wilkinson's shift folded
+/// into the first rotation's `g = d[m] - d[l] + e[l] / (g + ±r)`.
+#[inline(always)]
+pub(crate) fn ql_shift(d_l: f64, d_l1: f64, e_l: f64, d_m: f64) -> f64 {
+    let g = (d_l1 - d_l) / (2.0 * e_l);
+    let r = pythag(g, 1.0);
+    d_m - d_l + e_l / (g + if g >= 0.0 { r.abs() } else { -r.abs() })
+}
+
 /// `sqrt(a² + b²)` without destructive overflow — the classic `pythag`
 /// scaling. Used by every QL sweep (scalar and batched) instead of the libm
 /// `hypot` call: it inlines to a handful of arithmetic ops (and therefore
@@ -277,9 +287,9 @@ fn tqli(d: &mut [f64], e: &mut [f64], n: usize, mut z: Option<&mut [f64]>) -> Re
                     iterations: MAX_QL_ITERATIONS,
                 });
             }
-            let mut g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-            let mut r = pythag(g, 1.0);
-            g = d[m] - d[l] + e[l] / (g + if g >= 0.0 { r.abs() } else { -r.abs() });
+            let mut g = ql_shift(d[l], d[l + 1], e[l], d[m]);
+            // The loop below runs at least once (m > l) and sets r.
+            let mut r = 0.0;
             let mut s = 1.0;
             let mut c = 1.0;
             let mut p = 0.0;

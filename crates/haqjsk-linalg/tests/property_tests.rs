@@ -2,7 +2,7 @@
 
 use haqjsk_linalg::{
     available_simd_paths, batch_symmetric_eigenvalues, hungarian, set_simd_path, symmetric_eigen,
-    symmetric_eigenvalues, BatchEigenWorkspace, EigenWorkspace, Matrix,
+    symmetric_eigenvalues, BatchEigenWorkspace, EigenWorkspace, Matrix, MAX_BATCH_LANES,
 };
 use proptest::prelude::*;
 
@@ -44,6 +44,63 @@ fn symmetric_matrix(max_n: usize) -> impl Strategy<Value = Matrix> {
             raw.symmetrize().unwrap()
         })
     })
+}
+
+/// One lane of a full chunk, shaped like the kernel's mixtures: a
+/// diagonal matrix (its QL sweep never rotates), a dense one, or a
+/// rank-deficient trace-1 PSD matrix `Σ_r w_r v_r v_rᵀ / trace` on a random
+/// support, whose rows off the support stay exactly zero.
+fn full_chunk_lane(n: usize, k: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_add(k as u64);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+    };
+    match seed
+        .wrapping_add(k as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        >> 62
+    {
+        0 => Matrix::from_diag(
+            &(0..n)
+                .map(|_| (4.0 * next()).round() / 8.0)
+                .collect::<Vec<_>>(),
+        ),
+        1 => {
+            let mut m = Matrix::zeros(n, n);
+            for i in 0..n {
+                for j in i..n {
+                    let v = next();
+                    m[(i, j)] = v;
+                    m[(j, i)] = v;
+                }
+            }
+            m
+        }
+        _ => {
+            let support: Vec<bool> = (0..n).map(|_| next() > -0.4).collect();
+            let mut m = Matrix::zeros(n, n);
+            for r in 0..1 + k % n {
+                let v: Vec<f64> = (0..n)
+                    .map(|i| if support[i] { next() } else { 0.0 })
+                    .collect();
+                let w = 1.0 + r as f64;
+                for i in 0..n {
+                    for j in 0..n {
+                        m[(i, j)] += w * v[i] * v[j];
+                    }
+                }
+            }
+            let trace = m.trace();
+            if trace > 0.0 {
+                m.scale(1.0 / trace)
+            } else {
+                m
+            }
+        }
+    }
 }
 
 proptest! {
@@ -157,13 +214,18 @@ proptest! {
 
     /// Every compiled SIMD path produces eigenvalues bit-identical to the
     /// scalar values-only driver, across mixed batch sizes, mixed dimension
-    /// classes and straggler chunks narrower than the vector width. The
-    /// scalar reference is computed first (path-independent), then each
-    /// available ISA is forced via the process-global override and compared
-    /// bit for bit.
+    /// classes and straggler chunks narrower than the vector width. One
+    /// more class of `MAX_BATCH_LANES` to `2·MAX_BATCH_LANES + 3` lanes
+    /// shaped like the kernel's mixtures ([`full_chunk_lane`]) fills whole
+    /// chunks on every path (paired blocks) and mostly leaves a part chunk
+    /// (single blocks and tails). The scalar reference is computed first
+    /// (path-independent), then each available ISA is forced via the
+    /// process-global override and compared bit for bit.
     #[test]
     fn forced_simd_paths_bit_equal_scalar(
         dims in proptest::collection::vec(1usize..11, 1..40),
+        full_dim in 2usize..17,
+        full in MAX_BATCH_LANES..(2 * MAX_BATCH_LANES + 4),
         seed in 0u64..u64::MAX,
     ) {
         let mats: Vec<Matrix> = dims
@@ -197,6 +259,7 @@ proptest! {
                 }
                 m
             })
+            .chain((0..full).map(|k| full_chunk_lane(full_dim, k, seed)))
             .collect();
         let refs: Vec<&Matrix> = mats.iter().collect();
         let scalar: Vec<Vec<u64>> = mats
