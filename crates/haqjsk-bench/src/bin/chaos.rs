@@ -1,13 +1,15 @@
 //! Deterministic chaos soak of the self-healing distributed backend.
 //!
 //! Spawns **real** `haqjsk-worker` processes with a seeded
-//! [`ChaosPlan`] in their environment, then drives
-//! hundreds of Gram computations through a coordinator while the workers
-//! inject connection kills, mid-stream hangups, bounded delays and
-//! transient `store_miss` replies — all drawn from a fixed seed, so a
-//! failing run replays bit-for-bit. Mid-soak the harness **joins** a third
-//! worker to the running coordinator and later **drains** one of the
-//! originals, exercising elastic membership under fire.
+//! [`ChaosPlan`] in their environment, then drives hundreds of HAQJSK(A)
+//! and HAQJSK(D) model Grams (one model per variant, fitted once at
+//! [`HaqjskConfig::small`], the variants alternating Gram by Gram) through
+//! a coordinator while the workers inject connection kills, mid-stream
+//! hangups, bounded delays and transient `store_miss` replies (each evicts
+//! a stored graph and the tile's model) — all drawn from a fixed seed, so
+//! a failing run replays bit-for-bit. Mid-soak the harness **joins** a
+//! third worker to the running coordinator and later **drains** one of
+//! the originals, exercising elastic membership under fire.
 //!
 //! Every Gram is byte-compared against the serial backend, and the run
 //! ends by asserting the self-healing invariants from the metrics
@@ -16,7 +18,11 @@
 //! * zero lost tiles — `tiles_scheduled == tiles_committed + local_fallback_tiles`,
 //! * at least one reconnect-after-probation and one observed death,
 //! * at least one `store_miss` repaired by targeted re-shipping,
-//! * the joiner completed tiles, and the membership epoch moved.
+//! * at least one model artifact re-shipped after a worker lost it: more
+//!   artifact ships than first copies (one per model per worker),
+//! * the joiner completed tiles, and the membership epoch moved,
+//! * with `HAQJSK_CACHE_BUDGET` set (the workers inherit it), at least one
+//!   aligned-transform cache eviction on the workers.
 //!
 //! ```text
 //! cargo build --release            # builds the haqjsk-worker binary too
@@ -30,12 +36,13 @@
 //! byte-budgets the worker graph stores so evictions and re-shipping join
 //! the chaos mix). Exits non-zero on any divergence or failed invariant.
 
+use haqjsk_core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk_dist::{ChaosPlan, Coordinator, DistConfig, CHAOS_ENV_VAR};
-use haqjsk_engine::BackendKind;
+use haqjsk_engine::{BackendKind, CacheConfig, Json};
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk_graph::Graph;
-use haqjsk_kernels::{GraphKernel, QjskUnaligned};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -166,6 +173,20 @@ fn worker_plan(base: &ChaosPlan, index: u64) -> ChaosPlan {
     }
 }
 
+/// One worker's `stats` reply, read over a fresh connection (control
+/// traffic, so chaos never fires on it).
+fn worker_stats(addr: &str) -> Json {
+    let mut stream = TcpStream::connect(addr).expect("connect for worker stats");
+    stream
+        .write_all(b"{\"cmd\":\"stats\"}\n")
+        .expect("send stats request");
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("read worker stats");
+    Json::parse(line.trim()).expect("worker stats parse")
+}
+
 fn assert_bytes_equal(gram: usize, distributed: &[f64], serial: &[f64]) {
     assert_eq!(distributed.len(), serial.len());
     for (k, (a, b)) in distributed.iter().zip(serial).enumerate() {
@@ -204,17 +225,34 @@ fn main() {
     haqjsk_dist::set_coordinator(Some(Arc::clone(&coordinator)));
     haqjsk_dist::register_dist_metrics();
 
-    // Serial references once per dataset; every soak Gram byte-compares.
-    let kernel = QjskUnaligned { mu: 1.0 };
+    // One model per variant, fitted once on the first dataset; serial
+    // references once per (model, dataset), and every soak Gram
+    // byte-compares.
     let datasets = datasets();
-    let references: Vec<Vec<f64>> = datasets
+    let models: Vec<HaqjskModel> = [
+        HaqjskVariant::AlignedAdjacency,
+        HaqjskVariant::AlignedDensity,
+    ]
+    .into_iter()
+    .map(|variant| {
+        HaqjskModel::fit(&datasets[0], HaqjskConfig::small(), variant).expect("fit soak model")
+    })
+    .collect();
+    let gram = |model: &HaqjskModel, graphs: &[Graph], backend| {
+        model
+            .gram_matrix_on(graphs, Some(backend))
+            .expect("model gram")
+            .matrix()
+            .data()
+            .to_vec()
+    };
+    let references: Vec<Vec<Vec<f64>>> = models
         .iter()
-        .map(|graphs| {
-            kernel
-                .gram_matrix_on(graphs, Some(BackendKind::Serial))
-                .matrix()
-                .data()
-                .to_vec()
+        .map(|model| {
+            datasets
+                .iter()
+                .map(|graphs| gram(model, graphs, BackendKind::Serial))
+                .collect()
         })
         .collect();
 
@@ -249,18 +287,21 @@ fn main() {
                 coordinator.epoch()
             );
         }
-        let which = g % datasets.len();
-        let distributed = kernel.gram_matrix_on(&datasets[which], Some(BackendKind::Distributed));
-        assert_bytes_equal(g, distributed.matrix().data(), &references[which]);
+        // Variants alternate Gram by Gram; each pair of Grams moves to
+        // the next dataset, so every (variant, dataset) pair recurs.
+        let (model, which) = (g % models.len(), (g / models.len()) % datasets.len());
+        let distributed = gram(&models[model], &datasets[which], BackendKind::Distributed);
+        assert_bytes_equal(g, &distributed, &references[model][which]);
         if (g + 1) % 25 == 0 {
             let stats = coordinator.stats();
             println!(
                 "gram {:>4}/{grams}: epoch {}, {} reconnects, {} store misses, \
-                 {} fallback tiles, {:.1}s",
+                 {} artifacts shipped, {} fallback tiles, {:.1}s",
                 g + 1,
                 stats.epoch,
                 stats.reconnects(),
                 stats.store_misses(),
+                stats.artifacts_shipped,
                 stats.local_fallback_tiles,
                 started.elapsed().as_secs_f64()
             );
@@ -302,11 +343,30 @@ fn main() {
     let epoch = snapshot
         .gauge_value("haqjsk_dist_membership_epoch", &[])
         .unwrap_or(0.0) as usize;
+    let keys_shipped = counter("haqjsk_dist_dataset_keys_shipped_total");
+    let artifacts = counter("haqjsk_dist_artifacts_shipped_total");
+    // A worker holds each model from its first copy on until a store miss
+    // evicts it, so every ship past one per (worker, model) re-shipped a
+    // lost artifact.
+    let first_copies = (workers.len() * models.len()) as u64;
+    let artifact_reships = artifacts.saturating_sub(first_copies);
+    let aligned_evictions: usize = workers
+        .iter()
+        .map(|w| {
+            worker_stats(&w.addr)
+                .get("aligned_cache_evictions")
+                .and_then(Json::as_usize)
+                .expect("worker stats report aligned cache evictions")
+        })
+        .sum();
 
     println!(
         "soak done in {:.1}s: {scheduled} tiles scheduled, {committed} committed, \
          {fallback} local fallback, {deaths} deaths, {reconnects} reconnects, \
-         {misses} store misses, joiner completed {joiner_tiles}, epoch {epoch}",
+         {misses} store misses, {keys_shipped} dataset keys shipped, \
+         {artifacts} artifacts shipped ({artifact_reships} re-ships), \
+         {aligned_evictions} worker aligned-cache evictions, \
+         joiner completed {joiner_tiles}, epoch {epoch}",
         started.elapsed().as_secs_f64()
     );
 
@@ -324,6 +384,17 @@ fn main() {
         misses >= 1,
         "no store_miss was injected/repaired — the re-ship path went unexercised"
     );
+    assert!(
+        artifact_reships >= 1,
+        "{artifacts} artifact ships for {first_copies} first copies — no lost \
+         model was re-shipped through the repair path"
+    );
+    if CacheConfig::from_env().budget_bytes.is_some() {
+        assert!(
+            aligned_evictions >= 1,
+            "the workers' aligned caches never evicted under the budget"
+        );
+    }
     assert!(
         joiner_tiles >= 1,
         "the mid-soak joiner never completed a tile"

@@ -227,11 +227,12 @@ fn spawn_bench_worker(threads: usize) -> Option<BenchWorker> {
     addr.contains(':').then_some(BenchWorker { child, addr })
 }
 
-/// Distributed vs single-process execution on a 64-graph warm Gram: two
-/// worker processes whose thread counts sum to the driver's `Local`
-/// thread count (same total compute threads; the coordinator threads only
-/// do IO), plus the distributed-pool counters the ROADMAP asks the bench
-/// to surface.
+/// Distributed vs single-process execution of a 64-graph HAQJSK(A) model
+/// Gram over already-transformed graphs (the workers transform their own
+/// copies, cold on the first Gram): two worker processes whose thread
+/// counts sum to the driver's `Local` thread count (same total compute
+/// threads; the coordinator threads only do IO), plus the
+/// distributed-pool counters the ROADMAP asks the bench to surface.
 fn distributed_section() -> Vec<Json> {
     use haqjsk_dist::{Coordinator, DistConfig, WorkerOptions, WorkerServer};
 
@@ -241,7 +242,13 @@ fn distributed_section() -> Vec<Json> {
     let graphs: Vec<Graph> = (0..n_graphs)
         .map(|i| erdos_renyi(34 + i % 8, 0.3, 4000 + i as u64))
         .collect();
-    let kernel = QjskUnaligned::default();
+    let model = HaqjskModel::fit(
+        &graphs,
+        HaqjskConfig::small(),
+        HaqjskVariant::AlignedAdjacency,
+    )
+    .expect("fit succeeds");
+    let aligned = model.transform_all(&graphs).expect("transform succeeds");
     let threads = Engine::global().threads();
     let per_worker = threads.div_ceil(2).max(1);
     let mut rows = Vec::new();
@@ -251,25 +258,23 @@ fn distributed_section() -> Vec<Json> {
     );
     println!("{:>10} {:>10} {:>10}", "backend", "cold s", "warm s");
 
+    let gram_seconds = |backend: BackendKind| {
+        let start = Instant::now();
+        model
+            .gram_over_transforms(&graphs, &aligned, Some(backend))
+            .expect("gram succeeds");
+        start.elapsed().as_secs_f64()
+    };
     let timed = |backend: BackendKind| {
-        let cold = {
-            let start = Instant::now();
-            let _ = kernel.gram_matrix_on(&graphs, Some(backend));
-            start.elapsed().as_secs_f64()
-        };
-        // Warm: everything cacheable is resident (local feature caches,
-        // worker stores and caches); min over repeats for guard stability.
+        let cold = gram_seconds(backend);
+        // Warm: everything cacheable is resident (worker stores, models
+        // and transform caches); min over repeats for guard stability.
         let warm = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let _ = kernel.gram_matrix_on(&graphs, Some(backend));
-                start.elapsed().as_secs_f64()
-            })
+            .map(|_| gram_seconds(backend))
             .fold(f64::INFINITY, f64::min);
         (cold, warm)
     };
 
-    haqjsk_kernels::features::clear_density_cache();
     let (local_cold, local_warm) = timed(BackendKind::Local);
     println!("{:>10} {:>10.3} {:>10.3}", "local", local_cold, local_warm);
     rows.push(Json::obj([

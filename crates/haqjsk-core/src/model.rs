@@ -255,18 +255,18 @@ impl HaqjskModel {
     /// the model's prototypes: a cache must therefore only ever be used
     /// with the one model it was created for (the serving layer creates a
     /// fresh cache whenever a model is fitted or loaded).
-    pub fn transform_all_cached(
+    pub fn transform_all_cached<G: Borrow<Graph> + Sync>(
         &self,
-        graphs: &[Graph],
+        graphs: &[G],
         cache: &FeatureCache<AlignedGraph>,
     ) -> CachedTransforms {
-        Self::transforms_through_cache(graphs, cache, |g| self.transform(&graphs[g]))
+        Self::transforms_through_cache(graphs, cache, |g| self.transform(graphs[g].borrow()))
     }
 
     /// The transforms of `graphs` through `cache`, where `transform(g)`
     /// computes graph `g`'s: once per distinct key, inserted once.
-    fn transforms_through_cache(
-        graphs: &[Graph],
+    fn transforms_through_cache<G: Borrow<Graph>>(
+        graphs: &[G],
         cache: &FeatureCache<AlignedGraph>,
         transform: impl Fn(usize) -> Result<AlignedGraph, LinalgError> + Sync,
     ) -> CachedTransforms {
@@ -275,7 +275,7 @@ impl HaqjskModel {
         // Deduplicate by structural key first, so a batch containing the
         // same graph several times computes its transform once: only the
         // first occurrence of each key joins the parallel compute phase.
-        let keys: Vec<_> = graphs.iter().map(graph_key).collect();
+        let keys: Vec<_> = graphs.iter().map(|g| graph_key(g.borrow())).collect();
         let mut first_occurrence: HashMap<_, usize> = HashMap::new();
         let distinct: Vec<usize> = (0..graphs.len())
             .filter(|&i| first_occurrence.insert(keys[i], i).is_none())
@@ -418,10 +418,10 @@ impl HaqjskModel {
     /// Gram matrix of `graphs` from their transforms `aligned` (one per
     /// graph, in order) on an explicit execution backend; every HAQJSK Gram
     /// runs through here, timed into `haqjsk_kernel_gram_seconds`. On the
-    /// distributed backend it attaches a [`RemoteGram`] spec (kernel id
-    /// [`HaqjskModel::REMOTE_KERNEL_ID`], the persisted model as a
-    /// content-addressed artifact, and `graphs`), so fitted-model Grams fan
-    /// out to workers like the closed-form kernels; local backends ignore it.
+    /// distributed backend it attaches a [`RemoteGram`] spec (the persisted
+    /// model as a content-addressed artifact, and `graphs`), so
+    /// fitted-model Grams fan out to workers, where a tile names the kernel
+    /// by [`HaqjskModel::REMOTE_KERNEL_ID`]; local backends ignore it.
     pub fn gram_over_transforms<A: Borrow<AlignedGraph> + Sync>(
         &self,
         graphs: &[Graph],
@@ -440,13 +440,11 @@ impl HaqjskModel {
         let payload = (effective == BackendKind::Distributed)
             .then(|| crate::persistence::model_to_string(self));
         let spec = payload.as_deref().map(|text| RemoteGram {
-            kernel_id: Self::REMOTE_KERNEL_ID,
-            params: Vec::new(),
             graphs,
-            artifact: Some(RemoteArtifact {
+            artifact: RemoteArtifact {
                 id: crate::persistence::model_artifact_id(text),
                 payload: text,
-            }),
+            },
         });
         let failure = OnceLock::new();
         let gram = gram_from_tiles(

@@ -39,8 +39,9 @@ pub struct ChaosPlan {
     pub delay_permille: u32,
     /// Upper bound (milliseconds) of the injected delay.
     pub delay_max_ms: u32,
-    /// Permille chance the worker forgets one stored dataset graph and
-    /// answers `store_miss`, forcing a targeted re-ship.
+    /// Permille chance the worker forgets one stored dataset graph and the
+    /// tile's model entry and answers `store_miss`, forcing a targeted
+    /// re-ship of both.
     pub miss_permille: u32,
 }
 
@@ -172,7 +173,8 @@ pub enum ChaosFault {
     Hangup,
     /// Sleep this long before evaluating.
     Delay(std::time::Duration),
-    /// Evict one stored graph and answer `store_miss`.
+    /// Evict one stored graph and the tile's model, and answer
+    /// `store_miss`.
     StoreMiss,
 }
 

@@ -1,24 +1,23 @@
 //! The coordinator: the remote-tiles hook's fan-out over worker processes.
 //!
 //! A [`Coordinator`] owns one [`WorkerLink`] per member worker and executes
-//! Gram computations that carry a serialisable [`RemoteGram`] spec by (1)
-//! shipping the dataset — and, for fitted-model kernels, the persisted
-//! model artifact — to every reachable worker (content-hash-deduplicated —
-//! re-fits with overlapping datasets only ship new graphs), (2) running the
-//! tile list through the private `scheduler` module with an
-//! outstanding-tile window per worker and deadline-based straggler
-//! re-dispatch, and (3) evaluating any tiles no worker returned with the
-//! kernel's local tile evaluator. The resulting matrix is
-//! **byte-identical** to the serial backend regardless of which worker
-//! computed which tile, because tile values are deterministic functions of
-//! (kernel, dataset, pair) and `f64`s round-trip bit-exactly through the
-//! JSON wire format.
+//! fitted-model Gram computations — the ones that carry a [`RemoteGram`]
+//! spec — by (1) shipping the dataset and the persisted model artifact to
+//! every reachable worker (content-hash-deduplicated — re-fits with
+//! overlapping datasets only ship new graphs), (2) running the tile list
+//! through the private `scheduler` module with an outstanding-tile window
+//! per worker and deadline-based straggler re-dispatch, and (3) evaluating
+//! any tiles no worker returned with the model's local tile evaluator. The
+//! resulting matrix is **byte-identical** to the serial backend regardless
+//! of which worker computed which tile, because tile values are
+//! deterministic functions of (model, dataset, pair) and `f64`s round-trip
+//! bit-exactly through the JSON wire format.
 //!
-//! Gram computations *without* a spec never reach the coordinator, and the
-//! ones it declines (kernels the wire format cannot express, no reachable
-//! worker) run on the engine's local tile scheduler — selecting the
-//! distributed backend never makes a computation fail or change value,
-//! only (where possible) relocates it.
+//! Gram computations *without* a spec (the closed-form baselines, per-pair
+//! kernels, extensions) never reach the coordinator, and the ones it
+//! declines (no reachable worker) run on the engine's local tile scheduler
+//! — selecting the distributed backend never makes a computation fail or
+//! change value, only (where possible) relocates it.
 //!
 //! ## Elastic membership
 //!
@@ -37,7 +36,7 @@ use crate::dataset::{dataset_id, dataset_keys, SHIP_CHUNK};
 use crate::fault::{Conn, LinkState, WorkerLink, WorkerStatsSnapshot};
 use crate::scheduler::{self, TileRun};
 use crate::wire::{self, KernelSpec};
-use haqjsk_engine::{gram, Json, RemoteGram, TileEvaluator, WorkerPool};
+use haqjsk_engine::{gram, GraphKey, Json, RemoteGram, TileEvaluator, WorkerPool};
 use haqjsk_graph::Graph;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -147,12 +146,14 @@ pub struct DistStats {
     /// failures (`tiles_scheduled == tiles_committed +
     /// local_fallback_tiles` — the zero-lost-tiles invariant).
     pub local_fallback_tiles: usize,
-    /// Graph keys announced across all dataset shipping rounds.
+    /// Graph keys announced across all dataset shipping rounds (a Gram's
+    /// first round per worker and every store-miss repair).
     pub dataset_keys_total: usize,
     /// Graph keys whose graphs actually had to be shipped (the rest were
     /// dedup hits already resident on the worker).
     pub dataset_keys_shipped: usize,
-    /// Model artifacts that actually travelled to a worker (dedup misses).
+    /// Model artifacts that actually travelled to a worker (dedup misses),
+    /// in a Gram's first round or a store-miss repair.
     pub artifacts_shipped: usize,
 }
 
@@ -188,9 +189,7 @@ pub struct Coordinator {
     tiles_scheduled: AtomicUsize,
     tiles_committed: AtomicUsize,
     local_fallback_tiles: AtomicUsize,
-    dataset_keys_total: AtomicUsize,
-    dataset_keys_shipped: AtomicUsize,
-    artifacts_shipped: AtomicUsize,
+    ships: ShipCounters,
     probation_shutdown: Arc<AtomicBool>,
     probation_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -271,9 +270,7 @@ impl Coordinator {
             tiles_scheduled: AtomicUsize::new(0),
             tiles_committed: AtomicUsize::new(0),
             local_fallback_tiles: AtomicUsize::new(0),
-            dataset_keys_total: AtomicUsize::new(0),
-            dataset_keys_shipped: AtomicUsize::new(0),
-            artifacts_shipped: AtomicUsize::new(0),
+            ships: ShipCounters::default(),
             probation_shutdown: Arc::new(AtomicBool::new(false)),
             probation_thread: Mutex::new(None),
         };
@@ -389,9 +386,9 @@ impl Coordinator {
             tiles_scheduled: self.tiles_scheduled.load(Ordering::Relaxed),
             tiles_committed: self.tiles_committed.load(Ordering::Relaxed),
             local_fallback_tiles: self.local_fallback_tiles.load(Ordering::Relaxed),
-            dataset_keys_total: self.dataset_keys_total.load(Ordering::Relaxed),
-            dataset_keys_shipped: self.dataset_keys_shipped.load(Ordering::Relaxed),
-            artifacts_shipped: self.artifacts_shipped.load(Ordering::Relaxed),
+            dataset_keys_total: self.ships.dataset_keys_total.load(Ordering::Relaxed),
+            dataset_keys_shipped: self.ships.dataset_keys_shipped.load(Ordering::Relaxed),
+            artifacts_shipped: self.ships.artifacts_shipped.load(Ordering::Relaxed),
         }
     }
 
@@ -428,59 +425,56 @@ impl Coordinator {
         spec: &RemoteGram<'_>,
     ) -> Option<Matrix> {
         self.grams.fetch_add(1, Ordering::Relaxed);
-        // Anything the wire format cannot express executes locally.
-        let Some(kernel) = KernelSpec::from_remote(spec) else {
-            return self.decline();
-        };
         if spec.graphs.len() != n || n == 0 {
             return self.decline();
         }
-        let artifact = spec
-            .artifact
-            .as_ref()
-            .map(|artifact| (artifact.id.as_str(), artifact.payload));
 
-        // Dataset (and artifact) shipping to every currently reachable
+        // The exact tile grid of the local scheduler.
+        let tile = tile.max(1);
+        let grid = gram::tile_grid(n, 0, tile);
+        let mut tiles: Vec<Vec<(usize, usize)>> = Vec::with_capacity(grid.len());
+        let mut pairs = Vec::new();
+        for &t in &grid {
+            gram::tile_pairs(n, 0, tile, t, &mut pairs);
+            tiles.push(pairs.clone());
+        }
+        let keys = dataset_keys(spec.graphs);
+        let id = dataset_id(&keys);
+        let kernel = KernelSpec {
+            artifact: spec.artifact.id.clone(),
+        }
+        .to_json();
+        let mut run = TileRun {
+            dataset: &id,
+            kernel: &kernel,
+            tiles: &tiles,
+            keys: &keys,
+            graphs: spec.graphs,
+            artifact: (&spec.artifact.id, spec.artifact.payload),
+            epoch: self.epoch(),
+            config: &self.config,
+            ships: &self.ships,
+        };
+
+        // Dataset and artifact shipping to every currently reachable
         // member — one scoped thread per link, so connect timeouts and
         // shipping round trips overlap instead of stacking up serially
         // before the first tile can go out. A worker that joined since the
         // last Gram receives everything here, before taking tiles.
         let members = self.members();
-        let keys = dataset_keys(spec.graphs);
-        let id = dataset_id(&keys);
         let ready: Mutex<Vec<(Arc<WorkerLink>, Conn)>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for link in &members {
-                let (keys, id, ready) = (&keys, &id, &ready);
+                let (run, ready) = (&run, &ready);
                 scope.spawn(move || {
                     let Some(mut conn) = link.checkout(&self.config) else {
                         return;
                     };
-                    match ship_dataset(link, &mut conn, id, keys, spec.graphs, &self.config) {
-                        Ok(shipped) => {
-                            self.dataset_keys_total
-                                .fetch_add(keys.len(), Ordering::Relaxed);
-                            self.dataset_keys_shipped
-                                .fetch_add(shipped, Ordering::Relaxed);
-                            link.datasets_shipped.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            link.mark_dead();
-                            return;
-                        }
+                    if self.ships.ship(link, &mut conn, run, true).is_err() {
+                        link.mark_dead();
+                        return;
                     }
-                    if let Some((artifact_id, payload)) = artifact {
-                        match ship_artifact(link, &mut conn, artifact_id, payload, &self.config) {
-                            Ok(true) => {
-                                self.artifacts_shipped.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Ok(false) => {}
-                            Err(_) => {
-                                link.mark_dead();
-                                return;
-                            }
-                        }
-                    }
+                    link.datasets_shipped.fetch_add(1, Ordering::Relaxed);
                     ready
                         .lock()
                         .expect("ship list poisoned")
@@ -500,30 +494,11 @@ impl Coordinator {
         if ready.is_empty() {
             return self.decline();
         }
-
-        // The exact tile grid of the local scheduler.
-        let tile = tile.max(1);
-        let grid = gram::tile_grid(n, 0, tile);
-        let mut tiles: Vec<Vec<(usize, usize)>> = Vec::with_capacity(grid.len());
-        let mut pairs = Vec::new();
-        for &t in &grid {
-            gram::tile_pairs(n, 0, tile, t, &mut pairs);
-            tiles.push(pairs.clone());
-        }
         self.tiles_scheduled
             .fetch_add(tiles.len(), Ordering::Relaxed);
+        // Tiles carry the epoch after shipping, deaths there included.
+        run.epoch = self.epoch();
 
-        let kernel_json = kernel.to_json();
-        let run = TileRun {
-            dataset: &id,
-            kernel: &kernel_json,
-            tiles: &tiles,
-            keys: &keys,
-            graphs: spec.graphs,
-            artifact,
-            epoch: self.epoch(),
-            config: &self.config,
-        };
         let results = scheduler::run_tiles(ready, &run);
         self.tiles_committed.fetch_add(
             results.iter().filter(|r| r.is_some()).count(),
@@ -588,15 +563,49 @@ impl Drop for Coordinator {
 
 use haqjsk_linalg::Matrix;
 
+/// The shipping counters of [`DistStats`], shared by a Gram's first
+/// shipping round and the scheduler's store-miss repairs, so a re-ship
+/// counts like any other ship.
+#[derive(Default)]
+pub(crate) struct ShipCounters {
+    dataset_keys_total: AtomicUsize,
+    dataset_keys_shipped: AtomicUsize,
+    artifacts_shipped: AtomicUsize,
+}
+
+impl ShipCounters {
+    /// Ships `run`'s dataset to one worker over `conn` and, when
+    /// `artifact` is set, its model artifact after it, counting the keys
+    /// announced and what actually travelled.
+    pub(crate) fn ship(
+        &self,
+        link: &WorkerLink,
+        conn: &mut Conn,
+        run: &TileRun<'_>,
+        artifact: bool,
+    ) -> Result<(), String> {
+        let shipped = ship_dataset(link, conn, run.dataset, run.keys, run.graphs, run.config)?;
+        self.dataset_keys_total
+            .fetch_add(run.keys.len(), Ordering::Relaxed);
+        self.dataset_keys_shipped
+            .fetch_add(shipped, Ordering::Relaxed);
+        let (id, payload) = run.artifact;
+        if artifact && ship_artifact(link, conn, id, payload, run.config)? {
+            self.artifacts_shipped.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
 /// Ships the dataset to one worker (begin → missing graphs in chunks →
 /// commit); returns how many graphs actually travelled. Also the
 /// store-miss repair path: a re-ship over the same id sends exactly the
 /// graphs the worker's bounded store evicted.
-pub(crate) fn ship_dataset(
+fn ship_dataset(
     link: &WorkerLink,
     conn: &mut Conn,
     id: &str,
-    keys: &[haqjsk_engine::GraphKey],
+    keys: &[GraphKey],
     graphs: &[Graph],
     config: &DistConfig,
 ) -> Result<usize, String> {
@@ -628,7 +637,7 @@ pub(crate) fn ship_dataset(
 /// Ships a model artifact to one worker (begin → text chunks → commit);
 /// returns whether the payload actually travelled (`false` = the worker
 /// already held it).
-pub(crate) fn ship_artifact(
+fn ship_artifact(
     link: &WorkerLink,
     conn: &mut Conn,
     id: &str,

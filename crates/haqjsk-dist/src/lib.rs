@@ -12,7 +12,7 @@
 //! processes, each running the existing engine locally:
 //!
 //! ```text
-//!   Engine::gram (BackendKind::Distributed + kernel id, params, graphs)
+//!   Engine::gram (BackendKind::Distributed + model artifact, graphs)
 //!                         │
 //!        remote-tiles hook (installed by `install`)
 //!                         │
@@ -42,15 +42,14 @@
 //!   and a local evaluator of last resort: a Gram never fails because a
 //!   worker vanished. See [`fault`] and the private
 //!   `scheduler` module.
-//! * **What distributes.** Gram computations carrying a serialisable
-//!   kernel spec: QJSK unaligned/aligned and JTQK publish one directly,
-//!   and fitted HAQJSK models distribute by shipping their persisted-model
-//!   artifact (content-addressed, dedup-shipped like datasets) so workers
-//!   evaluate model tiles against a local reconstruction. Everything else
-//!   — arbitrary closures, per-pair entries, extensions — runs on the
-//!   engine's local tile scheduler when the distributed backend is
-//!   selected, never failing, so the backend is always safe to enable
-//!   globally.
+//! * **What distributes.** Fitted HAQJSK model Grams, and only those: the
+//!   coordinator ships the persisted-model artifact (content-addressed,
+//!   dedup-shipped like datasets) and workers evaluate model tiles against
+//!   a local reconstruction — the one tile kind a worker knows. Everything
+//!   else — the closed-form QJSK and JTQK baselines, arbitrary closures,
+//!   per-pair entries, extensions — runs on the engine's local tile
+//!   scheduler when the distributed backend is selected, never failing, so
+//!   the backend is always safe to enable globally.
 //! * **Elastic membership.** Workers join ([`Coordinator::add_worker`])
 //!   and leave ([`Coordinator::remove_worker`]) a *running* coordinator;
 //!   dead workers sit in probation and are redialed with jittered
@@ -90,13 +89,13 @@ fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
 }
 
 /// Installs `remote_tiles` as the engine's remote-tiles hook, so
-/// `BackendKind::Distributed` Grams that carry a spec reach the current
+/// `BackendKind::Distributed` fitted-model Grams reach the current
 /// coordinator. Idempotent.
 pub fn install() {
     haqjsk_engine::install_remote_tiles(remote_tiles);
 }
 
-/// The remote-tiles hook: hands a spec-carrying Gram to the current
+/// The remote-tiles hook: hands a fitted-model Gram to the current
 /// [`Coordinator`]. `None` — no coordinator installed, or it declined —
 /// makes the engine run the Gram on its local pool.
 fn remote_tiles(

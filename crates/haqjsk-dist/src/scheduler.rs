@@ -23,12 +23,13 @@
 //!   graphs (or whose model artifact is gone) answers `store_miss` instead
 //!   of failing: the tile requeues, the worker's pipeline drains, the
 //!   coordinator thread re-ships exactly what is missing over the same
-//!   connection, and dispatch resumes — an eviction is never a death.
+//!   connection (counted in the coordinator's shipping counters like a
+//!   first ship), and dispatch resumes — an eviction is never a death.
 //! * **Local fallback.** Tiles still unfinished when every worker thread
 //!   has exited are returned as `None`; the coordinator evaluates them with
 //!   the kernel's local tile evaluator — same values, same Gram.
 
-use crate::coordinator::{ship_artifact, ship_dataset, DistConfig};
+use crate::coordinator::{DistConfig, ShipCounters};
 use crate::fault::{Conn, LinkState, WorkerLink};
 use crate::wire::{self, TileReply};
 use haqjsk_engine::{GraphKey, Json};
@@ -52,12 +53,14 @@ pub(crate) struct TileRun<'a> {
     pub keys: &'a [GraphKey],
     /// The dataset's graphs (re-ship path).
     pub graphs: &'a [Graph],
-    /// Model artifact `(id, payload)` when the kernel is a fitted model.
-    pub artifact: Option<(&'a str, &'a str)>,
+    /// The fitted model's artifact `(id, payload)` (re-ship path).
+    pub artifact: (&'a str, &'a str),
     /// Membership epoch at dispatch time.
     pub epoch: usize,
     /// Scheduler knobs.
     pub config: &'a DistConfig,
+    /// The coordinator's shipping counters, which re-ships also feed.
+    pub ships: &'a ShipCounters,
 }
 
 /// Shared scheduling state over one Gram's tile list.
@@ -272,20 +275,8 @@ fn worker_loop(
         // has drained, re-ship over this same connection and resume.
         if let Some(artifact_missing) = reship {
             if own.is_empty() {
-                if ship_dataset(link, conn, run.dataset, run.keys, run.graphs, config).is_err() {
+                if run.ships.ship(link, conn, run, artifact_missing).is_err() {
                     return LoopExit::Died;
-                }
-                if artifact_missing {
-                    match run.artifact {
-                        Some((id, payload)) => {
-                            if ship_artifact(link, conn, id, payload, config).is_err() {
-                                return LoopExit::Died;
-                            }
-                        }
-                        // The worker claims a model artifact is missing for
-                        // a Gram that shipped none: unreliable.
-                        None => return LoopExit::Died,
-                    }
                 }
                 reship = None;
             }
@@ -443,9 +434,10 @@ mod tests {
             tiles: &tiles,
             keys: &[],
             graphs: &[],
-            artifact: None,
+            artifact: ("", ""),
             epoch: 1,
             config,
+            ships: &ShipCounters::default(),
         };
         let results = run_tiles(vec![(Arc::clone(&link), conn)], &run);
         (results, link)
@@ -601,9 +593,10 @@ mod tests {
             tiles: &tiles,
             keys: &[],
             graphs: &[],
-            artifact: None,
+            artifact: ("", ""),
             epoch: 1,
             config: &config,
+            ships: &ShipCounters::default(),
         };
         let started = Instant::now();
         let results = run_tiles(workers, &run);

@@ -7,7 +7,10 @@
 //! reports failures without killing the connection (except where a fault
 //! hook deliberately hangs up).
 //!
-//! Command table (coordinator → worker):
+//! Command table (coordinator → worker). Only fitted-model Grams
+//! distribute, so a `tile` has one kind: its `kernel` is always
+//! `{"id":"haqjsk_model","artifact":<hex id>}` ([`KernelSpec`]), and any
+//! other id is an `unknown kernel id` error.
 //!
 //! | command           | fields                                          | response |
 //! |-------------------|-------------------------------------------------|----------|
@@ -16,10 +19,10 @@
 //! | `dataset_graphs`  | `dataset`, `indices`, `graphs` (wire graphs)    | `stored` count |
 //! | `dataset_commit`  | `dataset`                                       | `num_graphs` |
 //! | `artifact_begin`  | `artifact` (hex id)                             | `have`: whether the artifact is already loaded |
-//! | `artifact_chunk`  | `artifact`, `text`                              | ack (chunks accumulate in order) |
-//! | `artifact_commit` | `artifact`                                      | ack after digest verification + model parse |
-//! | `tile`            | `dataset`, `job`, `kernel`, `pairs`, `epoch`, optional `trace`/`parent` (hex trace stamp) | `job`, `values` (+ optional `spans`: worker span records for the stamped trace) — or `store_miss` + `missing` when the bounded store evicted dataset graphs (coordinator re-ships and retries) |
-//! | `stats`           | —                                               | worker-side counters (store, chaos, epoch) |
+//! | `artifact_chunk`  | `artifact`, `text`                              | plain ack (chunks accumulate in order) |
+//! | `artifact_commit` | `artifact`                                      | `parsed`, after digest verification + model parse |
+//! | `tile`            | `dataset`, `job`, `kernel`, `pairs`, `epoch`, optional `trace`/`parent` (hex trace stamp) | `job`, `values` (+ optional `spans`: worker span records for the stamped trace) — or `store_miss` + `missing` + `artifact_missing` when the worker lost dataset graphs or the model (coordinator re-ships and retries) |
+//! | `stats`           | —                                               | worker-side counters (store, models and their aligned-cache evictions, chaos, epoch) |
 //! | `fail_after`      | `tiles`                                         | chaos knob: serve N more tiles, then fail + hang up |
 //! | `chaos`           | `seed`, `kill`, `hangup`, `delay`, `delay_ms`, `miss` (permille rates) or `off` | arms/disarms the seeded chaos plan |
 //! | `shutdown`        | —                                               | ack, then hang up (process workers drain and exit) |
@@ -38,9 +41,8 @@
 //! regardless of which worker computed which tile.
 
 use haqjsk_core::HaqjskModel;
-use haqjsk_engine::{GraphKey, Json, RemoteGram};
+use haqjsk_engine::{GraphKey, Json};
 use haqjsk_graph::Graph;
-use haqjsk_kernels::{JensenTsallisKernel, QjskAligned, QjskUnaligned};
 use haqjsk_obs::{SpanRecord, TraceContext};
 use std::borrow::Cow;
 
@@ -53,155 +55,43 @@ pub const PROTOCOL_VERSION: usize = 2;
 /// enough to amortise round trips, small enough to keep lines bounded.
 pub const ARTIFACT_CHUNK: usize = 1 << 16;
 
-/// A kernel the distributed backend knows how to reconstruct on a worker:
-/// the serialisable subset of the workspace's kernels, keyed by the stable
-/// ids the kernels publish (`REMOTE_KERNEL_ID`).
+/// The kernel of a `tile`: a fitted [`HaqjskModel`], which the worker
+/// reconstructs from a content-addressed persisted-model artifact shipped
+/// through the `artifact_*` commands. The spec carries no parameters —
+/// everything lives in the artifact.
 #[derive(Debug, Clone, PartialEq)]
-pub enum KernelSpec {
-    /// [`QjskUnaligned`] with decay factor `mu`.
-    QjskUnaligned {
-        /// Decay factor.
-        mu: f64,
-    },
-    /// [`QjskAligned`] with decay factor `mu`.
-    QjskAligned {
-        /// Decay factor.
-        mu: f64,
-    },
-    /// [`JensenTsallisKernel`] with Tsallis order `q` and `wl_iterations`
-    /// WL refinement rounds.
-    Jtqk {
-        /// Tsallis order.
-        q: f64,
-        /// WL refinement rounds.
-        wl_iterations: usize,
-    },
-    /// A fitted [`haqjsk_core::HaqjskModel`], reconstructed on the worker
-    /// from a content-addressed persisted-model artifact shipped through
-    /// the `artifact_*` commands. Unlike the closed-form kernels, the spec
-    /// carries no parameters — everything lives in the artifact.
-    Model {
-        /// Digest of the persisted model text
-        /// ([`haqjsk_core::model_artifact_id`]).
-        artifact: String,
-    },
+pub struct KernelSpec {
+    /// Digest of the persisted model text
+    /// ([`haqjsk_core::model_artifact_id`]).
+    pub artifact: String,
 }
 
 impl KernelSpec {
-    /// Reconstructs a spec from the engine-level [`RemoteGram`] id/params
-    /// form; `None` for kernels the distributed backend cannot serialise
-    /// (the coordinator then executes locally).
-    pub fn from_remote(spec: &RemoteGram<'_>) -> Option<KernelSpec> {
-        let param = |name: &str| {
-            spec.params
-                .iter()
-                .find(|(k, _)| *k == name)
-                .map(|&(_, v)| v)
-        };
-        match spec.kernel_id {
-            id if id == QjskUnaligned::REMOTE_KERNEL_ID => {
-                Some(KernelSpec::QjskUnaligned { mu: param("mu")? })
-            }
-            id if id == QjskAligned::REMOTE_KERNEL_ID => {
-                Some(KernelSpec::QjskAligned { mu: param("mu")? })
-            }
-            id if id == JensenTsallisKernel::REMOTE_KERNEL_ID => Some(KernelSpec::Jtqk {
-                q: param("q")?,
-                wl_iterations: param("wl_iterations")? as usize,
-            }),
-            id if id == HaqjskModel::REMOTE_KERNEL_ID => {
-                spec.artifact.as_ref().map(|artifact| KernelSpec::Model {
-                    artifact: artifact.id.clone(),
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// The stable kernel id.
-    pub fn id(&self) -> &'static str {
-        match self {
-            KernelSpec::QjskUnaligned { .. } => QjskUnaligned::REMOTE_KERNEL_ID,
-            KernelSpec::QjskAligned { .. } => QjskAligned::REMOTE_KERNEL_ID,
-            KernelSpec::Jtqk { .. } => JensenTsallisKernel::REMOTE_KERNEL_ID,
-            KernelSpec::Model { .. } => HaqjskModel::REMOTE_KERNEL_ID,
-        }
-    }
-
-    /// The wire form: `{"id":...,"params":{...}}` (`{"id":...,
-    /// "artifact":...}` for fitted-model specs).
+    /// The wire form: `{"id":"haqjsk_model","artifact":...}`.
     pub fn to_json(&self) -> Json {
-        let params = match self {
-            KernelSpec::QjskUnaligned { mu } | KernelSpec::QjskAligned { mu } => {
-                Json::obj([("mu", Json::Num(*mu))])
-            }
-            KernelSpec::Jtqk { q, wl_iterations } => Json::obj([
-                ("q", Json::Num(*q)),
-                ("wl_iterations", Json::Num(*wl_iterations as f64)),
-            ]),
-            KernelSpec::Model { artifact } => {
-                return Json::obj([
-                    ("id", Json::Str(self.id().to_string())),
-                    ("artifact", Json::Str(artifact.clone())),
-                ]);
-            }
-        };
-        Json::obj([("id", Json::Str(self.id().to_string())), ("params", params)])
+        Json::obj([
+            ("id", Json::Str(HaqjskModel::REMOTE_KERNEL_ID.to_string())),
+            ("artifact", Json::Str(self.artifact.clone())),
+        ])
     }
 
-    /// Restores a spec from its wire form.
+    /// Restores a spec from its wire form; any other kernel id is an
+    /// `unknown kernel id` error.
     pub fn from_json(value: &Json) -> Result<KernelSpec, String> {
         let id = value
             .get("id")
             .and_then(Json::as_str)
             .ok_or("kernel spec needs a string field 'id'")?;
-        let param = |name: &str| {
-            value
-                .get("params")
-                .and_then(|p| p.get(name))
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("kernel '{id}' needs a numeric param '{name}'"))
-        };
-        match id {
-            _ if id == QjskUnaligned::REMOTE_KERNEL_ID => {
-                Ok(KernelSpec::QjskUnaligned { mu: param("mu")? })
-            }
-            _ if id == QjskAligned::REMOTE_KERNEL_ID => {
-                Ok(KernelSpec::QjskAligned { mu: param("mu")? })
-            }
-            _ if id == JensenTsallisKernel::REMOTE_KERNEL_ID => Ok(KernelSpec::Jtqk {
-                q: param("q")?,
-                wl_iterations: param("wl_iterations")? as usize,
-            }),
-            _ if id == HaqjskModel::REMOTE_KERNEL_ID => Ok(KernelSpec::Model {
-                artifact: value
-                    .get("artifact")
-                    .and_then(Json::as_str)
-                    .ok_or("model kernel spec needs a string field 'artifact'")?
-                    .to_string(),
-            }),
-            other => Err(format!("unknown kernel id '{other}'")),
+        if id != HaqjskModel::REMOTE_KERNEL_ID {
+            return Err(format!("unknown kernel id '{id}'"));
         }
-    }
-
-    /// Evaluates one tile of Gram entries over `graphs` through the
-    /// kernel's public tile evaluator — byte-identical to the in-process
-    /// Gram paths for the same pairs. Fitted-model specs cannot be
-    /// evaluated from graphs alone (the worker resolves them through its
-    /// artifact store); calling this on one is a programming error.
-    pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        match *self {
-            KernelSpec::QjskUnaligned { mu } => {
-                QjskUnaligned::new(mu).eval_tile(graphs, pairs, out)
-            }
-            KernelSpec::QjskAligned { mu } => QjskAligned::new(mu).eval_tile(graphs, pairs, out),
-            KernelSpec::Jtqk { q, wl_iterations } => {
-                JensenTsallisKernel::new(q, wl_iterations).eval_tile(graphs, pairs, out)
-            }
-            KernelSpec::Model { .. } => {
-                panic!("model tiles are evaluated through the worker's artifact store")
-            }
-        }
+        let artifact = value
+            .get("artifact")
+            .and_then(Json::as_str)
+            .ok_or("model kernel spec needs a string field 'artifact'")?;
+        Ok(KernelSpec {
+            artifact: artifact.to_string(),
+        })
     }
 }
 
@@ -562,74 +452,27 @@ mod tests {
 
     #[test]
     fn kernel_specs_roundtrip_through_json() {
-        let specs = [
-            KernelSpec::QjskUnaligned { mu: 1.25 },
-            KernelSpec::QjskAligned { mu: 0.5 },
-            KernelSpec::Jtqk {
-                q: 2.0,
-                wl_iterations: 3,
-            },
-            KernelSpec::Model {
-                artifact: "0123456789abcdef0123456789abcdef".to_string(),
-            },
-        ];
-        for spec in specs {
-            let wire = spec.to_json();
-            let text = wire.to_string();
-            let back = KernelSpec::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, spec);
+        let spec = KernelSpec {
+            artifact: "0123456789abcdef0123456789abcdef".to_string(),
+        };
+        let text = spec.to_json().to_string();
+        assert_eq!(
+            text,
+            r#"{"artifact":"0123456789abcdef0123456789abcdef","id":"haqjsk_model"}"#
+        );
+        assert_eq!(
+            KernelSpec::from_json(&Json::parse(&text).unwrap()),
+            Ok(spec)
+        );
+        // The closed-form baselines no longer have a wire form.
+        for id in ["qjsk_unaligned", "qjsk_aligned", "jtqk", "wl"] {
+            let wire = format!(r#"{{"id":"{id}","params":{{"mu":1.0}}}}"#);
+            assert_eq!(
+                KernelSpec::from_json(&Json::parse(&wire).unwrap()),
+                Err(format!("unknown kernel id '{id}'"))
+            );
         }
-        assert!(KernelSpec::from_json(&Json::parse(r#"{"id":"wl"}"#).unwrap()).is_err());
-    }
-
-    #[test]
-    fn kernel_spec_matches_remote_gram_ids() {
-        let spec = RemoteGram {
-            kernel_id: QjskUnaligned::REMOTE_KERNEL_ID,
-            params: vec![("mu", 2.0)],
-            graphs: &[],
-            artifact: None,
-        };
-        assert_eq!(
-            KernelSpec::from_remote(&spec),
-            Some(KernelSpec::QjskUnaligned { mu: 2.0 })
-        );
-        let unknown = RemoteGram {
-            kernel_id: "wl_subtree",
-            params: vec![],
-            graphs: &[],
-            artifact: None,
-        };
-        assert_eq!(KernelSpec::from_remote(&unknown), None);
-    }
-
-    #[test]
-    fn model_spec_requires_an_artifact() {
-        // A model spec without a shipped artifact cannot be serialised —
-        // the coordinator falls back to local execution.
-        let bare = RemoteGram {
-            kernel_id: HaqjskModel::REMOTE_KERNEL_ID,
-            params: vec![],
-            graphs: &[],
-            artifact: None,
-        };
-        assert_eq!(KernelSpec::from_remote(&bare), None);
-        let payload = "haqjsk-model v1\nend\n";
-        let with_artifact = RemoteGram {
-            kernel_id: HaqjskModel::REMOTE_KERNEL_ID,
-            params: vec![],
-            graphs: &[],
-            artifact: Some(haqjsk_engine::RemoteArtifact {
-                id: "feed".repeat(8),
-                payload,
-            }),
-        };
-        assert_eq!(
-            KernelSpec::from_remote(&with_artifact),
-            Some(KernelSpec::Model {
-                artifact: "feed".repeat(8),
-            })
-        );
+        assert!(KernelSpec::from_json(&Json::parse(r#"{"id":"haqjsk_model"}"#).unwrap()).is_err());
     }
 
     #[test]
@@ -663,11 +506,10 @@ mod tests {
 
     #[test]
     fn tile_request_roundtrips() {
-        let kernel = KernelSpec::Jtqk {
-            q: 2.0,
-            wl_iterations: 3,
-        }
-        .to_json();
+        let spec = KernelSpec {
+            artifact: "feed".repeat(8),
+        };
+        let kernel = spec.to_json();
         let pairs = [(0, 1), (0, 2), (1, 2)];
         let request = tile_request("abc123", 7, &kernel, &pairs, 3, None);
         let parsed = Json::parse(&request.to_string()).unwrap();
@@ -679,11 +521,8 @@ mod tests {
             pairs.to_vec()
         );
         assert_eq!(
-            KernelSpec::from_json(parsed.get("kernel").unwrap()).unwrap(),
-            KernelSpec::Jtqk {
-                q: 2.0,
-                wl_iterations: 3
-            }
+            KernelSpec::from_json(parsed.get("kernel").unwrap()),
+            Ok(spec)
         );
     }
 

@@ -3,19 +3,18 @@
 //! A worker is a plain [`haqjsk_engine::Server`] (same accept loop, same
 //! JSON-lines framing as `haqjsk-serve`) whose handler implements the
 //! [`wire`] command table: it receives the dataset once
-//! (content-hash-deduplicated into a byte-budgeted [`GraphStore`]), then
-//! answers `tile` work units by running the requested kernel's tile
-//! evaluator over its local engine. Per-graph features warm the worker's
-//! own `FeatureCache`s exactly as an in-process Gram would, so
-//! repeated tiles over the same rows are cache-hot.
+//! (content-hash-deduplicated into a byte-budgeted [`GraphStore`]) and the
+//! fitted model as a content-addressed **artifact** (`artifact_begin` /
+//! `artifact_chunk` / `artifact_commit`), then answers `tile` work units —
+//! one kind, a fitted model's — over its local engine.
 //!
-//! Fitted-model kernels arrive as content-addressed **artifacts**
-//! (`artifact_begin` / `artifact_chunk` / `artifact_commit`): the worker
-//! verifies the digest, parses the persisted model eagerly, and keeps a
-//! small LRU of reconstructed models, each with its own aligned-transform
-//! cache bounded by `HAQJSK_CACHE_BUDGET`. Model tiles evaluate against the
-//! reconstruction — byte-identical to the coordinator's serial path because
-//! persistence round-trips `f64`s exactly.
+//! The worker verifies each artifact's digest, parses the persisted model
+//! eagerly, and keeps a small LRU of reconstructed models, each with its
+//! own aligned-transform cache bounded by `HAQJSK_CACHE_BUDGET`. A tile
+//! transforms only the graphs its pairs read, through that cache, so
+//! repeated tiles over the same rows are cache-hot; it evaluates against
+//! the reconstruction — byte-identical to the coordinator's serial path
+//! because persistence round-trips `f64`s exactly.
 //!
 //! The graph store is bounded (`HAQJSK_WORKER_STORE_BUDGET`): tiles pin
 //! their dataset for the duration of evaluation, and a tile whose graphs
@@ -42,7 +41,8 @@
 //! The seeded chaos harness is richer: `HAQJSK_CHAOS=seed:N,...` at spawn
 //! (or a `chaos` command at runtime) arms a [`ChaosState`] that injects
 //! kills, mid-stream hangups, response delays and transient store misses
-//! at the configured permille rates, deterministically in request order.
+//! (one stored graph and the tile's model entry evicted) at the configured
+//! permille rates, deterministically in request order.
 //! Faults only fire on `tile` requests — dataset shipping, artifacts and
 //! control commands always succeed, so the soak exercises recovery, not
 //! setup. See [`crate::chaos`].
@@ -124,6 +124,12 @@ impl ModelStore {
         let entry = self.models.get(id).cloned()?;
         self.touch(id);
         Some(entry)
+    }
+
+    /// Evicts one model; whether it was held.
+    fn remove(&mut self, id: &str) -> bool {
+        self.order.retain(|o| o != id);
+        self.models.remove(id).is_some()
     }
 
     fn insert(&mut self, id: String, entry: ModelEntry) {
@@ -513,25 +519,50 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
                 }
                 Some(ChaosFault::Delay(pause)) => std::thread::sleep(pause),
                 Some(ChaosFault::StoreMiss) => {
-                    let evicted = state
+                    // One stored graph and the tile's model go, as the
+                    // store budget and `MODEL_STORE_CAP` evict them when
+                    // other datasets and models arrive between tiles.
+                    let evicted: Vec<usize> = state
                         .store
                         .lock()
                         .expect("graph store poisoned")
-                        .forget_one(dataset);
-                    if let Some(index) = evicted {
+                        .forget_one(dataset)
+                        .into_iter()
+                        .collect();
+                    let model_evicted = state
+                        .models
+                        .lock()
+                        .expect("model store poisoned")
+                        .remove(&kernel.artifact);
+                    if !evicted.is_empty() || model_evicted {
                         state
                             .counters
                             .store_miss_replies
                             .fetch_add(1, Ordering::Relaxed);
-                        return Ok(wire::store_miss_response(job, &[index], false));
+                        return Ok(wire::store_miss_response(job, &evicted, model_evicted));
                     }
-                    // Nothing evictable (all pinned, or unknown dataset):
-                    // the injected miss degenerates to a normal answer.
+                    // Nothing evictable (graphs pinned or unknown, model
+                    // absent): the injected miss degenerates to a normal
+                    // answer.
                 }
                 None => {}
             }
         }
 
+        let entry = state
+            .models
+            .lock()
+            .expect("model store poisoned")
+            .get(&kernel.artifact);
+        let Some(entry) = entry else {
+            // The coordinator's repair re-announces the whole dataset, so
+            // this miss need not list graphs.
+            state
+                .counters
+                .store_miss_replies
+                .fetch_add(1, Ordering::Relaxed);
+            return Ok(wire::store_miss_response(job, &[], true));
+        };
         // Pin the dataset so the bounded store cannot evict its graphs
         // mid-evaluation; a pin failure is a store miss, not an error.
         let pinned = state
@@ -546,52 +577,22 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
                     .counters
                     .store_miss_replies
                     .fetch_add(1, Ordering::Relaxed);
-                let artifact_missing = matches!(&kernel, KernelSpec::Model { artifact }
-                    if state.models.lock().expect("model store poisoned").get(artifact).is_none());
-                return Ok(wire::store_miss_response(job, &missing, artifact_missing));
+                return Ok(wire::store_miss_response(job, &missing, false));
             }
         };
-        let unpin = || {
-            state
-                .store
-                .lock()
-                .expect("graph store poisoned")
-                .unpin_dataset(dataset);
-        };
-
         let n = graphs.len();
-        if pairs.iter().any(|&(i, j)| i >= n || j >= n) {
-            unpin();
-            return Err(format!("tile pair index out of range for {n} graphs"));
-        }
-
-        let values = match &kernel {
-            KernelSpec::Model { artifact } => {
-                let entry = state
-                    .models
-                    .lock()
-                    .expect("model store poisoned")
-                    .get(artifact);
-                let Some(entry) = entry else {
-                    unpin();
-                    state
-                        .counters
-                        .store_miss_replies
-                        .fetch_add(1, Ordering::Relaxed);
-                    return Ok(wire::store_miss_response(job, &[], true));
-                };
-                let result = eval_model_tile_chunked(&entry, &graphs, &pairs);
-                match result {
-                    Ok(values) => values,
-                    Err(e) => {
-                        unpin();
-                        return Err(format!("model tile evaluation failed: {e}"));
-                    }
-                }
-            }
-            _ => eval_tile_chunked(&kernel, &graphs, &pairs),
+        let values = if pairs.iter().any(|&(i, j)| i >= n || j >= n) {
+            Err(format!("tile pair index out of range for {n} graphs"))
+        } else {
+            eval_model_tile_chunked(&entry, &graphs, &pairs)
+                .map_err(|e| format!("model tile evaluation failed: {e}"))
         };
-        unpin();
+        state
+            .store
+            .lock()
+            .expect("graph store poisoned")
+            .unpin_dataset(dataset);
+        let values = values?;
         state.counters.tiles_served.fetch_add(1, Ordering::Relaxed);
         state
             .counters
@@ -607,40 +608,31 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
     (response, disposition)
 }
 
-/// Evaluates a tile's pair list in contiguous, lane-aligned chunks over
-/// the worker's own engine pool (`Engine::map_chunks`). Byte-identical to
-/// one whole-tile call (per-pair values are independent and the batched
-/// eigensolver is bit-identical per matrix).
-fn eval_tile_chunked(kernel: &KernelSpec, graphs: &[Graph], pairs: &[(usize, usize)]) -> Vec<f64> {
-    Engine::global()
-        .map_chunks(pairs.len(), |range| {
-            let mut out = vec![0.0; range.len()];
-            kernel.eval_tile(graphs, &pairs[range], &mut out);
-            out
-        })
-        .concat()
-}
-
 /// Evaluates a fitted-model tile against the worker's reconstructed
-/// model: aligned transforms come from the entry's cache (computed at most
-/// once per distinct graph across all tiles), then each chunk of the tile
-/// is one `HaqjskModel::kernel_batch`. Byte-identical to the coordinator's
-/// serial `HaqjskModel::gram_over_transforms` because persistence
-/// round-trips the model exactly and the transform and kernel are
-/// deterministic.
+/// model: the aligned transforms of the graphs the tile's pairs read come
+/// from the entry's cache (computed at most once per distinct graph across
+/// all tiles), then the tile's pair list runs in contiguous, lane-aligned
+/// chunks over the worker's own engine pool (`Engine::map_chunks`), each
+/// chunk one `HaqjskModel::kernel_batch`. Byte-identical to the
+/// coordinator's serial `HaqjskModel::gram_over_transforms` because
+/// persistence round-trips the model exactly, the transform and kernel
+/// are deterministic, and the batched eigensolver is bit-identical per
+/// matrix.
 fn eval_model_tile_chunked(
     entry: &ModelEntry,
     graphs: &[Graph],
     pairs: &[(usize, usize)],
 ) -> Result<Vec<f64>, String> {
+    let mut touched: Vec<usize> = pairs.iter().flat_map(|&(i, j)| [i, j]).collect();
+    touched.sort_unstable();
+    touched.dedup();
+    let touched_graphs: Vec<&Graph> = touched.iter().map(|&i| &graphs[i]).collect();
     let aligned = entry
         .model
-        .transform_all_cached(graphs, &entry.cache)
+        .transform_all_cached(&touched_graphs, &entry.cache)
         .map_err(|e| e.to_string())?;
-    let pairs: Vec<_> = pairs
-        .iter()
-        .map(|&(i, j)| (&*aligned[i], &*aligned[j]))
-        .collect();
+    let at = |i: usize| &*aligned[touched.binary_search(&i).expect("a touched index")];
+    let pairs: Vec<_> = pairs.iter().map(|&(i, j)| (at(i), at(j))).collect();
     let parts = Engine::global()
         .map_chunks(pairs.len(), |range| entry.model.kernel_batch(&pairs[range]))
         .into_iter()
@@ -686,6 +678,16 @@ fn cmd_stats(state: &WorkerState) -> Json {
         ("store_evictions", Json::Num(store_stats.evictions as f64)),
         ("store_pin_misses", Json::Num(store_stats.pin_misses as f64)),
         ("models_stored", Json::Num(models.models.len() as f64)),
+        (
+            "aligned_cache_evictions",
+            Json::Num(
+                models
+                    .models
+                    .values()
+                    .map(|entry| entry.cache.stats().evictions)
+                    .sum::<usize>() as f64,
+            ),
+        ),
         (
             "last_epoch",
             Json::Num(state.last_epoch.load(Ordering::Relaxed) as f64),
@@ -773,6 +775,41 @@ mod tests {
         id
     }
 
+    /// Fits a small HAQJSK(A) model on `graphs` and ships it to the worker
+    /// as one artifact chunk; returns the model and its tile kernel.
+    fn ship_model(
+        writer: &mut TcpStream,
+        reader: &mut BufReader<TcpStream>,
+        graphs: &[Graph],
+    ) -> (HaqjskModel, Json) {
+        let model = HaqjskModel::fit(
+            graphs,
+            HaqjskConfig::small(),
+            HaqjskVariant::AlignedAdjacency,
+        )
+        .unwrap();
+        let text = model_to_string(&model);
+        let artifact = model_artifact_id(&text);
+        exchange(writer, reader, &wire::artifact_begin_request(&artifact));
+        exchange(
+            writer,
+            reader,
+            &wire::artifact_chunk_request(&artifact, &text),
+        );
+        let commit = exchange(writer, reader, &wire::artifact_commit_request(&artifact));
+        assert_eq!(commit.get("parsed").and_then(Json::as_bool), Some(true));
+        (model, KernelSpec { artifact }.to_json())
+    }
+
+    /// The serial kernel values of `pairs` under `model`.
+    fn model_values(model: &HaqjskModel, graphs: &[Graph], pairs: &[(usize, usize)]) -> Vec<u64> {
+        let aligned = model.transform_all(graphs).unwrap();
+        pairs
+            .iter()
+            .map(|&(i, j)| model.kernel(&aligned[i], &aligned[j]).to_bits())
+            .collect()
+    }
+
     #[test]
     fn worker_serves_dataset_and_tiles_over_loopback() {
         let server = WorkerServer::spawn("127.0.0.1:0", WorkerOptions::default()).unwrap();
@@ -785,30 +822,26 @@ mod tests {
 
         let graphs = vec![path_graph(4), cycle_graph(5), star_graph(6)];
         let id = ship_dataset(&mut writer, &mut reader, &graphs);
+        let (model, kernel) = ship_model(&mut writer, &mut reader, &graphs);
 
-        // A tile request answers the exact values of the local evaluator.
-        let kernel = KernelSpec::QjskUnaligned { mu: 1.0 };
+        // A tile request answers the exact values of the serial model.
         let pairs = vec![(0, 0), (0, 1), (0, 2), (1, 2)];
         let response = exchange(
             &mut writer,
             &mut reader,
-            &wire::tile_request(&id, 3, &kernel.to_json(), &pairs, 7, None),
+            &wire::tile_request(&id, 3, &kernel, &pairs, 7, None),
         );
         let tile = wire::parse_tile_response(&response).unwrap();
         assert_eq!(tile.job, 3);
-        let mut expected = vec![0.0; pairs.len()];
-        kernel.eval_tile(&graphs, &pairs, &mut expected);
-        assert_eq!(tile.values.len(), expected.len());
-        for (a, b) in tile.values.iter().zip(&expected) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let bits: Vec<u64> = tile.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, model_values(&model, &graphs, &pairs));
 
         // Tiles against an uncommitted dataset answer a store miss (every
         // index missing) so the coordinator re-ships instead of failing.
         let bad = exchange(
             &mut writer,
             &mut reader,
-            &wire::tile_request("ffff", 0, &kernel.to_json(), &[(0, 1)], 7, None),
+            &wire::tile_request("ffff", 0, &kernel, &[(0, 1)], 7, None),
         );
         match wire::parse_tile_reply(&bad).unwrap() {
             wire::TileReply::StoreMiss {
@@ -860,7 +893,7 @@ mod tests {
 
         // Before the artifact arrives, a model tile is a store miss with
         // `artifact_missing` set.
-        let kernel = KernelSpec::Model {
+        let kernel = KernelSpec {
             artifact: digest.clone(),
         };
         let miss = exchange(
@@ -920,11 +953,8 @@ mod tests {
         );
         let tile = wire::parse_tile_response(&response).unwrap();
         assert_eq!(tile.job, 9);
-        let aligned = model.transform_all(&graphs).unwrap();
-        for (&(i, j), value) in pairs.iter().zip(&tile.values) {
-            let expected = model.kernel(&aligned[i], &aligned[j]);
-            assert_eq!(value.to_bits(), expected.to_bits());
-        }
+        let bits: Vec<u64> = tile.values.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(bits, model_values(&model, &graphs, &pairs));
 
         // A commit whose text does not hash to the announced id fails.
         let fake = "not a model";
@@ -962,7 +992,14 @@ mod tests {
             .flat_map(|i| (i..graphs.len()).map(move |j| (i, j)))
             .collect();
 
+        // A tile transforms only the graphs its pairs read.
         let unbounded = ModelEntry::new(model.clone(), CacheConfig::default());
+        let part = [(0, 1), (1, 3)];
+        let values = eval_model_tile_chunked(&unbounded, &graphs, &part).unwrap();
+        assert_eq!(unbounded.cache.stats().entries, 3);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values), model_values(&model, &graphs, &part));
+
         let expected = eval_model_tile_chunked(&unbounded, &graphs, &pairs).unwrap();
         let total = unbounded.cache.stats().resident_bytes;
 
@@ -979,7 +1016,6 @@ mod tests {
             stats.evictions > 0,
             "{total} bytes of transforms never evicted"
         );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&values), bits(&expected));
     }
 
@@ -992,30 +1028,36 @@ mod tests {
 
         let graphs = vec![path_graph(4), cycle_graph(5)];
         let id = ship_dataset(&mut writer, &mut reader, &graphs);
+        let (model, kernel) = ship_model(&mut writer, &mut reader, &graphs);
 
         // Arm a plan that misses on every tile (seeded, miss:1000).
         let plan = ChaosPlan::parse("seed:7,miss:1000").unwrap();
         let armed = exchange(&mut writer, &mut reader, &wire::chaos_request(Some(&plan)));
         assert_eq!(armed.get("armed").and_then(Json::as_bool), Some(true));
 
-        let kernel = KernelSpec::QjskUnaligned { mu: 1.0 }.to_json();
+        // The injected miss evicts one graph and the tile's model.
         let first = exchange(
             &mut writer,
             &mut reader,
             &wire::tile_request(&id, 4, &kernel, &[(0, 1)], 1, None),
         );
         let missing = match wire::parse_tile_reply(&first).unwrap() {
-            wire::TileReply::StoreMiss { job, missing, .. } => {
+            wire::TileReply::StoreMiss {
+                job,
+                missing,
+                artifact_missing,
+            } => {
                 assert_eq!(job, 4);
                 assert_eq!(missing.len(), 1);
+                assert!(artifact_missing);
                 missing
             }
             other => panic!("expected a chaos store miss, got {other:?}"),
         };
 
-        // Repair: re-ship exactly the evicted graph, and the *same* job
-        // succeeds on retry — the last-miss guard makes the injected miss
-        // transient even at miss:1000.
+        // Repair: re-ship exactly the evicted graph and the model, and the
+        // *same* job succeeds on retry — the last-miss guard makes the
+        // injected miss transient even at miss:1000.
         let keys = dataset_keys(&graphs);
         exchange(
             &mut writer,
@@ -1029,6 +1071,7 @@ mod tests {
             &wire::dataset_graphs_request(&id, &missing, &refs),
         );
         exchange(&mut writer, &mut reader, &wire::dataset_commit_request(&id));
+        assert_eq!(ship_model(&mut writer, &mut reader, &graphs).1, kernel);
         let retry = exchange(
             &mut writer,
             &mut reader,
@@ -1036,6 +1079,10 @@ mod tests {
         );
         let tile = wire::parse_tile_response(&retry).unwrap();
         assert_eq!(tile.job, 4);
+        assert_eq!(
+            vec![tile.values[0].to_bits()],
+            model_values(&model, &graphs, &[(0, 1)])
+        );
 
         // Disarm; stats report the injected miss.
         exchange(&mut writer, &mut reader, &wire::chaos_request(None));
@@ -1060,6 +1107,7 @@ mod tests {
 
         let graphs = vec![path_graph(4), cycle_graph(5)];
         let id = ship_dataset(&mut writer, &mut reader, &graphs);
+        let (_, kernel) = ship_model(&mut writer, &mut reader, &graphs);
 
         // Arm: one more tile succeeds, then the connection dies.
         let arm = exchange(
@@ -1072,7 +1120,6 @@ mod tests {
         );
         assert_eq!(arm.get("ok").and_then(Json::as_bool), Some(true));
 
-        let kernel = KernelSpec::QjskUnaligned { mu: 1.0 }.to_json();
         let ok = exchange(
             &mut writer,
             &mut reader,
@@ -1112,7 +1159,10 @@ mod tests {
             state: Arc::new(WorkerState::new(WorkerOptions::default(), None)),
         };
         handler.handle(&fail_after(0));
-        let kernel = KernelSpec::QjskUnaligned { mu: 1.0 }.to_json();
+        let kernel = KernelSpec {
+            artifact: "feed".repeat(8),
+        }
+        .to_json();
         let tile = wire::tile_request("ffff", 0, &kernel, &[(0, 1)], 1, None);
         let (faulted, disposition) = handler.handle(&tile);
         assert_eq!(faulted.get("ok").and_then(Json::as_bool), Some(false));

@@ -55,17 +55,11 @@ proptest! {
     #[test]
     fn tile_exchange_roundtrips(
         job in 0usize..10_000,
-        mu in 0.01f64..8.0,
-        q in 1.0f64..4.0,
-        wl in 0usize..6,
-        which in 0usize..3,
+        hi in 0u64..=u64::MAX,
+        lo in 0u64..=u64::MAX,
         raw_pairs in proptest::collection::vec((0usize..64, 0usize..64), 1..80),
     ) {
-        let kernel = match which {
-            0 => KernelSpec::QjskUnaligned { mu },
-            1 => KernelSpec::QjskAligned { mu },
-            _ => KernelSpec::Jtqk { q, wl_iterations: wl },
-        };
+        let kernel = KernelSpec { artifact: format!("{hi:016x}{lo:016x}") };
         let pairs: Vec<(usize, usize)> = raw_pairs
             .into_iter()
             .map(|(i, j)| (i.min(j), i.max(j)))

@@ -10,9 +10,10 @@
 //!   measure),
 //! * [`BackendKind::Local`] — the same tiles over the worker pool (the
 //!   default),
-//! * [`BackendKind::Distributed`] — full Grams that carry a [`RemoteGram`]
-//!   spec go to the remote-tiles hook `haqjsk-dist` installs
-//!   ([`install_remote_tiles`]); everything else, and every Gram the hook
+//! * [`BackendKind::Distributed`] — full fitted-model Grams, which carry a
+//!   [`RemoteGram`] spec, go to the remote-tiles hook `haqjsk-dist`
+//!   installs ([`install_remote_tiles`]); everything else (the closed-form
+//!   baselines, per-pair kernels, extensions), and every Gram the hook
 //!   declines, runs as [`BackendKind::Local`].
 //!
 //! Tile values are deterministic functions of (kernel, dataset, pair), so
@@ -31,28 +32,21 @@ use std::sync::OnceLock;
 pub const BACKEND_ENV_VAR: &str = "HAQJSK_BACKEND";
 
 /// A declarative description of a Gram computation that a *remote* backend
-/// can serialise and ship to worker processes: which kernel (a stable
-/// string id plus its numeric parameters) over which graphs. Local
-/// execution never looks at it — it already holds the evaluator. The
-/// distributed backend (`haqjsk-dist`) matches `kernel_id` against the
-/// kernels it knows how to reconstruct on a worker and declines anything
-/// it does not recognise, so attaching a spec is always safe.
+/// can serialise and ship to worker processes: a fitted model's persisted
+/// artifact over a dataset. Local execution never looks at it — it already
+/// holds the evaluator. Fitted-model Grams are the only computations that
+/// attach one; every other Gram runs on the local tile scheduler.
 pub struct RemoteGram<'a> {
-    /// Stable kernel identifier (e.g. `"qjsk_unaligned"`).
-    pub kernel_id: &'static str,
-    /// Named numeric parameters reconstructing the kernel on a worker.
-    pub params: Vec<(&'static str, f64)>,
     /// The dataset the pair indices refer to.
     pub graphs: &'a [haqjsk_graph::Graph],
-    /// An opaque fitted-state artifact (e.g. a persisted model) the kernel
-    /// needs on the worker beyond its numeric parameters. Shipped
-    /// content-addressed like the dataset, so repeated Grams over the same
-    /// fitted state ship it once per worker.
-    pub artifact: Option<RemoteArtifact<'a>>,
+    /// The fitted state (a persisted model) workers rebuild the kernel
+    /// from. Shipped content-addressed like the dataset, so repeated Grams
+    /// over the same fitted state ship it once per worker.
+    pub artifact: RemoteArtifact<'a>,
 }
 
 /// A content-addressed blob accompanying a [`RemoteGram`]: the serialised
-/// fitted state a parameterless `kernel_id` cannot reconstruct on its own.
+/// fitted state a worker reconstructs the kernel from.
 pub struct RemoteArtifact<'a> {
     /// Content digest of `payload` (hex); workers dedup on it.
     pub id: String,
@@ -108,8 +102,8 @@ pub enum BackendKind {
     /// The tile scheduler over the worker pool (the default).
     #[default]
     Local,
-    /// Spec-carrying full Grams fan out over worker processes through the
-    /// remote-tiles hook (`haqjsk-dist`); selected with
+    /// Fitted-model full Grams (the ones that carry a [`RemoteGram`] spec)
+    /// fan out over worker processes through the remote-tiles hook (`haqjsk-dist`); selected with
     /// `HAQJSK_BACKEND=dist:<addr,addr>`. Everything else — and everything
     /// until a hook is installed — runs as [`BackendKind::Local`] (a Gram
     /// must never fail because the distributed substrate is absent).
@@ -235,8 +229,7 @@ impl std::fmt::Display for BackendKind {
 /// `n x n` Gram matrix (tile width `tile`) for the computation `spec`
 /// describes on worker processes, with `eval` as the byte-identical local
 /// evaluator for any tile no worker returns. `None` declines (no worker
-/// reachable, a kernel the wire cannot express) and the engine runs the
-/// Gram on the local pool instead.
+/// reachable) and the engine runs the Gram on the local pool instead.
 pub type RemoteTiles =
     fn(&WorkerPool, usize, usize, &dyn TileEvaluator, &RemoteGram<'_>) -> Option<Matrix>;
 

@@ -7,8 +7,8 @@
 //! [`Engine::map`] for per-graph feature extraction. Both Gram entry points
 //! run the one tile scheduler ([`gram::run_tiles`]) over one
 //! [`TileEvaluator`]; the backend only decides whether the tiles run inline
-//! on the calling thread, on the pool, or — full Grams that carry a
-//! [`RemoteGram`] spec — on worker processes.
+//! on the calling thread, on the pool, or — full fitted-model Grams, which
+//! carry a [`RemoteGram`] spec — on worker processes.
 //!
 //! A lazily initialised process-global engine ([`Engine::global`]) lets
 //! callers share one pool instead of spawning scoped threads per Gram

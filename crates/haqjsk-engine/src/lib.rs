@@ -44,7 +44,7 @@
 //!
 //! ```text
 //!   callers (kernels, model, serving)
-//!        │ TileEvaluator (+ RemoteGram spec for dist)
+//!        │ TileEvaluator (+ RemoteGram spec: fitted models, for dist)
 //!        ▼
 //!   Engine::gram / gram_extend ── one tile scheduler (gram::run_tiles)
 //!        │      serial: inline │ local: WorkerPool │ dist: remote-tiles hook

@@ -14,9 +14,9 @@
 //! CTQW density (leaving one values-only mixture solve per pair), and the
 //! local factor through cached WL label histograms (leaving one merge-join
 //! sparse dot per pair instead of a full WL refinement of both graphs).
-//! Like the QJSK baselines, every evaluation — one pair, a Gram tile or a
-//! dist worker's tile — is one call over a slice of input pairs, whose
-//! mixtures go through one batched Tsallis-entropy solve.
+//! Like the QJSK baselines, every evaluation — one pair or a Gram tile — is
+//! one call over a slice of input pairs, whose mixtures go through one
+//! batched Tsallis-entropy solve.
 
 use crate::features::{cached_ctqw_density, cached_wl_histogram, WlHistogram};
 use crate::kernel::{compute_pair, pair_batch_gram, sparse_dot, GraphKernel, PairBatchKernel};
@@ -68,22 +68,10 @@ impl Default for JensenTsallisKernel {
 }
 
 impl JensenTsallisKernel {
-    /// Stable kernel identifier used by the distributed backend to
-    /// reconstruct this kernel on a worker process.
-    pub const REMOTE_KERNEL_ID: &'static str = "jtqk";
-
     /// Creates the kernel with Tsallis order `q` and `wl_iterations` rounds
     /// of WL refinement.
     pub fn new(q: f64, wl_iterations: usize) -> Self {
         JensenTsallisKernel { q, wl_iterations }
-    }
-
-    /// Evaluates one tile of Gram entries over `graphs` — the remote
-    /// serialisation boundary of the distributed backend (see
-    /// [`crate::QjskUnaligned::eval_tile`]); byte-identical to the
-    /// in-process Gram paths.
-    pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        crate::kernel::eval_tile(self, graphs, pairs, out);
     }
 
     /// The global (quantum) factor: `exp(-JT_q(ρ_p, ρ_q))` with zero-padded
@@ -159,13 +147,6 @@ impl PairBatchKernel for JensenTsallisKernel {
         for (k, (a, b)) in pairs.iter().enumerate() {
             out[k] *= Self::local_factor_from(&a.wl, &b.wl);
         }
-    }
-
-    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
-        (
-            JensenTsallisKernel::REMOTE_KERNEL_ID,
-            vec![("q", self.q), ("wl_iterations", self.wl_iterations as f64)],
-        )
     }
 }
 

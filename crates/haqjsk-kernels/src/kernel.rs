@@ -77,10 +77,11 @@ impl Drop for KernelGramTimer {
 /// scheduler: each tile's index pairs go to `tiles` in one call, so kernels
 /// that batch per-pair work (the tile-batched mixture eigensolves of
 /// QJSK/JTQK) see whole tiles; per-pair kernels wrap their entry function
-/// in [`per_pair`]. `spec`, when given, describes the same computation for
-/// the distributed backend, which ships tiles to worker processes and keeps
-/// `tiles` as the byte-identical local evaluator — attaching a spec never
-/// changes the result, only where it is computed.
+/// in [`per_pair`]. `spec`, when given (fitted-model Grams only), describes
+/// the same computation for the distributed backend, which ships tiles to
+/// worker processes and keeps `tiles` as the byte-identical local
+/// evaluator — attaching a spec never changes the result, only where it is
+/// computed.
 pub fn gram_from_tiles<T: TileEvaluator>(
     n: usize,
     backend: Option<BackendKind>,
@@ -93,9 +94,9 @@ pub fn gram_from_tiles<T: TileEvaluator>(
 
 /// A quantum baseline (QJSK-U, QJSK-A, JTQK) with one evaluation path:
 /// per-graph inputs come out of the global feature caches, and every
-/// evaluation — one pair ([`GraphKernel::compute`]), a Gram tile or a dist
-/// worker's tile — is one [`PairBatchKernel::kernel_batch`] call over a
-/// slice of input pairs, which makes one batched mixture-entropy solve.
+/// evaluation — one pair ([`GraphKernel::compute`]) or a Gram tile — is one
+/// [`PairBatchKernel::kernel_batch`] call over a slice of input pairs, which
+/// makes one batched mixture-entropy solve.
 pub(crate) trait PairBatchKernel: GraphKernel {
     /// The per-graph artifacts one pair evaluation reads.
     type Inputs: Send + Sync;
@@ -105,10 +106,6 @@ pub(crate) trait PairBatchKernel: GraphKernel {
 
     /// Writes the kernel value of every input pair to `out`.
     fn kernel_batch(&self, pairs: &[(&Self::Inputs, &Self::Inputs)], out: &mut [f64]);
-
-    /// The kernel id and parameters the distributed backend rebuilds the
-    /// kernel from on a worker.
-    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>);
 }
 
 /// The one-pair case of [`PairBatchKernel::kernel_batch`].
@@ -119,21 +116,9 @@ pub(crate) fn compute_pair<K: PairBatchKernel>(kernel: &K, a: &Graph, b: &Graph)
     out[0]
 }
 
-/// Evaluates one tile of index pairs over `graphs` with freshly pinned
-/// inputs — the dist worker's entry point, byte-identical to the
-/// in-process Gram tiles.
-pub(crate) fn eval_tile<K: PairBatchKernel>(
-    kernel: &K,
-    graphs: &[Graph],
-    pairs: &[(usize, usize)],
-    out: &mut [f64],
-) {
-    eval_pinned(kernel, graphs, &pins(graphs), pairs, out);
-}
-
 /// The Gram matrix of a [`PairBatchKernel`]: inputs pinned once per
-/// computation, every tile one [`PairBatchKernel::kernel_batch`] call, and
-/// the kernel's remote spec attached for the distributed backend.
+/// computation and every tile one [`PairBatchKernel::kernel_batch`] call,
+/// on the local tile scheduler under any backend.
 pub(crate) fn pair_batch_gram<K: PairBatchKernel>(
     kernel: &K,
     graphs: &[Graph],
@@ -141,16 +126,9 @@ pub(crate) fn pair_batch_gram<K: PairBatchKernel>(
 ) -> KernelMatrix {
     let _timer = time_kernel_gram(kernel.name());
     let pins = pins(graphs);
-    let (kernel_id, params) = kernel.remote_kernel();
-    let spec = RemoteGram {
-        kernel_id,
-        params,
-        graphs,
-        artifact: None,
-    };
     let tiles =
         |pairs: &[(usize, usize)], out: &mut [f64]| eval_pinned(kernel, graphs, &pins, pairs, out);
-    gram_from_tiles(graphs.len(), backend, tiles, Some(&spec))
+    gram_from_tiles(graphs.len(), backend, tiles, None)
 }
 
 /// One empty pin slot per graph. A Gram fills each slot at most once

@@ -18,8 +18,7 @@
 //! for the aligned kernel, the Umeyama matching) is done, and all the
 //! mixtures go through one batched values-only eigensolve. The endpoint
 //! entropies are read from the memo of each graph's cached CTQW density,
-//! so `compute`, a Gram tile and a dist worker's tile are the same code and
-//! give the same bits.
+//! so `compute` and a Gram tile are the same code and give the same bits.
 
 use crate::features::{cached_alignment_basis, cached_ctqw_density, AlignmentBasis};
 use crate::kernel::{compute_pair, pair_batch_gram, GraphKernel, PairBatchKernel};
@@ -47,24 +46,9 @@ impl Default for QjskUnaligned {
 }
 
 impl QjskUnaligned {
-    /// Stable kernel identifier used by the distributed backend to
-    /// reconstruct this kernel on a worker process.
-    pub const REMOTE_KERNEL_ID: &'static str = "qjsk_unaligned";
-
     /// Creates the kernel with decay factor `mu`.
     pub fn new(mu: f64) -> Self {
         QjskUnaligned { mu }
-    }
-
-    /// Evaluates one tile of Gram entries over `graphs` — the remote
-    /// serialisation boundary: a distributed worker receives the dataset
-    /// once and then replays `(kernel id + params + index-pair tile)` work
-    /// units through this entry point. Values are byte-identical to the
-    /// in-process Gram paths: the per-graph inputs come from the same
-    /// deterministic feature caches, and the batched mixture eigensolver is
-    /// bit-identical per matrix regardless of batch composition.
-    pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        crate::kernel::eval_tile(self, graphs, pairs, out);
     }
 }
 
@@ -84,10 +68,6 @@ impl PairBatchKernel for QjskUnaligned {
         for (value, d) in out.iter_mut().zip(divergences) {
             *value = (-self.mu * d).exp();
         }
-    }
-
-    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
-        (QjskUnaligned::REMOTE_KERNEL_ID, vec![("mu", self.mu)])
     }
 }
 
@@ -126,21 +106,9 @@ impl Default for QjskAligned {
 }
 
 impl QjskAligned {
-    /// Stable kernel identifier used by the distributed backend to
-    /// reconstruct this kernel on a worker process.
-    pub const REMOTE_KERNEL_ID: &'static str = "qjsk_aligned";
-
     /// Creates the kernel with decay factor `mu`.
     pub fn new(mu: f64) -> Self {
         QjskAligned { mu }
-    }
-
-    /// Evaluates one tile of Gram entries over `graphs` — the remote
-    /// serialisation boundary of the distributed backend (see
-    /// [`QjskUnaligned::eval_tile`]); byte-identical to the in-process
-    /// Gram paths.
-    pub fn eval_tile(&self, graphs: &[Graph], pairs: &[(usize, usize)], out: &mut [f64]) {
-        crate::kernel::eval_tile(self, graphs, pairs, out);
     }
 
     /// Umeyama spectral matching between two symmetric matrices of equal
@@ -230,10 +198,6 @@ impl PairBatchKernel for QjskAligned {
         for (value, d) in out.iter_mut().zip(divergences) {
             *value = (-self.mu * d).exp();
         }
-    }
-
-    fn remote_kernel(&self) -> (&'static str, Vec<(&'static str, f64)>) {
-        (QjskAligned::REMOTE_KERNEL_ID, vec![("mu", self.mu)])
     }
 }
 

@@ -42,7 +42,7 @@
 //! backend: a GPU backend replaces the lane kernels with device kernels
 //! behind the same batch entry point.
 
-use crate::eigen::{check_symmetric, EigenWorkspace, WORKSPACE_DIM_LIMIT};
+use crate::eigen::{check_symmetric, sort_ascending, EigenWorkspace, WORKSPACE_DIM_LIMIT};
 use crate::matrix::Matrix;
 use crate::simd::{self, SimdPath};
 use crate::Result;
@@ -302,8 +302,7 @@ impl BatchEigenWorkspace {
 
         for (lane, &idx) in chunk.iter().enumerate() {
             let mut vals: Vec<f64> = (0..n).map(|i| d[i * lanes + lane]).collect();
-            // Stable ascending sort, matching the scalar drivers.
-            vals.sort_by(|x, y| x.partial_cmp(y).expect("eigenvalues are finite"));
+            sort_ascending(&mut vals, |&x| x)?;
             out[idx] = vals;
         }
         Ok(())
@@ -560,28 +559,38 @@ mod tests {
     fn a_bad_lane_fails_the_call_on_every_path() {
         // One NaN or infinite entry in one lane of a full-width chunk: that
         // lane's QL sweep never splits, so the call must end in
-        // `NoConvergence` on every path (and in the scalar driver), without
-        // a panic or a hang, wherever the lane sits in the chunk.
+        // `NoConvergence` on every path (and in both scalar drivers),
+        // without a panic or a hang, wherever the lane sits in the chunk.
+        // A NaN on the diagonal with zero off the diagonal splits at once
+        // instead and hands the NaN back, which the sort refuses alike.
         let _lock = crate::simd::override_test_lock();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut poisoned = psd_state(6, 3, 1, 77);
-            poisoned[(0, 2)] = bad;
-            poisoned[(2, 0)] = bad;
-            assert!(matches!(
-                symmetric_eigenvalues(&poisoned),
-                Err(crate::LinalgError::NoConvergence { .. })
-            ));
+        let mut poisoned: Vec<Matrix> = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .map(|bad| {
+                let mut m = psd_state(6, 3, 1, 77);
+                m[(0, 2)] = bad;
+                m[(2, 0)] = bad;
+                m
+            })
+            .collect();
+        poisoned.push(Matrix::from_diag(&[f64::NAN, 1.0, 2.0]));
+        let no_convergence = |e: Option<crate::LinalgError>| {
+            matches!(e, Some(crate::LinalgError::NoConvergence { .. }))
+        };
+        for bad in &poisoned {
+            assert!(no_convergence(symmetric_eigenvalues(bad).err()));
+            assert!(no_convergence(crate::symmetric_eigen(bad).err()));
             for path in crate::simd::available_simd_paths() {
                 crate::simd::set_simd_path(Some(path)).unwrap();
                 let lanes = path.batch_lanes();
                 for at in [0, lanes / 2 + 1, lanes - 1] {
-                    let mut mats = full_chunk_class(6, lanes, 60);
-                    mats[at] = poisoned.clone();
+                    let mut mats = full_chunk_class(bad.rows(), lanes, 60);
+                    mats[at] = bad.clone();
                     let refs: Vec<&Matrix> = mats.iter().collect();
                     let result = batch_symmetric_eigenvalues(&refs);
                     assert!(
-                        matches!(result, Err(crate::LinalgError::NoConvergence { .. })),
-                        "{}: {bad} in lane {at} gave {result:?}",
+                        no_convergence(result.clone().err()),
+                        "{}: {bad:?} in lane {at} gave {result:?}",
                         path.label()
                     );
                 }

@@ -106,6 +106,25 @@ impl SymmetricEigen {
 /// Maximum QL sweeps per eigenvalue before declaring non-convergence.
 pub(crate) const MAX_QL_ITERATIONS: usize = 64;
 
+/// Sorts `items` ascending by eigenvalue with every driver's stable
+/// `partial_cmp` sort, so ties (±0.0 included) keep their order and bits.
+/// A NaN eigenvalue — a sweep that split around a NaN entry hands it back
+/// unconverged — is `NoConvergence`, never a panic.
+pub(crate) fn sort_ascending<T>(items: &mut [T], value: impl Fn(&T) -> f64) -> Result<()> {
+    if items.iter().any(|item| value(item).is_nan()) {
+        return Err(LinalgError::NoConvergence {
+            algorithm: "symmetric QL iteration",
+            iterations: MAX_QL_ITERATIONS,
+        });
+    }
+    items.sort_by(|a, b| {
+        value(a)
+            .partial_cmp(&value(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    Ok(())
+}
+
 /// The QL split test shared by the scalar and batched sweeps: is the
 /// off-diagonal `e_m` negligible next to its diagonal neighbours `d_m` and
 /// `d_{m+1}`? The relative clause is the classic `tqli` test. The absolute
@@ -362,7 +381,7 @@ pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
 
     // Sort eigenvalues ascending and permute eigenvector columns to match.
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).expect("eigenvalues are finite"));
+    sort_ascending(&mut order, |&i| d[i])?;
     let eigenvalues: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     let mut eigenvectors = Matrix::zeros(n, n);
     for (new_col, &old_col) in order.iter().enumerate() {
@@ -442,7 +461,7 @@ impl EigenWorkspace {
         tqli(d, e, n, None)?;
         // Stable ascending sort matches the full driver's stable index sort,
         // so ties (including ±0.0) land in the same order.
-        d.sort_by(|x, y| x.partial_cmp(y).expect("eigenvalues are finite"));
+        sort_ascending(d, |&x| x)?;
         Ok(&self.d[..n])
     }
 }

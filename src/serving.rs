@@ -52,8 +52,8 @@
 //! model fitted without labels. A `fit` may also list
 //! `workers` (`["host:port", ...]`): the server connects a distributed
 //! worker pool ([`crate::dist`]) and runs the model's Gram computations on
-//! the `dist` backend — spec-carrying kernel Grams fan out over the pool,
-//! everything else executes locally (never failing). `stats` reports the
+//! the `dist` backend — the fitted model's full Grams fan out over the
+//! pool, everything else executes locally (never failing). `stats` reports the
 //! engine's active execution backend; for the feature caches (densities,
 //! alignment bases and WL histograms — a density's spectrum and entropy
 //! live in its own memo, not in a cache), the hit/miss/entry/eviction/byte

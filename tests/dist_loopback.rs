@@ -1,18 +1,23 @@
 //! Acceptance tests of the distributed tile-execution backend, over
-//! loopback TCP with in-process workers.
+//! loopback TCP with in-process workers. Every distributed Gram is a
+//! fitted HAQJSK model's — the one tile kind a worker evaluates.
 //!
 //! * **Byte identity.** A multi-worker distributed Gram must be
 //!   byte-identical to the `Serial` backend on the 32-graph acceptance
-//!   dataset, for QJSK-unaligned, QJSK-aligned and JTQK.
+//!   dataset, for HAQJSK(A) and HAQJSK(D).
 //! * **Fault tolerance.** Killing a worker mid-Gram (deterministically,
 //!   via the `fail_after` chaos knob) must not change a single bit of the
 //!   result — surviving workers and the local fallback absorb the loss.
 //! * **Dedup shipping.** A second Gram over the same dataset ships zero
-//!   graphs.
+//!   graphs, and over the same model no artifact.
+//! * **Local baselines.** The closed-form QJSK and JTQK baselines never
+//!   reach the coordinator: they run on the local scheduler under the
+//!   distributed backend.
 //!
 //! The coordinator slot is process-global, so the tests serialise on one
 //! mutex.
 
+use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk::dist::{Coordinator, DistConfig, WorkerOptions, WorkerServer};
 use haqjsk::engine::BackendKind;
 use haqjsk::graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
@@ -65,6 +70,22 @@ fn connect(addrs: &[String]) -> Arc<Coordinator> {
     Arc::new(Coordinator::connect(addrs, config).expect("connect worker pool"))
 }
 
+/// A HAQJSK model of `variant` fitted on `graphs` at the small
+/// configuration.
+fn fit(graphs: &[Graph], variant: HaqjskVariant) -> HaqjskModel {
+    HaqjskModel::fit(graphs, HaqjskConfig::small(), variant).expect("fit test model")
+}
+
+/// The model's Gram over `graphs` on `backend`, as raw entries.
+fn gram(model: &HaqjskModel, graphs: &[Graph], backend: BackendKind) -> Vec<f64> {
+    model
+        .gram_matrix_on(graphs, Some(backend))
+        .expect("model gram")
+        .matrix()
+        .data()
+        .to_vec()
+}
+
 fn assert_bytes_equal(name: &str, distributed: &[f64], serial: &[f64]) {
     assert_eq!(distributed.len(), serial.len());
     for (k, (a, b)) in distributed.iter().zip(serial).enumerate() {
@@ -84,25 +105,21 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
     let coordinator = connect(&addrs);
     haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
-    let kernels: Vec<(&str, &dyn GraphKernel)> = vec![
-        ("QJSK (unaligned)", &QjskUnaligned { mu: 1.0 }),
-        ("QJSK (aligned)", &QjskAligned { mu: 1.0 }),
-        (
-            "JTQK",
-            &JensenTsallisKernel {
-                q: 2.0,
-                wl_iterations: 3,
-            },
-        ),
+    let variants = [
+        HaqjskVariant::AlignedAdjacency,
+        HaqjskVariant::AlignedDensity,
     ];
-    for (name, kernel) in kernels {
-        let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-        let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-        assert_bytes_equal(name, distributed.matrix().data(), serial.matrix().data());
+    for variant in variants {
+        let model = fit(&graphs, variant);
+        assert_bytes_equal(
+            &format!("{variant:?}"),
+            &gram(&model, &graphs, BackendKind::Distributed),
+            &gram(&model, &graphs, BackendKind::Serial),
+        );
     }
 
     let stats = coordinator.stats();
-    assert_eq!(stats.grams, 3, "every Gram routed through the coordinator");
+    assert_eq!(stats.grams, 2, "every Gram routed through the coordinator");
     assert_eq!(
         stats.local_fallback_grams, 0,
         "healthy workers mean no whole-Gram fallback"
@@ -113,11 +130,12 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
         stats.local_fallback_tiles, 0,
         "healthy workers mean no per-tile fallback: {stats:?}"
     );
-    // The dataset shipped once per worker for the first Gram; the two
-    // later Grams were pure dedup hits.
-    assert_eq!(stats.dataset_keys_total, 3 * 2 * graphs.len());
+    // The dataset shipped once per worker for the first Gram; the second
+    // was a pure dedup hit. Each model travelled once to each worker.
+    assert_eq!(stats.dataset_keys_total, 2 * 2 * graphs.len());
     assert_eq!(stats.dataset_keys_shipped, 2 * graphs.len());
-    assert!(stats.dedup_hit_rate() > 0.6, "{stats:?}");
+    assert_eq!(stats.dedup_hit_rate(), 0.5, "{stats:?}");
+    assert_eq!(stats.artifacts_shipped, 2 * 2, "{stats:?}");
 
     haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
@@ -139,14 +157,10 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
         .inject_worker_fault(0, 0)
         .expect("arm fault injection");
 
-    let kernel = QjskUnaligned { mu: 1.0 };
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    assert_bytes_equal(
-        "QJSK under fault injection",
-        distributed.matrix().data(),
-        serial.matrix().data(),
-    );
+    let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
+    let serial = gram(&model, &graphs, BackendKind::Serial);
+    let distributed = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("HAQJSK(A) under fault injection", &distributed, &serial);
 
     let stats = coordinator.stats();
     // The faulted worker died at least once. It may already be alive again
@@ -175,12 +189,8 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     // The pool recovers for the next Gram: worker 0 reconnects (its
     // fail_after counter stays at 0, so it keeps failing — but
     // worker 1 and the local fallback still complete the Gram).
-    let again = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    assert_bytes_equal(
-        "QJSK after the fault",
-        again.matrix().data(),
-        serial.matrix().data(),
-    );
+    let again = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("HAQJSK(A) after the fault", &again, &serial);
 
     haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
@@ -221,13 +231,11 @@ fn total_worker_loss_falls_back_to_local_execution() {
     // fails immediately.
     coordinator.inject_worker_fault(0, 0).expect("arm fault");
 
-    let kernel = JensenTsallisKernel::default();
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
+    let model = fit(&graphs, HaqjskVariant::AlignedDensity);
     assert_bytes_equal(
-        "JTQK with a dead pool",
-        distributed.matrix().data(),
-        serial.matrix().data(),
+        "HAQJSK(D) with a dead pool",
+        &gram(&model, &graphs, BackendKind::Distributed),
+        &gram(&model, &graphs, BackendKind::Serial),
     );
     let stats = coordinator.stats();
     assert!(
@@ -306,8 +314,6 @@ fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
 
 #[test]
 fn model_grams_distribute_via_artifacts_byte_identically() {
-    use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
-
     let _guard = dist_lock();
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(16).collect();
     let (mut servers, addrs) = spawn_workers(2);
@@ -320,17 +326,9 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
     };
     let model = HaqjskModel::fit(&graphs, config, HaqjskVariant::AlignedAdjacency)
         .expect("fit acceptance model");
-    let serial = model
-        .gram_matrix_on(&graphs, Some(BackendKind::Serial))
-        .expect("serial model gram");
-    let distributed = model
-        .gram_matrix_on(&graphs, Some(BackendKind::Distributed))
-        .expect("distributed model gram");
-    assert_bytes_equal(
-        "fitted-model Gram",
-        distributed.matrix().data(),
-        serial.matrix().data(),
-    );
+    let serial = gram(&model, &graphs, BackendKind::Serial);
+    let distributed = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("fitted-model Gram", &distributed, &serial);
 
     let stats = coordinator.stats();
     assert!(
@@ -343,14 +341,8 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
 
     // A second Gram over the same model re-ships nothing: the workers
     // already hold the content-addressed artifact.
-    let again = model
-        .gram_matrix_on(&graphs, Some(BackendKind::Distributed))
-        .expect("repeat distributed model gram");
-    assert_bytes_equal(
-        "repeat fitted-model Gram",
-        again.matrix().data(),
-        serial.matrix().data(),
-    );
+    let again = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("repeat fitted-model Gram", &again, &serial);
     assert_eq!(
         coordinator.stats().artifacts_shipped,
         stats.artifacts_shipped,
@@ -371,18 +363,15 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     let coordinator = connect(&addrs);
     haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
-    let kernel = QjskUnaligned { mu: 1.0 };
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let first = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    assert_bytes_equal(
-        "before membership changes",
-        first.matrix().data(),
-        serial.matrix().data(),
-    );
+    let model = fit(&graphs, HaqjskVariant::AlignedDensity);
+    let serial = gram(&model, &graphs, BackendKind::Serial);
+    let first = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("before membership changes", &first, &serial);
     let epoch_before = coordinator.epoch();
 
-    // Join a third worker mid-run: it must receive the dataset through the
-    // ordinary shipping phase of the next Gram, before taking tiles.
+    // Join a third worker mid-run: it must receive the dataset and the
+    // model through the ordinary shipping phase of the next Gram, before
+    // taking tiles.
     let joiner = WorkerServer::spawn("127.0.0.1:0", WorkerOptions::default()).expect("bind joiner");
     let joiner_addr = joiner.local_addr().to_string();
     servers.push(joiner);
@@ -392,12 +381,9 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     // Joining twice is rejected.
     assert!(coordinator.add_worker(&joiner_addr).is_err());
 
-    let second = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    assert_bytes_equal(
-        "after a join",
-        second.matrix().data(),
-        serial.matrix().data(),
-    );
+    let artifacts_before = coordinator.stats().artifacts_shipped;
+    let second = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("after a join", &second, &serial);
     let stats = coordinator.stats();
     let joined = stats
         .workers
@@ -408,6 +394,11 @@ fn workers_join_and_drain_on_a_running_coordinator() {
         joined.datasets_shipped, 1,
         "the joiner received the dataset on its first Gram: {stats:?}"
     );
+    assert_eq!(
+        stats.artifacts_shipped,
+        artifacts_before + 1,
+        "the joiner alone received the model: {stats:?}"
+    );
 
     // Drain the first worker out; Grams keep working on the remainder.
     let drain_epoch = coordinator.epoch();
@@ -416,12 +407,8 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     assert!(coordinator.epoch() > drain_epoch, "drains bump the epoch");
     assert!(coordinator.remove_worker(&addrs[0]).is_err());
 
-    let third = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    assert_bytes_equal(
-        "after a drain",
-        third.matrix().data(),
-        serial.matrix().data(),
-    );
+    let third = gram(&model, &graphs, BackendKind::Distributed);
+    assert_bytes_equal("after a drain", &third, &serial);
     assert_eq!(
         coordinator.stats().local_fallback_tiles,
         0,
@@ -448,13 +435,11 @@ fn bounded_worker_stores_recover_evictions_through_reshipping() {
     haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
-    let kernel = QjskUnaligned { mu: 1.0 };
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
+    let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
     assert_bytes_equal(
-        "QJSK under a starved store",
-        distributed.matrix().data(),
-        serial.matrix().data(),
+        "HAQJSK(A) under a starved store",
+        &gram(&model, &graphs, BackendKind::Distributed),
+        &gram(&model, &graphs, BackendKind::Serial),
     );
 
     let stats = coordinator.stats();
@@ -475,12 +460,52 @@ fn distributed_kind_without_a_coordinator_executes_locally() {
     let _guard = dist_lock();
     haqjsk::dist::set_coordinator(None);
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(8).collect();
-    let kernel = QjskAligned { mu: 1.0 };
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let local = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
+    let model = fit(&graphs, HaqjskVariant::AlignedDensity);
     assert_bytes_equal(
-        "QJSK-A without coordinator",
-        local.matrix().data(),
-        serial.matrix().data(),
+        "HAQJSK(D) without coordinator",
+        &gram(&model, &graphs, BackendKind::Distributed),
+        &gram(&model, &graphs, BackendKind::Serial),
     );
+}
+
+#[test]
+fn closed_form_baselines_schedule_no_dist_tiles_beside_a_live_coordinator() {
+    let _guard = dist_lock();
+    let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
+    let (mut servers, addrs) = spawn_workers(2);
+    let coordinator = connect(&addrs);
+    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
+
+    let kernels: Vec<(&str, &dyn GraphKernel)> = vec![
+        ("QJSK (unaligned)", &QjskUnaligned { mu: 1.0 }),
+        ("QJSK (aligned)", &QjskAligned { mu: 1.0 }),
+        (
+            "JTQK",
+            &JensenTsallisKernel {
+                q: 2.0,
+                wl_iterations: 3,
+            },
+        ),
+    ];
+    for (name, kernel) in kernels {
+        let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
+        let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
+        assert_bytes_equal(name, distributed.matrix().data(), serial.matrix().data());
+    }
+
+    let stats = coordinator.stats();
+    assert_eq!(
+        stats.grams, 0,
+        "no baseline Gram reached the pool: {stats:?}"
+    );
+    assert_eq!(stats.tiles_scheduled, 0, "{stats:?}");
+    assert!(
+        stats.workers.iter().all(|w| w.tiles_dispatched == 0),
+        "{stats:?}"
+    );
+
+    haqjsk::dist::set_coordinator(None);
+    for server in &mut servers {
+        server.shutdown();
+    }
 }

@@ -1,17 +1,18 @@
 //! Distributed smoke test against **real worker processes**: spawns two
-//! `haqjsk-worker` binaries on ephemeral loopback ports, fans a Gram out
-//! over them, and checks byte identity against the serial backend — then
-//! kills one process outright and checks the pool still answers.
+//! `haqjsk-worker` binaries on ephemeral loopback ports, fans HAQJSK(A)
+//! and HAQJSK(D) model Grams out over them, and checks byte identity
+//! against the serial backend — then kills one process outright and
+//! checks the pool still answers.
 //!
 //! Marked `#[ignore]` so the default `cargo test` stays hermetic and fast;
 //! CI runs it explicitly (release build) with
 //! `cargo test --release --test dist_process_smoke -- --ignored`.
 
+use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk::dist::{Coordinator, DistConfig};
 use haqjsk::engine::BackendKind;
 use haqjsk::graph::generators::{cycle_graph, erdos_renyi, star_graph};
 use haqjsk::graph::Graph;
-use haqjsk::kernels::{GraphKernel, QjskUnaligned};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -82,18 +83,25 @@ fn two_worker_processes_compute_byte_identical_grams_and_survive_a_kill() {
         Arc::new(Coordinator::connect(&addrs, config).expect("connect to worker processes"));
     haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
+    // One model per variant, fitted once; the Grams alternate variants.
     let graphs = dataset();
-    let kernel = QjskUnaligned { mu: 1.0 };
-    let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-    let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    for (k, (a, b)) in distributed
-        .matrix()
-        .data()
+    let models: Vec<HaqjskModel> = [
+        HaqjskVariant::AlignedAdjacency,
+        HaqjskVariant::AlignedDensity,
+    ]
+    .into_iter()
+    .map(|variant| HaqjskModel::fit(&graphs, HaqjskConfig::small(), variant).unwrap())
+    .collect();
+    let gram = |model: &HaqjskModel, backend| -> Vec<u64> {
+        let gram = model.gram_matrix_on(&graphs, Some(backend)).unwrap();
+        gram.matrix().data().iter().map(|v| v.to_bits()).collect()
+    };
+    let serial: Vec<Vec<u64>> = models
         .iter()
-        .zip(serial.matrix().data())
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "entry {k} drifted ({a} vs {b})");
+        .map(|model| gram(model, BackendKind::Serial))
+        .collect();
+    for (model, serial) in models.iter().zip(&serial) {
+        assert_eq!(&gram(model, BackendKind::Distributed), serial);
     }
     let stats = coordinator.stats();
     let completed: usize = stats.workers.iter().map(|w| w.tiles_completed).sum();
@@ -103,19 +111,17 @@ fn two_worker_processes_compute_byte_identical_grams_and_survive_a_kill() {
         "both processes participated: {stats:?}"
     );
 
-    // Kill one process outright; the next Gram must still be byte-exact
+    // Kill one process outright; the next Grams must still be byte-exact
     // (survivor + local fallback) and must not hang.
     let mut workers = workers;
     workers[0].child.kill().expect("kill worker process");
     workers[0].child.wait().expect("reap worker process");
-    let after_kill = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-    for (a, b) in after_kill
-        .matrix()
-        .data()
-        .iter()
-        .zip(serial.matrix().data())
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "post-kill Gram drifted");
+    for (model, serial) in models.iter().zip(&serial) {
+        assert_eq!(
+            &gram(model, BackendKind::Distributed),
+            serial,
+            "post-kill Gram drifted"
+        );
     }
 
     haqjsk::dist::set_coordinator(None);
