@@ -392,27 +392,6 @@ impl Coordinator {
         }
     }
 
-    /// Chaos hook: arms `fail_after` on worker `index` — it will serve
-    /// `tiles` more tile requests, then fail and hang up. Used by the
-    /// fault-injection tests to kill a worker deterministically mid-Gram.
-    pub fn inject_worker_fault(&self, index: usize, tiles: usize) -> Result<(), String> {
-        let link = self
-            .members()
-            .get(index)
-            .cloned()
-            .ok_or_else(|| format!("no worker at index {index}"))?;
-        let mut conn = link
-            .checkout(&self.config)
-            .ok_or_else(|| format!("worker {} unreachable", link.addr))?;
-        let request = Json::obj([
-            ("cmd", Json::Str("fail_after".to_string())),
-            ("tiles", Json::Num(tiles as f64)),
-        ]);
-        let result = conn.call(&request, Some(self.config.deadline));
-        link.checkin(conn);
-        result.map(|_| ())
-    }
-
     /// The distributed Gram entry point (called by the remote-tiles hook):
     /// the full upper-triangle grid of tile width `tile`, or `None` when
     /// the Gram should run locally instead.

@@ -23,7 +23,6 @@
 //! | `artifact_commit` | `artifact`                                      | `parsed`, after digest verification + model parse |
 //! | `tile`            | `dataset`, `job`, `kernel`, `pairs`, `epoch`, optional `trace`/`parent` (hex trace stamp) | `job`, `values` (+ optional `spans`: worker span records for the stamped trace) — or `store_miss` + `missing` + `artifact_missing` when the worker lost dataset graphs or the model (coordinator re-ships and retries) |
 //! | `stats`           | —                                               | worker-side counters (store, models and their aligned-cache evictions, chaos, epoch) |
-//! | `fail_after`      | `tiles`                                         | chaos knob: serve N more tiles, then fail + hang up |
 //! | `chaos`           | `seed`, `kill`, `hangup`, `delay`, `delay_ms`, `miss` (permille rates) or `off` | arms/disarms the seeded chaos plan |
 //! | `shutdown`        | —                                               | ack, then hang up (process workers drain and exit) |
 //!

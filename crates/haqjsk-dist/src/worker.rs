@@ -29,23 +29,22 @@
 //!
 //! ## Chaos knobs
 //!
-//! `{"cmd":"fail_after","tiles":N}` arms deterministic fault injection: the
-//! next `N` tile requests succeed, after which every tile request answers
-//! an injected error and the connection is dropped — how the fault tests
-//! kill a worker mid-Gram without races. `shutdown` acks and hangs up; in
-//! the standalone binary it also begins a drain of the listener, and the
-//! process exits once the drain completes. Every hangup is decided per
-//! request and travels with that request's response, so it only ever
-//! closes the connection that carried the faulting request.
+//! `HAQJSK_CHAOS=seed:N,...` at spawn (or a `chaos` command at runtime)
+//! arms a [`ChaosState`] that injects kills, mid-stream hangups, response
+//! delays and transient store misses (one stored graph and the tile's
+//! model entry evicted) at the configured permille rates,
+//! deterministically in request order. A kill rate of 1000 fails every
+//! tile request with an error and drops the connection — how the fault
+//! tests kill a worker mid-Gram without races. Faults only fire on `tile`
+//! requests — dataset shipping, artifacts and control commands always
+//! succeed, so the soak exercises recovery, not setup. See
+//! [`crate::chaos`].
 //!
-//! The seeded chaos harness is richer: `HAQJSK_CHAOS=seed:N,...` at spawn
-//! (or a `chaos` command at runtime) arms a [`ChaosState`] that injects
-//! kills, mid-stream hangups, response delays and transient store misses
-//! (one stored graph and the tile's model entry evicted) at the configured
-//! permille rates, deterministically in request order.
-//! Faults only fire on `tile` requests — dataset shipping, artifacts and
-//! control commands always succeed, so the soak exercises recovery, not
-//! setup. See [`crate::chaos`].
+//! `shutdown` acks and hangs up; in the standalone binary it also begins a
+//! drain of the listener, and the process exits once the drain completes.
+//! Every hangup is decided per request and travels with that request's
+//! response, so it only ever closes the connection that carried the
+//! faulting request.
 
 use crate::chaos::{ChaosFault, ChaosPlan, ChaosState};
 use crate::dataset::GraphStore;
@@ -58,7 +57,7 @@ use haqjsk_engine::{
 };
 use haqjsk_graph::Graph;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Duration;
 
@@ -80,7 +79,6 @@ pub struct WorkerOptions {
 struct WorkerCounters {
     tiles_served: AtomicUsize,
     pairs_evaluated: AtomicUsize,
-    faults_injected: AtomicUsize,
     store_miss_replies: AtomicUsize,
 }
 
@@ -153,9 +151,6 @@ struct WorkerState {
     /// Highest membership epoch seen on tile traffic (observability only —
     /// tiles from any epoch evaluate identically by design).
     last_epoch: AtomicUsize,
-    /// `< 0`: disabled. `> 0`: tile requests to serve before failing.
-    /// `== 0`: every tile request fails (and hangs up).
-    fail_after: AtomicIsize,
     options: WorkerOptions,
     /// The listener's lifecycle handle, set once it is bound: `shutdown`
     /// begins its drain when the options ask for an exit.
@@ -171,11 +166,9 @@ impl WorkerState {
             counters: WorkerCounters {
                 tiles_served: AtomicUsize::new(0),
                 pairs_evaluated: AtomicUsize::new(0),
-                faults_injected: AtomicUsize::new(0),
                 store_miss_replies: AtomicUsize::new(0),
             },
             last_epoch: AtomicUsize::new(0),
-            fail_after: AtomicIsize::new(-1),
             options,
             control: OnceLock::new(),
         }
@@ -256,7 +249,6 @@ impl Handler for WorkerHandler {
             "artifact_commit" => cmd_artifact_commit(&self.state, request),
             "tile" => return cmd_tile(&self.state, request),
             "stats" => cmd_stats(&self.state),
-            "fail_after" => cmd_fail_after(&self.state, request),
             "chaos" => cmd_chaos(&self.state, request),
             "shutdown" => {
                 if self.state.options.exit_on_shutdown {
@@ -427,27 +419,6 @@ fn cmd_artifact_commit(state: &WorkerState, request: &Json) -> Json {
     run().unwrap_or_else(|e| error_response(&e))
 }
 
-/// Whether an armed fault fires on this tile request (serving `false` also
-/// consumes one charge of the countdown).
-fn fault_fires(state: &WorkerState) -> bool {
-    loop {
-        let current = state.fail_after.load(Ordering::Acquire);
-        if current < 0 {
-            return false;
-        }
-        if current == 0 {
-            return true;
-        }
-        if state
-            .fail_after
-            .compare_exchange(current, current - 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            return false;
-        }
-    }
-}
-
 /// Handles a `tile` request under the coordinator's trace context (when
 /// the request is stamped and tracing is enabled): the worker's tile span
 /// — and every engine-pool span it opens — joins the caller's trace, and
@@ -476,18 +447,10 @@ fn cmd_tile(state: &WorkerState, request: &Json) -> (Json, Disposition) {
     (response, disposition)
 }
 
-/// Evaluates one tile request. An injected fault answers an error and
-/// closes this request's connection (or, for a chaos hangup, closes it
-/// without answering).
+/// Evaluates one tile request. An injected chaos kill answers an error and
+/// closes this request's connection (a chaos hangup closes it without
+/// answering).
 fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
-    if fault_fires(state) {
-        state
-            .counters
-            .faults_injected
-            .fetch_add(1, Ordering::Relaxed);
-        let response = error_response("injected worker fault (fail_after)");
-        return (response, Disposition::Close);
-    }
     let mut disposition = Disposition::Keep;
     let mut run = || -> Result<Json, String> {
         let dataset = dataset_field(request)?;
@@ -641,14 +604,6 @@ fn eval_model_tile_chunked(
     Ok(parts.concat())
 }
 
-fn cmd_fail_after(state: &WorkerState, request: &Json) -> Json {
-    let Some(tiles) = request.get("tiles").and_then(Json::as_usize) else {
-        return error_response("fail_after needs an integer field 'tiles'");
-    };
-    state.fail_after.store(tiles as isize, Ordering::Release);
-    Json::obj([("ok", Json::Bool(true))])
-}
-
 fn cmd_chaos(state: &WorkerState, request: &Json) -> Json {
     match ChaosPlan::from_request(request) {
         Ok(plan) => {
@@ -699,10 +654,6 @@ fn cmd_stats(state: &WorkerState) -> Json {
         (
             "pairs_evaluated",
             Json::Num(state.counters.pairs_evaluated.load(Ordering::Relaxed) as f64),
-        ),
-        (
-            "faults_injected",
-            Json::Num(state.counters.faults_injected.load(Ordering::Relaxed) as f64),
         ),
         (
             "store_miss_replies",
@@ -1098,57 +1049,9 @@ mod tests {
         assert!(stats.get("store_miss_replies").and_then(Json::as_usize) >= Some(1));
     }
 
-    #[test]
-    fn fail_after_injects_a_deterministic_fault() {
-        let server = WorkerServer::spawn("127.0.0.1:0", WorkerOptions::default()).unwrap();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = BufReader::new(stream);
-
-        let graphs = vec![path_graph(4), cycle_graph(5)];
-        let id = ship_dataset(&mut writer, &mut reader, &graphs);
-        let (_, kernel) = ship_model(&mut writer, &mut reader, &graphs);
-
-        // Arm: one more tile succeeds, then the connection dies.
-        let arm = exchange(
-            &mut writer,
-            &mut reader,
-            &Json::obj([
-                ("cmd", Json::Str("fail_after".to_string())),
-                ("tiles", Json::Num(1.0)),
-            ]),
-        );
-        assert_eq!(arm.get("ok").and_then(Json::as_bool), Some(true));
-
-        let ok = exchange(
-            &mut writer,
-            &mut reader,
-            &wire::tile_request(&id, 0, &kernel, &[(0, 1)], 1, None),
-        );
-        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
-        let injected = exchange(
-            &mut writer,
-            &mut reader,
-            &wire::tile_request(&id, 1, &kernel, &[(0, 1)], 1, None),
-        );
-        assert_eq!(injected.get("ok").and_then(Json::as_bool), Some(false));
-        // The worker hung up after the injected failure: the next exchange
-        // sees either a clean EOF or a reset (we may have written into the
-        // already-closed socket), never a response.
-        let _ = writer.write_all(format!("{}\n", wire::ping_request()).as_bytes());
-        let _ = writer.flush();
-        let mut line = String::new();
-        // An error is a reset by peer — also a hangup.
-        if let Ok(n) = reader.read_line(&mut line) {
-            assert_eq!(n, 0, "connection closed, got {line:?}");
-        }
-    }
-
-    fn fail_after(tiles: usize) -> Json {
-        Json::obj([
-            ("cmd", Json::Str("fail_after".to_string())),
-            ("tiles", Json::Num(tiles as f64)),
-        ])
+    /// A chaos plan that kills every tile request.
+    fn kill_every_tile() -> Json {
+        wire::chaos_request(Some(&ChaosPlan::parse("seed:0,kill:1000").unwrap()))
     }
 
     #[test]
@@ -1158,7 +1061,7 @@ mod tests {
         let handler = WorkerHandler {
             state: Arc::new(WorkerState::new(WorkerOptions::default(), None)),
         };
-        handler.handle(&fail_after(0));
+        handler.handle(&kill_every_tile());
         let kernel = KernelSpec {
             artifact: "feed".repeat(8),
         }
@@ -1180,7 +1083,7 @@ mod tests {
         };
         let (mut faulty_writer, mut faulty_reader) = connect();
         let (mut writer, mut reader) = connect();
-        exchange(&mut faulty_writer, &mut faulty_reader, &fail_after(0));
+        exchange(&mut faulty_writer, &mut faulty_reader, &kill_every_tile());
         let faulted = exchange(&mut faulty_writer, &mut faulty_reader, &tile);
         assert_eq!(faulted.get("ok").and_then(Json::as_bool), Some(false));
         let mut line = String::new();

@@ -1,5 +1,5 @@
 //! Engine-side observability wiring: cached handles for the engine's own
-//! metrics (Gram build time, tile latency, pool queue depth, serve request
+//! metrics (Gram build time, tile latency, pool jobs, serve request
 //! accounting) and the [`Snapshot`] → [`Json`] conversion the serving
 //! layer's `metrics`/`stats` operations use.
 //!
@@ -46,18 +46,6 @@ pub fn tile_eval_histogram() -> &'static Histogram {
         registry().histogram(
             "haqjsk_tile_eval_seconds",
             "Wall-clock time of one Gram tile evaluation on the worker pool.",
-            &[],
-        )
-    })
-}
-
-/// Gauge of jobs currently queued in the worker pool.
-pub fn pool_queue_depth_gauge() -> &'static Gauge {
-    static GAUGE: OnceLock<Gauge> = OnceLock::new();
-    GAUGE.get_or_init(|| {
-        registry().gauge(
-            "haqjsk_pool_queue_depth",
-            "Jobs currently queued in the worker pool.",
             &[],
         )
     })

@@ -133,7 +133,6 @@ impl WorkerPool {
                     task.run_indices()
                 }));
             }
-            crate::obs::pool_queue_depth_gauge().set(queue.len() as f64);
         }
         crate::obs::pool_jobs_counter().add(jobs as u64);
         self.shared.work_available.notify_all();
@@ -227,7 +226,6 @@ fn worker_loop(shared: &PoolShared) {
             let mut queue = shared.queue.lock().expect("queue poisoned");
             loop {
                 if let Some(job) = queue.pop_front() {
-                    crate::obs::pool_queue_depth_gauge().set(queue.len() as f64);
                     break job;
                 }
                 if shared.shutting_down.load(Ordering::Acquire) {

@@ -73,9 +73,8 @@
 //!
 //! Heavy operations (`fit`, `transform`, `kernel_row`, `append`,
 //! `predict`, `load`, `load_file`) pass **admission control** before doing
-//! any work: when the heavy-request load (requests in flight in heavy
-//! handlers plus the engine pool's queue depth, normalised by thread
-//! count) reaches `HAQJSK_SERVE_MAX_INFLIGHT_HEAVY`, the request is shed
+//! any work: when the heavy requests in flight (heavy handlers running
+//! now) reach `HAQJSK_SERVE_MAX_INFLIGHT_HEAVY`, the request is shed
 //! immediately with `{"ok":false,"error":"overloaded: ...",`
 //! `"rejected":"overloaded"}` — cheap operations (`ping`, `stats`,
 //! `metrics`) keep answering throughout. Every request may carry a
@@ -140,8 +139,7 @@ pub struct ServingConfig {
     /// `deadline_ms`.
     pub default_deadline: Option<Duration>,
     /// Admission high-water mark: heavy requests are shed while the heavy
-    /// load (in-flight heavy handlers + normalised pool queue depth) is at
-    /// or above this. `0` sheds everything heavy.
+    /// requests in flight are at or above this. `0` sheds everything heavy.
     pub max_inflight_heavy: usize,
 }
 
@@ -465,7 +463,9 @@ impl Serving {
             "/healthz" => {
                 if self.drain_requested() {
                     HttpResponse::text(503, "/healthz", "draining\n")
-                } else if self.heavy_load() >= self.inner.config.max_inflight_heavy {
+                } else if self.inner.heavy_inflight.load(Ordering::Acquire)
+                    >= self.inner.config.max_inflight_heavy
+                {
                     HttpResponse::text(503, "/healthz", "overloaded\n")
                 } else {
                     HttpResponse::text(200, "/healthz", "ok\n")
@@ -507,21 +507,6 @@ impl Serving {
             .is_some_and(ServeControl::is_draining)
     }
 
-    /// The admission-control load measure: heavy requests in flight plus
-    /// the engine pool's queue depth normalised by its thread count (a
-    /// deep compute queue counts like additional waiting requests).
-    fn heavy_load(&self) -> usize {
-        let depth = crate::engine::obs::pool_queue_depth_gauge().value();
-        let depth = if depth.is_finite() && depth > 0.0 {
-            depth as usize
-        } else {
-            0
-        };
-        let threads = Engine::global().threads().max(1);
-        let queued = depth.div_ceil(threads);
-        self.inner.heavy_inflight.load(Ordering::Acquire) + queued
-    }
-
     /// Runs one heavy command behind admission control and a deadline:
     /// sheds before any work when the load is at the high-water mark, and
     /// renders deadline trips as their distinct envelope.
@@ -529,16 +514,16 @@ impl Serving {
     where
         F: FnOnce(&RequestDeadline) -> Result<Json, Fail>,
     {
-        let load = self.heavy_load();
+        let inflight = self.inner.heavy_inflight.load(Ordering::Acquire);
         let cap = self.inner.config.max_inflight_heavy;
-        if load >= cap {
+        if inflight >= cap {
             crate::engine::obs::serve_rejected_counter(op).inc();
             return Json::obj([
                 ("ok", Json::Bool(false)),
                 (
                     "error",
                     Json::Str(format!(
-                        "overloaded: heavy load {load} at/above cap {cap}; retry later"
+                        "overloaded: heavy load {inflight} at/above cap {cap}; retry later"
                     )),
                 ),
                 ("rejected", Json::Str("overloaded".to_string())),
@@ -737,15 +722,14 @@ fn worker_addrs(request: &Json) -> Result<Vec<String>, String> {
 /// Connects and installs a distributed worker pool when the request lists
 /// `workers`; returns the backend the model's Grams should run on.
 ///
-/// The pool is installed process-wide (it serves the spec-carrying Grams
-/// of the quantum baseline kernels *and* the fitted model, which ships as
-/// a content-addressed artifact); computations without a serialisable
-/// spec execute locally on the engine's pool, so configuring workers never
-/// makes a fit fail. The connect itself is resilient: each unreachable
-/// address is retried once with a short backoff, and the fit proceeds
-/// degraded (with a loud warning and a `workers_unreachable` count in the
-/// response) as long as *one* worker answers — only a fully dark pool is
-/// an error.
+/// The pool is installed process-wide. Only the fitted model's Gram
+/// distributes (the model ships as a content-addressed artifact); every
+/// other computation executes locally on the engine's pool, so configuring
+/// workers never makes a fit fail. The connect itself is resilient: each
+/// unreachable address is retried once with a short backoff, and the fit
+/// proceeds degraded (with a loud warning and a `workers_unreachable`
+/// count in the response) as long as *one* worker answers — only a fully
+/// dark pool is an error.
 ///
 /// Every such fit installs a fresh coordinator, so the dist counters that
 /// `stats` reports restart with each `workers` fit. The replaced

@@ -6,8 +6,9 @@
 //!   byte-identical to the `Serial` backend on the 32-graph acceptance
 //!   dataset, for HAQJSK(A) and HAQJSK(D).
 //! * **Fault tolerance.** Killing a worker mid-Gram (deterministically,
-//!   via the `fail_after` chaos knob) must not change a single bit of the
-//!   result — surviving workers and the local fallback absorb the loss.
+//!   via a chaos plan that kills every tile) must not change a single bit
+//!   of the result — surviving workers and the local fallback absorb the
+//!   loss.
 //! * **Dedup shipping.** A second Gram over the same dataset ships zero
 //!   graphs, and over the same model no artifact.
 //! * **Local baselines.** The closed-form QJSK and JTQK baselines never
@@ -18,11 +19,13 @@
 //! mutex.
 
 use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
-use haqjsk::dist::{Coordinator, DistConfig, WorkerOptions, WorkerServer};
-use haqjsk::engine::BackendKind;
+use haqjsk::dist::{wire, ChaosPlan, Coordinator, DistConfig, WorkerOptions, WorkerServer};
+use haqjsk::engine::{BackendKind, Json};
 use haqjsk::graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk::graph::Graph;
 use haqjsk::kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -60,6 +63,24 @@ fn spawn_workers(count: usize) -> (Vec<WorkerServer>, Vec<String>) {
         .collect();
     let addrs = servers.iter().map(|s| s.local_addr().to_string()).collect();
     (servers, addrs)
+}
+
+/// Arms the worker at `addr` with a chaos plan that kills every tile
+/// request: each answers an error and drops its connection.
+fn kill_every_tile(addr: &str) {
+    let plan = ChaosPlan::parse("seed:0,kill:1000").expect("chaos plan");
+    let mut stream = TcpStream::connect(addr).expect("connect to worker");
+    writeln!(stream, "{}", wire::chaos_request(Some(&plan))).expect("send chaos plan");
+    let mut ack = String::new();
+    BufReader::new(stream)
+        .read_line(&mut ack)
+        .expect("chaos ack");
+    let ack = Json::parse(ack.trim()).expect("chaos ack is JSON");
+    assert_eq!(
+        ack.get("armed").and_then(Json::as_bool),
+        Some(true),
+        "{ack}"
+    );
 }
 
 fn connect(addrs: &[String]) -> Arc<Coordinator> {
@@ -153,9 +174,7 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
 
     // Worker 0 fails its first tile and hangs up — a deterministic
     // mid-Gram death, however many of the Gram's tiles it wins.
-    coordinator
-        .inject_worker_fault(0, 0)
-        .expect("arm fault injection");
+    kill_every_tile(&addrs[0]);
 
     let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
     let serial = gram(&model, &graphs, BackendKind::Serial);
@@ -187,7 +206,7 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     );
 
     // The pool recovers for the next Gram: worker 0 reconnects (its
-    // fail_after counter stays at 0, so it keeps failing — but
+    // chaos plan still kills every tile, so it keeps failing — but
     // worker 1 and the local fallback still complete the Gram).
     let again = gram(&model, &graphs, BackendKind::Distributed);
     assert_bytes_equal("HAQJSK(A) after the fault", &again, &serial);
@@ -229,7 +248,7 @@ fn total_worker_loss_falls_back_to_local_execution() {
 
     // Kill the only worker before the Gram even starts: every tile request
     // fails immediately.
-    coordinator.inject_worker_fault(0, 0).expect("arm fault");
+    kill_every_tile(&addrs[0]);
 
     let model = fit(&graphs, HaqjskVariant::AlignedDensity);
     assert_bytes_equal(
@@ -252,9 +271,6 @@ fn total_worker_loss_falls_back_to_local_execution() {
 #[test]
 fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
     use haqjsk::engine::serve::graph_to_json;
-    use haqjsk::engine::Json;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
 
     let _guard = dist_lock();
     haqjsk::dist::set_coordinator(None);

@@ -7,12 +7,13 @@
 //! corresponding metrics move.
 
 use haqjsk::engine::serve::{graph_to_json, ServeConfig, Server};
-use haqjsk::engine::Json;
+use haqjsk::engine::{Engine, Json};
 use haqjsk::graph::generators::{cycle_graph, star_graph};
 use haqjsk::graph::Graph;
 use haqjsk::serving::{Serving, ServingConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 struct Client {
@@ -428,6 +429,101 @@ fn admission_control_sheds_heavy_ops_but_cheap_ops_answer() {
         "rejected counters moved: {before} -> {after}"
     );
     server.shutdown();
+}
+
+/// Sets its flag when dropped, so a failing assertion still ends a hold
+/// that a scoped thread is waiting on.
+struct Release<'a>(&'a AtomicBool);
+
+impl Drop for Release<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+#[test]
+fn busy_pool_workers_do_not_shed_closed_loop_predicts() {
+    // Admission counts heavy requests in flight, never the pool's queue:
+    // with every pool worker held by work that is not a served request,
+    // each predict runs on its caller and leaves its helper jobs queued,
+    // yet one request at a time stays far under the cap.
+    let config = ServingConfig::default();
+    let requests = 2 * config.max_inflight_heavy + 1;
+    let serving = Serving::new(config);
+    // 64 graphs: a predict row spans at least `threads` lane-width chunks.
+    let graphs: Vec<Graph> = (5..37)
+        .flat_map(|n| [cycle_graph(n), star_graph(n)])
+        .collect();
+    let fit = Json::obj([
+        ("cmd", Json::Str("fit".into())),
+        (
+            "graphs",
+            Json::Arr(graphs.iter().map(graph_to_json).collect()),
+        ),
+        (
+            "labels",
+            Json::Arr(
+                (0..graphs.len())
+                    .map(|i| Json::Num((i % 2) as f64))
+                    .collect(),
+            ),
+        ),
+        ("variant", Json::Str("A".into())),
+        (
+            "config",
+            Json::obj([
+                ("hierarchy_levels", Json::Num(2.0)),
+                ("num_prototypes", Json::Num(6.0)),
+                ("layer_cap", Json::Num(2.0)),
+                ("kmeans_max_iterations", Json::Num(8.0)),
+            ]),
+        ),
+    ]);
+    let fitted = serving.handle(&fit);
+    assert_eq!(
+        fitted.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{fitted}"
+    );
+    let predict = Json::obj([
+        ("cmd", Json::Str("predict".into())),
+        ("graph", graph_to_json(&cycle_graph(9))),
+    ]);
+
+    let pool = Engine::global().pool();
+    let holders = pool.threads() + 1;
+    let started = AtomicUsize::new(0);
+    let released = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // Every pool worker plus the dispatching thread hold one index
+        // each until the flag is set: no timer ends the hold.
+        scope.spawn(|| {
+            pool.scoped_run(holders, &|_| {
+                started.fetch_add(1, Ordering::AcqRel);
+                while !released.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })
+        });
+        let _release = Release(&released);
+        while started.load(Ordering::Acquire) < holders {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let refused: Vec<(usize, Json)> = (1..=requests)
+            .map(|i| (i, serving.handle(&predict)))
+            .filter(|(_, reply)| reply.get("ok").and_then(Json::as_bool) != Some(true))
+            .collect();
+        let health = serving.http_respond("/healthz");
+        assert!(
+            refused.is_empty() && health.status == 200,
+            "{} of {requests} predicts refused beside busy pool workers \
+             (first: {:?}); /healthz {} {:?}",
+            refused.len(),
+            refused.first(),
+            health.status,
+            health.body
+        );
+    });
 }
 
 #[test]
