@@ -413,6 +413,35 @@ impl<V> FeatureCache<V> {
         Some(value)
     }
 
+    /// Looks `key` up for a caller that extends values in place of
+    /// recomputing them: a resident value that `covers` accepts is a hit
+    /// (counted, LRU position refreshed) and comes back as `Ok`. Anything
+    /// else is a miss (counted) and comes back as `Err` with the resident
+    /// value, if any, for the caller to extend and
+    /// [`store_if`](FeatureCache::store_if).
+    pub fn get_covering(
+        &self,
+        key: GraphKey,
+        covers: impl FnOnce(&V) -> bool,
+    ) -> Result<Arc<V>, Option<Arc<V>>> {
+        let mut state = self.lock();
+        let resident = state
+            .entries
+            .get(&key)
+            .and_then(|entry| Some((entry.node, entry.slot.get().cloned()?)));
+        match resident {
+            Some((node, value)) if covers(&value) => {
+                state.lru.touch(node);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Ok(value)
+            }
+            resident => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                Err(resident.map(|(_, value)| value))
+            }
+        }
+    }
+
     /// Returns the cached value for `key` without computing, if present.
     /// Unlike [`FeatureCache::get`] this touches neither the hit counter
     /// nor the LRU order — it is for introspection, not for serving
@@ -511,6 +540,32 @@ impl<V: CacheWeight> FeatureCache<V> {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         value
+    }
+
+    /// Stores `value` under `key` when nothing is resident there or
+    /// `replaces(resident)` holds; returns whether it stored. The stored
+    /// entry is re-weighed, moves to the LRU head and the budget is
+    /// enforced, so the budget stays an exact bound. A replaced entry is
+    /// not counted as an eviction; a compute still in flight for `key`
+    /// counts as nothing resident (its result is then not accounted).
+    pub fn store_if(&self, key: GraphKey, value: V, replaces: impl FnOnce(&V) -> bool) -> bool {
+        let weight = CacheWeight::weight(&value).max(1);
+        let mut state = self.lock();
+        if let Some(entry) = state.entries.get(&key) {
+            if entry.slot.get().is_some_and(|resident| !replaces(resident)) {
+                return false;
+            }
+            let node = entry.node;
+            let replaced = entry.weight;
+            state.lru.remove(node);
+            state.resident_bytes -= replaced;
+        }
+        let node = state.lru.push_front(key);
+        let slot = Arc::new(OnceLock::from(Arc::new(value)));
+        state.entries.insert(key, Entry { slot, weight, node });
+        state.resident_bytes += weight;
+        state.enforce_budget();
+        true
     }
 }
 
@@ -634,6 +689,44 @@ mod tests {
             cache.get_or_compute(GraphKey((100 + i) as u128), || i);
         }
         assert_eq!(cache.stats().entries, 14, "unbounded again");
+    }
+
+    #[test]
+    fn store_if_extends_reweighs_and_keeps_the_budget_exact() {
+        let row = |len: usize| vec![1.0f64; len];
+        let weight = |len: usize| row(len).weight();
+        let cache: FeatureCache<Vec<f64>> =
+            FeatureCache::with_config(CacheConfig::with_budget(weight(4) + weight(2)));
+        let longer = |len: usize| move |resident: &Vec<f64>| resident.len() < len;
+
+        assert_eq!(cache.get_covering(GraphKey(1), |r| r.len() >= 2), Err(None));
+        assert!(cache.store_if(GraphKey(1), row(2), longer(2)));
+        assert!(cache.store_if(GraphKey(2), row(2), longer(2)));
+        let hit = cache.get_covering(GraphKey(1), |r| r.len() >= 2);
+        assert_eq!(hit.map(|r| r.len()), Ok(2));
+        let short = cache.get_covering(GraphKey(1), |r| r.len() >= 3);
+        assert_eq!(short.map_err(|r| r.map(|r| r.len())), Err(Some(2)));
+
+        // A shorter or equal value never replaces the resident one.
+        assert!(!cache.store_if(GraphKey(1), row(1), longer(1)));
+        assert!(!cache.store_if(GraphKey(1), row(2), longer(2)));
+        assert_eq!(cache.stats().resident_bytes, 2 * weight(2));
+
+        // Extending key 1 re-weighs it; key 2 (least recently used) goes.
+        assert!(cache.store_if(GraphKey(1), row(4), longer(4)));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.resident_bytes, stats.evictions),
+            (2, weight(4) + weight(2), 0)
+        );
+        assert!(cache.store_if(GraphKey(1), row(5), longer(5)));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries, stats.resident_bytes, stats.evictions),
+            (1, weight(5), 1)
+        );
+        assert!(cache.peek(GraphKey(2)).is_none());
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]

@@ -45,8 +45,15 @@ pub fn default_thread_count() -> usize {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued helper job, tagged with the address of the batch it helps so
+/// the batch can withdraw the ones no worker started.
+struct Queued {
+    batch: usize,
+    job: Job,
+}
+
 struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<VecDeque<Queued>>,
     work_available: Condvar,
     shutting_down: AtomicBool,
 }
@@ -124,14 +131,18 @@ impl WorkerPool {
         // stay children of the dispatching request.
         let trace_ctx = haqjsk_obs::TraceContext::current();
         let jobs = self.threads().min(count);
+        let batch = Arc::as_ptr(&task) as usize;
         {
             let mut queue = self.shared.queue.lock().expect("queue poisoned");
             for _ in 0..jobs {
                 let task = Arc::clone(&task);
-                queue.push_back(Box::new(move || {
-                    let _trace = haqjsk_obs::TraceContext::attach(trace_ctx);
-                    task.run_indices()
-                }));
+                queue.push_back(Queued {
+                    batch,
+                    job: Box::new(move || {
+                        let _trace = haqjsk_obs::TraceContext::attach(trace_ctx);
+                        task.run_indices()
+                    }),
+                });
             }
         }
         crate::obs::pool_jobs_counter().add(jobs as u64);
@@ -141,10 +152,18 @@ impl WorkerPool {
         // progress if every pool worker is busy with other batches.
         task.run_indices();
 
-        // Wait for every *index* (not every helper job) to complete: if the
-        // caller and a subset of workers finish the batch while the
-        // remaining helper jobs are still queued behind other batches,
-        // there is nothing to wait for — the stragglers will no-op.
+        // Every index is claimed now, so a helper no worker has started
+        // would only pop as a no-op: withdraw them. The task (and hence
+        // its address) is alive until this function returns, so no other
+        // batch's helpers carry the same tag.
+        self.shared
+            .queue
+            .lock()
+            .expect("queue poisoned")
+            .retain(|queued| queued.batch != batch);
+
+        // Wait for every *index* (not every helper job) to complete: the
+        // workers still running claimed indices finish them.
         let mut incomplete = task.incomplete.lock().expect("latch poisoned");
         while *incomplete > 0 {
             incomplete = task
@@ -225,8 +244,8 @@ fn worker_loop(shared: &PoolShared) {
         let job = {
             let mut queue = shared.queue.lock().expect("queue poisoned");
             loop {
-                if let Some(job) = queue.pop_front() {
-                    break job;
+                if let Some(queued) = queue.pop_front() {
+                    break queued.job;
                 }
                 if shared.shutting_down.load(Ordering::Acquire) {
                     return;
@@ -278,5 +297,50 @@ impl ScopedTask {
                 self.all_done.notify_all();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+
+    fn queued(pool: &WorkerPool) -> usize {
+        pool.shared.queue.lock().expect("queue poisoned").len()
+    }
+
+    #[test]
+    fn a_finished_batch_withdraws_the_helpers_no_worker_started() {
+        let pool = WorkerPool::new(2);
+        let threads = pool.threads();
+        // Every worker and the holding batch's caller, plus this thread.
+        let (started, release) = (Barrier::new(threads + 2), Barrier::new(threads + 2));
+        let (prior, after) = thread::scope(|scope| {
+            scope.spawn(|| {
+                pool.scoped_run(threads + 1, &|_| {
+                    started.wait();
+                    release.wait();
+                })
+            });
+            started.wait();
+            let prior = queued(&pool);
+            let after: Vec<(usize, usize)> = (0..5)
+                .map(|_| {
+                    let seen = AtomicUsize::new(0);
+                    pool.scoped_run(2, &|_| {
+                        seen.fetch_add(1, Ordering::SeqCst);
+                    });
+                    (seen.load(Ordering::SeqCst), queued(&pool))
+                })
+                .collect();
+            release.wait();
+            (prior, after)
+        });
+        assert_eq!(
+            after,
+            vec![(2, prior); 5],
+            "finished batches left helpers queued"
+        );
+        assert_eq!(queued(&pool), 0);
     }
 }

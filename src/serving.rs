@@ -11,13 +11,24 @@
 //! exact production handler.
 //!
 //! The fitted model is served as one immutable snapshot (model, aligned
-//! cache, the served graphs' transforms, labels, Gram) behind an `Arc`.
-//! Reads never wait: they clone the `Arc` and pair their query's one
-//! cached transform with the snapshot's. `fit`/`load` publish a snapshot
-//! with a fresh cache; appends run one at a time, each publishing a
-//! successor with one more transform and the extended Gram. The cache
-//! holds every transform the model made; the snapshot pins the served
-//! set's. See `docs/serving.md` ("The served snapshot").
+//! cache, row memo, the served graphs' transforms, labels, Gram) behind an
+//! `Arc`. Reads never wait: they clone the `Arc` and pair their query's
+//! one cached transform with the snapshot's. `fit`/`load` publish a
+//! snapshot with a fresh cache and memo; appends run one at a time, each
+//! publishing a successor with one more transform and the extended Gram
+//! that shares both. The cache holds every transform the model made; the
+//! snapshot pins the served set's.
+//!
+//! The row memo holds each query's kernel row against a prefix of the
+//! served set, keyed like the aligned cache. The prototypes are fixed at
+//! fit time, so a query's row against `n` served graphs is a prefix of its
+//! row against `n + 1`: a `kernel_row` or `predict` whose memo row covers
+//! its snapshot's `n` graphs answers with the first `n` values (no
+//! transform lookup, no kernel pair); a shorter or absent row is extended
+//! by the missing columns only and stored unless a longer row is resident
+//! by then. Each of the two caches is bounded by the model's cache budget
+//! (`cache_budget_bytes`, default `HAQJSK_CACHE_BUDGET`). See
+//! `docs/serving.md` ("The served snapshot").
 //!
 //! Command table (see `docs/serving.md` for the full protocol reference):
 //!
@@ -44,12 +55,12 @@
 //! fields (all optional): `hierarchy_levels` (at most
 //! [`crate::core::MAX_HIERARCHY_LEVELS`]), `num_prototypes`, `layer_cap`,
 //! `kmeans_max_iterations`, `seed`, `mu`, `small` (bool, default true —
-//! start from [`HaqjskConfig::small`]), plus the aligned feature cache's
-//! `cache_budget_bytes` (LRU byte budget; omit for the
-//! `HAQJSK_CACHE_BUDGET` environment default). A request field of the
-//! wrong type (`"mu":"0.5"`, `"variant":5`, `"label":-1`) is an error that
-//! names the field, never a silent default; so is an `append` `label` on a
-//! model fitted without labels. A `fit` may also list
+//! start from [`HaqjskConfig::small`]), plus `cache_budget_bytes`, the LRU
+//! byte budget of each of the model's aligned feature cache and row memo
+//! (omit for the `HAQJSK_CACHE_BUDGET` environment default). A request
+//! field of the wrong type (`"mu":"0.5"`, `"variant":5`, `"label":-1`) is
+//! an error that names the field, never a silent default; so is an
+//! `append` `label` on a model fitted without labels. A `fit` may also list
 //! `workers` (`["host:port", ...]`): the server connects a distributed
 //! worker pool ([`crate::dist`]) and runs the model's Gram computations on
 //! the `dist` backend — the fitted model's full Grams fan out over the
@@ -106,7 +117,8 @@ use crate::engine::serve::{
     Server,
 };
 use crate::engine::{
-    BackendKind, CacheConfig, Engine, FeatureCache, HttpResponder, HttpResponse, Json,
+    graph_key, BackendKind, CacheConfig, CacheWeight, Engine, FeatureCache, HttpResponder,
+    HttpResponse, Json,
 };
 use crate::graph::Graph;
 use crate::kernels::KernelMatrix;
@@ -174,13 +186,18 @@ impl ServingConfig {
 
 /// One immutable published state of the served model. `fit` and `load`
 /// publish a fresh one; `append` publishes a successor that shares the
-/// model and its cache. Readers clone the `Arc` and never wait on compute.
+/// model, its cache and its row memo. Readers clone the `Arc` and never
+/// wait on compute.
 struct Snapshot {
     model: Arc<HaqjskModel>,
     /// The model's aligned-feature cache, shared by every snapshot of one
     /// fit or load (so it can never outlive its model): it holds every
     /// transform the model made, within its budget.
     cache: Arc<FeatureCache<AlignedGraph>>,
+    /// The model's row memo, shared like `cache` and under the same
+    /// budget: each query's kernel row against a prefix of the served
+    /// set, by the query's graph key.
+    rows: Arc<FeatureCache<MemoRow>>,
     /// The served graphs' transforms, pinned whatever the cache evicts.
     transforms: Vec<Arc<AlignedGraph>>,
     labels: Option<Vec<usize>>,
@@ -217,13 +234,36 @@ impl Snapshot {
         let gram = model
             .gram_over_transforms(graphs, &transforms, backend)
             .map_err(failed)?;
+        let rows = FeatureCache::with_config(CacheConfig {
+            budget_bytes: cache.budget_bytes(),
+        });
         Ok(Snapshot {
             model: Arc::new(model),
             cache: Arc::new(cache),
+            rows: Arc::new(rows),
             transforms,
             labels,
             gram,
         })
+    }
+}
+
+/// Value slots a memo row's allocation is rounded up to a multiple of.
+const ROW_BLOCK: usize = 64;
+
+/// A row-memo value: a query's kernel row against a prefix of the served
+/// set. Rows grow by a few columns at a time as appends land; with
+/// exact-size allocations each growth frees a hole just too small for the
+/// next grown row, and those holes fragmented the heap (about 1 MB of
+/// extra peak RSS on perfbench's stream-rw). The allocation is therefore
+/// rounded up to whole [`ROW_BLOCK`]s, and weighed by its capacity so the
+/// budget bounds the bytes it really holds.
+#[derive(Default)]
+struct MemoRow(Vec<f64>);
+
+impl CacheWeight for MemoRow {
+    fn weight(&self) -> usize {
+        std::mem::size_of::<Vec<f64>>() + self.0.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -674,8 +714,9 @@ fn parse_config(request: &Json) -> Result<HaqjskConfig, String> {
     Ok(config)
 }
 
-/// Byte budget of the aligned feature cache: the request's
-/// `config.cache_budget_bytes` on top of the environment default.
+/// Byte budget of the aligned feature cache (and of the row memo beside
+/// it): the request's `config.cache_budget_bytes` on top of the
+/// environment default.
 fn parse_cache_config(request: &Json) -> Result<CacheConfig, String> {
     let what = "a non-negative integer";
     let budget = config_field(request, "cache_budget_bytes", what, Json::as_usize)?;
@@ -857,18 +898,26 @@ fn cmd_transform(
     ]))
 }
 
-/// The kernel row of `graph` against the served set: its one transform
-/// paired with the snapshot's, O(n) work per query.
+/// The kernel row of `graph` against the served set. A memo row covering
+/// the `n` served graphs answers with its first `n` values and no kernel
+/// work; otherwise the query's one transform is paired with the served
+/// graphs the memo row lacks (all of them when it has none), and the
+/// extended row is stored unless a longer one is resident by then.
 fn kernel_row(
     snapshot: &Snapshot,
     graph: &Graph,
     deadline: &RequestDeadline,
 ) -> Result<Vec<f64>, Fail> {
     deadline.check("kernel_row: query features")?;
+    let n = snapshot.transforms.len();
+    let key = graph_key(graph);
+    let known = match snapshot.rows.get_covering(key, |row| row.0.len() >= n) {
+        Ok(row) => return Ok(row.0[..n].to_vec()),
+        Err(known) => known.unwrap_or_default(),
+    };
     let query = query_transform(snapshot, graph)?;
     deadline.check("kernel_row: row evaluation")?;
-    let pairs: Vec<_> = snapshot
-        .transforms
+    let pairs: Vec<_> = snapshot.transforms[known.0.len()..]
         .iter()
         .map(|t| (&*query, &**t))
         .collect();
@@ -879,7 +928,14 @@ fn kernel_row(
         .into_iter()
         .collect::<Result<Vec<_>, _>>()
         .map_err(|e| format!("kernel evaluation failed: {e:?}"))?;
-    Ok(parts.concat())
+    let mut row = Vec::with_capacity(n.next_multiple_of(ROW_BLOCK));
+    row.extend_from_slice(&known.0);
+    row.extend(parts.into_iter().flatten());
+    let answer = row.clone();
+    snapshot
+        .rows
+        .store_if(key, MemoRow(row), |resident| resident.0.len() < n);
+    Ok(answer)
 }
 
 fn cmd_kernel_row(
@@ -939,6 +995,7 @@ fn cmd_append(
         Snapshot {
             model: Arc::clone(&current.model),
             cache: Arc::clone(&current.cache),
+            rows: Arc::clone(&current.rows),
             transforms,
             labels,
             gram,
@@ -1237,7 +1294,8 @@ impl Reduce {
 
 fn cmd_stats(serving: &Serving) -> Json {
     // Everything outside the table is a direct read: not a registry family,
-    // or (the aligned cache) owned by this `Serving`, not by the process.
+    // or (the aligned cache and the row memo) owned by this `Serving`, not
+    // by the process.
     register_metric_exporters();
     let snapshot = &crate::obs::registry().snapshot();
     let mut pairs: Vec<(&'static str, Json)> = REGISTRY_FIELDS
@@ -1345,6 +1403,15 @@ fn cmd_stats(serving: &Serving) -> Json {
             if let Some(budget) = fitted.cache.budget_bytes() {
                 pairs.push(("aligned_cache_budget_bytes", Json::Num(budget as f64)));
             }
+            let rows = fitted.rows.stats();
+            pairs.push(("row_cache_hits", Json::Num(rows.hits as f64)));
+            pairs.push(("row_cache_misses", Json::Num(rows.misses as f64)));
+            pairs.push(("row_cache_entries", Json::Num(rows.entries as f64)));
+            pairs.push(("row_cache_evictions", Json::Num(rows.evictions as f64)));
+            pairs.push((
+                "row_cache_resident_bytes",
+                Json::Num(rows.resident_bytes as f64),
+            ));
         }
     }
     Json::obj(pairs)

@@ -371,6 +371,11 @@ const STATS_FIELDS: &[&str] = &[
     "num_graphs",
     "ok",
     "requests_rejected",
+    "row_cache_entries",
+    "row_cache_evictions",
+    "row_cache_hits",
+    "row_cache_misses",
+    "row_cache_resident_bytes",
     "serve_state",
     "wl_cache_entries",
     "wl_cache_hits",
