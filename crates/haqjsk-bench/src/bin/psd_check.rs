@@ -12,7 +12,8 @@
 use haqjsk_bench::RunScale;
 use haqjsk_core::{HaqjskModel, HaqjskVariant};
 use haqjsk_datasets::generate_by_name;
-use haqjsk_kernels::{GraphKernel, QjskAligned, QjskUnaligned};
+use haqjsk_kernels::{GraphKernel, KernelMatrix, QjskAligned, QjskUnaligned};
+use haqjsk_linalg::LinalgError;
 
 fn main() {
     let scale = RunScale::from_args();
@@ -33,7 +34,14 @@ fn main() {
             continue;
         };
 
-        let report = |kernel_name: &str, gram: haqjsk_kernels::KernelMatrix| {
+        let report = |kernel_name: &str, gram: Result<KernelMatrix, LinalgError>| {
+            let gram = match gram {
+                Ok(gram) => gram,
+                Err(err) => {
+                    eprintln!("{kernel_name} failed on {name}: {err}");
+                    return;
+                }
+            };
             let normalized = gram.normalized();
             let min_eig = normalized.min_eigenvalue().unwrap();
             println!(
@@ -53,18 +61,17 @@ fn main() {
             HaqjskVariant::AlignedAdjacency,
             HaqjskVariant::AlignedDensity,
         ] {
-            let model = HaqjskModel::fit(&dataset.graphs, haqjsk_config.clone(), variant)
-                .expect("fit succeeds");
-            let gram = model.gram_matrix(&dataset.graphs).expect("gram succeeds");
+            let gram = HaqjskModel::fit(&dataset.graphs, haqjsk_config.clone(), variant)
+                .and_then(|model| model.gram_matrix(&dataset.graphs));
             report(variant.label(), gram);
         }
         report(
             "QJSK (unaligned)",
-            QjskUnaligned::default().gram_matrix(&dataset.graphs),
+            QjskUnaligned::default().try_gram_matrix_on(&dataset.graphs, None),
         );
         report(
             "QJSK (Umeyama)",
-            QjskAligned::default().gram_matrix(&dataset.graphs),
+            QjskAligned::default().try_gram_matrix_on(&dataset.graphs, None),
         );
         println!();
     }

@@ -19,7 +19,7 @@ use haqjsk_core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk_engine::{graph_key, per_pair, BackendKind, CacheConfig, Engine, FeatureCache, Json};
 use haqjsk_graph::generators::erdos_renyi;
 use haqjsk_graph::Graph;
-use haqjsk_kernels::{cached_ctqw_densities, GraphKernel, QjskUnaligned};
+use haqjsk_kernels::{GraphKernel, QjskUnaligned};
 use haqjsk_quantum::{ctqw_density_infinite, DensityMatrix};
 use std::time::Instant;
 
@@ -71,44 +71,33 @@ fn main() {
         ]));
     }
 
-    println!("\nEngine — tiled parallel Gram vs serial, and the feature cache\n");
-    println!(
-        "{:>6} {:>12} {:>12} {:>12}",
-        "N", "serial s", "tiled s", "warm s"
-    );
+    println!("\nEngine — tiled parallel Gram vs serial\n");
+    println!("{:>6} {:>12} {:>12}", "N", "serial s", "tiled s");
     for n_graphs in [16usize, 32, 64] {
         let graphs: Vec<Graph> = (0..n_graphs)
             .map(|i| erdos_renyi(24 + i % 8, 0.25, i as u64))
             .collect();
         let kernel = QjskUnaligned::default();
-        haqjsk_kernels::features::clear_density_cache();
 
         // Serial reference: per-graph densities once, pairs on one thread.
         let start = Instant::now();
-        let densities = cached_ctqw_densities(&graphs);
+        let densities = Engine::global().map(n_graphs, |i| {
+            ctqw_density_infinite(&graphs[i]).expect("non-empty graph")
+        });
         let _ = Engine::gram_serial(n_graphs, |i, j| {
             let d = haqjsk_quantum::qjsd_padded(&densities[i], &densities[j]).unwrap();
             (-d).exp()
         });
         let serial = start.elapsed().as_secs_f64();
 
-        // Cold tiled run (cache cleared), then a warm run hitting the cache.
-        haqjsk_kernels::features::clear_density_cache();
         let start = Instant::now();
         let _ = kernel.gram_matrix(&graphs);
         let tiled = start.elapsed().as_secs_f64();
-        let start = Instant::now();
-        let _ = kernel.gram_matrix(&graphs);
-        let warm = start.elapsed().as_secs_f64();
-        println!(
-            "{:>6} {:>12.3} {:>12.3} {:>12.3}",
-            n_graphs, serial, tiled, warm
-        );
+        println!("{:>6} {:>12.3} {:>12.3}", n_graphs, serial, tiled);
         engine_rows.push(Json::obj([
             ("n_graphs", Json::Num(n_graphs as f64)),
             ("serial_ms", Json::Num(serial * 1000.0)),
             ("tiled_ms", Json::Num(tiled * 1000.0)),
-            ("warm_ms", Json::Num(warm * 1000.0)),
         ]));
     }
     println!("\nBackend sweep — QJSK Gram on 32 graphs, per-backend budgeted cache\n");

@@ -82,7 +82,10 @@ fn main() {
             Box::new(DepthBasedAlignedKernel::default()),
         ];
         for kernel in &baselines {
-            rows.push(evaluate_kernel(kernel.as_ref(), &dataset, &cv));
+            match evaluate_kernel(kernel.as_ref(), &dataset, &cv) {
+                Ok(row) => rows.push(row),
+                Err(err) => eprintln!("{} failed on {name}: {err}", kernel.name()),
+            }
         }
 
         print_accuracy_table(

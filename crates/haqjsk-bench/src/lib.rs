@@ -138,7 +138,7 @@ pub fn write_json_report(path: &std::path::Path, report: &haqjsk_engine::Json) {
 
 /// Handles the perf benches' `--metrics` flag: when present, registers
 /// every layer's registry exporters and dumps the full metrics registry —
-/// engine, cache, eigen-batch, distributed and serve families — as
+/// engine, eigen-batch, distributed and serve families — as
 /// Prometheus text to stdout. A no-op without the flag, so metrics-enabled
 /// and plain runs execute the identical benchmark path (the `pairwise_check`
 /// regression guard relies on that).
@@ -146,7 +146,6 @@ pub fn dump_metrics_if_requested() {
     if !std::env::args().any(|a| a == "--metrics") {
         return;
     }
-    haqjsk_kernels::register_cache_metrics();
     haqjsk_linalg::register_batch_metrics();
     haqjsk_dist::register_dist_metrics();
     println!("\n--- metrics (Prometheus text exposition) ---");
@@ -154,8 +153,8 @@ pub fn dump_metrics_if_requested() {
 }
 
 /// One-line description of the engine executing all Gram computation:
-/// worker count (with its `HAQJSK_THREADS` provenance), the dispatched
-/// eigensolver SIMD path and the density-cache counters. The table binaries
+/// worker count (with its `HAQJSK_THREADS` provenance), the default
+/// backend and the dispatched eigensolver SIMD path. The table binaries
 /// print it so recorded runs document their parallel configuration.
 pub fn engine_banner() -> String {
     let threads = haqjsk_engine::Engine::global().threads();
@@ -166,11 +165,7 @@ pub fn engine_banner() -> String {
     };
     let backend = haqjsk_engine::Engine::global().backend();
     let simd = haqjsk_linalg::active_simd_label();
-    let cache = haqjsk_kernels::density_cache_stats();
-    format!(
-        "engine: {threads} workers ({source}), '{backend}' backend, '{simd}' eigensolver lanes, density cache {} hits / {} misses / {} evictions",
-        cache.hits, cache.misses, cache.evictions
-    )
+    format!("engine: {threads} workers ({source}), '{backend}' backend, '{simd}' eigensolver lanes")
 }
 
 /// One row of an accuracy table: kernel name and "mean ± stderr" text.
@@ -203,14 +198,15 @@ pub fn evaluate_gram(
     }
 }
 
-/// Evaluates a baseline kernel (Gram + C-SVM CV) on a generated dataset.
+/// Evaluates a baseline kernel (Gram + C-SVM CV) on a generated dataset;
+/// a Gram that fails is the error.
 pub fn evaluate_kernel(
     kernel: &dyn GraphKernel,
     dataset: &GeneratedDataset,
     cv: &CrossValidationConfig,
-) -> AccuracyRow {
-    let gram = kernel.gram_matrix(&dataset.graphs);
-    evaluate_gram(kernel.name(), &gram, &dataset.classes, cv)
+) -> Result<AccuracyRow, LinalgError> {
+    let gram = kernel.try_gram_matrix_on(&dataset.graphs, None)?;
+    Ok(evaluate_gram(kernel.name(), &gram, &dataset.classes, cv))
 }
 
 /// Fits a HAQJSK model on a dataset and evaluates it with the C-SVM protocol.
@@ -258,7 +254,7 @@ mod tests {
     fn evaluation_helpers_produce_rows() {
         let dataset = generate_by_name("MUTAG", 16, 1, 1).unwrap();
         let cv = CrossValidationConfig::quick();
-        let row = evaluate_kernel(&WeisfeilerLehmanKernel::new(2), &dataset, &cv);
+        let row = evaluate_kernel(&WeisfeilerLehmanKernel::new(2), &dataset, &cv).unwrap();
         assert_eq!(row.method, "WLSK");
         assert!(row.mean_percent >= 0.0 && row.mean_percent <= 100.0);
         let hrow = evaluate_haqjsk(

@@ -31,16 +31,15 @@ use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
 use haqjsk_engine::{
     graph_key, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact, RemoteGram,
-    TileEvaluator,
 };
 use haqjsk_graph::Graph;
-use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram};
+use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram, with_fallible_tiles};
 use haqjsk_kernels::{GraphKernel, KernelMatrix};
 use haqjsk_linalg::{max_batch_lanes, LinalgError};
 use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
 use haqjsk_quantum::{batch_qjsd, DensityMatrix};
 use std::borrow::Borrow;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The hierarchical aligned representation of a single graph, ready for
 /// kernel evaluation against any other graph aligned to the same prototypes.
@@ -387,14 +386,12 @@ impl HaqjskModel {
     /// The Gram tile evaluator over already-transformed graphs: each
     /// lane-width chunk of a tile is one [`HaqjskModel::kernel_batch`] over
     /// its pairs of `aligned`, so no buffer grows with the tile width.
-    /// Full Grams and extensions both run through it. A failing tile keeps
-    /// its first error in `failure` (its entries stay 0) rather than
-    /// panicking on a pool thread; the Gram caller returns that error.
+    /// Full Grams and extensions both run it through
+    /// [`with_fallible_tiles`], so a failing tile's error is the Gram's.
     fn aligned_tiles<'a, A>(
         &'a self,
         aligned: &'a [A],
-        failure: &'a OnceLock<LinalgError>,
-    ) -> impl TileEvaluator + 'a
+    ) -> impl Fn(&[(usize, usize)], &mut [f64]) -> Result<(), LinalgError> + Sync + 'a
     where
         A: Borrow<AlignedGraph> + Sync,
     {
@@ -405,13 +402,9 @@ impl HaqjskModel {
                     .iter()
                     .map(|&(i, j)| (aligned[i].borrow(), aligned[j].borrow()))
                     .collect();
-                match self.kernel_batch(&chunk) {
-                    Ok(values) => out.copy_from_slice(&values),
-                    Err(e) => {
-                        let _ = failure.set(e);
-                    }
-                }
+                out.copy_from_slice(&self.kernel_batch(&chunk)?);
             }
+            Ok(())
         }
     }
 
@@ -446,17 +439,9 @@ impl HaqjskModel {
                 payload: text,
             },
         });
-        let failure = OnceLock::new();
-        let gram = gram_from_tiles(
-            graphs.len(),
-            backend,
-            self.aligned_tiles(aligned, &failure),
-            spec.as_ref(),
-        );
-        match failure.into_inner() {
-            Some(e) => Err(e),
-            None => Ok(gram),
-        }
+        with_fallible_tiles(self.aligned_tiles(aligned), |tiles| {
+            gram_from_tiles(graphs.len(), backend, tiles, spec.as_ref())
+        })
     }
 
     /// Gram matrix over a dataset with the per-graph aligned features
@@ -506,16 +491,9 @@ impl HaqjskModel {
                 aligned.len()
             )));
         }
-        let failure = OnceLock::new();
-        let values = Engine::global().gram_extend(
-            backend,
-            base.matrix(),
-            aligned.len(),
-            self.aligned_tiles(aligned, &failure),
-        );
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
+        let values = with_fallible_tiles(self.aligned_tiles(aligned), |tiles| {
+            Engine::global().gram_extend(backend, base.matrix(), aligned.len(), tiles)
+        })?;
         KernelMatrix::new(values)
     }
 
@@ -539,13 +517,17 @@ impl GraphKernel for HaqjskModel {
             .expect("graphs must be non-empty and transformable")
     }
 
-    fn gram_matrix(&self, graphs: &[Graph]) -> KernelMatrix {
-        HaqjskModel::gram_matrix(self, graphs).expect("graphs must be non-empty and transformable")
+    fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
+        self.try_gram_matrix_on(graphs, backend)
+            .expect("graphs must be non-empty and transformable")
     }
 
-    fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
+    fn try_gram_matrix_on(
+        &self,
+        graphs: &[Graph],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
         HaqjskModel::gram_matrix_on(self, graphs, backend)
-            .expect("graphs must be non-empty and transformable")
     }
 }
 

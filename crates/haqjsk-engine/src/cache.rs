@@ -388,15 +388,6 @@ impl<V> FeatureCache<V> {
         self.lock().budget
     }
 
-    /// Re-budgets the cache at runtime (`None` lifts the bound), evicting
-    /// immediately if the cache is now over it. This is the
-    /// memory-pressure lever for long-running processes.
-    pub fn set_budget(&self, budget_bytes: Option<usize>) {
-        let mut state = self.lock();
-        state.budget = budget_bytes;
-        state.enforce_budget();
-    }
-
     /// Returns the cached value for `key` if present, counting a hit and
     /// refreshing the key's LRU position.
     pub fn get(&self, key: GraphKey) -> Option<Arc<V>> {
@@ -464,12 +455,9 @@ impl<V> FeatureCache<V> {
     }
 
     /// Evicts every resident value through the normal eviction path and
-    /// resets the hit/miss/eviction counters to zero. Prefer [`set_budget`]
-    /// for memory pressure — `clear` is for hard boundaries (model
-    /// replacement, benchmark isolation) where stale features must not
-    /// survive.
-    ///
-    /// [`set_budget`]: FeatureCache::set_budget
+    /// resets the hit/miss/eviction counters to zero. A byte budget is the
+    /// memory-pressure lever; `clear` is for hard boundaries (benchmark
+    /// isolation) where stale features must not survive.
     pub fn clear(&self) {
         let mut state = self.lock();
         // Draining the LRU through evict() empties the entry map and the
@@ -669,26 +657,6 @@ mod tests {
         assert_eq!(stats.entries, 0, "value larger than the budget");
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.resident_bytes, 0);
-    }
-
-    #[test]
-    fn set_budget_evicts_immediately_and_lifts() {
-        let cache: FeatureCache<u64> = FeatureCache::new();
-        for i in 0..10u64 {
-            cache.get_or_compute(GraphKey(i as u128), || i);
-        }
-        assert_eq!(cache.stats().entries, 10);
-        cache.set_budget(Some(4 * 8));
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.evictions, 6);
-        assert_eq!(cache.budget_bytes(), Some(32));
-        cache.set_budget(None);
-        assert_eq!(cache.budget_bytes(), None);
-        for i in 0..10u64 {
-            cache.get_or_compute(GraphKey((100 + i) as u128), || i);
-        }
-        assert_eq!(cache.stats().entries, 14, "unbounded again");
     }
 
     #[test]

@@ -9,36 +9,44 @@
 //! baseline with the same two ingredients (CTQW global information +
 //! R-convolution local information) that the paper's JTQK column represents.
 //!
-//! Both factors are fully factored through per-graph artifacts: the
-//! quantum factor through the memoised spectrum of each graph's cached
-//! CTQW density (leaving one values-only mixture solve per pair), and the
-//! local factor through cached WL label histograms (leaving one merge-join
-//! sparse dot per pair instead of a full WL refinement of both graphs).
-//! Like the QJSK baselines, every evaluation — one pair or a Gram tile — is
-//! one call over a slice of input pairs, whose mixtures go through one
-//! batched Tsallis-entropy solve.
+//! Both factors are fully factored through per-graph artifacts, which a
+//! Gram extracts once per graph: the quantum factor through the memoised
+//! spectrum of each graph's CTQW density (leaving one values-only mixture
+//! solve per pair), and the local factor through WL label histograms
+//! (leaving one merge-join sparse dot per pair instead of a full WL
+//! refinement of both graphs). Like the QJSK baselines, every evaluation —
+//! one pair or a Gram tile — is one call over a slice of input pairs, whose
+//! mixtures go through one batched Tsallis-entropy solve.
 
-use crate::features::{cached_ctqw_density, cached_wl_histogram, WlHistogram};
-use crate::kernel::{compute_pair, pair_batch_gram, sparse_dot, GraphKernel, PairBatchKernel};
+use crate::features::WlHistogram;
+use crate::kernel::{
+    compute_pair, pair_batch_gram, sparse_dot, GraphKernel, PairBatchKernel, INPUTS,
+};
 use crate::matrix::KernelMatrix;
 use haqjsk_engine::BackendKind;
 use haqjsk_graph::Graph;
+use haqjsk_linalg::LinalgError;
 use haqjsk_quantum::{
-    batch_mixture_entropies, tsallis_entropy_of_spectrum, DensityMatrix, MixtureEntropy,
+    batch_mixture_entropies, ctqw_density_infinite, tsallis_entropy_of_spectrum, DensityMatrix,
+    MixtureEntropy,
 };
-use std::sync::Arc;
-
-const SPECTRUM: &str = "the eigensolver converges on a density matrix";
 
 /// Jensen–Tsallis q-difference between two density matrices of equal
 /// dimension: `S_q((ρ+σ)/2) - (S_q(ρ) + S_q(σ)) / 2`, clamped at zero.
 /// Each spectrum is read from its state's memo.
-pub fn jensen_tsallis_difference(rho: &DensityMatrix, sigma: &DensityMatrix, q: f64) -> f64 {
-    let mixture = rho.mix(sigma).expect("equal dimensions");
+pub fn jensen_tsallis_difference(
+    rho: &DensityMatrix,
+    sigma: &DensityMatrix,
+    q: f64,
+) -> Result<f64, LinalgError> {
     let s_q = |state: &DensityMatrix| {
-        tsallis_entropy_of_spectrum(state.memoised_spectrum().expect(SPECTRUM), q)
+        Ok::<_, LinalgError>(tsallis_entropy_of_spectrum(state.memoised_spectrum()?, q))
     };
-    jensen_tsallis_from_entropies(s_q(&mixture), s_q(rho), s_q(sigma))
+    Ok(jensen_tsallis_from_entropies(
+        s_q(&rho.mix(sigma)?)?,
+        s_q(rho)?,
+        s_q(sigma)?,
+    ))
 }
 
 /// The Jensen–Tsallis q-difference once all three entropies are known:
@@ -76,24 +84,24 @@ impl JensenTsallisKernel {
 
     /// The global (quantum) factor: `exp(-JT_q(ρ_p, ρ_q))` with zero-padded
     /// density matrices.
-    pub fn quantum_factor(&self, a: &Graph, b: &Graph) -> f64 {
-        let (a, b) = (self.extract(a), self.extract(b));
+    pub fn quantum_factor(&self, a: &Graph, b: &Graph) -> Result<f64, LinalgError> {
+        let (a, b) = (self.extract(a)?, self.extract(b)?);
         let mut out = [0.0];
-        self.quantum_factors(&[(&a, &b)], &mut out);
-        out[0]
+        self.quantum_factors(&[(&a, &b)], &mut out)?;
+        Ok(out[0])
     }
 
     /// The local factor: the cosine-normalised WL subtree similarity,
-    /// evaluated from the per-graph cached label histograms — one sparse
-    /// dot instead of a WL refinement of both graphs.
+    /// evaluated from the per-graph label histograms — one sparse dot
+    /// instead of a WL refinement of both graphs.
     pub fn local_factor(&self, a: &Graph, b: &Graph) -> f64 {
         Self::local_factor_from(
-            &cached_wl_histogram(a, self.wl_iterations),
-            &cached_wl_histogram(b, self.wl_iterations),
+            &WlHistogram::new(a, self.wl_iterations),
+            &WlHistogram::new(b, self.wl_iterations),
         )
     }
 
-    /// The normalised WL similarity from two cached histograms.
+    /// The normalised WL similarity from two histograms.
     fn local_factor_from(a: &WlHistogram, b: &WlHistogram) -> f64 {
         if a.self_similarity <= 0.0 || b.self_similarity <= 0.0 {
             0.0
@@ -104,16 +112,20 @@ impl JensenTsallisKernel {
 
     /// The quantum factor of every input pair, the mixtures solved as one
     /// batch (which zero-pads the smaller state of each pair itself).
-    fn quantum_factors(&self, pairs: &[(&JtqkInputs, &JtqkInputs)], out: &mut [f64]) {
+    fn quantum_factors(
+        &self,
+        pairs: &[(&JtqkInputs, &JtqkInputs)],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
         let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = pairs
             .iter()
-            .map(|(a, b)| (&*a.density, &*b.density))
+            .map(|(a, b)| (&a.density, &b.density))
             .collect();
-        let s_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::Tsallis(self.q))
-            .expect("padded mixtures share a dimension");
+        let s_mix = batch_mixture_entropies(&mixtures, MixtureEntropy::Tsallis(self.q))?;
         for (k, (a, b)) in pairs.iter().enumerate() {
             out[k] = (-jensen_tsallis_from_entropies(s_mix[k], a.tsallis, b.tsallis)).exp();
         }
+        Ok(())
     }
 }
 
@@ -121,32 +133,36 @@ impl JensenTsallisKernel {
 /// Tsallis q-entropy (from the density's memoised spectrum, which
 /// zero-padding leaves unchanged) and the WL label histogram.
 pub(crate) struct JtqkInputs {
-    density: Arc<DensityMatrix>,
+    density: DensityMatrix,
     tsallis: f64,
-    wl: Arc<WlHistogram>,
+    wl: WlHistogram,
 }
 
 impl PairBatchKernel for JensenTsallisKernel {
     type Inputs = JtqkInputs;
 
-    fn extract(&self, graph: &Graph) -> JtqkInputs {
-        let density = cached_ctqw_density(graph);
-        let tsallis =
-            tsallis_entropy_of_spectrum(density.memoised_spectrum().expect(SPECTRUM), self.q);
-        JtqkInputs {
+    fn extract(&self, graph: &Graph) -> Result<JtqkInputs, LinalgError> {
+        let density = ctqw_density_infinite(graph)?;
+        let tsallis = tsallis_entropy_of_spectrum(density.memoised_spectrum()?, self.q);
+        Ok(JtqkInputs {
             density,
             tsallis,
-            wl: cached_wl_histogram(graph, self.wl_iterations),
-        }
+            wl: WlHistogram::new(graph, self.wl_iterations),
+        })
     }
 
     /// The quantum factors of the whole slice, each times one sparse WL
     /// dot.
-    fn kernel_batch(&self, pairs: &[(&JtqkInputs, &JtqkInputs)], out: &mut [f64]) {
-        self.quantum_factors(pairs, out);
+    fn kernel_batch(
+        &self,
+        pairs: &[(&JtqkInputs, &JtqkInputs)],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        self.quantum_factors(pairs, out)?;
         for (k, (a, b)) in pairs.iter().enumerate() {
             out[k] *= Self::local_factor_from(&a.wl, &b.wl);
         }
+        Ok(())
     }
 }
 
@@ -160,6 +176,14 @@ impl GraphKernel for JensenTsallisKernel {
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
+        self.try_gram_matrix_on(graphs, backend).expect(INPUTS)
+    }
+
+    fn try_gram_matrix_on(
+        &self,
+        graphs: &[Graph],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
         pair_batch_gram(self, graphs, backend)
     }
 }
@@ -185,12 +209,12 @@ mod tests {
     fn jensen_tsallis_difference_properties() {
         let a = DensityMatrix::pure_state(&[1.0, 0.0]).unwrap();
         let b = DensityMatrix::pure_state(&[0.0, 1.0]).unwrap();
-        let d_self = jensen_tsallis_difference(&a, &a, 2.0);
-        let d_cross = jensen_tsallis_difference(&a, &b, 2.0);
+        let d_self = jensen_tsallis_difference(&a, &a, 2.0).unwrap();
+        let d_cross = jensen_tsallis_difference(&a, &b, 2.0).unwrap();
         assert!(d_self.abs() < 1e-12);
         assert!(d_cross > 0.0);
         // Symmetry.
-        assert!((d_cross - jensen_tsallis_difference(&b, &a, 2.0)).abs() < 1e-12);
+        assert!((d_cross - jensen_tsallis_difference(&b, &a, 2.0).unwrap()).abs() < 1e-12);
     }
 
     #[test]
@@ -222,7 +246,7 @@ mod tests {
         let kernel = JensenTsallisKernel::default();
         let a = path_graph(5);
         let b = star_graph(8);
-        let qf = kernel.quantum_factor(&a, &b);
+        let qf = kernel.quantum_factor(&a, &b).unwrap();
         let lf = kernel.local_factor(&a, &b);
         assert!(qf > 0.0 && qf <= 1.0 + 1e-12);
         assert!((0.0..=1.0 + 1e-12).contains(&lf));

@@ -13,7 +13,7 @@
 use crate::matrix::KernelMatrix;
 use haqjsk_engine::{per_pair, BackendKind, Engine, RemoteGram, TileEvaluator};
 use haqjsk_graph::Graph;
-use haqjsk_linalg::Matrix;
+use haqjsk_linalg::{LinalgError, Matrix};
 use std::sync::OnceLock;
 
 /// A positive (or, for some baselines, indefinite) similarity measure between
@@ -41,6 +41,18 @@ pub trait GraphKernel: Sync {
         let _timer = time_kernel_gram(self.name());
         let pairs = per_pair(|i, j| self.compute(&graphs[i], &graphs[j]));
         gram_from_tiles(graphs.len(), backend, pairs, None)
+    }
+
+    /// [`GraphKernel::gram_matrix_on`] with a failed feature extraction or
+    /// solve returned as an error. The default wraps the infallible Gram;
+    /// kernels whose Grams can fail override it, and their
+    /// `gram_matrix_on` expects its result.
+    fn try_gram_matrix_on(
+        &self,
+        graphs: &[Graph],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
+        Ok(self.gram_matrix_on(graphs, backend))
     }
 }
 
@@ -92,65 +104,92 @@ pub fn gram_from_tiles<T: TileEvaluator>(
     KernelMatrix::new(values).expect("tile construction is symmetric")
 }
 
+/// Runs one Gram build over fallible tiles. `build` gets an infallible
+/// [`TileEvaluator`] view of `tiles`: a tile that fails leaves its
+/// remaining entries at 0 and keeps its error rather than panicking on a
+/// pool thread. The build's value is returned only when every tile
+/// succeeded, and otherwise the first error kept.
+pub fn with_fallible_tiles<T, F>(
+    tiles: F,
+    build: impl FnOnce(&(dyn Fn(&[(usize, usize)], &mut [f64]) + Sync)) -> T,
+) -> Result<T, LinalgError>
+where
+    F: Fn(&[(usize, usize)], &mut [f64]) -> Result<(), LinalgError> + Sync,
+{
+    let failure = OnceLock::new();
+    let value = build(&|pairs: &[(usize, usize)], out: &mut [f64]| {
+        if let Err(e) = tiles(pairs, out) {
+            let _ = failure.set(e);
+        }
+    });
+    match failure.into_inner() {
+        Some(e) => Err(e),
+        None => Ok(value),
+    }
+}
+
 /// A quantum baseline (QJSK-U, QJSK-A, JTQK) with one evaluation path:
-/// per-graph inputs come out of the global feature caches, and every
-/// evaluation — one pair ([`GraphKernel::compute`]) or a Gram tile — is one
-/// [`PairBatchKernel::kernel_batch`] call over a slice of input pairs, which
-/// makes one batched mixture-entropy solve.
+/// per-graph inputs are extracted once per graph, and every evaluation —
+/// one pair ([`GraphKernel::compute`]) or a Gram tile — is one
+/// [`PairBatchKernel::kernel_batch`] call over a slice of input pairs,
+/// which makes one batched mixture-entropy solve.
 pub(crate) trait PairBatchKernel: GraphKernel {
     /// The per-graph artifacts one pair evaluation reads.
     type Inputs: Send + Sync;
 
-    /// Extracts (through the feature caches) the inputs of one graph.
-    fn extract(&self, graph: &Graph) -> Self::Inputs;
+    /// Extracts the inputs of one graph; an empty graph or an unconverged
+    /// spectrum is an error.
+    fn extract(&self, graph: &Graph) -> Result<Self::Inputs, LinalgError>;
 
     /// Writes the kernel value of every input pair to `out`.
-    fn kernel_batch(&self, pairs: &[(&Self::Inputs, &Self::Inputs)], out: &mut [f64]);
+    fn kernel_batch(
+        &self,
+        pairs: &[(&Self::Inputs, &Self::Inputs)],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError>;
 }
+
+/// What a baseline's infallible entry points (`compute`, `gram_matrix_on`)
+/// expect of their graphs.
+pub(crate) const INPUTS: &str = "baseline graphs are non-empty and their spectra converge";
 
 /// The one-pair case of [`PairBatchKernel::kernel_batch`].
+/// [`GraphKernel::compute`] has no error channel, so a failed extraction or
+/// solve panics here; a Gram returns it instead.
 pub(crate) fn compute_pair<K: PairBatchKernel>(kernel: &K, a: &Graph, b: &Graph) -> f64 {
-    let (a, b) = (kernel.extract(a), kernel.extract(b));
-    let mut out = [0.0];
-    kernel.kernel_batch(&[(&a, &b)], &mut out);
-    out[0]
+    let pair = || {
+        let (a, b) = (kernel.extract(a)?, kernel.extract(b)?);
+        let mut out = [0.0];
+        kernel.kernel_batch(&[(&a, &b)], &mut out)?;
+        Ok::<_, LinalgError>(out[0])
+    };
+    pair().expect(INPUTS)
 }
 
-/// The Gram matrix of a [`PairBatchKernel`]: inputs pinned once per
-/// computation and every tile one [`PairBatchKernel::kernel_batch`] call,
-/// on the local tile scheduler under any backend.
+/// The Gram matrix of a [`PairBatchKernel`]: every graph's inputs are
+/// extracted once, up front, on the engine's pool, and every tile is one
+/// [`PairBatchKernel::kernel_batch`] call, on the local tile scheduler
+/// under any backend. The first failed extraction or tile is the error.
 pub(crate) fn pair_batch_gram<K: PairBatchKernel>(
     kernel: &K,
     graphs: &[Graph],
     backend: Option<BackendKind>,
-) -> KernelMatrix {
+) -> Result<KernelMatrix, LinalgError> {
     let _timer = time_kernel_gram(kernel.name());
-    let pins = pins(graphs);
-    let tiles =
-        |pairs: &[(usize, usize)], out: &mut [f64]| eval_pinned(kernel, graphs, &pins, pairs, out);
-    gram_from_tiles(graphs.len(), backend, tiles, None)
-}
-
-/// One empty pin slot per graph. A Gram fills each slot at most once
-/// (through the global feature caches), on first touch by whichever tile
-/// reaches the graph first, and the pinned inputs stay alive even if a
-/// byte budget evicts them from a cache mid-computation.
-fn pins<T>(graphs: &[Graph]) -> Vec<OnceLock<T>> {
-    graphs.iter().map(|_| OnceLock::new()).collect()
-}
-
-/// The pin-and-map step: pins both endpoints of every index pair and maps
-/// the tile through one [`PairBatchKernel::kernel_batch`] call.
-fn eval_pinned<K: PairBatchKernel>(
-    kernel: &K,
-    graphs: &[Graph],
-    pins: &[OnceLock<K::Inputs>],
-    pairs: &[(usize, usize)],
-    out: &mut [f64],
-) {
-    let pin = |i: usize| pins[i].get_or_init(|| kernel.extract(&graphs[i]));
-    let inputs: Vec<_> = pairs.iter().map(|&(i, j)| (pin(i), pin(j))).collect();
-    kernel.kernel_batch(&inputs, out);
+    let inputs = Engine::global()
+        .map(graphs.len(), |i| kernel.extract(&graphs[i]))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+    let tiles = |pairs: &[(usize, usize)], out: &mut [f64]| {
+        let pairs: Vec<_> = pairs
+            .iter()
+            .map(|&(i, j)| (&inputs[i], &inputs[j]))
+            .collect();
+        kernel.kernel_batch(&pairs, out)
+    };
+    with_fallible_tiles(tiles, |tiles| {
+        gram_from_tiles(graphs.len(), backend, tiles, None)
+    })
 }
 
 /// Builds a Gram matrix from explicit feature vectors using the linear kernel
@@ -180,7 +219,7 @@ fn dot_sparse(a: &[f64], b: &[f64]) -> f64 {
 
 /// Merge-join dot product of two sorted sparse feature vectors — the
 /// shared inner product of the CSR-style feature-map kernels (WL,
-/// shortest-path, and JTQK's cached local factor).
+/// shortest-path, and JTQK's per-graph local factor).
 pub fn sparse_dot<K: Ord>(a: &[(K, f64)], b: &[(K, f64)]) -> f64 {
     let mut acc = 0.0;
     let (mut i, mut j) = (0, 0);
@@ -269,6 +308,32 @@ mod tests {
         let gram = gram_from_tiles(9, None, per_pair(f), None);
         let serial = Engine::gram_serial(9, f);
         assert_eq!(gram.matrix(), &serial);
+    }
+
+    #[test]
+    fn a_failing_tile_fails_the_gram_on_every_local_backend() {
+        let f = |i: usize, j: usize| (i * 7 + j * 3) as f64;
+        let tiles = |bad: usize| {
+            move |pairs: &[(usize, usize)], out: &mut [f64]| {
+                for (o, &(i, j)) in out.iter_mut().zip(pairs) {
+                    if i == bad || j == bad {
+                        return Err(LinalgError::InvalidArgument(format!("pair ({i}, {j})")));
+                    }
+                    *o = f(i, j);
+                }
+                Ok(())
+            }
+        };
+        for backend in [BackendKind::Serial, BackendKind::Local] {
+            let gram = with_fallible_tiles(tiles(usize::MAX), |tiles| {
+                gram_from_tiles(9, Some(backend), tiles, None)
+            });
+            assert_eq!(gram.unwrap().matrix(), &Engine::gram_serial(9, f));
+            let gram = with_fallible_tiles(tiles(4), |tiles| {
+                gram_from_tiles(9, Some(backend), tiles, None)
+            });
+            assert!(matches!(gram, Err(LinalgError::InvalidArgument(_))));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! together with the [`GraphKernel`] trait, the engine-backed Gram-matrix
 //! builder ([`kernel`], routed through `haqjsk-engine`'s tile scheduler),
-//! the process-global CTQW density cache ([`features`]), and the
+//! the quantum baselines' per-graph artifacts ([`features`]), and the
 //! [`KernelMatrix`] type with normalisation / centring / positive
 //! semidefiniteness checks ([`matrix`]). The static property tables of the
 //! paper (Table I and Table III) live in [`properties`].
@@ -39,11 +39,7 @@ pub mod wl;
 
 pub use depth_based::DepthBasedAlignedKernel;
 pub use embedding::{kernel_distance_matrix, kernel_pca, KernelPca};
-pub use features::{
-    cached_alignment_basis, cached_ctqw_densities, cached_ctqw_density, cached_wl_histogram,
-    clear_density_cache, density_cache_stats, register_cache_metrics, set_density_cache_budget,
-    AlignmentBasis, WlHistogram,
-};
+pub use features::{AlignmentBasis, WlHistogram};
 pub use graphlet::GraphletKernel;
 pub use jtqk::JensenTsallisKernel;
 pub use kernel::GraphKernel;

@@ -17,20 +17,19 @@
 //! pairs (`PairBatchKernel::kernel_batch`): per pair only the padding (and,
 //! for the aligned kernel, the Umeyama matching) is done, and all the
 //! mixtures go through one batched values-only eigensolve. The endpoint
-//! entropies are read from the memo of each graph's cached CTQW density,
-//! so `compute` and a Gram tile are the same code and give the same bits.
+//! entropies are read from the memo of each graph's CTQW density, which a
+//! Gram extracts once per graph, so `compute` and a Gram tile are the same
+//! code and give the same bits. An empty graph or an unconverged solve
+//! fails the Gram with an error.
 
-use crate::features::{cached_alignment_basis, cached_ctqw_density, AlignmentBasis};
-use crate::kernel::{compute_pair, pair_batch_gram, GraphKernel, PairBatchKernel};
+use crate::features::AlignmentBasis;
+use crate::kernel::{compute_pair, pair_batch_gram, GraphKernel, PairBatchKernel, INPUTS};
 use crate::matrix::KernelMatrix;
 use haqjsk_engine::BackendKind;
 use haqjsk_graph::Graph;
 use haqjsk_linalg::assignment::hungarian_max;
-use haqjsk_linalg::{symmetric_eigen, Matrix};
-use haqjsk_quantum::{batch_qjsd, DensityMatrix};
-use std::sync::Arc;
-
-const SOLVES: &str = "padded mixtures share a dimension and CTQW spectra converge";
+use haqjsk_linalg::{symmetric_eigen, LinalgError, Matrix};
+use haqjsk_quantum::{batch_qjsd, ctqw_density_infinite, DensityMatrix};
 
 /// The unaligned QJSK kernel of Eq. (9).
 #[derive(Debug, Clone)]
@@ -53,21 +52,24 @@ impl QjskUnaligned {
 }
 
 impl PairBatchKernel for QjskUnaligned {
-    /// The graph's cached CTQW density, whose memo holds its entropy.
-    type Inputs = Arc<DensityMatrix>;
+    /// The graph's CTQW density, whose memo holds its entropy.
+    type Inputs = DensityMatrix;
 
-    fn extract(&self, graph: &Graph) -> Arc<DensityMatrix> {
-        cached_ctqw_density(graph)
+    fn extract(&self, graph: &Graph) -> Result<DensityMatrix, LinalgError> {
+        ctqw_density_infinite(graph)
     }
 
     /// The batch zero-pads the smaller state of each pair itself.
-    fn kernel_batch(&self, pairs: &[(&Self::Inputs, &Self::Inputs)], out: &mut [f64]) {
-        let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> =
-            pairs.iter().map(|&(a, b)| (&**a, &**b)).collect();
-        let divergences = batch_qjsd(&mixtures, mixtures.iter().copied()).expect(SOLVES);
+    fn kernel_batch(
+        &self,
+        pairs: &[(&DensityMatrix, &DensityMatrix)],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        let divergences = batch_qjsd(pairs, pairs.iter().copied())?;
         for (value, d) in out.iter_mut().zip(divergences) {
             *value = (-self.mu * d).exp();
         }
+        Ok(())
     }
 }
 
@@ -81,6 +83,14 @@ impl GraphKernel for QjskUnaligned {
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
+        self.try_gram_matrix_on(graphs, backend).expect(INPUTS)
+    }
+
+    fn try_gram_matrix_on(
+        &self,
+        graphs: &[Graph],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
         pair_batch_gram(self, graphs, backend)
     }
 }
@@ -88,8 +98,8 @@ impl GraphKernel for QjskUnaligned {
 /// The per-graph inputs of the aligned kernel: the CTQW density and its
 /// Umeyama eigenvector-magnitude basis.
 pub(crate) struct AlignedInputs {
-    density: Arc<DensityMatrix>,
-    basis: Arc<AlignmentBasis>,
+    density: DensityMatrix,
+    basis: AlignmentBasis,
 }
 
 /// The Umeyama-aligned QJSK kernel of Eq. (11).
@@ -121,14 +131,11 @@ impl QjskAligned {
     /// instead reuses per-graph [`AlignmentBasis`] artifacts and goes
     /// through [`QjskAligned::umeyama_match_bases`], which produces the
     /// identical permutation without any per-pair eigendecomposition.
-    pub fn umeyama_match(a: &Matrix, b: &Matrix) -> Vec<usize> {
-        let n = a.rows();
-        debug_assert_eq!(n, b.rows());
-        let ea = symmetric_eigen(a).expect("density matrices are symmetric");
-        let eb = symmetric_eigen(b).expect("density matrices are symmetric");
-        let ua = ea.eigenvectors.map(f64::abs);
-        let ub = eb.eigenvectors.map(f64::abs);
-        Self::assignment_from_abs_bases(&ua, &ub)
+    pub fn umeyama_match(a: &Matrix, b: &Matrix) -> Result<Vec<usize>, LinalgError> {
+        debug_assert_eq!(a.rows(), b.rows());
+        let ua = symmetric_eigen(a)?.eigenvectors.map(f64::abs);
+        let ub = symmetric_eigen(b)?.eigenvectors.map(f64::abs);
+        Ok(Self::assignment_from_abs_bases(&ua, &ub))
     }
 
     /// Umeyama matching from precomputed per-graph bases, zero-padded to a
@@ -155,19 +162,21 @@ impl PairBatchKernel for QjskAligned {
     type Inputs = AlignedInputs;
 
     /// Basis first: its full decomposition fills the density's spectral
-    /// memo, so a cold aligned Gram pays one eigensolve per graph, not two.
-    fn extract(&self, graph: &Graph) -> AlignedInputs {
-        let basis = cached_alignment_basis(graph);
-        AlignedInputs {
-            density: cached_ctqw_density(graph),
-            basis,
-        }
+    /// memo, so a Gram pays one eigensolve per graph, not two.
+    fn extract(&self, graph: &Graph) -> Result<AlignedInputs, LinalgError> {
+        let density = ctqw_density_infinite(graph)?;
+        let basis = AlignmentBasis::from_eigen(&density.eigen()?);
+        Ok(AlignedInputs { density, basis })
     }
 
     /// The Umeyama matching stays per pair (the Hungarian assignment is
     /// inherently sequential); all the aligned mixtures go through one
     /// batched values-only eigensolve.
-    fn kernel_batch(&self, pairs: &[(&AlignedInputs, &AlignedInputs)], out: &mut [f64]) {
+    fn kernel_batch(
+        &self,
+        pairs: &[(&AlignedInputs, &AlignedInputs)],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
         // perm[i] = vertex of b matched to vertex i of a. Re-order the
         // padded b so that its matched vertex sits at index i:
         // new_b[i][j] = b[perm[i]][perm[j]]. Conjugating by a permutation
@@ -180,24 +189,25 @@ impl PairBatchKernel for QjskAligned {
                 let perm = Self::umeyama_match_bases(&a.basis, &b.basis, n);
                 let padded;
                 let pb = if b.density.dim() == n {
-                    &*b.density
+                    &b.density
                 } else {
-                    padded = b.density.zero_pad(n).expect("padding up never fails");
+                    padded = b.density.zero_pad(n)?;
                     &padded
                 };
-                pb.permute(&perm).expect("valid permutation")
+                pb.permute(&perm)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
         let mixtures: Vec<(&DensityMatrix, &DensityMatrix)> = pairs
             .iter()
             .zip(&aligned_b)
-            .map(|((a, _), ab)| (&*a.density, ab))
+            .map(|((a, _), ab)| (&a.density, ab))
             .collect();
-        let endpoints = pairs.iter().map(|(a, b)| (&*a.density, &*b.density));
-        let divergences = batch_qjsd(&mixtures, endpoints).expect(SOLVES);
+        let endpoints = pairs.iter().map(|(a, b)| (&a.density, &b.density));
+        let divergences = batch_qjsd(&mixtures, endpoints)?;
         for (value, d) in out.iter_mut().zip(divergences) {
             *value = (-self.mu * d).exp();
         }
+        Ok(())
     }
 }
 
@@ -211,6 +221,14 @@ impl GraphKernel for QjskAligned {
     }
 
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
+        self.try_gram_matrix_on(graphs, backend).expect(INPUTS)
+    }
+
+    fn try_gram_matrix_on(
+        &self,
+        graphs: &[Graph],
+        backend: Option<BackendKind>,
+    ) -> Result<KernelMatrix, LinalgError> {
         pair_batch_gram(self, graphs, backend)
     }
 }
@@ -281,7 +299,7 @@ mod tests {
     fn umeyama_match_recovers_identity_for_identical_matrices() {
         let g = path_graph(5);
         let rho = haqjsk_quantum::ctqw_density_infinite(&g).unwrap();
-        let perm = QjskAligned::umeyama_match(rho.matrix(), rho.matrix());
+        let perm = QjskAligned::umeyama_match(rho.matrix(), rho.matrix()).unwrap();
         // Must be a permutation; for identical inputs the profit is maximised
         // on (a) the identity or (b) an automorphism of the graph.
         let mut sorted = perm.clone();

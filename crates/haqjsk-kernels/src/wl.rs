@@ -14,7 +14,7 @@
 //! in a shared dictionary. That makes each graph's feature map a
 //! self-contained per-graph artifact — two graphs agree on a feature key
 //! exactly when their refinement signatures agree, no matter when or where
-//! the maps were computed — which is what lets JTQK cache WL histograms per
+//! the maps were computed — which is what lets JTQK extract WL histograms per
 //! graph and lets this kernel skip any joint pass over the dataset. The
 //! maps themselves are sorted `(key, count)` vectors ([`WlFeatureVec`]):
 //! the kernel value is a cache-friendly merge-join dot product, and the

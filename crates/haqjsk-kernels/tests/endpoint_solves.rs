@@ -1,20 +1,28 @@
-//! Each graph's endpoint spectrum is solved once per cold Gram, never per
-//! pair: the spectral memo of the cached CTQW density is the one place it
-//! lives. The aligned kernel's alignment-basis decomposition fills that
-//! memo, so a cold QJSK-A Gram pays exactly one solve per graph.
+//! Each graph's endpoint spectrum is solved once per Gram, never per pair:
+//! a Gram extracts each graph's CTQW density once, and the density's
+//! spectral memo is the one place its spectrum lives. The aligned kernel's
+//! alignment-basis decomposition fills that memo, and JTQK's Tsallis
+//! entropy reads it, so every baseline Gram pays exactly one solve per
+//! graph. Nothing outlives a Gram, so a second Gram over the same graphs
+//! pays the same again.
 //!
 //! The solve counter is process-wide, so this file holds a single test.
 
 use haqjsk_graph::generators::{barabasi_albert, erdos_renyi};
 use haqjsk_graph::Graph;
-use haqjsk_kernels::{GraphKernel, QjskAligned, QjskUnaligned};
+use haqjsk_kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
 use haqjsk_quantum::memo_solves;
 
 #[test]
-fn cold_grams_solve_each_endpoint_spectrum_exactly_once() {
+fn every_gram_solves_each_endpoint_spectrum_exactly_once() {
     let aligned = QjskAligned::default();
     let unaligned = QjskUnaligned::default();
-    for (kernel, seed) in [(&aligned as &dyn GraphKernel, 1000), (&unaligned, 2000)] {
+    let jtqk = JensenTsallisKernel::default();
+    for (kernel, seed) in [
+        (&aligned as &dyn GraphKernel, 1000),
+        (&unaligned, 2000),
+        (&jtqk, 3000),
+    ] {
         let graphs: Vec<Graph> = (0..6)
             .flat_map(|i| {
                 [
@@ -23,21 +31,17 @@ fn cold_grams_solve_each_endpoint_spectrum_exactly_once() {
                 ]
             })
             .collect();
-        let before = memo_solves();
-        let cold = kernel.gram_matrix(&graphs);
-        let cold_solves = memo_solves() - before;
-        let warm = kernel.gram_matrix(&graphs);
         let name = kernel.name();
-        assert_eq!(
-            cold_solves,
-            graphs.len() as u64,
-            "{name}: one solve per graph"
-        );
-        assert_eq!(
-            memo_solves() - before,
-            cold_solves,
-            "{name}: a warm Gram solves nothing"
-        );
-        assert_eq!(cold, warm);
+        let mut grams = Vec::new();
+        for run in ["first", "second"] {
+            let before = memo_solves();
+            grams.push(kernel.gram_matrix(&graphs));
+            assert_eq!(
+                memo_solves() - before,
+                graphs.len() as u64,
+                "{name}, {run} Gram: one solve per graph"
+            );
+        }
+        assert_eq!(grams[0], grams[1], "{name}");
     }
 }

@@ -9,13 +9,11 @@
 //! padded-vs-unpadded spectrum drift and the Umeyama basis reconstruction
 //! against permutation flips.
 
+use haqjsk_engine::BackendKind;
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk_graph::Graph;
 use haqjsk_kernels::jtqk::jensen_tsallis_difference;
-use haqjsk_kernels::{
-    cached_alignment_basis, cached_ctqw_density, clear_density_cache, GraphKernel,
-    JensenTsallisKernel, QjskAligned, QjskUnaligned,
-};
+use haqjsk_kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
 use haqjsk_quantum::{ctqw_density_infinite, qjsd, DensityMatrix};
 
 /// The 32-graph synthetic acceptance dataset (mixed generator families,
@@ -54,7 +52,7 @@ fn legacy_aligned(mu: f64, a: &DensityMatrix, b: &DensityMatrix) -> f64 {
     let n = a.dim().max(b.dim());
     let pa = a.zero_pad(n).unwrap();
     let pb = b.zero_pad(n).unwrap();
-    let perm = QjskAligned::umeyama_match(pa.matrix(), pb.matrix());
+    let perm = QjskAligned::umeyama_match(pa.matrix(), pb.matrix()).unwrap();
     let aligned_b = pb.permute(&perm).unwrap();
     (-mu * qjsd(&pa, &aligned_b).unwrap()).exp()
 }
@@ -72,7 +70,7 @@ fn legacy_jtqk(
     let n = a.dim().max(b.dim());
     let pa = a.zero_pad(n).unwrap();
     let pb = b.zero_pad(n).unwrap();
-    let quantum = (-jensen_tsallis_difference(&pa, &pb, kernel.q)).exp();
+    let quantum = (-jensen_tsallis_difference(&pa, &pb, kernel.q).unwrap()).exp();
     quantum * kernel.local_factor(ga, gb)
 }
 
@@ -130,14 +128,18 @@ fn jtqk_gram_matches_pre_refactor_values() {
 }
 
 #[test]
-fn clearing_the_density_cache_clears_derived_artifact_caches() {
-    let g = cycle_graph(9);
-    let _ = cached_ctqw_density(&g);
-    let _ = cached_alignment_basis(&g);
-    clear_density_cache();
-    assert_eq!(
-        haqjsk_kernels::features::alignment_cache().stats().entries,
-        0
-    );
-    assert_eq!(haqjsk_kernels::features::density_cache().stats().entries, 0);
+fn a_zero_vertex_graph_is_an_error_not_a_panic() {
+    let mut graphs = acceptance_dataset();
+    graphs.insert(5, Graph::new(0));
+    let kernels: [&dyn GraphKernel; 3] = [
+        &QjskUnaligned::default(),
+        &QjskAligned::default(),
+        &JensenTsallisKernel::default(),
+    ];
+    for kernel in kernels {
+        for backend in [BackendKind::Serial, BackendKind::Local] {
+            let gram = kernel.try_gram_matrix_on(&graphs, Some(backend));
+            assert!(gram.is_err(), "{} on {backend}", kernel.name());
+        }
+    }
 }

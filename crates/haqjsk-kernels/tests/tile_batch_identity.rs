@@ -205,7 +205,7 @@ fn jtqk_cached_wl_local_factor_matches_direct_refinement() {
     let mut worst = 0.0_f64;
     for i in 0..graphs.len() {
         for j in i..graphs.len() {
-            let reference = kernel.quantum_factor(&graphs[i], &graphs[j])
+            let reference = kernel.quantum_factor(&graphs[i], &graphs[j]).unwrap()
                 * legacy_local_factor(kernel.wl_iterations, &graphs[i], &graphs[j]);
             let diff = (gram.get(i, j) - reference).abs();
             worst = worst.max(diff);

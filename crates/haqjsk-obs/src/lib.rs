@@ -12,8 +12,8 @@
 //!   `Counter::inc` or `Histogram::observe` touches a per-thread shard and
 //!   never takes a lock, so instrumenting a Gram tile loop or an RPC path
 //!   costs nanoseconds. Subsystems that already maintain their own atomic
-//!   counters (the feature caches, the batched eigensolver, the distributed
-//!   coordinator) re-export them through registry *collectors* — closures
+//!   counters (the batched eigensolver, the distributed coordinator)
+//!   re-export them through registry *collectors* — closures
 //!   run at snapshot time — so one scrape covers every layer.
 //! * **Tracing** ([`trace`]) — causal [`Span`] guards writing fixed-size
 //!   records into per-thread ring buffers, drained as JSON lines for

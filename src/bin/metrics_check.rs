@@ -157,8 +157,8 @@ fn main() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut stream = stream;
 
-    // One small fit so the engine Gram histograms and feature caches carry
-    // real samples in the scrape.
+    // One small fit so the engine Gram histograms carry real samples in
+    // the scrape.
     let graphs: Vec<Json> = (5..9)
         .flat_map(|n| {
             [
@@ -190,8 +190,6 @@ fn main() {
     let required = [
         "haqjsk_gram_build_seconds",
         "haqjsk_kernel_gram_seconds",
-        "haqjsk_cache_hits_total",
-        "haqjsk_cache_entries",
         "haqjsk_eigen_batched_calls_total",
         "haqjsk_eigen_simd_path",
         "haqjsk_eigen_simd_calls_total",
@@ -208,6 +206,14 @@ fn main() {
     }
     if !exposition.has_family("haqjsk_build_info") {
         fail("scrape is missing metric family haqjsk_build_info");
+    }
+    // The baselines keep no process-global cache, so none is exported.
+    if let Some(family) = exposition
+        .types
+        .keys()
+        .find(|f| f.starts_with("haqjsk_cache_"))
+    {
+        fail(&format!("scrape exports removed cache family {family}"));
     }
 
     // --- HTTP sidecar: /healthz then /metrics over real sockets. The

@@ -65,11 +65,10 @@
 //! worker pool ([`crate::dist`]) and runs the model's Gram computations on
 //! the `dist` backend — the fitted model's full Grams fan out over the
 //! pool, everything else executes locally (never failing). `stats` reports the
-//! engine's active execution backend; for the feature caches (densities,
-//! alignment bases and WL histograms — a density's spectrum and entropy
-//! live in its own memo, not in a cache), the hit/miss/entry/eviction/byte
-//! counters (so bounded-memory operation under a budget is observable from
-//! the wire); and, when a worker pool is installed, a `distributed` object
+//! engine's active execution backend; the served model's aligned cache and
+//! row memo counters (`aligned_cache_*`, `row_cache_*`, so bounded-memory
+//! operation under a budget is observable from the wire); and, when a
+//! worker pool is installed, a `distributed` object
 //! with per-worker tiles dispatched/completed/re-dispatched, bytes shipped,
 //! and the dataset-dedup hit rate.
 //!
@@ -325,15 +324,14 @@ pub fn spawn_server(addr: &str) -> std::io::Result<Server> {
     Serving::new(config).spawn(addr)
 }
 
-/// Registers every layer's registry exporters (feature-cache counters,
-/// batched-eigensolver stats, distributed-pool stats) so one registry
+/// Registers every layer's registry exporters (batched-eigensolver
+/// stats, distributed-pool stats) so one registry
 /// snapshot covers the whole process. Idempotent; called by
 /// [`Serving::spawn`] and by the `stats`/`metrics` handlers so embedded
 /// users of [`Serving::handle`] see the same families.
 pub fn register_metric_exporters() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
-        crate::kernels::register_cache_metrics();
         crate::linalg::register_batch_metrics();
         crate::dist::register_dist_metrics();
         // Info-style build-identity gauge: constant 1, the labels carry the
@@ -1204,41 +1202,6 @@ type StrPairs = &'static [(&'static str, &'static str)];
 /// are read out of the same snapshot a `metrics` scrape renders, so `stats`
 /// and Prometheus can never disagree.
 const REGISTRY_FIELDS: &[(StrPairs, Reduce, StrPairs)] = &[
-    (
-        &[("cache", "density")],
-        Reduce::One,
-        &[
-            ("density_cache_hits", "haqjsk_cache_hits_total"),
-            ("density_cache_misses", "haqjsk_cache_misses_total"),
-            ("density_cache_entries", "haqjsk_cache_entries"),
-            ("density_cache_evictions", "haqjsk_cache_evictions_total"),
-            (
-                "density_cache_resident_bytes",
-                "haqjsk_cache_resident_bytes",
-            ),
-        ],
-    ),
-    // The alignment-basis cache of the aligned baseline (Umeyama bases
-    // hoisted out of the Gram pair loop) sits beside the density cache it
-    // derives from; the endpoint spectra live in the densities' memos.
-    (
-        &[("cache", "alignment")],
-        Reduce::One,
-        &[
-            ("alignment_cache_hits", "haqjsk_cache_hits_total"),
-            ("alignment_cache_misses", "haqjsk_cache_misses_total"),
-            ("alignment_cache_entries", "haqjsk_cache_entries"),
-        ],
-    ),
-    (
-        &[("cache", "wl")],
-        Reduce::One,
-        &[
-            ("wl_cache_hits", "haqjsk_cache_hits_total"),
-            ("wl_cache_misses", "haqjsk_cache_misses_total"),
-            ("wl_cache_entries", "haqjsk_cache_entries"),
-        ],
-    ),
     // Overload counters of the serving loop, summed over their op labels.
     (
         &[],

@@ -143,13 +143,11 @@ fn metrics_scrape_matches_requests_sent() {
             >= 1.0
     );
 
-    // One scrape covers every layer: engine, kernels, caches, eigen-batch,
+    // One scrape covers every layer: engine, kernels, eigen-batch,
     // distributed (zeros without a coordinator, but present) and serve.
     for family in [
         "haqjsk_gram_build_seconds",
         "haqjsk_kernel_gram_seconds",
-        "haqjsk_cache_hits_total",
-        "haqjsk_cache_entries",
         "haqjsk_eigen_batched_calls_total",
         "haqjsk_eigen_simd_path",
         "haqjsk_eigen_simd_calls_total",
@@ -163,15 +161,20 @@ fn metrics_scrape_matches_requests_sent() {
     ] {
         assert!(after.has_family(family), "scrape missing family {family}");
     }
+    // The baselines keep no process-global cache, so none is exported.
+    let cache_families: Vec<_> = after
+        .types
+        .keys()
+        .filter(|f| f.starts_with("haqjsk_cache_"))
+        .collect();
+    assert!(
+        cache_families.is_empty(),
+        "scrape exports {cache_families:?}"
+    );
 
     // `stats` keeps its historical shape while reading the same registry.
     let stats = client.expect_ok("{\"cmd\":\"stats\"}");
-    for field in [
-        "density_cache_hits",
-        "density_cache_misses",
-        "eigen_batched_calls",
-        "eigen_mean_batch",
-    ] {
+    for field in ["eigen_batched_calls", "eigen_mean_batch"] {
         assert!(
             stats.get(field).and_then(Json::as_f64).is_some(),
             "stats missing field {field}"

@@ -343,17 +343,9 @@ const STATS_FIELDS: &[&str] = &[
     "aligned_cache_hits",
     "aligned_cache_misses",
     "aligned_cache_resident_bytes",
-    "alignment_cache_entries",
-    "alignment_cache_hits",
-    "alignment_cache_misses",
     "build",
     "conns_rejected",
     "deadline_exceeded",
-    "density_cache_entries",
-    "density_cache_evictions",
-    "density_cache_hits",
-    "density_cache_misses",
-    "density_cache_resident_bytes",
     "eigen_batched_calls",
     "eigen_batched_matrices",
     "eigen_mean_batch",
@@ -377,9 +369,6 @@ const STATS_FIELDS: &[&str] = &[
     "row_cache_misses",
     "row_cache_resident_bytes",
     "serve_state",
-    "wl_cache_entries",
-    "wl_cache_hits",
-    "wl_cache_misses",
 ];
 
 #[test]
