@@ -25,8 +25,13 @@
 //!   itself, so its warm and cold runs do the same work; only HAQJSK's
 //!   warm run reads a resident aligned-feature cache.
 //!
-//! Both columns run serially so the numbers are honest per-pair latencies,
-//! not parallel throughput. `before` and warm `after` are timed in
+//! The pair loops run serially (`before` inline, `after` as Grams on
+//! `BackendKind::Serial`), so the numbers are per-pair latencies, not
+//! parallel throughput. The per-graph work in
+//! front of them does not: `Engine::map` runs a baseline Gram's feature
+//! extraction and HAQJSK's transforms on the engine's pool unless the
+//! engine's own default backend is `serial`, so a cold column's extraction
+//! share runs in parallel. `before` and warm `after` are timed in
 //! interleaved rounds (a short block of each per round, ~0.4 s in all), so
 //! both sides of their ratio see the same host load; the warm column is
 //! the median `before` block scaled by the median per-round warm/before

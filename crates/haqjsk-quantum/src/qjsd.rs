@@ -34,12 +34,15 @@ pub fn qjsd(rho: &DensityMatrix, sigma: &DensityMatrix) -> Result<f64, LinalgErr
 }
 
 /// The QJSD expression once all three entropies are known:
-/// `H_N((ρ+σ)/2) - H_N(ρ)/2 - H_N(σ)/2`, clamped to `[0, ln 2]` to absorb
+/// `H_N((ρ+σ)/2) - (H_N(ρ) + H_N(σ))/2`, clamped to `[0, ln 2]` to absorb
 /// eigenvalue noise. [`qjsd`] and every batched kernel path (the
 /// [`crate::batch_mixture_entropies`] consumers) reduce through this one
-/// function so their values stay bit-identical.
+/// function so their values stay bit-identical. The endpoints enter as one
+/// commutative sum (and the mixture `(ρ+σ)/2` is formed elementwise), so
+/// swapping `ρ` and `σ` gives the same bits: every kernel built on it is
+/// bit-symmetric, and a Gram row equals the kernel row of its graph.
 pub fn qjsd_from_entropies(h_mixture: f64, h_rho: f64, h_sigma: f64) -> f64 {
-    let d = h_mixture - 0.5 * h_rho - 0.5 * h_sigma;
+    let d = h_mixture - 0.5 * (h_rho + h_sigma);
     // Clamp the tiny negative values that eigenvalue noise can produce.
     d.clamp(0.0, QJSD_MAX)
 }

@@ -41,9 +41,10 @@
 //! extracted once per distinct graph — memoised in an
 //! [`engine::FeatureCache`] keyed by a structural graph hash — and the
 //! `n(n+1)/2` pairwise kernel evaluations are scheduled as cache-friendly
-//! tiles over a persistent worker pool. Streaming workloads append
-//! out-of-sample rows/columns to an existing Gram matrix through
-//! `HaqjskModel::extend_gram_over_transforms` instead of recomputing it.
+//! tiles over a persistent worker pool. The server keeps a fitted Gram as
+//! per-graph kernel rows (the kernel is bit-symmetric, so a Gram row is
+//! the graph's kernel row), and extends only the rows a read asks for by
+//! the columns appended since.
 //!
 //! The `haqjsk-serve` binary exposes fit / transform / kernel-row / append /
 //! predict / save / load / stats over a `TcpListener` speaking JSON-lines

@@ -3,32 +3,36 @@
 //! The engine crate provides the transport ([`Server`], JSON-lines over
 //! TCP, with connection caps, bounded frames, slow-client timeouts and
 //! panic isolation — see `haqjsk-engine::serve`); this module provides the
-//! stateful request handler: fit / transform / kernel-row / append /
+//! stateful request handler: fit / transform / kernel-row / gram / append /
 //! predict / save / load / stats over a [`HaqjskModel`], with per-graph
-//! aligned features memoised in a [`FeatureCache`] and out-of-sample
-//! arrivals appended through incremental Gram extension. Living in the
-//! library (rather than the binary) lets the loopback smoke test drive the
-//! exact production handler.
+//! aligned features memoised in a [`FeatureCache`] and every kernel row,
+//! the Gram's included, in a row memo beside it. Living in the library
+//! (rather than the binary) lets the loopback smoke test drive the exact
+//! production handler.
 //!
 //! The fitted model is served as one immutable snapshot (model, aligned
-//! cache, row memo, the served graphs' transforms, labels, Gram) behind an
-//! `Arc`. Reads never wait: they clone the `Arc` and pair their query's
-//! one cached transform with the snapshot's. `fit`/`load` publish a
-//! snapshot with a fresh cache and memo; appends run one at a time, each
-//! publishing a successor with one more transform and the extended Gram
-//! that shares both. The cache holds every transform the model made; the
-//! snapshot pins the served set's.
+//! cache, row memo, the served graphs' keys and transforms, labels) behind
+//! an `Arc`. Reads never wait: they clone the `Arc` and pair their query's
+//! one cached transform with the snapshot's. `fit`/`load` build the served
+//! set's Gram on the tile scheduler (so it fans out to dist workers), write
+//! each graph's row into a fresh memo and publish; appends run one at a
+//! time, each transforming its one graph and publishing a successor with
+//! one more transform that shares the cache and memo. Nothing is computed
+//! for the new column until a read asks for it. The cache holds every
+//! transform the model made; the snapshot pins the served set's.
 //!
-//! The row memo holds each query's kernel row against a prefix of the
+//! The row memo holds each graph's kernel row against a prefix of the
 //! served set, keyed like the aligned cache. The prototypes are fixed at
-//! fit time, so a query's row against `n` served graphs is a prefix of its
-//! row against `n + 1`: a `kernel_row` or `predict` whose memo row covers
-//! its snapshot's `n` graphs answers with the first `n` values (no
-//! transform lookup, no kernel pair); a shorter or absent row is extended
-//! by the missing columns only and stored unless a longer row is resident
-//! by then. Each of the two caches is bounded by the model's cache budget
-//! (`cache_budget_bytes`, default `HAQJSK_CACHE_BUDGET`). See
-//! `docs/serving.md` ("The served snapshot").
+//! fit time, so a row against `n` served graphs is a prefix of the row
+//! against `n + 1`, and the kernel is bit-symmetric, so row `i` of the
+//! Gram is the `kernel_row` of served graph `i`. A `kernel_row`,
+//! `predict` or `gram` row whose memo row covers its snapshot's `n` graphs
+//! answers with the first `n` values (no transform lookup, no kernel
+//! pair); a shorter or absent row is extended by the missing columns only
+//! and stored unless a longer row is resident by then. Each of the two
+//! caches is bounded by the model's cache budget (`cache_budget_bytes`,
+//! default `HAQJSK_CACHE_BUDGET`). See `docs/serving.md` ("The served
+//! snapshot").
 //!
 //! Command table (see `docs/serving.md` for the full protocol reference):
 //!
@@ -38,7 +42,8 @@
 //! | `fit`        | `graphs`, opt. `labels`, opt. `variant` (`"A"`/`"D"`), opt. `config`, opt. `workers` | graph/level counts |
 //! | `transform`  | `graph`                                           | per-level von Neumann entropies |
 //! | `kernel_row` | `graph`                                           | kernel value vs every training graph |
-//! | `append`     | `graph`, opt. `label`                             | grows the served set via incremental Gram extension |
+//! | `gram`       | opt. `from`, opt. `to`                            | rows `[from, to)` of the served set's Gram (default all; at most [`GRAM_MAX_ROWS`] = 256 per request) |
+//! | `append`     | `graph`, opt. `label`                             | grows the served set by one graph (no kernel work until a read) |
 //! | `predict`    | `graph`                                           | 1-NN label over the kernel row (requires `labels` at fit) |
 //! | `save`       | —                                                 | persisted model text |
 //! | `load`       | `model`, opt. `graphs`, opt. `labels`             | restores a persisted model |
@@ -81,7 +86,7 @@
 //!
 //! ## Overload safety
 //!
-//! Heavy operations (`fit`, `transform`, `kernel_row`, `append`,
+//! Heavy operations (`fit`, `transform`, `kernel_row`, `gram`, `append`,
 //! `predict`, `load`, `load_file`) pass **admission control** before doing
 //! any work: when the heavy requests in flight (heavy handlers running
 //! now) reach `HAQJSK_SERVE_MAX_INFLIGHT_HEAVY`, the request is shed
@@ -116,11 +121,10 @@ use crate::engine::serve::{
     Server,
 };
 use crate::engine::{
-    graph_key, BackendKind, CacheConfig, CacheWeight, Engine, FeatureCache, HttpResponder,
-    HttpResponse, Json,
+    graph_key, BackendKind, CacheConfig, CacheWeight, Engine, FeatureCache, GraphKey,
+    HttpResponder, HttpResponse, Json,
 };
 use crate::graph::Graph;
-use crate::kernels::KernelMatrix;
 use crate::quantum::von_neumann_entropy;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,6 +143,11 @@ pub const MAX_INFLIGHT_HEAVY_ENV_VAR: &str = "HAQJSK_SERVE_MAX_INFLIGHT_HEAVY";
 /// address (`host:port`); the `haqjsk-serve --http-addr` flag overrides
 /// it. Unset or empty: no HTTP listener.
 pub const HTTP_ADDR_ENV_VAR: &str = "HAQJSK_HTTP_ADDR";
+/// Most rows one `gram` request may ask for; a larger served set is read
+/// in pages with `from`/`to`. The cap bounds rows, not the reply: each
+/// row holds all N served values, so a full page is 256·N numbers and
+/// grows with appends (about 78,000 numbers, 1.5 MB of JSON, at N = 304).
+pub const GRAM_MAX_ROWS: usize = 256;
 
 /// Application-level serving limits on top of the transport's
 /// [`ServeConfig`].
@@ -194,18 +203,20 @@ struct Snapshot {
     /// transform the model made, within its budget.
     cache: Arc<FeatureCache<AlignedGraph>>,
     /// The model's row memo, shared like `cache` and under the same
-    /// budget: each query's kernel row against a prefix of the served
-    /// set, by the query's graph key.
+    /// budget: each graph's kernel row against a prefix of the served
+    /// set, by the graph's key. It starts with the served set's Gram rows.
     rows: Arc<FeatureCache<MemoRow>>,
+    /// The served graphs' keys, in served order: row `i` of the Gram is
+    /// the memo row of `keys[i]`.
+    keys: Vec<GraphKey>,
     /// The served graphs' transforms, pinned whatever the cache evicts.
     transforms: Vec<Arc<AlignedGraph>>,
     labels: Option<Vec<usize>>,
-    gram: KernelMatrix,
 }
 
 impl Snapshot {
     /// A new model's first snapshot: `graphs` transformed through a fresh
-    /// cache and their Gram built on `backend`.
+    /// cache and their Gram rows memoised (see [`Snapshot::over`]).
     fn fresh(
         model: HaqjskModel,
         graphs: &[Graph],
@@ -219,7 +230,10 @@ impl Snapshot {
     }
 
     /// A new model's first snapshot from `graphs`' transforms, made
-    /// through `cache`, with their Gram built on `backend`.
+    /// through `cache`: their Gram is built on `backend` (the tile
+    /// scheduler, so a dist backend fans it out), and each graph's row goes
+    /// into a fresh row memo under `cache`'s budget. The matrix itself is
+    /// not kept.
     fn over(
         model: HaqjskModel,
         cache: FeatureCache<AlignedGraph>,
@@ -236,28 +250,74 @@ impl Snapshot {
         let rows = FeatureCache::with_config(CacheConfig {
             budget_bytes: cache.budget_bytes(),
         });
-        Ok(Snapshot {
+        let snapshot = Snapshot {
             model: Arc::new(model),
             cache: Arc::new(cache),
             rows: Arc::new(rows),
+            keys: graphs.iter().map(graph_key).collect(),
             transforms,
             labels,
-            gram,
-        })
+        };
+        for (i, &key) in snapshot.keys.iter().enumerate() {
+            let mut row = row_buffer(graphs.len());
+            row.extend_from_slice(gram.matrix().row(i));
+            snapshot.store_row(key, row);
+        }
+        Ok(snapshot)
+    }
+
+    /// The memo row of `key` cut to this snapshot's `n` served graphs when
+    /// it covers them (a hit); else the prefix it holds (empty when none
+    /// is resident) in a buffer with room for all `n`.
+    fn memo_row(&self, key: GraphKey) -> Result<Vec<f64>, Vec<f64>> {
+        let n = self.transforms.len();
+        match self.rows.get_covering(key, |row| row.0.len() >= n) {
+            Ok(row) => Ok(row.0[..n].to_vec()),
+            Err(known) => {
+                let mut row = row_buffer(n);
+                row.extend_from_slice(known.as_deref().map_or(&[], |known| &known.0));
+                Err(row)
+            }
+        }
+    }
+
+    /// Stores `row`, a full row against this snapshot's served set, under
+    /// `key` unless a row at least as long is resident by then.
+    fn store_row(&self, key: GraphKey, row: Vec<f64>) {
+        let n = row.len();
+        self.rows
+            .store_if(key, MemoRow(row), |resident| resident.0.len() < n);
+    }
+
+    /// The kernel values of `pairs`, in lane-width chunks on the engine's
+    /// pool.
+    fn evaluate(&self, pairs: &[(&AlignedGraph, &AlignedGraph)]) -> Result<Vec<f64>, String> {
+        let parts = Engine::global()
+            .map_chunks(pairs.len(), |range| self.model.kernel_batch(&pairs[range]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| format!("kernel evaluation failed: {e:?}"))?;
+        Ok(parts.into_iter().flatten().collect())
     }
 }
 
 /// Value slots a memo row's allocation is rounded up to a multiple of.
 const ROW_BLOCK: usize = 64;
 
-/// A row-memo value: a query's kernel row against a prefix of the served
-/// set. Rows grow by a few columns at a time as appends land; with
-/// exact-size allocations each growth frees a hole just too small for the
-/// next grown row, and those holes fragmented the heap (about 1 MB of
-/// extra peak RSS on perfbench's stream-rw). The allocation is therefore
-/// rounded up to whole [`ROW_BLOCK`]s, and weighed by its capacity so the
-/// budget bounds the bytes it really holds.
-#[derive(Default)]
+/// An empty memo row with room for `n` values, rounded up to whole
+/// [`ROW_BLOCK`]s.
+fn row_buffer(n: usize) -> Vec<f64> {
+    Vec::with_capacity(n.next_multiple_of(ROW_BLOCK))
+}
+
+/// A row-memo value: a graph's kernel row (a query's, or a served graph's
+/// Gram row) against a prefix of the served set. Rows grow by a few
+/// columns at a time as appends land; with exact-size allocations each
+/// growth frees a hole just too small for the next grown row, and those
+/// holes fragmented the heap (0.3 to 1 MB of extra peak RSS on
+/// perfbench's stream-rw). The allocation is therefore rounded up to whole
+/// [`ROW_BLOCK`]s, and weighed by its capacity so the budget bounds the
+/// bytes it really holds.
 struct MemoRow(Vec<f64>);
 
 impl CacheWeight for MemoRow {
@@ -609,6 +669,7 @@ impl Serving {
             "fit" => self.heavy("fit", request, |d| cmd_fit(inner, request, d)),
             "transform" => read("transform", cmd_transform),
             "kernel_row" => read("kernel_row", cmd_kernel_row),
+            "gram" => read("gram", cmd_gram),
             "append" => self.heavy("append", request, |d| cmd_append(inner, request, d)),
             "predict" => read("predict", cmd_predict),
             "save" => cheap(cmd_save),
@@ -907,32 +968,20 @@ fn kernel_row(
     deadline: &RequestDeadline,
 ) -> Result<Vec<f64>, Fail> {
     deadline.check("kernel_row: query features")?;
-    let n = snapshot.transforms.len();
     let key = graph_key(graph);
-    let known = match snapshot.rows.get_covering(key, |row| row.0.len() >= n) {
-        Ok(row) => return Ok(row.0[..n].to_vec()),
-        Err(known) => known.unwrap_or_default(),
+    let mut row = match snapshot.memo_row(key) {
+        Ok(row) => return Ok(row),
+        Err(known) => known,
     };
     let query = query_transform(snapshot, graph)?;
     deadline.check("kernel_row: row evaluation")?;
-    let pairs: Vec<_> = snapshot.transforms[known.0.len()..]
+    let pairs: Vec<_> = snapshot.transforms[row.len()..]
         .iter()
         .map(|t| (&*query, &**t))
         .collect();
-    let parts = Engine::global()
-        .map_chunks(pairs.len(), |range| {
-            snapshot.model.kernel_batch(&pairs[range])
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("kernel evaluation failed: {e:?}"))?;
-    let mut row = Vec::with_capacity(n.next_multiple_of(ROW_BLOCK));
-    row.extend_from_slice(&known.0);
-    row.extend(parts.into_iter().flatten());
+    row.extend(snapshot.evaluate(&pairs)?);
     let answer = row.clone();
-    snapshot
-        .rows
-        .store_if(key, MemoRow(row), |resident| resident.0.len() < n);
+    snapshot.store_row(key, row);
     Ok(answer)
 }
 
@@ -952,9 +1001,90 @@ fn cmd_kernel_row(
     ]))
 }
 
+/// The request's optional non-negative integer `name`.
+fn usize_field(request: &Json, name: &str) -> Result<Option<usize>, String> {
+    request
+        .get(name)
+        .map(|v| {
+            v.as_usize()
+                .ok_or_else(|| format!("'{name}' must be a non-negative integer"))
+        })
+        .transpose()
+}
+
+/// Rows `[from, to)` of the Gram over the snapshot's `n` served graphs
+/// (default all rows, at most [`GRAM_MAX_ROWS`] of them). Row `i` is the
+/// memo row of served graph `i`, read like a `kernel_row`: a row the memo
+/// holds whole costs nothing, and a short or absent one is extended by
+/// its missing columns only, paired as `kernel_row` pairs a query with the
+/// served graphs. The missing columns of all requested rows are evaluated
+/// as one batch, and extended rows are stored back.
+fn cmd_gram(snapshot: &Snapshot, request: &Json, deadline: &RequestDeadline) -> Result<Json, Fail> {
+    let n = snapshot.transforms.len();
+    let from = usize_field(request, "from")?.unwrap_or(0);
+    let to = usize_field(request, "to")?.unwrap_or(n);
+    if from > to || to > n {
+        return Err(
+            format!("gram rows [{from}, {to}) are not a range of the {n} served graphs").into(),
+        );
+    }
+    if to - from > GRAM_MAX_ROWS {
+        return Err(format!(
+            "gram rows [{from}, {to}) exceed the cap of {GRAM_MAX_ROWS} rows per request; \
+             page with 'from' and 'to'"
+        )
+        .into());
+    }
+    deadline.check("gram: rows")?;
+    let mut rows: Vec<Vec<f64>> = (from..to)
+        .map(|i| {
+            snapshot
+                .memo_row(snapshot.keys[i])
+                .unwrap_or_else(|known| known)
+        })
+        .collect();
+    let known: Vec<usize> = rows.iter().map(Vec::len).collect();
+    let pairs: Vec<_> = (from..to)
+        .zip(&known)
+        .flat_map(|(i, &k)| {
+            snapshot.transforms[k..]
+                .iter()
+                .map(move |t| (&*snapshot.transforms[i], &**t))
+        })
+        .collect();
+    if !pairs.is_empty() {
+        deadline.check("gram: row evaluation")?;
+    }
+    let mut values = snapshot.evaluate(&pairs)?.into_iter();
+    for row in &mut rows {
+        row.extend(values.by_ref().take(n - row.len()));
+    }
+    let reply = Json::obj([
+        ("ok", Json::Bool(true)),
+        ("num_graphs", Json::Num(n as f64)),
+        ("from", Json::Num(from as f64)),
+        ("to", Json::Num(to as f64)),
+        (
+            "rows",
+            Json::Arr(
+                rows.iter()
+                    .map(|row| Json::Arr(row.iter().copied().map(Json::Num).collect()))
+                    .collect(),
+            ),
+        ),
+    ]);
+    for (i, row) in (from..to).zip(rows) {
+        if known[i - from] < n {
+            snapshot.store_row(snapshot.keys[i], row);
+        }
+    }
+    Ok(reply)
+}
+
 /// Grows the served set by one graph: holds the publishing mutex from
-/// reading the snapshot until its successor is published, transforms the
-/// one new graph and extends the Gram over the snapshot's transforms.
+/// reading the snapshot until its successor is published, and transforms
+/// the one new graph. No kernel value is computed: a later read extends
+/// the rows it needs by the new column.
 fn cmd_append(
     inner: &ServingInner,
     request: &Json,
@@ -973,16 +1103,14 @@ fn cmd_append(
                 .ok_or("'label' must be a non-negative integer")?,
         ),
     };
-    // The only checkpoint is *before* the extension: once the Gram is
-    // extended the append has happened, and reporting a deadline trip
-    // over committed state would lie about the server's contents.
-    deadline.check("append: gram extension")?;
+    // The only checkpoint is *before* the transform, the append's one
+    // expensive stage: once it is done the append publishes, and reporting
+    // a deadline trip over committed state would lie about the server's
+    // contents.
+    deadline.check("append: transform")?;
     let mut transforms = current.transforms.clone();
     transforms.push(query_transform(&current, &graph)?);
-    let gram = current
-        .model
-        .extend_gram_over_transforms(&current.gram, &transforms, None)
-        .map_err(|e| format!("gram extension failed: {e:?}"))?;
+    let keys = [&current.keys[..], &[graph_key(&graph)]].concat();
     let num_graphs = transforms.len();
     let labels = current
         .labels
@@ -994,9 +1122,9 @@ fn cmd_append(
             model: Arc::clone(&current.model),
             cache: Arc::clone(&current.cache),
             rows: Arc::clone(&current.rows),
+            keys,
             transforms,
             labels,
-            gram,
         },
     );
     Ok(Json::obj([

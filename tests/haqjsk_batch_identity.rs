@@ -189,6 +189,43 @@ fn served_kernel_rows_match_the_per_pair_formula_bit_for_bit() {
     }
 }
 
+#[test]
+fn the_kernel_is_bit_symmetric_per_pair_and_batched() {
+    // The degenerate graphs (edgeless, one-vertex, disconnected) beside
+    // ordinary ones, so both orientations of every kind of pair are met.
+    let mut graphs = degenerate_family();
+    graphs.extend(mixed_dataset().into_iter().take(6));
+    for variant in VARIANTS {
+        let model = HaqjskModel::fit(&graphs, HaqjskConfig::small(), variant).unwrap();
+        let aligned = model.transform_all(&graphs).unwrap();
+        let n = aligned.len();
+        let ordered: Vec<_> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        let batched = model
+            .kernel_batch(
+                &ordered
+                    .iter()
+                    .map(|&(i, j)| (&aligned[i], &aligned[j]))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+        for (k, &(i, j)) in ordered.iter().enumerate() {
+            let what = format!("{} K({i}, {j})", variant.label());
+            assert_eq!(batched[k].to_bits(), batched[j * n + i].to_bits(), "{what}");
+            let (ab, ba) = (
+                model.kernel(&aligned[i], &aligned[j]),
+                model.kernel(&aligned[j], &aligned[i]),
+            );
+            assert_eq!(ab.to_bits(), ba.to_bits(), "{what} per pair");
+            assert_eq!(ab.to_bits(), batched[k].to_bits(), "{what} batched");
+            assert_eq!(
+                reference_kernel(&model, &aligned[i], &aligned[j]).to_bits(),
+                reference_kernel(&model, &aligned[j], &aligned[i]).to_bits(),
+                "{what} from scratch"
+            );
+        }
+    }
+}
+
 /// Every endpoint and mixture eigensolve of a dataset converges.
 fn assert_every_solve_converges(model: &HaqjskModel, aligned: &[AlignedGraph], what: &str) {
     let variant = model.variant();

@@ -3,7 +3,8 @@
 //! A served model memoises each query's kernel row against a prefix of
 //! the served set: a repeated `kernel_row` or `predict` solves no mixture,
 //! an `append` extends a memo row by its one new column (`H` mixtures, one
-//! per hierarchy level), and a new `fit` starts from an empty memo. Every
+//! per hierarchy level), and a new `fit` starts from a memo holding only
+//! its training graphs' Gram rows. Every
 //! row must equal the in-process `kernel_batch` row bit for bit, and the
 //! memo must stay within the model's cache budget.
 //!
@@ -155,7 +156,7 @@ fn repeated_and_extended_rows_count_their_mixture_solves() {
             stat(&serving, "row_cache_misses"),
             stat(&serving, "row_cache_entries")
         ),
-        (2, 1, 1)
+        (2, 1, 13)
     );
     assert_eq!(
         stat(&serving, "aligned_cache_hits") + stat(&serving, "aligned_cache_misses"),
@@ -184,10 +185,11 @@ fn repeated_and_extended_rows_count_their_mixture_solves() {
         (3, 2)
     );
 
-    // A new fit starts from an empty memo and serves the new model's row.
+    // A new fit starts from a memo of its own six Gram rows and serves the
+    // new model's row.
     let refit: Vec<Graph> = (4..9).map(path_graph).chain([star_graph(5)]).collect();
     request(&serving, fit_request(&refit, None));
-    assert_eq!(stat(&serving, "row_cache_entries"), 0);
+    assert_eq!(stat(&serving, "row_cache_entries"), 6);
     assert_eq!(stat(&serving, "row_cache_hits"), 0);
     assert_eq!(
         row_bits(&serving, &query),

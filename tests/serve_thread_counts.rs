@@ -1,14 +1,15 @@
-//! The served fit does not depend on the engine's thread count: two
-//! `haqjsk-serve` processes, one on 1 engine thread and one on 4, fit the
-//! same graphs, and their persisted model texts and `kernel_row` replies
-//! must match byte for byte. The fit builds its prototype layers and DB
-//! traces on the worker pool, so this is the end-to-end check that the
-//! pool changes nothing.
+//! The served fit does not depend on the engine's thread count:
+//! `haqjsk-serve` processes on 1, 2 and 4 engine threads fit the same
+//! graphs, and their persisted model texts, `kernel_row` replies and
+//! `gram` replies must match byte for byte. The fit builds its prototype
+//! layers, DB traces and Gram on the worker pool, so this is the
+//! end-to-end check that the pool changes nothing.
 
 use haqjsk::engine::serve::graph_to_json;
 use haqjsk::engine::Json;
 use haqjsk::graph::generators::{cycle_graph, erdos_renyi, path_graph, star_graph};
 use haqjsk::graph::Graph;
+use haqjsk::serving::GRAM_MAX_ROWS;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -42,6 +43,9 @@ impl ServeProcess {
             .unwrap_or_else(|| panic!("unexpected server banner: {banner:?}"))
             .to_string();
         let stream = TcpStream::connect(&addr).expect("connect to haqjsk-serve");
+        // Requests go out as they are written: Nagle's algorithm would
+        // hold each line's tail behind the server's delayed ACK.
+        stream.set_nodelay(true).expect("disable Nagle");
         ServeProcess {
             child,
             writer: stream.try_clone().expect("clone stream"),
@@ -49,19 +53,31 @@ impl ServeProcess {
         }
     }
 
-    /// Sends one request and returns the raw reply line, which must be
-    /// `ok`.
-    fn request(&mut self, body: &str) -> String {
+    /// Sends one request and returns the raw reply line and whether it
+    /// is `ok`.
+    fn exchange(&mut self, body: &str) -> (String, bool) {
         writeln!(self.writer, "{body}").expect("send request");
         self.writer.flush().expect("flush request");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read reply");
         let reply = Json::parse(line.trim()).expect("reply is valid JSON");
-        assert_eq!(
-            reply.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "request {body} failed: {line}"
-        );
+        let ok = reply.get("ok").and_then(Json::as_bool) == Some(true);
+        (line, ok)
+    }
+
+    /// Sends one request and returns the raw reply line, which must be
+    /// `ok`.
+    fn request(&mut self, body: &str) -> String {
+        let (line, ok) = self.exchange(body);
+        assert!(ok, "request {body} failed: {line}");
+        line
+    }
+
+    /// Sends one request that must get an error envelope.
+    fn refused(&mut self, body: &str) -> String {
+        let (line, ok) = self.exchange(body);
+        assert!(!ok, "request {body} was not refused: {line}");
+        assert!(line.contains("\"error\""), "{line}");
         line
     }
 }
@@ -90,8 +106,8 @@ fn training_set() -> Vec<Graph> {
     graphs
 }
 
-/// The raw `save` and `kernel_row` replies of one server after fitting
-/// each variant.
+/// The raw `save`, `kernel_row` and `gram` replies of one server after
+/// fitting each variant, and its refusals of bad `gram` ranges.
 fn replies(server: &mut ServeProcess) -> Vec<String> {
     let graphs = Json::Arr(training_set().iter().map(graph_to_json).collect());
     let queries = [cycle_graph(12), erdos_renyi(9, 0.4, 77), path_graph(3)];
@@ -108,7 +124,28 @@ fn replies(server: &mut ServeProcess) -> Vec<String> {
                 graph_to_json(query)
             )));
         }
+        // All rows in one read, then in two pages; a range past the
+        // served set and a reversed one are refused.
+        let n = training_set().len();
+        out.push(server.request("{\"cmd\":\"gram\"}"));
+        out.push(server.request("{\"cmd\":\"gram\",\"to\":10}"));
+        out.push(server.request("{\"cmd\":\"gram\",\"from\":10}"));
+        out.push(server.refused(&format!(
+            "{{\"cmd\":\"gram\",\"from\":{n},\"to\":{}}}",
+            n + 1
+        )));
+        out.push(server.refused("{\"cmd\":\"gram\",\"from\":2,\"to\":1}"));
     }
+    // Appends of one graph (a transform-cache hit each, no kernel work)
+    // grow the served set past the row cap: a full read is refused.
+    let arrival = format!(
+        "{{\"cmd\":\"append\",\"graph\":{}}}",
+        graph_to_json(&path_graph(4))
+    );
+    for _ in training_set().len()..=GRAM_MAX_ROWS {
+        server.request(&arrival);
+    }
+    out.push(server.refused("{\"cmd\":\"gram\"}"));
     out
 }
 
@@ -124,17 +161,46 @@ fn row_bits(reply: &str) -> Vec<u64> {
         .collect()
 }
 
+/// The bit patterns of a `gram` reply's rows.
+fn gram_bits(reply: &str) -> Vec<Vec<u64>> {
+    Json::parse(reply.trim())
+        .expect("reply is valid JSON")
+        .get("rows")
+        .and_then(Json::as_array)
+        .expect("gram reply carries 'rows'")
+        .iter()
+        .map(|row| {
+            row.as_array()
+                .expect("a row is an array")
+                .iter()
+                .map(|v| v.as_f64().expect("numeric kernel value").to_bits())
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn fits_on_one_and_four_engine_threads_serve_identical_bytes() {
+fn fits_on_one_two_and_four_engine_threads_serve_identical_bytes() {
     let one = replies(&mut ServeProcess::spawn(1));
-    let four = replies(&mut ServeProcess::spawn(4));
-    assert_eq!(one.len(), four.len());
-    for (i, (a, b)) in one.iter().zip(&four).enumerate() {
-        assert_eq!(a, b, "reply {i} differs between 1 and 4 engine threads");
-        if a.contains("\"values\"") {
-            let bits = row_bits(a);
-            assert_eq!(bits.len(), training_set().len());
-            assert_eq!(bits, row_bits(b));
+    let n = training_set().len();
+    for threads in [2, 4] {
+        let other = replies(&mut ServeProcess::spawn(threads));
+        assert_eq!(one.len(), other.len());
+        for (i, (a, b)) in one.iter().zip(&other).enumerate() {
+            assert_eq!(
+                a, b,
+                "reply {i} differs between 1 and {threads} engine threads"
+            );
+            if a.contains("\"values\"") {
+                let bits = row_bits(a);
+                assert_eq!(bits.len(), n);
+                assert_eq!(bits, row_bits(b));
+            }
+            if a.contains("\"rows\"") {
+                let rows = gram_bits(a);
+                assert!(rows.iter().all(|row| row.len() == n));
+                assert_eq!(rows, gram_bits(b));
+            }
         }
     }
 }

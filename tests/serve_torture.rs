@@ -392,7 +392,14 @@ fn admission_control_sheds_heavy_ops_but_cheap_ops_answer() {
     let (_serving, mut server) = spawn(config);
     let mut client = Client::connect(server.local_addr());
 
-    for cmd in ["fit", "transform", "kernel_row", "append", "predict"] {
+    for cmd in [
+        "fit",
+        "transform",
+        "kernel_row",
+        "gram",
+        "append",
+        "predict",
+    ] {
         let response = client.request(&format!("{{\"cmd\":\"{cmd}\"}}"));
         let error = assert_error_envelope(&response);
         assert!(error.contains("overloaded"), "{cmd}: {error}");
@@ -548,6 +555,17 @@ fn deadline_zero_trips_with_the_distinct_envelope() {
 
     // Without the zero deadline the same request succeeds.
     let response = client.request(&format!("{{\"cmd\":\"kernel_row\",\"graph\":{graph}}}"));
+    assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
+
+    // `gram` trips at its first checkpoint, before reading any row.
+    let response = client.request("{\"cmd\":\"gram\",\"deadline_ms\":0}");
+    let error = assert_error_envelope(&response);
+    assert!(error.contains("at 'gram: rows'"), "got: {error}");
+    assert_eq!(
+        response.get("rejected").and_then(Json::as_str),
+        Some("deadline_exceeded")
+    );
+    let response = client.request("{\"cmd\":\"gram\"}");
     assert_eq!(response.get("ok").and_then(Json::as_bool), Some(true));
 
     // The deadline-exceeded counter moved for the op.
