@@ -238,20 +238,15 @@ fn main() {
         HaqjskModel::fit(&datasets[0], HaqjskConfig::small(), variant).expect("fit soak model")
     })
     .collect();
-    let gram = |model: &HaqjskModel, graphs: &[Graph], backend| {
-        model
-            .gram_matrix_on(graphs, Some(backend))
-            .expect("model gram")
-            .matrix()
-            .data()
-            .to_vec()
-    };
     let references: Vec<Vec<Vec<f64>>> = models
         .iter()
         .map(|model| {
             datasets
                 .iter()
-                .map(|graphs| gram(model, graphs, BackendKind::Serial))
+                .map(|graphs| {
+                    let gram = model.gram_matrix_on(graphs, Some(BackendKind::Serial));
+                    gram.expect("model gram").into_matrix().data().to_vec()
+                })
                 .collect()
         })
         .collect();
@@ -290,8 +285,14 @@ fn main() {
         // Variants alternate Gram by Gram; each pair of Grams moves to
         // the next dataset, so every (variant, dataset) pair recurs.
         let (model, which) = (g % models.len(), (g / models.len()) % datasets.len());
-        let distributed = gram(&models[model], &datasets[which], BackendKind::Distributed);
-        assert_bytes_equal(g, &distributed, &references[model][which]);
+        let graphs = &datasets[which];
+        let transforms = models[model]
+            .transform_all(graphs)
+            .expect("transform soak dataset");
+        let distributed = coordinator
+            .model_gram(&models[model], graphs, &transforms)
+            .expect("model gram");
+        assert_bytes_equal(g, distributed.data(), &references[model][which]);
         if (g + 1) % 25 == 0 {
             let stats = coordinator.stats();
             println!(

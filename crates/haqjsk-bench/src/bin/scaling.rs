@@ -127,7 +127,7 @@ fn main() {
         };
         let run = || {
             let start = Instant::now();
-            let _ = Engine::global().gram(Some(backend), n, per_pair(entry), None);
+            let _ = Engine::global().gram(Some(backend), n, per_pair(entry));
             start.elapsed().as_secs_f64()
         };
         let cold = run();
@@ -247,24 +247,24 @@ fn distributed_section() -> Vec<Json> {
     );
     println!("{:>10} {:>10} {:>10}", "backend", "cold s", "warm s");
 
-    let gram_seconds = |backend: BackendKind| {
-        let start = Instant::now();
-        model
-            .gram_over_transforms(&graphs, &aligned, Some(backend))
-            .expect("gram succeeds");
-        start.elapsed().as_secs_f64()
-    };
-    let timed = |backend: BackendKind| {
-        let cold = gram_seconds(backend);
+    let timed = |gram: &dyn Fn()| {
+        let gram_seconds = || {
+            let start = Instant::now();
+            gram();
+            start.elapsed().as_secs_f64()
+        };
+        let cold = gram_seconds();
         // Warm: everything cacheable is resident (worker stores, models
         // and transform caches); min over repeats for guard stability.
-        let warm = (0..3)
-            .map(|_| gram_seconds(backend))
-            .fold(f64::INFINITY, f64::min);
+        let warm = (0..3).map(|_| gram_seconds()).fold(f64::INFINITY, f64::min);
         (cold, warm)
     };
 
-    let (local_cold, local_warm) = timed(BackendKind::Local);
+    let (local_cold, local_warm) = timed(&|| {
+        model
+            .gram_over_transforms(&graphs, &aligned, Some(BackendKind::Local))
+            .expect("gram succeeds");
+    });
     println!("{:>10} {:>10.3} {:>10.3}", "local", local_cold, local_warm);
     rows.push(Json::obj([
         ("backend", Json::Str("local".to_string())),
@@ -302,14 +302,17 @@ fn distributed_section() -> Vec<Json> {
     };
 
     let coordinator = match Coordinator::connect(&addrs, DistConfig::from_env()) {
-        Ok(c) => std::sync::Arc::new(c),
+        Ok(c) => c,
         Err(e) => {
             println!("(distributed section skipped: {e})");
             return rows;
         }
     };
-    haqjsk_dist::set_coordinator(Some(std::sync::Arc::clone(&coordinator)));
-    let (dist_cold, dist_warm) = timed(BackendKind::Distributed);
+    let (dist_cold, dist_warm) = timed(&|| {
+        coordinator
+            .model_gram(&model, &graphs, &aligned)
+            .expect("gram succeeds");
+    });
     println!("{:>10} {:>10.3} {:>10.3}", "dist", dist_cold, dist_warm);
     println!(
         "\n  warm dist/local: {:.2}x ({mode}); dataset dedup hit rate {:.1}%",
@@ -375,7 +378,6 @@ fn distributed_section() -> Vec<Json> {
             ),
         ),
     ]));
-    haqjsk_dist::set_coordinator(None);
     drop(in_process);
     rows
 }

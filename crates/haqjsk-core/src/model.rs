@@ -29,13 +29,11 @@ use crate::config::{HaqjskConfig, HaqjskVariant};
 use crate::correspondence::GraphCorrespondences;
 use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
-use haqjsk_engine::{
-    graph_key, BackendKind, CacheWeight, Engine, FeatureCache, RemoteArtifact, RemoteGram,
-};
+use haqjsk_engine::{graph_key, BackendKind, CacheWeight, Engine, FeatureCache};
 use haqjsk_graph::Graph;
 use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram, with_fallible_tiles};
 use haqjsk_kernels::{GraphKernel, KernelMatrix};
-use haqjsk_linalg::{max_batch_lanes, LinalgError};
+use haqjsk_linalg::{max_batch_lanes, LinalgError, Matrix};
 use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
 use haqjsk_quantum::{batch_qjsd, DensityMatrix};
 use std::borrow::Borrow;
@@ -359,6 +357,28 @@ impl HaqjskModel {
         Ok(totals)
     }
 
+    /// Kernel values of `pairs` (one [`HaqjskModel::kernel_batch`] per
+    /// lane-width chunk), bit-identical however they are chunked. On
+    /// `Some(BackendKind::Serial)` they run on the calling thread; on any
+    /// other backend the chunks go through [`Engine::map_chunks`] of the
+    /// global engine (on its pool unless its default backend is `serial`).
+    /// Served kernel rows, Gram extensions and dist worker tiles all
+    /// evaluate here.
+    pub fn evaluate(
+        &self,
+        pairs: &[(&AlignedGraph, &AlignedGraph)],
+        backend: Option<BackendKind>,
+    ) -> Result<Vec<f64>, LinalgError> {
+        if backend == Some(BackendKind::Serial) {
+            return self.kernel_batch(pairs);
+        }
+        let parts = Engine::global()
+            .map_chunks(pairs.len(), |range| self.kernel_batch(&pairs[range]))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(parts.concat())
+    }
+
     /// Convenience: transform two graphs and evaluate the kernel.
     pub fn kernel_between(&self, a: &Graph, b: &Graph) -> Result<f64, LinalgError> {
         let (a, b) = (self.transform(a)?, self.transform(b)?);
@@ -373,7 +393,12 @@ impl HaqjskModel {
     }
 
     /// [`HaqjskModel::gram_matrix`] on an explicit execution backend
-    /// (`None` = the engine default, which honours `HAQJSK_BACKEND`).
+    /// (`None` = the engine default, which honours `HAQJSK_BACKEND`). A
+    /// backend only decides where a Gram's tiles (and an extension's new
+    /// pairs) run: inline for `Serial`, on the pool otherwise
+    /// (`Distributed` included; a distributed Gram is `haqjsk-dist`'s
+    /// `Coordinator::model_gram`). The transforms go through
+    /// [`Engine::map`] under the engine's default backend.
     pub fn gram_matrix_on(
         &self,
         graphs: &[Graph],
@@ -385,10 +410,10 @@ impl HaqjskModel {
 
     /// The Gram tile evaluator over already-transformed graphs: each
     /// lane-width chunk of a tile is one [`HaqjskModel::kernel_batch`] over
-    /// its pairs of `aligned`, so no buffer grows with the tile width.
-    /// Full Grams and extensions both run it through
-    /// [`with_fallible_tiles`], so a failing tile's error is the Gram's.
-    fn aligned_tiles<'a, A>(
+    /// its pairs of `aligned`, so no buffer grows with the tile width. The
+    /// local Gram runs it through `with_fallible_tiles`, and the dist
+    /// coordinator evaluates the tiles no worker returned with it.
+    pub fn aligned_tiles<'a, A>(
         &'a self,
         aligned: &'a [A],
     ) -> impl Fn(&[(usize, usize)], &mut [f64]) -> Result<(), LinalgError> + Sync + 'a
@@ -409,12 +434,9 @@ impl HaqjskModel {
     }
 
     /// Gram matrix of `graphs` from their transforms `aligned` (one per
-    /// graph, in order) on an explicit execution backend; every HAQJSK Gram
-    /// runs through here, timed into `haqjsk_kernel_gram_seconds`. On the
-    /// distributed backend it attaches a [`RemoteGram`] spec (the persisted
-    /// model as a content-addressed artifact, and `graphs`), so
-    /// fitted-model Grams fan out to workers, where a tile names the kernel
-    /// by [`HaqjskModel::REMOTE_KERNEL_ID`]; local backends ignore it.
+    /// graph, in order) on an explicit execution backend (see
+    /// [`HaqjskModel::gram_matrix_on`]); every in-process HAQJSK Gram runs
+    /// through here, timed into `haqjsk_kernel_gram_seconds`.
     pub fn gram_over_transforms<A: Borrow<AlignedGraph> + Sync>(
         &self,
         graphs: &[Graph],
@@ -429,18 +451,8 @@ impl HaqjskModel {
             )));
         }
         let _timer = time_kernel_gram(GraphKernel::name(self));
-        let effective = backend.unwrap_or_else(|| Engine::global().backend());
-        let payload = (effective == BackendKind::Distributed)
-            .then(|| crate::persistence::model_to_string(self));
-        let spec = payload.as_deref().map(|text| RemoteGram {
-            graphs,
-            artifact: RemoteArtifact {
-                id: crate::persistence::model_artifact_id(text),
-                payload: text,
-            },
-        });
         with_fallible_tiles(self.aligned_tiles(aligned), |tiles| {
-            gram_from_tiles(graphs.len(), backend, tiles, spec.as_ref())
+            gram_from_tiles(graphs.len(), backend, tiles)
         })
     }
 
@@ -472,29 +484,39 @@ impl HaqjskModel {
     }
 
     /// Extends the Gram matrix `base` of the transforms `aligned[..base.len()]`
-    /// to the Gram matrix of all of `aligned`, evaluating only the new
-    /// rows/columns (`base.len()` must not exceed `aligned.len()`), on an
-    /// explicit execution backend. The serving layer appends arrivals this
-    /// way without recomputing history. The new rows/columns go through the
-    /// same tile evaluator as a full Gram, on the engine's tile scheduler
-    /// (extensions always run in this process).
+    /// to the Gram matrix of all of `aligned` (`base.len()` must not exceed
+    /// `aligned.len()`): `base` is copied, and only the new pairs `(i, j)`,
+    /// `i <= j`, `j >= base.len()`, are evaluated, through
+    /// [`HaqjskModel::evaluate`] on `backend`, and mirrored. The values
+    /// equal the full Gram's bit for bit, because the kernel is
+    /// bit-symmetric and chunking-independent.
     pub fn extend_gram_over_transforms<A: Borrow<AlignedGraph> + Sync>(
         &self,
         base: &KernelMatrix,
         aligned: &[A],
         backend: Option<BackendKind>,
     ) -> Result<KernelMatrix, LinalgError> {
-        let m = base.len();
-        if m > aligned.len() {
+        let (m, n) = (base.len(), aligned.len());
+        if m > n {
             return Err(LinalgError::InvalidArgument(format!(
-                "base Gram matrix covers {m} graphs but only {} were supplied",
-                aligned.len()
+                "base Gram matrix covers {m} graphs but only {n} were supplied"
             )));
         }
-        let values = with_fallible_tiles(self.aligned_tiles(aligned), |tiles| {
-            Engine::global().gram_extend(backend, base.matrix(), aligned.len(), tiles)
-        })?;
-        KernelMatrix::new(values)
+        let new: Vec<(usize, usize)> = (m..n).flat_map(|j| (0..=j).map(move |i| (i, j))).collect();
+        let pairs: Vec<_> = new
+            .iter()
+            .map(|&(i, j)| (aligned[i].borrow(), aligned[j].borrow()))
+            .collect();
+        let values = self.evaluate(&pairs, backend)?;
+        let mut gram = Matrix::zeros(n, n);
+        for i in 0..m {
+            gram.data_mut()[i * n..i * n + m].copy_from_slice(base.matrix().row(i));
+        }
+        for (&(i, j), v) in new.iter().zip(values) {
+            gram[(i, j)] = v;
+            gram[(j, i)] = v;
+        }
+        KernelMatrix::new(gram)
     }
 
     /// Maximum attainable kernel value (`H`, reached when every per-level
@@ -809,7 +831,7 @@ mod tests {
     }
 
     #[test]
-    fn extension_through_tiles_is_bitwise_equal_to_the_full_gram() {
+    fn extension_is_bitwise_equal_to_the_full_gram() {
         let graphs = dataset();
         for variant in [
             HaqjskVariant::AlignedAdjacency,

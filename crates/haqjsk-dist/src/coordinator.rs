@@ -1,9 +1,8 @@
-//! The coordinator: the remote-tiles hook's fan-out over worker processes.
+//! The coordinator: a fitted model's Gram fanned out over worker processes.
 //!
-//! A [`Coordinator`] owns one [`WorkerLink`] per member worker and executes
-//! fitted-model Gram computations — the ones that carry a [`RemoteGram`]
-//! spec — by (1) shipping the dataset and the persisted model artifact to
-//! every reachable worker (content-hash-deduplicated — re-fits with
+//! A [`Coordinator`] owns one [`WorkerLink`] per member worker and runs
+//! fitted-model Grams ([`Coordinator::model_gram`]) by (1) shipping the
+//! dataset and the persisted model artifact to every reachable worker (content-hash-deduplicated — re-fits with
 //! overlapping datasets only ship new graphs), (2) running the tile list
 //! through the private `scheduler` module with an outstanding-tile window
 //! per worker and deadline-based straggler re-dispatch, and (3) evaluating
@@ -13,11 +12,11 @@
 //! deterministic functions of (model, dataset, pair) and `f64`s round-trip
 //! bit-exactly through the JSON wire format.
 //!
-//! Gram computations *without* a spec (the closed-form baselines, per-pair
-//! kernels, extensions) never reach the coordinator, and the ones it
-//! declines (no reachable worker) run on the engine's local tile scheduler
-//! — selecting the distributed backend never makes a computation fail or
-//! change value, only (where possible) relocates it.
+//! Every other Gram (the closed-form baselines, per-pair kernels,
+//! extensions) runs on the engine's local tile scheduler and never reaches
+//! the coordinator, and a model Gram it declines (no reachable worker)
+//! runs there too — a worker pool never makes a computation fail or change
+//! value, only (where possible) relocates it.
 //!
 //! ## Elastic membership
 //!
@@ -36,11 +35,20 @@ use crate::dataset::{dataset_id, dataset_keys, SHIP_CHUNK};
 use crate::fault::{Conn, LinkState, WorkerLink, WorkerStatsSnapshot};
 use crate::scheduler::{self, TileRun};
 use crate::wire::{self, KernelSpec};
-use haqjsk_engine::{gram, GraphKey, Json, RemoteGram, TileEvaluator, WorkerPool};
+use haqjsk_core::persistence::{model_artifact_id, model_to_string};
+use haqjsk_core::{AlignedGraph, HaqjskModel};
+use haqjsk_engine::obs::{gram_build_histogram, kernel_gram_histogram};
+use haqjsk_engine::{gram, BackendKind, Engine, GraphKey, Json, WorkerPool};
 use haqjsk_graph::Graph;
+use haqjsk_linalg::{LinalgError, Matrix};
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// A fallible Gram tile evaluator: writes the entries of a tile's pairs.
+type FallibleTiles<'a> =
+    dyn Fn(&[(usize, usize)], &mut [f64]) -> Result<(), LinalgError> + Sync + 'a;
 
 /// Environment variable bounding in-flight tiles per worker connection.
 pub const DIST_WINDOW_ENV_VAR: &str = "HAQJSK_DIST_WINDOW";
@@ -392,35 +400,73 @@ impl Coordinator {
         }
     }
 
-    /// The distributed Gram entry point (called by the remote-tiles hook):
-    /// the full upper-triangle grid of tile width `tile`, or `None` when
+    /// The Gram of a fitted `model` over `graphs`, from their transforms
+    /// (one per graph, in order), computed on the worker pool:
+    /// byte-identical to [`HaqjskModel::gram_over_transforms`] on any
+    /// backend. The tiles are the global engine's grid
+    /// ([`Engine::tile_width`]); workers rebuild the model from its
+    /// persisted artifact, and any tile no worker returns is evaluated
+    /// here by [`HaqjskModel::aligned_tiles`]. A Gram the pool runs is
+    /// timed into `haqjsk_gram_build_seconds{backend="dist"}` and
+    /// `haqjsk_kernel_gram_seconds`; one the coordinator declines (no
+    /// reachable worker) is `gram_over_transforms(.., None)`'s, timed by
+    /// it.
+    pub fn model_gram<A: Borrow<AlignedGraph> + Sync>(
+        &self,
+        model: &HaqjskModel,
+        graphs: &[Graph],
+        transforms: &[A],
+    ) -> Result<Matrix, LinalgError> {
+        let start = Instant::now();
+        let n = graphs.len();
+        if transforms.len() == n {
+            let payload = model_to_string(model);
+            let artifact = (model_artifact_id(&payload), payload.as_str());
+            let engine = Engine::global();
+            let tiles = model.aligned_tiles(transforms);
+            let built = Instant::now();
+            let tile = engine.tile_width(n);
+            if let Some(values) = self.gram_tiles(engine.pool(), tile, &tiles, graphs, artifact)? {
+                gram_build_histogram(BackendKind::Distributed).observe_duration(built.elapsed());
+                kernel_gram_histogram(model.variant().label()).observe_duration(start.elapsed());
+                return Ok(values);
+            }
+        }
+        model
+            .gram_over_transforms(graphs, transforms, None)
+            .map(|gram| gram.into_matrix())
+    }
+
+    /// The full upper-triangle grid of tile width `tile` over `graphs` on
+    /// the workers, with `eval` for the tiles none returns; `None` when
     /// the Gram should run locally instead.
-    pub(crate) fn gram_tiles(
+    fn gram_tiles(
         &self,
         pool: &WorkerPool,
-        n: usize,
         tile: usize,
-        eval: &dyn TileEvaluator,
-        spec: &RemoteGram<'_>,
-    ) -> Option<Matrix> {
+        eval: &FallibleTiles<'_>,
+        graphs: &[Graph],
+        (artifact_id, artifact): (String, &str),
+    ) -> Result<Option<Matrix>, LinalgError> {
         self.grams.fetch_add(1, Ordering::Relaxed);
-        if spec.graphs.len() != n || n == 0 {
-            return self.decline();
+        let n = graphs.len();
+        if n == 0 {
+            return Ok(self.decline());
         }
 
         // The exact tile grid of the local scheduler.
         let tile = tile.max(1);
-        let grid = gram::tile_grid(n, 0, tile);
+        let grid = gram::tile_grid(n, tile);
         let mut tiles: Vec<Vec<(usize, usize)>> = Vec::with_capacity(grid.len());
         let mut pairs = Vec::new();
         for &t in &grid {
-            gram::tile_pairs(n, 0, tile, t, &mut pairs);
+            gram::tile_pairs(n, tile, t, &mut pairs);
             tiles.push(pairs.clone());
         }
-        let keys = dataset_keys(spec.graphs);
+        let keys = dataset_keys(graphs);
         let id = dataset_id(&keys);
         let kernel = KernelSpec {
-            artifact: spec.artifact.id.clone(),
+            artifact: artifact_id.clone(),
         }
         .to_json();
         let mut run = TileRun {
@@ -428,8 +474,8 @@ impl Coordinator {
             kernel: &kernel,
             tiles: &tiles,
             keys: &keys,
-            graphs: spec.graphs,
-            artifact: (&spec.artifact.id, spec.artifact.payload),
+            graphs,
+            artifact: (&artifact_id, artifact),
             epoch: self.epoch(),
             config: &self.config,
             ships: &self.ships,
@@ -471,7 +517,7 @@ impl Coordinator {
                 .unwrap_or(usize::MAX)
         });
         if ready.is_empty() {
-            return self.decline();
+            return Ok(self.decline());
         }
         self.tiles_scheduled
             .fetch_add(tiles.len(), Ordering::Relaxed);
@@ -495,12 +541,14 @@ impl Coordinator {
             .collect();
         self.local_fallback_tiles
             .fetch_add(missing.len(), Ordering::Relaxed);
-        let fallback: Vec<Vec<f64>> = pool.map(missing.len(), |k| {
-            let t = missing[k];
-            let mut out = vec![0.0; tiles[t].len()];
-            eval.eval_tile(&tiles[t], &mut out);
-            out
-        });
+        let fallback = pool
+            .map(missing.len(), |k| {
+                let t = missing[k];
+                let mut out = vec![0.0; tiles[t].len()];
+                eval(&tiles[t], &mut out).map(|()| out)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
 
         let mut values = Matrix::zeros(n, n);
         let mut fallback_iter = fallback.into_iter();
@@ -514,11 +562,12 @@ impl Coordinator {
                 values[(j, i)] = v;
             }
         }
-        Some(values)
+        Ok(Some(values))
     }
 
-    /// Declines a Gram, counting it as a whole-Gram local fallback; the
-    /// engine then runs it on its local tile scheduler.
+    /// Declines a Gram, counting it as a whole-Gram local fallback;
+    /// [`Coordinator::model_gram`] then runs it on the engine's local tile
+    /// scheduler.
     fn decline(&self) -> Option<Matrix> {
         self.local_fallback_grams.fetch_add(1, Ordering::Relaxed);
         None
@@ -539,8 +588,6 @@ impl Drop for Coordinator {
         }
     }
 }
-
-use haqjsk_linalg::Matrix;
 
 /// The shipping counters of [`DistStats`], shared by a Gram's first
 /// shipping round and the scheduler's store-miss repairs, so a re-ship

@@ -1,36 +1,35 @@
 //! # haqjsk-dist
 //!
 //! Distributed tile execution: a worker-pool RPC backend that spans one
-//! Gram matrix across processes and machines.
+//! fitted model's Gram matrix across processes and machines.
 //!
 //! The engine's tile scheduler hands whole tiles of index pairs to one
-//! evaluator, which is exactly the shape a remote backend needs: this crate
-//! adds the transport behind the engine's remote-tiles hook. A
-//! [`Coordinator`] speaks a
-//! JSON-lines TCP protocol (the same [`haqjsk_engine::json`] values and
-//! `serve` framing as `haqjsk-serve`) to a pool of [`WorkerServer`]
-//! processes, each running the existing engine locally:
+//! evaluator, which is exactly the shape a remote backend needs: a
+//! [`Coordinator`] runs the same tile grid over a pool of
+//! [`WorkerServer`] processes, each running the existing engine locally,
+//! speaking a JSON-lines TCP protocol (the same [`haqjsk_engine::json`]
+//! values and `serve` framing as `haqjsk-serve`):
 //!
 //! ```text
-//!   Engine::gram (BackendKind::Distributed + model artifact, graphs)
-//!                         │
-//!        remote-tiles hook (installed by `install`)
-//!                         │
-//!                   Coordinator ──── dataset shipping (content-hash dedup)
-//!                    │        │
-//!      window + deadline    local fallback (byte-identical evaluator)
-//!            │                          │
-//!     haqjsk-worker ...  haqjsk-worker  └── tiles no worker returned
-//!      (own engine,        (own engine,
-//!       own caches)         own caches)
+//!   Coordinator::model_gram (model, graphs, transforms)
+//!          │  artifact = persisted model; grid = Engine::tile_width
+//!          │
+//!   Coordinator ──── dataset + artifact shipping (content-hash dedup)
+//!    │        │
+//!   window + deadline    local fallback (the model's tile evaluator;
+//!    │                       the whole Gram when no worker answers)
+//!   haqjsk-worker ...  haqjsk-worker
+//!    (own engine,        (own engine,
+//!     own caches)         own caches)
 //! ```
 //!
-//! * **Selection.** `HAQJSK_BACKEND=dist:host:port,host:port` plus
-//!   [`install_from_env`] (the binaries call it at startup), or
-//!   [`Coordinator::connect`] + [`set_coordinator`] programmatically. Both
-//!   install this crate's remote-tiles hook into the engine
-//!   ([`haqjsk_engine::install_remote_tiles`]); kernels then select it like
-//!   any other backend (`BackendKind::Distributed`).
+//! * **Selection.** There is no engine hook: a caller holding a
+//!   coordinator calls [`Coordinator::model_gram`]. The serving layer does
+//!   so for a `fit` with `workers` and, on a server started with
+//!   `HAQJSK_BACKEND=dist:host:port,host:port` ([`install_from_env`], which
+//!   the binaries call at startup), for every `fit` and `load` with graphs,
+//!   through the process-wide [`current_coordinator`]. Library Gram entry
+//!   points run `BackendKind::Distributed` as `BackendKind::Local`.
 //! * **Byte identity.** A distributed Gram is byte-identical to
 //!   [`BackendKind::Serial`](haqjsk_engine::BackendKind) no matter which
 //!   worker computed which tile, which tiles were re-dispatched, or which
@@ -48,8 +47,8 @@
 //!   a local reconstruction — the one tile kind a worker knows. Everything
 //!   else — the closed-form QJSK and JTQK baselines, arbitrary closures,
 //!   per-pair entries, extensions — runs on the engine's local tile
-//!   scheduler when the distributed backend is selected, never failing, so
-//!   the backend is always safe to enable globally.
+//!   scheduler whatever backend is selected, never failing, so the
+//!   backend is always safe to enable globally.
 //! * **Elastic membership.** Workers join ([`Coordinator::add_worker`])
 //!   and leave ([`Coordinator::remove_worker`]) a *running* coordinator;
 //!   dead workers sit in probation and are redialed with jittered
@@ -79,8 +78,7 @@ pub use obs::register_dist_metrics;
 pub use wire::KernelSpec;
 pub use worker::{WorkerOptions, WorkerServer};
 
-use haqjsk_engine::{BackendKind, RemoteGram, TileEvaluator, WorkerPool};
-use haqjsk_linalg::Matrix;
+use haqjsk_engine::BackendKind;
 use std::sync::{Arc, OnceLock, RwLock};
 
 fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
@@ -88,31 +86,10 @@ fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-/// Installs `remote_tiles` as the engine's remote-tiles hook, so
-/// `BackendKind::Distributed` fitted-model Grams reach the current
-/// coordinator. Idempotent.
-pub fn install() {
-    haqjsk_engine::install_remote_tiles(remote_tiles);
-}
-
-/// The remote-tiles hook: hands a fitted-model Gram to the current
-/// [`Coordinator`]. `None` — no coordinator installed, or it declined —
-/// makes the engine run the Gram on its local pool.
-fn remote_tiles(
-    pool: &WorkerPool,
-    n: usize,
-    tile: usize,
-    eval: &dyn TileEvaluator,
-    spec: &RemoteGram<'_>,
-) -> Option<Matrix> {
-    current_coordinator()?.gram_tiles(pool, n, tile, eval, spec)
-}
-
-/// Swaps the process-wide coordinator (also [`install`]ing the hook);
-/// returns the previous one. `None` reverts `BackendKind::Distributed` to
-/// local execution.
+/// Swaps the process-wide coordinator, the pool `stats`, the
+/// `haqjsk_dist_*` metrics and membership changes read; returns the
+/// previous one. `None` uninstalls it.
 pub fn set_coordinator(coordinator: Option<Arc<Coordinator>>) -> Option<Arc<Coordinator>> {
-    install();
     let mut slot = coordinator_slot()
         .write()
         .expect("coordinator slot poisoned");

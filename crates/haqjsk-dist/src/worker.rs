@@ -574,9 +574,9 @@ fn cmd_tile_inner(state: &WorkerState, request: &Json) -> (Json, Disposition) {
 /// Evaluates a fitted-model tile against the worker's reconstructed
 /// model: the aligned transforms of the graphs the tile's pairs read come
 /// from the entry's cache (computed at most once per distinct graph across
-/// all tiles), then the tile's pair list runs in contiguous, lane-aligned
-/// chunks over the worker's own engine pool (`Engine::map_chunks`), each
-/// chunk one `HaqjskModel::kernel_batch`. Byte-identical to the
+/// all tiles), then the tile's pair list runs through
+/// `HaqjskModel::evaluate`: contiguous, lane-aligned chunks over the
+/// worker's own engine pool, each chunk one `HaqjskModel::kernel_batch`. Byte-identical to the
 /// coordinator's serial `HaqjskModel::gram_over_transforms` because
 /// persistence round-trips the model exactly, the transform and kernel
 /// are deterministic, and the batched eigensolver is bit-identical per
@@ -596,12 +596,10 @@ fn eval_model_tile_chunked(
         .map_err(|e| e.to_string())?;
     let at = |i: usize| &*aligned[touched.binary_search(&i).expect("a touched index")];
     let pairs: Vec<_> = pairs.iter().map(|&(i, j)| (at(i), at(j))).collect();
-    let parts = Engine::global()
-        .map_chunks(pairs.len(), |range| entry.model.kernel_batch(&pairs[range]))
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| e.to_string())?;
-    Ok(parts.concat())
+    entry
+        .model
+        .evaluate(&pairs, None)
+        .map_err(|e| e.to_string())
 }
 
 fn cmd_chaos(state: &WorkerState, request: &Json) -> Json {

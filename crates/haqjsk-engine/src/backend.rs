@@ -1,20 +1,25 @@
 //! Where a Gram matrix runs, and the tile-evaluation seam it runs through.
 //!
-//! Every Gram matrix in the workspace goes through one tile scheduler
+//! Every in-process full Gram matrix goes through one tile scheduler
 //! ([`gram::run_tiles`](crate::gram::run_tiles)) over one
 //! [`TileEvaluator`]. A [`BackendKind`] only decides where that scheduler
-//! runs:
+//! runs its tiles (and where a HAQJSK Gram extension evaluates its new
+//! pairs):
 //!
 //! * [`BackendKind::Serial`] — inline on the calling thread, in row-major
 //!   tile order (what the single-thread per-pair latency benchmarks
 //!   measure),
 //! * [`BackendKind::Local`] — the same tiles over the worker pool (the
 //!   default),
-//! * [`BackendKind::Distributed`] — full fitted-model Grams, which carry a
-//!   [`RemoteGram`] spec, go to the remote-tiles hook `haqjsk-dist`
-//!   installs ([`install_remote_tiles`]); everything else (the closed-form
-//!   baselines, per-pair kernels, extensions), and every Gram the hook
-//!   declines, runs as [`BackendKind::Local`].
+//! * [`BackendKind::Distributed`] — a deployment setting
+//!   (`HAQJSK_BACKEND=dist:<addr,addr>`) that the serving layer reads to
+//!   hand a fitted model's Gram to `haqjsk-dist`'s coordinator. The
+//!   engine itself runs it as [`BackendKind::Local`].
+//!
+//! Per-graph work outside the tiles (feature extraction, transforms) goes
+//! through [`Engine::map`](crate::Engine::map) under the engine's default
+//! backend, whatever a call's override says: only a `serial` engine
+//! default runs it inline.
 //!
 //! Tile values are deterministic functions of (kernel, dataset, pair), so
 //! every path produces byte-identical Gram matrices.
@@ -24,36 +29,8 @@
 //! `dist:<addr,addr>`) overrides the default for the process-global engine,
 //! and the Gram entry points take a per-call override.
 
-use crate::pool::WorkerPool;
-use haqjsk_linalg::Matrix;
-use std::sync::OnceLock;
-
 /// Name of the environment variable selecting the default backend.
 pub const BACKEND_ENV_VAR: &str = "HAQJSK_BACKEND";
-
-/// A declarative description of a Gram computation that a *remote* backend
-/// can serialise and ship to worker processes: a fitted model's persisted
-/// artifact over a dataset. Local execution never looks at it — it already
-/// holds the evaluator. Fitted-model Grams are the only computations that
-/// attach one; every other Gram runs on the local tile scheduler.
-pub struct RemoteGram<'a> {
-    /// The dataset the pair indices refer to.
-    pub graphs: &'a [haqjsk_graph::Graph],
-    /// The fitted state (a persisted model) workers rebuild the kernel
-    /// from. Shipped content-addressed like the dataset, so repeated Grams
-    /// over the same fitted state ship it once per worker.
-    pub artifact: RemoteArtifact<'a>,
-}
-
-/// A content-addressed blob accompanying a [`RemoteGram`]: the serialised
-/// fitted state a worker reconstructs the kernel from.
-pub struct RemoteArtifact<'a> {
-    /// Content digest of `payload` (hex); workers dedup on it.
-    pub id: String,
-    /// The serialised artifact text (line-oriented, e.g. a persisted
-    /// model from `haqjsk-core::persistence`).
-    pub payload: &'a str,
-}
 
 /// A whole-tile Gram evaluator: computes the entries of one scheduling
 /// tile in a single call. `pairs` holds the tile's index pairs (`i <= j`,
@@ -94,7 +71,9 @@ where
     }
 }
 
-/// Where a Gram matrix runs.
+/// Where a Gram matrix's tiles (and a Gram extension's new pairs) run;
+/// feature extraction and transforms follow the engine's default instead
+/// (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The tile scheduler inline on the calling thread, row-major.
@@ -102,18 +81,16 @@ pub enum BackendKind {
     /// The tile scheduler over the worker pool (the default).
     #[default]
     Local,
-    /// Fitted-model full Grams (the ones that carry a [`RemoteGram`] spec)
-    /// fan out over worker processes through the remote-tiles hook (`haqjsk-dist`); selected with
-    /// `HAQJSK_BACKEND=dist:<addr,addr>`. Everything else — and everything
-    /// until a hook is installed — runs as [`BackendKind::Local`] (a Gram
-    /// must never fail because the distributed substrate is absent).
+    /// Worker processes, selected with `HAQJSK_BACKEND=dist:<addr,addr>`:
+    /// the serving layer hands a fitted model's Gram to `haqjsk-dist`'s
+    /// coordinator. Every engine Gram runs it as [`BackendKind::Local`].
     Distributed,
 }
 
 impl BackendKind {
     /// Every *local* kind, in sweep order (benchmarks iterate this).
-    /// [`BackendKind::Distributed`] is deliberately excluded: it needs a
-    /// worker pool to be meaningful and runs as `Local` without one.
+    /// [`BackendKind::Distributed`] is deliberately excluded: the engine
+    /// runs it as `Local`.
     pub const ALL: [BackendKind; 2] = [BackendKind::Serial, BackendKind::Local];
 
     /// The canonical lower-case label (`serial` / `local` / `dist`) — also
@@ -223,28 +200,6 @@ impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// The remote-tiles hook: evaluates the upper-triangle tile grid of an
-/// `n x n` Gram matrix (tile width `tile`) for the computation `spec`
-/// describes on worker processes, with `eval` as the byte-identical local
-/// evaluator for any tile no worker returns. `None` declines (no worker
-/// reachable) and the engine runs the Gram on the local pool instead.
-pub type RemoteTiles =
-    fn(&WorkerPool, usize, usize, &dyn TileEvaluator, &RemoteGram<'_>) -> Option<Matrix>;
-
-static REMOTE_TILES: OnceLock<RemoteTiles> = OnceLock::new();
-
-/// Installs the process-wide remote-tiles hook — called by `haqjsk-dist`
-/// (the engine crate cannot depend on it). The first installation wins;
-/// repeated calls are no-ops.
-pub fn install_remote_tiles(hook: RemoteTiles) {
-    let _ = REMOTE_TILES.set(hook);
-}
-
-/// The installed remote-tiles hook, if any.
-pub(crate) fn remote_tiles() -> Option<RemoteTiles> {
-    REMOTE_TILES.get().copied()
 }
 
 #[cfg(test)]

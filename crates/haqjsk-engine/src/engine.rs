@@ -2,13 +2,13 @@
 //!
 //! An engine owns a [`WorkerPool`], a default [`BackendKind`] and the tile
 //! width rule, and exposes the entry points every kernel in the workspace
-//! routes through: [`Engine::gram`] for a full Gram matrix,
-//! [`Engine::gram_extend`] for appending rows/columns to one, and
-//! [`Engine::map`] for per-graph feature extraction. Both Gram entry points
-//! run the one tile scheduler ([`gram::run_tiles`]) over one
-//! [`TileEvaluator`]; the backend only decides whether the tiles run inline
-//! on the calling thread, on the pool, or — full fitted-model Grams, which
-//! carry a [`RemoteGram`] spec — on worker processes.
+//! routes through: [`Engine::gram`] for a full Gram matrix over one
+//! [`TileEvaluator`], run by the one tile scheduler ([`gram::run_tiles`])
+//! inline on the calling thread or on the pool, and [`Engine::map`] /
+//! [`Engine::map_chunks`] for per-graph feature extraction and pair
+//! batches. A distributed Gram is not the engine's: `haqjsk-dist`'s
+//! coordinator ships the same tile grid ([`Engine::tile_width`]) to worker
+//! processes.
 //!
 //! A lazily initialised process-global engine ([`Engine::global`]) lets
 //! callers share one pool instead of spawning scoped threads per Gram
@@ -16,7 +16,7 @@
 //! variable and its default backend from `HAQJSK_BACKEND` (both read once,
 //! at first use).
 
-use crate::backend::{remote_tiles, BackendKind, RemoteGram, TileEvaluator};
+use crate::backend::{BackendKind, TileEvaluator};
 use crate::gram;
 use crate::pool::{default_thread_count, WorkerPool};
 use haqjsk_linalg::Matrix;
@@ -128,80 +128,36 @@ impl Engine {
         self.backend
     }
 
-    /// Tile width: the explicit override, or
-    /// [`gram::auto_tile_width_batched`].
-    fn tile_for(&self, n: usize) -> usize {
+    /// The tile width of an `n x n` Gram: the explicit override, or
+    /// [`gram::auto_tile_width_batched`]. The distributed coordinator
+    /// builds its grid with it, so its work units are the local ones.
+    pub fn tile_width(&self, n: usize) -> usize {
         self.tile_override
             .unwrap_or_else(|| gram::auto_tile_width_batched(n, self.pool.threads()))
     }
 
     /// Computes the symmetric `n x n` Gram matrix by handing each tile's
     /// index pairs to `eval` (wrap a per-pair entry function in
-    /// [`per_pair`](crate::backend::per_pair)). `backend` overrides the
-    /// engine default. A [`BackendKind::Distributed`] call with a `remote`
-    /// spec goes to the installed remote-tiles hook; everything else — and
-    /// every Gram the hook declines — runs the tile scheduler in this
-    /// process. All paths produce the same bytes.
+    /// [`per_pair`](crate::backend::per_pair)), timed into
+    /// `haqjsk_gram_build_seconds`. `backend` overrides the engine default
+    /// and only decides where the tiles run: inline for
+    /// [`BackendKind::Serial`], on the pool otherwise. Both produce the
+    /// same bytes.
     pub fn gram<T: TileEvaluator>(
         &self,
         backend: Option<BackendKind>,
         n: usize,
         eval: T,
-        remote: Option<&RemoteGram<'_>>,
     ) -> Matrix {
         let start = Instant::now();
-        let kind = backend.unwrap_or(self.backend);
-        let tile = self.tile_for(n);
-        let remote_values = match (kind, remote, remote_tiles()) {
-            (BackendKind::Distributed, Some(spec), Some(hook)) => {
-                hook(&self.pool, n, tile, &eval, spec)
-            }
-            _ => None,
-        };
-        let (ran, values) = match remote_values {
-            Some(values) => (BackendKind::Distributed, values),
-            None => self.run_here(kind, None, n, tile, &eval),
-        };
-        crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
-        values
-    }
-
-    /// Extends an `m x m` Gram matrix to `total` items, evaluating only the
-    /// new rows/columns through `eval`, which is indexed over the combined
-    /// item list and never sees a pair with both indices `< m`. Extensions
-    /// always run in this process (inline for [`BackendKind::Serial`], on
-    /// the pool otherwise).
-    pub fn gram_extend<T: TileEvaluator>(
-        &self,
-        backend: Option<BackendKind>,
-        base: &Matrix,
-        total: usize,
-        eval: T,
-    ) -> Matrix {
-        let start = Instant::now();
-        let kind = backend.unwrap_or(self.backend);
-        let (ran, values) = self.run_here(kind, Some(base), total, self.tile_for(total), &eval);
-        crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
-        values
-    }
-
-    /// Runs the tile scheduler in this process — inline for
-    /// [`BackendKind::Serial`], on the pool otherwise — and returns the
-    /// path that ran it.
-    fn run_here(
-        &self,
-        kind: BackendKind,
-        base: Option<&Matrix>,
-        n: usize,
-        tile: usize,
-        eval: &dyn TileEvaluator,
-    ) -> (BackendKind, Matrix) {
-        let ran = match kind {
+        let ran = match backend.unwrap_or(self.backend) {
             BackendKind::Serial => BackendKind::Serial,
             _ => BackendKind::Local,
         };
         let pool = (ran == BackendKind::Local).then_some(&self.pool);
-        (ran, gram::run_tiles(pool, base, n, tile, eval))
+        let values = gram::run_tiles(pool, n, self.tile_width(n), &eval);
+        crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
+        values
     }
 
     /// Pair-by-pair serial reference; bit-identical to [`Engine::gram`] for
@@ -273,15 +229,11 @@ mod tests {
         assert_eq!(engine.threads(), 2);
         assert_eq!(engine.backend(), BackendKind::Serial);
         let f = |i: usize, j: usize| (i * 3 + j) as f64;
-        assert_eq!(
-            engine.gram(None, 6, per_pair(f), None),
-            Engine::gram_serial(6, f)
-        );
+        assert_eq!(engine.gram(None, 6, per_pair(f)), Engine::gram_serial(6, f));
     }
 
     /// The one table-driven scheduler test: inline and pooled (1, 2 and 4
-    /// threads) tile runs against the pair-by-pair serial reference, for
-    /// full Grams and for extensions from every base size class.
+    /// threads) tile runs against the pair-by-pair serial reference.
     #[test]
     fn the_tile_scheduler_matches_the_serial_reference_on_every_path() {
         let f = |i: usize, j: usize| ((i * 31 + j * 17) as f64).sin() * 0.5 + (i * j) as f64;
@@ -299,7 +251,6 @@ mod tests {
                 for (name, pool) in &paths {
                     let full = gram::run_tiles(
                         *pool,
-                        None,
                         n,
                         tile,
                         &|pairs: &[(usize, usize)], out: &mut [f64]| {
@@ -311,25 +262,6 @@ mod tests {
                         },
                     );
                     assert_eq!(full, reference, "{name} n={n} tile={tile}");
-                    for m in [0, n / 2, n] {
-                        let base = gram::gram_serial(m, f);
-                        let extended = gram::run_tiles(
-                            *pool,
-                            Some(&base),
-                            n,
-                            tile,
-                            &|pairs: &[(usize, usize)], out: &mut [f64]| {
-                                for (o, &(i, j)) in out.iter_mut().zip(pairs) {
-                                    assert!(
-                                        i <= j && j >= m,
-                                        "old pair ({i},{j}) must come from the base matrix"
-                                    );
-                                    *o = f(i, j);
-                                }
-                            },
-                        );
-                        assert_eq!(extended, reference, "{name} n={n} tile={tile} m={m}");
-                    }
                 }
             }
         }
@@ -340,13 +272,12 @@ mod tests {
         let count = |kind: BackendKind| crate::obs::gram_build_histogram(kind).snapshot().count;
         let engine = Engine::with_tile(2, 3);
         let f = |i: usize, j: usize| (i * 7 + j) as f64;
-        let base = engine.gram(None, 5, per_pair(f), None);
 
-        // No remote-tiles hook runs in this crate's tests, so a
-        // distributed extension runs (and is recorded) on the local pool.
+        // The engine runs a distributed-selected Gram (and records it) on
+        // the local pool.
         let (local, dist) = (count(BackendKind::Local), count(BackendKind::Distributed));
-        let extended = engine.gram_extend(Some(BackendKind::Distributed), &base, 9, per_pair(f));
-        assert_eq!(extended, gram::gram_serial(9, f));
+        let full = engine.gram(Some(BackendKind::Distributed), 9, per_pair(f));
+        assert_eq!(full, gram::gram_serial(9, f));
         assert!(count(BackendKind::Local) > local, "the local series moved");
         assert_eq!(
             count(BackendKind::Distributed),
@@ -355,7 +286,7 @@ mod tests {
         );
 
         let serial = count(BackendKind::Serial);
-        let inline = engine.gram(Some(BackendKind::Serial), 4, per_pair(f), None);
+        let inline = engine.gram(Some(BackendKind::Serial), 4, per_pair(f));
         assert_eq!(inline, gram::gram_serial(4, f));
         assert!(count(BackendKind::Serial) > serial);
     }
@@ -414,12 +345,11 @@ mod tests {
                     }
                     0.0
                 }),
-                None,
             )
         }));
         assert!(result.is_err(), "the panic must reach the caller");
         // The pool survives a panicked batch.
-        let ok = engine.gram(None, 6, per_pair(|i, j| (i + j) as f64), None);
+        let ok = engine.gram(None, 6, per_pair(|i, j| (i + j) as f64));
         assert_eq!(ok, Engine::gram_serial(6, |i, j| (i + j) as f64));
     }
 }

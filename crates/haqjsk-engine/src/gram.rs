@@ -9,12 +9,11 @@
 //! tile, and each tile writes that entry and its mirror `(j, i)`, so tiles
 //! write disjoint memory and the output buffer can be shared without locks.
 //!
-//! One grid serves both Gram shapes: the tiles of the column strip
-//! `j >= m`. With `m = 0` that strip is the whole upper triangle (a full
-//! Gram); with `m > 0` it holds exactly the entries an extension of an
-//! `m x m` base adds. [`run_tiles`] evaluates the grid through one
-//! [`TileEvaluator`], either over the worker pool or inline on the calling
-//! thread in row-major tile order.
+//! [`run_tiles`] evaluates the upper-triangle grid of a full Gram through
+//! one [`TileEvaluator`], either over the worker pool or inline on the
+//! calling thread in row-major tile order. The distributed coordinator
+//! ships the same grid ([`tile_grid`], [`tile_pairs`]) to worker
+//! processes.
 
 use crate::backend::TileEvaluator;
 use crate::pool::WorkerPool;
@@ -94,74 +93,56 @@ where
     values
 }
 
-/// Enumerates the tiles of the column strip `j >= m` of an `n x n` Gram
-/// matrix: `(bi, bj)` block coordinates, row-major, where row block `bi`
-/// covers rows `bi*tile..` and column block `bj` covers columns
-/// `m + bj*tile..`. With `m = 0` this is the upper-triangle grid
-/// (`bi <= bj`). Public so out-of-process schedulers (the distributed
-/// backend) reproduce the exact local grid, keeping work units identical
-/// across executors. Every listed tile holds at least one pair.
-pub fn tile_grid(n: usize, m: usize, tile: usize) -> Vec<(usize, usize)> {
-    let row_blocks = n.div_ceil(tile);
-    let col_blocks = n.saturating_sub(m).div_ceil(tile);
-    (0..row_blocks)
-        .flat_map(|bi| (0..col_blocks).map(move |bj| (bi, bj)))
-        .filter(|&(bi, bj)| bi * tile < m + (bj + 1) * tile)
+/// Enumerates the upper-triangle tiles of an `n x n` Gram matrix: `(bi,
+/// bj)` block coordinates with `bi <= bj`, row-major, where block `b`
+/// covers indices `b*tile..`. Public so out-of-process schedulers (the
+/// distributed backend) reproduce the exact local grid, keeping work
+/// units identical across executors. Every listed tile holds at least one
+/// pair.
+pub fn tile_grid(n: usize, tile: usize) -> Vec<(usize, usize)> {
+    let blocks = n.div_ceil(tile);
+    (0..blocks)
+        .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
         .collect()
 }
 
 /// The index pairs `(i, j)`, `i <= j`, of tile `(bi, bj)` of the
-/// [`tile_grid`] of `(n, m, tile)`, appended into `pairs` (cleared first).
+/// [`tile_grid`] of `(n, tile)`, appended into `pairs` (cleared first).
 pub fn tile_pairs(
     n: usize,
-    m: usize,
     tile: usize,
     (bi, bj): (usize, usize),
     pairs: &mut Vec<(usize, usize)>,
 ) {
     pairs.clear();
     let row_end = ((bi + 1) * tile).min(n);
-    let col_start = m + bj * tile;
-    let col_end = (m + (bj + 1) * tile).min(n);
+    let col_end = ((bj + 1) * tile).min(n);
     for i in bi * tile..row_end {
-        for j in col_start.max(i)..col_end {
+        for j in (bj * tile).max(i)..col_end {
             pairs.push((i, j));
         }
     }
 }
 
 /// The Gram tile scheduler: returns the symmetric `n x n` matrix whose
-/// leading `m x m` block is copied from `base` (`m = 0` without one) and
-/// whose strip `j >= m` is evaluated tile by tile through `eval` — so
-/// `eval` never sees a pair with both indices `< m`. Tiles run on `pool`
-/// when given, otherwise inline on the calling thread in row-major order.
-///
-/// # Panics
-/// Panics if `base` is not square or is larger than `n`.
+/// upper triangle is evaluated tile by tile through `eval` and mirrored.
+/// Tiles run on `pool` when given, otherwise inline on the calling thread
+/// in row-major order.
 pub fn run_tiles(
     pool: Option<&WorkerPool>,
-    base: Option<&Matrix>,
     n: usize,
     tile: usize,
     eval: &dyn TileEvaluator,
 ) -> Matrix {
     let mut values = Matrix::zeros(n, n);
-    let m = base.map_or(0, Matrix::rows);
-    if let Some(base) = base {
-        assert!(base.is_square(), "base Gram matrix must be square");
-        assert!(n >= m, "cannot shrink a Gram matrix via extension");
-        for i in 0..m {
-            values.data_mut()[i * n..i * n + m].copy_from_slice(base.row(i));
-        }
-    }
     let tile = tile.max(1);
-    let tiles = tile_grid(n, m, tile);
+    let tiles = tile_grid(n, tile);
     let out = TileOutput(values.data_mut().as_mut_ptr());
     let tile_hist = crate::obs::tile_eval_histogram();
     let run = |t: usize| {
         let _timer = crate::obs::HistogramTimer::start(tile_hist);
         let mut pairs = Vec::new();
-        tile_pairs(n, m, tile, tiles[t], &mut pairs);
+        tile_pairs(n, tile, tiles[t], &mut pairs);
         let mut block = vec![0.0; pairs.len()];
         eval.eval_tile(&pairs, &mut block);
         for (&(i, j), &v) in pairs.iter().zip(&block) {
@@ -200,13 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn the_m_zero_strip_is_the_upper_triangle_grid() {
+    fn tiles_cover_the_upper_triangle_once() {
         for (n, tile) in [(0usize, 3usize), (1, 1), (7, 3), (33, 5), (12, 13)] {
-            let blocks = n.div_ceil(tile);
-            let upper: Vec<(usize, usize)> = (0..blocks)
-                .flat_map(|bi| (bi..blocks).map(move |bj| (bi, bj)))
-                .collect();
-            assert_eq!(tile_grid(n, 0, tile), upper, "n={n} tile={tile}");
+            let mut seen = Vec::new();
+            let mut pairs = Vec::new();
+            for t in tile_grid(n, tile) {
+                tile_pairs(n, tile, t, &mut pairs);
+                assert!(!pairs.is_empty(), "n={n} tile={tile}: empty tile {t:?}");
+                seen.extend_from_slice(&pairs);
+            }
+            seen.sort_unstable();
+            let upper: Vec<(usize, usize)> =
+                (0..n).flat_map(|i| (i..n).map(move |j| (i, j))).collect();
+            assert_eq!(seen, upper, "n={n} tile={tile}");
         }
     }
 }

@@ -12,20 +12,22 @@
 //! * [`pool`] — a reusable scoped-worker thread pool ([`WorkerPool`]) with
 //!   the worker count configurable through the `HAQJSK_THREADS` environment
 //!   variable,
-//! * [`gram`] — **the one Gram tile scheduler**: the tiles of the column
-//!   strip `j >= m` (the whole upper triangle for a full Gram, the new
-//!   rows/columns for an extension), evaluated through one
-//!   [`TileEvaluator`] on the pool or inline on the calling thread,
-//! * [`backend`] — where a Gram runs ([`BackendKind`]: `serial` inline,
-//!   `local` on the pool, `dist` through the remote-tiles hook installed
-//!   by `haqjsk-dist`; any other spelling, the old `tiled`/`batched` ones
-//!   included, is an unknown-backend error), the [`TileEvaluator`] seam and
-//!   the [`per_pair`] shim.
+//! * [`gram`] — **the one Gram tile scheduler**: the upper-triangle tiles
+//!   of a full Gram, evaluated through one [`TileEvaluator`] on the pool
+//!   or inline on the calling thread,
+//! * [`backend`] — where a Gram's tiles run ([`BackendKind`]: `serial`
+//!   inline, `local` on the pool; `dist` is a deployment setting the
+//!   serving layer reads to hand a fitted model's Gram to `haqjsk-dist`,
+//!   and the engine runs it as `local`; any other spelling, the old
+//!   `tiled`/`batched` ones included, is an unknown-backend error), the
+//!   [`TileEvaluator`] seam and the [`per_pair`] shim.
 //!   Selected per engine (builder) or per call, with a process-wide
 //!   `HAQJSK_BACKEND` override; every path is byte-identical,
 //! * [`engine`] — the [`Engine`] that ties pool, backend and tile width
-//!   together: `gram` (full), `gram_extend` (appending rows/columns for
-//!   streaming workloads) and `map` (per-graph feature extraction),
+//!   together: `gram` (a full Gram's tiles), `tile_width` (the grid the
+//!   dist coordinator reproduces) and `map` / `map_chunks` (per-graph
+//!   feature extraction and pair batches, under the engine's default
+//!   backend),
 //! * [`cache`] — a **budgeted** per-graph feature cache ([`FeatureCache`])
 //!   keyed by a structural graph hash ([`hash::graph_key`]): one LRU list
 //!   under one mutex, bounded by an optional byte budget (value sizes via
@@ -44,22 +46,24 @@
 //!
 //! ```text
 //!   callers (kernels, model, serving)
-//!        │ TileEvaluator (+ RemoteGram spec: fitted models, for dist)
+//!        │ TileEvaluator
 //!        ▼
-//!   Engine::gram / gram_extend ── one tile scheduler (gram::run_tiles)
-//!        │      serial: inline │ local: WorkerPool │ dist: remote-tiles hook
-//!        │                                                     │
-//!        └────────── FeatureCache (one LRU + byte budget) ─────┘
+//!   Engine::gram ── one tile scheduler (gram::run_tiles)
+//!        │      serial: inline │ local: WorkerPool
+//!        │
+//!        └────────── FeatureCache (one LRU + byte budget)
 //! ```
 //!
 //! Batched kernels plug in at the evaluator (one tile, one batched
-//! eigensolve); remote execution plugs in at the hook; new memory policies
-//! land in the cache layer without touching scheduling.
+//! eigensolve); new memory policies land in the cache layer without
+//! touching scheduling. Remote execution is not an engine seam: the
+//! `haqjsk-dist` coordinator runs a fitted model's Gram itself, over the
+//! same grid, with the model's evaluator as its local fallback.
 //!
 //! Higher layers route through [`Engine::global`]:
 //! `haqjsk-kernels::kernel::gram_from_tiles` (behind every
 //! [`GraphKernel`](../haqjsk_kernels/trait.GraphKernel.html)),
-//! `haqjsk-core`'s `HaqjskModel` Grams and extensions, and the benchmark
+//! `haqjsk-core`'s `HaqjskModel` Grams and pair batches, and the benchmark
 //! binaries.
 
 pub mod backend;
@@ -73,10 +77,7 @@ pub mod obs;
 pub mod pool;
 pub mod serve;
 
-pub use backend::{
-    install_remote_tiles, per_pair, BackendKind, RemoteArtifact, RemoteGram, RemoteTiles,
-    TileEvaluator, BACKEND_ENV_VAR,
-};
+pub use backend::{per_pair, BackendKind, TileEvaluator, BACKEND_ENV_VAR};
 pub use cache::{
     parse_byte_size, CacheConfig, CacheStats, CacheWeight, FeatureCache, LruList,
     CACHE_BUDGET_ENV_VAR,

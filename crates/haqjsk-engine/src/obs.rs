@@ -39,6 +39,17 @@ pub fn gram_build_histogram(ran: BackendKind) -> &'static Histogram {
     }
 }
 
+/// Histogram of wall-clock Gram build time of `kernel`
+/// (`haqjsk_kernel_gram_seconds`): one observation per Gram matrix,
+/// in-process or distributed.
+pub fn kernel_gram_histogram(kernel: &str) -> Histogram {
+    registry().histogram(
+        "haqjsk_kernel_gram_seconds",
+        "Wall-clock time of one Gram matrix build, by kernel.",
+        &[("kernel", kernel)],
+    )
+}
+
 /// Histogram of per-tile evaluation latency of the Gram tile scheduler.
 pub fn tile_eval_histogram() -> &'static Histogram {
     static HISTOGRAM: OnceLock<Histogram> = OnceLock::new();

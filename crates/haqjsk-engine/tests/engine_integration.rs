@@ -3,8 +3,7 @@
 //! * the tiled parallel Gram matrix is byte-identical to the serial path on
 //!   a ≥30-graph synthetic dataset,
 //! * each graph's CTQW density matrix is computed **exactly once** for the
-//!   whole Gram computation (instrumented through the feature cache),
-//! * incremental Gram extension matches full recomputation exactly.
+//!   whole Gram computation (instrumented through the feature cache).
 
 use haqjsk_engine::{graph_key, per_pair, Engine, FeatureCache};
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
@@ -59,12 +58,7 @@ fn tiled_parallel_gram_is_byte_identical_to_serial_with_exactly_once_features() 
 
     // The n(n+1)/2 pair evaluations only read cached state; the parallel
     // tiled schedule must reproduce the serial result bit for bit.
-    let parallel = engine.gram(
-        None,
-        n,
-        per_pair(|i, j| pair_kernel(&densities, i, j)),
-        None,
-    );
+    let parallel = engine.gram(None, n, per_pair(|i, j| pair_kernel(&densities, i, j)));
     let serial = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
     assert_eq!(parallel, serial, "tiled schedule must not change any bit");
 
@@ -82,47 +76,6 @@ fn tiled_parallel_gram_is_byte_identical_to_serial_with_exactly_once_features() 
 }
 
 #[test]
-fn incremental_extension_matches_full_recomputation_on_graph_features() {
-    let graphs = synthetic_dataset();
-    let n = graphs.len();
-    let split = 23;
-    let engine = Engine::with_tile(3, 4);
-
-    let cache: FeatureCache<DensityMatrix> = FeatureCache::new();
-    let densities: Vec<Arc<DensityMatrix>> = engine.map(n, |i| {
-        cache.get_or_compute(graph_key(&graphs[i]), || {
-            ctqw_density_infinite(&graphs[i]).expect("non-empty graph")
-        })
-    });
-
-    let full = engine.gram(
-        None,
-        n,
-        per_pair(|i, j| pair_kernel(&densities, i, j)),
-        None,
-    );
-    let base = engine.gram(
-        None,
-        split,
-        per_pair(|i, j| pair_kernel(&densities, i, j)),
-        None,
-    );
-    let extended = engine.gram_extend(
-        None,
-        &base,
-        n,
-        per_pair(|i, j| {
-            assert!(
-                i >= split || j >= split,
-                "extension re-evaluated already-known pair ({i},{j})"
-            );
-            pair_kernel(&densities, i, j)
-        }),
-    );
-    assert_eq!(extended, full, "extension must equal full recomputation");
-}
-
-#[test]
 fn gram_agreement_holds_across_tile_sizes_and_thread_counts() {
     let graphs = synthetic_dataset();
     let n = graphs.len();
@@ -133,12 +86,7 @@ fn gram_agreement_holds_across_tile_sizes_and_thread_counts() {
     let reference = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
     for (threads, tile) in [(1, 7), (2, 16), (8, 1), (3, 64)] {
         let engine = Engine::with_tile(threads, tile);
-        let gram = engine.gram(
-            None,
-            n,
-            per_pair(|i, j| pair_kernel(&densities, i, j)),
-            None,
-        );
+        let gram = engine.gram(None, n, per_pair(|i, j| pair_kernel(&densities, i, j)));
         assert_eq!(
             gram, reference,
             "threads={threads} tile={tile} must match the serial path"

@@ -2,16 +2,18 @@
 //!
 //! Every kernel in the workspace (the baselines in this crate and the HAQJSK
 //! kernels in `haqjsk-core`) exposes the same two operations: a pairwise
-//! kernel value and a Gram matrix over a dataset. All Gram computation is
+//! kernel value and a Gram matrix over a dataset. Every in-process Gram is
 //! routed through [`gram_from_tiles`] into the shared
 //! [`Engine`] — a process-global worker pool with
 //! one tile scheduler — because the quantum
 //! kernels pay an `O(n³)` eigendecomposition per pair and datasets contain
 //! hundreds to thousands of graphs. The worker count is controlled by the
-//! `HAQJSK_THREADS` environment variable.
+//! `HAQJSK_THREADS` environment variable. A fitted HAQJSK model's Gram over
+//! worker processes does not go through [`gram_from_tiles`]: `haqjsk-dist`'s
+//! `Coordinator::model_gram` runs the same tile grid itself.
 
 use crate::matrix::KernelMatrix;
-use haqjsk_engine::{per_pair, BackendKind, Engine, RemoteGram, TileEvaluator};
+use haqjsk_engine::{per_pair, BackendKind, Engine, TileEvaluator};
 use haqjsk_graph::Graph;
 use haqjsk_linalg::{LinalgError, Matrix};
 use std::sync::OnceLock;
@@ -32,15 +34,19 @@ pub trait GraphKernel: Sync {
     }
 
     /// Gram matrix over a dataset on an explicit execution backend (`None`
-    /// = the engine default, which honours `HAQJSK_BACKEND`). The default
-    /// implementation evaluates every pair through
+    /// = the engine default, which honours `HAQJSK_BACKEND`). The backend
+    /// only decides where the Gram's tiles (and a HAQJSK extension's new
+    /// pairs) run: inline for `Serial`, on the pool otherwise
+    /// (`Distributed` runs as `Local`). Per-graph feature extraction goes
+    /// through `Engine::map` under the engine's default backend. The
+    /// default implementation evaluates every pair through
     /// [`GraphKernel::compute`]; kernels with per-graph features override
     /// this to hoist them, to hand whole tiles to a batched evaluator, or
     /// to factor through explicit feature maps entirely.
     fn gram_matrix_on(&self, graphs: &[Graph], backend: Option<BackendKind>) -> KernelMatrix {
         let _timer = time_kernel_gram(self.name());
         let pairs = per_pair(|i, j| self.compute(&graphs[i], &graphs[j]));
-        gram_from_tiles(graphs.len(), backend, pairs, None)
+        gram_from_tiles(graphs.len(), backend, pairs)
     }
 
     /// [`GraphKernel::gram_matrix_on`] with a failed feature extraction or
@@ -70,11 +76,7 @@ pub struct KernelGramTimer {
 /// Starts timing a Gram build of `kernel` (see [`KernelGramTimer`]).
 pub fn time_kernel_gram(kernel: &str) -> KernelGramTimer {
     KernelGramTimer {
-        histogram: haqjsk_obs::registry().histogram(
-            "haqjsk_kernel_gram_seconds",
-            "Wall-clock time of one Gram matrix build, by kernel.",
-            &[("kernel", kernel)],
-        ),
+        histogram: haqjsk_engine::obs::kernel_gram_histogram(kernel),
         start: std::time::Instant::now(),
     }
 }
@@ -89,18 +91,13 @@ impl Drop for KernelGramTimer {
 /// scheduler: each tile's index pairs go to `tiles` in one call, so kernels
 /// that batch per-pair work (the tile-batched mixture eigensolves of
 /// QJSK/JTQK) see whole tiles; per-pair kernels wrap their entry function
-/// in [`per_pair`]. `spec`, when given (fitted-model Grams only), describes
-/// the same computation for the distributed backend, which ships tiles to
-/// worker processes and keeps `tiles` as the byte-identical local
-/// evaluator — attaching a spec never changes the result, only where it is
-/// computed.
+/// in [`per_pair`].
 pub fn gram_from_tiles<T: TileEvaluator>(
     n: usize,
     backend: Option<BackendKind>,
     tiles: T,
-    spec: Option<&RemoteGram<'_>>,
 ) -> KernelMatrix {
-    let values = Engine::global().gram(backend, n, tiles, spec);
+    let values = Engine::global().gram(backend, n, tiles);
     KernelMatrix::new(values).expect("tile construction is symmetric")
 }
 
@@ -187,9 +184,7 @@ pub(crate) fn pair_batch_gram<K: PairBatchKernel>(
             .collect();
         kernel.kernel_batch(&pairs, out)
     };
-    with_fallible_tiles(tiles, |tiles| {
-        gram_from_tiles(graphs.len(), backend, tiles, None)
-    })
+    with_fallible_tiles(tiles, |tiles| gram_from_tiles(graphs.len(), backend, tiles))
 }
 
 /// Builds a Gram matrix from explicit feature vectors using the linear kernel
@@ -305,7 +300,7 @@ mod tests {
     #[test]
     fn tile_gram_matches_engine_serial_path() {
         let f = |i: usize, j: usize| (i * 7 + j * 3) as f64;
-        let gram = gram_from_tiles(9, None, per_pair(f), None);
+        let gram = gram_from_tiles(9, None, per_pair(f));
         let serial = Engine::gram_serial(9, f);
         assert_eq!(gram.matrix(), &serial);
     }
@@ -326,12 +321,11 @@ mod tests {
         };
         for backend in [BackendKind::Serial, BackendKind::Local] {
             let gram = with_fallible_tiles(tiles(usize::MAX), |tiles| {
-                gram_from_tiles(9, Some(backend), tiles, None)
+                gram_from_tiles(9, Some(backend), tiles)
             });
             assert_eq!(gram.unwrap().matrix(), &Engine::gram_serial(9, f));
-            let gram = with_fallible_tiles(tiles(4), |tiles| {
-                gram_from_tiles(9, Some(backend), tiles, None)
-            });
+            let gram =
+                with_fallible_tiles(tiles(4), |tiles| gram_from_tiles(9, Some(backend), tiles));
             assert!(matches!(gram, Err(LinalgError::InvalidArgument(_))));
         }
     }

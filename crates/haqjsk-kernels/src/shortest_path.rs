@@ -80,7 +80,7 @@ impl GraphKernel for ShortestPathKernel {
         let _timer = crate::kernel::time_kernel_gram(self.name());
         let sparse: Vec<SpFeatureVec> = graphs.iter().map(|g| self.feature_map(g)).collect();
         let pairs = per_pair(|i, j| sparse_dot(&sparse[i], &sparse[j]));
-        gram_from_tiles(graphs.len(), backend, pairs, None)
+        gram_from_tiles(graphs.len(), backend, pairs)
     }
 }
 

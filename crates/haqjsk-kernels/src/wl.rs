@@ -118,7 +118,7 @@ impl GraphKernel for WeisfeilerLehmanKernel {
         let _timer = crate::kernel::time_kernel_gram(self.name());
         let features = self.feature_maps(graphs);
         let pairs = per_pair(|i, j| sparse_dot(&features[i], &features[j]));
-        gram_from_tiles(graphs.len(), backend, pairs, None)
+        gram_from_tiles(graphs.len(), backend, pairs)
     }
 }
 

@@ -62,7 +62,7 @@ fn tile_batched_gram_is_byte_identical_to_per_pair_on_all_backends() {
         for backend in BackendKind::ALL {
             let tile = kernel.gram_matrix_on(&graphs, Some(backend));
             let per_pair = per_pair(|i, j| kernel.compute(&graphs[i], &graphs[j]));
-            let pairwise = gram_from_tiles(graphs.len(), Some(backend), per_pair, None);
+            let pairwise = gram_from_tiles(graphs.len(), Some(backend), per_pair);
             assert_bytes_equal(
                 name,
                 backend,

@@ -85,10 +85,11 @@ pub use haqjsk_quantum as quantum;
 pub use haqjsk_engine as engine;
 
 /// Distributed tile execution — the coordinator/worker RPC backend that
-/// spans one Gram matrix across processes and machines (re-export of
-/// `haqjsk-dist`). Select with `HAQJSK_BACKEND=dist:host:port,...` plus
-/// [`dist::install_from_env`], or drive it programmatically through
-/// [`dist::Coordinator`]. See `docs/distributed.md`.
+/// spans one fitted model's Gram matrix across processes and machines
+/// (re-export of `haqjsk-dist`): [`dist::Coordinator::model_gram`]. The
+/// server uses it for a `fit` with `workers`, and for every `fit` and
+/// `load` when started with `HAQJSK_BACKEND=dist:host:port,...`
+/// ([`dist::install_from_env`]). See `docs/distributed.md`.
 pub use haqjsk_dist as dist;
 
 /// Baseline graph kernels and kernel-matrix utilities (re-export of

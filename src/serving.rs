@@ -14,7 +14,9 @@
 //! cache, row memo, the served graphs' keys and transforms, labels) behind
 //! an `Arc`. Reads never wait: they clone the `Arc` and pair their query's
 //! one cached transform with the snapshot's. `fit`/`load` build the served
-//! set's Gram on the tile scheduler (so it fans out to dist workers), write
+//! set's Gram on the tile scheduler, or through a worker pool's
+//! [`Coordinator::model_gram`] (a `fit` with `workers`; every `fit` and
+//! `load` on a server started with `HAQJSK_BACKEND=dist:...`), write
 //! each graph's row into a fresh memo and publish; appends run one at a
 //! time, each transforming its one graph and publishing a successor with
 //! one more transform that shares the cache and memo. Nothing is computed
@@ -66,10 +68,10 @@
 //! field of the wrong type (`"mu":"0.5"`, `"variant":5`, `"label":-1`) is
 //! an error that names the field, never a silent default; so is an
 //! `append` `label` on a model fitted without labels. A `fit` may also list
-//! `workers` (`["host:port", ...]`): the server connects a distributed
-//! worker pool ([`crate::dist`]) and runs the model's Gram computations on
-//! the `dist` backend — the fitted model's full Grams fan out over the
-//! pool, everything else executes locally (never failing). `stats` reports the
+//! `workers` (`["host:port", ...]`): after the deadline check the server
+//! connects a distributed worker pool ([`crate::dist`]) and builds the
+//! fitted model's Gram on it — everything else executes locally (never
+//! failing) — and installs the pool once the model publishes. `stats` reports the
 //! engine's active execution backend; the served model's aligned cache and
 //! row memo counters (`aligned_cache_*`, `row_cache_*`, so bounded-memory
 //! operation under a budget is observable from the wire); and, when a
@@ -125,6 +127,7 @@ use crate::engine::{
     HttpResponder, HttpResponse, Json,
 };
 use crate::graph::Graph;
+use crate::kernels::KernelMatrix;
 use crate::quantum::von_neumann_entropy;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -222,31 +225,35 @@ impl Snapshot {
         graphs: &[Graph],
         labels: Option<Vec<usize>>,
         cache: CacheConfig,
-        backend: Option<BackendKind>,
+        pool: Option<&Coordinator>,
     ) -> Result<Snapshot, String> {
         let cache = FeatureCache::with_config(cache);
         let transforms = model.transform_all_cached(graphs, &cache);
-        Snapshot::over(model, cache, graphs, transforms, labels, backend)
+        Snapshot::over(model, cache, graphs, transforms, labels, pool)
     }
 
     /// A new model's first snapshot from `graphs`' transforms, made
-    /// through `cache`: their Gram is built on `backend` (the tile
-    /// scheduler, so a dist backend fans it out), and each graph's row goes
-    /// into a fresh row memo under `cache`'s budget. The matrix itself is
-    /// not kept.
+    /// through `cache`: their Gram is built through `pool`'s
+    /// [`Coordinator::model_gram`] when one is given, else on the engine's
+    /// tile scheduler, and each graph's row goes into a fresh row memo
+    /// under `cache`'s budget. The matrix itself is not kept.
     fn over(
         model: HaqjskModel,
         cache: FeatureCache<AlignedGraph>,
         graphs: &[Graph],
         transforms: CachedTransforms,
         labels: Option<Vec<usize>>,
-        backend: Option<BackendKind>,
+        pool: Option<&Coordinator>,
     ) -> Result<Snapshot, String> {
         let failed = |e| format!("gram computation failed: {e:?}");
         let transforms = transforms.map_err(failed)?;
-        let gram = model
-            .gram_over_transforms(graphs, &transforms, backend)
-            .map_err(failed)?;
+        let gram = match pool {
+            Some(pool) => pool.model_gram(&model, graphs, &transforms),
+            None => model
+                .gram_over_transforms(graphs, &transforms, None)
+                .map(KernelMatrix::into_matrix),
+        }
+        .map_err(failed)?;
         let rows = FeatureCache::with_config(CacheConfig {
             budget_bytes: cache.budget_bytes(),
         });
@@ -260,7 +267,7 @@ impl Snapshot {
         };
         for (i, &key) in snapshot.keys.iter().enumerate() {
             let mut row = row_buffer(graphs.len());
-            row.extend_from_slice(gram.matrix().row(i));
+            row.extend_from_slice(gram.row(i));
             snapshot.store_row(key, row);
         }
         Ok(snapshot)
@@ -289,15 +296,12 @@ impl Snapshot {
             .store_if(key, MemoRow(row), |resident| resident.0.len() < n);
     }
 
-    /// The kernel values of `pairs`, in lane-width chunks on the engine's
-    /// pool.
+    /// The kernel values of `pairs` ([`HaqjskModel::evaluate`], in
+    /// lane-width chunks on the engine's pool).
     fn evaluate(&self, pairs: &[(&AlignedGraph, &AlignedGraph)]) -> Result<Vec<f64>, String> {
-        let parts = Engine::global()
-            .map_chunks(pairs.len(), |range| self.model.kernel_batch(&pairs[range]))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(|e| format!("kernel evaluation failed: {e:?}"))?;
-        Ok(parts.into_iter().flatten().collect())
+        self.model
+            .evaluate(pairs, None)
+            .map_err(|e| format!("kernel evaluation failed: {e:?}"))
     }
 }
 
@@ -819,32 +823,31 @@ fn worker_addrs(request: &Json) -> Result<Vec<String>, String> {
         .collect()
 }
 
-/// Connects and installs a distributed worker pool when the request lists
-/// `workers`; returns the backend the model's Grams should run on.
+/// Connects the distributed worker pool at `addrs` (a `fit`'s
+/// `workers`), under one `dist.connect` span.
 ///
-/// The pool is installed process-wide. Only the fitted model's Gram
-/// distributes (the model ships as a content-addressed artifact); every
-/// other computation executes locally on the engine's pool, so configuring
-/// workers never makes a fit fail. The connect itself is resilient: each
-/// unreachable address is retried once with a short backoff, and the fit
-/// proceeds degraded (with a loud warning and a `workers_unreachable`
-/// count in the response) as long as *one* worker answers — only a fully
-/// dark pool is an error.
-///
-/// Every such fit installs a fresh coordinator, so the dist counters that
-/// `stats` reports restart with each `workers` fit. The replaced
-/// coordinator is dropped here; one `dist.connect` span covers the
-/// connect, the install and that drop.
-fn parse_workers(request: &Json) -> Result<Option<BackendKind>, String> {
-    if request.get("workers").is_none() {
-        return Ok(None);
-    };
-    let addrs = worker_addrs(request)?;
+/// Only the fitted model's Gram distributes (the model ships as a
+/// content-addressed artifact); every other computation executes locally
+/// on the engine's pool, so configuring workers never makes a fit fail.
+/// The connect itself is resilient: each unreachable address is retried
+/// once with a short backoff, and the fit proceeds degraded (with a loud
+/// warning and a `workers_unreachable` count in the response) as long as
+/// *one* worker answers — only a fully dark pool is an error.
+fn connect_workers(addrs: &[String]) -> Result<Arc<Coordinator>, String> {
     let _span = crate::obs::span("dist.connect");
-    let coordinator = Coordinator::connect(&addrs, DistConfig::from_env())
-        .map_err(|e| format!("cannot connect worker pool: {e}"))?;
-    crate::dist::set_coordinator(Some(Arc::new(coordinator)));
-    Ok(Some(BackendKind::Distributed))
+    Coordinator::connect(addrs, DistConfig::from_env())
+        .map(Arc::new)
+        .map_err(|e| format!("cannot connect worker pool: {e}"))
+}
+
+/// The startup pool of a server whose engine backend is `dist`
+/// (`HAQJSK_BACKEND=dist:<addrs>`), or the pool a later `workers` fit
+/// installed there: every `fit` and `load` builds its Gram through it.
+/// `None` on any other backend.
+fn startup_pool() -> Option<Arc<Coordinator>> {
+    (Engine::global().backend() == BackendKind::Distributed)
+        .then(crate::dist::current_coordinator)
+        .flatten()
 }
 
 /// Joins (`add_workers`) or drains (`remove_workers`) each listed
@@ -885,8 +888,12 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
     let config = parse_config(request)?;
     let cache = parse_cache_config(request)?;
     let labels = parse_labels(request, graphs.len())?;
-    let backend = parse_workers(request)?;
+    let addrs = request
+        .get("workers")
+        .map(|_| worker_addrs(request))
+        .transpose()?;
     deadline.check("fit: prototype hierarchy")?;
+    let workers = addrs.as_deref().map(connect_workers).transpose()?;
     // The training graphs' transforms reuse the fit's DB traces.
     let cache = FeatureCache::with_config(cache);
     let (model, transforms) = HaqjskModel::fit_transform_cached(&graphs, config, variant, &cache)
@@ -898,24 +905,33 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
         ("max_layers", Json::Num(model.max_layers() as f64)),
     ];
-    let snapshot = Snapshot::over(model, cache, &graphs, transforms, labels, backend)?;
-    if let Some(backend) = backend {
-        pairs.push(("backend", Json::Str(backend.label().to_string())));
-        if let Some(coordinator) = crate::dist::current_coordinator() {
-            let stats = coordinator.stats();
-            let reachable = stats
-                .workers
-                .iter()
-                .filter(|w| w.state == crate::dist::LinkState::Alive)
-                .count();
-            let unreachable = stats.workers.len() - reachable;
-            pairs.push(("workers", Json::Num(stats.workers.len() as f64)));
-            pairs.push(("workers_reachable", Json::Num(reachable as f64)));
-            pairs.push(("workers_unreachable", Json::Num(unreachable as f64)));
-            pairs.push(("degraded", Json::Bool(unreachable > 0)));
-        }
+    let pool = workers.clone().or_else(startup_pool);
+    let snapshot = Snapshot::over(model, cache, &graphs, transforms, labels, pool.as_deref())?;
+    if let Some(workers) = &workers {
+        let stats = workers.stats();
+        let reachable = stats
+            .workers
+            .iter()
+            .filter(|w| w.state == crate::dist::LinkState::Alive)
+            .count();
+        let unreachable = stats.workers.len() - reachable;
+        pairs.push((
+            "backend",
+            Json::Str(BackendKind::Distributed.label().to_string()),
+        ));
+        pairs.push(("workers", Json::Num(stats.workers.len() as f64)));
+        pairs.push(("workers_reachable", Json::Num(reachable as f64)));
+        pairs.push(("workers_unreachable", Json::Num(unreachable as f64)));
+        pairs.push(("degraded", Json::Bool(unreachable > 0)));
     }
-    inner.publish(&lock(&inner.publishing), snapshot);
+    let publishing = lock(&inner.publishing);
+    inner.publish(&publishing, snapshot);
+    // A `workers` fit's pool replaces the installed one only once its
+    // model is served, so `stats` and `add_workers` always see the pool
+    // the served model used; the replaced coordinator is dropped here.
+    if workers.is_some() {
+        crate::dist::set_coordinator(workers);
+    }
     Ok(Json::obj(pairs))
 }
 
@@ -1223,7 +1239,7 @@ fn cmd_load(
         ("num_graphs", Json::Num(graphs.len() as f64)),
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
     ]);
-    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, None)?;
+    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, startup_pool().as_deref())?;
     inner.publish(&lock(&inner.publishing), snapshot);
     Ok(response)
 }

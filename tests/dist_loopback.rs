@@ -15,8 +15,9 @@
 //!   reach the coordinator: they run on the local scheduler under the
 //!   distributed backend.
 //!
-//! The coordinator slot is process-global, so the tests serialise on one
-//! mutex.
+//! A distributed Gram is [`Coordinator::model_gram`]; the process-global
+//! coordinator slot (read by the serving layer and `stats`) and the Gram
+//! build histograms are shared, so the tests serialise on one mutex.
 
 use haqjsk::core::{HaqjskConfig, HaqjskModel, HaqjskVariant};
 use haqjsk::dist::{wire, ChaosPlan, Coordinator, DistConfig, WorkerOptions, WorkerServer};
@@ -107,6 +108,17 @@ fn gram(model: &HaqjskModel, graphs: &[Graph], backend: BackendKind) -> Vec<f64>
         .to_vec()
 }
 
+/// The model's Gram over `graphs` on `coordinator`'s worker pool, as raw
+/// entries.
+fn dist_gram(coordinator: &Coordinator, model: &HaqjskModel, graphs: &[Graph]) -> Vec<f64> {
+    let transforms = model.transform_all(graphs).expect("transform dataset");
+    coordinator
+        .model_gram(model, graphs, &transforms)
+        .expect("distributed model gram")
+        .data()
+        .to_vec()
+}
+
 fn assert_bytes_equal(name: &str, distributed: &[f64], serial: &[f64]) {
     assert_eq!(distributed.len(), serial.len());
     for (k, (a, b)) in distributed.iter().zip(serial).enumerate() {
@@ -124,7 +136,6 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     let variants = [
         HaqjskVariant::AlignedAdjacency,
@@ -134,7 +145,7 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
         let model = fit(&graphs, variant);
         assert_bytes_equal(
             &format!("{variant:?}"),
-            &gram(&model, &graphs, BackendKind::Distributed),
+            &dist_gram(&coordinator, &model, &graphs),
             &gram(&model, &graphs, BackendKind::Serial),
         );
     }
@@ -158,7 +169,6 @@ fn multi_worker_gram_is_byte_identical_to_serial_for_all_quantum_kernels() {
     assert_eq!(stats.dedup_hit_rate(), 0.5, "{stats:?}");
     assert_eq!(stats.artifacts_shipped, 2 * 2, "{stats:?}");
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
@@ -170,7 +180,6 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     // Worker 0 fails its first tile and hangs up — a deterministic
     // mid-Gram death, however many of the Gram's tiles it wins.
@@ -178,7 +187,7 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
 
     let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
     let serial = gram(&model, &graphs, BackendKind::Serial);
-    let distributed = gram(&model, &graphs, BackendKind::Distributed);
+    let distributed = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("HAQJSK(A) under fault injection", &distributed, &serial);
 
     let stats = coordinator.stats();
@@ -208,10 +217,9 @@ fn killing_a_worker_mid_gram_keeps_the_result_byte_identical() {
     // The pool recovers for the next Gram: worker 0 reconnects (its
     // chaos plan still kills every tile, so it keeps failing — but
     // worker 1 and the local fallback still complete the Gram).
-    let again = gram(&model, &graphs, BackendKind::Distributed);
+    let again = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("HAQJSK(A) after the fault", &again, &serial);
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
@@ -244,7 +252,6 @@ fn total_worker_loss_falls_back_to_local_execution() {
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
     let (mut servers, addrs) = spawn_workers(1);
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     // Kill the only worker before the Gram even starts: every tile request
     // fails immediately.
@@ -253,7 +260,7 @@ fn total_worker_loss_falls_back_to_local_execution() {
     let model = fit(&graphs, HaqjskVariant::AlignedDensity);
     assert_bytes_equal(
         "HAQJSK(D) with a dead pool",
-        &gram(&model, &graphs, BackendKind::Distributed),
+        &dist_gram(&coordinator, &model, &graphs),
         &gram(&model, &graphs, BackendKind::Serial),
     );
     let stats = coordinator.stats();
@@ -262,44 +269,101 @@ fn total_worker_loss_falls_back_to_local_execution() {
         "the local fallback must have absorbed the loss: {stats:?}"
     );
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
 }
 
-#[test]
-fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
-    use haqjsk::engine::serve::graph_to_json;
-
-    let _guard = dist_lock();
-    haqjsk::dist::set_coordinator(None);
-    let (mut workers, addrs) = spawn_workers(2);
-
-    let mut server = haqjsk::serving::spawn_server("127.0.0.1:0").expect("bind serving");
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
+/// A JSON-lines client of the server at `addr`: each call sends one
+/// request line and parses its reply.
+fn client(addr: &str) -> impl FnMut(String) -> Json {
+    let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    let mut request = |body: String| -> Json {
+    move |body: String| {
         writer.write_all(body.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
         writer.flush().unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
         Json::parse(line.trim()).unwrap()
-    };
+    }
+}
 
+/// A `fit` of eight acceptance graphs on the workers at `addrs`, with
+/// `extra` (`,"key":value` pairs) appended to the request.
+fn workers_fit(addrs: &[String], extra: &str) -> String {
+    use haqjsk::engine::serve::graph_to_json;
     let graphs: Vec<Json> = acceptance_dataset()
         .iter()
         .take(8)
         .map(graph_to_json)
         .collect();
-    let workers_json: Vec<Json> = addrs.iter().map(|a| Json::Str(a.clone())).collect();
-    let fit = request(format!(
-        r#"{{"cmd":"fit","graphs":{},"workers":{}}}"#,
+    let workers: Vec<Json> = addrs.iter().map(|a| Json::Str(a.clone())).collect();
+    format!(
+        r#"{{"cmd":"fit","graphs":{},"workers":{}{extra}}}"#,
         Json::Arr(graphs),
-        Json::Arr(workers_json)
-    ));
+        Json::Arr(workers)
+    )
+}
+
+/// The addresses and epoch of the pool `stats` reports.
+fn stats_pool(request: &mut impl FnMut(String) -> Json) -> (Vec<String>, Option<usize>) {
+    let stats = request(r#"{"cmd":"stats"}"#.to_string());
+    let dist = stats.get("distributed").expect("stats reports the pool");
+    let addrs = dist.get("workers").and_then(Json::as_array).unwrap();
+    let addrs = addrs
+        .iter()
+        .map(|w| w.get("addr").and_then(Json::as_str).unwrap().to_string())
+        .collect();
+    (addrs, dist.get("epoch").and_then(Json::as_usize))
+}
+
+/// A `workers` fit that is refused keeps the installed pool: the deadline
+/// is checked before the new pool is dialled, and a pool is installed only
+/// with the model it served.
+#[test]
+fn a_refused_workers_fit_keeps_the_installed_pool() {
+    let _guard = dist_lock();
+    haqjsk::dist::set_coordinator(None);
+    let (mut pool_a, addrs_a) = spawn_workers(2);
+    let (mut pool_b, addrs_b) = spawn_workers(1);
+    let mut server = haqjsk::serving::spawn_server("127.0.0.1:0").expect("bind serving");
+    let mut request = client(&server.local_addr().to_string());
+
+    let fit = request(workers_fit(&addrs_a, ""));
+    assert_eq!(fit.get("ok").and_then(Json::as_bool), Some(true), "{fit}");
+    let (installed, epoch) = stats_pool(&mut request);
+    assert_eq!(installed, addrs_a);
+
+    let refused = request(workers_fit(&addrs_b, r#","deadline_ms":0"#));
+    assert_eq!(
+        refused.get("rejected").and_then(Json::as_str),
+        Some("deadline_exceeded"),
+        "{refused}"
+    );
+    assert_eq!(
+        stats_pool(&mut request),
+        (addrs_a, epoch),
+        "pool A is still installed"
+    );
+
+    haqjsk::dist::set_coordinator(None);
+    server.shutdown();
+    for worker in pool_a.iter_mut().chain(&mut pool_b) {
+        worker.shutdown();
+    }
+}
+
+#[test]
+fn serving_fit_accepts_workers_and_stats_reports_the_pool() {
+    let _guard = dist_lock();
+    haqjsk::dist::set_coordinator(None);
+    let (mut workers, addrs) = spawn_workers(2);
+
+    let mut server = haqjsk::serving::spawn_server("127.0.0.1:0").expect("bind serving");
+    let mut request = client(&server.local_addr().to_string());
+    let fit = request(workers_fit(&addrs, ""));
     assert_eq!(fit.get("ok").and_then(Json::as_bool), Some(true), "{fit}");
     assert_eq!(fit.get("backend").and_then(Json::as_str), Some("dist"));
     assert_eq!(fit.get("workers").and_then(Json::as_usize), Some(2));
@@ -334,7 +398,6 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(16).collect();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     let config = HaqjskConfig {
         max_layers: Some(2),
@@ -343,7 +406,7 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
     let model = HaqjskModel::fit(&graphs, config, HaqjskVariant::AlignedAdjacency)
         .expect("fit acceptance model");
     let serial = gram(&model, &graphs, BackendKind::Serial);
-    let distributed = gram(&model, &graphs, BackendKind::Distributed);
+    let distributed = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("fitted-model Gram", &distributed, &serial);
 
     let stats = coordinator.stats();
@@ -357,7 +420,7 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
 
     // A second Gram over the same model re-ships nothing: the workers
     // already hold the content-addressed artifact.
-    let again = gram(&model, &graphs, BackendKind::Distributed);
+    let again = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("repeat fitted-model Gram", &again, &serial);
     assert_eq!(
         coordinator.stats().artifacts_shipped,
@@ -365,7 +428,6 @@ fn model_grams_distribute_via_artifacts_byte_identically() {
         "the repeat Gram was an artifact dedup hit"
     );
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
@@ -377,11 +439,10 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     let graphs = acceptance_dataset();
     let (mut servers, addrs) = spawn_workers(2);
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     let model = fit(&graphs, HaqjskVariant::AlignedDensity);
     let serial = gram(&model, &graphs, BackendKind::Serial);
-    let first = gram(&model, &graphs, BackendKind::Distributed);
+    let first = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("before membership changes", &first, &serial);
     let epoch_before = coordinator.epoch();
 
@@ -398,7 +459,7 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     assert!(coordinator.add_worker(&joiner_addr).is_err());
 
     let artifacts_before = coordinator.stats().artifacts_shipped;
-    let second = gram(&model, &graphs, BackendKind::Distributed);
+    let second = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("after a join", &second, &serial);
     let stats = coordinator.stats();
     let joined = stats
@@ -423,7 +484,7 @@ fn workers_join_and_drain_on_a_running_coordinator() {
     assert!(coordinator.epoch() > drain_epoch, "drains bump the epoch");
     assert!(coordinator.remove_worker(&addrs[0]).is_err());
 
-    let third = gram(&model, &graphs, BackendKind::Distributed);
+    let third = dist_gram(&coordinator, &model, &graphs);
     assert_bytes_equal("after a drain", &third, &serial);
     assert_eq!(
         coordinator.stats().local_fallback_tiles,
@@ -431,7 +492,6 @@ fn workers_join_and_drain_on_a_running_coordinator() {
         "the remaining pool absorbed all tiles"
     );
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
@@ -448,13 +508,12 @@ fn bounded_worker_stores_recover_evictions_through_reshipping() {
     std::env::remove_var("HAQJSK_WORKER_STORE_BUDGET");
 
     let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
 
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
     let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
     assert_bytes_equal(
         "HAQJSK(A) under a starved store",
-        &gram(&model, &graphs, BackendKind::Distributed),
+        &dist_gram(&coordinator, &model, &graphs),
         &gram(&model, &graphs, BackendKind::Serial),
     );
 
@@ -465,7 +524,6 @@ fn bounded_worker_stores_recover_evictions_through_reshipping() {
     );
     assert_eq!(stats.local_fallback_tiles, 0, "{stats:?}");
 
-    haqjsk::dist::set_coordinator(None);
     for server in &mut servers {
         server.shutdown();
     }
@@ -477,11 +535,72 @@ fn distributed_kind_without_a_coordinator_executes_locally() {
     haqjsk::dist::set_coordinator(None);
     let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(8).collect();
     let model = fit(&graphs, HaqjskVariant::AlignedDensity);
+    let (local, dist) = (builds(BackendKind::Local), builds(BackendKind::Distributed));
     assert_bytes_equal(
         "HAQJSK(D) without coordinator",
         &gram(&model, &graphs, BackendKind::Distributed),
         &gram(&model, &graphs, BackendKind::Serial),
     );
+    assert_eq!(
+        builds(BackendKind::Local),
+        local + 1,
+        "ran on the local pool"
+    );
+    assert_eq!(builds(BackendKind::Distributed), dist);
+}
+
+/// Observations so far of `haqjsk_gram_build_seconds{backend=...}`.
+fn builds(backend: BackendKind) -> u64 {
+    haqjsk::engine::obs::gram_build_histogram(backend)
+        .snapshot()
+        .count
+}
+
+/// A model Gram the pool runs is one `dist` build, even when its tiles
+/// fall back locally; one the coordinator declines is one `local` build.
+#[test]
+fn a_pool_model_gram_is_one_dist_build_and_a_declined_one_is_local() {
+    let _guard = dist_lock();
+    let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
+    let (mut servers, addrs) = spawn_workers(2);
+    let coordinator = connect(&addrs);
+    let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
+    let serial = gram(&model, &graphs, BackendKind::Serial);
+    let counts = || (builds(BackendKind::Local), builds(BackendKind::Distributed));
+
+    let (local, dist) = counts();
+    assert_bytes_equal(
+        "healthy pool",
+        &dist_gram(&coordinator, &model, &graphs),
+        &serial,
+    );
+    assert_eq!(counts(), (local, dist + 1), "one dist build");
+
+    // Every worker dies on its first tile: the pool still runs this Gram,
+    // its tiles falling back locally.
+    for addr in &addrs {
+        kill_every_tile(addr);
+    }
+    assert_bytes_equal(
+        "dying pool",
+        &dist_gram(&coordinator, &model, &graphs),
+        &serial,
+    );
+    assert_eq!(counts(), (local, dist + 2), "one dist build");
+    assert!(coordinator.stats().workers.iter().all(|w| w.deaths >= 1));
+
+    // Once no worker is reachable the coordinator declines.
+    for server in &mut servers {
+        server.shutdown();
+    }
+    let declined = coordinator.stats().local_fallback_grams;
+    assert_bytes_equal(
+        "dead pool",
+        &dist_gram(&coordinator, &model, &graphs),
+        &serial,
+    );
+    assert_eq!(counts(), (local + 1, dist + 2), "one local build");
+    assert_eq!(coordinator.stats().local_fallback_grams, declined + 1);
 }
 
 #[test]
