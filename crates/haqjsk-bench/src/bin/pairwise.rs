@@ -24,6 +24,13 @@
 //!   solve during the warm run. A baseline Gram extracts its artifacts
 //!   itself, so its warm and cold runs do the same work; only HAQJSK's
 //!   warm run reads a resident aligned-feature cache.
+//! * **fit rows** — `fit db_traces` and `fit prototypes` time the two
+//!   layers of `HaqjskModel::fit` on 64 graphs per node size (small
+//!   config), per training graph: `before` is the code they replaced
+//!   (the all-pairs diameter BFS with per-layer neighbour counts, and the
+//!   per-point `Vec` κ-means chain), `after` the library's, checked bit
+//!   for bit against it first. A fit has no cache, so both `after`
+//!   columns are one interleaved estimate.
 //!
 //! The pair loops run serially (`before` inline, `after` as Grams on
 //! `BackendKind::Serial`), so the numbers are per-pair latencies, not
@@ -49,8 +56,9 @@
 //! registry as Prometheus text after the run.
 
 use haqjsk_bench::{dump_metrics_if_requested, engine_banner, json_output_path, write_json_report};
-use haqjsk_core::{AlignedGraph, HaqjskConfig, HaqjskModel, HaqjskVariant};
-use haqjsk_engine::{BackendKind, CacheStats, FeatureCache, Json};
+use haqjsk_core::db_representation::DbRepresentations;
+use haqjsk_core::{AlignedGraph, HaqjskConfig, HaqjskModel, HaqjskVariant, PrototypeHierarchy};
+use haqjsk_engine::{BackendKind, CacheStats, Engine, FeatureCache, Json};
 use haqjsk_graph::generators::erdos_renyi;
 use haqjsk_graph::Graph;
 use haqjsk_kernels::jtqk::jensen_tsallis_difference;
@@ -58,7 +66,11 @@ use haqjsk_kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligne
 use haqjsk_quantum::{
     ctqw_density_infinite, entropy_of_spectrum, qjsd, qjsd_from_entropies, DensityMatrix,
 };
+use std::hint::black_box;
 use std::time::Instant;
+
+/// Training graphs per fit-layer row: a perfbench fit's training set.
+const FIT_GRAPHS: usize = 64;
 
 /// One benchmarked configuration.
 struct Row {
@@ -91,9 +103,14 @@ fn dataset(node_size: usize, n_graphs: usize) -> Vec<Graph> {
         .collect()
 }
 
-/// Pre-refactor per-pair evaluations, replicated through public APIs.
+/// Pre-refactor per-pair evaluations, replicated through public APIs, and
+/// the fit layers as they ran before their rewrite.
 mod legacy {
     use super::*;
+    use haqjsk_graph::shortest_paths::{bfs_distances, diameter};
+    use haqjsk_linalg::vector::{shannon_entropy, squared_distance};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     pub fn unaligned(mu: f64, a: &DensityMatrix, b: &DensityMatrix) -> f64 {
         let n = a.dim().max(b.dim());
@@ -137,6 +154,224 @@ mod legacy {
             total += (-model.config().mu * d).exp();
         }
         total
+    }
+
+    /// The DB traces as a fit computed them before the one-sweep rewrite:
+    /// an all-pairs BFS per graph for its diameter, then, at the clamped
+    /// greatest diameter `K`, per root and layer a pass over every vertex
+    /// counting its neighbours inside the ball.
+    pub fn db_traces(graphs: &[Graph], layer_cap: usize) -> Vec<Vec<Vec<f64>>> {
+        let engine = Engine::global();
+        let greatest = engine.map(graphs.len(), |g| diameter(&graphs[g]));
+        let max_k = greatest
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+            .clamp(1, layer_cap.max(1));
+        engine.map(graphs.len(), |g| {
+            let graph = &graphs[g];
+            let n = graph.num_vertices();
+            let mut degrees = Vec::with_capacity(n);
+            (0..n)
+                .map(|root| {
+                    let dist = bfs_distances(graph, root);
+                    (1..=max_k)
+                        .map(|k| {
+                            degrees.clear();
+                            degrees.extend((0..n).filter(|&u| dist[u] <= k).map(|u| {
+                                graph.neighbors(u).filter(|&v| dist[v] <= k).count() as f64
+                            }));
+                            shannon_entropy(&degrees)
+                        })
+                        .collect()
+                })
+                .collect()
+        })
+    }
+
+    /// The prototype hierarchy as a fit built it before the flat rewrite:
+    /// per layer on the engine's pool, a κ-means chain over one `Vec` per
+    /// point, ending each run with an assignment and inertia pass.
+    pub fn prototypes(traces: &[Vec<Vec<f64>>], config: &HaqjskConfig) -> Vec<Vec<Vec<Vec<f64>>>> {
+        let max_k = traces.iter().flatten().map(Vec::len).max().unwrap_or(0);
+        Engine::global().map(max_k, |layer| {
+            let k = layer + 1;
+            let mut levels = Vec::new();
+            let mut current: Vec<Vec<f64>> = traces
+                .iter()
+                .flatten()
+                .map(|trace| trace[..k].to_vec())
+                .collect();
+            for h in 1..=config.hierarchy_levels {
+                let seed = config
+                    .seed
+                    .wrapping_add(h as u64)
+                    .wrapping_mul(1_000_003)
+                    .wrapping_add(k as u64);
+                current = kmeans(
+                    &current,
+                    config.prototypes_at_level(h),
+                    config.kmeans_max_iterations,
+                    seed,
+                );
+                levels.push(current.clone());
+                if current.is_empty() {
+                    break;
+                }
+            }
+            levels
+        })
+    }
+
+    /// Lloyd's algorithm from k-means++ seeding over one `Vec` per point.
+    fn kmeans(points: &[Vec<f64>], k: usize, max_iterations: usize, seed: u64) -> Vec<Vec<f64>> {
+        let n = points.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let k = k.max(1).min(n);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
+        centroids.push(points[rng.gen_range(0..n)].clone());
+        let mut d2 = vec![0.0_f64; n];
+        while centroids.len() < k {
+            let mut total = 0.0;
+            for (i, p) in points.iter().enumerate() {
+                d2[i] = squared_distance(p, centroids.last().expect("non-empty")).min(
+                    if centroids.len() == 1 {
+                        f64::INFINITY
+                    } else {
+                        d2[i]
+                    },
+                );
+                total += d2[i];
+            }
+            if total <= 0.0 {
+                centroids.push(points[rng.gen_range(0..n)].clone());
+                continue;
+            }
+            let mut target = rng.gen::<f64>() * total;
+            let mut chosen = n - 1;
+            for (i, &w) in d2.iter().enumerate() {
+                if target <= w {
+                    chosen = i;
+                    break;
+                }
+                target -= w;
+            }
+            centroids.push(points[chosen].clone());
+        }
+        let mut assignments = vec![0usize; n];
+        for _ in 0..max_iterations {
+            for (i, p) in points.iter().enumerate() {
+                assignments[i] = nearest(p, &centroids).0;
+            }
+            if update(points, &assignments, &mut centroids) <= 1e-9 {
+                break;
+            }
+        }
+        let mut inertia = 0.0;
+        for (i, p) in points.iter().enumerate() {
+            let (c, d2) = nearest(p, &centroids);
+            assignments[i] = c;
+            inertia += d2;
+        }
+        std::hint::black_box((&assignments, inertia));
+        centroids
+    }
+
+    fn nearest(point: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
+        let mut best = (0usize, f64::INFINITY);
+        for (c, centroid) in centroids.iter().enumerate() {
+            let d2 = squared_distance(point, centroid);
+            if d2 < best.1 {
+                best = (c, d2);
+            }
+        }
+        best
+    }
+
+    /// The update step with the O(n + k) re-seed of empty clusters.
+    fn update(points: &[Vec<f64>], assignments: &[usize], centroids: &mut [Vec<f64>]) -> f64 {
+        let k = centroids.len();
+        let dim = points[0].len();
+        let mut sums = vec![vec![0.0_f64; dim]; k];
+        let mut counts = vec![0usize; k];
+        for (p, &c) in points.iter().zip(assignments) {
+            counts[c] += 1;
+            for (s, &x) in sums[c].iter_mut().zip(p.iter()) {
+                *s += x;
+            }
+        }
+        let means: Vec<Option<Vec<f64>>> = sums
+            .iter()
+            .zip(&counts)
+            .map(|(sum, &count)| {
+                (count > 0).then(|| sum.iter().map(|&s| s / count as f64).collect())
+            })
+            .collect();
+        let mut reseeds = if counts.contains(&0) {
+            reseed_points(points, assignments, centroids, &means)
+        } else {
+            Vec::new()
+        }
+        .into_iter();
+        let mut movement = 0.0_f64;
+        for (centroid, mean) in centroids.iter_mut().zip(means) {
+            let next = mean.unwrap_or_else(|| {
+                points[reseeds.next().expect("one re-seed per empty cluster")].clone()
+            });
+            movement += squared_distance(centroid, &next);
+            *centroid = next;
+        }
+        movement
+    }
+
+    type Far = Option<(f64, usize)>;
+
+    fn farther(a: Far, b: Far) -> Far {
+        match (a, b) {
+            (Some(x), Some(y)) => {
+                let order = x.0.partial_cmp(&y.0).expect("finite distances");
+                Some(if order.then(x.1.cmp(&y.1)).is_gt() {
+                    x
+                } else {
+                    y
+                })
+            }
+            (x, None) => x,
+            (None, y) => y,
+        }
+    }
+
+    fn reseed_points(
+        points: &[Vec<f64>],
+        assignments: &[usize],
+        centroids: &[Vec<f64>],
+        means: &[Option<Vec<f64>>],
+    ) -> Vec<usize> {
+        let k = centroids.len();
+        let mut by_old: Vec<Far> = vec![None; k];
+        let mut by_new: Vec<Far> = vec![None; k];
+        for (i, (p, &c)) in points.iter().zip(assignments).enumerate() {
+            let mean = means[c].as_deref().expect("an assigned cluster has a mean");
+            by_old[c] = farther(by_old[c], Some((squared_distance(p, &centroids[c]), i)));
+            by_new[c] = farther(by_new[c], Some((squared_distance(p, mean), i)));
+        }
+        let mut after: Vec<Far> = vec![None; k + 1];
+        for c in (0..k).rev() {
+            after[c] = farther(after[c + 1], by_old[c]);
+        }
+        let mut before: Far = None;
+        let mut reseeds = Vec::new();
+        for c in 0..k {
+            if means[c].is_none() {
+                let (_, far) = farther(before, after[c]).expect("non-empty point set");
+                reseeds.push(far);
+            }
+            before = farther(before, by_new[c]);
+        }
+        reseeds
     }
 }
 
@@ -312,6 +547,88 @@ fn bench_kernel(
     }
 }
 
+/// Times one fit layer, the code it replaced (`legacy`) against the
+/// library's (`library`), in interleaved rounds. A fit has no cache, so
+/// both `after` columns are that one estimate, and a row's "pair" is one
+/// training graph.
+fn bench_fit_layer(
+    name: &'static str,
+    node_size: usize,
+    n_graphs: usize,
+    mut legacy: impl FnMut(),
+    mut library: impl FnMut(),
+) -> Row {
+    let timed = |run: &mut dyn FnMut()| {
+        let start = Instant::now();
+        run();
+        start.elapsed().as_secs_f64()
+    };
+    let (before_s, after_s) = interleaved_rounds(|| timed(&mut legacy), || timed(&mut library));
+    let per_graph_ms = |seconds: f64| seconds * 1000.0 / n_graphs as f64;
+    Row {
+        kernel: name,
+        node_size,
+        n_graphs,
+        pairs: n_graphs,
+        before_ms: per_graph_ms(before_s),
+        after_cold_ms: per_graph_ms(after_s),
+        after_warm_ms: per_graph_ms(after_s),
+        hit_rate: 0.0,
+        eigen_batch: 0.0,
+    }
+}
+
+/// The two fit-layer rows of one node size: DB traces with the dataset's
+/// `K`, and the prototype hierarchy over them, each checked bit for bit
+/// against its legacy code before it is timed.
+fn bench_fit_layers(node_size: usize) -> [Row; 2] {
+    let graphs = dataset(node_size, FIT_GRAPHS);
+    let config = HaqjskConfig::small();
+    let traces = legacy::db_traces(&graphs, config.layer_cap);
+    let reps = DbRepresentations::compute_auto(&graphs, config.layer_cap);
+    let hierarchy = PrototypeHierarchy::build(&reps, &config);
+    let bits = |levels: &[Vec<Vec<f64>>]| -> Vec<u64> {
+        levels
+            .iter()
+            .flatten()
+            .flatten()
+            .map(|x| x.to_bits())
+            .collect()
+    };
+    for (g, graph_traces) in traces.iter().enumerate() {
+        for (v, trace) in graph_traces.iter().enumerate() {
+            assert_eq!(trace.as_slice(), reps.representation(g, v, trace.len()));
+        }
+    }
+    for (layer, levels) in legacy::prototypes(&traces, &config).iter().enumerate() {
+        assert_eq!(bits(levels), bits(&hierarchy.layer(layer + 1).levels));
+    }
+    [
+        bench_fit_layer(
+            "fit db_traces",
+            node_size,
+            graphs.len(),
+            || {
+                black_box(legacy::db_traces(&graphs, config.layer_cap));
+            },
+            || {
+                black_box(DbRepresentations::compute_auto(&graphs, config.layer_cap));
+            },
+        ),
+        bench_fit_layer(
+            "fit prototypes",
+            node_size,
+            graphs.len(),
+            || {
+                black_box(legacy::prototypes(&traces, &config));
+            },
+            || {
+                black_box(PrototypeHierarchy::build(&reps, &config));
+            },
+        ),
+    ]
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let json_path = json_output_path();
@@ -344,6 +661,7 @@ fn main() {
 
     let mut rows: Vec<Row> = Vec::new();
     for &node_size in node_sizes {
+        let first = rows.len();
         let graphs = dataset(node_size, n_graphs);
         let rhos: Vec<DensityMatrix> = graphs
             .iter()
@@ -403,7 +721,9 @@ fn main() {
             ));
         }
 
-        for row in rows.iter().skip(rows.len() - 5) {
+        rows.extend(bench_fit_layers(node_size));
+
+        for row in &rows[first..] {
             println!(
                 "{:<18} {:>6} {:>8} {:>7} {:>11.4} {:>9.4} {:>9.4} {:>8.2}x {:>8.1}% {:>7.2}",
                 row.kernel,

@@ -34,7 +34,7 @@ impl CorrespondenceMatrix {
             .into_iter()
             .map(|rep| match prototypes {
                 [] => 0,
-                _ => nearest(rep, prototypes).0,
+                _ => nearest(rep, prototypes.iter().map(Vec::as_slice)).0,
             })
             .collect();
         CorrespondenceMatrix {

@@ -5,10 +5,12 @@
 //! layer parameter `k`, by the `k`-dimensional vector of Shannon entropies of
 //! the degree distributions inside its `1..k`-hop balls. The HAQJSK kernels
 //! use the whole family `k = 1..K`, where `K` is the greatest shortest-path
-//! length over the dataset (capped for tractability).
+//! length over the dataset (capped for tractability). One BFS sweep per
+//! graph yields both its traces and its diameter, so deriving `K` costs no
+//! second all-pairs BFS: the traces are computed to the cap and truncated to
+//! `K`, since trace entry `k` depends on `k` alone.
 
 use haqjsk_engine::Engine;
-use haqjsk_graph::shortest_paths::diameter;
 use haqjsk_graph::subgraph::depth_based_traces;
 use haqjsk_graph::Graph;
 
@@ -28,21 +30,32 @@ impl DbRepresentations {
     /// graph's traces depend on that graph alone).
     pub fn compute(graphs: &[Graph], max_layers: usize) -> Self {
         let max_layers = max_layers.max(1);
-        let traces =
-            Engine::global().map(graphs.len(), |g| depth_based_traces(&graphs[g], max_layers));
+        let traces = Engine::global().map(graphs.len(), |g| {
+            depth_based_traces(&graphs[g], max_layers).0
+        });
         DbRepresentations { traces, max_layers }
     }
 
     /// Derives `K` from the dataset (greatest shortest-path length, clamped
-    /// to `[1, layer_cap]`) and computes the representations. The graphs'
-    /// diameters are found one graph per task on the engine's pool.
+    /// to `[1, layer_cap]`) and computes the representations: each graph's
+    /// traces to the cap and its diameter come from one sweep, one graph
+    /// per task on the engine's pool, and the traces are then cut to `K`.
     pub fn compute_auto(graphs: &[Graph], layer_cap: usize) -> Self {
-        let greatest = Engine::global()
-            .map(graphs.len(), |g| diameter(&graphs[g]))
+        let layer_cap = layer_cap.max(1);
+        let swept =
+            Engine::global().map(graphs.len(), |g| depth_based_traces(&graphs[g], layer_cap));
+        let greatest = swept.iter().map(|&(_, diameter)| diameter).max();
+        let max_layers = greatest.unwrap_or(0).clamp(1, layer_cap);
+        let traces = swept
             .into_iter()
-            .max()
-            .unwrap_or(0);
-        Self::compute(graphs, greatest.clamp(1, layer_cap.max(1)))
+            .map(|(mut traces, _)| {
+                for trace in &mut traces {
+                    trace.truncate(max_layers);
+                }
+                traces
+            })
+            .collect();
+        DbRepresentations { traces, max_layers }
     }
 
     /// The largest layer `K`.
@@ -68,14 +81,16 @@ impl DbRepresentations {
     }
 
     /// The pooled `k`-dimensional representations of **all** vertices of
-    /// **all** graphs, in graph-major order — the point set `R^k(V)` on which
-    /// the 1-level prototypes are learned (Eq. 12–14).
-    pub fn pooled_representations(&self, k: usize) -> Vec<Vec<f64>> {
+    /// **all** graphs, in graph-major order, as one row-major
+    /// `vertices x k` buffer — the point set `R^k(V)` on which the 1-level
+    /// prototypes are learned (Eq. 12–14).
+    pub fn pooled_points(&self, k: usize) -> Vec<f64> {
         let k = k.min(self.max_layers);
-        self.traces
-            .iter()
-            .flat_map(|graph| graph.iter().map(move |trace| trace[..k].to_vec()))
-            .collect()
+        let mut points = Vec::with_capacity(self.total_vertices() * k);
+        for trace in self.traces.iter().flatten() {
+            points.extend_from_slice(&trace[..k]);
+        }
+        points
     }
 
     /// Total number of vertices across the dataset.
@@ -88,6 +103,7 @@ impl DbRepresentations {
 mod tests {
     use super::*;
     use haqjsk_graph::generators::{cycle_graph, path_graph, star_graph};
+    use haqjsk_graph::shortest_paths::diameter;
 
     fn dataset() -> Vec<Graph> {
         vec![path_graph(5), cycle_graph(6), star_graph(4)]
@@ -104,7 +120,8 @@ mod tests {
         // Requesting more layers than computed clamps.
         assert_eq!(reps.representation(0, 0, 10).len(), 3);
         assert_eq!(reps.graph_traces(1).len(), 6);
-        assert_eq!(reps.pooled_representations(3).len(), 15);
+        assert_eq!(reps.pooled_points(3).len(), 15 * 3);
+        assert_eq!(&reps.pooled_points(2)[2..4], reps.representation(0, 1, 2));
     }
 
     #[test]

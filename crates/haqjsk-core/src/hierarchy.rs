@@ -38,30 +38,34 @@ impl LayerHierarchy {
 
     /// The κ-means chain of layer `k`: level 1 clusters the pooled
     /// `k`-dimensional representations, each further level the level
-    /// before it.
+    /// before it, all as flat `k`-dimensional point buffers.
     fn build(representations: &DbRepresentations, config: &HaqjskConfig, k: usize) -> Self {
         let mut levels: Vec<Vec<Vec<f64>>> = Vec::new();
-        let mut current = representations.pooled_representations(k);
+        let mut points = representations.pooled_points(k);
         for h in 1..=config.hierarchy_levels {
-            let kmeans = KMeans {
-                k: config.prototypes_at_level(h),
-                max_iterations: config.kmeans_max_iterations,
-                tolerance: 1e-9,
-                // Mix level and layer into the seed so each clustering is
-                // independent but still deterministic.
-                seed: config
-                    .seed
-                    .wrapping_add(h as u64)
-                    .wrapping_mul(1_000_003)
-                    .wrapping_add(k as u64),
-            };
-            current = kmeans.fit(&current).centroids;
-            levels.push(current.clone());
-            if current.is_empty() {
+            points = level_kmeans(config, h, k).fit(&points, k).centroids;
+            levels.push(points.chunks_exact(k).map(<[f64]>::to_vec).collect());
+            if points.is_empty() {
                 break;
             }
         }
         LayerHierarchy { k, levels }
+    }
+}
+
+/// The κ-means run of level `h` of layer `k`.
+fn level_kmeans(config: &HaqjskConfig, h: usize, k: usize) -> KMeans {
+    KMeans {
+        k: config.prototypes_at_level(h),
+        max_iterations: config.kmeans_max_iterations,
+        tolerance: 1e-9,
+        // Mix level and layer into the seed so each clustering is
+        // independent but still deterministic.
+        seed: config
+            .seed
+            .wrapping_add(h as u64)
+            .wrapping_mul(1_000_003)
+            .wrapping_add(k as u64),
     }
 }
 
@@ -119,6 +123,8 @@ impl PrototypeHierarchy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmeans::reference;
+    use haqjsk_datasets::generate_by_name;
     use haqjsk_graph::generators::{cycle_graph, erdos_renyi, path_graph, star_graph};
     use haqjsk_graph::Graph;
 
@@ -203,6 +209,27 @@ mod tests {
             .collect()
     }
 
+    /// The pool-built hierarchy against per-point reference κ-means
+    /// chains run serially, layer by layer.
+    fn assert_matches_serial_reference(graphs: &[Graph], config: &HaqjskConfig) {
+        let reps = DbRepresentations::compute_auto(graphs, config.layer_cap);
+        let built = PrototypeHierarchy::build(&reps, config);
+        assert_eq!(built.max_layers(), reps.max_layers());
+        for k in 1..=reps.max_layers() {
+            let mut levels = Vec::new();
+            let mut current: Vec<Vec<f64>> = (0..graphs.len())
+                .flat_map(|g| (0..graphs[g].num_vertices()).map(move |v| (g, v)))
+                .map(|(g, v)| reps.representation(g, v, k).to_vec())
+                .collect();
+            for h in 1..=config.hierarchy_levels {
+                current = reference::fit(&level_kmeans(config, h, k), &current).0;
+                levels.push(current.clone());
+            }
+            assert_eq!(built.layer(k).k, k);
+            assert_eq!(bits(&built.layer(k).levels), bits(&levels), "layer {k}");
+        }
+    }
+
     #[test]
     fn pool_built_hierarchy_matches_a_serial_kmeans_loop_bit_for_bit() {
         // Regular graphs share their 1-D traces, so 64 prototypes over a
@@ -211,41 +238,24 @@ mod tests {
             .flat_map(|n| [cycle_graph(n), path_graph(n), star_graph(n)])
             .chain([erdos_renyi(12, 0.3, 3)])
             .collect();
-        let reps = DbRepresentations::compute_auto(&graphs, 4);
         let config = HaqjskConfig {
             hierarchy_levels: 4,
             num_prototypes: 64,
             layer_cap: 4,
             ..HaqjskConfig::small()
         };
-        let mut distinct = reps.pooled_representations(1);
-        distinct.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let reps = DbRepresentations::compute_auto(&graphs, config.layer_cap);
+        let mut distinct = reps.pooled_points(1);
+        distinct.sort_by(f64::total_cmp);
         distinct.dedup();
         assert!(distinct.len() < config.num_prototypes);
         assert!(reps.total_vertices() > config.num_prototypes);
+        assert_matches_serial_reference(&graphs, &config);
 
-        let built = PrototypeHierarchy::build(&reps, &config);
-        assert_eq!(built.max_layers(), reps.max_layers());
-        for k in 1..=reps.max_layers() {
-            let mut levels = Vec::new();
-            let mut current = reps.pooled_representations(k);
-            for h in 1..=config.hierarchy_levels {
-                let kmeans = KMeans {
-                    k: config.prototypes_at_level(h),
-                    max_iterations: config.kmeans_max_iterations,
-                    tolerance: 1e-9,
-                    seed: config
-                        .seed
-                        .wrapping_add(h as u64)
-                        .wrapping_mul(1_000_003)
-                        .wrapping_add(k as u64),
-                };
-                current = kmeans.fit(&current).centroids;
-                levels.push(current.clone());
-            }
-            assert_eq!(built.layer(k).k, k);
-            assert_eq!(bits(&built.layer(k).levels), bits(&levels), "layer {k}");
-        }
+        // The paper's configuration (M = 256, H = 5, K = 6) on a MUTAG
+        // stand-in.
+        let mutag = generate_by_name("MUTAG", 1, 1, 7).expect("a registered dataset");
+        assert_matches_serial_reference(&mutag.graphs[..24], &HaqjskConfig::default());
     }
 
     #[test]

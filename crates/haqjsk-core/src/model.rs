@@ -29,6 +29,7 @@ use crate::config::{HaqjskConfig, HaqjskVariant};
 use crate::correspondence::GraphCorrespondences;
 use crate::db_representation::DbRepresentations;
 use crate::hierarchy::PrototypeHierarchy;
+use haqjsk_engine::obs::HistogramTimer;
 use haqjsk_engine::{graph_key, BackendKind, CacheWeight, Engine, FeatureCache};
 use haqjsk_graph::Graph;
 use haqjsk_kernels::kernel::{gram_from_tiles, time_kernel_gram, with_fallible_tiles};
@@ -38,6 +39,17 @@ use haqjsk_quantum::ctqw::ctqw_density_from_adjacency;
 use haqjsk_quantum::{batch_qjsd, DensityMatrix};
 use std::borrow::Borrow;
 use std::sync::Arc;
+
+/// Histogram of one fit phase's wall time (`haqjsk_fit_phase_seconds`),
+/// observed once per fit: `db_traces` (the training graphs' DB traces) or
+/// `prototypes` (the κ-means prototype hierarchy).
+fn fit_phase_histogram(phase: &'static str) -> haqjsk_obs::Histogram {
+    haqjsk_obs::registry().histogram(
+        "haqjsk_fit_phase_seconds",
+        "Wall-clock time of one phase of a HAQJSK fit, by phase.",
+        &[("phase", phase)],
+    )
+}
 
 /// The hierarchical aligned representation of a single graph, ready for
 /// kernel evaluation against any other graph aligned to the same prototypes.
@@ -124,7 +136,8 @@ impl HaqjskModel {
 
     /// [`HaqjskModel::fit`], also returning the training graphs' DB traces
     /// it learned the prototypes from. Emits one `hierarchy.db_repr` and
-    /// one `hierarchy.build` span.
+    /// one `hierarchy.build` span, and observes each phase once in
+    /// `haqjsk_fit_phase_seconds` (`db_traces`, `prototypes`).
     fn fit_traced(
         graphs: &[Graph],
         config: HaqjskConfig,
@@ -138,6 +151,7 @@ impl HaqjskModel {
         }
         let representations = {
             let _span = haqjsk_obs::span("hierarchy.db_repr");
+            let _timer = HistogramTimer::start(&fit_phase_histogram("db_traces"));
             match config.max_layers {
                 Some(k) => DbRepresentations::compute(graphs, k),
                 None => DbRepresentations::compute_auto(graphs, config.layer_cap),
@@ -145,6 +159,7 @@ impl HaqjskModel {
         };
         let hierarchy = {
             let _span = haqjsk_obs::span("hierarchy.build");
+            let _timer = HistogramTimer::start(&fit_phase_histogram("prototypes"));
             PrototypeHierarchy::build(&representations, &config)
         };
         let model = HaqjskModel {

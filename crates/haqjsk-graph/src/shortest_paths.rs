@@ -44,7 +44,9 @@ pub fn all_pairs_shortest_paths(graph: &Graph) -> Vec<Vec<usize>> {
 /// The diameter restricted to reachable pairs (the greatest finite shortest
 /// path length in the graph). Returns 0 for edgeless graphs. The paper sets
 /// the largest expansion-subgraph layer `K` to the greatest diameter over
-/// the dataset.
+/// the dataset; a fit reads it off the DB traces' own BFS sweep
+/// ([`depth_based_traces`](crate::subgraph::depth_based_traces)), and this
+/// all-pairs BFS is kept as the reference it is tested against.
 pub fn diameter(graph: &Graph) -> usize {
     (0..graph.num_vertices())
         .flat_map(|v| bfs_distances(graph, v))

@@ -44,7 +44,8 @@ fn trace_bits(traces: &[Vec<f64>]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// The BFS-counted traces equal the induced-subgraph traces bit for bit on
+/// The BFS-counted traces equal the induced-subgraph traces bit for bit,
+/// and the diameter from their sweep equals the all-pairs [`diameter`], on
 /// degenerate shapes: 0- and 1-node, edgeless, disconnected, complete and
 /// star graphs.
 #[test]
@@ -71,11 +72,13 @@ fn depth_based_traces_match_induced_subgraphs_on_degenerate_graphs() {
     ];
     for g in &graphs {
         for max_k in [0, 1, 3, 8] {
+            let (traces, fused_diameter) = depth_based_traces(g, max_k);
             assert_eq!(
-                trace_bits(&depth_based_traces(g, max_k)),
+                trace_bits(&traces),
                 trace_bits(&traces_from_induced_subgraphs(g, max_k)),
                 "graph {g:?}, K = {max_k}"
             );
+            assert_eq!(fused_diameter, diameter(g), "graph {g:?}, K = {max_k}");
         }
     }
 }
@@ -143,20 +146,23 @@ proptest! {
     }
 
     /// The BFS-counted traces equal, bit for bit, the Shannon entropy of
-    /// each materialised expansion subgraph's degree vector.
+    /// each materialised expansion subgraph's degree vector, and their
+    /// sweep's diameter is the all-pairs one.
     #[test]
     fn depth_based_traces_match_induced_subgraphs(g in random_graph_strategy(), max_k in 0usize..7) {
+        let (traces, fused_diameter) = depth_based_traces(&g, max_k);
         prop_assert_eq!(
-            trace_bits(&depth_based_traces(&g, max_k)),
+            trace_bits(&traces),
             trace_bits(&traces_from_induced_subgraphs(&g, max_k))
         );
+        prop_assert_eq!(fused_diameter, diameter(&g));
     }
 
     /// Depth-based traces have the requested dimensionality and are finite
     /// and non-negative.
     #[test]
     fn depth_based_traces_shape(g in random_graph_strategy()) {
-        let traces = depth_based_traces(&g, 4);
+        let (traces, _) = depth_based_traces(&g, 4);
         prop_assert_eq!(traces.len(), g.num_vertices());
         for t in &traces {
             prop_assert_eq!(t.len(), 4);

@@ -48,8 +48,8 @@ impl DepthBasedAlignedKernel {
     /// of `b`; when the graphs have different sizes the extra vertices stay
     /// unmatched.
     pub fn align(&self, a: &Graph, b: &Graph) -> (Vec<(usize, usize)>, f64) {
-        let ta = depth_based_traces(a, self.layers);
-        let tb = depth_based_traces(b, self.layers);
+        let (ta, _) = depth_based_traces(a, self.layers);
+        let (tb, _) = depth_based_traces(b, self.layers);
         let na = ta.len();
         let nb = tb.len();
         let n = na.max(nb);
@@ -84,8 +84,8 @@ impl GraphKernel for DepthBasedAlignedKernel {
     }
 
     fn compute(&self, a: &Graph, b: &Graph) -> f64 {
-        let ta = depth_based_traces(a, self.layers);
-        let tb = depth_based_traces(b, self.layers);
+        let (ta, _) = depth_based_traces(a, self.layers);
+        let (tb, _) = depth_based_traces(b, self.layers);
         let (pairs, _) = self.align(a, b);
         // Sum of Gaussian similarities over the aligned vertex pairs — one
         // unit of kernel mass per well-aligned pair, following the

@@ -157,8 +157,8 @@ fn main() {
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
     let mut stream = stream;
 
-    // One small fit so the engine Gram histograms carry real samples in
-    // the scrape.
+    // One small fit so the engine Gram and fit-phase histograms carry real
+    // samples in the scrape.
     let graphs: Vec<Json> = (5..9)
         .flat_map(|n| {
             [
@@ -198,6 +198,7 @@ fn main() {
         "haqjsk_serve_requests_total",
         "haqjsk_serve_request_seconds",
         "haqjsk_serve_inflight",
+        "haqjsk_fit_phase_seconds",
     ];
     for family in required {
         if !exposition.has_family(family) {

@@ -158,8 +158,14 @@ fn metrics_scrape_matches_requests_sent() {
         "haqjsk_serve_errors_total",
         "haqjsk_serve_inflight",
         "haqjsk_pool_jobs_total",
+        "haqjsk_fit_phase_seconds",
     ] {
         assert!(after.has_family(family), "scrape missing family {family}");
+    }
+    // The fit observed each of its two phases.
+    for phase in ["db_traces", "prototypes"] {
+        let fits = after.value("haqjsk_fit_phase_seconds_count", &[("phase", phase)]);
+        assert!(fits.unwrap_or(0.0) >= 1.0, "no {phase} observation");
     }
     // The baselines keep no process-global cache, so none is exported.
     let cache_families: Vec<_> = after
