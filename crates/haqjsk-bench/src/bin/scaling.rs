@@ -84,7 +84,7 @@ fn main() {
         let densities = Engine::global().map(n_graphs, |i| {
             ctqw_density_infinite(&graphs[i]).expect("non-empty graph")
         });
-        let _ = Engine::gram_serial(n_graphs, |i, j| {
+        let _ = haqjsk_engine::gram::gram_serial(n_graphs, |i, j| {
             let d = haqjsk_quantum::qjsd_padded(&densities[i], &densities[j]).unwrap();
             (-d).exp()
         });

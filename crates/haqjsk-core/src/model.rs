@@ -410,9 +410,9 @@ impl HaqjskModel {
     /// [`HaqjskModel::gram_matrix`] on an explicit execution backend
     /// (`None` = the engine default, which honours `HAQJSK_BACKEND`). A
     /// backend only decides where a Gram's tiles (and an extension's new
-    /// pairs) run: inline for `Serial`, on the pool otherwise
-    /// (`Distributed` included; a distributed Gram is `haqjsk-dist`'s
-    /// `Coordinator::model_gram`). The transforms go through
+    /// pairs) run: inline for `Serial`, on the pool for `Local` (a
+    /// distributed Gram is `haqjsk-dist`'s `Coordinator::model_gram`). The
+    /// transforms go through
     /// [`Engine::map`] under the engine's default backend.
     pub fn gram_matrix_on(
         &self,

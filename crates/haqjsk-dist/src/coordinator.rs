@@ -37,8 +37,8 @@ use crate::scheduler::{self, TileRun};
 use crate::wire::{self, KernelSpec};
 use haqjsk_core::persistence::{model_artifact_id, model_to_string};
 use haqjsk_core::{AlignedGraph, HaqjskModel};
-use haqjsk_engine::obs::{gram_build_histogram, kernel_gram_histogram};
-use haqjsk_engine::{gram, BackendKind, Engine, GraphKey, Json, WorkerPool};
+use haqjsk_engine::obs::kernel_gram_histogram;
+use haqjsk_engine::{gram, Engine, GraphKey, Json, WorkerPool};
 use haqjsk_graph::Graph;
 use haqjsk_linalg::{LinalgError, Matrix};
 use std::borrow::Borrow;
@@ -375,11 +375,6 @@ impl Coordinator {
         self.workers.read().expect("worker list poisoned").len()
     }
 
-    /// The scheduler configuration.
-    pub fn config(&self) -> DistConfig {
-        self.config
-    }
-
     fn members(&self) -> Vec<Arc<WorkerLink>> {
         self.workers.read().expect("worker list poisoned").clone()
     }
@@ -427,7 +422,7 @@ impl Coordinator {
             let built = Instant::now();
             let tile = engine.tile_width(n);
             if let Some(values) = self.gram_tiles(engine.pool(), tile, &tiles, graphs, artifact)? {
-                gram_build_histogram(BackendKind::Distributed).observe_duration(built.elapsed());
+                crate::obs::gram_build_histogram().observe_duration(built.elapsed());
                 kernel_gram_histogram(model.variant().label()).observe_duration(start.elapsed());
                 return Ok(values);
             }

@@ -162,11 +162,6 @@ impl GraphStore {
         GraphStore::new(StoreConfig::from_env())
     }
 
-    /// The store's budget.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
     /// Starts (or restarts) assembly of `dataset` with the announced key
     /// list; returns the indices of keys not currently resident. All
     /// announced keys are protected from eviction until commit.

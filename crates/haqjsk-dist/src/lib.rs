@@ -25,11 +25,13 @@
 //!
 //! * **Selection.** There is no engine hook: a caller holding a
 //!   coordinator calls [`Coordinator::model_gram`]. The serving layer does
-//!   so for a `fit` with `workers` and, on a server started with
-//!   `HAQJSK_BACKEND=dist:host:port,host:port` ([`install_from_env`], which
-//!   the binaries call at startup), for every `fit` and `load` with graphs,
-//!   through the process-wide [`current_coordinator`]. Library Gram entry
-//!   points run `BackendKind::Distributed` as `BackendKind::Local`.
+//!   so for a `fit` with `workers` (whose pool it then installs), and for
+//!   every other `fit` and `load` with graphs whenever a pool is installed
+//!   ([`current_coordinator`]): the pool a `workers` fit installed, or the
+//!   startup pool of a server started with
+//!   `HAQJSK_BACKEND=dist:host:port,host:port` ([`install_from_env`],
+//!   which the binaries call at startup). The engine reads such a value as
+//!   its default backend, `local`.
 //! * **Byte identity.** A distributed Gram is byte-identical to
 //!   [`BackendKind::Serial`](haqjsk_engine::BackendKind) no matter which
 //!   worker computed which tile, which tiles were re-dispatched, or which
@@ -47,8 +49,7 @@
 //!   a local reconstruction — the one tile kind a worker knows. Everything
 //!   else — the closed-form QJSK and JTQK baselines, arbitrary closures,
 //!   per-pair entries, extensions — runs on the engine's local tile
-//!   scheduler whatever backend is selected, never failing, so the
-//!   backend is always safe to enable globally.
+//!   scheduler, never failing, so a pool is always safe to install.
 //! * **Elastic membership.** Workers join ([`Coordinator::add_worker`])
 //!   and leave ([`Coordinator::remove_worker`]) a *running* coordinator;
 //!   dead workers sit in probation and are redialed with jittered
@@ -79,29 +80,40 @@ pub use wire::KernelSpec;
 pub use worker::{WorkerOptions, WorkerServer};
 
 use haqjsk_engine::BackendKind;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
-fn coordinator_slot() -> &'static RwLock<Option<Arc<Coordinator>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<Coordinator>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
+/// The process-wide coordinator and the counter totals of those it
+/// replaced, read under one lock so a replacement is counted exactly once.
+struct Slot {
+    current: Option<Arc<Coordinator>>,
+    retired: obs::Retired,
+}
+
+static SLOT: RwLock<Slot> = RwLock::new(Slot {
+    current: None,
+    retired: obs::Retired::NONE,
+});
+
+fn slot() -> std::sync::RwLockReadGuard<'static, Slot> {
+    SLOT.read().expect("coordinator slot poisoned")
 }
 
 /// Swaps the process-wide coordinator, the pool `stats`, the
 /// `haqjsk_dist_*` metrics and membership changes read; returns the
-/// previous one. `None` uninstalls it.
+/// previous one. `None` uninstalls it. The previous coordinator's counter
+/// totals, as of now, stay in the `haqjsk_dist_*_total` metrics.
 pub fn set_coordinator(coordinator: Option<Arc<Coordinator>>) -> Option<Arc<Coordinator>> {
-    let mut slot = coordinator_slot()
-        .write()
-        .expect("coordinator slot poisoned");
-    std::mem::replace(&mut slot, coordinator)
+    let mut slot = SLOT.write().expect("coordinator slot poisoned");
+    let previous = std::mem::replace(&mut slot.current, coordinator);
+    if let Some(previous) = &previous {
+        slot.retired.fold(&previous.stats());
+    }
+    previous
 }
 
 /// The process-wide coordinator, if one is installed.
 pub fn current_coordinator() -> Option<Arc<Coordinator>> {
-    coordinator_slot()
-        .read()
-        .expect("coordinator slot poisoned")
-        .clone()
+    slot().current.clone()
 }
 
 /// Wires the distributed backend up from the environment: when

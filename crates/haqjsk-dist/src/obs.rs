@@ -1,6 +1,6 @@
 //! Distributed-layer observability: per-worker RPC round-trip histograms
-//! plus a registry collector re-exporting [`DistStats`](crate::DistStats)
-//! as `haqjsk_dist_*` metrics.
+//! plus a registry collector re-exporting [`DistStats`] as `haqjsk_dist_*`
+//! metrics.
 //!
 //! Two kinds of exchange feed `haqjsk_dist_rpc_seconds{worker}`:
 //!
@@ -15,9 +15,16 @@
 //! so the `haqjsk_dist_*` family is present in every scrape. Per-worker
 //! series appear lazily as workers are configured (metric registration is
 //! idempotent, and collectors run outside the family lock).
+//!
+//! Every `_total` counter is the installed coordinator's total plus the
+//! totals of the coordinators it replaced, so installing a new pool never
+//! moves a counter backwards. A replaced coordinator is folded in as of
+//! its replacement: Grams it still runs after that are not counted.
 
+use crate::{DistStats, WorkerStatsSnapshot};
 use haqjsk_obs::{registry, Histogram};
-use std::sync::Once;
+use std::collections::BTreeMap;
+use std::sync::{Once, OnceLock};
 
 /// The per-worker RPC round-trip histogram
 /// (`haqjsk_dist_rpc_seconds{worker="host:port"}`).
@@ -30,54 +37,151 @@ pub fn rpc_histogram(worker: &str) -> Histogram {
     )
 }
 
-/// Registers the `haqjsk_dist_*` metric family: aggregate coordinator
-/// counters, the dedup-rate gauge, and per-worker counters/liveness,
-/// all refreshed from [`crate::current_coordinator`] at snapshot time.
-/// Idempotent; safe to call with no coordinator installed.
+/// `haqjsk_gram_build_seconds{backend="dist"}`: the engine's Gram
+/// build-time family, observed for each Gram the coordinator runs on its
+/// pool.
+pub fn gram_build_histogram() -> &'static Histogram {
+    static HISTOGRAM: OnceLock<Histogram> = OnceLock::new();
+    HISTOGRAM.get_or_init(|| {
+        let (name, help) = haqjsk_engine::obs::GRAM_BUILD_SECONDS;
+        registry().histogram(name, help, &[("backend", "dist")])
+    })
+}
+
+/// A counter of the `haqjsk_dist_*` family: name, help, and where its
+/// value sits in a stats snapshot `S`.
+type Total<S> = (&'static str, &'static str, fn(&S) -> usize);
+
+/// The coordinator-wide counters.
+const TOTALS: [Total<DistStats>; 8] = [
+    (
+        "haqjsk_dist_grams_total",
+        "Gram computations routed through the distributed coordinator.",
+        |s| s.grams,
+    ),
+    (
+        "haqjsk_dist_local_fallback_grams_total",
+        "Gram computations the coordinator executed entirely locally.",
+        |s| s.local_fallback_grams,
+    ),
+    (
+        "haqjsk_dist_local_fallback_tiles_total",
+        "Tiles evaluated by the coordinator's local fallback after worker failures.",
+        |s| s.local_fallback_tiles,
+    ),
+    (
+        "haqjsk_dist_dataset_keys_total",
+        "Graph keys announced across all dataset shipping rounds.",
+        |s| s.dataset_keys_total,
+    ),
+    (
+        "haqjsk_dist_dataset_keys_shipped_total",
+        "Graph keys actually shipped (announced keys minus dedup hits).",
+        |s| s.dataset_keys_shipped,
+    ),
+    (
+        "haqjsk_dist_tiles_scheduled_total",
+        "Tiles handed to the distributed scheduler across all Grams.",
+        |s| s.tiles_scheduled,
+    ),
+    (
+        "haqjsk_dist_tiles_committed_total",
+        "Tiles committed from worker results across all Grams.",
+        |s| s.tiles_committed,
+    ),
+    (
+        "haqjsk_dist_artifacts_shipped_total",
+        "Model artifacts that actually travelled to a worker (dedup misses).",
+        |s| s.artifacts_shipped,
+    ),
+];
+
+/// The per-worker counters, labelled by worker address.
+const WORKER_TOTALS: [Total<WorkerStatsSnapshot>; 8] = [
+    (
+        "haqjsk_dist_tiles_dispatched_total",
+        "Tiles dispatched to the worker, by worker address.",
+        |w| w.tiles_dispatched,
+    ),
+    (
+        "haqjsk_dist_tiles_completed_total",
+        "Tile results accepted from the worker, by worker address.",
+        |w| w.tiles_completed,
+    ),
+    (
+        "haqjsk_dist_tiles_redispatched_total",
+        "Straggler tiles the worker re-claimed from peers, by worker address.",
+        |w| w.tiles_redispatched,
+    ),
+    (
+        "haqjsk_dist_bytes_shipped_total",
+        "Request bytes shipped to the worker, by worker address.",
+        |w| w.bytes_shipped,
+    ),
+    (
+        "haqjsk_dist_datasets_shipped_total",
+        "Dataset shipping rounds completed to the worker, by worker address.",
+        |w| w.datasets_shipped,
+    ),
+    (
+        "haqjsk_dist_worker_deaths_total",
+        "Times the worker was declared dead, by worker address.",
+        |w| w.deaths,
+    ),
+    (
+        "haqjsk_dist_reconnects_total",
+        "Times the worker revived out of probation, by worker address.",
+        |w| w.reconnects,
+    ),
+    (
+        "haqjsk_dist_store_misses_total",
+        "store_miss tile replies received from the worker, by worker address.",
+        |w| w.store_misses,
+    ),
+];
+
+/// Counter totals of replaced coordinators, aggregate and per worker
+/// address, in [`TOTALS`] / [`WORKER_TOTALS`] order.
+#[derive(Clone)]
+pub(crate) struct Retired {
+    totals: [u64; 8],
+    workers: BTreeMap<String, [u64; 8]>,
+}
+
+impl Retired {
+    pub(crate) const NONE: Retired = Retired {
+        totals: [0; 8],
+        workers: BTreeMap::new(),
+    };
+
+    /// Adds a coordinator's counters.
+    pub(crate) fn fold(&mut self, stats: &DistStats) {
+        add(&mut self.totals, &TOTALS, stats);
+        for worker in &stats.workers {
+            let sums = self.workers.entry(worker.addr.clone()).or_default();
+            add(sums, &WORKER_TOTALS, worker);
+        }
+    }
+}
+
+fn add<S>(sums: &mut [u64; 8], fields: &[Total<S>; 8], stats: &S) {
+    for (sum, (_, _, read)) in sums.iter_mut().zip(fields) {
+        *sum += read(stats) as u64;
+    }
+}
+
+/// Registers the `haqjsk_dist_*` metric family (and the `dist` series of
+/// [`gram_build_histogram`]): aggregate coordinator counters, the
+/// dedup-rate gauge, and per-worker counters/liveness,
+/// all refreshed from [`crate::current_coordinator`] (plus the totals of
+/// the coordinators it replaced) at snapshot time. Idempotent; safe to
+/// call with no coordinator installed.
 pub fn register_dist_metrics() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
+        gram_build_histogram();
         let registry = registry();
-        let grams = registry.counter(
-            "haqjsk_dist_grams_total",
-            "Gram computations routed through the distributed coordinator.",
-            &[],
-        );
-        let fallback_grams = registry.counter(
-            "haqjsk_dist_local_fallback_grams_total",
-            "Gram computations the coordinator executed entirely locally.",
-            &[],
-        );
-        let fallback_tiles = registry.counter(
-            "haqjsk_dist_local_fallback_tiles_total",
-            "Tiles evaluated by the coordinator's local fallback after worker failures.",
-            &[],
-        );
-        let keys_total = registry.counter(
-            "haqjsk_dist_dataset_keys_total",
-            "Graph keys announced across all dataset shipping rounds.",
-            &[],
-        );
-        let keys_shipped = registry.counter(
-            "haqjsk_dist_dataset_keys_shipped_total",
-            "Graph keys actually shipped (announced keys minus dedup hits).",
-            &[],
-        );
-        let tiles_scheduled = registry.counter(
-            "haqjsk_dist_tiles_scheduled_total",
-            "Tiles handed to the distributed scheduler across all Grams.",
-            &[],
-        );
-        let tiles_committed = registry.counter(
-            "haqjsk_dist_tiles_committed_total",
-            "Tiles committed from worker results across all Grams.",
-            &[],
-        );
-        let artifacts_shipped = registry.counter(
-            "haqjsk_dist_artifacts_shipped_total",
-            "Model artifacts that actually travelled to a worker (dedup misses).",
-            &[],
-        );
+        let totals = TOTALS.map(|(name, help, _)| registry.counter(name, help, &[]));
         let workers_gauge = registry.gauge(
             "haqjsk_dist_workers",
             "Workers configured on the current coordinator.",
@@ -95,71 +199,31 @@ pub fn register_dist_metrics() {
             &[],
         );
         registry.register_collector(move || {
-            let stats = crate::current_coordinator().map(|coordinator| coordinator.stats());
-            let (workers, dedup) = match &stats {
-                Some(stats) => (stats.workers.len(), stats.dedup_hit_rate()),
-                None => (0, 0.0),
-            };
-            grams.store(stats.as_ref().map_or(0, |s| s.grams) as u64);
-            fallback_grams.store(stats.as_ref().map_or(0, |s| s.local_fallback_grams) as u64);
-            fallback_tiles.store(stats.as_ref().map_or(0, |s| s.local_fallback_tiles) as u64);
-            keys_total.store(stats.as_ref().map_or(0, |s| s.dataset_keys_total) as u64);
-            keys_shipped.store(stats.as_ref().map_or(0, |s| s.dataset_keys_shipped) as u64);
-            tiles_scheduled.store(stats.as_ref().map_or(0, |s| s.tiles_scheduled) as u64);
-            tiles_committed.store(stats.as_ref().map_or(0, |s| s.tiles_committed) as u64);
-            artifacts_shipped.store(stats.as_ref().map_or(0, |s| s.artifacts_shipped) as u64);
+            let slot = crate::slot();
+            let stats = slot.current.as_ref().map(|c| c.stats());
+            let mut sums = slot.retired.clone();
+            drop(slot);
+            if let Some(stats) = &stats {
+                sums.fold(stats);
+            }
+            for (counter, sum) in totals.iter().zip(sums.totals) {
+                counter.store(sum);
+            }
+            let registry = haqjsk_obs::registry();
+            for (addr, worker_sums) in &sums.workers {
+                for ((name, help, _), sum) in WORKER_TOTALS.iter().zip(worker_sums) {
+                    registry.counter(name, help, &[("worker", addr)]).store(*sum);
+                }
+            }
+            let (workers, epoch, dedup) = stats.as_ref().map_or((0, 0, 0.0), |s| {
+                (s.workers.len(), s.epoch, s.dedup_hit_rate())
+            });
             workers_gauge.set(workers as f64);
-            epoch_gauge.set(stats.as_ref().map_or(0, |s| s.epoch) as f64);
+            epoch_gauge.set(epoch as f64);
             dedup_gauge.set(dedup);
             let Some(stats) = stats else { return };
-            let registry = haqjsk_obs::registry();
             for worker in &stats.workers {
                 let labels = [("worker", worker.addr.as_str())];
-                let per_worker_counters: [(&str, &str, usize); 8] = [
-                    (
-                        "haqjsk_dist_tiles_dispatched_total",
-                        "Tiles dispatched to the worker, by worker address.",
-                        worker.tiles_dispatched,
-                    ),
-                    (
-                        "haqjsk_dist_tiles_completed_total",
-                        "Tile results accepted from the worker, by worker address.",
-                        worker.tiles_completed,
-                    ),
-                    (
-                        "haqjsk_dist_tiles_redispatched_total",
-                        "Straggler tiles the worker re-claimed from peers, by worker address.",
-                        worker.tiles_redispatched,
-                    ),
-                    (
-                        "haqjsk_dist_bytes_shipped_total",
-                        "Request bytes shipped to the worker, by worker address.",
-                        worker.bytes_shipped,
-                    ),
-                    (
-                        "haqjsk_dist_datasets_shipped_total",
-                        "Dataset shipping rounds completed to the worker, by worker address.",
-                        worker.datasets_shipped,
-                    ),
-                    (
-                        "haqjsk_dist_worker_deaths_total",
-                        "Times the worker was declared dead, by worker address.",
-                        worker.deaths,
-                    ),
-                    (
-                        "haqjsk_dist_reconnects_total",
-                        "Times the worker revived out of probation, by worker address.",
-                        worker.reconnects,
-                    ),
-                    (
-                        "haqjsk_dist_store_misses_total",
-                        "store_miss tile replies received from the worker, by worker address.",
-                        worker.store_misses,
-                    ),
-                ];
-                for (name, help, value) in per_worker_counters {
-                    registry.counter(name, help, &labels).store(value as u64);
-                }
                 registry
                     .gauge(
                         "haqjsk_dist_worker_alive",

@@ -10,11 +10,13 @@
 //!   tile order (what the single-thread per-pair latency benchmarks
 //!   measure),
 //! * [`BackendKind::Local`] — the same tiles over the worker pool (the
-//!   default),
-//! * [`BackendKind::Distributed`] — a deployment setting
-//!   (`HAQJSK_BACKEND=dist:<addr,addr>`) that the serving layer reads to
-//!   hand a fitted model's Gram to `haqjsk-dist`'s coordinator. The
-//!   engine itself runs it as [`BackendKind::Local`].
+//!   default).
+//!
+//! Worker processes are not an engine backend: `haqjsk-dist`'s
+//! coordinator runs a fitted model's Gram itself, over the same grid.
+//! `HAQJSK_BACKEND=dist:<addr,addr>` names the startup worker pool the
+//! binaries install (`haqjsk_dist::install_from_env`); the engine reads
+//! such a value as its default, [`BackendKind::Local`].
 //!
 //! Per-graph work outside the tiles (feature extraction, transforms) goes
 //! through [`Engine::map`](crate::Engine::map) under the engine's default
@@ -81,47 +83,41 @@ pub enum BackendKind {
     /// The tile scheduler over the worker pool (the default).
     #[default]
     Local,
-    /// Worker processes, selected with `HAQJSK_BACKEND=dist:<addr,addr>`:
-    /// the serving layer hands a fitted model's Gram to `haqjsk-dist`'s
-    /// coordinator. Every engine Gram runs it as [`BackendKind::Local`].
-    Distributed,
 }
 
 impl BackendKind {
-    /// Every *local* kind, in sweep order (benchmarks iterate this).
-    /// [`BackendKind::Distributed`] is deliberately excluded: the engine
-    /// runs it as `Local`.
+    /// Every kind, in sweep order (benchmarks iterate this).
     pub const ALL: [BackendKind; 2] = [BackendKind::Serial, BackendKind::Local];
 
-    /// The canonical lower-case label (`serial` / `local` / `dist`) — also
-    /// the `backend` label of `haqjsk_gram_build_seconds`.
+    /// The canonical lower-case label (`serial` / `local`) — also the
+    /// `backend` label of `haqjsk_gram_build_seconds`.
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Serial => "serial",
             BackendKind::Local => "local",
-            BackendKind::Distributed => "dist",
         }
     }
 
     /// Parses a backend label, rejecting anything unrecognised with an
     /// error that lists the valid spellings. Accepts the canonical labels
-    /// and the distributed form `dist:<addr,addr>` (the address list is
-    /// read separately via [`BackendKind::dist_addresses`]).
+    /// and the worker-pool form `dist:<addr,addr>`, which reads as
+    /// [`BackendKind::Local`] (the address list is read separately via
+    /// [`BackendKind::dist_addresses`]).
     pub fn try_parse(raw: &str) -> Result<BackendKind, String> {
         let trimmed = raw.trim();
         let lower = trimmed.to_ascii_lowercase();
         if lower == "dist" || lower == "distributed" || BackendKind::strip_dist(trimmed).is_some() {
-            // Bare `dist` would select the distributed kind with nothing to
-            // install a coordinator from — which would silently execute on
-            // the local fallback. Demanding addresses here keeps "a dist
-            // misconfiguration can never silently fall back" absolute.
+            // Bare `dist` names a worker pool with nothing to install it
+            // from, which would silently run every Gram in-process.
+            // Demanding addresses here keeps "a dist misconfiguration can
+            // never silently fall back" absolute.
             if BackendKind::dist_addresses(trimmed).is_none() {
                 return Err(format!(
                     "backend '{trimmed}' selects the distributed backend but lists no \
                      worker addresses (expected 'dist:host:port[,host:port...]')"
                 ));
             }
-            return Ok(BackendKind::Distributed);
+            return Ok(BackendKind::Local);
         }
         match lower.as_str() {
             "serial" => Ok(BackendKind::Serial),
@@ -131,13 +127,6 @@ impl BackendKind {
                  dist:host:port[,host:port...])"
             )),
         }
-    }
-
-    /// Parses a backend label; `None` for unrecognised input. Prefer
-    /// [`BackendKind::try_parse`] where a malformed label should be
-    /// reported rather than swallowed.
-    pub fn parse(raw: &str) -> Option<BackendKind> {
-        BackendKind::try_parse(raw).ok()
     }
 
     fn parse_address_list(raw: &str) -> Vec<String> {
@@ -187,8 +176,8 @@ impl BackendKind {
         BackendKind::resolve_env_value(raw.as_deref())
     }
 
-    /// The worker address list of the `HAQJSK_BACKEND` override, if it
-    /// selects the distributed backend with explicit addresses.
+    /// The worker address list of the `HAQJSK_BACKEND` override, if it is
+    /// a `dist:<addr,addr>` value.
     pub fn dist_addresses_from_env() -> Option<Vec<String>> {
         std::env::var(BACKEND_ENV_VAR)
             .ok()
@@ -209,10 +198,10 @@ mod tests {
     #[test]
     fn labels_roundtrip_through_parse() {
         for kind in BackendKind::ALL {
-            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
+            assert_eq!(BackendKind::try_parse(kind.label()), Ok(kind));
         }
-        assert_eq!(BackendKind::parse(" LOCAL "), Some(BackendKind::Local));
-        assert_eq!(BackendKind::parse("gpu"), None);
+        assert_eq!(BackendKind::try_parse(" LOCAL "), Ok(BackendKind::Local));
+        assert!(BackendKind::try_parse("gpu").is_err());
         assert_eq!(BackendKind::default(), BackendKind::Local);
     }
 
@@ -239,34 +228,30 @@ mod tests {
     #[test]
     fn distributed_labels_and_addresses_parse() {
         assert_eq!(
-            BackendKind::parse("dist:127.0.0.1:7001,127.0.0.1:7002"),
-            Some(BackendKind::Distributed)
-        );
-        // Prefix matching is case-insensitive like every other label.
-        assert_eq!(
-            BackendKind::parse("Dist:127.0.0.1:7001"),
-            Some(BackendKind::Distributed)
-        );
-        assert_eq!(BackendKind::Distributed.label(), "dist");
-        assert_eq!(
             BackendKind::dist_addresses("dist:127.0.0.1:7001, 127.0.0.1:7002"),
             Some(vec![
                 "127.0.0.1:7001".to_string(),
                 "127.0.0.1:7002".to_string()
             ])
         );
+        // Prefix matching is case-insensitive like every other label.
         assert_eq!(
             BackendKind::dist_addresses("DIST:h:1"),
             Some(vec!["h:1".to_string()])
         );
         assert_eq!(BackendKind::dist_addresses("local"), None);
-        // A missing or empty address list is a configuration error, not a
-        // kind: accepting it would select `Distributed` with no way to
-        // install a coordinator, i.e. a silent local fallback.
+        // A missing or empty address list is a configuration error:
+        // accepting it would name a worker pool with no way to install
+        // it, i.e. a silent local fallback.
         for bad in ["dist", "distributed", "dist:", "dist: , "] {
             let err = BackendKind::try_parse(bad).unwrap_err();
             assert!(err.contains("worker addresses"), "{bad}: {err}");
         }
+        // A well-formed pool value leaves the engine on its default.
+        assert_eq!(
+            BackendKind::resolve_env_value(Some("dist:h:1")),
+            Ok(Some(BackendKind::Local))
+        );
     }
 
     #[test]

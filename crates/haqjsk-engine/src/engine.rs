@@ -27,7 +27,6 @@ use std::time::Instant;
 /// A worker pool plus the Gram scheduling policy built on it.
 pub struct Engine {
     pool: WorkerPool,
-    tile_override: Option<usize>,
     backend: BackendKind,
 }
 
@@ -37,7 +36,6 @@ static GLOBAL_ENGINE: OnceLock<Engine> = OnceLock::new();
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineBuilder {
     threads: Option<usize>,
-    tile: Option<usize>,
     backend: Option<BackendKind>,
 }
 
@@ -45,12 +43,6 @@ impl EngineBuilder {
     /// Sets the worker count (default: [`default_thread_count`]).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Fixes the Gram tile width (default: automatic per-matrix sizing).
-    pub fn tile(mut self, tile: usize) -> Self {
-        self.tile = Some(tile.max(1));
         self
     }
 
@@ -67,24 +59,17 @@ impl EngineBuilder {
     /// Panics when no explicit backend was configured and `HAQJSK_BACKEND`
     /// is set to an unrecognised value — a misconfigured backend (say, a
     /// `dist:` typo) must fail loudly at engine build time instead of
-    /// silently executing on a local fallback. Use
-    /// [`EngineBuilder::try_build`] to handle the error instead.
+    /// silently executing on a local fallback.
     pub fn build(self) -> Engine {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`EngineBuilder::build`], with environment misconfiguration as an
-    /// error instead of a panic.
-    pub fn try_build(self) -> Result<Engine, String> {
-        let backend = match self.backend {
-            Some(backend) => backend,
-            None => BackendKind::from_env()?.unwrap_or_default(),
-        };
-        Ok(Engine {
+        let backend = self.backend.unwrap_or_else(|| {
+            BackendKind::from_env()
+                .unwrap_or_else(|e| panic!("{e}"))
+                .unwrap_or_default()
+        });
+        Engine {
             pool: WorkerPool::new(self.threads.unwrap_or_else(default_thread_count)),
-            tile_override: self.tile,
             backend,
-        })
+        }
     }
 }
 
@@ -92,18 +77,6 @@ impl Engine {
     /// Starts building an engine with explicit configuration.
     pub fn builder() -> EngineBuilder {
         EngineBuilder::default()
-    }
-
-    /// Creates an engine with `threads` workers, automatic tile sizing and
-    /// the default backend (`HAQJSK_BACKEND` override applies).
-    pub fn new(threads: usize) -> Self {
-        Engine::builder().threads(threads).build()
-    }
-
-    /// Creates an engine with a fixed Gram tile width (mainly for tests and
-    /// benchmarks; the automatic choice is right for production use).
-    pub fn with_tile(threads: usize, tile: usize) -> Self {
-        Engine::builder().threads(threads).tile(tile).build()
     }
 
     /// The process-global engine, created on first use with
@@ -128,12 +101,11 @@ impl Engine {
         self.backend
     }
 
-    /// The tile width of an `n x n` Gram: the explicit override, or
-    /// [`gram::auto_tile_width_batched`]. The distributed coordinator
+    /// The tile width of an `n x n` Gram on this engine's pool
+    /// ([`gram::auto_tile_width_batched`]). The distributed coordinator
     /// builds its grid with it, so its work units are the local ones.
     pub fn tile_width(&self, n: usize) -> usize {
-        self.tile_override
-            .unwrap_or_else(|| gram::auto_tile_width_batched(n, self.pool.threads()))
+        gram::auto_tile_width_batched(n, self.pool.threads())
     }
 
     /// Computes the symmetric `n x n` Gram matrix by handing each tile's
@@ -141,8 +113,8 @@ impl Engine {
     /// [`per_pair`](crate::backend::per_pair)), timed into
     /// `haqjsk_gram_build_seconds`. `backend` overrides the engine default
     /// and only decides where the tiles run: inline for
-    /// [`BackendKind::Serial`], on the pool otherwise. Both produce the
-    /// same bytes.
+    /// [`BackendKind::Serial`], on the pool for [`BackendKind::Local`].
+    /// Both produce the same bytes.
     pub fn gram<T: TileEvaluator>(
         &self,
         backend: Option<BackendKind>,
@@ -150,23 +122,11 @@ impl Engine {
         eval: T,
     ) -> Matrix {
         let start = Instant::now();
-        let ran = match backend.unwrap_or(self.backend) {
-            BackendKind::Serial => BackendKind::Serial,
-            _ => BackendKind::Local,
-        };
+        let ran = backend.unwrap_or(self.backend);
         let pool = (ran == BackendKind::Local).then_some(&self.pool);
         let values = gram::run_tiles(pool, n, self.tile_width(n), &eval);
         crate::obs::gram_build_histogram(ran).observe_duration(start.elapsed());
         values
-    }
-
-    /// Pair-by-pair serial reference; bit-identical to [`Engine::gram`] for
-    /// any deterministic `f` (the engine tests assert this).
-    pub fn gram_serial<F>(n: usize, f: F) -> Matrix
-    where
-        F: Fn(usize, usize) -> f64,
-    {
-        gram::gram_serial(n, f)
     }
 
     /// Runs `f` over contiguous chunks of `0..count` through
@@ -223,13 +183,12 @@ mod tests {
     fn builder_configures_backend_and_threads() {
         let engine = Engine::builder()
             .threads(2)
-            .tile(4)
             .backend(BackendKind::Serial)
             .build();
         assert_eq!(engine.threads(), 2);
         assert_eq!(engine.backend(), BackendKind::Serial);
         let f = |i: usize, j: usize| (i * 3 + j) as f64;
-        assert_eq!(engine.gram(None, 6, per_pair(f)), Engine::gram_serial(6, f));
+        assert_eq!(engine.gram(None, 6, per_pair(f)), gram::gram_serial(6, f));
     }
 
     /// The one table-driven scheduler test: inline and pooled (1, 2 and 4
@@ -270,25 +229,17 @@ mod tests {
     #[test]
     fn builds_are_labelled_by_the_path_that_ran() {
         let count = |kind: BackendKind| crate::obs::gram_build_histogram(kind).snapshot().count;
-        let engine = Engine::with_tile(2, 3);
+        let engine = Engine::builder().threads(2).build();
         let f = |i: usize, j: usize| (i * 7 + j) as f64;
 
-        // The engine runs a distributed-selected Gram (and records it) on
-        // the local pool.
-        let (local, dist) = (count(BackendKind::Local), count(BackendKind::Distributed));
-        let full = engine.gram(Some(BackendKind::Distributed), 9, per_pair(f));
-        assert_eq!(full, gram::gram_serial(9, f));
-        assert!(count(BackendKind::Local) > local, "the local series moved");
-        assert_eq!(
-            count(BackendKind::Distributed),
-            dist,
-            "nothing ran remotely"
-        );
-
-        let serial = count(BackendKind::Serial);
-        let inline = engine.gram(Some(BackendKind::Serial), 4, per_pair(f));
-        assert_eq!(inline, gram::gram_serial(4, f));
-        assert!(count(BackendKind::Serial) > serial);
+        for kind in BackendKind::ALL {
+            let before = count(kind);
+            assert_eq!(
+                engine.gram(Some(kind), 9, per_pair(f)),
+                gram::gram_serial(9, f)
+            );
+            assert!(count(kind) > before, "{kind}");
+        }
     }
 
     #[test]
@@ -307,7 +258,7 @@ mod tests {
     fn map_chunks_tiles_the_range_in_whole_lane_widths() {
         let lanes = haqjsk_linalg::max_batch_lanes();
         for threads in [1, 2, 4] {
-            let engine = Engine::new(threads);
+            let engine = Engine::builder().threads(threads).build();
             for count in [
                 0,
                 1,
@@ -334,22 +285,22 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates() {
-        let engine = Engine::with_tile(2, 3);
+        // Tile width 3 keeps both batches on the pool: 12 graphs make 10
+        // tiles and 6 graphs make 3, so neither runs inline as one tile.
+        let engine = Engine::builder().threads(2).build();
+        let panicking = per_pair(|i, j| {
+            if i == 5 && j == 7 {
+                panic!("injected failure");
+            }
+            0.0
+        });
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.gram(
-                Some(BackendKind::Local),
-                12,
-                per_pair(|i, j| {
-                    if i == 5 && j == 7 {
-                        panic!("injected failure");
-                    }
-                    0.0
-                }),
-            )
+            gram::run_tiles(Some(engine.pool()), 12, 3, &panicking)
         }));
         assert!(result.is_err(), "the panic must reach the caller");
         // The pool survives a panicked batch.
-        let ok = engine.gram(None, 6, per_pair(|i, j| (i + j) as f64));
-        assert_eq!(ok, Engine::gram_serial(6, |i, j| (i + j) as f64));
+        let sum = per_pair(|i, j| (i + j) as f64);
+        let ok = gram::run_tiles(Some(engine.pool()), 6, 3, &sum);
+        assert_eq!(ok, gram::gram_serial(6, |i, j| (i + j) as f64));
     }
 }

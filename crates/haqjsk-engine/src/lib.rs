@@ -16,11 +16,11 @@
 //!   of a full Gram, evaluated through one [`TileEvaluator`] on the pool
 //!   or inline on the calling thread,
 //! * [`backend`] — where a Gram's tiles run ([`BackendKind`]: `serial`
-//!   inline, `local` on the pool; `dist` is a deployment setting the
-//!   serving layer reads to hand a fitted model's Gram to `haqjsk-dist`,
-//!   and the engine runs it as `local`; any other spelling, the old
-//!   `tiled`/`batched` ones included, is an unknown-backend error), the
-//!   [`TileEvaluator`] seam and the [`per_pair`] shim.
+//!   inline, `local` on the pool; a `dist:<addrs>` value names the
+//!   startup worker pool of `haqjsk-dist` and leaves the engine on
+//!   `local`; any other spelling, the old `tiled`/`batched` ones
+//!   included, is an unknown-backend error), the [`TileEvaluator`] seam
+//!   and the [`per_pair`] shim.
 //!   Selected per engine (builder) or per call, with a process-wide
 //!   `HAQJSK_BACKEND` override; every path is byte-identical,
 //! * [`engine`] — the [`Engine`] that ties pool, backend and tile width

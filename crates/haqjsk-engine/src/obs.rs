@@ -14,28 +14,27 @@ use haqjsk_obs::metrics::{registry, Counter, Gauge, Histogram, MetricValue, Snap
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Histogram of wall-clock Gram build time, labelled by the path that ran
-/// the build (`serial`, `local` or `dist`).
+/// Name and help text of the Gram build-time family, labelled `backend`
+/// by the path that ran the build: `serial` and `local` here, `dist` for
+/// the Grams `haqjsk-dist`'s coordinator runs on its worker pool.
+pub const GRAM_BUILD_SECONDS: (&str, &str) = (
+    "haqjsk_gram_build_seconds",
+    "Wall-clock time of one Gram matrix build, by the execution path that ran it.",
+);
+
+/// Histogram of wall-clock Gram build time of the engine path `ran`
+/// ([`GRAM_BUILD_SECONDS`]).
 pub fn gram_build_histogram(ran: BackendKind) -> &'static Histogram {
-    static HISTOGRAMS: OnceLock<[Histogram; 3]> = OnceLock::new();
+    static HISTOGRAMS: OnceLock<[Histogram; 2]> = OnceLock::new();
     let all = HISTOGRAMS.get_or_init(|| {
-        let make = |kind: BackendKind| {
-            registry().histogram(
-                "haqjsk_gram_build_seconds",
-                "Wall-clock time of one Gram matrix build, by the execution path that ran it.",
-                &[("backend", kind.label())],
-            )
-        };
-        [
-            make(BackendKind::Serial),
-            make(BackendKind::Local),
-            make(BackendKind::Distributed),
-        ]
+        BackendKind::ALL.map(|kind| {
+            let (name, help) = GRAM_BUILD_SECONDS;
+            registry().histogram(name, help, &[("backend", kind.label())])
+        })
     });
     match ran {
         BackendKind::Serial => &all[0],
         BackendKind::Local => &all[1],
-        BackendKind::Distributed => &all[2],
     }
 }
 

@@ -5,7 +5,7 @@
 //! * each graph's CTQW density matrix is computed **exactly once** for the
 //!   whole Gram computation (instrumented through the feature cache).
 
-use haqjsk_engine::{graph_key, per_pair, Engine, FeatureCache};
+use haqjsk_engine::{gram, graph_key, per_pair, Engine, FeatureCache, WorkerPool};
 use haqjsk_graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk_graph::Graph;
 use haqjsk_quantum::{ctqw_density_infinite, qjsd_padded, DensityMatrix};
@@ -36,7 +36,7 @@ fn pair_kernel(densities: &[Arc<DensityMatrix>], i: usize, j: usize) -> f64 {
 fn tiled_parallel_gram_is_byte_identical_to_serial_with_exactly_once_features() {
     let graphs = synthetic_dataset();
     let n = graphs.len();
-    let engine = Engine::with_tile(4, 5); // deliberately off-by-one vs n
+    let engine = Engine::builder().threads(4).build();
 
     // Extract every graph's density matrix through the instrumented cache,
     // in parallel, counting how often the expensive compute actually runs.
@@ -58,8 +58,10 @@ fn tiled_parallel_gram_is_byte_identical_to_serial_with_exactly_once_features() 
 
     // The n(n+1)/2 pair evaluations only read cached state; the parallel
     // tiled schedule must reproduce the serial result bit for bit.
-    let parallel = engine.gram(None, n, per_pair(|i, j| pair_kernel(&densities, i, j)));
-    let serial = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
+    // Tile width 5 is deliberately off-by-one against n.
+    let eval = per_pair(|i, j| pair_kernel(&densities, i, j));
+    let parallel = gram::run_tiles(Some(engine.pool()), n, 5, &eval);
+    let serial = gram::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
     assert_eq!(parallel, serial, "tiled schedule must not change any bit");
 
     // And no pair evaluation recomputed a density: the counters only moved
@@ -83,12 +85,13 @@ fn gram_agreement_holds_across_tile_sizes_and_thread_counts() {
         .iter()
         .map(|g| Arc::new(ctqw_density_infinite(g).expect("non-empty graph")))
         .collect();
-    let reference = Engine::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
+    let reference = gram::gram_serial(n, |i, j| pair_kernel(&densities, i, j));
+    let eval = per_pair(|i, j| pair_kernel(&densities, i, j));
     for (threads, tile) in [(1, 7), (2, 16), (8, 1), (3, 64)] {
-        let engine = Engine::with_tile(threads, tile);
-        let gram = engine.gram(None, n, per_pair(|i, j| pair_kernel(&densities, i, j)));
+        let pool = WorkerPool::new(threads);
         assert_eq!(
-            gram, reference,
+            gram::run_tiles(Some(&pool), n, tile, &eval),
+            reference,
             "threads={threads} tile={tile} must match the serial path"
         );
     }

@@ -36,10 +36,9 @@ pub trait GraphKernel: Sync {
     /// Gram matrix over a dataset on an explicit execution backend (`None`
     /// = the engine default, which honours `HAQJSK_BACKEND`). The backend
     /// only decides where the Gram's tiles (and a HAQJSK extension's new
-    /// pairs) run: inline for `Serial`, on the pool otherwise
-    /// (`Distributed` runs as `Local`). Per-graph feature extraction goes
-    /// through `Engine::map` under the engine's default backend. The
-    /// default implementation evaluates every pair through
+    /// pairs) run: inline for `Serial`, on the pool for `Local`. Per-graph
+    /// feature extraction goes through `Engine::map` under the engine's
+    /// default backend. The default implementation evaluates every pair through
     /// [`GraphKernel::compute`]; kernels with per-graph features override
     /// this to hoist them, to hand whole tiles to a batched evaluator, or
     /// to factor through explicit feature maps entirely.
@@ -249,6 +248,7 @@ pub(crate) fn sorted_histogram<K: Ord>(mut keys: Vec<K>) -> Vec<(K, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use haqjsk_engine::gram::gram_serial;
     use haqjsk_graph::generators::{cycle_graph, path_graph, star_graph};
 
     /// A trivially simple kernel counting shared edge counts, used to test
@@ -301,7 +301,7 @@ mod tests {
     fn tile_gram_matches_engine_serial_path() {
         let f = |i: usize, j: usize| (i * 7 + j * 3) as f64;
         let gram = gram_from_tiles(9, None, per_pair(f));
-        let serial = Engine::gram_serial(9, f);
+        let serial = gram_serial(9, f);
         assert_eq!(gram.matrix(), &serial);
     }
 
@@ -323,7 +323,7 @@ mod tests {
             let gram = with_fallible_tiles(tiles(usize::MAX), |tiles| {
                 gram_from_tiles(9, Some(backend), tiles)
             });
-            assert_eq!(gram.unwrap().matrix(), &Engine::gram_serial(9, f));
+            assert_eq!(gram.unwrap().matrix(), &gram_serial(9, f));
             let gram =
                 with_fallible_tiles(tiles(4), |tiles| gram_from_tiles(9, Some(backend), tiles));
             assert!(matches!(gram, Err(LinalgError::InvalidArgument(_))));

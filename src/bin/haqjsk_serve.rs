@@ -156,14 +156,15 @@ fn main() {
         eprintln!("haqjsk-serve: {e}");
         std::process::exit(2);
     });
-    // `HAQJSK_BACKEND=dist:<addr,addr>` wires up the distributed worker
-    // pool; an unreachable pool is fatal at startup (silently computing
-    // locally would defeat the point of configuring one).
+    // `HAQJSK_BACKEND=dist:<addr,addr>` installs the startup worker pool
+    // every `fit` and `load` builds its Gram on; an unreachable pool is
+    // fatal at startup (silently computing locally would defeat the point
+    // of configuring one).
     match haqjsk::dist::install_from_env() {
         Ok(None) => {}
         Ok(Some(coordinator)) => {
             eprintln!(
-                "haqjsk-serve: distributed backend with {} workers",
+                "haqjsk-serve: startup worker pool with {} workers",
                 coordinator.num_workers()
             );
         }

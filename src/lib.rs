@@ -15,15 +15,16 @@
 //!   Neumann entropy and the quantum Jensen–Shannon divergence,
 //! * [`engine`] — the parallel Gram-computation engine: the shared worker
 //!   pool (`HAQJSK_THREADS` controls its size), one Gram tile scheduler that
-//!   runs inline (`serial`), on the pool (`local`, the default) or through
-//!   the distributed hook (`dist:…`) — `HAQJSK_BACKEND` selects the
-//!   default; the old `tiled`/`batched` spellings are errors — the LRU
+//!   runs inline (`serial`) or on the pool (`local`, the default) —
+//!   `HAQJSK_BACKEND` selects the default, a `dist:…` value leaves it
+//!   `local`, and the old `tiled`/`batched` spellings are errors — the LRU
 //!   feature cache with an optional byte budget
 //!   (`HAQJSK_CACHE_BUDGET`), incremental Gram
 //!   extension, and the JSON-lines TCP serving substrate,
 //! * [`dist`] — distributed tile execution: a coordinator that fans one
 //!   Gram matrix's tiles out over `haqjsk-worker` processes
-//!   (`HAQJSK_BACKEND=dist:addr,addr`), with content-hash-deduplicated
+//!   (`HAQJSK_BACKEND=dist:addr,addr` names a startup pool), with
+//!   content-hash-deduplicated
 //!   dataset shipping, straggler re-dispatch and byte-identical local
 //!   fallback,
 //! * [`kernels`] — the baseline graph kernels (QJSK, WLSK, SPGK, GCGK,
@@ -87,9 +88,12 @@ pub use haqjsk_engine as engine;
 /// Distributed tile execution — the coordinator/worker RPC backend that
 /// spans one fitted model's Gram matrix across processes and machines
 /// (re-export of `haqjsk-dist`): [`dist::Coordinator::model_gram`]. The
-/// server uses it for a `fit` with `workers`, and for every `fit` and
-/// `load` when started with `HAQJSK_BACKEND=dist:host:port,...`
-/// ([`dist::install_from_env`]). See `docs/distributed.md`.
+/// server uses it for a `fit` with `workers`, and for every other `fit`
+/// and every `load` whenever a pool is installed
+/// ([`dist::current_coordinator`]): the pool a `workers` fit installed, or
+/// the startup pool of a server started with
+/// `HAQJSK_BACKEND=dist:host:port,...` ([`dist::install_from_env`]), which
+/// leaves the engine on `local`. See `docs/distributed.md`.
 pub use haqjsk_dist as dist;
 
 /// Baseline graph kernels and kernel-matrix utilities (re-export of

@@ -15,8 +15,9 @@
 //! an `Arc`. Reads never wait: they clone the `Arc` and pair their query's
 //! one cached transform with the snapshot's. `fit`/`load` build the served
 //! set's Gram on the tile scheduler, or through a worker pool's
-//! [`Coordinator::model_gram`] (a `fit` with `workers`; every `fit` and
-//! `load` on a server started with `HAQJSK_BACKEND=dist:...`), write
+//! [`Coordinator::model_gram`] (a `fit` with `workers` on its own pool;
+//! every other `fit` and `load` on the installed pool, if any: the last
+//! `workers` fit's, or the startup pool of `HAQJSK_BACKEND=dist:...`), write
 //! each graph's row into a fresh memo and publish; appends run one at a
 //! time, each transforming its one graph and publishing a successor with
 //! one more transform that shares the cache and memo. Nothing is computed
@@ -71,8 +72,9 @@
 //! `workers` (`["host:port", ...]`): after the deadline check the server
 //! connects a distributed worker pool ([`crate::dist`]) and builds the
 //! fitted model's Gram on it — everything else executes locally (never
-//! failing) — and installs the pool once the model publishes. `stats` reports the
-//! engine's active execution backend; the served model's aligned cache and
+//! failing) — and installs the pool once the model publishes; the `fit`s
+//! and `load`s that follow build their Grams on it too. `stats` reports
+//! the engine's own execution backend (`serial` or `local`); the served model's aligned cache and
 //! row memo counters (`aligned_cache_*`, `row_cache_*`, so bounded-memory
 //! operation under a budget is observable from the wire); and, when a
 //! worker pool is installed, a `distributed` object
@@ -123,8 +125,8 @@ use crate::engine::serve::{
     Server,
 };
 use crate::engine::{
-    graph_key, BackendKind, CacheConfig, CacheWeight, Engine, FeatureCache, GraphKey,
-    HttpResponder, HttpResponse, Json,
+    graph_key, CacheConfig, CacheWeight, Engine, FeatureCache, GraphKey, HttpResponder,
+    HttpResponse, Json,
 };
 use crate::graph::Graph;
 use crate::kernels::KernelMatrix;
@@ -840,16 +842,6 @@ fn connect_workers(addrs: &[String]) -> Result<Arc<Coordinator>, String> {
         .map_err(|e| format!("cannot connect worker pool: {e}"))
 }
 
-/// The startup pool of a server whose engine backend is `dist`
-/// (`HAQJSK_BACKEND=dist:<addrs>`), or the pool a later `workers` fit
-/// installed there: every `fit` and `load` builds its Gram through it.
-/// `None` on any other backend.
-fn startup_pool() -> Option<Arc<Coordinator>> {
-    (Engine::global().backend() == BackendKind::Distributed)
-        .then(crate::dist::current_coordinator)
-        .flatten()
-}
-
 /// Joins (`add_workers`) or drains (`remove_workers`) each listed
 /// address through `change` ([`Coordinator::add_worker`] or
 /// [`Coordinator::remove_worker`]); per-address failures are reported, not
@@ -905,7 +897,7 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
         ("max_layers", Json::Num(model.max_layers() as f64)),
     ];
-    let pool = workers.clone().or_else(startup_pool);
+    let pool = workers.clone().or_else(crate::dist::current_coordinator);
     let snapshot = Snapshot::over(model, cache, &graphs, transforms, labels, pool.as_deref())?;
     if let Some(workers) = &workers {
         let stats = workers.stats();
@@ -915,10 +907,7 @@ fn cmd_fit(inner: &ServingInner, request: &Json, deadline: &RequestDeadline) -> 
             .filter(|w| w.state == crate::dist::LinkState::Alive)
             .count();
         let unreachable = stats.workers.len() - reachable;
-        pairs.push((
-            "backend",
-            Json::Str(BackendKind::Distributed.label().to_string()),
-        ));
+        pairs.push(("backend", Json::Str("dist".to_string())));
         pairs.push(("workers", Json::Num(stats.workers.len() as f64)));
         pairs.push(("workers_reachable", Json::Num(reachable as f64)));
         pairs.push(("workers_unreachable", Json::Num(unreachable as f64)));
@@ -1239,7 +1228,8 @@ fn cmd_load(
         ("num_graphs", Json::Num(graphs.len() as f64)),
         ("levels", Json::Num(model.hierarchy().num_levels() as f64)),
     ]);
-    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, startup_pool().as_deref())?;
+    let pool = crate::dist::current_coordinator();
+    let snapshot = Snapshot::fresh(model, &graphs, labels, cache, pool.as_deref())?;
     inner.publish(&lock(&inner.publishing), snapshot);
     Ok(response)
 }

@@ -11,9 +11,9 @@
 //!   loss.
 //! * **Dedup shipping.** A second Gram over the same dataset ships zero
 //!   graphs, and over the same model no artifact.
-//! * **Local baselines.** The closed-form QJSK and JTQK baselines never
-//!   reach the coordinator: they run on the local scheduler under the
-//!   distributed backend.
+//! * **The installed pool.** A served `fit` without `workers` runs its Gram
+//!   on the pool a `workers` fit installed, with the bytes of a server
+//!   that has none.
 //!
 //! A distributed Gram is [`Coordinator::model_gram`]; the process-global
 //! coordinator slot (read by the serving layer and `stats`) and the Gram
@@ -24,7 +24,6 @@ use haqjsk::dist::{wire, ChaosPlan, Coordinator, DistConfig, WorkerOptions, Work
 use haqjsk::engine::{BackendKind, Json};
 use haqjsk::graph::generators::{barabasi_albert, cycle_graph, erdos_renyi, star_graph};
 use haqjsk::graph::Graph;
-use haqjsk::kernels::{GraphKernel, JensenTsallisKernel, QjskAligned, QjskUnaligned};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -275,19 +274,25 @@ fn total_worker_loss_falls_back_to_local_execution() {
 }
 
 /// A JSON-lines client of the server at `addr`: each call sends one
-/// request line and parses its reply.
-fn client(addr: &str) -> impl FnMut(String) -> Json {
+/// request line and returns its reply line as sent.
+fn raw_client(addr: &str) -> impl FnMut(&str) -> String {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    move |body: String| {
+    move |body: &str| {
         writer.write_all(body.as_bytes()).unwrap();
         writer.write_all(b"\n").unwrap();
         writer.flush().unwrap();
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        Json::parse(line.trim()).unwrap()
+        line
     }
+}
+
+/// [`raw_client`], with each reply parsed.
+fn client(addr: &str) -> impl FnMut(String) -> Json {
+    let mut raw = raw_client(addr);
+    move |body: String| Json::parse(raw(&body).trim()).unwrap()
 }
 
 /// A `fit` of eight acceptance graphs on the workers at `addrs`, with
@@ -529,31 +534,15 @@ fn bounded_worker_stores_recover_evictions_through_reshipping() {
     }
 }
 
-#[test]
-fn distributed_kind_without_a_coordinator_executes_locally() {
-    let _guard = dist_lock();
-    haqjsk::dist::set_coordinator(None);
-    let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(8).collect();
-    let model = fit(&graphs, HaqjskVariant::AlignedDensity);
-    let (local, dist) = (builds(BackendKind::Local), builds(BackendKind::Distributed));
-    assert_bytes_equal(
-        "HAQJSK(D) without coordinator",
-        &gram(&model, &graphs, BackendKind::Distributed),
-        &gram(&model, &graphs, BackendKind::Serial),
-    );
-    assert_eq!(
-        builds(BackendKind::Local),
-        local + 1,
-        "ran on the local pool"
-    );
-    assert_eq!(builds(BackendKind::Distributed), dist);
-}
-
-/// Observations so far of `haqjsk_gram_build_seconds{backend=...}`.
-fn builds(backend: BackendKind) -> u64 {
-    haqjsk::engine::obs::gram_build_histogram(backend)
-        .snapshot()
-        .count
+/// Observations so far of `haqjsk_gram_build_seconds`, as (`local`,
+/// `dist`).
+fn builds() -> (u64, u64) {
+    (
+        haqjsk::engine::obs::gram_build_histogram(BackendKind::Local)
+            .snapshot()
+            .count,
+        haqjsk::dist::obs::gram_build_histogram().snapshot().count,
+    )
 }
 
 /// A model Gram the pool runs is one `dist` build, even when its tiles
@@ -566,15 +555,13 @@ fn a_pool_model_gram_is_one_dist_build_and_a_declined_one_is_local() {
     let coordinator = connect(&addrs);
     let model = fit(&graphs, HaqjskVariant::AlignedAdjacency);
     let serial = gram(&model, &graphs, BackendKind::Serial);
-    let counts = || (builds(BackendKind::Local), builds(BackendKind::Distributed));
-
-    let (local, dist) = counts();
+    let (local, dist) = builds();
     assert_bytes_equal(
         "healthy pool",
         &dist_gram(&coordinator, &model, &graphs),
         &serial,
     );
-    assert_eq!(counts(), (local, dist + 1), "one dist build");
+    assert_eq!(builds(), (local, dist + 1), "one dist build");
 
     // Every worker dies on its first tile: the pool still runs this Gram,
     // its tiles falling back locally.
@@ -586,7 +573,7 @@ fn a_pool_model_gram_is_one_dist_build_and_a_declined_one_is_local() {
         &dist_gram(&coordinator, &model, &graphs),
         &serial,
     );
-    assert_eq!(counts(), (local, dist + 2), "one dist build");
+    assert_eq!(builds(), (local, dist + 2), "one dist build");
     assert!(coordinator.stats().workers.iter().all(|w| w.deaths >= 1));
 
     // Once no worker is reachable the coordinator declines.
@@ -599,48 +586,100 @@ fn a_pool_model_gram_is_one_dist_build_and_a_declined_one_is_local() {
         &dist_gram(&coordinator, &model, &graphs),
         &serial,
     );
-    assert_eq!(counts(), (local + 1, dist + 2), "one local build");
+    assert_eq!(builds(), (local + 1, dist + 2), "one local build");
     assert_eq!(coordinator.stats().local_fallback_grams, declined + 1);
 }
 
+/// The installed pool's `tiles_committed`, as `stats` reports it.
+fn tiles_committed(request: &mut impl FnMut(String) -> Json) -> usize {
+    let stats = request(r#"{"cmd":"stats"}"#.to_string());
+    stats
+        .get("distributed")
+        .and_then(|d| d.get("tiles_committed"))
+        .and_then(Json::as_usize)
+        .expect("stats reports the pool")
+}
+
+/// A `fit` without `workers` builds its Gram on the pool a `workers` fit
+/// installed, and its `fit`, `kernel_row`, `gram` and `save` replies are
+/// the bytes of a server with no pool.
 #[test]
-fn closed_form_baselines_schedule_no_dist_tiles_beside_a_live_coordinator() {
+fn a_plain_fit_after_a_workers_fit_runs_on_the_installed_pool() {
+    use haqjsk::engine::serve::graph_to_json;
     let _guard = dist_lock();
-    let graphs: Vec<Graph> = acceptance_dataset().into_iter().take(12).collect();
-    let (mut servers, addrs) = spawn_workers(2);
-    let coordinator = connect(&addrs);
-    haqjsk::dist::set_coordinator(Some(Arc::clone(&coordinator)));
-
-    let kernels: Vec<(&str, &dyn GraphKernel)> = vec![
-        ("QJSK (unaligned)", &QjskUnaligned { mu: 1.0 }),
-        ("QJSK (aligned)", &QjskAligned { mu: 1.0 }),
-        (
-            "JTQK",
-            &JensenTsallisKernel {
-                q: 2.0,
-                wl_iterations: 3,
-            },
+    haqjsk::dist::set_coordinator(None);
+    let graphs = acceptance_dataset();
+    let served = Json::Arr(graphs[..12].iter().map(graph_to_json).collect());
+    let session = [
+        format!(r#"{{"cmd":"fit","graphs":{served},"variant":"D"}}"#),
+        format!(
+            r#"{{"cmd":"kernel_row","graph":{}}}"#,
+            graph_to_json(&graphs[20])
         ),
+        r#"{"cmd":"gram"}"#.to_string(),
+        r#"{"cmd":"save"}"#.to_string(),
     ];
-    for (name, kernel) in kernels {
-        let serial = kernel.gram_matrix_on(&graphs, Some(BackendKind::Serial));
-        let distributed = kernel.gram_matrix_on(&graphs, Some(BackendKind::Distributed));
-        assert_bytes_equal(name, distributed.matrix().data(), serial.matrix().data());
-    }
+    let mut server = haqjsk::serving::spawn_server("127.0.0.1:0").expect("bind serving");
+    let addr = server.local_addr().to_string();
+    let mut raw = raw_client(&addr);
+    let without_pool: Vec<String> = session.iter().map(|body| raw(body)).collect();
 
-    let stats = coordinator.stats();
-    assert_eq!(
-        stats.grams, 0,
-        "no baseline Gram reached the pool: {stats:?}"
-    );
-    assert_eq!(stats.tiles_scheduled, 0, "{stats:?}");
+    let (mut workers, addrs) = spawn_workers(2);
+    let mut request = client(&addr);
+    let fit = request(workers_fit(&addrs, ""));
+    assert_eq!(fit.get("ok").and_then(Json::as_bool), Some(true), "{fit}");
+    let committed = tiles_committed(&mut request);
+    for (body, expected) in session.iter().zip(&without_pool) {
+        assert_eq!(&raw(body), expected, "{body}");
+    }
     assert!(
-        stats.workers.iter().all(|w| w.tiles_dispatched == 0),
-        "{stats:?}"
+        tiles_committed(&mut request) > committed,
+        "the plain fit's tiles ran on the installed pool"
     );
 
     haqjsk::dist::set_coordinator(None);
-    for server in &mut servers {
-        server.shutdown();
+    server.shutdown();
+    for worker in &mut workers {
+        worker.shutdown();
+    }
+}
+
+/// The scraped value of the unlabelled counter `name`.
+fn scraped_counter(request: &mut impl FnMut(String) -> Json, name: &str) -> u64 {
+    let metrics = request(r#"{"cmd":"metrics"}"#.to_string());
+    let text = metrics.get("prometheus").and_then(Json::as_str).unwrap();
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from the scrape"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+/// Each `workers` fit replaces the installed pool; the replaced pool's
+/// totals stay in the `haqjsk_dist_*_total` counters.
+#[test]
+fn replacing_the_pool_keeps_the_dist_counters_rising() {
+    let _guard = dist_lock();
+    haqjsk::dist::set_coordinator(None);
+    let (mut workers, addrs) = spawn_workers(2);
+    let mut server = haqjsk::serving::spawn_server("127.0.0.1:0").expect("bind serving");
+    let mut request = client(&server.local_addr().to_string());
+
+    let grams = scraped_counter(&mut request, "haqjsk_dist_grams_total");
+    for fits in 1..=2 {
+        let fit = request(workers_fit(&addrs, ""));
+        assert_eq!(fit.get("ok").and_then(Json::as_bool), Some(true), "{fit}");
+        assert_eq!(
+            scraped_counter(&mut request, "haqjsk_dist_grams_total"),
+            grams + fits,
+            "after {fits} workers fits"
+        );
+    }
+
+    haqjsk::dist::set_coordinator(None);
+    server.shutdown();
+    for worker in &mut workers {
+        worker.shutdown();
     }
 }

@@ -201,7 +201,7 @@ fn two_worker_processes_compute_byte_identical_grams_and_survive_a_kill() {
 
 #[test]
 #[ignore = "spawns worker and server processes; run explicitly (CI does, in release)"]
-fn a_dist_backend_server_fits_on_its_startup_pool_with_plain_server_bytes() {
+fn a_dist_server_fits_on_its_startup_workers_with_plain_server_bytes() {
     let workers = [WorkerProcess::spawn(2), WorkerProcess::spawn(2)];
     let addrs: Vec<&str> = workers.iter().map(|w| w.addr.as_str()).collect();
     let mut dist = ServeProcess::spawn(Some(&format!("dist:{}", addrs.join(","))));

@@ -8,15 +8,18 @@
 //! served `kernel_row` of the same graph bit for bit, whatever the memo
 //! evicted. Work is counted, not timed: the mixture count is the
 //! process-wide batched-eigensolver tally, so the tests in this file take
-//! one lock.
+//! one lock. The helpers take a request function: the production handler
+//! in process or, for the degenerate-graph test, a loopback connection.
 
 use haqjsk::core::{model_from_string, HaqjskModel};
 use haqjsk::engine::serve::graph_to_json;
 use haqjsk::engine::Json;
-use haqjsk::graph::generators::{cycle_graph, erdos_renyi, path_graph, star_graph};
+use haqjsk::graph::generators::{complete_graph, cycle_graph, erdos_renyi, path_graph, star_graph};
 use haqjsk::graph::Graph;
 use haqjsk::linalg::batch_solve_stats;
 use haqjsk::serving::{Serving, ServingConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static COUNTING: Mutex<()> = Mutex::new(());
@@ -36,8 +39,20 @@ fn mixtures_solved() -> u64 {
 /// environment default cannot evict a row a count relies on.
 const AMPLE: usize = 1 << 30;
 
-fn request(serving: &Serving, body: Json) -> Json {
-    let response = serving.handle(&body);
+/// A JSON-lines connection to the server at `addr`: one reply per request.
+fn wire(addr: &str) -> impl FnMut(&Json) -> Json {
+    let mut writer = TcpStream::connect(addr).expect("connect to server");
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    move |body| {
+        writeln!(writer, "{body}").expect("send request");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        Json::parse(line.trim()).expect("reply is JSON")
+    }
+}
+
+fn request(serving: &mut impl FnMut(&Json) -> Json, body: Json) -> Json {
+    let response = serving(&body);
     assert_eq!(
         response.get("ok").and_then(Json::as_bool),
         Some(true),
@@ -46,7 +61,12 @@ fn request(serving: &Serving, body: Json) -> Json {
     response
 }
 
-fn fit(serving: &Serving, graphs: &[Graph], variant: &str, budget: usize) -> Json {
+fn fit(
+    serving: &mut impl FnMut(&Json) -> Json,
+    graphs: &[Graph],
+    variant: &str,
+    budget: usize,
+) -> Json {
     request(
         serving,
         Json::obj([
@@ -70,7 +90,7 @@ fn fit(serving: &Serving, graphs: &[Graph], variant: &str, budget: usize) -> Jso
     )
 }
 
-fn append(serving: &Serving, graph: &Graph) {
+fn append(serving: &mut impl FnMut(&Json) -> Json, graph: &Graph) {
     request(
         serving,
         Json::obj([
@@ -88,7 +108,7 @@ fn bits(values: &[Json]) -> Vec<u64> {
 }
 
 /// The bit patterns of every row of a full `gram` read.
-fn gram_bits(serving: &Serving) -> Vec<Vec<u64>> {
+fn gram_bits(serving: &mut impl FnMut(&Json) -> Json) -> Vec<Vec<u64>> {
     let reply = request(serving, Json::obj([("cmd", Json::Str("gram".into()))]));
     let rows = reply
         .get("rows")
@@ -101,7 +121,7 @@ fn gram_bits(serving: &Serving) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn kernel_row_bits(serving: &Serving, graph: &Graph) -> Vec<u64> {
+fn kernel_row_bits(serving: &mut impl FnMut(&Json) -> Json, graph: &Graph) -> Vec<u64> {
     let reply = request(
         serving,
         Json::obj([
@@ -119,7 +139,7 @@ fn kernel_row_bits(serving: &Serving, graph: &Graph) -> Vec<u64> {
 
 /// The in-process Gram of `graphs` under the served model, rebuilt from
 /// its persisted text.
-fn expected_gram(serving: &Serving, graphs: &[Graph]) -> Vec<Vec<u64>> {
+fn expected_gram(serving: &mut impl FnMut(&Json) -> Json, graphs: &[Graph]) -> Vec<Vec<u64>> {
     let saved = request(serving, Json::obj([("cmd", Json::Str("save".into()))]));
     let model: HaqjskModel =
         model_from_string(saved.get("model").and_then(Json::as_str).unwrap()).unwrap();
@@ -129,7 +149,7 @@ fn expected_gram(serving: &Serving, graphs: &[Graph]) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn stat(serving: &Serving, field: &str) -> usize {
+fn stat(serving: &mut impl FnMut(&Json) -> Json, field: &str) -> usize {
     request(serving, Json::obj([("cmd", Json::Str("stats".into()))]))
         .get(field)
         .and_then(Json::as_usize)
@@ -156,28 +176,26 @@ fn gram_rows_equal_the_in_process_gram_and_served_kernel_rows() {
     let _counting = counting();
     let graphs = training_set();
     for variant in ["A", "D"] {
-        let serving = Serving::new(ServingConfig::default());
-        fit(&serving, &graphs, variant, AMPLE);
+        let handler = Serving::new(ServingConfig::default());
+        let serving = &mut |body: &Json| handler.handle(body);
+        fit(serving, &graphs, variant, AMPLE);
         // The fit's rows are in the memo: the read solves no mixture.
         let before = mixtures_solved();
-        let gram = gram_bits(&serving);
+        let gram = gram_bits(serving);
         assert_eq!(mixtures_solved() - before, 0, "{variant}");
-        assert_eq!(gram, expected_gram(&serving, &graphs), "{variant}");
+        assert_eq!(gram, expected_gram(serving, &graphs), "{variant}");
         // A memo that holds one row answers every other training graph's
         // `kernel_row` through its transform, paired as a query.
-        let narrow = Serving::new(ServingConfig::default());
-        fit(&narrow, &graphs, variant, 24 + 8 * 64);
+        let narrow_handler = Serving::new(ServingConfig::default());
+        let narrow = &mut |body: &Json| narrow_handler.handle(body);
+        fit(narrow, &graphs, variant, 24 + 8 * 64);
         for (i, graph) in graphs.iter().enumerate() {
-            assert_eq!(
-                kernel_row_bits(&narrow, graph),
-                gram[i],
-                "{variant} row {i}"
-            );
+            assert_eq!(kernel_row_bits(narrow, graph), gram[i], "{variant} row {i}");
         }
-        assert!(stat(&narrow, "row_cache_misses") > 0);
+        assert!(stat(narrow, "row_cache_misses") > 0);
         // A page is the slice of the full read.
         let page = request(
-            &serving,
+            serving,
             Json::obj([
                 ("cmd", Json::Str("gram".into())),
                 ("from", Json::Num(3.0)),
@@ -200,8 +218,9 @@ fn appends_extend_gram_rows_by_their_new_columns_only() {
     let _counting = counting();
     let mut served = training_set();
     let n = served.len() as u64;
-    let serving = Serving::new(ServingConfig::default());
-    let levels = fit(&serving, &served, "A", AMPLE)
+    let handler = Serving::new(ServingConfig::default());
+    let serving = &mut |body: &Json| handler.handle(body);
+    let levels = fit(serving, &served, "A", AMPLE)
         .get("levels")
         .and_then(Json::as_usize)
         .unwrap() as u64;
@@ -209,7 +228,7 @@ fn appends_extend_gram_rows_by_their_new_columns_only() {
     // Appends compute no kernel value.
     let before = mixtures_solved();
     for arrival in [path_graph(6), erdos_renyi(8, 0.3, 91)] {
-        append(&serving, &arrival);
+        append(serving, &arrival);
         served.push(arrival);
     }
     assert_eq!(mixtures_solved() - before, 0);
@@ -217,16 +236,16 @@ fn appends_extend_gram_rows_by_their_new_columns_only() {
     // The read pays only the missing columns: the two new ones for each
     // old row, and all n + 2 for each of the two new rows.
     let before = mixtures_solved();
-    let gram = gram_bits(&serving);
+    let gram = gram_bits(serving);
     assert_eq!(mixtures_solved() - before, levels * (2 * n + 2 * (n + 2)));
     assert_eq!(gram.len(), served.len());
-    assert_eq!(gram, expected_gram(&serving, &served));
+    assert_eq!(gram, expected_gram(serving, &served));
 
     // The extended rows replaced the short ones: a second read is free,
     // and so is a training graph's `kernel_row`.
     let before = mixtures_solved();
-    assert_eq!(gram_bits(&serving), gram);
-    assert_eq!(kernel_row_bits(&serving, &served[0]), gram[0]);
+    assert_eq!(gram_bits(serving), gram);
+    assert_eq!(kernel_row_bits(serving, &served[0]), gram[0]);
     assert_eq!(mixtures_solved() - before, 0);
 }
 
@@ -237,21 +256,122 @@ fn evicted_gram_rows_are_rebuilt_exactly_within_the_budget() {
     // Room for four rows: a row weighs its 24-byte header plus 8 bytes
     // for each of its 64 allocated value slots.
     let budget = 4 * (24 + 8 * 64);
-    let serving = Serving::new(ServingConfig::default());
-    fit(&serving, &served, "D", budget);
-    assert!(stat(&serving, "row_cache_evictions") > 0);
+    let handler = Serving::new(ServingConfig::default());
+    let serving = &mut |body: &Json| handler.handle(body);
+    fit(serving, &served, "D", budget);
+    assert!(stat(serving, "row_cache_evictions") > 0);
     for round in 0..3 {
         if round == 1 {
             let arrival = cycle_graph(4);
-            append(&serving, &arrival);
+            append(serving, &arrival);
             served.push(arrival);
         }
         assert_eq!(
-            gram_bits(&serving),
-            expected_gram(&serving, &served),
+            gram_bits(serving),
+            expected_gram(serving, &served),
             "round {round}"
         );
-        let resident = stat(&serving, "row_cache_resident_bytes");
+        let resident = stat(serving, "row_cache_resident_bytes");
         assert!(resident <= budget, "{resident} memo bytes over {budget}");
     }
+}
+
+/// A 1-vertex graph, an edgeless one, two disjoint triangles, K5 and a
+/// star, served over a connection: every row, the symmetry and the
+/// diagonal hold as for ordinary graphs, and a 0-vertex graph is an error
+/// envelope that leaves the connection answering.
+#[test]
+fn degenerate_graphs_serve_exact_rows_over_the_wire() {
+    let _counting = counting();
+    let triangles =
+        Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]).unwrap();
+    let graphs = vec![
+        Graph::new(1),
+        Graph::new(5),
+        triangles,
+        complete_graph(5),
+        star_graph(6),
+    ];
+    let empty = Json::parse(r#"{"n":0,"edges":[]}"#).unwrap();
+    let mut server = Serving::new(ServingConfig::default())
+        .spawn("127.0.0.1:0")
+        .expect("bind server");
+    let wire = &mut wire(&server.local_addr().to_string());
+    for variant in ["A", "D"] {
+        let mut served = graphs.clone();
+        let levels = request(
+            wire,
+            Json::obj([
+                ("cmd", Json::Str("fit".into())),
+                (
+                    "graphs",
+                    Json::Arr(served.iter().map(graph_to_json).collect()),
+                ),
+                ("variant", Json::Str(variant.into())),
+            ]),
+        )
+        .get("levels")
+        .and_then(Json::as_usize)
+        .unwrap();
+        let gram = gram_bits(wire);
+        assert_eq!(gram, expected_gram(wire, &served), "{variant}");
+        for (i, graph) in served.iter().enumerate() {
+            assert_eq!(kernel_row_bits(wire, graph), gram[i], "{variant} row {i}");
+            assert_eq!(
+                f64::from_bits(gram[i][i]),
+                levels as f64,
+                "{variant} diagonal {i}"
+            );
+            for (j, row) in gram.iter().enumerate() {
+                assert_eq!(row[i], gram[i][j], "{variant} ({i}, {j})");
+            }
+        }
+
+        append(wire, &graphs[1]);
+        served.push(graphs[1].clone());
+        let extended = gram_bits(wire);
+        assert_eq!(extended.len(), served.len(), "{variant}");
+        for (row, old) in extended.iter().zip(&gram) {
+            assert_eq!(
+                row[..old.len()],
+                old[..],
+                "{variant}: a prefix keeps its bits"
+            );
+        }
+        assert_eq!(extended, expected_gram(wire, &served), "{variant}");
+
+        let refused = [
+            Json::obj([
+                ("cmd", Json::Str("fit".into())),
+                (
+                    "graphs",
+                    Json::Arr(vec![graph_to_json(&graphs[3]), empty.clone()]),
+                ),
+                ("variant", Json::Str(variant.into())),
+            ]),
+            Json::obj([
+                ("cmd", Json::Str("kernel_row".into())),
+                ("graph", empty.clone()),
+            ]),
+            Json::obj([
+                ("cmd", Json::Str("append".into())),
+                ("graph", empty.clone()),
+            ]),
+        ];
+        for body in refused {
+            let reply = wire(&body);
+            assert_eq!(
+                reply.get("ok").and_then(Json::as_bool),
+                Some(false),
+                "{body}: {reply}"
+            );
+            assert!(
+                reply.get("error").and_then(Json::as_str).is_some(),
+                "{reply}"
+            );
+        }
+        // The refusals changed nothing the connection serves.
+        assert_eq!(gram_bits(wire), extended, "{variant}");
+    }
+    server.shutdown();
 }
